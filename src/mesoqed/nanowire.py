@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -435,6 +436,123 @@ def plasmon_bundle(geom: WireGeometry, d: float, orientation: str) -> GreenBundl
 
 _QS_SERIES_TOL = 1e-10
 _QS_STALL_TOL = 1e-6
+_QS_CHUNK = 8  # orders per chunk after the first (see _harmonic_chunks)
+_QS_PANEL_LIMIT = 400  # panels per harmonic
+
+# Gauss-Kronrod G10/K21 rule on [-1, 1] (QUADPACK qk21): nodes from the
+# end to the centre with their Kronrod and Gauss weights (the Gauss nodes
+# are every second one); _GK_X and the _GK_W_* hold the full rule, left
+# to right
+_GK_XK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_GK_WK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208936966410, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GK_WG = (
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+)
+_GK_X = np.array([-x for x in _GK_XK] + list(_GK_XK[-2::-1]))
+_GK_W_KRONROD = np.array(_GK_WK + _GK_WK[-2::-1])
+_GK_W_GAUSS = np.array(_GK_WG + _GK_WG[-2::-1])
+_EPS = np.finfo(float).eps
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    # strictly left to right along each row, so a panel's sum does not
+    # depend on how many panels share the array (a matrix product
+    # rounds differently for different row counts)
+    return np.add.accumulate(values, axis=1)[:, -1]
+
+
+def _gk21(integrand, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Panels [a, b] of `rows` as columns (a, b, value, error, roundoff floor).
+
+    K21 value with QUADPACK's qk21 error estimate, which never falls
+    below the roundoff floor 50 eps * integral of |f|.
+    """
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = centre[:, None] + half[:, None] * _GK_X
+    f = integrand(nodes.ravel(), np.repeat(rows, _GK_X.size)).reshape(nodes.shape)
+    resk = _row_sums(f * _GK_W_KRONROD)
+    resg = _row_sums(f * _GK_W_GAUSS)
+    resabs = _row_sums(np.abs(f) * _GK_W_KRONROD) * half
+    resasc = _row_sums(np.abs(f - 0.5 * resk[:, None]) * _GK_W_KRONROD) * half
+    err = np.abs((resk - resg) * half)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    ratio = 200.0 * err / np.where(scaled, resasc, 1.0)
+    err = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), err)
+    floor = 50.0 * _EPS * resabs
+    return np.stack((a, b, resk * half, np.maximum(err, floor), floor))
+
+
+def _integrate_rows(integrand, upper: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Integral over [0, upper[row]] of each row's integrand, all rows at once.
+
+    `integrand(k, row)` takes flat arrays of nodes and row indices.
+    Adaptive bisection per row: while a row's summed error estimate
+    exceeds rel_tol times its value, every panel of that row whose error
+    exceeds the row's tolerance over its panel count, and its own
+    roundoff floor, is halved; a row stops splitting at
+    _QS_PANEL_LIMIT panels. Rows share no decision and no sum, so each
+    result is the same whichever rows are integrated with it. Warns
+    when a row ends above its tolerance.
+    """
+    n = upper.size
+    rows = np.arange(n)
+    panels = _gk21(integrand, rows, np.zeros(n), upper)
+    while True:
+        a, b, val, err, floor = panels
+        total = np.bincount(rows, val, n)
+        count = np.bincount(rows, minlength=n)
+        tol = rel_tol * np.abs(total)
+        unmet = np.bincount(rows, err, n) > tol
+        split = (unmet & (count < _QS_PANEL_LIMIT))[rows]
+        split &= (err > (tol / count)[rows]) & (err > floor)
+        if not split.any():
+            break
+        halves_of = np.tile(rows[split], 2)
+        mid = 0.5 * (a[split] + b[split])
+        lo, hi = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
+        halves = _gk21(integrand, halves_of, lo, hi)
+        rows = np.concatenate((rows[~split], halves_of))
+        panels = np.concatenate((panels[:, ~split], halves), axis=1)
+    if unmet.any():
+        warnings.warn(
+            f"{np.count_nonzero(unmet)} of {n} harmonic integrals stopped above the "
+            f"relative tolerance {rel_tol:g} (roundoff or {_QS_PANEL_LIMIT} panels)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return total
+
+
+def _harmonic_chunks(d: float, rho: float, m_max: int) -> list[np.ndarray]:
+    """Orders 0..m_max in the chunks the background integrates together."""
+    # term m falls off about as (rho/r0)^(2m) = exp(-fall * m): the first
+    # chunk ends two orders past where that reaches the default series
+    # tolerance (or at m_max), later chunks take _QS_CHUNK orders each
+    fall = 2.0 * math.log1p(d / rho)
+    orders = -math.log(_QS_SERIES_TOL)
+    first = 3 + math.ceil(orders / fall) if fall * m_max > orders else m_max + 1
+    starts = [0, *range(first, m_max + 1, _QS_CHUNK), m_max + 1]
+    return [np.arange(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 def quasistatic_background(
@@ -451,6 +569,18 @@ def quasistatic_background(
     The radiative part is approximated by the homogeneous host rate, so
     the return value is 1 + Gamma_LS (normalized).  Lossless metal gives
     exactly 1.
+
+    Harmonic m is the integral over [0, 30/d + 2m/rho] of a product of
+    scaled I_m, K_m over the cylinder's resonant denominator.  The
+    harmonics are integrated in chunks, all panels of a chunk at once:
+    adaptive Gauss-Kronrod G10/K21 bisection with QUADPACK's error
+    estimate, each harmonic to `rel_tol` on its own, so a harmonic's
+    value does not depend on the chunk it shares.  After each chunk the
+    series stops once two successive terms fall below `series_tol` of
+    the sum.  If that has not happened at m_max (fixed, not scaled with
+    rho/d), a last term above 1e-6 of the sum raises ConvergenceError
+    and a smaller one is accepted.  A harmonic that cannot reach
+    `rel_tol` (roundoff, or 400 panels) is kept with a RuntimeWarning.
     """
     if not (d > 0.0):
         raise ParameterError(f"emitter-surface distance must be positive, got {d}")
@@ -481,52 +611,63 @@ def quasistatic_background(
             x = 2.0 * math.exp((math.lgamma(m + 1) - 620.0 + x) / m)
         return x
 
-    def integrand(k: float, m: int, x_switch: float) -> float:
-        x = k * rho
-        y = k * r0
-        if m >= 1 and x < x_switch:
-            lim = -beta_flat.imag * (rho / r0) ** (2 * m) / (2.0 * m)
+    def terms_of(ms: np.ndarray) -> np.ndarray:
+        x_switch = np.array([switch_x(int(m)) for m in ms])
+
+        def integrand(k: np.ndarray, row: np.ndarray) -> np.ndarray:
+            m = ms[row]
+            x = k * rho
+            y = k * r0
+            out = np.empty_like(k)
+            limit = (m >= 1) & (x < x_switch[row])
+            if limit.any():
+                ml, kl = m[limit], k[limit]
+                lim = -beta_flat.imag * (rho / r0) ** (2 * ml) / (2.0 * ml)
+                out[limit] = ml * ml / (r0 * r0) * lim if radial else kl * kl * lim
+            full = ~limit
+            k, m, x, y = k[full], m[full], x[full], y[full]
+            below, above = np.abs(m - 1), m + 1
+            im0, km0 = specfun.bessel_ik_scaled(m, x)
+            iml, kml = specfun.bessel_ik_scaled(below, x)
+            imu, kmu = specfun.bessel_ik_scaled(above, x)
+            ivp = 0.5 * (iml + imu)
+            kvp = -0.5 * (kml + kmu)
             if radial:
-                return m * m / (r0 * r0) * lim
-            return k * k * lim
-        im0, km0 = specfun.bessel_ik_scaled(m, x)
-        iml, kml = specfun.bessel_ik_scaled(abs(m - 1), x)
-        imu, kmu = specfun.bessel_ik_scaled(m + 1, x)
-        ivp = 0.5 * (iml + imu)
-        kvp = -0.5 * (kml + kmu)
-        if radial:
-            _, wl = specfun.bessel_ik_scaled(abs(m - 1), y)
-            _, wu = specfun.bessel_ik_scaled(m + 1, y)
-            w = -0.5 * (wl + wu)
-        else:
-            _, w = specfun.bessel_ik_scaled(m, y)
-        denom = eps1 * im0 * kvp - eps2 * ivp * km0
-        damp = math.exp(x - y)  # = exp(-k d); applied per bracket, squared overall
-        br1 = im0 * w * damp
-        br2 = ivp * w * damp
-        ratio = (eps2 - eps1) * br1 * br2 / denom
-        return k * k * ratio.imag
+                _, wl = specfun.bessel_ik_scaled(below, y)
+                _, wu = specfun.bessel_ik_scaled(above, y)
+                w = -0.5 * (wl + wu)
+            else:
+                _, w = specfun.bessel_ik_scaled(m, y)
+            denom = eps1 * im0 * kvp - eps2 * ivp * km0
+            damp = np.exp(x - y)  # = exp(-k d); applied per bracket, squared overall
+            br1 = im0 * w * damp
+            br2 = ivp * w * damp
+            ratio = (eps2 - eps1) * br1 * br2 / denom
+            out[full] = k * k * ratio.imag
+            return out
+
+        # support of the m-th term: exp(-2kd) tail plus the bracket
+        # transition at k ~ m/rho
+        k_up = 30.0 / d + 2.0 * ms / rho
+        weight = np.where(ms == 0, 1.0, 2.0)
+        return pref * weight * _integrate_rows(integrand, k_up, rel_tol)
 
     pref = -3.0 / (math.pi * k1**3)
     total = 0.0
     terms: list[float] = []
     converged = False
-    for m in range(m_max + 1):
-        weight = 1.0 if m == 0 else 2.0
-        # support of the m-th term: exp(-2kd) tail plus the bracket
-        # transition at k ~ m/rho
-        k_up = 30.0 / d + 2.0 * m / rho
-        val, err = quad(
-            integrand, 0.0, k_up, args=(m, switch_x(m)), epsabs=1e-300, epsrel=rel_tol, limit=400
-        )
-        term = pref * weight * val
-        total += term
-        terms.append(term)
-        if m >= 2:
-            scale = abs(total) + 1e-300
-            if abs(terms[-1]) < series_tol * scale and abs(terms[-2]) < series_tol * scale:
-                converged = True
-                break
+    for chunk in _harmonic_chunks(d, rho, m_max):
+        for m, term in zip(chunk, terms_of(chunk)):
+            term = float(term)
+            total += term
+            terms.append(term)
+            if m >= 2:
+                scale = abs(total) + 1e-300
+                if abs(terms[-1]) < series_tol * scale and abs(terms[-2]) < series_tol * scale:
+                    converged = True
+                    break
+        if converged:
+            break
     if not converged:
         scale = abs(total) + 1e-300
         if abs(terms[-1]) > max(_QS_STALL_TOL, series_tol) * scale:

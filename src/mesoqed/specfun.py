@@ -3,7 +3,8 @@
 Thin guard layer over scipy.special (AMOS backend). The guards turn
 silent overflow into explicit errors and pin the branch conventions the
 rest of the package relies on. Scalar inputs return python complex;
-numpy arrays pass through elementwise.
+numpy arrays pass through elementwise, and an integer array of orders
+broadcasts against the argument.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ _OVERFLOW_ARG = 690.0
 
 def _check_order(order, allowed=None):
     if not isinstance(order, (int, np.integer)):
-        raise ParameterError(f"order must be an integer, got {order!r}")
+        # an array of orders, broadcast against z by the caller's ufunc
+        arr = np.asarray(order)
+        if allowed is not None or not np.issubdtype(arr.dtype, np.integer) or np.any(arr < 0):
+            raise ParameterError(f"order must be a non-negative integer, got {order!r}")
+        return arr
     if allowed is not None and order not in allowed:
         raise ParameterError(f"order must be one of {sorted(allowed)}, got {order}")
     if order < 0:
@@ -81,11 +86,12 @@ def bessel_ik(order: int, z) -> tuple:
     return i_val, k_val
 
 
-def bessel_ik_scaled(order: int, z) -> tuple:
+def bessel_ik_scaled(order, z) -> tuple:
     """Scaled modified Bessel pair: (I*exp(-|Re z|), K*exp(+z)).
 
     Same domain as bessel_ik but safe for large Re z, where the raw
-    pair would over/underflow. The two scalings compose so that
+    pair would over/underflow. `order` may be a non-negative integer
+    array that broadcasts against z. The two scalings compose so that
     products like I_m(a) K_m(b) carry the explicit factor
     exp(|Re a| - b).
     """

@@ -6,7 +6,9 @@ electrostatic lossy-surface rates, the surface-mode pole of a single
 interface, hand-rolled power series and integral representations for
 the Bessel functions, an arbitrary-precision root polish of the wire
 mode equation, the wire's axial gradient ratio from Gauss's law, and
-finite-difference ground states of harmonically confined carriers.
+finite-difference ground states of harmonically confined carriers, and
+the wire's quasi-static background as one scalar adaptive quadrature
+per azimuthal harmonic.
 None of it routes through the package modules, so a library bug cannot
 cancel against an oracle bug.
 
@@ -23,7 +25,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import kv
+from scipy.special import ive, kv, kve
 
 
 # ------------------------------------------------------------- planar mirror
@@ -235,6 +237,86 @@ def wire_axial_gradient_ratio(distances, rho: float, lambda0: float,
         e_r = 1j * k_sp * integral / r
         ratios.append(scale * abs(e_r) / abs(e_z))
     return ratios, scale * abs(k_sp / kappa)
+
+
+def quasistatic_background_scalar(rho: float, d: float, lambda0: float,
+                                  n_host: complex, n_metal: complex, radial: bool,
+                                  m_max: int = 30, rel_tol: float = 1e-8,
+                                  series_tol: float = 1e-10) -> float:
+    """Wire quasi-static background, one scalar `quad` per harmonic.
+
+    The harmonic-by-harmonic reference for the library's batched
+    background: the same integrand (scaled I_m, K_m products over the
+    electrostatic cylinder denominator), the same per-m interval
+    [0, 30/d + 2m/rho], the same small-argument limit for m >= 60 and
+    the same series stop rule, each harmonic integrated on its own by
+    QUADPACK at `rel_tol`. Returns 1 + Gamma_LS; raises RuntimeError
+    where the harmonic sum is still moving at m_max.
+    """
+    eps1 = n_host * n_host
+    eps2 = n_metal * n_metal
+    if eps2.imag == 0.0:
+        return 1.0
+    r0 = rho + d
+    k1 = (2.0 * math.pi * n_host / lambda0).real
+    beta_flat = (eps2 - eps1) / (eps1 + eps2)
+
+    def pair(m: int, z: float):
+        # principal-branch scaled pair at a complex argument, as in the
+        # library's guarded wrapper
+        zc = complex(z)
+        i_val, k_val = complex(ive(m, zc)), complex(kve(m, zc))
+        if not (cmath.isfinite(i_val) and cmath.isfinite(k_val)):
+            raise OverflowError(f"scaled I/K of order {m} at {z} left double range")
+        return i_val, k_val
+
+    def switch_x(m: int) -> float:
+        if m < 60:
+            return 0.0
+        x = 0.0
+        for _ in range(3):
+            x = 2.0 * math.exp((math.lgamma(m + 1) - 620.0 + x) / m)
+        return x
+
+    def integrand(k: float, m: int, x_switch: float) -> float:
+        x = k * rho
+        y = k * r0
+        if m >= 1 and x < x_switch:
+            lim = -beta_flat.imag * (rho / r0) ** (2 * m) / (2.0 * m)
+            if radial:
+                return m * m / (r0 * r0) * lim
+            return k * k * lim
+        im0, km0 = pair(m, x)
+        iml, kml = pair(abs(m - 1), x)
+        imu, kmu = pair(m + 1, x)
+        ivp = 0.5 * (iml + imu)
+        kvp = -0.5 * (kml + kmu)
+        if radial:
+            w = -0.5 * (pair(abs(m - 1), y)[1] + pair(m + 1, y)[1])
+        else:
+            w = pair(m, y)[1]
+        denom = eps1 * im0 * kvp - eps2 * ivp * km0
+        damp = math.exp(x - y)
+        ratio = (eps2 - eps1) * (im0 * w * damp) * (ivp * w * damp) / denom
+        return k * k * ratio.imag
+
+    pref = -3.0 / (math.pi * k1**3)
+    total = 0.0
+    terms = []
+    for m in range(m_max + 1):
+        weight = 1.0 if m == 0 else 2.0
+        k_up = 30.0 / d + 2.0 * m / rho
+        val, _ = quad(integrand, 0.0, k_up, args=(m, switch_x(m)),
+                      epsabs=1e-300, epsrel=rel_tol, limit=400)
+        term = pref * weight * val
+        total += term
+        terms.append(term)
+        scale = abs(total) + 1e-300
+        if m >= 2 and abs(terms[-1]) < series_tol * scale and abs(terms[-2]) < series_tol * scale:
+            return 1.0 + total
+    if abs(terms[-1]) > max(1e-6, series_tol) * (abs(total) + 1e-300):
+        raise RuntimeError(f"harmonic sum still moving at m_max={m_max}")
+    return 1.0 + total
 
 
 # ------------------------------------------------------ envelope moment

@@ -2,7 +2,8 @@
 
 The dispersion root is cross-checked with an arbitrary-precision
 re-solve of the mode condition; the electrostatic background is checked
-against the flat-surface closed form in the large-radius limit.
+against one scalar QUADPACK integral per harmonic and against the
+flat-surface closed form in the large-radius limit.
 """
 
 import math
@@ -22,6 +23,7 @@ from mesoqed import (
     Material,
     NoBoundModeError,
     ParameterError,
+    SILVER,
     WireGeometry,
     extract_fields,
     field_map,
@@ -39,6 +41,7 @@ from mesoqed import (
     spp_pole,
     paper_interface,
 )
+from mesoqed import nanowire
 from mesoqed.core import SPEED_OF_LIGHT_NM_PER_FS as C0
 
 GEOM = paper_wire()
@@ -297,6 +300,62 @@ def test_background_harmonic_cutoff_is_converged():
     a = quasistatic_background(GEOM, 20.0, AXIAL, m_max=30)
     b = quasistatic_background(GEOM, 20.0, AXIAL, m_max=60)
     assert a == b
+    # the cutoff also moves the harmonic chunks; the sum must not notice
+    for d in (20.0, 155.0):
+        for orientation in (AXIAL, RADIAL):
+            got = {m_max: quasistatic_background(GEOM, d, orientation, m_max=m_max)
+                   for m_max in (30, 45, 60)}
+            assert got[30] == got[45] == got[60]
+
+
+@pytest.mark.parametrize("d", [12.0, 20.0, 155.0])
+def test_background_harmonics_do_not_depend_on_their_batch(monkeypatch, d):
+    # every harmonic integrated alone must give the batched sum bit for bit
+    batched = quasistatic_background(GEOM, d, RADIAL)
+
+    def one_order_chunks(d, rho, m_max):
+        return [np.array([m]) for m in range(m_max + 1)]
+
+    monkeypatch.setattr(nanowire, "_harmonic_chunks", one_order_chunks)
+    assert quasistatic_background(GEOM, d, RADIAL) == batched
+
+
+def test_batched_quadrature_rows_are_independent():
+    # cos(w k) over [0, 3]: slow rows settle on their first panel, so its
+    # sum enters the result, fast rows are bisected for several rounds
+    freq = np.arange(1.0, 13.0)
+    upper = np.full(freq.size, 3.0)
+
+    def integrand(k, row):
+        return np.cos(freq[row] * k)
+
+    together = nanowire._integrate_rows(integrand, upper, 1e-10)
+    for i, w in enumerate(freq):
+        alone = nanowire._integrate_rows(lambda k, row: np.cos(w * k), upper[i:i + 1], 1e-10)
+        assert alone[0] == together[i]
+    assert np.allclose(together, np.sin(3.0 * freq) / freq, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
+@pytest.mark.parametrize("d", [10.0, 12.0, 15.0, 20.0, 30.0, 50.0, 100.0, 155.0, 300.0])
+def test_background_matches_scalar_quadrature(d, orientation):
+    got = quasistatic_background(GEOM, d, orientation)
+    ref = oracles.quasistatic_background_scalar(
+        30.0, d, 1000.0, GAAS.n, SILVER.n, orientation == RADIAL
+    )
+    assert got - 1.0 == pytest.approx(ref - 1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
+def test_background_small_argument_branch_matches_scalar_quadrature(orientation):
+    # orders m >= 60 switch to the small-argument limit near k = 0
+    wide = paper_wire(rho=200.0)
+    got = quasistatic_background(wide, 10.0, orientation, m_max=250, series_tol=1e-5)
+    ref = oracles.quasistatic_background_scalar(
+        200.0, 10.0, 1000.0, GAAS.n, SILVER.n, orientation == RADIAL,
+        m_max=250, series_tol=1e-5,
+    )
+    assert got - 1.0 == pytest.approx(ref - 1.0, rel=1e-10)
 
 
 def test_background_lossless_metal_is_unity():

@@ -107,6 +107,20 @@ def test_scaled_pair_consistent_with_plain():
             assert k_scaled == pytest.approx(k_plain * np.exp(z), rel=1e-12)
 
 
+def test_scaled_pair_takes_order_arrays():
+    orders = np.array([0, 1, 2, 7, 30, 59])
+    zs = np.array([0.3, 2.0 + 1.0j, 15.0, 40.0 - 3.0j, 7.5, 120.0 + 0.5j])
+    i_arr, k_arr = bessel_ik_scaled(orders, zs)
+    for order, z, i_val, k_val in zip(orders, zs, i_arr, k_arr):
+        assert (i_val, k_val) == bessel_ik_scaled(int(order), complex(z))
+    # a column of orders broadcasts against a row of arguments
+    i_grid, k_grid = bessel_ik_scaled(orders[:, None], zs[None, :])
+    assert i_grid.shape == k_grid.shape == (orders.size, zs.size)
+    for r, order in enumerate(orders):
+        assert np.array_equal(i_grid[r], bessel_ik_scaled(int(order), zs)[0])
+        assert np.array_equal(k_grid[r], bessel_ik_scaled(int(order), zs)[1])
+
+
 def test_scaled_pair_survives_huge_arguments():
     # The plain pair overflows here; the scaled pair must not.
     i_s, k_s = bessel_ik_scaled(0, 5000.0 + 100.0j)
@@ -126,6 +140,9 @@ def test_order_validation():
             fn(-1)
         with pytest.raises(ParameterError):
             fn(1.5)
+    for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([1.0, 2.0])):
+        with pytest.raises(ParameterError):
+            bessel_ik_scaled(bad, np.ones(len(bad)))
 
 
 def test_bessel_j_rejects_huge_imaginary_part():

@@ -14,15 +14,11 @@ rad/nm, velocities in nm/fs.
 __version__ = "0.1.0"
 
 from .core import (
-    CONSTANTS,
-    DIRECT,
     GAAS,
-    INVERTED,
     SILVER,
     EmitterMoments,
     FiguresOfMerit,
     Material,
-    PhysicalConstants,
     figures_of_merit,
     homogeneous_im_gxx,
     paper_moments,
@@ -43,7 +39,6 @@ from .halfspace import (
     GreenBundle,
     InterfaceGeometry,
     InterfacePoint,
-    decompose_channels,
     fresnel,
     green_bundle,
     interface_point,
@@ -87,11 +82,9 @@ from .rates import (
 __all__ = [
     "__version__",
     "AXIAL",
-    "CONSTANTS",
     "ChannelDecomposition",
     "ContractViolationError",
     "ConvergenceError",
-    "DIRECT",
     "EmitterMoments",
     "ExpansionInvalidError",
     "FieldMap",
@@ -101,7 +94,6 @@ __all__ = [
     "GaussianEnvelopes",
     "GreenBundle",
     "GuidedMode",
-    "INVERTED",
     "InterfaceGeometry",
     "InterfacePoint",
     "LENS_SHAPED_TABLE",
@@ -115,13 +107,11 @@ __all__ = [
     "OutOfDomainError",
     "ParameterError",
     "ParityTable",
-    "PhysicalConstants",
     "RADIAL",
     "RateLadder",
     "SILVER",
     "WireGeometry",
     "allowed_moments",
-    "decompose_channels",
     "extract_fields",
     "field_map",
     "figures_of_merit",

@@ -28,7 +28,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import __version__, halfspace, nanowire
+from . import __version__, core, halfspace, nanowire
 from . import moments as qd
 from .core import EmitterMoments, Material, figures_of_merit, wavevector
 from .errors import MesoqedError, ParameterError
@@ -40,12 +40,12 @@ class UsageError(Exception):
 
 _PRESETS = {
     "paper": {
-        "lambda0": 1000.0,
-        "host_n": 3.42 + 0.0j,
-        "metal_n": 0.2 + 7.0j,
-        "ratio": 10.0,
-        "lqd": 20.0,
-        "radius": 30.0,
+        "lambda0": core.PAPER_LAMBDA0_NM,
+        "host_n": core.GAAS.n,
+        "metal_n": core.SILVER.n,
+        "ratio": core.PAPER_RATIO_NM,
+        "lqd": core.PAPER_L_QD_NM,
+        "radius": core.PAPER_WIRE_RADIUS_NM,
     }
 }
 
@@ -434,7 +434,7 @@ def _cmd_field_map(cfg: RunConfig, args: argparse.Namespace) -> str:
         )
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
-    fm = nanowire.field_map(_wire_geom(cfg), _moments(cfg), window)
+    fm = nanowire.field_map(_wire_geom(cfg), window)
     rows = []
     for i, r in enumerate(fm.r):
         for j, z in enumerate(fm.z):
@@ -548,7 +548,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="host refractive index (lossless, e.g. 3.42)")
     parser.add_argument("--metal-n", dest="metal_n", metavar="N",
                         help="metal refractive index (e.g. 0.2+7j)")
-    parser.add_argument("--tol", type=float, help="relative quadrature tolerance")
+    parser.add_argument("--tol", type=float,
+                        help="relative quadrature tolerance (default 1e-8); below about "
+                             "3e-14 the wire background cannot certify it and warns")
     parser.add_argument("--workers", type=int,
                         help="worker processes over sweep points (default 1)")
     parser.add_argument("--out", metavar="PATH",

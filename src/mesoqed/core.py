@@ -18,25 +18,6 @@ from .errors import ParameterError
 
 SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 
-DIRECT = "direct"
-INVERTED = "inverted"
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Unit-convention marker.
-
-    c0 is the only constant carrying a numeric value. The squared
-    matrix-element prefactor that multiplies every raw decay rate is
-    common to numerator and denominator of each reported ratio and is
-    therefore never evaluated.
-    """
-
-    c0_nm_per_fs: float = SPEED_OF_LIGHT_NM_PER_FS
-
-
-CONSTANTS = PhysicalConstants()
-
 
 @dataclass(frozen=True)
 class Material:
@@ -69,34 +50,21 @@ class EmitterMoments:
     nm. The tensor structure is fixed: the dipole points along the
     in-plane x axis and the first-order moment couples x with the
     growth axis z. Mounting the emitter upside down negates the ratio
-    and changes nothing else; that switch is carried by `orientation`
-    so a single parameter set can describe both mountings.
+    and changes nothing else, so the sign of the ratio is the mounting.
     """
 
     lambda_over_mu: float
     l_qd: float = 20.0
-    orientation: str = DIRECT
 
     def __post_init__(self):
         if not math.isfinite(self.lambda_over_mu):
             raise ParameterError("lambda_over_mu must be finite")
         if not (math.isfinite(self.l_qd) and self.l_qd > 0.0):
             raise ParameterError(f"l_qd must be positive, got {self.l_qd}")
-        if self.orientation not in (DIRECT, INVERTED):
-            raise ParameterError(
-                f"orientation must be {DIRECT!r} or {INVERTED!r}, got {self.orientation!r}"
-            )
-
-    @property
-    def effective_lambda_over_mu(self) -> float:
-        """Signed ratio actually entering the rates."""
-        if self.orientation == INVERTED:
-            return -self.lambda_over_mu
-        return self.lambda_over_mu
 
     def flipped(self) -> "EmitterMoments":
-        other = INVERTED if self.orientation == DIRECT else DIRECT
-        return replace(self, orientation=other)
+        """The same emitter mounted upside down."""
+        return replace(self, lambda_over_mu=-self.lambda_over_mu)
 
 
 @dataclass(frozen=True)
@@ -105,7 +73,6 @@ class FiguresOfMerit:
 
     g1: float
     g2: float
-    k_used: float
 
 
 def wavevector(material: Material, lambda0: float) -> complex:
@@ -125,7 +92,7 @@ def figures_of_merit(k: float, moments: EmitterMoments) -> FiguresOfMerit:
     if not (math.isfinite(k) and k > 0.0):
         raise ParameterError(f"k must be a positive real wavevector, got {k}")
     kl = k * abs(moments.lambda_over_mu)
-    return FiguresOfMerit(g1=2.0 * kl, g2=kl * kl, k_used=k)
+    return FiguresOfMerit(g1=2.0 * kl, g2=kl * kl)
 
 
 def homogeneous_im_gxx(host: Material, lambda0: float) -> float:
@@ -152,7 +119,5 @@ PAPER_L_QD_NM = 20.0
 PAPER_WIRE_RADIUS_NM = 30.0
 
 
-def paper_moments(orientation: str = DIRECT) -> EmitterMoments:
-    return EmitterMoments(
-        lambda_over_mu=PAPER_RATIO_NM, l_qd=PAPER_L_QD_NM, orientation=orientation
-    )
+def paper_moments() -> EmitterMoments:
+    return EmitterMoments(lambda_over_mu=PAPER_RATIO_NM, l_qd=PAPER_L_QD_NM)

@@ -43,9 +43,9 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from . import rates as _rates
-from .core import EmitterMoments, Material, homogeneous_im_gxx, wavevector
+from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
+from .core import homogeneous_im_gxx, wavevector
 from .errors import ConvergenceError, NoBoundModeError, ParameterError
-from .specfun import bessel_j
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
 _MIN_SAFE_HEIGHT = 10.0
@@ -76,23 +76,26 @@ class GreenBundle:
     g_xx       Im G_xx, homogeneous part included           [1/nm]
     d_g_zx     Im of the lateral gradient of G_zx           [1/nm^2]
     dd_g_zz    Im of the mixed lateral derivative of G_zz   [1/nm^3]
-    b_yx       magnetic-type combination,
-               Im{d_x G_zx - d_z G_xx}                      [1/nm^2]
-    q_xz       quadrupole-type combination,
-               Im{d_x G_zx + d_z G_xx}                      [1/nm^2]
+    dz_g_xx    Im of the vertical gradient of G_xx          [1/nm^2]
 
-    The two complex members keep the gradients before the imaginary
-    projection so the linear identity b + q = 2*d_g_zx can be verified
-    on complex values.
+    The magnetic-type and quadrupole-type combinations of the two
+    gradients are derived from them, so they always add to 2*d_g_zx.
     """
 
     g_xx: float
     d_g_zx: float
     dd_g_zz: float
-    b_yx: float
-    q_xz: float
-    grad_zx_complex: complex
-    grad_xx_z_complex: complex
+    dz_g_xx: float
+
+    @property
+    def b_yx(self) -> float:
+        """Magnetic-type combination Im{d_x G_zx - d_z G_xx}  [1/nm^2]."""
+        return self.d_g_zx - self.dz_g_xx
+
+    @property
+    def q_xz(self) -> float:
+        """Quadrupole-type combination Im{d_x G_zx + d_z G_xx}  [1/nm^2]."""
+        return self.d_g_zx + self.dz_g_xx
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,6 @@ class ChannelDecomposition:
 
     def order_total(self, order: int) -> float:
         return self.rad[order] + self.pl[order] + self.ls[order]
-
-    @property
-    def totals(self) -> tuple:
-        return tuple(self.order_total(i) for i in range(3))
 
 
 def _kz(eps: complex, k0: float, kp: complex) -> complex:
@@ -346,8 +345,8 @@ def green_bundle(geom: InterfaceGeometry, rel_tol: float = 1.0e-8) -> GreenBundl
 
     The homogeneous part enters only g_xx; the gradient entries of a
     homogeneous medium vanish at the source point by parity, so the
-    bundle of an interface between identical media is exactly
-    (homogeneous, 0, 0, 0, 0).
+    bundle of an interface between identical media is
+    (homogeneous, 0, 0, 0) up to rounding.
     """
     som = _sommerfeld(geom, rel_tol)
     j = _unscale(som.rad + som.evan, som.k1)
@@ -355,34 +354,21 @@ def green_bundle(geom: InterfaceGeometry, rel_tol: float = 1.0e-8) -> GreenBundl
 
 
 def _bundle_from_integrals(j: np.ndarray, hom: float) -> GreenBundle:
-    return GreenBundle(
-        g_xx=hom + j[0].imag,
-        d_g_zx=j[1].imag,
-        dd_g_zz=j[2].imag,
-        b_yx=(j[1] - j[3]).imag,
-        q_xz=(j[1] + j[3]).imag,
-        grad_zx_complex=complex(j[1]),
-        grad_xx_z_complex=complex(j[3]),
-    )
-
-
-def decompose_channels(geom: InterfaceGeometry, moments: EmitterMoments,
-                       rel_tol: float = 1.0e-8) -> ChannelDecomposition:
-    """Radiative / plasmon / lossy split of each rate-ladder order.
-
-    Radiative: the k_par in [0, k1] part plus, at order zero, the
-    homogeneous rate. Plasmon: the pole bookkeeping of the docstring
-    above. Lossy: the evanescent remainder.
-    """
-    som = _sommerfeld(geom, rel_tol)
-    return _channels_from_sommerfeld(som, moments)
+    return GreenBundle(g_xx=hom + j[0].imag, d_g_zx=j[1].imag, dd_g_zz=j[2].imag,
+                       dz_g_xx=j[3].imag)
 
 
 def _channels_from_sommerfeld(som: _Sommerfeld, moments: EmitterMoments) -> ChannelDecomposition:
+    """Radiative / plasmon / lossy split of each rate-ladder order.
+
+    Radiative: the k_par in [0, k1] part plus, at order zero, the
+    homogeneous rate. Plasmon: the pole bookkeeping of the module
+    docstring. Lossy: the evanescent remainder.
+    """
     k1, norm = som.k1, som.norm
     if k1 * moments.l_qd >= 1.0:
         raise _rates.expansion_error(k1, moments.l_qd)
-    lam = moments.effective_lambda_over_mu
+    lam = moments.lambda_over_mu
     factors = (1.0, 2.0 * lam, lam * lam)
     rad_u = _unscale(som.rad, k1)
     evan_u = _unscale(som.evan, k1)
@@ -423,72 +409,5 @@ def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,
                           channels=channels, norm=som.norm, k1=som.k1)
 
 
-def _j1_over_u(u):
-    """J1(u)/u, stable through u = 0."""
-    if abs(u) < 1.0e-4:
-        u2 = u * u
-        return 0.5 - u2 / 16.0 + u2 * u2 / 384.0
-    return bessel_j(1, u) / u
-
-
-def gzx_lateral(geom: InterfaceGeometry, x: float, rel_tol: float = 1.0e-8) -> complex:
-    """Scattered G_zx at lateral field-point offset x, odd in x.
-
-    Used to cross-check the in-integrand lateral derivative against
-    finite differences; not part of the rate pipeline.
-    """
-    if x == 0.0:
-        return 0.0j
-    c = _contour(geom)
-    k1 = c.k1
-    pref = -1.0 / (4.0 * math.pi * k1 * k1)
-
-    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        return np.array([pref * kp * kp * bessel_j(1, kp * x) * rp * phi * dkp_du])
-
-    rad, evan, _ = _integrate_contour(geom, fn, nout=1, rel_tol=rel_tol,
-                                      abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
-    return complex((rad + evan)[0])
-
-
-def gxx_lateral(geom: InterfaceGeometry, x: float, rel_tol: float = 1.0e-8) -> complex:
-    """Scattered G_xx at lateral field-point offset x, even in x."""
-    c = _contour(geom)
-    k1 = c.k1
-    pref = 1.0j / (4.0 * math.pi)
-
-    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        u = kp * x
-        j1u = _j1_over_u(u)
-        sterm = rs * j1u
-        pterm = rp * (kz1 * kz1 / (k1 * k1)) * (bessel_j(0, u) - j1u)
-        return np.array([pref * kp * (sterm - pterm) * phi * inv_term])
-
-    rad, evan, _ = _integrate_contour(geom, fn, nout=1, rel_tol=rel_tol,
-                                      abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
-    return complex((rad + evan)[0])
-
-
-def gxx_vertical_offset(geom: InterfaceGeometry, dz: float, rel_tol: float = 1.0e-8) -> complex:
-    """Scattered G_xx with the field point lifted by dz above the source.
-
-    The reflected path length becomes 2h + dz; differencing in dz
-    cross-checks the in-integrand vertical derivative.
-    """
-    pref = 1.0j / (8.0 * math.pi)
-    k1 = wavevector(geom.upper, geom.lambda0).real
-
-    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        extra = np.exp(1.0j * kz1 * dz)
-        common = rs - rp * kz1 * kz1 / (k1 * k1)
-        return np.array([pref * kp * common * phi * extra * inv_term])
-
-    rad, evan, _ = _integrate_contour(geom, fn, nout=1, rel_tol=rel_tol,
-                                      abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
-    return complex((rad + evan)[0])
-
-
 def paper_interface(h: float) -> InterfaceGeometry:
-    from .core import GAAS, PAPER_LAMBDA0_NM, SILVER
-
     return InterfaceGeometry(upper=GAAS, lower=SILVER, h=h, lambda0=PAPER_LAMBDA0_NM)

@@ -20,7 +20,9 @@ Conventions fixed here and used by the rate formulas:
     equals 1.  Re makes the norm a positive real number for lossy metal.
   * per-photon prefactor C = 3 pi c0 / (n_host k0^2 v_g), vacuum
     permittivity set to 1.  Dividing by the bulk-host rate is then
-    already folded in, so plasmon_rates returns normalized rates.
+    already folded in; plasmon_bundle scales the mode's field products
+    by C times the bulk-host Im G_xx, so the generic ladder code turns
+    it into normalized rates.
   * group velocity from a symmetric frequency difference with material
     eps frozen at its lambda0 value.
 
@@ -36,14 +38,16 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
+from . import rates as _rates
 from . import specfun
-from .core import CONSTANTS, Material, EmitterMoments, homogeneous_im_gxx, wavevector
+from .core import GAAS, PAPER_LAMBDA0_NM, PAPER_WIRE_RADIUS_NM, SILVER, SPEED_OF_LIGHT_NM_PER_FS
+from .core import EmitterMoments, Material, homogeneous_im_gxx, wavevector
 from .errors import (
     ConvergenceError,
     ContractViolationError,
@@ -52,7 +56,6 @@ from .errors import (
     ParameterError,
 )
 from .halfspace import GreenBundle
-from .rates import RateLadder
 
 _SCAN_LO = 1.0005  # in units of the host wavevector
 _SCAN_HI = 10.0
@@ -217,19 +220,16 @@ class GuidedMode:
         e_r = -1j * (self.k_sp / self.kappa_in) * self.a_in * iv1
         return e_r, e_z
 
+    def raw(self, r: float) -> tuple[complex, complex]:
+        """Unnormalized (e_r, e_z) at r, inside or outside the wire."""
+        if r >= self.geometry.rho:
+            return self.raw_exterior(r)
+        return self.raw_interior(r)
+
     def profile(self, r: float) -> tuple[float, float]:
         """Real positive magnitudes (E_r, E_z) of the normalized mode."""
-        if r >= self.geometry.rho:
-            e_r, e_z = self.raw_exterior(r)
-        else:
-            e_r, e_z = self.raw_interior(r)
+        e_r, e_z = self.raw(r)
         return self.norm * abs(e_r), self.norm * abs(e_z)
-
-    def field(self, r: float, z: float) -> tuple[complex, complex, complex]:
-        """(e_r, e_phi, e_z) with the fixed phase convention, at (r, z)."""
-        mag_r, mag_z = self.profile(r)
-        ph = cmath.exp(1j * self.k_sp * z)
-        return -mag_r * ph, 0.0j, 1j * mag_z * ph
 
     def d_ez_mag_dr(self, r: float) -> float:
         """d|E_z|/dr of the normalized mode, exterior region only."""
@@ -316,7 +316,7 @@ def solve_dispersion(geom: WireGeometry) -> GuidedMode:
 
 
 def _group_velocity_at(geom: WireGeometry, center_root: complex, delta: float) -> float:
-    c0 = CONSTANTS.c0_nm_per_fs
+    c0 = SPEED_OF_LIGHT_NM_PER_FS
     omega0 = 2.0 * math.pi * c0 / geom.lambda0
     res = []
     for sgn in (+1.0, -1.0):
@@ -345,93 +345,65 @@ def _rate_prefactor(geom: WireGeometry, mode: GuidedMode) -> float:
     # per-photon factor with vacuum permittivity 1; bulk normalization folded in
     n_host = geom.host.n.real
     k0 = geom.k0
-    return 3.0 * math.pi * CONSTANTS.c0_nm_per_fs / (n_host * k0 * k0 * mode.v_g)
+    return 3.0 * math.pi * SPEED_OF_LIGHT_NM_PER_FS / (n_host * k0 * k0 * mode.v_g)
 
 
 AXIAL = "axial"
 RADIAL = "radial"
 
 
-def _check_mode_normalized(mode: GuidedMode) -> None:
-    if not (mode.norm > 0.0 and math.isfinite(mode.norm)):
-        raise ContractViolationError(f"mode carries invalid normalization {mode.norm}")
+def _check_point(d: float, orientation: str) -> None:
+    if not (d > 0.0):
+        raise ParameterError(f"emitter-surface distance must be positive, got {d}")
+    if orientation not in (AXIAL, RADIAL):
+        raise ParameterError(f"orientation must be '{AXIAL}' or '{RADIAL}', got {orientation!r}")
 
 
 def plasmon_rates(
     geom: WireGeometry, d: float, moments: EmitterMoments, orientation: str
-) -> RateLadder:
+) -> _rates.RateLadder:
     """Plasmon-channel rate ladder at distance d from the wire surface.
 
-    Axial dipole: gamma0 = C E_z^2, gamma1 = -2 C (L/mu) Re(k_sp) E_r E_z,
-    gamma2 = C (L/mu)^2 |k_sp|^2 E_r^2.  Radial dipole: gamma0 = C E_r^2,
-    gamma1 = 0 identically (the +-k_sp pair cancels), gamma2 from the
-    magnitude gradient of E_z.  All normalized to the bulk-host rate.
+    The generic ladder of plasmon_bundle: for an axial dipole
+    gamma0 = C E_z^2, gamma1 = -2 C (L/mu) Re(k_sp) E_r E_z,
+    gamma2 = C (L/mu)^2 |k_sp|^2 E_r^2; for a radial dipole
+    gamma0 = C E_r^2, gamma1 = 0 identically (the +-k_sp pair cancels),
+    gamma2 from the magnitude gradient of E_z.  All normalized to the
+    bulk-host rate.
     """
-    if not (d > 0.0):
-        raise ParameterError(f"emitter-surface distance must be positive, got {d}")
-    if orientation not in (AXIAL, RADIAL):
-        raise ParameterError(f"orientation must be '{AXIAL}' or '{RADIAL}', got {orientation!r}")
-    mode = solve_dispersion(geom)
-    _check_mode_normalized(mode)
-    pref = _rate_prefactor(geom, mode)
-    r0 = geom.rho + d
-    e_r, e_z = mode.profile(r0)
-    lam = moments.effective_lambda_over_mu
-    if orientation == AXIAL:
-        gamma0 = pref * e_z * e_z
-        gamma1 = -2.0 * pref * lam * mode.k_sp.real * e_r * e_z
-        gamma2 = pref * lam * lam * abs(mode.k_sp) ** 2 * e_r * e_r
-    else:
-        dez = mode.d_ez_mag_dr(r0)
-        gamma0 = pref * e_r * e_r
-        gamma1 = 0.0
-        gamma2 = pref * lam * lam * dez * dez
-    return RateLadder(gamma0=gamma0, gamma1=gamma1, gamma2=gamma2)
+    norm = homogeneous_im_gxx(geom.host, geom.lambda0)
+    ladder = _rates.rate_ladder(plasmon_bundle(geom, d, orientation), moments, norm)
+    if orientation == RADIAL:
+        # 2*ratio*0.0 carries the ratio's sign; the vanishing rung is +0.0
+        ladder = replace(ladder, gamma1=0.0)
+    return ladder
 
 
 def plasmon_bundle(geom: WireGeometry, d: float, orientation: str) -> GreenBundle:
-    """Plasmon channel repackaged as a GreenBundle (general-path route).
+    """Plasmon channel of the guided mode as a GreenBundle.
 
-    Feeding this to the generic ladder/split code must reproduce
-    plasmon_rates; the first-order entry comes from the complex field
-    products Re{conj(d_z e_r) e_z} rather than the reduced magnitude
-    form.  The bundle is scaled so that dividing by the homogeneous
-    host Im G_xx gives normalized rates directly.
+    The gradient entries come from the complex field products at the
+    emitter: d_g_zx from Re{conj(d_z e_r) e_z} = -Re(k_sp) E_r E_z and
+    dz_g_xx from d|E_z|/dr * E_z.  The bundle is scaled so that dividing
+    by the homogeneous host Im G_xx gives normalized rates directly.
     """
-    if not (d > 0.0):
-        raise ParameterError(f"emitter-surface distance must be positive, got {d}")
-    if orientation not in (AXIAL, RADIAL):
-        raise ParameterError(f"orientation must be '{AXIAL}' or '{RADIAL}', got {orientation!r}")
+    _check_point(d, orientation)
     mode = solve_dispersion(geom)
-    _check_mode_normalized(mode)
-    pref = _rate_prefactor(geom, mode)
-    norm = homogeneous_im_gxx(geom.host, geom.lambda0)
+    scale = homogeneous_im_gxx(geom.host, geom.lambda0) * _rate_prefactor(geom, mode)
     r0 = geom.rho + d
     e_r, e_z = mode.profile(r0)
+    dez = mode.d_ez_mag_dr(r0)
     if orientation == AXIAL:
         # complex fields (-E_r, 0, i E_z) e^{i k z}: conj(d_z e_r) e_z at z=0
         cross = (1j * mode.k_sp * (-e_r)).conjugate() * (1j * e_z)
-        s_r = cross.real  # equals -Re(k_sp) E_r E_z
-        s_z = mode.d_ez_mag_dr(r0) * e_z
         return GreenBundle(
-            g_xx=norm * pref * e_z * e_z,
-            d_g_zx=norm * pref * s_r,
-            dd_g_zz=norm * pref * abs(mode.k_sp) ** 2 * e_r * e_r,
-            b_yx=norm * pref * (s_r - s_z),
-            q_xz=norm * pref * (s_r + s_z),
-            grad_zx_complex=1j * norm * pref * s_r,
-            grad_xx_z_complex=1j * norm * pref * s_z,
+            g_xx=scale * e_z * e_z,
+            d_g_zx=scale * cross.real,
+            dd_g_zz=scale * abs(mode.k_sp) ** 2 * e_r * e_r,
+            dz_g_xx=scale * dez * e_z,
         )
-    dez = mode.d_ez_mag_dr(r0)
-    return GreenBundle(
-        g_xx=norm * pref * e_r * e_r,
-        d_g_zx=0.0,
-        dd_g_zz=norm * pref * dez * dez,
-        b_yx=0.0,
-        q_xz=0.0,
-        grad_zx_complex=0.0j,
-        grad_xx_z_complex=0.0j,
-    )
+    return GreenBundle(g_xx=scale * e_r * e_r, d_g_zx=0.0, dd_g_zz=scale * dez * dez,
+                       dz_g_xx=0.0)
 
 
 _QS_SERIES_TOL = 1e-10
@@ -582,10 +554,7 @@ def quasistatic_background(
     and a smaller one is accepted.  A harmonic that cannot reach
     `rel_tol` (roundoff, or 400 panels) is kept with a RuntimeWarning.
     """
-    if not (d > 0.0):
-        raise ParameterError(f"emitter-surface distance must be positive, got {d}")
-    if orientation not in (AXIAL, RADIAL):
-        raise ParameterError(f"orientation must be '{AXIAL}' or '{RADIAL}', got {orientation!r}")
+    _check_point(d, orientation)
     if m_max < 2:
         raise ParameterError(f"m_max of {m_max} cannot establish series convergence")
     eps1 = geom.host.eps
@@ -714,22 +683,15 @@ class FieldMap:
     e_z: np.ndarray
 
 
-def field_map(geom: WireGeometry, moments: EmitterMoments, window: FieldWindow) -> FieldMap:
-    """Sample the normalized complex mode field over an (r, z) window.
-
-    The map depends on the geometry alone; `moments` is accepted for
-    interface symmetry with the rate evaluators and is not used.
-    """
+def field_map(geom: WireGeometry, window: FieldWindow) -> FieldMap:
+    """Sample the normalized complex mode field over an (r, z) window."""
     mode = solve_dispersion(geom)
     r_vals = np.linspace(window.r_min, window.r_max, window.n_r)
     z_vals = np.linspace(window.z_min, window.z_max, window.n_z)
     prof_r = np.empty(window.n_r, dtype=complex)
     prof_z = np.empty(window.n_r, dtype=complex)
     for i, r in enumerate(r_vals):
-        if r >= geom.rho:
-            e_r, e_z = mode.raw_exterior(float(r))
-        else:
-            e_r, e_z = mode.raw_interior(float(r))
+        e_r, e_z = mode.raw(float(r))
         prof_r[i] = mode.norm * e_r
         prof_z[i] = mode.norm * e_z
     phase = np.exp(1j * mode.k_sp * z_vals)
@@ -741,7 +703,6 @@ def field_map(geom: WireGeometry, moments: EmitterMoments, window: FieldWindow) 
     )
 
 
-def paper_wire(lambda0: float = 1000.0, rho: float = 30.0) -> WireGeometry:
-    from .core import GAAS, SILVER
-
+def paper_wire(lambda0: float = PAPER_LAMBDA0_NM,
+               rho: float = PAPER_WIRE_RADIUS_NM) -> WireGeometry:
     return WireGeometry(rho=rho, metal=SILVER, host=GAAS, lambda0=lambda0)

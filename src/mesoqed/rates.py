@@ -54,12 +54,15 @@ class MultipoleSplit:
 
     gamma1_md: float
     gamma1_eq: float
-    m_over_mu: float
-    q_over_mu: float
 
     @property
     def gamma1(self) -> float:
         return self.gamma1_md + self.gamma1_eq
+
+
+def _check_norm(norm: float) -> None:
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ParameterError(f"norm must be positive, got {norm}")
 
 
 def rate_ladder(bundle, moments: EmitterMoments, norm: float,
@@ -67,15 +70,14 @@ def rate_ladder(bundle, moments: EmitterMoments, norm: float,
     """Assemble the three-rung rate ladder from a field bundle.
 
     gamma0 = g_xx/norm, gamma1 = 2*(ratio)*d_g_zx/norm,
-    gamma2 = (ratio)**2*dd_g_zz/norm with the signed effective ratio of
-    the moments. Pass the ambient wavevector to enforce the expansion
+    gamma2 = (ratio)**2*dd_g_zz/norm with the signed ratio of the
+    moments. Pass the ambient wavevector to enforce the expansion
     validity bound k*L_qd < 1.
     """
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise ParameterError(f"norm must be positive, got {norm}")
+    _check_norm(norm)
     if k_ambient is not None and k_ambient * moments.l_qd >= 1.0:
         raise expansion_error(k_ambient, moments.l_qd)
-    lam = moments.effective_lambda_over_mu
+    lam = moments.lambda_over_mu
     return RateLadder(
         gamma0=bundle.g_xx / norm,
         gamma1=2.0 * lam * bundle.d_g_zx / norm,
@@ -84,29 +86,12 @@ def rate_ladder(bundle, moments: EmitterMoments, norm: float,
 
 
 def md_eq_split(bundle, moments: EmitterMoments, norm: float) -> MultipoleSplit:
-    """Split gamma1 into its magnetic-dipole and quadrupole parts.
-
-    Checks the bundle for internal consistency first: the two gradient
-    combinations must reassemble the plain lateral gradient, on the
-    complex values and on the stored imaginary parts.
-    """
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise ParameterError(f"norm must be positive, got {norm}")
-    czx = bundle.grad_zx_complex
-    cz = bundle.grad_xx_z_complex
-    scale = max(abs(czx), abs(cz), abs(bundle.d_g_zx), norm * 1.0e-12)
-    if abs((czx - cz) + (czx + cz) - 2.0 * czx) > 1.0e-10 * scale:
-        raise ContractViolationError("bundle gradient combinations are inconsistent (complex)")
-    if abs(bundle.b_yx + bundle.q_xz - 2.0 * bundle.d_g_zx) > 1.0e-10 * scale:
-        raise ContractViolationError(
-            "bundle gradient combinations do not reassemble d_g_zx"
-        )
-    lam = moments.effective_lambda_over_mu
+    """Split gamma1 into its magnetic-dipole and quadrupole parts."""
+    _check_norm(norm)
+    lam = moments.lambda_over_mu
     return MultipoleSplit(
         gamma1_md=lam * bundle.b_yx / norm,
         gamma1_eq=lam * bundle.q_xz / norm,
-        m_over_mu=0.5 * lam,
-        q_over_mu=0.5 * lam,
     )
 
 

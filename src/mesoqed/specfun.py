@@ -1,4 +1,4 @@
-"""Complex-argument Bessel functions.
+"""Complex-argument modified Bessel functions.
 
 Thin guard layer over scipy.special (AMOS backend). The guards turn
 silent overflow into explicit errors and pin the branch conventions the
@@ -18,15 +18,13 @@ from .errors import OutOfDomainError, ParameterError
 _OVERFLOW_ARG = 690.0
 
 
-def _check_order(order, allowed=None):
+def _check_order(order):
     if not isinstance(order, (int, np.integer)):
         # an array of orders, broadcast against z by the caller's ufunc
         arr = np.asarray(order)
-        if allowed is not None or not np.issubdtype(arr.dtype, np.integer) or np.any(arr < 0):
+        if not np.issubdtype(arr.dtype, np.integer) or np.any(arr < 0):
             raise ParameterError(f"order must be a non-negative integer, got {order!r}")
         return arr
-    if allowed is not None and order not in allowed:
-        raise ParameterError(f"order must be one of {sorted(allowed)}, got {order}")
     if order < 0:
         raise ParameterError(f"order must be non-negative, got {order}")
     return int(order)
@@ -39,34 +37,6 @@ def _finish(values, where: str):
     if out.shape == ():
         return complex(out)
     return out
-
-
-def bessel_j(order: int, z) -> complex:
-    """Bessel J of order 0 or 1 for complex argument.
-
-    |Im z| must stay below the overflow bound ~690; beyond it the
-    function grows like exp|Im z| and leaves double range.
-    """
-    order = _check_order(order, allowed={0, 1})
-    zc = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zc.imag) > _OVERFLOW_ARG):
-        raise OutOfDomainError(f"bessel_j: |Im z| > {_OVERFLOW_ARG} overflows")
-    return _finish(_sp.jv(order, zc), "bessel_j")
-
-
-def hankel1(order: int, z) -> complex:
-    """Outgoing Hankel function of order 0 or 1, complex argument.
-
-    Decays in the upper half plane; for Im z < -overflow bound it
-    overflows and an error is raised instead.
-    """
-    order = _check_order(order, allowed={0, 1})
-    zc = np.asarray(z, dtype=complex)
-    if np.any(zc.imag < -_OVERFLOW_ARG):
-        raise OutOfDomainError(f"hankel1: Im z < -{_OVERFLOW_ARG} overflows")
-    if np.any(zc == 0):
-        raise OutOfDomainError("hankel1: singular at z = 0")
-    return _finish(_sp.hankel1(order, zc), "hankel1")
 
 
 def bessel_ik(order: int, z) -> tuple:

@@ -1,0 +1,96 @@
+"""Test-only companions of the library: J and H1, and offset Green functions.
+
+The rate pipeline needs neither the ordinary Bessel pair nor Green
+functions away from the source point. The tests use them to check the
+library from a second route: the J/H1 Wronskian, and finite differences
+of G_zx over a lateral offset and of G_xx over a vertical offset
+against the gradients the contour integrand carries in closed form.
+The offset integrals run on the library's own deformed contour
+(`halfspace._integrate_contour`); only the integrand differs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import special as _sp
+
+from mesoqed.core import homogeneous_im_gxx, wavevector
+from mesoqed.errors import OutOfDomainError, ParameterError
+from mesoqed.halfspace import InterfaceGeometry, _integrate_contour
+from mesoqed.specfun import _OVERFLOW_ARG, _finish
+
+
+def _check_order(order: int) -> int:
+    if not isinstance(order, (int, np.integer)) or order not in (0, 1):
+        raise ParameterError(f"order must be 0 or 1, got {order!r}")
+    return int(order)
+
+
+def bessel_j(order: int, z) -> complex:
+    """Bessel J of order 0 or 1 for complex argument.
+
+    |Im z| must stay below the overflow bound ~690; beyond it the
+    function grows like exp|Im z| and leaves double range.
+    """
+    order = _check_order(order)
+    zc = np.asarray(z, dtype=complex)
+    if np.any(np.abs(zc.imag) > _OVERFLOW_ARG):
+        raise OutOfDomainError(f"bessel_j: |Im z| > {_OVERFLOW_ARG} overflows")
+    return _finish(_sp.jv(order, zc), "bessel_j")
+
+
+def hankel1(order: int, z) -> complex:
+    """Outgoing Hankel function of order 0 or 1, complex argument.
+
+    Decays in the upper half plane; for Im z < -overflow bound it
+    overflows and an error is raised instead.
+    """
+    order = _check_order(order)
+    zc = np.asarray(z, dtype=complex)
+    if np.any(zc.imag < -_OVERFLOW_ARG):
+        raise OutOfDomainError(f"hankel1: Im z < -{_OVERFLOW_ARG} overflows")
+    if np.any(zc == 0):
+        raise OutOfDomainError("hankel1: singular at z = 0")
+    return _finish(_sp.hankel1(order, zc), "hankel1")
+
+
+def _integrate_single(geom: InterfaceGeometry, fn, rel_tol: float) -> complex:
+    rad, evan, _ = _integrate_contour(geom, fn, nout=1, rel_tol=rel_tol,
+                                      abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
+    return complex((rad + evan)[0])
+
+
+def gzx_lateral(geom: InterfaceGeometry, x: float, rel_tol: float = 1.0e-8) -> complex:
+    """Scattered G_zx at lateral field-point offset x, odd in x.
+
+    Its central difference in x checks the in-integrand lateral
+    derivative d_g_zx.
+    """
+    if x == 0.0:
+        return 0.0j
+    k1 = wavevector(geom.upper, geom.lambda0).real
+    pref = -1.0 / (4.0 * math.pi * k1 * k1)
+
+    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
+        return np.array([pref * kp * kp * bessel_j(1, kp * x) * rp * phi * dkp_du])
+
+    return _integrate_single(geom, fn, rel_tol)
+
+
+def gxx_vertical_offset(geom: InterfaceGeometry, dz: float, rel_tol: float = 1.0e-8) -> complex:
+    """Scattered G_xx with the field point lifted by dz above the source.
+
+    The reflected path length becomes 2h + dz; its central difference
+    in dz checks the in-integrand vertical derivative dz_g_xx.
+    """
+    pref = 1.0j / (8.0 * math.pi)
+    k1 = wavevector(geom.upper, geom.lambda0).real
+
+    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
+        extra = np.exp(1.0j * kz1 * dz)
+        common = rs - rp * kz1 * kz1 / (k1 * k1)
+        return np.array([pref * kp * common * phi * extra * inv_term])
+
+    return _integrate_single(geom, fn, rel_tol)

@@ -5,10 +5,11 @@ coefficients written out inline, the image-dipole mirror rate, the
 electrostatic lossy-surface rates, the surface-mode pole of a single
 interface, hand-rolled power series and integral representations for
 the Bessel functions, an arbitrary-precision root polish of the wire
-mode equation, the wire's axial gradient ratio from Gauss's law, and
-finite-difference ground states of harmonically confined carriers, and
-the wire's quasi-static background as one scalar adaptive quadrature
-per azimuthal harmonic.
+mode equation, the wire's axial gradient ratio from Gauss's law, the
+wire's plasmon ladder in the reduced E_r*E_z magnitude form (fed the
+mode's field values as plain numbers), finite-difference ground states
+of harmonically confined carriers, and the wire's quasi-static
+background as one scalar adaptive quadrature per azimuthal harmonic.
 None of it routes through the package modules, so a library bug cannot
 cancel against an oracle bug.
 
@@ -237,6 +238,26 @@ def wire_axial_gradient_ratio(distances, rho: float, lambda0: float,
         e_r = 1j * k_sp * integral / r
         ratios.append(scale * abs(e_r) / abs(e_z))
     return ratios, scale * abs(k_sp / kappa)
+
+
+def wire_plasmon_ladder(k_sp: complex, v_g: float, e_r: float, e_z: float, dez_dr: float,
+                        lambda0: float, n_host: float, lambda_over_mu: float,
+                        axial: bool) -> tuple:
+    """Plasmon ladder (gamma0, gamma1, gamma2) of the wire in reduced magnitude form.
+
+    Takes the mode's field magnitudes E_r, E_z and d|E_z|/dr at the
+    emitter, k_sp and v_g as plain numbers. With the per-photon factor
+    C = 3 pi c0 / (n_host k0^2 v_g), an axial dipole gives
+    C E_z^2, -2 C L Re(k_sp) E_r E_z, C L^2 |k_sp|^2 E_r^2, and a radial
+    one C E_r^2, 0, C L^2 (d|E_z|/dr)^2, normalized to the bulk-host rate.
+    """
+    k0 = 2.0 * math.pi / lambda0
+    c = 3.0 * math.pi * 299.792458 / (n_host * k0 * k0 * v_g)
+    lam = lambda_over_mu
+    if axial:
+        return (c * e_z * e_z, -2.0 * c * lam * k_sp.real * e_r * e_z,
+                c * lam * lam * abs(k_sp) ** 2 * e_r * e_r)
+    return c * e_r * e_r, 0.0, c * lam * lam * dez_dr * dez_dr
 
 
 def quasistatic_background_scalar(rho: float, d: float, lambda0: float,

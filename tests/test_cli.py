@@ -68,14 +68,17 @@ def test_nanowire_sweep_golden_rows(tmp_path):
 
 
 def test_radial_gradient_column_is_literal_zero(tmp_path):
-    text = run_text(
-        ["nanowire-sweep", "--range", "20:81:20", "--orientation", "radial"],
-        tmp_path,
-    )
-    _, rows = data_rows(text)
-    assert len(rows) == 4
-    for row in rows:
-        assert row.split(",")[2] == "0"
+    # a negative ratio (inverted mounting) must not print the rung as "-0"
+    for ratio in ("10", "-10"):
+        text = run_text(
+            ["nanowire-sweep", "--range", "20:81:20", "--orientation", "radial",
+             "--ratio", ratio],
+            tmp_path,
+        )
+        _, rows = data_rows(text)
+        assert len(rows) == 4
+        for row in rows:
+            assert row.split(",")[2] == "0"
 
 
 # ------------------------------------------------------- row-level physics

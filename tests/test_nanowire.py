@@ -35,7 +35,6 @@ from mesoqed import (
     plasmon_bundle,
     plasmon_rates,
     quasistatic_background,
-    rate_ladder,
     md_eq_split,
     solve_dispersion,
     spp_pole,
@@ -171,10 +170,13 @@ def test_radial_rates_snapshot():
 
 def test_radial_gamma1_vanishes_everywhere():
     # the counter-propagating mode pair cancels the gradient rung
-    # exactly for a radial dipole, independent of distance
+    # exactly for a radial dipole, independent of distance and mounting;
+    # the zero is +0.0 either way (a -0.0 would print as "-0")
     for d in (5.0, 20.0, 77.0, 300.0):
-        assert plasmon_rates(GEOM, d, MOMENTS, RADIAL).gamma1 == 0.0
-        assert plasmon_rates(GEOM, d, MOMENTS.flipped(), RADIAL).gamma1 == 0.0
+        for moments in (MOMENTS, MOMENTS.flipped()):
+            gamma1 = plasmon_rates(GEOM, d, moments, RADIAL).gamma1
+            assert gamma1 == 0.0
+            assert math.copysign(1.0, gamma1) > 0
 
 
 def test_axial_first_rung_ratios():
@@ -233,29 +235,37 @@ def test_rate_validation():
         plasmon_rates(GEOM, 20.0, MOMENTS, "diagonal")
 
 
-# ------------------------------------------- bundle route equivalence
+# -------------------------------------- against the reduced-formula oracle
+
+
+def _reduced_ladder(d, orientation):
+    mode = solve_dispersion(GEOM)
+    r0 = GEOM.rho + d
+    e_r, e_z = mode.profile(r0)
+    return oracles.wire_plasmon_ladder(
+        mode.k_sp, mode.v_g, e_r, e_z, mode.d_ez_mag_dr(r0), GEOM.lambda0,
+        GAAS.n.real, MOMENTS.lambda_over_mu, orientation == AXIAL,
+    )
 
 
 @pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
 @pytest.mark.parametrize("d", [20.0, 55.0, 100.0])
 def test_bundle_route_matches_reduced_route(orientation, d):
-    norm = homogeneous_im_gxx(GAAS, 1000.0)
-    bundle = plasmon_bundle(GEOM, d, orientation)
-    via_bundle = rate_ladder(bundle, MOMENTS, norm)
-    direct = plasmon_rates(GEOM, d, MOMENTS, orientation)
-    assert via_bundle.gamma0 == pytest.approx(direct.gamma0, rel=1e-12)
-    assert via_bundle.gamma1 == pytest.approx(direct.gamma1, rel=1e-12, abs=1e-15)
-    assert via_bundle.gamma2 == pytest.approx(direct.gamma2, rel=1e-12)
+    # plasmon_rates is the generic ladder of plasmon_bundle; the oracle
+    # is the E_r*E_z magnitude form of the same ladder
+    g0, g1, g2 = _reduced_ladder(d, orientation)
+    ladder = plasmon_rates(GEOM, d, MOMENTS, orientation)
+    assert ladder.gamma0 == pytest.approx(g0, rel=1e-12)
+    assert ladder.gamma1 == pytest.approx(g1, rel=1e-12, abs=1e-15)
+    assert ladder.gamma2 == pytest.approx(g2, rel=1e-12)
 
 
 @given(d=st.floats(10.0, 200.0))
 def test_bundle_route_matches_reduced_route_generic(d):
-    norm = homogeneous_im_gxx(GAAS, 1000.0)
-    bundle = plasmon_bundle(GEOM, d, AXIAL)
-    via_bundle = rate_ladder(bundle, MOMENTS, norm)
-    direct = plasmon_rates(GEOM, d, MOMENTS, AXIAL)
-    assert via_bundle.gamma1 == pytest.approx(direct.gamma1, rel=1e-10)
-    assert via_bundle.gamma2 == pytest.approx(direct.gamma2, rel=1e-10)
+    _, g1, g2 = _reduced_ladder(d, AXIAL)
+    ladder = plasmon_rates(GEOM, d, MOMENTS, AXIAL)
+    assert ladder.gamma1 == pytest.approx(g1, rel=1e-10)
+    assert ladder.gamma2 == pytest.approx(g2, rel=1e-10)
 
 
 def test_wire_multipole_split():
@@ -393,7 +403,7 @@ def test_background_flat_surface_limit():
 
 def test_field_map_translation_phase():
     window = FieldWindow(r_min=0.0, r_max=150.0, z_min=0.0, z_max=200.0, n_r=16, n_z=11)
-    fm = field_map(GEOM, MOMENTS, window)
+    fm = field_map(GEOM, window)
     mode = solve_dispersion(GEOM)
     dz = fm.z[4] - fm.z[1]
     shift = np.exp(1j * mode.k_sp * dz)
@@ -402,12 +412,18 @@ def test_field_map_translation_phase():
 
 
 def test_field_map_shapes_and_moment_independence():
+    # the map takes no moments: it is the mode field alone, with the
+    # magnitudes the rates use on both sides of the surface
     window = FieldWindow(r_min=0.0, r_max=100.0, z_min=-50.0, z_max=50.0, n_r=7, n_z=5)
-    fm = field_map(GEOM, MOMENTS, window)
+    fm = field_map(GEOM, window)
     assert fm.e_r.shape == (7, 5)
     assert fm.e_z.shape == (7, 5)
-    fm_flipped = field_map(GEOM, MOMENTS.flipped(), window)
-    assert np.array_equal(fm.e_z, fm_flipped.e_z)
+    mode = solve_dispersion(GEOM)
+    decay = np.abs(np.exp(1j * mode.k_sp * fm.z))
+    for i, r in enumerate(fm.r):
+        mag_r, mag_z = mode.profile(float(r))
+        assert np.allclose(np.abs(fm.e_r[i]), mag_r * decay, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.abs(fm.e_z[i]), mag_z * decay, rtol=1e-12, atol=0.0)
 
 
 def test_field_decays_outside_the_wire():

@@ -24,22 +24,9 @@ from mesoqed import (
 NORM = 0.00114
 
 
-def make_bundle(g_xx=2.0 * NORM, d_g_zx=-3.0e-6, dd_g_zz=5.0e-8,
-                b_yx=None, q_xz=None):
-    # keep b + q = 2*d by default so the split consistency check passes
-    if b_yx is None and q_xz is None:
-        b_yx = 1.5 * d_g_zx
-        q_xz = 0.5 * d_g_zx
-    czx = complex(d_g_zx, 0.3 * d_g_zx)
-    return GreenBundle(
-        g_xx=g_xx,
-        d_g_zx=d_g_zx,
-        dd_g_zz=dd_g_zz,
-        b_yx=b_yx,
-        q_xz=q_xz,
-        grad_zx_complex=czx,
-        grad_xx_z_complex=0.5 * czx,
-    )
+def make_bundle(g_xx=2.0 * NORM, d_g_zx=-3.0e-6, dd_g_zz=5.0e-8):
+    # dz_g_xx = -d_g_zx/2 makes b_yx = 1.5 * d_g_zx and q_xz = 0.5 * d_g_zx
+    return GreenBundle(g_xx=g_xx, d_g_zx=d_g_zx, dd_g_zz=dd_g_zz, dz_g_xx=-0.5 * d_g_zx)
 
 
 def test_homogeneous_bundle_gives_unit_ladder():
@@ -124,14 +111,8 @@ def test_md_eq_split_reassembles_gamma1():
     assert split.gamma1 == pytest.approx(ladder.gamma1, rel=1e-12)
     assert split.gamma1_md == pytest.approx(10.0 * bundle.b_yx / NORM, rel=1e-15)
     assert split.gamma1_eq == pytest.approx(10.0 * bundle.q_xz / NORM, rel=1e-15)
-    assert split.m_over_mu == pytest.approx(5.0)
-    assert split.q_over_mu == pytest.approx(5.0)
-
-
-def test_md_eq_split_rejects_inconsistent_bundle():
-    bad = make_bundle(b_yx=-1.0e-6, q_xz=-1.0e-6)  # sum != 2*d_g_zx
-    with pytest.raises(ContractViolationError):
-        md_eq_split(bad, paper_moments(), NORM)
+    assert bundle.b_yx == pytest.approx(1.5 * bundle.d_g_zx, rel=1e-15)
+    assert bundle.q_xz == pytest.approx(0.5 * bundle.d_g_zx, rel=1e-15)
 
 
 def test_extract_fields_half_sum_difference():

@@ -3,7 +3,8 @@
 Values are checked two ways: against hand-rolled power series / an
 integral representation (oracles module) and through the Wronskian
 identities, which the wrapped backend does not enforce by
-construction.
+construction. The J/H1 pair is test-only (tests/companions.py); the
+library wraps just the modified pair I/K.
 """
 
 import math
@@ -14,8 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from companions import bessel_j, hankel1
 from mesoqed import OutOfDomainError, ParameterError
-from mesoqed.specfun import bessel_ik, bessel_ik_scaled, bessel_j, hankel1
+from mesoqed.specfun import bessel_ik, bessel_ik_scaled
 
 
 # ---------------------------------------------------------- spot values

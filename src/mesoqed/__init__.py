@@ -39,8 +39,6 @@ from .halfspace import (
     GreenBundle,
     InterfaceGeometry,
     InterfacePoint,
-    fresnel,
-    green_bundle,
     interface_point,
     paper_interface,
     spp_pole,
@@ -64,7 +62,6 @@ from .nanowire import (
     GuidedMode,
     WireGeometry,
     field_map,
-    group_velocity,
     paper_wire,
     plasmon_bundle,
     plasmon_rates,
@@ -115,9 +112,6 @@ __all__ = [
     "extract_fields",
     "field_map",
     "figures_of_merit",
-    "fresnel",
-    "green_bundle",
-    "group_velocity",
     "homogeneous_im_gxx",
     "interface_point",
     "lambda_zx_estimate",

@@ -257,7 +257,12 @@ def _sweep_values(cfg: RunConfig, what: str) -> list:
     if cfg.sweep is None:
         raise UsageError(f"{what} needs --range MIN:MAX:STEP (or 'range' in the config file)")
     lo, hi, step = cfg.sweep
-    n = int(math.floor((hi - lo) / step + 1.0e-9)) + 1
+    span = (hi - lo) / step + 1.0e-9
+    if not span < core.MAX_POINTS:
+        raise UsageError(
+            f"sweep range {_fmt_range(cfg.sweep)} has more than {core.MAX_POINTS} points"
+        )
+    n = int(math.floor(span)) + 1
     return [lo + i * step for i in range(n)]
 
 

@@ -118,6 +118,9 @@ PAPER_RATIO_NM = 10.0
 PAPER_L_QD_NM = 20.0
 PAPER_WIRE_RADIUS_NM = 30.0
 
+# Most points one sweep or field map may hold; each point is a stored row.
+MAX_POINTS = 1_000_000
+
 
 def paper_moments() -> EmitterMoments:
     return EmitterMoments(lambda_over_mu=PAPER_RATIO_NM, l_qd=PAPER_L_QD_NM)

@@ -45,7 +45,7 @@ from scipy.integrate import quad_vec
 from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
 from .core import homogeneous_im_gxx, wavevector
-from .errors import ConvergenceError, NoBoundModeError, ParameterError
+from .errors import ConvergenceError, ExpansionInvalidError, NoBoundModeError, ParameterError
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
 _MIN_SAFE_HEIGHT = 10.0
@@ -110,9 +110,6 @@ class ChannelDecomposition:
     pl: tuple
     ls: tuple
 
-    def order_total(self, order: int) -> float:
-        return self.rad[order] + self.pl[order] + self.ls[order]
-
 
 def _kz(eps: complex, k0: float, kp: complex) -> complex:
     """Vertical wavevector with Im >= 0 pointwise."""
@@ -120,18 +117,6 @@ def _kz(eps: complex, k0: float, kp: complex) -> complex:
     if w.imag < 0.0:
         w = -w
     return w
-
-
-def fresnel(k_par, geom: InterfaceGeometry):
-    """Reflection coefficients (r_s, r_p) seen from the upper medium.
-
-    Accepts complex k_par (the integration contour leaves the real
-    axis); branch of both k_z follows the Im >= 0 convention.
-    """
-    k0 = 2.0 * math.pi / geom.lambda0
-    kz1 = _kz(geom.upper.eps, k0, k_par)
-    kz2 = _kz(geom.lower.eps, k0, k_par)
-    return _fresnel_from_kz(kz1, kz2, geom.upper.eps, geom.lower.eps)
 
 
 def _fresnel_from_kz(kz1, kz2, eps1, eps2):
@@ -171,6 +156,7 @@ class _Contour:
     h: float
     eps1: complex
     eps2: complex
+    pole: complex | None  # r_p pole, None when no bound surface mode exists
     k_b: float
     delta: float
     t_b: float
@@ -181,21 +167,20 @@ def _contour(geom: InterfaceGeometry) -> _Contour:
     k0 = 2.0 * math.pi / geom.lambda0
     k1 = wavevector(geom.upper, geom.lambda0).real
     try:
-        ks = spp_pole(geom)
-        k_b = max(2.0 * ks.real - k1, 1.5 * k1)
+        pole = spp_pole(geom)
     except NoBoundModeError:
-        k_b = 1.5 * k1
+        pole = None
+    k_b = 1.5 * k1 if pole is None else max(2.0 * pole.real - k1, 1.5 * k1)
     delta = 0.25 * (k_b - k1)
     t_b = math.acosh(k_b / k1)
     t_max = math.asinh(_TAIL_EXPONENT / (2.0 * k1 * geom.h))
     return _Contour(
         k0=k0, k1=k1, h=geom.h, eps1=geom.upper.eps, eps2=geom.lower.eps,
-        k_b=k_b, delta=delta, t_b=t_b, t_max=t_max,
+        pole=pole, k_b=k_b, delta=delta, t_b=t_b, t_max=t_max,
     )
 
 
-def _integrate_contour(geom: InterfaceGeometry, fn, nout: int, rel_tol: float,
-                       abs_scale: float):
+def _integrate_contour(c: _Contour, fn, nout: int, rel_tol: float, abs_scale: float):
     """Integrate a component vector along the deformed k_par path.
 
     fn(kp, kz1, rs, rp, phi, dkp_du, inv_term) -> complex vector, where
@@ -204,14 +189,13 @@ def _integrate_contour(geom: InterfaceGeometry, fn, nout: int, rel_tol: float,
     vanishes at an endpoint. Returns (radiative part, evanescent part,
     accumulated error estimate).
     """
-    if geom.h < _MIN_SAFE_HEIGHT:
+    if c.h < _MIN_SAFE_HEIGHT:
         warnings.warn(
-            f"h = {geom.h} nm is below {_MIN_SAFE_HEIGHT} nm; the quasi-static tail "
+            f"h = {c.h} nm is below {_MIN_SAFE_HEIGHT} nm; the quasi-static tail "
             "dominates and quadrature gets expensive",
             RuntimeWarning,
             stacklevel=3,
         )
-    c = _contour(geom)
     eps1, eps2, k0, k1, h = c.eps1, c.eps2, c.k0, c.k1, c.h
 
     def eval_at(kp, kz1, dkp_du, inv_term):
@@ -247,19 +231,22 @@ def _integrate_contour(geom: InterfaceGeometry, fn, nout: int, rel_tol: float,
         return eval_at(kp, kz1, dkp_du, -1.0j)
 
     eps_abs = rel_tol * abs_scale
-    rad, err_a = quad_vec(seg_radiative, 0.0, 0.5 * math.pi,
-                          epsabs=eps_abs, epsrel=rel_tol, norm="max")
-    evan, err_b = quad_vec(seg_ellipse, 0.0, 1.0,
-                           epsabs=eps_abs, epsrel=rel_tol, norm="max")
-    err = err_a + err_b
-    if c.t_max > c.t_b:
-        tail, err_c = quad_vec(seg_tail, c.t_b, c.t_max,
+    try:
+        rad, err_a = quad_vec(seg_radiative, 0.0, 0.5 * math.pi,
+                              epsabs=eps_abs, epsrel=rel_tol, norm="max")
+        evan, err_b = quad_vec(seg_ellipse, 0.0, 1.0,
                                epsabs=eps_abs, epsrel=rel_tol, norm="max")
-        evan = evan + tail
-        err += err_c
+        err = err_a + err_b
+        if c.t_max > c.t_b:
+            tail, err_c = quad_vec(seg_tail, c.t_b, c.t_max,
+                                   epsabs=eps_abs, epsrel=rel_tol, norm="max")
+            evan = evan + tail
+            err += err_c
+    except OverflowError as exc:
+        raise ConvergenceError(f"k_par integrand overflows at h = {c.h:g} nm") from exc
 
     scale = max(abs_scale, float(np.max(np.abs(rad))), float(np.max(np.abs(evan))))
-    if err > 50.0 * max(eps_abs, rel_tol * scale):
+    if not err <= 50.0 * max(eps_abs, rel_tol * scale):
         raise ConvergenceError(
             f"k_par quadrature reached {err:.3e}, wanted {rel_tol:.1e} relative "
             f"(scale {scale:.3e})"
@@ -291,16 +278,14 @@ def _unscale(vec, k1: float):
     return np.array([vec[0], vec[1] * k1, vec[2] * k1 * k1, vec[3] * k1], dtype=complex)
 
 
-def _pole_vector(geom: InterfaceGeometry) -> np.ndarray:
+def _pole_vector(c: _Contour) -> np.ndarray:
     """2*pi*i times the r_p-pole residue of each ladder component.
 
     Scaled like _ladder_vector. Zero when no bound pole exists.
     """
-    try:
-        ks = spp_pole(geom)
-    except NoBoundModeError:
+    if c.pole is None:
         return np.zeros(4, dtype=complex)
-    c = _contour(geom)
+    ks = c.pole
     kz1p = _kz(c.eps1, c.k0, ks)
     kz2p = _kz(c.eps2, c.k0, ks)
     dprime = -ks * (c.eps2 / kz1p + c.eps1 / kz2p)
@@ -321,72 +306,6 @@ def _pole_vector(geom: InterfaceGeometry) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Sommerfeld:
-    rad: np.ndarray
-    evan: np.ndarray
-    pole: np.ndarray
-    err: float
-    k1: float
-    norm: float
-
-
-def _sommerfeld(geom: InterfaceGeometry, rel_tol: float) -> _Sommerfeld:
-    k1 = wavevector(geom.upper, geom.lambda0).real
-    norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
-    rad, evan, err = _integrate_contour(
-        geom, _ladder_vector(k1), nout=4, rel_tol=rel_tol, abs_scale=norm
-    )
-    return _Sommerfeld(rad=rad, evan=evan, pole=_pole_vector(geom), err=err,
-                       k1=k1, norm=norm)
-
-
-def green_bundle(geom: InterfaceGeometry, rel_tol: float = 1.0e-8) -> GreenBundle:
-    """Field bundle at the emitter, scattered part by quadrature.
-
-    The homogeneous part enters only g_xx; the gradient entries of a
-    homogeneous medium vanish at the source point by parity, so the
-    bundle of an interface between identical media is
-    (homogeneous, 0, 0, 0) up to rounding.
-    """
-    som = _sommerfeld(geom, rel_tol)
-    j = _unscale(som.rad + som.evan, som.k1)
-    return _bundle_from_integrals(j, som.norm)
-
-
-def _bundle_from_integrals(j: np.ndarray, hom: float) -> GreenBundle:
-    return GreenBundle(g_xx=hom + j[0].imag, d_g_zx=j[1].imag, dd_g_zz=j[2].imag,
-                       dz_g_xx=j[3].imag)
-
-
-def _channels_from_sommerfeld(som: _Sommerfeld, moments: EmitterMoments) -> ChannelDecomposition:
-    """Radiative / plasmon / lossy split of each rate-ladder order.
-
-    Radiative: the k_par in [0, k1] part plus, at order zero, the
-    homogeneous rate. Plasmon: the pole bookkeeping of the module
-    docstring. Lossy: the evanescent remainder.
-    """
-    k1, norm = som.k1, som.norm
-    if k1 * moments.l_qd >= 1.0:
-        raise _rates.expansion_error(k1, moments.l_qd)
-    lam = moments.lambda_over_mu
-    factors = (1.0, 2.0 * lam, lam * lam)
-    rad_u = _unscale(som.rad, k1)
-    evan_u = _unscale(som.evan, k1)
-    pole_u = _unscale(som.pole, k1)
-
-    rad = [0.0, 0.0, 0.0]
-    pl = [0.0, 0.0, 0.0]
-    ls = [0.0, 0.0, 0.0]
-    for order, idx in ((0, 0), (1, 1), (2, 2)):
-        f = factors[order] / norm
-        rad[order] = f * rad_u[idx].imag
-        pl[order] = f * pole_u[idx].imag
-        ls[order] = f * (evan_u[idx].imag - pole_u[idx].imag)
-    rad[0] += 1.0  # homogeneous rate is purely radiative
-    return ChannelDecomposition(rad=tuple(rad), pl=tuple(pl), ls=tuple(ls))
-
-
-@dataclass(frozen=True)
 class InterfacePoint:
     """Everything the sweep needs at one height, from one quadrature pass."""
 
@@ -400,13 +319,35 @@ class InterfacePoint:
 
 def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,
                     rel_tol: float = 1.0e-8) -> InterfacePoint:
-    som = _sommerfeld(geom, rel_tol)
-    bundle = _bundle_from_integrals(_unscale(som.rad + som.evan, som.k1), som.norm)
-    ladder = _rates.rate_ladder(bundle, moments, som.norm, k_ambient=som.k1)
-    split = _rates.md_eq_split(bundle, moments, som.norm)
-    channels = _channels_from_sommerfeld(som, moments)
+    """Bundle, ladder, multipole split and channels from one contour pass.
+
+    The homogeneous part enters g_xx and the order-zero radiative
+    channel; the moment expansion needs k1*L_qd < 1.
+    """
+    c = _contour(geom)
+    k1 = c.k1
+    if k1 * moments.l_qd >= 1.0:
+        raise ExpansionInvalidError(
+            f"k*L_qd = {k1 * moments.l_qd:.3f} >= 1: the moment expansion does not converge"
+        )
+    norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
+    rad, evan, _ = _integrate_contour(c, _ladder_vector(k1), nout=4, rel_tol=rel_tol,
+                                      abs_scale=norm)
+    j = _unscale(rad + evan, k1)
+    bundle = GreenBundle(g_xx=norm + j[0].imag, d_g_zx=j[1].imag, dd_g_zz=j[2].imag,
+                         dz_g_xx=j[3].imag)
+    ladder = _rates.rate_ladder(bundle, moments, norm)
+    split = _rates.md_eq_split(bundle, moments, norm)
+
+    lam = moments.lambda_over_mu
+    f = np.array([1.0, 2.0 * lam, lam * lam]) / norm
+    pole = _unscale(_pole_vector(c), k1)[:3].imag
+    rad_ch = f * _unscale(rad, k1)[:3].imag
+    rad_ch[0] += 1.0  # the homogeneous rate is purely radiative
+    channels = ChannelDecomposition(rad=tuple(rad_ch), pl=tuple(f * pole),
+                                    ls=tuple(f * (_unscale(evan, k1)[:3].imag - pole)))
     return InterfacePoint(bundle=bundle, ladder=ladder, split=split,
-                          channels=channels, norm=som.norm, k1=som.k1)
+                          channels=channels, norm=norm, k1=k1)
 
 
 def paper_interface(h: float) -> InterfaceGeometry:

@@ -197,15 +197,16 @@ class OmegaCheck(NamedTuple):
     value: float
     negligible: bool
 
-    @property
-    def verdict(self) -> str:
-        return "negligible" if self.negligible else "not negligible"
-
 
 def omega_negligibility(k: float, l_qd: float) -> OmegaCheck:
     """Smallness measure (k*l_qd)**2 of the neglected second-order moment.
 
     Negligible below 0.1; the expansion itself requires k*l_qd < 1.
     """
-    value = (k * l_qd) ** 2
+    try:
+        value = (k * l_qd) ** 2
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"(k*l_qd)**2 is not finite for k = {k:g}, l_qd = {l_qd:g}")
     return OmegaCheck(value=value, negligible=value < 0.1)

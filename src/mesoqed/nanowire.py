@@ -47,7 +47,7 @@ from scipy.integrate import quad
 from . import rates as _rates
 from . import specfun
 from .core import GAAS, PAPER_LAMBDA0_NM, PAPER_WIRE_RADIUS_NM, SILVER, SPEED_OF_LIGHT_NM_PER_FS
-from .core import EmitterMoments, Material, homogeneous_im_gxx, wavevector
+from .core import MAX_POINTS, EmitterMoments, Material, homogeneous_im_gxx, wavevector
 from .errors import (
     ConvergenceError,
     ContractViolationError,
@@ -331,14 +331,6 @@ def _group_velocity_at(geom: WireGeometry, center_root: complex, delta: float) -
         res.append((omega, root.real))
     (om_p, k_p), (om_m, k_m) = res
     return (om_p - om_m) / (k_p - k_m)
-
-
-def group_velocity(geom: WireGeometry, delta: float = 1e-3) -> float:
-    """Group velocity [nm/fs] by symmetric frequency difference, eps frozen."""
-    mode = solve_dispersion(geom)
-    if delta == 1e-3:
-        return mode.v_g
-    return _group_velocity_at(geom, mode.k_sp, delta)
 
 
 def _rate_prefactor(geom: WireGeometry, mode: GuidedMode) -> float:
@@ -666,6 +658,10 @@ class FieldWindow:
             raise ParameterError("field window needs z_min < z_max")
         if self.n_r < 2 or self.n_z < 2:
             raise ParameterError("field window needs at least 2 samples per axis")
+        if self.n_r * self.n_z > MAX_POINTS:
+            raise ParameterError(
+                f"field window has {self.n_r}x{self.n_z} samples, more than {MAX_POINTS}"
+            )
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,6 @@ from .core import EmitterMoments
 from .errors import ContractViolationError, ExpansionInvalidError, ParameterError
 
 
-def expansion_error(k: float, l_qd: float) -> ExpansionInvalidError:
-    return ExpansionInvalidError(
-        f"k*L_qd = {k * l_qd:.3f} >= 1: the moment expansion does not converge"
-    )
-
-
 @dataclass(frozen=True)
 class RateLadder:
     """Normalized decay-rate contributions by expansion order."""
@@ -29,6 +23,10 @@ class RateLadder:
     gamma2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma0, self.gamma1, self.gamma2))):
+            raise ExpansionInvalidError(
+                f"rate ladder ({self.gamma0:.6g}, {self.gamma1:.6g}, {self.gamma2:.6g}) "
+                "is not finite: the moment ratio overflows double precision")
         if self.gamma0 < 0.0:
             raise ContractViolationError(
                 f"gamma0 = {self.gamma0:.6g} < 0: the bundle does not describe a physical LDOS"
@@ -65,18 +63,14 @@ def _check_norm(norm: float) -> None:
         raise ParameterError(f"norm must be positive, got {norm}")
 
 
-def rate_ladder(bundle, moments: EmitterMoments, norm: float,
-                k_ambient: float | None = None) -> RateLadder:
+def rate_ladder(bundle, moments: EmitterMoments, norm: float) -> RateLadder:
     """Assemble the three-rung rate ladder from a field bundle.
 
     gamma0 = g_xx/norm, gamma1 = 2*(ratio)*d_g_zx/norm,
     gamma2 = (ratio)**2*dd_g_zz/norm with the signed ratio of the
-    moments. Pass the ambient wavevector to enforce the expansion
-    validity bound k*L_qd < 1.
+    moments.
     """
     _check_norm(norm)
-    if k_ambient is not None and k_ambient * moments.l_qd >= 1.0:
-        raise expansion_error(k_ambient, moments.l_qd)
     lam = moments.lambda_over_mu
     return RateLadder(
         gamma0=bundle.g_xx / norm,

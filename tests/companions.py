@@ -1,12 +1,15 @@
-"""Test-only companions of the library: J and H1, and offset Green functions.
+"""Test-only companions of the library: J/H1, Fresnel, offset Green functions.
 
-The rate pipeline needs neither the ordinary Bessel pair nor Green
-functions away from the source point. The tests use them to check the
-library from a second route: the J/H1 Wronskian, and finite differences
-of G_zx over a lateral offset and of G_xx over a vertical offset
-against the gradients the contour integrand carries in closed form.
-The offset integrals run on the library's own deformed contour
-(`halfspace._integrate_contour`); only the integrand differs.
+The rate pipeline needs neither the ordinary Bessel pair, nor the
+reflection coefficients on their own, nor Green functions away from the
+source point. The tests use them to check the library from a second
+route: the J/H1 Wronskian, the Fresnel coefficients against the inline
+formula and the surface-mode pole, and finite differences of G_zx over
+a lateral offset and of G_xx over a vertical offset against the
+gradients the contour integrand carries in closed form. The offset
+integrals run on the library's own deformed contour
+(`halfspace._contour` and `halfspace._integrate_contour`); only the
+integrand differs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ from scipy import special as _sp
 
 from mesoqed.core import homogeneous_im_gxx, wavevector
 from mesoqed.errors import OutOfDomainError, ParameterError
-from mesoqed.halfspace import InterfaceGeometry, _integrate_contour
+from mesoqed.halfspace import (
+    InterfaceGeometry,
+    _contour,
+    _fresnel_from_kz,
+    _integrate_contour,
+    _kz,
+)
 from mesoqed.specfun import _OVERFLOW_ARG, _finish
 
 
@@ -56,8 +65,20 @@ def hankel1(order: int, z) -> complex:
     return _finish(_sp.hankel1(order, zc), "hankel1")
 
 
+def fresnel(k_par, geom: InterfaceGeometry):
+    """Reflection coefficients (r_s, r_p) seen from the upper medium.
+
+    Accepts complex k_par (the integration contour leaves the real
+    axis); branch of both k_z follows the Im >= 0 convention.
+    """
+    k0 = 2.0 * math.pi / geom.lambda0
+    kz1 = _kz(geom.upper.eps, k0, k_par)
+    kz2 = _kz(geom.lower.eps, k0, k_par)
+    return _fresnel_from_kz(kz1, kz2, geom.upper.eps, geom.lower.eps)
+
+
 def _integrate_single(geom: InterfaceGeometry, fn, rel_tol: float) -> complex:
-    rad, evan, _ = _integrate_contour(geom, fn, nout=1, rel_tol=rel_tol,
+    rad, evan, _ = _integrate_contour(_contour(geom), fn, nout=1, rel_tol=rel_tol,
                                       abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
     return complex((rad + evan)[0])
 

@@ -43,6 +43,11 @@ CASES = {
                     "nanowire.quasistatic_background", "rates.rate_ladder"}),
     "wire-radial": ("wire-sweep", (55.0, nanowire.RADIAL),
                     {"nanowire.plasmon_rates", "nanowire.quasistatic_background"}),
+    # a wire and a metal no other test solves: the traced run pays the
+    # cold mode solve, and interface_point runs on a non-paper metal
+    "geometry": ("geometry-scan", (41.0, 950.0, 0.18 + 7.2j),
+                 {"nanowire.solve_dispersion", "nanowire.plasmon_rates",
+                  "halfspace.interface_point", "halfspace.quad_vec", "rates.rate_ladder"}),
 }
 
 
@@ -64,7 +69,9 @@ def test_traced_point_matches_untraced_point(case):
     assert traced.row == untraced.row
     assert wl.problems(point, untraced.row, untraced.keep) == []
     assert spans <= {span[3] for span in tracer.spans}
-    if name == "iface-sweep":
+    if name != "wire-sweep":
         assert tracer.integrand_evals["halfspace"] > 0
-    else:
+    if name != "iface-sweep":
         assert tracer.leaves["specfun.bessel_ik_scaled"][0] > 0
+    if name == "geometry-scan":
+        assert len(tracer.miss_ms) == 1

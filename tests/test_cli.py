@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -279,6 +280,28 @@ def test_unwritable_output_path(tmp_path, capsys):
     rc = main(["moments", "--out", str(tmp_path / "no-such-dir" / "x.json")])
     assert rc == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["report", "--lqd", "1e300"], 2),
+    (["interface-sweep", "--range", "20:21:1e-300"], 2),
+    (["interface-sweep", "--range", "0:1000000:1"], 2),
+    (["field-map", "--nr", "1000000000", "--nz", "2"], 2),
+    (["interface-sweep", "--range", "1e-300:1e-299:1e-300"], 3),
+    (["interface-sweep", "--range", "20:21:5", "--ratio", "1e200"], 3),
+    (["nanowire-sweep", "--range", "20:21:5", "--ratio", "1e300"], 3),
+])
+def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
+    # overflowing moments, sweeps and maps past 1 000 000 points, and a
+    # height whose contour tail overflows: a message, never a traceback
+    # or a printed inf
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # h below 10 nm
+        assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("mesoqed: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_version_flag():

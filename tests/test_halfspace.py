@@ -13,16 +13,18 @@ import numpy as np
 import pytest
 
 import oracles
-from companions import gxx_vertical_offset, gzx_lateral
+from companions import fresnel, gxx_vertical_offset, gzx_lateral
 from mesoqed import (
     GAAS,
+    EmitterMoments,
+    ExpansionInvalidError,
     InterfaceGeometry,
     Material,
     NoBoundModeError,
     ParameterError,
+    SILVER,
     extract_fields,
-    fresnel,
-    green_bundle,
+    halfspace,
     interface_point,
     paper_interface,
     paper_moments,
@@ -110,7 +112,7 @@ def test_quasi_static_gradient_limit():
     # approaches the electrostatic image result.
     h = 3.0
     with pytest.warns(RuntimeWarning):
-        bundle = green_bundle(paper_interface(h))
+        bundle = interface_point(paper_interface(h), EmitterMoments(0.0)).bundle
     ref = oracles.quasistatic_gzx_gradient(h, 1000.0, 3.42, 0.2 + 7.0j)
     assert bundle.d_g_zx / ref == pytest.approx(1.0, abs=0.05)
 
@@ -127,7 +129,7 @@ def test_lossy_surface_channel_is_small_at_working_heights():
 @pytest.mark.parametrize("h", [30.0, 60.0, 100.0, 200.0, 500.0])
 def test_gradients_against_finite_differences(h):
     geom = paper_interface(h)
-    bundle = green_bundle(geom)
+    bundle = interface_point(geom, MOMENTS).bundle
     step = 0.01
 
     fd_zx = (gzx_lateral(geom, step) - gzx_lateral(geom, -step)) / (2.0 * step)
@@ -138,7 +140,7 @@ def test_gradients_against_finite_differences(h):
 
 
 def test_bundle_gradient_combinations_reassemble():
-    bundle = green_bundle(paper_interface(100.0))
+    bundle = interface_point(paper_interface(100.0), MOMENTS).bundle
     assert bundle.b_yx + bundle.q_xz == pytest.approx(2.0 * bundle.d_g_zx, rel=1e-12)
 
 
@@ -163,8 +165,9 @@ def test_channel_partition_matches_ladder():
     for h in (50.0, 100.0, 200.0, 400.0):
         pt = interface_point(paper_interface(h), MOMENTS)
         rungs = (pt.ladder.gamma0, pt.ladder.gamma1, pt.ladder.gamma2)
+        ch = pt.channels
         for order in range(3):
-            assert pt.channels.order_total(order) == pytest.approx(
+            assert ch.rad[order] + ch.pl[order] + ch.ls[order] == pytest.approx(
                 rungs[order], abs=1e-6, rel=1e-6
             )
 
@@ -206,8 +209,8 @@ def test_far_field_returns_to_bulk():
 def test_self_convergence_under_tolerance_halving():
     for h in (40.0, 100.0, 300.0):
         geom = paper_interface(h)
-        a = green_bundle(geom, rel_tol=1.0e-8)
-        b = green_bundle(geom, rel_tol=5.0e-9)
+        a = interface_point(geom, MOMENTS, rel_tol=1.0e-8).bundle
+        b = interface_point(geom, MOMENTS, rel_tol=5.0e-9).bundle
         norm = 0.00114
         k1 = 3.42 * 2.0 * math.pi / 1000.0
         drift = max(
@@ -216,6 +219,36 @@ def test_self_convergence_under_tolerance_halving():
             abs(a.dd_g_zz - b.dd_g_zz) / (norm * k1 * k1),
         )
         assert drift < 1e-6
+
+
+def test_expansion_validity_guard(monkeypatch):
+    # k1 = 0.02149 rad/nm in GaAs at 1000 nm, so k1*L_qd crosses 1
+    # between 46 and 47 nm; the check runs before any quadrature
+    geom = paper_interface(100.0)
+    interface_point(geom, EmitterMoments(lambda_over_mu=10.0, l_qd=46.0))
+    passes = []
+    monkeypatch.setattr(halfspace, "_integrate_contour",
+                        lambda *args, **kwargs: passes.append(args))
+    with pytest.raises(ExpansionInvalidError):
+        interface_point(geom, EmitterMoments(lambda_over_mu=10.0, l_qd=47.0))
+    assert passes == []
+
+
+@pytest.mark.parametrize("lower", [SILVER, Material("glass", 1.5)])
+def test_one_contour_and_one_pole_per_height(monkeypatch, lower):
+    # the glass interface has no bound pole; spp_pole is still asked once
+    calls = {"spp_pole": 0, "_contour": 0}
+    for name in calls:
+        original = getattr(halfspace, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(halfspace, name, counted)
+    geom = InterfaceGeometry(upper=GAAS, lower=lower, h=100.0, lambda0=1000.0)
+    interface_point(geom, MOMENTS)
+    assert calls == {"spp_pole": 1, "_contour": 1}
 
 
 def test_geometry_validation():

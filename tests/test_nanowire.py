@@ -28,7 +28,6 @@ from mesoqed import (
     extract_fields,
     field_map,
     figures_of_merit,
-    group_velocity,
     homogeneous_im_gxx,
     paper_moments,
     paper_wire,
@@ -97,8 +96,8 @@ def test_group_velocity():
     mode = solve_dispersion(GEOM)
     assert 0.0 < mode.v_g < C0
     assert mode.v_g == pytest.approx(96.995429, rel=1e-6)
-    assert group_velocity(GEOM) == mode.v_g
-    halved = group_velocity(GEOM, delta=5e-4)
+    assert nanowire._group_velocity_at(GEOM, mode.k_sp, 1e-3) == mode.v_g
+    halved = nanowire._group_velocity_at(GEOM, mode.k_sp, 5e-4)
     assert abs(halved - mode.v_g) < 1e-5 * mode.v_g
 
 
@@ -453,6 +452,12 @@ def test_field_window_validation():
         FieldWindow(r_min=0.0, r_max=50.0, z_min=10.0, z_max=10.0)
     with pytest.raises(ParameterError):
         FieldWindow(r_min=0.0, r_max=50.0, z_min=0.0, z_max=10.0, n_r=1)
+    # at most 1 000 000 samples; the window itself allocates nothing
+    FieldWindow(r_min=0.0, r_max=50.0, z_min=0.0, z_max=10.0, n_r=1000, n_z=1000)
+    with pytest.raises(ParameterError):
+        FieldWindow(r_min=0.0, r_max=50.0, z_min=0.0, z_max=10.0, n_r=1000, n_z=1001)
+    with pytest.raises(ParameterError):
+        FieldWindow(r_min=0.0, r_max=50.0, z_min=0.0, z_max=10.0, n_r=10**9, n_z=2)
 
 
 def test_magnitude_derivative_guard():

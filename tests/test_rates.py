@@ -4,6 +4,8 @@ Uses synthetic field bundles throughout; the geometry modules have
 their own tests. norm is an arbitrary positive scale here.
 """
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,13 +81,6 @@ def test_ladder_scalings(lam, d, dd):
     assert ladder2.gamma2 == pytest.approx(4.0 * ladder.gamma2, abs=1e-18)
 
 
-def test_expansion_validity_guard():
-    m = EmitterMoments(lambda_over_mu=10.0, l_qd=20.0)
-    with pytest.raises(ExpansionInvalidError):
-        rate_ladder(make_bundle(), m, NORM, k_ambient=0.05)
-    rate_ladder(make_bundle(), m, NORM, k_ambient=0.049)
-
-
 def test_ladder_invariants():
     with pytest.raises(ContractViolationError):
         RateLadder(gamma0=-0.1, gamma1=0.0, gamma2=0.0)
@@ -94,6 +89,12 @@ def test_ladder_invariants():
     # slightly negative gamma2 is a legitimate scattered-field value
     ok = RateLadder(gamma0=1.0, gamma1=0.1, gamma2=-0.01)
     assert ok.total == pytest.approx(1.09)
+    # a rung that overflowed is an error, not a printed inf
+    for rungs in ((math.inf, 0.0, 0.0), (1.0, -math.inf, 0.5), (1.0, math.nan, 0.0)):
+        with pytest.raises(ExpansionInvalidError):
+            RateLadder(*rungs)
+    with pytest.raises(ExpansionInvalidError):
+        rate_ladder(make_bundle(), EmitterMoments(lambda_over_mu=1e300), NORM)
 
 
 def test_norm_validation():

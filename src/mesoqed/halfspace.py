@@ -40,12 +40,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
 from .core import homogeneous_im_gxx, wavevector
 from .errors import ConvergenceError, ExpansionInvalidError, NoBoundModeError, ParameterError
+from .quadrature import quad_vec
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
 _MIN_SAFE_HEIGHT = 10.0
@@ -230,20 +230,25 @@ def _integrate_contour(c: _Contour, fn, nout: int, rel_tol: float, abs_scale: fl
         # dkp_du / kz1 = 1/i exactly on this segment
         return eval_at(kp, kz1, dkp_du, -1.0j)
 
+    segments = [seg_radiative, seg_ellipse]
+    bounds = [(0.0, 0.5 * math.pi), (0.0, 1.0)]
+    if c.t_max > c.t_b:
+        segments.append(seg_tail)
+        bounds.append((c.t_b, c.t_max))
+
+    def integrand(x, k):
+        return segments[k](x)
+
     eps_abs = rel_tol * abs_scale
     try:
-        rad, err_a = quad_vec(seg_radiative, 0.0, 0.5 * math.pi,
-                              epsabs=eps_abs, epsrel=rel_tol, norm="max")
-        evan, err_b = quad_vec(seg_ellipse, 0.0, 1.0,
-                               epsabs=eps_abs, epsrel=rel_tol, norm="max")
-        err = err_a + err_b
-        if c.t_max > c.t_b:
-            tail, err_c = quad_vec(seg_tail, c.t_b, c.t_max,
-                                   epsabs=eps_abs, epsrel=rel_tol, norm="max")
-            evan = evan + tail
-            err += err_c
+        (rad, err), (evan, err_b), *tail = quad_vec(integrand, bounds, epsabs=eps_abs,
+                                                    epsrel=rel_tol)
     except OverflowError as exc:
         raise ConvergenceError(f"k_par integrand overflows at h = {c.h:g} nm") from exc
+    err += err_b
+    for part, err_c in tail:
+        evan = evan + part
+        err += err_c
 
     scale = max(abs_scale, float(np.max(np.abs(rad))), float(np.max(np.abs(evan))))
     if not err <= 50.0 * max(eps_abs, rel_tol * scale):

@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import rates as _rates
 from . import specfun
@@ -56,6 +55,7 @@ from .errors import (
     ParameterError,
 )
 from .halfspace import GreenBundle
+from .quadrature import _GK_WG, _GK_WK, _GK_XK
 
 _SCAN_LO = 1.0005  # in units of the host wavevector
 _SCAN_HI = 10.0
@@ -246,6 +246,17 @@ class GuidedMode:
         return self.norm * self.norm * raw
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use.
+
+    Only the cold mode normalization needs it, so importing mesoqed
+    does not pay for scipy.integrate.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def _norm_integral(
     geom: WireGeometry, k_sp: complex, kap_in: complex, kap_out: complex, a_in: complex
 ) -> float:
@@ -403,34 +414,7 @@ _QS_STALL_TOL = 1e-6
 _QS_CHUNK = 8  # orders per chunk after the first (see _harmonic_chunks)
 _QS_PANEL_LIMIT = 400  # panels per harmonic
 
-# Gauss-Kronrod G10/K21 rule on [-1, 1] (QUADPACK qk21): nodes from the
-# end to the centre with their Kronrod and Gauss weights (the Gauss nodes
-# are every second one); _GK_X and the _GK_W_* hold the full rule, left
-# to right
-_GK_XK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-)
-_GK_WK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208936966410, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_GK_WG = (
-    0.0, 0.066671344308688137593568809893332,
-    0.0, 0.149451349150580593145776339657697,
-    0.0, 0.219086362515982043995534934228163,
-    0.0, 0.269266719309996355091226921569469,
-    0.0, 0.295524224714752870173892994651338,
-    0.0,
-)
+# the G10/K21 rule of `quadrature`, left to right
 _GK_X = np.array([-x for x in _GK_XK] + list(_GK_XK[-2::-1]))
 _GK_W_KRONROD = np.array(_GK_WK + _GK_WK[-2::-1])
 _GK_W_GAUSS = np.array(_GK_WG + _GK_WG[-2::-1])

@@ -9,9 +9,10 @@ mode equation, the wire's axial gradient ratio from Gauss's law, the
 wire's plasmon ladder in the reduced E_r*E_z magnitude form (fed the
 mode's field values as plain numbers), finite-difference ground states
 of harmonically confined carriers, and the wire's quasi-static
-background as one scalar adaptive quadrature per azimuthal harmonic.
-None of it routes through the package modules, so a library bug cannot
-cancel against an oracle bug.
+background as one scalar adaptive quadrature per azimuthal harmonic,
+and the planar contour quadrature as one scipy `quad_vec` call per
+contour segment. None of it routes through the package modules, so a
+library bug cannot cancel against an oracle bug.
 
 Conventions match the package: lengths nm, wavevectors rad/nm, rates
 normalized to the emitter's rate in the unbounded upper/host medium.
@@ -24,7 +25,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import ive, kv, kve
 
@@ -391,6 +392,21 @@ def harmonic_envelope_moment(sigma_e: float, mass_ratio: float, shift: float,
     centroid = np.sum(z * overlap) / np.sum(overlap)
     z0 = (z_e + mass_ratio * z_h) / (1.0 + mass_ratio)
     return float(sigma_h), float(abs(centroid - z0))
+
+
+# ---------------------------------------------------- contour quadrature
+
+
+def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
+    """The contour quadrature by scipy: one quad_vec call per interval.
+
+    This is how the planar interface integrated its contour segments
+    before the package had its own integrator, one after the other.
+    Same signature and result as `mesoqed.quadrature.quad_vec`, so a
+    test can put it in place of `halfspace.quad_vec`.
+    """
+    return [quad_vec(lambda x, k=k: f(x, k), a, b, epsabs=epsabs, epsrel=epsrel, norm="max")
+            for k, (a, b) in enumerate(bounds)]
 
 
 # ------------------------------------------------------------ small helpers

@@ -319,6 +319,29 @@ def test_subcommand_required():
 # ---------------------------------------------------------- end-to-end run
 
 
+def test_cli_import_leaves_scipy_integrate_out(tmp_path):
+    # a fresh interpreter: importing the CLI must not load scipy.integrate;
+    # the first cold mode solve (report, then nanowire-sweep) imports it
+    # for the normalization integral and still prints the golden output
+    code = (
+        "import sys\n"
+        "from mesoqed.cli import main\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        f"assert main(['report', '--out', {str(tmp_path / 'report.json')!r}]) == 0\n"
+        f"assert main(['nanowire-sweep', '--range', '20:21:5', '--out', "
+        f"{str(tmp_path / 'wire.csv')!r}]) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
+        run_text(["report"], tmp_path, "ref.json")
+    _, rows = data_rows((tmp_path / "wire.csv").read_text(encoding="utf-8"))
+    assert rows == [GOLDEN_WIRE_AXIAL_20]
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mesoqed.cli", "report"],

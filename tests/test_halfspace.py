@@ -267,3 +267,55 @@ def test_gamma2_can_go_negative_for_scattered_fields():
     pt = interface_point(paper_interface(150.0), MOMENTS)
     assert pt.ladder.gamma2 < 0.0
     assert pt.ladder.total > 0.0
+
+
+# ------------------------------------- in-package quadrature against scipy
+
+LOWER = {
+    "Ag": SILVER,
+    "glass": Material("glass", 1.5),
+    "0.18+7.2j": Material("m", 0.18 + 7.2j),
+    "0.25+6j": Material("m", 0.25 + 6.0j),
+    "1e4j": Material("mirror", 1.0e4j),
+}
+
+
+def point_bits(pt):
+    """Every InterfacePoint value as its exact bits, sign of zero included."""
+    b, ladder, split, ch = pt.bundle, pt.ladder, pt.split, pt.channels
+    values = (b.g_xx, b.d_g_zx, b.dd_g_zz, b.dz_g_xx, ladder.gamma0, ladder.gamma1,
+              ladder.gamma2, split.gamma1_md, split.gamma1_eq, *ch.rad, *ch.pl, *ch.ls,
+              pt.norm, pt.k1)
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-13])
+@pytest.mark.parametrize("lower", sorted(LOWER))
+def test_interface_point_equals_scipy_quad_vec_bitwise(monkeypatch, lower, rel_tol):
+    # the moment ratio cycles through 10, -3 and 0; ratio 0 multiplies
+    # negative channel parts by zero, so -0.0 must come out as -0.0
+    n = 3 if rel_tol == 1e-13 else 6
+    heights = oracles.geometric_heights(10.5, 3000.0, n)
+    cases = [(InterfaceGeometry(upper=GAAS, lower=LOWER[lower], h=float(h), lambda0=1000.0),
+              EmitterMoments((10.0, -3.0, 0.0)[i % 3])) for i, h in enumerate(heights)]
+    got = [point_bits(interface_point(g, m, rel_tol=rel_tol)) for g, m in cases]
+    monkeypatch.setattr(halfspace, "quad_vec", oracles.scipy_quad_vec)
+    want = [point_bits(interface_point(g, m, rel_tol=rel_tol)) for g, m in cases]
+    assert got == want
+
+
+@pytest.mark.parametrize("lower", ["Ag", "glass"])
+def test_companion_integrals_equal_scipy_quad_vec_bitwise(monkeypatch, lower):
+    # one-component integrands through the same contour quadrature
+    geoms = [InterfaceGeometry(upper=GAAS, lower=LOWER[lower], h=h, lambda0=1000.0)
+             for h in (12.0, 100.0, 900.0)]
+
+    def values():
+        return [(gzx_lateral(g, 0.01), gxx_vertical_offset(g, -0.01, rel_tol=1e-11))
+                for g in geoms]
+
+    got = values()
+    monkeypatch.setattr(halfspace, "quad_vec", oracles.scipy_quad_vec)
+    want = values()
+    assert [[(z.real.hex(), z.imag.hex()) for z in row] for row in got] == \
+        [[(z.real.hex(), z.imag.hex()) for z in row] for row in want]

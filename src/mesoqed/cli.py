@@ -8,7 +8,7 @@ Subcommands
     moments           symmetry pattern and smallness checks of the moments
     report            headline figures in one JSON document
 
-Configuration resolves in three layers: preset defaults, then a flat
+Configuration resolves in three layers: the paper's defaults, then a flat
 ``key = value`` config file (``--config``), then explicit flags. All
 output is deterministic: no timestamps, floats at 12 significant
 digits, config keys emitted sorted, so identical invocations produce
@@ -38,15 +38,18 @@ class UsageError(Exception):
     """Bad flags, malformed config file, or an empty sweep."""
 
 
-_PRESETS = {
-    "paper": {
-        "lambda0": core.PAPER_LAMBDA0_NM,
-        "host_n": core.GAAS.n,
-        "metal_n": core.SILVER.n,
-        "ratio": core.PAPER_RATIO_NM,
-        "lqd": core.PAPER_L_QD_NM,
-        "radius": core.PAPER_WIRE_RADIUS_NM,
-    }
+_DEFAULTS = {
+    "lambda0": core.PAPER_LAMBDA0_NM,
+    "host_n": core.GAAS.n,
+    "metal_n": core.SILVER.n,
+    "ratio": core.PAPER_RATIO_NM,
+    "lqd": core.PAPER_L_QD_NM,
+    "radius": core.PAPER_WIRE_RADIUS_NM,
+    "tol": 1.0e-8,
+    "workers": 1,
+    "out": "-",
+    "orientation": nanowire.AXIAL,
+    "sweep": None,
 }
 
 _TOL_MIN = 1.0e-14
@@ -82,7 +85,6 @@ def _complex_entry(z: complex, units: str, note: str) -> dict:
 class RunConfig:
     """Fully resolved run parameters shared by every subcommand."""
 
-    preset: str
     lambda0: float
     host_n: complex
     metal_n: complex
@@ -185,9 +187,7 @@ def _apply_config_file(values: dict, path: str) -> None:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    values = dict(_PRESETS[args.preset])
-    values.update(preset=args.preset, tol=1.0e-8, workers=1, out="-",
-                  orientation=nanowire.AXIAL, sweep=None)
+    values = dict(_DEFAULTS)
     if getattr(args, "config", None):
         _apply_config_file(values, args.config)
     for key in ("lambda0", "ratio", "radius", "lqd", "tol", "out"):
@@ -209,7 +209,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 def _config_entries(cfg: RunConfig, extra: dict | None = None) -> dict:
     entries = {
-        "preset": cfg.preset,
         "lambda0": _fmt(cfg.lambda0),
         "host_n": _fmt_complex(cfg.host_n),
         "metal_n": _fmt_complex(cfg.metal_n),
@@ -540,10 +539,8 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> str:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", choices=sorted(_PRESETS), default="paper",
-                        help="named parameter set (default: paper)")
     parser.add_argument("--config", metavar="FILE",
-                        help="flat 'key = value' file applied over the preset")
+                        help="flat 'key = value' file applied over the defaults")
     parser.add_argument("--lambda0", type=float, help="vacuum wavelength [nm]")
     parser.add_argument("--ratio", type=float,
                         help="signed first-moment to dipole-moment ratio [nm]")

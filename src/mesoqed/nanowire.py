@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -55,7 +54,7 @@ from .errors import (
     ParameterError,
 )
 from .halfspace import GreenBundle
-from .quadrature import _GK_WG, _GK_WK, _GK_XK
+from .quadrature import quad
 
 _SCAN_LO = 1.0005  # in units of the host wavevector
 _SCAN_HI = 10.0
@@ -246,17 +245,6 @@ class GuidedMode:
         return self.norm * self.norm * raw
 
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first use.
-
-    Only the cold mode normalization needs it, so importing mesoqed
-    does not pay for scipy.integrate.
-    """
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, **kwargs)
-
-
 def _norm_integral(
     geom: WireGeometry, k_sp: complex, kap_in: complex, kap_out: complex, a_in: complex
 ) -> float:
@@ -268,22 +256,24 @@ def _norm_integral(
     ratio_out = abs(k_sp / kap_out) ** 2
     a2 = abs(a_in) ** 2
 
-    def interior(r: float) -> float:
-        iv0, _ = specfun.bessel_ik(0, kap_in * r)
-        iv1, _ = specfun.bessel_ik(1, kap_in * r)
-        dens = a2 * (abs(iv0) ** 2 + ratio_in * abs(iv1) ** 2)
-        return eps_in_re * dens * 2.0 * math.pi * r
-
-    def exterior(r: float) -> float:
-        _, kv0 = specfun.bessel_ik(0, kap_out * r)
-        _, kv1 = specfun.bessel_ik(1, kap_out * r)
-        dens = abs(kv0) ** 2 + ratio_out * abs(kv1) ** 2
-        return eps_out_re * dens * 2.0 * math.pi * r
+    def density(r: np.ndarray, row: np.ndarray) -> np.ndarray:
+        # row 0 is the interior [0, rho], row 1 the exterior
+        inner = row == 0
+        out = np.empty_like(r)
+        r_in, r_out = r[inner], r[~inner]
+        iv0, _ = specfun.bessel_ik(0, kap_in * r_in)
+        iv1, _ = specfun.bessel_ik(1, kap_in * r_in)
+        dens = a2 * (np.abs(iv0) ** 2 + ratio_in * np.abs(iv1) ** 2)
+        out[inner] = eps_in_re * dens * 2.0 * math.pi * r_in
+        _, kv0 = specfun.bessel_ik(0, kap_out * r_out)
+        _, kv1 = specfun.bessel_ik(1, kap_out * r_out)
+        dens = np.abs(kv0) ** 2 + ratio_out * np.abs(kv1) ** 2
+        out[~inner] = eps_out_re * dens * 2.0 * math.pi * r_out
+        return out
 
     r_max = rho + _NORM_TAIL / kap_out.real
-    w_in, _ = quad(interior, 0.0, rho, epsabs=1e-13, epsrel=1e-11, limit=200)
-    w_out, _ = quad(exterior, rho, r_max, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return w_in + w_out
+    w_in, w_out = quad(density, np.array([0.0, rho]), np.array([rho, r_max]), 1e-11)
+    return float(w_in + w_out)
 
 
 def _build_mode(geom: WireGeometry, root: complex, v_g: float) -> GuidedMode:
@@ -412,83 +402,6 @@ def plasmon_bundle(geom: WireGeometry, d: float, orientation: str) -> GreenBundl
 _QS_SERIES_TOL = 1e-10
 _QS_STALL_TOL = 1e-6
 _QS_CHUNK = 8  # orders per chunk after the first (see _harmonic_chunks)
-_QS_PANEL_LIMIT = 400  # panels per harmonic
-
-# the G10/K21 rule of `quadrature`, left to right
-_GK_X = np.array([-x for x in _GK_XK] + list(_GK_XK[-2::-1]))
-_GK_W_KRONROD = np.array(_GK_WK + _GK_WK[-2::-1])
-_GK_W_GAUSS = np.array(_GK_WG + _GK_WG[-2::-1])
-_EPS = np.finfo(float).eps
-
-
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    # strictly left to right along each row, so a panel's sum does not
-    # depend on how many panels share the array (a matrix product
-    # rounds differently for different row counts)
-    return np.add.accumulate(values, axis=1)[:, -1]
-
-
-def _gk21(integrand, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Panels [a, b] of `rows` as columns (a, b, value, error, roundoff floor).
-
-    K21 value with QUADPACK's qk21 error estimate, which never falls
-    below the roundoff floor 50 eps * integral of |f|.
-    """
-    centre = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = centre[:, None] + half[:, None] * _GK_X
-    f = integrand(nodes.ravel(), np.repeat(rows, _GK_X.size)).reshape(nodes.shape)
-    resk = _row_sums(f * _GK_W_KRONROD)
-    resg = _row_sums(f * _GK_W_GAUSS)
-    resabs = _row_sums(np.abs(f) * _GK_W_KRONROD) * half
-    resasc = _row_sums(np.abs(f - 0.5 * resk[:, None]) * _GK_W_KRONROD) * half
-    err = np.abs((resk - resg) * half)
-    scaled = (resasc != 0.0) & (err != 0.0)
-    ratio = 200.0 * err / np.where(scaled, resasc, 1.0)
-    err = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), err)
-    floor = 50.0 * _EPS * resabs
-    return np.stack((a, b, resk * half, np.maximum(err, floor), floor))
-
-
-def _integrate_rows(integrand, upper: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Integral over [0, upper[row]] of each row's integrand, all rows at once.
-
-    `integrand(k, row)` takes flat arrays of nodes and row indices.
-    Adaptive bisection per row: while a row's summed error estimate
-    exceeds rel_tol times its value, every panel of that row whose error
-    exceeds the row's tolerance over its panel count, and its own
-    roundoff floor, is halved; a row stops splitting at
-    _QS_PANEL_LIMIT panels. Rows share no decision and no sum, so each
-    result is the same whichever rows are integrated with it. Warns
-    when a row ends above its tolerance.
-    """
-    n = upper.size
-    rows = np.arange(n)
-    panels = _gk21(integrand, rows, np.zeros(n), upper)
-    while True:
-        a, b, val, err, floor = panels
-        total = np.bincount(rows, val, n)
-        count = np.bincount(rows, minlength=n)
-        tol = rel_tol * np.abs(total)
-        unmet = np.bincount(rows, err, n) > tol
-        split = (unmet & (count < _QS_PANEL_LIMIT))[rows]
-        split &= (err > (tol / count)[rows]) & (err > floor)
-        if not split.any():
-            break
-        halves_of = np.tile(rows[split], 2)
-        mid = 0.5 * (a[split] + b[split])
-        lo, hi = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
-        halves = _gk21(integrand, halves_of, lo, hi)
-        rows = np.concatenate((rows[~split], halves_of))
-        panels = np.concatenate((panels[:, ~split], halves), axis=1)
-    if unmet.any():
-        warnings.warn(
-            f"{np.count_nonzero(unmet)} of {n} harmonic integrals stopped above the "
-            f"relative tolerance {rel_tol:g} (roundoff or {_QS_PANEL_LIMIT} panels)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return total
 
 
 def _harmonic_chunks(d: float, rho: float, m_max: int) -> list[np.ndarray]:
@@ -520,9 +433,9 @@ def quasistatic_background(
 
     Harmonic m is the integral over [0, 30/d + 2m/rho] of a product of
     scaled I_m, K_m over the cylinder's resonant denominator.  The
-    harmonics are integrated in chunks, all panels of a chunk at once:
-    adaptive Gauss-Kronrod G10/K21 bisection with QUADPACK's error
-    estimate, each harmonic to `rel_tol` on its own, so a harmonic's
+    harmonics are integrated in chunks, all panels of a chunk at once by
+    `quadrature.quad` (adaptive G10/K21 bisection with QUADPACK's error
+    estimate), each harmonic to `rel_tol` on its own, so a harmonic's
     value does not depend on the chunk it shares.  After each chunk the
     series stops once two successive terms fall below `series_tol` of
     the sum.  If that has not happened at m_max (fixed, not scaled with
@@ -595,7 +508,7 @@ def quasistatic_background(
         # transition at k ~ m/rho
         k_up = 30.0 / d + 2.0 * ms / rho
         weight = np.where(ms == 0, 1.0, 2.0)
-        return pref * weight * _integrate_rows(integrand, k_up, rel_tol)
+        return pref * weight * quad(integrand, np.zeros(ms.size), k_up, rel_tol)
 
     pref = -3.0 / (math.pi * k1**3)
     total = 0.0

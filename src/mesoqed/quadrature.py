@@ -1,25 +1,27 @@
-"""Adaptive Gauss-Kronrod quadrature of vector integrands.
+"""Adaptive Gauss-Kronrod quadrature: one G10/K21 rule, two drivers.
+
+Both drivers evaluate panels with QUADPACK's qk21 rule and error
+estimate, computed as scipy's ``_quadrature_gk``: nodes from the right
+end to the left end, sums strictly in that order starting from 0.0, so
+a panel's sums do not depend on its neighbours.
 
 `quad_vec` integrates one vector integrand over several finite intervals
-and gives, for each interval, exactly what
-``scipy.integrate.quad_vec(g, a, b, epsabs, epsrel, norm="max")`` gives
-with its default G10/K21 rule: the same subdivisions in the same order,
-the same stops and bitwise the same value and error estimate. It differs
-in how the work is scheduled, not in what is computed:
+and gives, for each interval, exactly what scipy's
+``quad_vec(g, a, b, epsabs, epsrel, norm="max")`` gives: the same
+subdivisions in the same order, the same stops and bitwise the same
+value and error estimate. It differs in how the work is scheduled, not
+in what is computed: the intervals are independent adaptive processes
+run in lockstep, and every round evaluates the nodes of all panels being
+split at once. The integrand is still called once per node with a
+Python float, so its own arithmetic is untouched.
 
-* the intervals are independent adaptive processes run in lockstep, and
-  every round evaluates the nodes of all panels being split at once;
-* the rule sums of those panels are one vectorized pass that adds
-  strictly left to right in scipy's node order, starting from 0.0 as
-  scipy's loop does, so a panel's sums do not depend on its neighbours.
-
-The integrand is still called once per node with a Python float, so its
-own arithmetic is untouched.
+`quad` integrates many real scalar integrands ("rows") by adaptive
+bisection, each to a relative tolerance on its own, with one array call
+of the integrand per round for the nodes of every panel being split.
 
 The G10/K21 table below is QUADPACK's qk21 on [-1, 1], listed from the
 end to the centre with the Kronrod and Gauss weights of each node (the
-Gauss nodes are every second one). ``nanowire`` builds its own
-left-to-right rule from the same table.
+Gauss nodes are every second one).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -68,29 +71,29 @@ _LIMIT = 10000  # an interval stops once it holds this many panels, as in scipy
 
 def _sum_nodes(terms: np.ndarray) -> np.ndarray:
     """0.0 + terms[:, 0] + terms[:, 1] + ..., strictly in that order."""
-    terms[:, 0] += 0.0  # scipy's sums start from 0.0, which turns -0.0 into 0.0
-    return np.add.accumulate(terms, axis=1)[:, -1]
+    # scipy's sums start from 0.0. A running sum is -0.0 only while every
+    # term so far is -0.0, so adding the 0.0 last gives the same bits
+    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
 
 
 def _max_norm(values: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(values), axis=-1)
+    return np.abs(values).max(axis=-1)
 
 
-def _gk21(f, panels: list) -> tuple:
-    """Values, error estimates and roundoff estimates of (k, a, b) panels.
-
-    The arithmetic is scipy's ``_quadrature_gk`` applied to every panel
-    at once.
-    """
-    seg = [k for k, _, _ in panels]
-    a = np.array([p[1] for p in panels])
-    b = np.array([p[2] for p in panels])
-    c = 0.5 * (a + b)
+def _nodes(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Nodes of the panels [a, b], one row each, and their half-widths."""
     h = 0.5 * (b - a)
-    nodes = (c[:, None] + h[:, None] * _X).tolist()
-    fv = np.array([f(x, k) for k, row in zip(seg, nodes) for x in row])
-    fv = fv.reshape(len(panels), _X.size, -1)
+    return (0.5 * (a + b))[:, None] + h[:, None] * _X, h
 
+
+def _rule(fv: np.ndarray, h: np.ndarray) -> tuple:
+    """Values, error estimates and roundoff estimates of panels.
+
+    fv[panel, node, component] holds the integrand at `_nodes`; the
+    arithmetic is scipy's ``_quadrature_gk`` applied to every panel at
+    once. The error transform stays a scalar loop: numpy's array ``**``
+    rounds differently from Python's in some last bits.
+    """
     s_k = _sum_nodes(_WK * fv)
     s_k_abs = _sum_nodes(_WK * np.abs(fv))
     s_g = _sum_nodes(_WG * fv[:, 1::2])
@@ -106,6 +109,13 @@ def _gk21(f, panels: list) -> tuple:
             e = max(e, r)
         err[i] = e
     return hc * s_k, err, rnd
+
+
+def _gk21(f, panels: list) -> tuple:
+    """`_rule` on (k, a, b) panels of a per-node integrand f(x, k)."""
+    nodes, h = _nodes(np.array([p[1] for p in panels]), np.array([p[2] for p in panels]))
+    fv = np.array([f(x, k) for (k, _, _), row in zip(panels, nodes.tolist()) for x in row])
+    return _rule(fv.reshape(len(panels), _X.size, -1), h)
 
 
 class _Interval:
@@ -159,10 +169,10 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
 
     f(x, k) is the integrand on interval k at the node x, a 1-d array of
     the same length on every interval. Returns one (value, error
-    estimate) pair per interval, each bitwise equal to
-    scipy.integrate.quad_vec(lambda x: f(x, k), a, b, epsabs=epsabs,
-    epsrel=epsrel, norm="max") for vectors small enough that scipy's
-    100 MB interval cache holds its 10000 intervals.
+    estimate) pair per interval, each bitwise equal to scipy's
+    quad_vec(lambda x: f(x, k), a, b, epsabs=epsabs, epsrel=epsrel,
+    norm="max") for vectors small enough that scipy's 100 MB interval
+    cache holds its 10000 intervals.
     """
     values, errs, rnds = _gk21(f, [(k, a, b) for k, (a, b) in enumerate(bounds)])
     procs = [_Interval(a, b, values[k], errs[k], rnds[k]) for k, (a, b) in enumerate(bounds)]
@@ -186,3 +196,55 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
             procs[k].split(a, c, b, old_err, old_int, left, right)
         active = [k for k in active if not procs[k].done(epsabs, epsrel)]
     return [(p.integral, p.error + p.rounding) for p in procs]
+
+
+_ROW_LIMIT = 400  # panels per row of `quad`
+
+
+def _row_panels(f, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Panels [a, b] of `rows` as columns (a, b, value, error, roundoff)."""
+    nodes, h = _nodes(a, b)
+    fv = f(nodes.ravel(), np.repeat(rows, _X.size)).reshape(*nodes.shape, 1)
+    values, errs, rnds = _rule(fv, h)
+    return np.array((a, b, values[:, 0], errs, rnds))
+
+
+def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Integral over [lower[row], upper[row]] of each row's integrand, all rows at once.
+
+    `f(x, row)` takes flat arrays of nodes and row indices and returns
+    the real integrand at each. Adaptive bisection per row: while a
+    row's summed error estimate exceeds rel_tol times its value, every
+    panel of that row whose error exceeds the row's tolerance over its
+    panel count, and its own roundoff estimate, is halved; a row stops
+    splitting at _ROW_LIMIT panels. Rows share no decision and no sum,
+    so each result is the same whichever rows are integrated with it.
+    Warns when a row ends above its tolerance.
+    """
+    n = upper.size
+    rows = np.arange(n)
+    panels = _row_panels(f, rows, lower, upper)
+    while True:
+        a, b, val, err, rnd = panels
+        total = np.bincount(rows, val, n)
+        count = np.bincount(rows, minlength=n)
+        tol = rel_tol * np.abs(total)
+        unmet = np.bincount(rows, err, n) > tol
+        split = (unmet & (count < _ROW_LIMIT))[rows]
+        split &= (err > (tol / count)[rows]) & (err > rnd)
+        if not split.any():
+            break
+        halves_of = np.tile(rows[split], 2)
+        mid = 0.5 * (a[split] + b[split])
+        lo, hi = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
+        halves = _row_panels(f, halves_of, lo, hi)
+        rows = np.concatenate((rows[~split], halves_of))
+        panels = np.concatenate((panels[:, ~split], halves), axis=1)
+    if unmet.any():
+        warnings.warn(
+            f"{np.count_nonzero(unmet)} of {n} integrals stopped above the relative "
+            f"tolerance {rel_tol:g} (roundoff or {_ROW_LIMIT} panels)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return total

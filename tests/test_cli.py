@@ -1,12 +1,15 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import mesoqed
 from mesoqed import __version__
 from mesoqed.cli import main
 
@@ -23,6 +26,12 @@ GOLDEN_WIRE_RADIAL_20 = (
     "20,2.15098006723,0,0.139624874136,"
     "2.70601802935,4.99662297072,4.99662297072"
 )
+
+
+# child interpreters import the same mesoqed as this process, installed
+# or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    str(Path(mesoqed.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))}
 
 
 def run_text(argv, tmp_path, name="out.txt"):
@@ -320,9 +329,9 @@ def test_subcommand_required():
 
 
 def test_cli_import_leaves_scipy_integrate_out(tmp_path):
-    # a fresh interpreter: importing the CLI must not load scipy.integrate;
-    # the first cold mode solve (report, then nanowire-sweep) imports it
-    # for the normalization integral and still prints the golden output
+    # a fresh interpreter: neither importing the CLI nor a cold mode solve
+    # (report, then nanowire-sweep) loads scipy.integrate, and both still
+    # print the golden output
     code = (
         "import sys\n"
         "from mesoqed.cli import main\n"
@@ -333,9 +342,9 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
         "print('scipy.integrate' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300)
+                          timeout=300, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False"]
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
         run_text(["report"], tmp_path, "ref.json")
     _, rows = data_rows((tmp_path / "wire.csv").read_text(encoding="utf-8"))
@@ -345,7 +354,7 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mesoqed.cli", "report"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -329,22 +329,6 @@ def test_background_harmonics_do_not_depend_on_their_batch(monkeypatch, d):
     assert quasistatic_background(GEOM, d, RADIAL) == batched
 
 
-def test_batched_quadrature_rows_are_independent():
-    # cos(w k) over [0, 3]: slow rows settle on their first panel, so its
-    # sum enters the result, fast rows are bisected for several rounds
-    freq = np.arange(1.0, 13.0)
-    upper = np.full(freq.size, 3.0)
-
-    def integrand(k, row):
-        return np.cos(freq[row] * k)
-
-    together = nanowire._integrate_rows(integrand, upper, 1e-10)
-    for i, w in enumerate(freq):
-        alone = nanowire._integrate_rows(lambda k, row: np.cos(w * k), upper[i:i + 1], 1e-10)
-        assert alone[0] == together[i]
-    assert np.allclose(together, np.sin(3.0 * freq) / freq, rtol=1e-10, atol=1e-14)
-
-
 @pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
 @pytest.mark.parametrize("d", [10.0, 12.0, 15.0, 20.0, 30.0, 50.0, 100.0, 155.0, 300.0])
 def test_background_matches_scalar_quadrature(d, orientation):

@@ -1,18 +1,20 @@
-"""The in-package G10/K21 integrator against scipy.integrate.quad_vec.
+"""The in-package G10/K21 integrators against scipy.integrate.
 
 `quadrature.quad_vec` must reproduce scipy's max-norm quad_vec decision
 for decision, so value and error estimate are compared bitwise (sign of
-zero included), never to a tolerance.
+zero included), never to a tolerance. `quadrature.quad` shares the panel
+rule; its rows must not depend on each other.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec as scipy_quad_vec
 from scipy.integrate._quad_vec import _max_norm, _quadrature_gk21
 
-from mesoqed.quadrature import _gk21, quad_vec
+from mesoqed.quadrature import _gk21, _row_panels, quad, quad_vec
 
 ALPHA = np.linspace(0.1, 3.0, 4)
 
@@ -42,6 +44,20 @@ def test_panel_rule_matches_scipy_bitwise():
     for (_, a, b), value, err, rnd in zip(panels, values, errs, rnds):
         want, want_err, want_rnd = _quadrature_gk21(a, b, g, _max_norm)
         assert bits(value) == bits(want)
+        assert (err, rnd) == (want_err, want_rnd)
+
+    # the one-component form `quad` evaluates: an array integrand of the
+    # flat nodes, shaped (panels, 21, 1), with a sign change on one panel
+    def real(x):
+        return x / (0.01 + (x - 0.3) * (x - 0.3))
+
+    a = np.array([p[1] for p in panels])
+    b = np.array([p[2] for p in panels])
+    columns = _row_panels(lambda x, row: real(x), np.arange(a.size), a, b)
+    for lo, hi, value, err, rnd in columns.T:
+        want, want_err, want_rnd = _quadrature_gk21(lo, hi, lambda x: np.array([real(x)]),
+                                                    _max_norm)
+        assert bits(value) == bits(want[0])
         assert (err, rnd) == (want_err, want_rnd)
 
 
@@ -106,3 +122,44 @@ def test_zero_integrand_splits_up_to_the_interval_limit():
     [(value, err)] = quad_vec(f, [(0.0, 1.0)], epsabs=0.0, epsrel=1e-8)
     assert len(calls) == 21 + 42 * 10111
     assert bits(value) == bits(np.zeros(1)) and err == 0.0
+
+
+def test_quad_rows_are_independent():
+    # cos(w x) over [a, 3]: slow rows settle on their first panel, so its
+    # sum enters the result, fast rows are bisected for several rounds;
+    # rows with staggered nonzero lower bounds as well as from zero
+    freq = np.arange(1.0, 13.0)
+    upper = np.full(freq.size, 3.0)
+    for lower in (np.zeros(freq.size), np.linspace(0.2, 1.3, freq.size)):
+        together = quad(lambda x, row: np.cos(freq[row] * x), lower, upper, 1e-10)
+        for i, w in enumerate(freq):
+            alone = quad(lambda x, row: np.cos(w * x), lower[i:i + 1], upper[i:i + 1], 1e-10)
+            assert alone[0] == together[i]
+        want = (np.sin(freq * upper) - np.sin(freq * lower)) / freq
+        assert np.allclose(together, want, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("rel_tol, unmet", [(1e-10, 1), (1e-17, 3)])
+def test_quad_warns_once_for_rows_above_tolerance(rel_tol, unmet):
+    # the fast row still misses 1e-10 when it reaches 400 panels; no row
+    # reaches 1e-17, below the roundoff estimate 50 eps of the integral
+    freq = np.array([1.0, 2.0, 3e4])
+    evaluated = []
+
+    def f(x, row):
+        evaluated.append(row)
+        return np.cos(freq[row] * x)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = quad(f, np.zeros(3), np.full(3, 3.0), rel_tol)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert str(caught[0].message).startswith(f"{unmet} of 3 integrals stopped above")
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got[:2], np.sin(3.0 * freq[:2]) / freq[:2], rtol=1e-10, atol=0.0)
+    # a row splits only while it holds fewer than 400 panels, so it ends
+    # with fewer than 800 and has evaluated fewer than 1600
+    panels = np.count_nonzero(np.concatenate(evaluated) == 2) / 21
+    assert panels < 1600
+    if unmet == 1:
+        assert panels >= 400

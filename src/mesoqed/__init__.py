@@ -29,7 +29,6 @@ from .errors import (
     ConvergenceError,
     ExpansionInvalidError,
     MesoqedError,
-    MultipleRootsError,
     NoBoundModeError,
     OutOfDomainError,
     ParameterError,
@@ -97,7 +96,6 @@ __all__ = [
     "Material",
     "MesoqedError",
     "MomentPattern",
-    "MultipleRootsError",
     "MultipoleSplit",
     "NoBoundModeError",
     "OmegaCheck",

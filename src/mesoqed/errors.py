@@ -14,18 +14,7 @@ class ConvergenceError(MesoqedError):
 
 
 class NoBoundModeError(MesoqedError):
-    """The guided-mode search found no root in the physical window."""
-
-
-class MultipleRootsError(MesoqedError):
-    """The guided-mode search found more than one candidate root.
-
-    Carries the candidate list so callers can pick one explicitly.
-    """
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)
+    """The structure carries no bound guided mode, or its solve found none."""
 
 
 class ExpansionInvalidError(MesoqedError):

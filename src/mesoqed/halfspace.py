@@ -44,7 +44,7 @@ import numpy as np
 from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
 from .core import homogeneous_im_gxx, wavevector
-from .errors import ConvergenceError, ExpansionInvalidError, NoBoundModeError, ParameterError
+from .errors import ConvergenceError, NoBoundModeError, ParameterError
 from .quadrature import quad_vec
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
@@ -331,10 +331,7 @@ def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,
     """
     c = _contour(geom)
     k1 = c.k1
-    if k1 * moments.l_qd >= 1.0:
-        raise ExpansionInvalidError(
-            f"k*L_qd = {k1 * moments.l_qd:.3f} >= 1: the moment expansion does not converge"
-        )
+    _rates.check_expansion(k1, moments)
     norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
     rad, evan, _ = _integrate_contour(c, _ladder_vector(k1), nout=4, rel_tol=rel_tol,
                                       abs_scale=norm)

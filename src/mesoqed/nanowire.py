@@ -11,6 +11,11 @@ transverse constants kappa_i^2 = k_sp^2 - eps_i k0^2 the mode satisfies
 The characteristic function is even in the kappa_in branch choice;
 Re kappa_out > 0 is enforced so the exterior field is bound.
 
+One damped Newton solve finds the root, from the larger of two limits
+of kappa_out: the thin wire's x0/rho (Takahara et al., Opt. Lett. 22,
+475 (1997)) and the flat surface plasmon's.  A guided root has
+0 <= Im k < Re k.  Mode conventions: Chang et al., PRB 76, 035420 (2007).
+
 Conventions fixed here and used by the rate formulas:
   * profile(r) returns real positive magnitudes (E_r(r), E_z(r)); the
     physical field is (-E_r, 0, i E_z) e^{i k_sp z}.  Rates built from
@@ -49,18 +54,13 @@ from .core import MAX_POINTS, EmitterMoments, Material, homogeneous_im_gxx, wave
 from .errors import (
     ConvergenceError,
     ContractViolationError,
-    MultipleRootsError,
     NoBoundModeError,
     ParameterError,
 )
 from .halfspace import GreenBundle
 from .quadrature import quad
 
-_SCAN_LO = 1.0005  # in units of the host wavevector
-_SCAN_HI = 10.0
-_SCAN_POINTS = 600
 _ROOT_RESIDUAL = 1e-12
-_CLUSTER_REL = 1e-6
 _NORM_TAIL = 40.0  # exterior cutoff: exp(-2*40) tail below double precision
 
 
@@ -114,11 +114,6 @@ def _characteristic(k: complex, geom: WireGeometry) -> tuple[complex, float]:
     return value, scale
 
 
-def _residual(k: complex, geom: WireGeometry) -> float:
-    value, scale = _characteristic(k, geom)
-    return abs(value) / scale
-
-
 def _newton(geom: WireGeometry, seed: complex) -> complex | None:
     k = complex(seed)
     for _ in range(60):
@@ -147,40 +142,44 @@ def _newton(geom: WireGeometry, seed: complex) -> complex | None:
     return None
 
 
-def _find_root(geom: WireGeometry) -> complex:
-    """Scan the bound strip for |characteristic| minima, polish each by Newton."""
-    k1 = geom.k_host
-    grid = np.linspace(_SCAN_LO * k1, _SCAN_HI * k1, _SCAN_POINTS)
-    mags = np.array([_residual(complex(k), geom) for k in grid])
-    minima = [
-        (mags[i], complex(grid[i]))
-        for i in range(1, len(grid) - 1)
-        if mags[i] < mags[i - 1] and mags[i] < mags[i + 1]
-    ]
-    minima.sort(key=lambda pair: pair[0])
-    roots: list[complex] = []
-    for _, seed in minima[:6]:
-        root = _newton(geom, seed)
-        if root is None:
-            continue
-        if not (_SCAN_LO * k1 < root.real < (_SCAN_HI + 0.5) * k1):
-            continue
-        if root.imag < -1e-9 * k1:
-            continue
-        if all(abs(root - r) > _CLUSTER_REL * k1 for r in roots):
-            roots.append(root)
-    if not roots:
+def _electrostatic_root(geom: WireGeometry) -> float:
+    """Real root x0 of Re(eps_metal) I1/I0(x) + eps_host K1/K0(x) = 0 (kappa = k).
+
+    The left side falls strictly from +inf to Re(eps_metal) + eps_host,
+    so x0 exists, and is unique, exactly when Re(eps_metal) < -eps_host.
+    """
+    eps_m = geom.metal.eps.real
+    eps_h = geom.host.eps.real
+    if not eps_m < -eps_h:
         raise NoBoundModeError(
-            "characteristic equation has no root between the host light line "
-            f"and {_SCAN_HI}x the host wavevector"
+            f"Re eps_metal = {eps_m:.6g} is not below -eps_host = {-eps_h:.6g}: "
+            "the wire carries no bound plasmon"
         )
-    if len(roots) > 1:
-        raise MultipleRootsError(
-            f"{len(roots)} distinct roots found; wire supports more than the "
-            "single expected mode",
-            candidates=tuple(roots),
-        )
-    return roots[0]
+
+    def side(x: float) -> float:
+        (i0, i1), (k0, k1) = specfun.bessel_ik_scaled(np.arange(2), x)
+        return (eps_m * i1 / i0 + eps_h * k1 / k0).real
+
+    lo, hi = 0.0, 1.0
+    while side(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if side(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _seed(geom: WireGeometry) -> complex:
+    """k_sp from kappa_out = max(x0/rho, Re[k0 eps_host / sqrt(-(eps_metal + eps_host))])."""
+    x0 = _electrostatic_root(geom)
+    k0 = geom.k0
+    eps_h = geom.host.eps.real
+    kappa_flat = (k0 * eps_h / cmath.sqrt(-(geom.metal.eps + eps_h))).real
+    kappa = max(x0 / geom.rho, kappa_flat)
+    return complex(math.sqrt(kappa * kappa + eps_h * k0 * k0))
 
 
 @dataclass(frozen=True)
@@ -288,13 +287,14 @@ def _build_mode(geom: WireGeometry, root: complex, v_g: float) -> GuidedMode:
         raise ContractViolationError(
             f"mode normalization integral is {raw}; cannot normalize"
         )
+    value, scale = _characteristic(root, geom)
     return GuidedMode(
         k_sp=root,
         kappa_in=kap_in,
         kappa_out=kap_out,
         norm=1.0 / math.sqrt(raw),
         v_g=v_g,
-        residual=_residual(root, geom),
+        residual=abs(value) / scale,
         geometry=geom,
         a_in=a_in,
     )
@@ -304,14 +304,14 @@ def _build_mode(geom: WireGeometry, root: complex, v_g: float) -> GuidedMode:
 def solve_dispersion(geom: WireGeometry) -> GuidedMode:
     """Solve the m=0 TM dispersion and return the normalized mode.
 
-    Scans the bound strip (just above the host light line up to ten
-    host wavevectors) for magnitude minima of the characteristic
-    function and polishes each with a damped complex Newton iteration.
-    Exactly one surviving root is required.
+    Raises NoBoundModeError when Re(eps_metal) >= -eps_host, or when
+    Newton from `_seed` finds no guided root.
     """
     if geom.metal.n == geom.host.n:
         raise ParameterError("metal and host are identical; no guided plasmon exists")
-    root = _find_root(geom)
+    root = _newton(geom, _seed(geom))
+    if root is None or not 0.0 <= root.imag < root.real:
+        raise NoBoundModeError(f"Newton from the electrostatic seed found no guided root: {root}")
     v_g = _group_velocity_at(geom, root, 1e-3)
     return _build_mode(geom, root, v_g)
 
@@ -331,6 +331,8 @@ def _group_velocity_at(geom: WireGeometry, center_root: complex, delta: float) -
             )
         res.append((omega, root.real))
     (om_p, k_p), (om_m, k_m) = res
+    if k_p == k_m:
+        raise NoBoundModeError(f"Re k_sp does not move over the offsets +-{delta:g}: no v_g")
     return (om_p - om_m) / (k_p - k_m)
 
 
@@ -362,8 +364,9 @@ def plasmon_rates(
     gamma2 = C (L/mu)^2 |k_sp|^2 E_r^2; for a radial dipole
     gamma0 = C E_r^2, gamma1 = 0 identically (the +-k_sp pair cancels),
     gamma2 from the magnitude gradient of E_z.  All normalized to the
-    bulk-host rate.
+    bulk-host rate.  The moment expansion needs Re(k_sp) L_qd < 1.
     """
+    _rates.check_expansion(solve_dispersion(geom).k_sp.real, moments)
     norm = homogeneous_im_gxx(geom.host, geom.lambda0)
     ladder = _rates.rate_ladder(plasmon_bundle(geom, d, orientation), moments, norm)
     if orientation == RADIAL:

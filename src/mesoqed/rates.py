@@ -63,6 +63,14 @@ def _check_norm(norm: float) -> None:
         raise ParameterError(f"norm must be positive, got {norm}")
 
 
+def check_expansion(k: float, moments: EmitterMoments) -> None:
+    """The moment expansion converges only for k*L_qd < 1."""
+    if k * moments.l_qd >= 1.0:
+        raise ExpansionInvalidError(
+            f"k*L_qd = {k * moments.l_qd:.3f} >= 1: the moment expansion does not converge"
+        )
+
+
 def rate_ladder(bundle, moments: EmitterMoments, norm: float) -> RateLadder:
     """Assemble the three-rung rate ladder from a field bundle.
 

@@ -5,14 +5,15 @@ coefficients written out inline, the image-dipole mirror rate, the
 electrostatic lossy-surface rates, the surface-mode pole of a single
 interface, hand-rolled power series and integral representations for
 the Bessel functions, an arbitrary-precision root polish of the wire
-mode equation, the wire's axial gradient ratio from Gauss's law, the
-wire's plasmon ladder in the reduced E_r*E_z magnitude form (fed the
-mode's field values as plain numbers), finite-difference ground states
-of harmonically confined carriers, and the wire's quasi-static
-background as one scalar adaptive quadrature per azimuthal harmonic,
-and the planar contour quadrature as one scipy `quad_vec` call per
-contour segment. None of it routes through the package modules, so a
-library bug cannot cancel against an oracle bug.
+mode equation from its own electrostatic seed, a scan of the guided
+wedge for every wire root, the wire's axial gradient ratio from
+Gauss's law, the wire's plasmon ladder in the reduced E_r*E_z
+magnitude form (fed the mode's field values as plain numbers),
+finite-difference ground states of harmonically confined carriers, and
+the wire's quasi-static background as one scalar adaptive quadrature
+per azimuthal harmonic, and the planar contour quadrature as one scipy
+`quad_vec` call per contour segment. None of it routes through the
+package modules, so a library bug cannot cancel against an oracle bug.
 
 Conventions match the package: lengths nm, wavevectors rad/nm, rates
 normalized to the emitter's rate in the unbounded upper/host medium.
@@ -189,25 +190,102 @@ def wire_characteristic(k: complex, rho: float, lambda0: float,
 
 def wire_mode_polish(seed: complex, rho: float, lambda0: float,
                      eps_in: complex, eps_out: complex, dps: int = 30) -> complex:
-    """Arbitrary-precision root of the wire mode condition near seed."""
+    """Arbitrary-precision root of the wire mode condition near seed (mpmath Newton)."""
     with mp.workdps(dps):
         root = mp.findroot(
             lambda k: wire_characteristic(k, rho, lambda0, eps_in, eps_out)[0],
-            mp.mpc(seed),
+            mp.mpc(seed), solver="newton",
         )
         return complex(root)
 
 
+def wire_electrostatic_root(eps_in: complex, eps_out: complex):
+    """Real root x0 of Re(eps_in) I1/I0(x) + eps_out K1/K0(x) = 0, or None.
+
+    The electrostatic (kappa_in = kappa_out = k) limit of the mode
+    condition, by mpmath's bracketing Anderson-Bjoerck solver. The left
+    side falls from +inf to Re(eps_in) + eps_out, so a root exists only
+    for Re(eps_in) < -eps_out.
+    """
+    a, b = complex(eps_in).real, complex(eps_out).real
+    if not a < -b:
+        return None
+
+    def side(x):
+        return a * mp.besseli(1, x) / mp.besseli(0, x) + b * mp.besselk(1, x) / mp.besselk(0, x)
+
+    return float(mp.findroot(side, (mp.mpf("1e-4"), mp.mpf("1e4")), solver="anderson"))
+
+
+def wire_mode_root(rho: float, lambda0: float, eps_in: complex, eps_out: complex) -> complex:
+    """The wire root polished from the oracle's own electrostatic seed.
+
+    The seed puts the exterior decay constant at kappa_out rho = x0, so
+    the root depends on nothing the library computes. Converges for thin
+    and medium wires (measured R = 2-80 nm for Ag in GaAs at 1000 nm);
+    a thick wire's root sits near the flat-surface plasmon instead.
+    """
+    k0 = 2.0 * math.pi / lambda0
+    kappa = wire_electrostatic_root(eps_in, eps_out) / rho
+    seed = cmath.sqrt(kappa * kappa + eps_out * k0 * k0)
+    return wire_mode_polish(seed, rho, lambda0, eps_in, eps_out)
+
+
+def wire_mode_scan(rho: float, lambda0: float, eps_in: complex, eps_out: complex) -> list:
+    """Every guided root of the wire mode condition that a scan turns up.
+
+    A guided root has 0 <= Im k < Re k, Re k above the host light line.
+    The scan runs along ten rays Im k = s Re k, s = 0, 0.1, ..., 0.9,
+    each a geometric grid of 3000 points from just above the host light
+    line to 4 max(10 k_host, x0/rho), x0 the electrostatic root (the
+    thin-wire root sits near x0/rho). Each local minimum of
+    |condition|/scale along a ray seeds a double-precision Newton
+    iteration; roots with residual below 1e-10 in the guided wedge count
+    once if they agree to 1e-6. Returns the distinct roots: a uniqueness
+    oracle for the library's single seeded solve.
+    """
+    k0 = 2.0 * math.pi / lambda0
+    k_host = math.sqrt(complex(eps_out).real) * k0
+    x0 = wire_electrostatic_root(eps_in, eps_out)
+    k_hi = 4.0 * max(10.0 * k_host, x0 / rho if x0 is not None else 0.0)
+
+    def condition(k):
+        kappa_in = np.sqrt(k * k - eps_in * k0 * k0)
+        kappa_in = np.where(kappa_in.real < 0.0, -kappa_in, kappa_in)
+        kappa_out = np.sqrt(k * k - eps_out * k0 * k0)
+        kappa_out = np.where(kappa_out.real < 0.0, -kappa_out, kappa_out)
+        t_in = eps_in / kappa_in * ive(1, kappa_in * rho) / ive(0, kappa_in * rho)
+        t_out = eps_out / kappa_out * kve(1, kappa_out * rho) / kve(0, kappa_out * rho)
+        return t_in + t_out, np.abs(t_in) + np.abs(t_out)
+
+    ray = np.geomspace(1.0005 * k_host, k_hi, 3000)
+    grid = ray[None, :] * (1.0 + 0.1j * np.arange(10))[:, None]
+    with np.errstate(all="ignore"):
+        value, scale = condition(grid)
+        mag = np.abs(value) / scale
+        k = grid[:, 1:-1][(mag[:, 1:-1] < mag[:, :-2]) & (mag[:, 1:-1] < mag[:, 2:])]
+        for _ in range(60):
+            h = 1e-7 * np.abs(k)
+            slope = (condition(k + h)[0] - condition(k - h)[0]) / (2.0 * h)
+            k = k - condition(k)[0] / slope
+        value, scale = condition(k)
+        good = ((np.abs(value) < 1e-10 * scale) & (k.real > k_host) & (k.real < k_hi)
+                & (k.imag >= 0.0) & (k.imag < k.real))
+    roots = []
+    for root in k[good]:
+        if all(abs(root - r) > 1e-6 * abs(r) for r in roots):
+            roots.append(complex(root))
+    return roots
+
+
 def wire_axial_gradient_ratio(distances, rho: float, lambda0: float,
                               eps_in: complex, eps_out: complex,
-                              lambda_over_mu: float, seed: complex):
+                              lambda_over_mu: float):
     """|Gamma1|/Gamma0 of an axial dipole next to the wire, and its far limit.
 
     The ratio is 2 |L| Re(k_sp) |E_r/E_z| at r = rho + d; the mode
-    normalization and the rate prefactor cancel out of it. k_sp is the
-    mpmath root of the mode condition polished from `seed`; a seed that
-    is off the root moves under the polish, and the move shows in the
-    ratio.
+    normalization and the rate prefactor cancel out of it. k_sp is
+    `wire_mode_root`, polished from the oracle's own electrostatic seed.
     E_z = K0(kappa_out r) comes from scipy directly, and E_r from
     Gauss's law in the host, (1/r) d(r E_r)/dr = -i k_sp E_z with
     r E_r -> 0 far out:
@@ -218,7 +296,7 @@ def wire_axial_gradient_ratio(distances, rho: float, lambda0: float,
     is 2 |L| Re(k_sp) |k_sp/kappa_out|, where |E_r/E_z| -> |k_sp/kappa_out|.
     Returns (list of ratios, far limit).
     """
-    k_sp = wire_mode_polish(seed, rho, lambda0, eps_in, eps_out)
+    k_sp = wire_mode_root(rho, lambda0, eps_in, eps_out)
     k0 = 2.0 * math.pi / lambda0
     kappa = cmath.sqrt(k_sp * k_sp - eps_out * k0 * k0)
     if kappa.real < 0.0:

@@ -175,7 +175,7 @@ def test_criterion_08_axial_gradient_band():
         ratios.append(abs(ladder.gamma1) / ladder.gamma0)
     expected, far = oracles.wire_axial_gradient_ratio(
         distances, WIRE.rho, WIRE.lambda0, WIRE.metal.eps, WIRE.host.eps,
-        MOMENTS.lambda_over_mu, seed=solve_dispersion(WIRE).k_sp)
+        MOMENTS.lambda_over_mu)
     worst = max(abs(r - e) / e for r, e in zip(ratios, expected))
     falling = all(a > b for a, b in zip(ratios, ratios[1:]))
     ok = worst < 1e-9 and falling and 0.85 <= far <= 1.05

@@ -163,6 +163,12 @@ def test_dispersion_payload(tmp_path):
     assert doc["kappa_out"]["value"]["re"] > 0.0
 
 
+def test_thin_wire_dispersion(tmp_path):
+    doc = json.loads(run_text(["dispersion", "--radius", "2"], tmp_path, "disp.json"))
+    assert doc["residual"]["value"] < 1e-12
+    assert doc["k_sp"]["value"]["re"] == pytest.approx(0.39337335206, rel=1e-10)
+
+
 def test_moments_payload(tmp_path):
     doc = json.loads(run_text(["moments"], tmp_path, "mom.json"))
     assert doc["allowed_mu"] == ["x"]
@@ -299,11 +305,16 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["interface-sweep", "--range", "1e-300:1e-299:1e-300"], 3),
     (["interface-sweep", "--range", "20:21:5", "--ratio", "1e200"], 3),
     (["nanowire-sweep", "--range", "20:21:5", "--ratio", "1e300"], 3),
+    (["nanowire-sweep", "--radius", "10", "--range", "20:21:5"], 3),
+    (["dispersion", "--metal-n", "0+3.42j"], 3),
+    (["dispersion", "--radius", "1e-6"], 3),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
-    # overflowing moments, sweeps and maps past 1 000 000 points, and a
-    # height whose contour tail overflows: a message, never a traceback
-    # or a printed inf
+    # overflowing moments, sweeps and maps past 1 000 000 points, a
+    # height whose contour tail overflows, a wire thin enough that
+    # Re(k_sp)*L_qd >= 1, a metal at eps = -eps_host, and a wire so thin
+    # that k_sp does not move with frequency: a message, never a
+    # traceback or a printed inf
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # h below 10 nm

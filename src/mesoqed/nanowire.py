@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -103,10 +104,10 @@ def _characteristic(k: complex, geom: WireGeometry) -> tuple[complex, float]:
     k0 = geom.k0
     kap_in = _transverse(k, geom.metal.eps, k0, bound=False)
     kap_out = _transverse(k, geom.host.eps, k0, bound=True)
-    i0, _ = specfun.bessel_ik_scaled(0, kap_in * geom.rho)
-    i1, _ = specfun.bessel_ik_scaled(1, kap_in * geom.rho)
-    _, q0 = specfun.bessel_ik_scaled(0, kap_out * geom.rho)
-    _, q1 = specfun.bessel_ik_scaled(1, kap_out * geom.rho)
+    # Python complex scalars: numpy's complex arithmetic can round differently
+    (i0, i1), _ = specfun.bessel_ik_scaled(np.arange(2), kap_in * geom.rho)
+    q0, q1 = specfun.bessel_k_scaled(np.arange(2), kap_out * geom.rho)
+    i0, i1, q0, q1 = map(complex, (i0, i1, q0, q1))
     t_in = (geom.metal.eps / kap_in) * (i1 / i0)
     t_out = (geom.host.eps / kap_out) * (q1 / q0)
     value = t_in + t_out
@@ -443,8 +444,16 @@ def quasistatic_background(
     series stops once two successive terms fall below `series_tol` of
     the sum.  If that has not happened at m_max (fixed, not scaled with
     rho/d), a last term above 1e-6 of the sum raises ConvergenceError
-    and a smaller one is accepted.  A harmonic that cannot reach
-    `rel_tol` (roundoff, or 400 panels) is kept with a RuntimeWarning.
+    and a smaller one is accepted with a RuntimeWarning that names d,
+    m_max and the last term's share of the sum.  A harmonic that cannot
+    reach `rel_tol` (roundoff, or 400 panels) is kept with a
+    RuntimeWarning.
+
+    Per quadrature node the integrand takes the scaled I and K of
+    orders m and |m-1| at k*rho in one array call, and the derivatives
+    from I'_m = I_{m-1} - (m/x) I_m, K'_m = -K_{m-1} - (m/x) K_m; at
+    k*(rho+d) it takes K alone (order m axial, orders m and |m-1|
+    radial): 2 I and 3 K values per node axial, 2 and 4 radial.
     """
     _check_point(d, orientation)
     if m_max < 2:
@@ -487,18 +496,19 @@ def quasistatic_background(
                 out[limit] = ml * ml / (r0 * r0) * lim if radial else kl * kl * lim
             full = ~limit
             k, m, x, y = k[full], m[full], x[full], y[full]
-            below, above = np.abs(m - 1), m + 1
-            im0, km0 = specfun.bessel_ik_scaled(m, x)
-            iml, kml = specfun.bessel_ik_scaled(below, x)
-            imu, kmu = specfun.bessel_ik_scaled(above, x)
-            ivp = 0.5 * (iml + imu)
-            kvp = -0.5 * (kml + kmu)
+            # orders m and |m-1| suffice: I'_m = I_{m-1} - (m/x) I_m and
+            # K'_m = -K_{m-1} - (m/x) K_m hold for the scaled functions
+            # too, and at m = 0 the order |0-1| = 1 gives I'_0 = I_1,
+            # K'_0 = -K_1
+            orders = np.stack((m, np.abs(m - 1)))
+            (im0, iml), (km0, kml) = specfun.bessel_ik_scaled(orders, x)
+            ivp = iml - (m / x) * im0
+            kvp = -kml - (m / x) * km0
             if radial:
-                _, wl = specfun.bessel_ik_scaled(below, y)
-                _, wu = specfun.bessel_ik_scaled(above, y)
-                w = -0.5 * (wl + wu)
+                wm, wl = specfun.bessel_k_scaled(orders, y)
+                w = -wl - (m / y) * wm
             else:
-                _, w = specfun.bessel_ik_scaled(m, y)
+                w = specfun.bessel_k_scaled(m, y)
             denom = eps1 * im0 * kvp - eps2 * ivp * km0
             damp = np.exp(x - y)  # = exp(-k d); applied per bracket, squared overall
             br1 = im0 * w * damp
@@ -537,6 +547,13 @@ def quasistatic_background(
                 f"azimuthal harmonic sum still moving at m_max={m_max}; "
                 f"last partial sums {partial[-4:]}"
             )
+        warnings.warn(
+            f"wire background at d={d:g} nm: harmonic sum not converged at "
+            f"m_max={m_max}, last term {abs(terms[-1]) / scale:.3g} of the sum "
+            f"(series_tol {series_tol:g}); accepted",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return 1.0 + total
 
 

@@ -39,16 +39,22 @@ def _finish(values, where: str):
     return out
 
 
+def _principal(order, z, where: str):
+    """Checked order and complex argument with Re z > 0."""
+    order = _check_order(order)
+    zc = np.asarray(z, dtype=complex)
+    if np.any(zc.real <= 0.0):
+        raise OutOfDomainError(f"{where}: principal branch requires Re z > 0")
+    return order, zc
+
+
 def bessel_ik(order: int, z) -> tuple:
     """Modified Bessel pair (I_order, K_order) on the principal branch.
 
     Requires Re z > 0; the branch cut of K runs along the negative real
     axis. Arguments with Re z beyond ~690 overflow I and raise.
     """
-    order = _check_order(order)
-    zc = np.asarray(z, dtype=complex)
-    if np.any(zc.real <= 0.0):
-        raise OutOfDomainError("bessel_ik: principal branch requires Re z > 0")
+    order, zc = _principal(order, z, "bessel_ik")
     if np.any(zc.real > _OVERFLOW_ARG):
         raise OutOfDomainError(f"bessel_ik: Re z > {_OVERFLOW_ARG} overflows I")
     i_val = _finish(_sp.iv(order, zc), "bessel_ik (I)")
@@ -65,10 +71,16 @@ def bessel_ik_scaled(order, z) -> tuple:
     products like I_m(a) K_m(b) carry the explicit factor
     exp(|Re a| - b).
     """
-    order = _check_order(order)
-    zc = np.asarray(z, dtype=complex)
-    if np.any(zc.real <= 0.0):
-        raise OutOfDomainError("bessel_ik_scaled: principal branch requires Re z > 0")
+    order, zc = _principal(order, z, "bessel_ik_scaled")
     i_val = _finish(_sp.ive(order, zc), "bessel_ik_scaled (I)")
     k_val = _finish(_sp.kve(order, zc), "bessel_ik_scaled (K)")
     return i_val, k_val
+
+
+def bessel_k_scaled(order, z):
+    """Scaled K alone: K*exp(+z), the K half of bessel_ik_scaled.
+
+    Same order and domain guards; for callers that need no I at z.
+    """
+    order, zc = _principal(order, z, "bessel_k_scaled")
+    return _finish(_sp.kve(order, zc), "bessel_k_scaled")

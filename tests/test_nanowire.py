@@ -8,6 +8,7 @@ flat-surface closed form in the large-radius limit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from mesoqed import (
     spp_pole,
     paper_interface,
 )
-from mesoqed import nanowire
+from mesoqed import MesoqedError, nanowire, specfun
 from mesoqed.core import SPEED_OF_LIGHT_NM_PER_FS as C0
 
 GEOM = paper_wire()
@@ -185,6 +186,43 @@ def test_solve_validation():
     )
     with pytest.raises(NoBoundModeError):
         solve_dispersion(dielectric)
+
+
+def _characteristic_four_calls(k, geom):
+    # the characteristic function with one scalar Bessel pair per value
+    k0 = geom.k0
+    kap_in = nanowire._transverse(k, geom.metal.eps, k0, bound=False)
+    kap_out = nanowire._transverse(k, geom.host.eps, k0, bound=True)
+    i0, _ = specfun.bessel_ik_scaled(0, kap_in * geom.rho)
+    i1, _ = specfun.bessel_ik_scaled(1, kap_in * geom.rho)
+    _, q0 = specfun.bessel_ik_scaled(0, kap_out * geom.rho)
+    _, q1 = specfun.bessel_ik_scaled(1, kap_out * geom.rho)
+    t_in = (geom.metal.eps / kap_in) * (i1 / i0)
+    t_out = (geom.host.eps / kap_out) * (q1 / q0)
+    return t_in + t_out, abs(t_in) + abs(t_out)
+
+
+def _cold_solve(geom):
+    try:
+        mode = nanowire.solve_dispersion.__wrapped__(geom)
+    except MesoqedError as exc:
+        return type(exc), str(exc)
+    return mode.k_sp, mode.v_g, mode.norm
+
+
+def test_cold_solve_matches_scalar_bessel_calls_bitwise(monkeypatch):
+    # the characteristic function takes its four Bessel values from two
+    # order-array calls; every solve must equal the scalar-call one bit
+    # for bit (k_sp, v_g and norm), or fail the same way
+    geoms = [WireGeometry(rho=rho, metal=Material("m", n), host=GAAS, lambda0=lam)
+             for n in (0.2 + 7.0j, 0.1 + 3.6j, 0.3 + 5.0j)
+             for rho in (0.5, 1.0, 2.0, 5.0, 30.0, 100.0, 500.0, 1500.0, 3000.0)
+             for lam in (700.0, 1000.0, 1400.0)]
+    arrays = [_cold_solve(g) for g in geoms]
+    monkeypatch.setattr(nanowire, "_characteristic", _characteristic_four_calls)
+    scalars = [_cold_solve(g) for g in geoms]
+    assert sum(isinstance(a[0], complex) for a in arrays) > 60
+    assert arrays == scalars
 
 
 def test_geometry_validation():
@@ -426,6 +464,60 @@ def test_background_validation_and_convergence_guard():
     fat = paper_wire(rho=600.0)
     with pytest.raises(ConvergenceError):
         quasistatic_background(fat, 10.0, AXIAL, m_max=3, series_tol=1e-10)
+
+
+class _CountingSpecial:
+    """scipy.special stand-in that counts the elements ive and kve return."""
+
+    def __init__(self, real):
+        self._real = real
+        self.elements = {"ive": 0, "kve": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(self._real, name)
+        if name not in self.elements:
+            return fn
+
+        def counted(*args):
+            out = fn(*args)
+            self.elements[name] += np.size(out)
+            return out
+
+        return counted
+
+
+@pytest.mark.parametrize("orientation, ive_per_node, kve_per_node",
+                         [(AXIAL, 2, 3), (RADIAL, 2, 4)])
+def test_background_bessel_work_per_node(monkeypatch, orientation, ive_per_node, kve_per_node):
+    # at d = 20 nm no order reaches the small-argument switch (m >= 60),
+    # so every quadrature node takes the full Bessel branch
+    nodes = [0]
+    real_quad = nanowire.quad
+
+    def counting_quad(func, *args):
+        def integrand(k, row):
+            nodes[0] += k.size
+            return func(k, row)
+
+        return real_quad(integrand, *args)
+
+    monkeypatch.setattr(nanowire, "quad", counting_quad)
+    special = _CountingSpecial(specfun._sp)
+    monkeypatch.setattr(specfun, "_sp", special)
+    quasistatic_background(GEOM, 20.0, orientation)
+    assert nodes[0] > 0
+    assert special.elements == {"ive": ive_per_node * nodes[0], "kve": kve_per_node * nodes[0]}
+
+
+def test_background_warns_when_it_accepts_a_stalled_series():
+    # at d = 10 nm the radial series still moves at m_max = 30 (last term
+    # about 1.4e-7 of the sum) and is accepted below 1e-6: it must say so
+    with pytest.warns(RuntimeWarning, match=r"d=10 nm.*m_max=30.*last term 1\.\d+e-07") as rec:
+        quasistatic_background(GEOM, 10.0, RADIAL)
+    assert len([w for w in rec if "harmonic sum" in str(w.message)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quasistatic_background(GEOM, 50.0, RADIAL)
 
 
 def test_background_flat_surface_limit():

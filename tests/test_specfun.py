@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ive, kve
 
 import oracles
 from companions import bessel_j, hankel1
 from mesoqed import OutOfDomainError, ParameterError
-from mesoqed.specfun import bessel_ik, bessel_ik_scaled
+from mesoqed.specfun import bessel_ik, bessel_ik_scaled, bessel_k_scaled
 
 
 # ---------------------------------------------------------- spot values
@@ -137,14 +138,16 @@ def test_scaled_pair_survives_huge_arguments():
 
 def test_order_validation():
     for fn in (lambda o: bessel_j(o, 1.0), lambda o: hankel1(o, 1.0),
-               lambda o: bessel_ik(o, 1.0), lambda o: bessel_ik_scaled(o, 1.0)):
+               lambda o: bessel_ik(o, 1.0), lambda o: bessel_ik_scaled(o, 1.0),
+               lambda o: bessel_k_scaled(o, 1.0)):
         with pytest.raises(ParameterError):
             fn(-1)
         with pytest.raises(ParameterError):
             fn(1.5)
     for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([1.0, 2.0])):
-        with pytest.raises(ParameterError):
-            bessel_ik_scaled(bad, np.ones(len(bad)))
+        for fn in (bessel_ik_scaled, bessel_k_scaled):
+            with pytest.raises(ParameterError):
+                fn(bad, np.ones(len(bad)))
 
 
 def test_bessel_j_rejects_huge_imaginary_part():
@@ -171,8 +174,10 @@ def test_bessel_ik_domain():
     bessel_ik(0, 600.0)
     i_s, k_s = bessel_ik_scaled(0, 800.0)
     assert np.isfinite(i_s) and np.isfinite(k_s)
-    with pytest.raises(OutOfDomainError):
-        bessel_ik_scaled(0, -2.0)
+    for fn in (bessel_ik_scaled, bessel_k_scaled):
+        for z in (-2.0, 0.0, 3.0j, np.array([1.0, -0.5 + 1.0j])):
+            with pytest.raises(OutOfDomainError):
+                fn(0, z)
 
 
 @given(
@@ -188,3 +193,54 @@ def test_i_k_product_positive_real_axis_behavior(mag, phase):
     prod = i0 * k0
     assert np.isfinite(prod)
     assert abs(prod) > 0.0
+
+
+# ------------------------------------------------- K alone, derivatives
+
+
+def test_k_scaled_is_the_k_half_of_the_pair():
+    for z in (0.3, 2.0 + 1.0j, 40.0 - 3.0j, 800.0):
+        for order in (0, 1, 7, 59):
+            got = bessel_k_scaled(order, z)
+            assert isinstance(got, complex)
+            assert got == bessel_ik_scaled(order, z)[1]
+    orders = np.array([0, 1, 2, 7, 30, 59])
+    zs = np.array([0.3, 2.0 + 1.0j, 15.0, 40.0 - 3.0j, 7.5, 120.0 + 0.5j])
+    assert np.array_equal(bessel_k_scaled(3, zs), bessel_ik_scaled(3, zs)[1])
+    assert np.array_equal(bessel_k_scaled(orders, zs), bessel_ik_scaled(orders, zs)[1])
+    grid = bessel_k_scaled(np.stack((orders, orders + 1)), zs)
+    assert grid.shape == (2, zs.size)
+    assert np.array_equal(grid, bessel_ik_scaled(np.stack((orders, orders + 1)), zs)[1])
+
+
+def test_derivative_identities_match_the_two_sided_recurrence():
+    # I'_m = I_{m-1} - (m/x) I_m and K'_m = -K_{m-1} - (m/x) K_m against
+    # the symmetric forms (I_{m-1} + I_{m+1})/2 and -(K_{m-1} + K_{m+1})/2,
+    # scaled functions, wherever every value is a normal double. K adds
+    # terms of one sign. I subtracts terms that stand at most 2:1, and the
+    # backend's own I_m is off by up to about 1.6e-13 at orders near 80
+    # and x near 0.03 (against mpmath), so the I bound is 3e-13.
+    m = np.arange(81)[:, None]
+    x = np.geomspace(1e-3, 600.0, 401)[None, :]
+    below, above = np.abs(m - 1), m + 1
+    with np.errstate(all="ignore"):
+        i_m, i_lo, i_hi = ive(m, x), ive(below, x), ive(above, x)
+        k_m, k_lo, k_hi = kve(m, x), kve(below, x), kve(above, x)
+        pairs = ((i_lo - (m / x) * i_m, 0.5 * (i_lo + i_hi), (i_m, i_lo, i_hi), 3e-13),
+                 (-k_lo - (m / x) * k_m, -0.5 * (k_lo + k_hi), (k_m, k_lo, k_hi), 1e-14))
+    for got, ref, parts, bound in pairs:
+        ok = np.all([np.isfinite(p) & (np.abs(p) > 1e-280) & (np.abs(p) < 1e280)
+                     for p in parts], axis=0)
+        assert ok.sum() > 0.8 * ok.size
+        rel = np.abs(got[ok] - ref[ok]) / np.abs(ref[ok])
+        assert rel.max() < bound
+
+
+@pytest.mark.parametrize("m, x", [(0, 1e-3), (1, 0.5), (5, 1e-3), (30, 2.0), (30, 600.0),
+                                  (66, 0.0206), (78, 0.0278)])
+def test_i_derivative_identity_against_mpmath(m, x):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = 0.5 * (mp.besseli(abs(m - 1), x) + mp.besseli(m + 1, x)) * mp.exp(-x)
+        i_m, i_lo = ive(m, x), ive(abs(m - 1), x)
+        assert abs((i_lo - (m / x) * i_m - exact) / exact) < 3e-13

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .halfspace import (
     ChannelDecomposition,
-    GreenBundle,
     InterfaceGeometry,
     InterfacePoint,
     interface_point,
@@ -68,6 +67,7 @@ from .nanowire import (
     solve_dispersion,
 )
 from .rates import (
+    GreenBundle,
     MultipoleSplit,
     RateLadder,
     extract_fields,

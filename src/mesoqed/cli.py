@@ -24,9 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import __version__, core, halfspace, nanowire
 from . import moments as qd
@@ -37,20 +39,6 @@ from .errors import MesoqedError, ParameterError
 class UsageError(Exception):
     """Bad flags, malformed config file, or an empty sweep."""
 
-
-_DEFAULTS = {
-    "lambda0": core.PAPER_LAMBDA0_NM,
-    "host_n": core.GAAS.n,
-    "metal_n": core.SILVER.n,
-    "ratio": core.PAPER_RATIO_NM,
-    "lqd": core.PAPER_L_QD_NM,
-    "radius": core.PAPER_WIRE_RADIUS_NM,
-    "tol": 1.0e-8,
-    "workers": 1,
-    "out": "-",
-    "orientation": nanowire.AXIAL,
-    "sweep": None,
-}
 
 _TOL_MIN = 1.0e-14
 _TOL_MAX = 1.0e-3
@@ -81,6 +69,45 @@ def _complex_entry(z: complex, units: str, note: str) -> dict:
 # --------------------------------------------------------------- config
 
 
+def _parse_range(text: str) -> tuple:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise UsageError(f"range must be MIN:MAX:STEP, got {text!r}")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"range must be numeric MIN:MAX:STEP, got {text!r}") from None
+
+
+class _Key(NamedTuple):
+    default: object
+    cast: Callable         # flag text and config-file text alike
+    fmt: Callable | None   # `# config:` text; None: not printed
+    help: str | None       # common flag; None: a subcommand declares the flag
+
+
+# Every run parameter: its name is the RunConfig field, the flag's dest and
+# the config-file key. Common flags are added in this order.
+_KEYS = {
+    "lambda0": _Key(core.PAPER_LAMBDA0_NM, float, _fmt, "vacuum wavelength [nm]"),
+    "ratio": _Key(core.PAPER_RATIO_NM, float, _fmt,
+                  "signed first-moment to dipole-moment ratio [nm]"),
+    "radius": _Key(core.PAPER_WIRE_RADIUS_NM, float, _fmt, "wire radius [nm]"),
+    "lqd": _Key(core.PAPER_L_QD_NM, float, _fmt, "emitter extent [nm]"),
+    "host_n": _Key(core.GAAS.n, lambda t: complex(t.replace(" ", "")), _fmt_complex,
+                   "host refractive index (lossless, e.g. 3.42)"),
+    "metal_n": _Key(core.SILVER.n, lambda t: complex(t.replace(" ", "")), _fmt_complex,
+                    "metal refractive index (e.g. 0.2+7j)"),
+    "tol": _Key(1.0e-8, float, _fmt,
+                "relative quadrature tolerance (default 1e-8); below about "
+                "3e-14 the wire background cannot certify it and warns"),
+    "workers": _Key(1, int, str, "worker processes over sweep points (default 1)"),
+    "out": _Key("-", str, None, "output file, '-' for stdout (default)"),
+    "orientation": _Key(nanowire.AXIAL, str, None, None),
+    "range": _Key(None, _parse_range, _fmt_range, None),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run parameters shared by every subcommand."""
@@ -95,7 +122,7 @@ class RunConfig:
     workers: int
     out: str
     orientation: str
-    sweep: tuple | None
+    range: tuple | None
 
     def __post_init__(self):
         for name in ("lambda0", "lqd", "radius"):
@@ -112,54 +139,21 @@ class RunConfig:
             raise UsageError(f"workers must be a positive integer, got {self.workers!r}")
         if self.orientation not in (nanowire.AXIAL, nanowire.RADIAL):
             raise UsageError(f"orientation must be axial or radial, got {self.orientation!r}")
-        if self.sweep is not None:
-            lo, hi, step = self.sweep
-            if not all(math.isfinite(v) for v in self.sweep):
-                raise UsageError(f"sweep range must be finite, got {_fmt_range(self.sweep)}")
+        if self.range is not None:
+            lo, hi, step = self.range
+            if not all(math.isfinite(v) for v in self.range):
+                raise UsageError(f"sweep range must be finite, got {_fmt_range(self.range)}")
             if not lo < hi:
-                raise UsageError(f"sweep range is empty: need MIN < MAX, got {_fmt_range(self.sweep)}")
+                raise UsageError(f"sweep range is empty: need MIN < MAX, got {_fmt_range(self.range)}")
             if not step > 0.0:
                 raise UsageError(f"sweep step must be positive, got {_fmt(step)}")
 
 
-def _parse_complex(text: str, key: str) -> complex:
+def _cast(key: str, text: str, where: str = "") -> object:
     try:
-        return complex(str(text).replace(" ", ""))
+        return _KEYS[key].cast(text)
     except ValueError:
-        raise UsageError(f"{key}: cannot parse {text!r} as a complex number") from None
-
-
-def _parse_range(text: str) -> tuple:
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise UsageError(f"range must be MIN:MAX:STEP, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"range must be numeric MIN:MAX:STEP, got {text!r}") from None
-
-
-def _parse_workers(text: str, key: str) -> int:
-    try:
-        return int(str(text), 10)
-    except ValueError:
-        raise UsageError(f"{key}: cannot parse {text!r} as an integer") from None
-
-
-# config-file key -> (target key, caster)
-_FILE_KEYS = {
-    "lambda0": ("lambda0", float),
-    "host_n": ("host_n", lambda v: _parse_complex(v, "host_n")),
-    "metal_n": ("metal_n", lambda v: _parse_complex(v, "metal_n")),
-    "ratio": ("ratio", float),
-    "lqd": ("lqd", float),
-    "radius": ("radius", float),
-    "tol": ("tol", float),
-    "workers": ("workers", lambda v: _parse_workers(v, "workers")),
-    "out": ("out", str),
-    "orientation": ("orientation", str),
-    "range": ("sweep", _parse_range),
-}
+        raise UsageError(f"{where}bad value {text!r} for {key}") from None
 
 
 def _apply_config_file(values: dict, path: str) -> None:
@@ -174,54 +168,28 @@ def _apply_config_file(values: dict, path: str) -> None:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
+        key, _, text = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        value = value.strip()
-        if key not in _FILE_KEYS:
+        if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        target, cast = _FILE_KEYS[key]
-        try:
-            values[target] = cast(value)
-        except ValueError:
-            raise UsageError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
+        values[key] = _cast(key, text.strip(), f"{path}:{lineno}: ")
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    values = {key: spec.default for key, spec in _KEYS.items()}
+    if args.config:
         _apply_config_file(values, args.config)
-    for key in ("lambda0", "ratio", "radius", "lqd", "tol", "out"):
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
-    if getattr(args, "workers", None) is not None:
-        values["workers"] = args.workers
-    for key in ("host_n", "metal_n"):
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = _parse_complex(v, key)
-    if getattr(args, "sweep", None) is not None:
-        values["sweep"] = _parse_range(args.sweep)
-    if getattr(args, "orientation", None) is not None:
-        values["orientation"] = args.orientation
+    for key in _KEYS:
+        text = getattr(args, key, None)
+        if text is not None:
+            values[key] = _cast(key, text)
     return RunConfig(**values)
 
 
 def _config_entries(cfg: RunConfig, extra: dict | None = None) -> dict:
-    entries = {
-        "lambda0": _fmt(cfg.lambda0),
-        "host_n": _fmt_complex(cfg.host_n),
-        "metal_n": _fmt_complex(cfg.metal_n),
-        "ratio": _fmt(cfg.ratio),
-        "lqd": _fmt(cfg.lqd),
-        "radius": _fmt(cfg.radius),
-        "tol": _fmt(cfg.tol),
-        "workers": str(cfg.workers),
-    }
-    if cfg.sweep is not None:
-        entries["range"] = _fmt_range(cfg.sweep)
-    if extra:
-        entries.update(extra)
+    entries = {key: spec.fmt(getattr(cfg, key)) for key, spec in _KEYS.items()
+               if spec.fmt and getattr(cfg, key) is not None}
+    entries.update(extra or {})
     return entries
 
 
@@ -253,30 +221,20 @@ def _wire_geom(cfg: RunConfig) -> nanowire.WireGeometry:
 
 
 def _sweep_values(cfg: RunConfig, what: str) -> list:
-    if cfg.sweep is None:
+    if cfg.range is None:
         raise UsageError(f"{what} needs --range MIN:MAX:STEP (or 'range' in the config file)")
-    lo, hi, step = cfg.sweep
+    lo, hi, step = cfg.range
     span = (hi - lo) / step + 1.0e-9
     if not span < core.MAX_POINTS:
         raise UsageError(
-            f"sweep range {_fmt_range(cfg.sweep)} has more than {core.MAX_POINTS} points"
+            f"sweep range {_fmt_range(cfg.range)} has more than {core.MAX_POINTS} points"
         )
     n = int(math.floor(span)) + 1
     return [lo + i * step for i in range(n)]
 
 
-def _at_point(label: str, value: float, exc: MesoqedError) -> MesoqedError:
-    return exc.__class__(f"{label} = {_fmt(value)}: {exc}")
-
-
-def _interface_row(task) -> tuple:
-    cfg, h = task
-    try:
-        pt = halfspace.interface_point(_interface_geom(cfg, h), _moments(cfg), rel_tol=cfg.tol)
-    except ParameterError:
-        raise
-    except MesoqedError as exc:
-        raise _at_point("h", h, exc) from exc
+def _interface_row(cfg: RunConfig, h: float) -> tuple:
+    pt = halfspace.interface_point(_interface_geom(cfg, h), _moments(cfg), rel_tol=cfg.tol)
     lad = pt.ladder
     scale = cfg.lqd / pt.norm
     return (
@@ -294,16 +252,10 @@ def _interface_row(task) -> tuple:
     )
 
 
-def _wire_row(task) -> tuple:
-    cfg, d = task
+def _wire_row(cfg: RunConfig, d: float) -> tuple:
     geom = _wire_geom(cfg)
-    try:
-        lad = nanowire.plasmon_rates(geom, d, _moments(cfg), cfg.orientation)
-        bg = nanowire.quasistatic_background(geom, d, cfg.orientation, rel_tol=cfg.tol)
-    except ParameterError:
-        raise
-    except MesoqedError as exc:
-        raise _at_point("d", d, exc) from exc
+    lad = nanowire.plasmon_rates(geom, d, _moments(cfg), cfg.orientation)
+    bg = nanowire.quasistatic_background(geom, d, cfg.orientation, rel_tol=cfg.tol)
     return (
         d,
         lad.gamma0,
@@ -315,12 +267,25 @@ def _wire_row(task) -> tuple:
     )
 
 
-def _map_points(cfg: RunConfig, values: list, worker) -> list:
-    tasks = [(cfg, v) for v in values]
-    if cfg.workers <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(worker, tasks))
+def _point(task) -> tuple:
+    """worker's row at one point; a numerical failure names the point."""
+    worker, label, cfg, value = task
+    try:
+        return worker(cfg, value)
+    except ParameterError:
+        raise
+    except MesoqedError as exc:
+        raise exc.__class__(f"{label} = {_fmt(value)}: {exc}") from exc
+
+
+def _map_points(cfg: RunConfig, label: str, values: list, worker) -> list:
+    tasks = [(worker, label, cfg, v) for v in values]
+    # a pool starts all its processes at once: no more than points or CPUs
+    size = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if size == 1:
+        return [_point(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(_point, tasks))
 
 
 def _meta_lines(command: str, cfg: RunConfig, extra: dict | None = None) -> list:
@@ -377,7 +342,7 @@ _WIRE_HEADER = [
 
 def _cmd_interface_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
     heights = _sweep_values(cfg, "interface-sweep")
-    rows = _map_points(cfg, heights, _interface_row)
+    rows = _map_points(cfg, "h", heights, _interface_row)
     meta = _meta_lines("interface-sweep", cfg)
     meta += [
         "# convention: rates normalized to the homogeneous-host emission rate",
@@ -392,7 +357,7 @@ def _cmd_interface_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
 
 def _cmd_nanowire_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
     distances = _sweep_values(cfg, "nanowire-sweep")
-    rows = _map_points(cfg, distances, _wire_row)
+    rows = _map_points(cfg, "d", distances, _wire_row)
     meta = _meta_lines("nanowire-sweep", cfg, {"orientation": cfg.orientation})
     meta += [
         "# convention: rates normalized to the homogeneous-host emission rate",
@@ -431,13 +396,10 @@ def _cmd_dispersion(cfg: RunConfig, args: argparse.Namespace) -> str:
 
 def _cmd_field_map(cfg: RunConfig, args: argparse.Namespace) -> str:
     r_max = args.rmax if args.rmax is not None else cfg.radius + 120.0
-    try:
-        window = nanowire.FieldWindow(
-            r_min=args.rmin, r_max=r_max, z_min=args.zmin, z_max=args.zmax,
-            n_r=args.nr, n_z=args.nz,
-        )
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    window = nanowire.FieldWindow(
+        r_min=args.rmin, r_max=r_max, z_min=args.zmin, z_max=args.zmax,
+        n_r=args.nr, n_z=args.nz,
+    )
     fm = nanowire.field_map(_wire_geom(cfg), window)
     rows = []
     for i, r in enumerate(fm.r):
@@ -541,22 +503,9 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> str:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="flat 'key = value' file applied over the defaults")
-    parser.add_argument("--lambda0", type=float, help="vacuum wavelength [nm]")
-    parser.add_argument("--ratio", type=float,
-                        help="signed first-moment to dipole-moment ratio [nm]")
-    parser.add_argument("--radius", type=float, help="wire radius [nm]")
-    parser.add_argument("--lqd", type=float, help="emitter extent [nm]")
-    parser.add_argument("--host-n", dest="host_n", metavar="N",
-                        help="host refractive index (lossless, e.g. 3.42)")
-    parser.add_argument("--metal-n", dest="metal_n", metavar="N",
-                        help="metal refractive index (e.g. 0.2+7j)")
-    parser.add_argument("--tol", type=float,
-                        help="relative quadrature tolerance (default 1e-8); below about "
-                             "3e-14 the wire background cannot certify it and warns")
-    parser.add_argument("--workers", type=int,
-                        help="worker processes over sweep points (default 1)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="output file, '-' for stdout (default)")
+    for key, spec in _KEYS.items():
+        if spec.help:
+            parser.add_argument("--" + key.replace("_", "-"), help=spec.help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -570,14 +519,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interface-sweep",
                        help="rate ladder vs height above the planar mirror")
     _add_common(p)
-    p.add_argument("--range", dest="sweep", metavar="MIN:MAX:STEP",
+    p.add_argument("--range", metavar="MIN:MAX:STEP",
                    help="height sweep [nm]")
     p.set_defaults(handler=_cmd_interface_sweep)
 
     p = sub.add_parser("nanowire-sweep",
                        help="plasmon ladder and background vs wire distance")
     _add_common(p)
-    p.add_argument("--range", dest="sweep", metavar="MIN:MAX:STEP",
+    p.add_argument("--range", metavar="MIN:MAX:STEP",
                    help="surface-distance sweep [nm]")
     p.add_argument("--orientation", choices=[nanowire.AXIAL, nanowire.RADIAL],
                    help="dipole orientation relative to the wire axis (default axial)")

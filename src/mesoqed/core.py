@@ -95,17 +95,24 @@ def figures_of_merit(k: float, moments: EmitterMoments) -> FiguresOfMerit:
     return FiguresOfMerit(g1=2.0 * kl, g2=kl * kl)
 
 
+def check_host(host: Material) -> None:
+    """The medium around the emitter needs a real, positive index.
+
+    A complex index would make the coincidence limit, and with it the
+    rate normalization, ill-defined; Re n <= 0 carries no wave.
+    """
+    if not (host.n.imag == 0.0 and host.n.real > 0.0):
+        raise ParameterError(
+            f"emitter medium {host.name!r} must be lossless with Re n > 0, got n = {host.n:g}"
+        )
+
+
 def homogeneous_im_gxx(host: Material, lambda0: float) -> float:
     """Im G_xx at the source point in an unbounded host, n*k0/(6*pi).
 
     This is the normalization denominator of every reported rate.
-    Requires a lossless host; a complex index would make the
-    coincidence limit and with it the normalization ill-defined.
     """
-    if host.n.imag != 0.0:
-        raise ParameterError(
-            f"host material {host.name!r} must be lossless to define the rate normalization"
-        )
+    check_host(host)
     k = wavevector(host, lambda0).real
     return k / (6.0 * math.pi)
 

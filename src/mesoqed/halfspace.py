@@ -43,9 +43,10 @@ import numpy as np
 
 from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
-from .core import homogeneous_im_gxx, wavevector
+from .core import check_host, homogeneous_im_gxx, wavevector
 from .errors import ConvergenceError, NoBoundModeError, ParameterError
 from .quadrature import quad_vec
+from .rates import GreenBundle
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
 _MIN_SAFE_HEIGHT = 10.0
@@ -65,37 +66,7 @@ class InterfaceGeometry:
             raise ParameterError(f"height must be positive, got {self.h}")
         if not (math.isfinite(self.lambda0) and self.lambda0 > 0.0):
             raise ParameterError(f"wavelength must be positive, got {self.lambda0}")
-        if self.upper.n.imag != 0.0:
-            raise ParameterError("upper medium must be lossless (it hosts the emitter)")
-
-
-@dataclass(frozen=True)
-class GreenBundle:
-    """Field quantities entering the rate ladder, all at the emitter.
-
-    g_xx       Im G_xx, homogeneous part included           [1/nm]
-    d_g_zx     Im of the lateral gradient of G_zx           [1/nm^2]
-    dd_g_zz    Im of the mixed lateral derivative of G_zz   [1/nm^3]
-    dz_g_xx    Im of the vertical gradient of G_xx          [1/nm^2]
-
-    The magnetic-type and quadrupole-type combinations of the two
-    gradients are derived from them, so they always add to 2*d_g_zx.
-    """
-
-    g_xx: float
-    d_g_zx: float
-    dd_g_zz: float
-    dz_g_xx: float
-
-    @property
-    def b_yx(self) -> float:
-        """Magnetic-type combination Im{d_x G_zx - d_z G_xx}  [1/nm^2]."""
-        return self.d_g_zx - self.dz_g_xx
-
-    @property
-    def q_xz(self) -> float:
-        """Quadrupole-type combination Im{d_x G_zx + d_z G_xx}  [1/nm^2]."""
-        return self.d_g_zx + self.dz_g_xx
+        check_host(self.upper)
 
 
 @dataclass(frozen=True)

@@ -51,15 +51,15 @@ import numpy as np
 from . import rates as _rates
 from . import specfun
 from .core import GAAS, PAPER_LAMBDA0_NM, PAPER_WIRE_RADIUS_NM, SILVER, SPEED_OF_LIGHT_NM_PER_FS
-from .core import MAX_POINTS, EmitterMoments, Material, homogeneous_im_gxx, wavevector
+from .core import MAX_POINTS, EmitterMoments, Material, check_host, homogeneous_im_gxx, wavevector
 from .errors import (
     ConvergenceError,
     ContractViolationError,
     NoBoundModeError,
     ParameterError,
 )
-from .halfspace import GreenBundle
 from .quadrature import quad
+from .rates import GreenBundle
 
 _ROOT_RESIDUAL = 1e-12
 _NORM_TAIL = 40.0  # exterior cutoff: exp(-2*40) tail below double precision
@@ -79,8 +79,7 @@ class WireGeometry:
             raise ParameterError(f"wire radius must be positive, got {self.rho}")
         if not (self.lambda0 > 0.0):
             raise ParameterError(f"wavelength must be positive, got {self.lambda0}")
-        if self.host.n.imag != 0.0:
-            raise ParameterError("host must be lossless for a normalizable guided mode")
+        check_host(self.host)
 
     @property
     def k0(self) -> float:
@@ -88,7 +87,7 @@ class WireGeometry:
 
     @property
     def k_host(self) -> float:
-        # host is lossless by construction, so the wavevector is real
+        # check_host makes the host lossless, so the wavevector is real
         return wavevector(self.host, self.lambda0).real
 
 
@@ -569,6 +568,8 @@ class FieldWindow:
     n_z: int = 161
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_min, self.r_max, self.z_min, self.z_max))):
+            raise ParameterError("field window bounds must be finite")
         if self.r_min < 0.0 or self.r_max <= self.r_min:
             raise ParameterError("field window needs 0 <= r_min < r_max")
         if self.z_max <= self.z_min:

@@ -1,7 +1,7 @@
 """Rate ladder assembly and the first-order multipole split.
 
-Consumes a field bundle from either geometry module; nothing here knows
-where the bundle came from. All outputs are normalized to the
+Both geometry modules fill in the field bundle defined here; nothing
+here knows where a bundle came from. All outputs are normalized to the
 homogeneous-host dipole rate, passed in as `norm`.
 """
 
@@ -12,6 +12,35 @@ from dataclasses import dataclass
 
 from .core import EmitterMoments
 from .errors import ContractViolationError, ExpansionInvalidError, ParameterError
+
+
+@dataclass(frozen=True)
+class GreenBundle:
+    """Field quantities entering the rate ladder, all at the emitter.
+
+    g_xx       Im G_xx, homogeneous part included           [1/nm]
+    d_g_zx     Im of the lateral gradient of G_zx           [1/nm^2]
+    dd_g_zz    Im of the mixed lateral derivative of G_zz   [1/nm^3]
+    dz_g_xx    Im of the vertical gradient of G_xx          [1/nm^2]
+
+    The magnetic-type and quadrupole-type combinations of the two
+    gradients are derived from them, so they always add to 2*d_g_zx.
+    """
+
+    g_xx: float
+    d_g_zx: float
+    dd_g_zz: float
+    dz_g_xx: float
+
+    @property
+    def b_yx(self) -> float:
+        """Magnetic-type combination Im{d_x G_zx - d_z G_xx}  [1/nm^2]."""
+        return self.d_g_zx - self.dz_g_xx
+
+    @property
+    def q_xz(self) -> float:
+        """Quadrupole-type combination Im{d_x G_zx + d_z G_xx}  [1/nm^2]."""
+        return self.d_g_zx + self.dz_g_xx
 
 
 @dataclass(frozen=True)

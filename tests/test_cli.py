@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import mesoqed
-from mesoqed import __version__
+from mesoqed import __version__, cli
 from mesoqed.cli import main
 
 GOLDEN_INTERFACE_100 = (
@@ -44,6 +45,40 @@ def run_text(argv, tmp_path, name="out.txt"):
 def data_rows(text):
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     return lines[0].split(","), lines[1:]
+
+
+def stdout_of(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def config_keys(text):
+    return {ln.split()[2] for ln in text.splitlines() if ln.startswith("# config: ")}
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    # no process starts: every pool the CLI asks for is a FakePool
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: FakePool(sizes, max_workers))
+    return sizes
 
 
 # ------------------------------------------------------------ golden rows
@@ -218,6 +253,34 @@ def test_parallel_workers_match_serial(tmp_path):
     assert strip(serial) == strip(parallel)
 
 
+def test_worker_pool_is_bounded_by_points_and_cpus(capsys, monkeypatch, pool_sizes):
+    # a pool starts all its processes at once, so --workers 100000 over
+    # three heights must ask for three, and print the serial rows
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    argv = ["interface-sweep", "--range", "20:61:20"]
+    serial = stdout_of(argv, capsys)
+    pooled = stdout_of(argv + ["--workers", "100000"], capsys)
+    assert pool_sizes == [3]
+    assert pooled == serial.replace("# config: workers = 1\n", "# config: workers = 100000\n")
+    assert pooled != serial
+    # one point, or one CPU: the points run in this process, with no pool
+    stdout_of(["interface-sweep", "--range", "20:21:5", "--workers", "8"], capsys)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert stdout_of(argv + ["--workers", "8"], capsys) == \
+        serial.replace("workers = 1\n", "workers = 8\n")
+    assert pool_sizes == [3]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failing_point_is_named(capsys, monkeypatch, pool_sizes, workers):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    rc = main(["interface-sweep", "--range", "20:41:20", "--ratio", "1e200",
+               "--workers", workers])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("mesoqed: numerical failure: h = 20: ")
+    assert pool_sizes == ([] if workers == "1" else [2])
+
+
 # ------------------------------------------------------------- config file
 
 
@@ -241,6 +304,43 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert data_rows(via_config) == data_rows(direct)
 
 
+# a value for every key the table prints as a `# config:` line
+TABLE_VALUES = {
+    "lambda0": "900", "ratio": "-7.5", "radius": "40", "lqd": "15",
+    "host_n": "3.5", "metal_n": "0.25 + 6.5j", "tol": "1e-9", "workers": "2",
+    "range": "100:151:50",
+}
+
+
+def test_every_table_key_reads_the_same_from_flag_and_file(tmp_path, capsys, pool_sizes):
+    printed = {key for key, spec in cli._KEYS.items() if spec.fmt}
+    assert set(TABLE_VALUES) == printed
+    base = ["interface-sweep", "--range", "100:101:5"]
+    default = stdout_of(base, capsys)
+    for key, value in TABLE_VALUES.items():
+        argv = base[:1] if key == "range" else base
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key.replace('_', '-')} = {value}\n", encoding="utf-8")
+        via_file = stdout_of(argv + ["--config", str(cfg)], capsys)
+        via_flag = stdout_of(argv + ["--" + key.replace("_", "-"), value], capsys)
+        assert via_file == via_flag != default
+
+
+def test_printed_config_keys_are_the_table(capsys):
+    printed = {key for key, spec in cli._KEYS.items() if spec.fmt}
+    assert config_keys(stdout_of(["interface-sweep", "--range", "100:101:5"], capsys)) == printed
+    assert config_keys(stdout_of(["nanowire-sweep", "--range", "20:21:5"], capsys)) == \
+        printed | {"orientation"}
+    assert config_keys(stdout_of(["field-map", "--nr", "2", "--nz", "2"], capsys)) == \
+        printed - {"range"} | {"window", "samples"}
+
+
+def test_run_config_fields_are_the_table():
+    # one name per run parameter: RunConfig field, flag dest, config key
+    assert {f.name for f in fields(cli.RunConfig)} == set(cli._KEYS)
+    assert set(cli._KEYS) <= set(vars(cli._build_parser().parse_args(["nanowire-sweep"])))
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 3\n", encoding="utf-8")
@@ -254,6 +354,25 @@ def test_config_file_malformed_line(tmp_path, capsys):
     cfg.write_text("just some words\n", encoding="utf-8")
     rc = main(["report", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
+    assert f"{cfg}:1: " in capsys.readouterr().err
+
+
+def test_config_file_bad_value_names_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# comment\nhost_n = abc\n", encoding="utf-8")
+    rc = main(["report", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"mesoqed: {cfg}:2: bad value 'abc' for host_n\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--host-n", "abc"), ("--lambda0", "abc"),
+                                         ("--workers", "1.5")])
+def test_flag_bad_value_names_the_key(tmp_path, capsys, flag, value):
+    rc = main(["report", flag, value, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"mesoqed: bad value {value!r} for {key}\n"
 
 
 # -------------------------------------------------------------- exit codes
@@ -308,12 +427,18 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["nanowire-sweep", "--radius", "10", "--range", "20:21:5"], 3),
     (["dispersion", "--metal-n", "0+3.42j"], 3),
     (["dispersion", "--radius", "1e-6"], 3),
+    (["interface-sweep", "--range", "20:21:5", "--host-n", "-3.42"], 2),
+    (["dispersion", "--host-n", "0"], 2),
+    (["field-map", "--zmax", "inf", "--nr", "2", "--nz", "2"], 2),
+    (["field-map", "--rmin", "nan"], 2),
+    (["field-map", "--rmax", "inf"], 2),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
     # height whose contour tail overflows, a wire thin enough that
-    # Re(k_sp)*L_qd >= 1, a metal at eps = -eps_host, and a wire so thin
-    # that k_sp does not move with frequency: a message, never a
+    # Re(k_sp)*L_qd >= 1, a metal at eps = -eps_host, a wire so thin
+    # that k_sp does not move with frequency, a host index that is not
+    # positive and a field window that is not finite: a message, never a
     # traceback or a printed inf
     out = tmp_path / "x"
     with warnings.catch_warnings():

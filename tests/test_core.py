@@ -10,13 +10,16 @@ from mesoqed import (
     GAAS,
     SILVER,
     EmitterMoments,
+    InterfaceGeometry,
     Material,
     ParameterError,
+    WireGeometry,
     figures_of_merit,
     homogeneous_im_gxx,
     paper_moments,
     wavevector,
 )
+from mesoqed.core import check_host
 
 
 def test_reference_materials():
@@ -52,6 +55,20 @@ def test_homogeneous_im_gxx_value():
     assert val == pytest.approx(0.00114, rel=1e-12)
     with pytest.raises(ParameterError):
         homogeneous_im_gxx(SILVER, 1000.0)
+
+
+@pytest.mark.parametrize("n", [3.42 + 0.1j, 0.0, -3.42])
+def test_every_host_needs_a_real_positive_index(n):
+    # one check serves the normalization and both geometries
+    host = Material("host", n)
+    with pytest.raises(ParameterError, match="Re n > 0"):
+        check_host(host)
+    with pytest.raises(ParameterError, match="Re n > 0"):
+        homogeneous_im_gxx(host, 1000.0)
+    with pytest.raises(ParameterError, match="Re n > 0"):
+        InterfaceGeometry(upper=host, lower=SILVER, h=20.0, lambda0=1000.0)
+    with pytest.raises(ParameterError, match="Re n > 0"):
+        WireGeometry(rho=30.0, metal=SILVER, host=host, lambda0=1000.0)
 
 
 def test_emitter_moments_flip():

@@ -588,6 +588,11 @@ def test_field_window_validation():
         FieldWindow(r_min=0.0, r_max=50.0, z_min=10.0, z_max=10.0)
     with pytest.raises(ParameterError):
         FieldWindow(r_min=0.0, r_max=50.0, z_min=0.0, z_max=10.0, n_r=1)
+    # NaN passes no comparison, and an infinite bound spaces no grid
+    for bounds in ((math.nan, 50.0, 0.0, 10.0), (0.0, math.inf, 0.0, 10.0),
+                   (0.0, 50.0, -math.inf, 10.0), (0.0, 50.0, 0.0, math.nan)):
+        with pytest.raises(ParameterError, match="finite"):
+            FieldWindow(*bounds)
     # at most 1 000 000 samples; the window itself allocates nothing
     FieldWindow(r_min=0.0, r_max=50.0, z_min=0.0, z_max=10.0, n_r=1000, n_z=1000)
     with pytest.raises(ParameterError):

@@ -22,6 +22,7 @@ from mesoqed import (
     paper_moments,
     rate_ladder,
 )
+from mesoqed import halfspace, nanowire
 
 NORM = 0.00114
 
@@ -29,6 +30,12 @@ NORM = 0.00114
 def make_bundle(g_xx=2.0 * NORM, d_g_zx=-3.0e-6, dd_g_zz=5.0e-8):
     # dz_g_xx = -d_g_zx/2 makes b_yx = 1.5 * d_g_zx and q_xz = 0.5 * d_g_zx
     return GreenBundle(g_xx=g_xx, d_g_zx=d_g_zx, dd_g_zz=dd_g_zz, dz_g_xx=-0.5 * d_g_zx)
+
+
+def test_bundle_is_defined_beside_the_ladder():
+    # the contract between the geometries and the ladder; both import it
+    assert GreenBundle.__module__ == "mesoqed.rates"
+    assert halfspace.GreenBundle is nanowire.GreenBundle is GreenBundle
 
 
 def test_homogeneous_bundle_gives_unit_ladder():

@@ -14,9 +14,9 @@ output is deterministic: no timestamps, floats at 12 significant
 digits, config keys emitted sorted, so identical invocations produce
 byte-identical files.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure (no bound mode, quadrature or series non-convergence,
-expansion outside its validity domain).
+Exit codes: 0 success, 2 usage or configuration error (including a
+moment expansion outside its validity domain), 3 numerical failure (no
+bound mode, quadrature or series non-convergence).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 from . import __version__, core, halfspace, nanowire
 from . import moments as qd
 from .core import EmitterMoments, Material, figures_of_merit, wavevector
-from .errors import MesoqedError, ParameterError
+from .errors import ExpansionInvalidError, MesoqedError, ParameterError
 
 
 class UsageError(Exception):
@@ -62,8 +62,14 @@ def _fmt_range(sweep) -> str:
     return ":".join(_fmt(v) for v in sweep)
 
 
-def _complex_entry(z: complex, units: str, note: str) -> dict:
-    return {"value": {"re": z.real, "im": z.imag}, "units": units, "convention": note}
+def _entry(value, convention: str, units: str | None = None, **extra) -> dict:
+    """One JSON figure; a complex value is written as {"re", "im"}."""
+    if isinstance(value, complex):
+        value = {"re": value.real, "im": value.imag}
+    entry = {"value": value, "convention": convention, **extra}
+    if units is not None:
+        entry["units"] = units
+    return entry
 
 
 # --------------------------------------------------------------- config
@@ -147,6 +153,9 @@ class RunConfig:
                 raise UsageError(f"sweep range is empty: need MIN < MAX, got {_fmt_range(self.range)}")
             if not step > 0.0:
                 raise UsageError(f"sweep step must be positive, got {_fmt(step)}")
+        # the geometries' checks, for the subcommands that build none
+        core.check_host(_host(self))
+        _metal(self)
 
 
 def _cast(key: str, text: str, where: str = "") -> object:
@@ -202,6 +211,10 @@ def _host(cfg: RunConfig) -> Material:
 
 def _metal(cfg: RunConfig) -> Material:
     return Material("metal", cfg.metal_n)
+
+
+def _k_host(cfg: RunConfig) -> float:
+    return wavevector(_host(cfg), cfg.lambda0).real
 
 
 def _moments(cfg: RunConfig) -> EmitterMoments:
@@ -288,15 +301,13 @@ def _map_points(cfg: RunConfig, label: str, values: list, worker) -> list:
         return list(pool.map(_point, tasks))
 
 
-def _meta_lines(command: str, cfg: RunConfig, extra: dict | None = None) -> list:
+def _csv_text(command: str, cfg: RunConfig, conventions: list, header: list, rows: list,
+              extra: dict | None = None) -> str:
     lines = [f"# mesoqed {__version__}", f"# command: {command}"]
     for key, value in sorted(_config_entries(cfg, extra).items()):
         lines.append(f"# config: {key} = {value}")
-    return lines
-
-
-def _csv_text(meta: list, header: list, rows: list) -> str:
-    lines = list(meta)
+    for note in conventions:
+        lines.append(f"# convention: {note}")
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -313,85 +324,76 @@ def _json_text(command: str, cfg: RunConfig, payload: dict, extra: dict | None =
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _omega_payload(cfg: RunConfig) -> dict:
+def _sweep_text(cfg: RunConfig, command: str, label: str, worker, header: list,
+                conventions: list, extra: dict | None = None) -> str:
+    rows = _map_points(cfg, label, _sweep_values(cfg, command), worker)
+    conventions = ["rates normalized to the homogeneous-host emission rate", *conventions]
+    return _csv_text(command, cfg, conventions, header, rows, extra)
+
+
+def _v_g(mode: nanowire.GuidedMode) -> dict:
+    return _entry(mode.v_g, "group velocity at frozen material permittivities", "nm/fs")
+
+
+def _n_eff(cfg: RunConfig, mode: nanowire.GuidedMode) -> dict:
+    return _entry(mode.k_sp / (2.0 * math.pi / cfg.lambda0), "k_sp / k0", "dimensionless")
+
+
+def _lambda_zx(cfg: RunConfig, env: qd.GaussianEnvelopes, convention: str, **extra) -> dict:
+    est = qd.lambda_zx_estimate(env)
+    return _entry(est, convention, "nm",
+                  significance_2k=qd.lambda_zx_significance(est, _k_host(cfg)), **extra)
+
+
+def _omega(cfg: RunConfig) -> dict:
     vac = qd.omega_negligibility(2.0 * math.pi / cfg.lambda0, cfg.lqd)
-    host = qd.omega_negligibility(wavevector(_host(cfg), cfg.lambda0).real, cfg.lqd)
-    return {
-        "value": vac.value,
-        "negligible": vac.negligible,
-        "k_convention": "vacuum",
-        "host_k_value": host.value,
-        "host_k_negligible": host.negligible,
-        "convention": "(k*lqd)**2, negligible below 0.1; host-k variant reported alongside",
-    }
+    host = qd.omega_negligibility(_k_host(cfg), cfg.lqd)
+    return _entry(vac.value,
+                  "(k*lqd)**2, negligible below 0.1; host-k variant reported alongside",
+                  negligible=vac.negligible, k_convention="vacuum",
+                  host_k_value=host.value, host_k_negligible=host.negligible)
 
 
 # ----------------------------------------------------------------- commands
 
 
-_INTERFACE_HEADER = [
-    "h", "gamma0", "gamma1", "gamma2", "total_direct", "total_inverted",
-    "rad", "pl", "ls", "b_yx_norm", "q_xz_norm",
-]
-
-_WIRE_HEADER = [
-    "d", "gamma0_pl", "gamma1_pl", "gamma2_pl", "background",
-    "total_direct", "total_inverted",
-]
+# the envelope of `report`'s lambda_zx check and the defaults of `moments`
+_ENVELOPE = qd.GaussianEnvelopes(2.0, 5.0, 2.5)
 
 
 def _cmd_interface_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
-    heights = _sweep_values(cfg, "interface-sweep")
-    rows = _map_points(cfg, "h", heights, _interface_row)
-    meta = _meta_lines("interface-sweep", cfg)
-    meta += [
-        "# convention: rates normalized to the homogeneous-host emission rate",
-        "# convention: total_direct = gamma0 + gamma1 + gamma2;"
-        " total_inverted flips the sign of gamma1",
-        "# convention: rad + pl + ls = total_direct (decay-channel split of the direct total)",
-        "# convention: b_yx_norm = b_yx*lqd/norm and q_xz_norm = q_xz*lqd/norm,"
-        " norm = homogeneous Im G_xx",
-    ]
-    return _csv_text(meta, _INTERFACE_HEADER, rows)
+    header = ["h", "gamma0", "gamma1", "gamma2", "total_direct", "total_inverted",
+              "rad", "pl", "ls", "b_yx_norm", "q_xz_norm"]
+    return _sweep_text(cfg, "interface-sweep", "h", _interface_row, header, [
+        "total_direct = gamma0 + gamma1 + gamma2; total_inverted flips the sign of gamma1",
+        "rad + pl + ls = total_direct (decay-channel split of the direct total)",
+        "b_yx_norm = b_yx*lqd/norm and q_xz_norm = q_xz*lqd/norm, norm = homogeneous Im G_xx",
+    ])
 
 
 def _cmd_nanowire_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
-    distances = _sweep_values(cfg, "nanowire-sweep")
-    rows = _map_points(cfg, "d", distances, _wire_row)
-    meta = _meta_lines("nanowire-sweep", cfg, {"orientation": cfg.orientation})
-    meta += [
-        "# convention: rates normalized to the homogeneous-host emission rate",
-        "# convention: gamma*_pl is the guided-plasmon channel alone;"
+    header = ["d", "gamma0_pl", "gamma1_pl", "gamma2_pl", "background",
+              "total_direct", "total_inverted"]
+    return _sweep_text(cfg, "nanowire-sweep", "d", _wire_row, header, [
+        "gamma*_pl is the guided-plasmon channel alone;"
         " background = 1 + electrostatic surface-loss floor",
-        "# convention: total_direct = background + gamma0_pl + gamma1_pl + gamma2_pl;"
+        "total_direct = background + gamma0_pl + gamma1_pl + gamma2_pl;"
         " total_inverted flips the sign of gamma1_pl",
-    ]
-    return _csv_text(meta, _WIRE_HEADER, rows)
+    ], {"orientation": cfg.orientation})
 
 
 def _cmd_dispersion(cfg: RunConfig, args: argparse.Namespace) -> str:
     mode = nanowire.solve_dispersion(_wire_geom(cfg))
-    k0 = 2.0 * math.pi / cfg.lambda0
-    payload = {
-        "k_sp": _complex_entry(mode.k_sp, "rad/nm", "guided-mode wavevector, Im > 0 decaying"),
-        "n_eff": _complex_entry(mode.k_sp / k0, "dimensionless", "k_sp / k0"),
-        "kappa_in": _complex_entry(mode.kappa_in, "1/nm", "interior transverse decay constant"),
-        "kappa_out": _complex_entry(mode.kappa_out, "1/nm", "exterior transverse decay constant"),
-        "v_g": {
-            "value": mode.v_g,
-            "units": "nm/fs",
-            "convention": "group velocity at frozen material permittivities",
-        },
-        "residual": {
-            "value": mode.residual,
-            "convention": "characteristic-equation residual at k_sp (scaled)",
-        },
-        "normalization_integral": {
-            "value": mode.normalization_check(),
-            "convention": "cross-section integral of Re(eps)|e|^2, target 1",
-        },
-    }
-    return _json_text("dispersion", cfg, payload)
+    return _json_text("dispersion", cfg, {
+        "k_sp": _entry(mode.k_sp, "guided-mode wavevector, Im > 0 decaying", "rad/nm"),
+        "n_eff": _n_eff(cfg, mode),
+        "kappa_in": _entry(mode.kappa_in, "interior transverse decay constant", "1/nm"),
+        "kappa_out": _entry(mode.kappa_out, "exterior transverse decay constant", "1/nm"),
+        "v_g": _v_g(mode),
+        "residual": _entry(mode.residual, "characteristic-equation residual at k_sp (scaled)"),
+        "normalization_integral": _entry(mode.normalization_check(),
+                                         "cross-section integral of Re(eps)|e|^2, target 1"),
+    })
 
 
 def _cmd_field_map(cfg: RunConfig, args: argparse.Namespace) -> str:
@@ -412,12 +414,10 @@ def _cmd_field_map(cfg: RunConfig, args: argparse.Namespace) -> str:
                   f" z:{_fmt(window.z_min)}:{_fmt(window.z_max)}",
         "samples": f"{window.n_r}x{window.n_z}",
     }
-    meta = _meta_lines("field-map", cfg, extra)
-    meta += [
-        "# convention: complex mode field, normalized cross-section power integral;"
-        " real part = instantaneous field",
-    ]
-    return _csv_text(meta, ["r", "z", "e_r_re", "e_r_im", "e_z_re", "e_z_im"], rows)
+    conventions = ["complex mode field, normalized cross-section power integral;"
+                   " real part = instantaneous field"]
+    return _csv_text("field-map", cfg, conventions,
+                     ["r", "z", "e_r_re", "e_r_im", "e_z_re", "e_z_im"], rows, extra)
 
 
 def _cmd_moments(cfg: RunConfig, args: argparse.Namespace) -> str:
@@ -425,18 +425,12 @@ def _cmd_moments(cfg: RunConfig, args: argparse.Namespace) -> str:
     env = qd.GaussianEnvelopes(
         sigma_e=args.sigma_e, mass_ratio=args.mass_ratio, shift=args.shift
     )
-    est = qd.lambda_zx_estimate(env)
-    k_host = wavevector(_host(cfg), cfg.lambda0).real
     payload = {
         "allowed_mu": list(pattern.allowed_mu_axes()),
         "allowed_lambda": ["".join(pair) for pair in pattern.allowed_lambda_entries()],
-        "lambda_zx": {
-            "value": est,
-            "units": "nm",
-            "significance_2k": qd.lambda_zx_significance(est, k_host),
-            "convention": "Gaussian-envelope growth-axis moment per dipole moment",
-        },
-        "omega_check": _omega_payload(cfg),
+        "lambda_zx": _lambda_zx(cfg, env,
+                                "Gaussian-envelope growth-axis moment per dipole moment"),
+        "omega_check": _omega(cfg),
     }
     extra = {
         "sigma_e": _fmt(args.sigma_e),
@@ -448,64 +442,42 @@ def _cmd_moments(cfg: RunConfig, args: argparse.Namespace) -> str:
 
 def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> str:
     mom = _moments(cfg)
-    k_host = wavevector(_host(cfg), cfg.lambda0).real
-    fom_if = figures_of_merit(k_host, mom)
+    fom_if = figures_of_merit(_k_host(cfg), mom)
     mode = nanowire.solve_dispersion(_wire_geom(cfg))
     fom_wire = figures_of_merit(mode.k_sp.real, mom)
     pole = halfspace.spp_pole(_interface_geom(cfg, 100.0))
-    k0 = 2.0 * math.pi / cfg.lambda0
-    env = qd.GaussianEnvelopes(sigma_e=2.0, mass_ratio=5.0, shift=2.5)
-    est = qd.lambda_zx_estimate(env)
-    payload = {
-        "g1_interface": {
-            "value": fom_if.g1,
-            "convention": "2*k_host*|ratio|, first-order coupling strength",
-        },
-        "g2_interface": {
-            "value": fom_if.g2,
-            "convention": "(k_host*|ratio|)**2, second-order coupling strength",
-        },
-        "g1_wire": {
-            "value": fom_wire.g1,
-            "convention": "2*Re(k_sp)*|ratio| against the guided mode",
-        },
-        "g2_wire": {
-            "value": fom_wire.g2,
-            "convention": "(Re(k_sp)*|ratio|)**2 against the guided mode",
-        },
-        "k_spp_planar": _complex_entry(
-            pole, "rad/nm", "surface-plasmon pole of the planar reflection problem"
-        ),
-        "k_sp_wire": _complex_entry(
-            mode.k_sp, "rad/nm", "fundamental guided TM mode of the wire"
-        ),
-        "v_g": {
-            "value": mode.v_g,
-            "units": "nm/fs",
-            "convention": "group velocity at frozen material permittivities",
-        },
-        "lambda_zx_check": {
-            "value": est,
-            "units": "nm",
-            "significance_2k": qd.lambda_zx_significance(est, k_host),
-            "envelope": {"sigma_e_nm": 2.0, "mass_ratio": 5.0, "shift_nm": 2.5},
-            "convention": "growth-axis moment of the default Gaussian envelopes",
-        },
-        "omega_check": _omega_payload(cfg),
-    }
-    payload["n_eff_wire"] = _complex_entry(mode.k_sp / k0, "dimensionless", "k_sp / k0")
-    return _json_text("report", cfg, payload)
+    envelope = {"sigma_e_nm": _ENVELOPE.sigma_e, "mass_ratio": _ENVELOPE.mass_ratio,
+                "shift_nm": _ENVELOPE.shift}
+    return _json_text("report", cfg, {
+        "g1_interface": _entry(fom_if.g1, "2*k_host*|ratio|, first-order coupling strength"),
+        "g2_interface": _entry(fom_if.g2, "(k_host*|ratio|)**2, second-order coupling strength"),
+        "g1_wire": _entry(fom_wire.g1, "2*Re(k_sp)*|ratio| against the guided mode"),
+        "g2_wire": _entry(fom_wire.g2, "(Re(k_sp)*|ratio|)**2 against the guided mode"),
+        "k_spp_planar": _entry(pole, "surface-plasmon pole of the planar reflection problem",
+                               "rad/nm"),
+        "k_sp_wire": _entry(mode.k_sp, "fundamental guided TM mode of the wire", "rad/nm"),
+        "v_g": _v_g(mode),
+        "lambda_zx_check": _lambda_zx(cfg, _ENVELOPE,
+                                      "growth-axis moment of the default Gaussian envelopes",
+                                      envelope=envelope),
+        "omega_check": _omega(cfg),
+        "n_eff_wire": _n_eff(cfg, mode),
+    })
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE",
-                        help="flat 'key = value' file applied over the defaults")
+def _command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """A subcommand with the common flags, run by handler."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", metavar="FILE",
+                   help="flat 'key = value' file applied over the defaults")
     for key, spec in _KEYS.items():
         if spec.help:
-            parser.add_argument("--" + key.replace("_", "-"), help=spec.help)
+            p.add_argument("--" + key.replace("_", "-"), help=spec.help)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -516,50 +488,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mesoqed {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("interface-sweep",
-                       help="rate ladder vs height above the planar mirror")
-    _add_common(p)
-    p.add_argument("--range", metavar="MIN:MAX:STEP",
-                   help="height sweep [nm]")
-    p.set_defaults(handler=_cmd_interface_sweep)
+    p = _command(sub, "interface-sweep", _cmd_interface_sweep,
+                 "rate ladder vs height above the planar mirror")
+    p.add_argument("--range", metavar="MIN:MAX:STEP", help="height sweep [nm]")
 
-    p = sub.add_parser("nanowire-sweep",
-                       help="plasmon ladder and background vs wire distance")
-    _add_common(p)
-    p.add_argument("--range", metavar="MIN:MAX:STEP",
-                   help="surface-distance sweep [nm]")
+    p = _command(sub, "nanowire-sweep", _cmd_nanowire_sweep,
+                 "plasmon ladder and background vs wire distance")
+    p.add_argument("--range", metavar="MIN:MAX:STEP", help="surface-distance sweep [nm]")
     p.add_argument("--orientation", choices=[nanowire.AXIAL, nanowire.RADIAL],
                    help="dipole orientation relative to the wire axis (default axial)")
-    p.set_defaults(handler=_cmd_nanowire_sweep)
 
-    p = sub.add_parser("dispersion", help="guided-mode data of the wire")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dispersion)
+    _command(sub, "dispersion", _cmd_dispersion, "guided-mode data of the wire")
 
-    p = sub.add_parser("field-map", help="complex mode field on an (r, z) grid")
-    _add_common(p)
+    p = _command(sub, "field-map", _cmd_field_map, "complex mode field on an (r, z) grid")
     p.add_argument("--rmin", type=float, default=0.0, help="grid start in r [nm]")
     p.add_argument("--rmax", type=float, help="grid end in r [nm] (default radius + 120)")
     p.add_argument("--zmin", type=float, default=0.0, help="grid start in z [nm]")
     p.add_argument("--zmax", type=float, default=500.0, help="grid end in z [nm]")
     p.add_argument("--nr", type=int, default=81, help="samples along r")
     p.add_argument("--nz", type=int, default=161, help="samples along z")
-    p.set_defaults(handler=_cmd_field_map)
 
-    p = sub.add_parser("moments", help="moment symmetry pattern and smallness checks")
-    _add_common(p)
-    p.add_argument("--sigma-e", dest="sigma_e", type=float, default=2.0,
+    p = _command(sub, "moments", _cmd_moments, "moment symmetry pattern and smallness checks")
+    p.add_argument("--sigma-e", dest="sigma_e", type=float, default=_ENVELOPE.sigma_e,
                    help="electron envelope HWHM [nm]")
-    p.add_argument("--mass-ratio", dest="mass_ratio", type=float, default=5.0,
-                   help="hole-to-electron mass ratio")
-    p.add_argument("--shift", type=float, default=2.5,
+    p.add_argument("--mass-ratio", dest="mass_ratio", type=float,
+                   default=_ENVELOPE.mass_ratio, help="hole-to-electron mass ratio")
+    p.add_argument("--shift", type=float, default=_ENVELOPE.shift,
                    help="electron-hole center separation [nm]")
-    p.set_defaults(handler=_cmd_moments)
 
-    p = sub.add_parser("report", help="headline figures as JSON")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_report)
-
+    _command(sub, "report", _cmd_report, "headline figures as JSON")
     return parser
 
 
@@ -580,7 +537,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"mesoqed: {exc}", file=sys.stderr)
         return 2
-    except ParameterError as exc:
+    except (ParameterError, ExpansionInvalidError) as exc:
+        # an expansion outside its domain follows from the inputs alone
         print(f"mesoqed: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except MesoqedError as exc:

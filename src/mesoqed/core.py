@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ParameterError
+from .errors import ExpansionInvalidError, ParameterError
 
 SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 
@@ -79,7 +79,12 @@ def wavevector(material: Material, lambda0: float) -> complex:
     """Wavevector 2*pi*n/lambda0 in the given material, rad/nm."""
     if not (math.isfinite(lambda0) and lambda0 > 0.0):
         raise ParameterError(f"wavelength must be positive, got {lambda0}")
-    return 2.0 * math.pi * material.n / lambda0
+    k = 2.0 * math.pi * material.n / lambda0
+    if k == 0.0 and material.n != 0.0:
+        raise ParameterError(
+            f"wavevector of {material.name!r} underflows to 0 at lambda0 = {lambda0:g}"
+        )
+    return k
 
 
 def figures_of_merit(k: float, moments: EmitterMoments) -> FiguresOfMerit:
@@ -92,6 +97,11 @@ def figures_of_merit(k: float, moments: EmitterMoments) -> FiguresOfMerit:
     if not (math.isfinite(k) and k > 0.0):
         raise ParameterError(f"k must be a positive real wavevector, got {k}")
     kl = k * abs(moments.lambda_over_mu)
+    if not math.isfinite(kl * kl):
+        raise ExpansionInvalidError(
+            f"(k*|lambda_over_mu|)**2 is not finite for k = {k:g}: "
+            "the moment ratio overflows double precision"
+        )
     return FiguresOfMerit(g1=2.0 * kl, g2=kl * kl)
 
 

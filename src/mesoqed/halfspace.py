@@ -151,7 +151,7 @@ def _contour(geom: InterfaceGeometry) -> _Contour:
     )
 
 
-def _integrate_contour(c: _Contour, fn, nout: int, rel_tol: float, abs_scale: float):
+def _integrate_contour(c: _Contour, fn, rel_tol: float, abs_scale: float):
     """Integrate a component vector along the deformed k_par path.
 
     fn(kp, kz1, rs, rp, phi, dkp_du, inv_term) -> complex vector, where
@@ -184,8 +184,7 @@ def _integrate_contour(c: _Contour, fn, nout: int, rel_tol: float, abs_scale: fl
     half = 0.5 * (c.k_b - k1)
 
     def seg_ellipse(sigma):
-        if sigma <= 0.0:
-            return np.zeros(nout, dtype=complex)
+        # quadrature nodes lie strictly inside a panel, so sigma > 0
         theta = math.pi * sigma * sigma
         kp = m_c - half * math.cos(theta) - 1.0j * c.delta * math.sin(theta)
         dkp_du = (half * math.sin(theta) - 1.0j * c.delta * math.cos(theta)) * (
@@ -214,7 +213,7 @@ def _integrate_contour(c: _Contour, fn, nout: int, rel_tol: float, abs_scale: fl
     try:
         (rad, err), (evan, err_b), *tail = quad_vec(integrand, bounds, epsabs=eps_abs,
                                                     epsrel=rel_tol)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
         raise ConvergenceError(f"k_par integrand overflows at h = {c.h:g} nm") from exc
     err += err_b
     for part, err_c in tail:
@@ -304,8 +303,7 @@ def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,
     k1 = c.k1
     _rates.check_expansion(k1, moments)
     norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
-    rad, evan, _ = _integrate_contour(c, _ladder_vector(k1), nout=4, rel_tol=rel_tol,
-                                      abs_scale=norm)
+    rad, evan, _ = _integrate_contour(c, _ladder_vector(k1), rel_tol=rel_tol, abs_scale=norm)
     j = _unscale(rad + evan, k1)
     bundle = GreenBundle(g_xx=norm + j[0].imag, d_g_zx=j[1].imag, dd_g_zz=j[2].imag,
                          dz_g_xx=j[3].imag)

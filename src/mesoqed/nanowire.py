@@ -56,6 +56,7 @@ from .errors import (
     ConvergenceError,
     ContractViolationError,
     NoBoundModeError,
+    OutOfDomainError,
     ParameterError,
 )
 from .quadrature import quad
@@ -202,8 +203,8 @@ class GuidedMode:
 
     def raw_exterior(self, r: float) -> tuple[complex, complex]:
         """Unnormalized (e_r, e_z) for r >= rho, unit K0 amplitude."""
-        iv0, kv0 = specfun.bessel_ik(0, self.kappa_out * r)
-        iv1, kv1 = specfun.bessel_ik(1, self.kappa_out * r)
+        kv0 = specfun.bessel_k(0, self.kappa_out * r)
+        kv1 = specfun.bessel_k(1, self.kappa_out * r)
         e_z = kv0
         e_r = 1j * (self.k_sp / self.kappa_out) * kv1
         return e_r, e_z
@@ -233,8 +234,10 @@ class GuidedMode:
         """d|E_z|/dr of the normalized mode, exterior region only."""
         if r < self.geometry.rho:
             raise ParameterError("magnitude derivative implemented outside the wire only")
-        _, kv0 = specfun.bessel_ik(0, self.kappa_out * r)
-        _, kv1 = specfun.bessel_ik(1, self.kappa_out * r)
+        kv0 = specfun.bessel_k(0, self.kappa_out * r)
+        kv1 = specfun.bessel_k(1, self.kappa_out * r)
+        if kv0 == 0.0:
+            raise OutOfDomainError(f"d|E_z|/dr at r = {r:g} nm: K0 underflows to 0")
         num = (self.kappa_out * kv1 * kv0.conjugate()).real
         return -self.norm * num / abs(kv0)
 
@@ -264,8 +267,8 @@ def _norm_integral(
         iv1, _ = specfun.bessel_ik(1, kap_in * r_in)
         dens = a2 * (np.abs(iv0) ** 2 + ratio_in * np.abs(iv1) ** 2)
         out[inner] = eps_in_re * dens * 2.0 * math.pi * r_in
-        _, kv0 = specfun.bessel_ik(0, kap_out * r_out)
-        _, kv1 = specfun.bessel_ik(1, kap_out * r_out)
+        kv0 = specfun.bessel_k(0, kap_out * r_out)
+        kv1 = specfun.bessel_k(1, kap_out * r_out)
         dens = np.abs(kv0) ** 2 + ratio_out * np.abs(kv1) ** 2
         out[~inner] = eps_out_re * dens * 2.0 * math.pi * r_out
         return out
@@ -279,7 +282,7 @@ def _build_mode(geom: WireGeometry, root: complex, v_g: float) -> GuidedMode:
     k0 = geom.k0
     kap_in = _transverse(root, geom.metal.eps, k0, bound=False)
     kap_out = _transverse(root, geom.host.eps, k0, bound=True)
-    _, kv0 = specfun.bessel_ik(0, kap_out * geom.rho)
+    kv0 = specfun.bessel_k(0, kap_out * geom.rho)
     iv0, _ = specfun.bessel_ik(0, kap_in * geom.rho)
     a_in = kv0 / iv0
     raw = _norm_integral(geom, root, kap_in, kap_out, a_in)

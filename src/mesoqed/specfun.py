@@ -62,6 +62,16 @@ def bessel_ik(order: int, z) -> tuple:
     return i_val, k_val
 
 
+def bessel_k(order, z):
+    """Unscaled K alone, the K half of bessel_ik.
+
+    Same order and branch guards, but no bound on Re z: K underflows to
+    0 where I would overflow.
+    """
+    order, zc = _principal(order, z, "bessel_k")
+    return _finish(_sp.kv(order, zc), "bessel_k")
+
+
 def bessel_ik_scaled(order, z) -> tuple:
     """Scaled modified Bessel pair: (I*exp(-|Re z|), K*exp(+z)).
 

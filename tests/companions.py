@@ -78,7 +78,7 @@ def fresnel(k_par, geom: InterfaceGeometry):
 
 
 def _integrate_single(geom: InterfaceGeometry, fn, rel_tol: float) -> complex:
-    rad, evan, _ = _integrate_contour(_contour(geom), fn, nout=1, rel_tol=rel_tol,
+    rad, evan, _ = _integrate_contour(_contour(geom), fn, rel_tol=rel_tol,
                                       abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
     return complex((rad + evan)[0])
 

@@ -1,14 +1,23 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import contextlib
+import importlib.util
+import io
 import json
+import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest.mock import MagicMock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mesoqed
 from mesoqed import __version__, cli
@@ -276,8 +285,8 @@ def test_failing_point_is_named(capsys, monkeypatch, pool_sizes, workers):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     rc = main(["interface-sweep", "--range", "20:41:20", "--ratio", "1e200",
                "--workers", workers])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("mesoqed: numerical failure: h = 20: ")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("mesoqed: invalid configuration: h = 20: ")
     assert pool_sizes == ([] if workers == "1" else [2])
 
 
@@ -422,9 +431,9 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["interface-sweep", "--range", "0:1000000:1"], 2),
     (["field-map", "--nr", "1000000000", "--nz", "2"], 2),
     (["interface-sweep", "--range", "1e-300:1e-299:1e-300"], 3),
-    (["interface-sweep", "--range", "20:21:5", "--ratio", "1e200"], 3),
-    (["nanowire-sweep", "--range", "20:21:5", "--ratio", "1e300"], 3),
-    (["nanowire-sweep", "--radius", "10", "--range", "20:21:5"], 3),
+    (["interface-sweep", "--range", "20:21:5", "--ratio", "1e200"], 2),
+    (["nanowire-sweep", "--range", "20:21:5", "--ratio", "1e300"], 2),
+    (["nanowire-sweep", "--radius", "10", "--range", "20:21:5"], 2),
     (["dispersion", "--metal-n", "0+3.42j"], 3),
     (["dispersion", "--radius", "1e-6"], 3),
     (["interface-sweep", "--range", "20:21:5", "--host-n", "-3.42"], 2),
@@ -432,21 +441,120 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["field-map", "--zmax", "inf", "--nr", "2", "--nz", "2"], 2),
     (["field-map", "--rmin", "nan"], 2),
     (["field-map", "--rmax", "inf"], 2),
+    (["moments", "--metal-n", "nan+1j"], 2),
+    (["moments", "--metal-n", "1-1j"], 2),
+    (["moments", "--host-n", "3.42+0.1j"], 2),
+    (["field-map", "--rmax", "30000", "--nr", "3", "--nz", "2"], 0),
+    (["nanowire-sweep", "--range", "30000:30001:5"], 3),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
     # height whose contour tail overflows, a wire thin enough that
     # Re(k_sp)*L_qd >= 1, a metal at eps = -eps_host, a wire so thin
     # that k_sp does not move with frequency, a host index that is not
-    # positive and a field window that is not finite: a message, never a
-    # traceback or a printed inf
+    # positive, a field window that is not finite, a gain or non-finite
+    # index where no geometry is built, and points so far from the wire
+    # that K underflows: a message, never a traceback or a printed inf
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # h below 10 nm
         assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert err.startswith("mesoqed: ") and "Traceback" not in err
-    assert not out.exists()
+    assert out.exists() == (code == 0)
+    if code:
+        assert err.startswith("mesoqed: ") and "Traceback" not in err
+    else:
+        assert_numbers_finite(out.read_text(encoding="utf-8"))
+
+
+def test_field_map_reads_zero_where_k_underflows(tmp_path):
+    text = run_text(["field-map", "--rmax", "30000", "--nr", "3", "--nz", "2"], tmp_path)
+    _, rows = data_rows(text)
+    assert [row.split(",")[0] for row in rows] == ["0", "0", "15000", "15000", "30000", "30000"]
+    assert all(float(v) != 0.0 for v in rows[2].split(",")[2:])
+    assert rows[4:] == ["30000,0,0,0,0,0", "30000,500,0,0,0,0"]
+
+
+# edge values for every common flag except --workers (a draw must not
+# start a process pool); one-point sweeps and a 3 x 2 map keep each run
+# far below core.MAX_POINTS
+EDGE_VALUES = ("0", "-1", "1e300", "1e-300", "-1e300", "nan", "inf", "-inf")
+FUZZ_FLAGS = {
+    "lambda0": EDGE_VALUES,
+    "ratio": EDGE_VALUES,
+    "radius": EDGE_VALUES,
+    "lqd": EDGE_VALUES,
+    "host-n": EDGE_VALUES + ("3.42+0.1j", "-3.42", "3.42-1j"),
+    "metal-n": EDGE_VALUES + ("1-1j", "nan+1j", "0.2+infj", "3.42"),
+    "tol": ("1e-14", "1e-3", "9.9e-15", "1.1e-3"),
+}
+FUZZ_COMMANDS = (
+    ("interface-sweep", "--range", "20:21:5"),
+    ("nanowire-sweep", "--range", "20:21:5"),
+    ("nanowire-sweep", "--range", "20:21:5", "--orientation", "radial"),
+    ("dispersion",),
+    ("field-map", "--nr", "3", "--nz", "2"),
+    ("moments",),
+    ("report",),
+)
+
+
+def assert_numbers_finite(text):
+    """Every number of a CSV or JSON output, `# config:` values included."""
+    if text.startswith("{"):
+        def walk(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    walk(item)
+            elif isinstance(value, float):
+                assert math.isfinite(value), text
+        walk(json.loads(text))  # NaN and Infinity parse as floats
+        return
+    for line in text.splitlines():
+        if line.startswith("# config: "):
+            tokens = re.split(r"[\s:]+", line.partition(" = ")[2])
+        elif line.startswith("#"):
+            continue
+        else:
+            tokens = line.split(",")
+        for token in tokens:
+            try:
+                z = complex(token)
+            except ValueError:  # a column name, an orientation, an axis label
+                continue
+            assert math.isfinite(z.real) and math.isfinite(z.imag), line
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(FUZZ_COMMANDS),
+       flags=st.fixed_dictionaries({}, optional={
+           key: st.sampled_from(values) for key, values in FUZZ_FLAGS.items()}))
+@example(command=("moments",), flags={"metal-n": "nan+1j"})
+@example(command=("moments",), flags={"metal-n": "1-1j"})
+@example(command=("moments",), flags={"host-n": "3.42+0.1j"})
+@example(command=("dispersion",), flags={"host-n": "-3.42"})
+@example(command=FUZZ_COMMANDS[0], flags={"ratio": "1e300"})
+@example(command=FUZZ_COMMANDS[1], flags={"radius": "1e-300"})
+@example(command=FUZZ_COMMANDS[2], flags={"tol": "1e-14"})
+@example(command=FUZZ_COMMANDS[0], flags={"lambda0": "1e300", "tol": "1e-3"})
+@example(command=FUZZ_COMMANDS[0], flags={"lambda0": "1e300", "host-n": "1e-300"})
+@example(command=("report",), flags={"ratio": "-1e300"})
+@example(command=("moments",), flags={"lambda0": "1e-300"})
+def test_cli_exits_0_2_or_3_on_edge_inputs(command, flags):
+    argv = list(command) + [f"--{key}={value}" for key, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    if code:
+        assert err.getvalue().startswith("mesoqed: "), argv
+        assert "Traceback" not in err.getvalue(), argv
+    else:
+        assert_numbers_finite(out.getvalue())
 
 
 def test_version_flag():
@@ -485,6 +593,39 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
         run_text(["report"], tmp_path, "ref.json")
     _, rows = data_rows((tmp_path / "wire.csv").read_text(encoding="utf-8"))
     assert rows == [GOLDEN_WIRE_AXIAL_20]
+
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "figures.py"
+ARTIFACTS = {"interface_decay.csv", "nanowire_axial.csv", "nanowire_radial.csv",
+             "nanowire_mode.json", "nanowire_field.csv"}
+
+
+def test_figures_script(tmp_path, monkeypatch):
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    drawn = {"interface_decay.png", "nanowire_decay.png"}
+    has_matplotlib = importlib.util.find_spec("matplotlib") is not None
+    assert {p.name for p in tmp_path.iterdir()} == ARTIFACTS | (drawn if has_matplotlib else set())
+    read = lambda name: data_rows((tmp_path / name).read_text(encoding="utf-8"))[1]
+    assert GOLDEN_INTERFACE_100 in read("interface_decay.csv")
+    assert GOLDEN_WIRE_AXIAL_20 in read("nanowire_axial.csv")
+    assert GOLDEN_WIRE_RADIAL_20 in read("nanowire_radial.csv")
+
+    # the drawing code, against a stand-in for matplotlib that records
+    # the files it is asked to save
+    saved = []
+
+    def subplots(*args, **kwargs):
+        fig = MagicMock()
+        fig.savefig.side_effect = lambda path, **kw: saved.append(path.name)
+        return fig, (MagicMock(), MagicMock())
+
+    pyplot = MagicMock(subplots=subplots)
+    monkeypatch.setitem(sys.modules, "matplotlib", MagicMock(pyplot=pyplot))
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    runpy.run_path(str(SCRIPT))["plot"](tmp_path)
+    assert saved == ["interface_decay.png", "nanowire_decay.png"]
 
 
 def test_module_entry_point(tmp_path):

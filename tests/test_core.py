@@ -10,6 +10,7 @@ from mesoqed import (
     GAAS,
     SILVER,
     EmitterMoments,
+    ExpansionInvalidError,
     InterfaceGeometry,
     Material,
     ParameterError,
@@ -45,6 +46,8 @@ def test_wavevector_host():
         wavevector(GAAS, 0.0)
     with pytest.raises(ParameterError):
         wavevector(GAAS, -5.0)
+    with pytest.raises(ParameterError):  # 2*pi*n/lambda0 underflows to 0
+        wavevector(Material("thin", 1e-300), 1e300)
 
 
 def test_homogeneous_im_gxx_value():
@@ -111,6 +114,8 @@ def test_figures_of_merit_validation():
         figures_of_merit(0.0, paper_moments())
     with pytest.raises(ParameterError):
         figures_of_merit(-1.0, paper_moments())
+    with pytest.raises(ExpansionInvalidError):  # (k*ratio)**2 overflows
+        figures_of_merit(0.02, EmitterMoments(lambda_over_mu=1e300))
 
 
 def test_emitter_moments_validation():

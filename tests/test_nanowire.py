@@ -26,6 +26,7 @@ from mesoqed import (
     GAAS,
     Material,
     NoBoundModeError,
+    OutOfDomainError,
     ParameterError,
     SILVER,
     WireGeometry,
@@ -609,3 +610,8 @@ def test_magnitude_derivative_guard():
     step = 1e-4
     fd = (mode.profile(50.0 + step)[1] - mode.profile(50.0 - step)[1]) / (2.0 * step)
     assert got == pytest.approx(fd, rel=1e-6)
+    # tens of microns out K0 underflows to 0: the field reads 0, the
+    # derivative of its magnitude has no value
+    assert mode.profile(30000.0) == (0.0, 0.0)
+    with pytest.raises(OutOfDomainError):
+        mode.d_ez_mag_dr(30000.0)

@@ -18,7 +18,7 @@ from scipy.special import ive, kve
 import oracles
 from companions import bessel_j, hankel1
 from mesoqed import OutOfDomainError, ParameterError
-from mesoqed.specfun import bessel_ik, bessel_ik_scaled, bessel_k_scaled
+from mesoqed.specfun import bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled
 
 
 # ---------------------------------------------------------- spot values
@@ -139,7 +139,7 @@ def test_scaled_pair_survives_huge_arguments():
 def test_order_validation():
     for fn in (lambda o: bessel_j(o, 1.0), lambda o: hankel1(o, 1.0),
                lambda o: bessel_ik(o, 1.0), lambda o: bessel_ik_scaled(o, 1.0),
-               lambda o: bessel_k_scaled(o, 1.0)):
+               lambda o: bessel_k(o, 1.0), lambda o: bessel_k_scaled(o, 1.0)):
         with pytest.raises(ParameterError):
             fn(-1)
         with pytest.raises(ParameterError):
@@ -174,7 +174,7 @@ def test_bessel_ik_domain():
     bessel_ik(0, 600.0)
     i_s, k_s = bessel_ik_scaled(0, 800.0)
     assert np.isfinite(i_s) and np.isfinite(k_s)
-    for fn in (bessel_ik_scaled, bessel_k_scaled):
+    for fn in (bessel_ik_scaled, bessel_k, bessel_k_scaled):
         for z in (-2.0, 0.0, 3.0j, np.array([1.0, -0.5 + 1.0j])):
             with pytest.raises(OutOfDomainError):
                 fn(0, z)
@@ -211,6 +211,20 @@ def test_k_scaled_is_the_k_half_of_the_pair():
     grid = bessel_k_scaled(np.stack((orders, orders + 1)), zs)
     assert grid.shape == (2, zs.size)
     assert np.array_equal(grid, bessel_ik_scaled(np.stack((orders, orders + 1)), zs)[1])
+
+
+def test_k_is_the_k_half_of_the_plain_pair():
+    for z in (0.3, 2.0 + 1.0j, 40.0 - 3.0j, 600.0):
+        for order in (0, 1, 7):
+            got = bessel_k(order, z)
+            assert isinstance(got, complex)
+            assert got == bessel_ik(order, z)[1]
+    zs = np.array([0.3, 2.0 + 1.0j, 15.0, 40.0 - 3.0j])
+    assert np.array_equal(bessel_k(1, zs), bessel_ik(1, zs)[1])
+    # past the pair's I overflow, K alone goes on and underflows to 0
+    assert bessel_k(0, 700.0) == pytest.approx(bessel_k_scaled(0, 700.0) * math.exp(-700.0),
+                                               rel=1e-12)
+    assert bessel_k(1, 800.0 + 5.0j) == 0.0
 
 
 def test_derivative_identities_match_the_two_sided_recurrence():

@@ -76,9 +76,9 @@ class WireGeometry:
     lambda0: float
 
     def __post_init__(self):
-        if not (self.rho > 0.0):
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ParameterError(f"wire radius must be positive, got {self.rho}")
-        if not (self.lambda0 > 0.0):
+        if not (math.isfinite(self.lambda0) and self.lambda0 > 0.0):
             raise ParameterError(f"wavelength must be positive, got {self.lambda0}")
         check_host(self.host)
 
@@ -274,7 +274,9 @@ def _norm_integral(
         return out
 
     r_max = rho + _NORM_TAIL / kap_out.real
-    w_in, w_out = quad(density, np.array([0.0, rho]), np.array([rho, r_max]), 1e-11)
+    # a thick wire overflows |I0|^2; _build_mode reports the non-finite total
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_in, w_out = quad(density, np.array([0.0, rho]), np.array([rho, r_max]), 1e-11)
     return float(w_in + w_out)
 
 
@@ -351,7 +353,7 @@ RADIAL = "radial"
 
 
 def _check_point(d: float, orientation: str) -> None:
-    if not (d > 0.0):
+    if not (math.isfinite(d) and d > 0.0):
         raise ParameterError(f"emitter-surface distance must be positive, got {d}")
     if orientation not in (AXIAL, RADIAL):
         raise ParameterError(f"orientation must be '{AXIAL}' or '{RADIAL}', got {orientation!r}")

@@ -8,7 +8,8 @@ the Bessel functions, an arbitrary-precision root polish of the wire
 mode equation from its own electrostatic seed, a scan of the guided
 wedge for every wire root, the wire's axial gradient ratio from
 Gauss's law, the wire's plasmon ladder in the reduced E_r*E_z
-magnitude form (fed the mode's field values as plain numbers),
+magnitude form (fed the mode's field values as plain numbers), the
+wire mode's normalization integral from closed-form Lommel integrals,
 finite-difference ground states of harmonically confined carriers, and
 the wire's quasi-static background as one scalar adaptive quadrature
 per azimuthal harmonic, and the planar contour quadrature as one scipy
@@ -337,6 +338,40 @@ def wire_plasmon_ladder(k_sp: complex, v_g: float, e_r: float, e_z: float, dez_d
         return (c * e_z * e_z, -2.0 * c * lam * k_sp.real * e_r * e_z,
                 c * lam * lam * abs(k_sp) ** 2 * e_r * e_r)
     return c * e_r * e_r, 0.0, c * lam * lam * dez_dr * dez_dr
+
+
+def wire_norm_integral(rho: float, k_sp: complex, kappa_in: complex, kappa_out: complex,
+                       a_in: complex, eps_in: complex, eps_out: complex) -> complex:
+    """Cross-section integral of Re[eps]|e|^2 of the unit-amplitude wire mode.
+
+    Takes the mode's numbers as plain inputs. Inside, e_z = a_in I0 and
+    |e_r| = |k_sp/kappa_in| |a_in I1|; outside, e_z = K0 and
+    |e_r| = |k_sp/kappa_out| |K1|. With p = kappa, q = conj(kappa),
+    |Z(kappa r)|^2 = Z(p r) Z(q r), and each radial integral is a
+    closed-form Lommel integral:
+        int_0^rho r I0 I0 dr = rho [p I1(p rho) I0(q rho) - q I0(p rho) I1(q rho)] / (p^2 - q^2)
+        int_0^rho r I1 I1 dr = rho [p I0(p rho) I1(q rho) - q I1(p rho) I0(q rho)] / (p^2 - q^2)
+    and the same with K for int_rho^inf. Bessel functions at points
+    only, no quadrature; needs p^2 != q^2, i.e. a lossy metal. The
+    imaginary part of the result is roundoff.
+    """
+    with mp.workdps(40):
+        r = mp.mpf(rho)
+
+        def lommel(z, kappa, m):
+            # m = 1: int r Z0 Z0 dr; m = 0: int r Z1 Z1 dr (Z = I or K)
+            p = mp.mpc(kappa)
+            q = mp.conj(p)
+            num = p * z(m, p * r) * z(1 - m, q * r) - q * z(1 - m, p * r) * z(m, q * r)
+            return r * num / (p * p - q * q)
+
+        ratio_in = abs(mp.mpc(k_sp) / kappa_in) ** 2
+        ratio_out = abs(mp.mpc(k_sp) / kappa_out) ** 2
+        inner = lommel(mp.besseli, kappa_in, 1) + ratio_in * lommel(mp.besseli, kappa_in, 0)
+        outer = lommel(mp.besselk, kappa_out, 1) + ratio_out * lommel(mp.besselk, kappa_out, 0)
+        total = 2 * mp.pi * (complex(eps_in).real * abs(mp.mpc(a_in)) ** 2 * inner
+                             + complex(eps_out).real * outer)
+        return complex(total)
 
 
 def quasistatic_background_scalar(rho: float, d: float, lambda0: float,

@@ -595,6 +595,42 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
     assert rows == [GOLDEN_WIRE_AXIAL_20]
 
 
+@pytest.mark.parametrize("module, heavy", [
+    ("mesoqed", "numpy"),
+    ("mesoqed.errors", "numpy"),
+    ("mesoqed.core", "numpy"),
+    ("mesoqed.moments", "numpy"),
+    ("mesoqed.rates", "numpy"),
+    ("mesoqed.halfspace", "scipy"),
+    ("mesoqed.quadrature", "scipy"),
+])
+def test_import_loads_only_what_the_module_imports(module, heavy):
+    # a fresh interpreter: the package binds no submodule, the
+    # pure-Python layers leave numpy out and the interface leaves scipy out
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert heavy not in loaded
+    if module == "mesoqed":
+        assert not {name for name in loaded if name.startswith("mesoqed.")}
+
+
+def test_thick_wire_failure_is_one_stderr_line():
+    # |I0|^2 of the mode normalization overflows; the run reports that
+    # as one error line, with no numpy RuntimeWarning ahead of it
+    proc = subprocess.run(
+        [sys.executable, "-m", "mesoqed.cli", "dispersion", "--radius", "5000",
+         "--lambda0", "600"],
+        capture_output=True, text=True, timeout=300, env=CHILD_ENV,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("mesoqed: numerical failure:")
+
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "figures.py"
 ARTIFACTS = {"interface_decay.csv", "nanowire_axial.csv", "nanowire_radial.csv",
              "nanowire_mode.json", "nanowire_field.csv"}

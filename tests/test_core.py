@@ -6,21 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoqed import (
+from mesoqed.core import (
     GAAS,
     SILVER,
     EmitterMoments,
-    ExpansionInvalidError,
-    InterfaceGeometry,
     Material,
-    ParameterError,
-    WireGeometry,
+    check_host,
     figures_of_merit,
     homogeneous_im_gxx,
     paper_moments,
     wavevector,
 )
-from mesoqed.core import check_host
+from mesoqed.errors import ExpansionInvalidError, ParameterError
+from mesoqed.halfspace import InterfaceGeometry
+from mesoqed.nanowire import WireGeometry
 
 
 def test_reference_materials():

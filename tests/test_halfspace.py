@@ -14,22 +14,11 @@ import pytest
 
 import oracles
 from companions import fresnel, gxx_vertical_offset, gzx_lateral
-from mesoqed import (
-    GAAS,
-    EmitterMoments,
-    ExpansionInvalidError,
-    InterfaceGeometry,
-    Material,
-    NoBoundModeError,
-    ParameterError,
-    SILVER,
-    extract_fields,
-    halfspace,
-    interface_point,
-    paper_interface,
-    paper_moments,
-    spp_pole,
-)
+from mesoqed import halfspace
+from mesoqed.core import GAAS, SILVER, EmitterMoments, Material, paper_moments
+from mesoqed.errors import ExpansionInvalidError, NoBoundModeError, ParameterError
+from mesoqed.halfspace import InterfaceGeometry, interface_point, paper_interface, spp_pole
+from mesoqed.rates import extract_fields
 
 MOMENTS = paper_moments()
 

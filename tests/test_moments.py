@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoqed import (
+from mesoqed.errors import ParameterError
+from mesoqed.moments import (
     LENS_SHAPED_TABLE,
     GaussianEnvelopes,
     OmegaCheck,
-    ParameterError,
     ParityTable,
     allowed_moments,
     lambda_zx_estimate,

@@ -16,36 +16,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from mesoqed import (
-    AXIAL,
-    RADIAL,
+from mesoqed import nanowire, specfun
+from mesoqed.core import GAAS, SILVER, Material, figures_of_merit, homogeneous_im_gxx, paper_moments
+from mesoqed.core import SPEED_OF_LIGHT_NM_PER_FS as C0
+from mesoqed.errors import (
     ContractViolationError,
     ConvergenceError,
     ExpansionInvalidError,
-    FieldWindow,
-    GAAS,
-    Material,
+    MesoqedError,
     NoBoundModeError,
     OutOfDomainError,
     ParameterError,
-    SILVER,
+)
+from mesoqed.halfspace import paper_interface, spp_pole
+from mesoqed.nanowire import (
+    AXIAL,
+    RADIAL,
+    FieldWindow,
     WireGeometry,
-    extract_fields,
     field_map,
-    figures_of_merit,
-    homogeneous_im_gxx,
-    paper_moments,
     paper_wire,
     plasmon_bundle,
     plasmon_rates,
     quasistatic_background,
-    md_eq_split,
     solve_dispersion,
-    spp_pole,
-    paper_interface,
 )
-from mesoqed import MesoqedError, nanowire, specfun
-from mesoqed.core import SPEED_OF_LIGHT_NM_PER_FS as C0
+from mesoqed.rates import extract_fields, md_eq_split
 
 GEOM = paper_wire()
 MOMENTS = paper_moments()
@@ -87,6 +83,23 @@ def test_mode_normalization_closes():
     mode = solve_dispersion(GEOM)
     assert mode.normalization_check() == pytest.approx(1.0, rel=1e-9)
     assert mode.norm == pytest.approx(0.01004234, rel=1e-5)
+
+
+@pytest.mark.parametrize("geom", [
+    GEOM,
+    paper_wire(rho=2.0),
+    paper_wire(rho=100.0),
+    paper_wire(rho=1000.0),
+    WireGeometry(rho=30.0, metal=Material("m", 0.3 + 5.0j), host=GAAS, lambda0=700.0),
+    WireGeometry(rho=10.0, metal=Material("m", 0.1 + 3.6j), host=GAAS, lambda0=1000.0),
+], ids=["paper", "R2", "R100", "R1000", "n0.3+5j-700nm", "n0.1+3.6j-R10"])
+def test_mode_norm_against_lommel_oracle(geom):
+    # normalization_check re-runs the library's own integral; this one
+    # sums the closed-form Lommel integrals of the same fields instead
+    mode = solve_dispersion(geom)
+    total = oracles.wire_norm_integral(geom.rho, mode.k_sp, mode.kappa_in, mode.kappa_out,
+                                       mode.a_in, geom.metal.eps, geom.host.eps)
+    assert abs(mode.norm**2 * total - 1.0) < 1e-12
 
 
 def test_transverse_constants_tie_to_root():
@@ -231,6 +244,13 @@ def test_geometry_validation():
         WireGeometry(rho=0.0, metal=GAAS, host=GAAS, lambda0=1000.0)
     with pytest.raises(ParameterError):
         WireGeometry(rho=30.0, metal=GAAS, host=GAAS, lambda0=-1.0)
+    for rho, lambda0 in ((math.inf, 1000.0), (30.0, math.inf)):
+        with pytest.raises(ParameterError, match="must be positive, got inf"):
+            WireGeometry(rho=rho, metal=SILVER, host=GAAS, lambda0=lambda0)
+    with pytest.raises(ParameterError, match="distance must be positive, got inf"):
+        plasmon_rates(GEOM, math.inf, MOMENTS, AXIAL)
+    with pytest.raises(ParameterError, match="distance must be positive, got inf"):
+        quasistatic_background(GEOM, math.inf, AXIAL)
     lossy = Material("lossy", 3.42 + 0.1j)
     with pytest.raises(ParameterError):
         WireGeometry(rho=30.0, metal=Material("m", 7.0j), host=lossy, lambda0=1000.0)
@@ -416,6 +436,7 @@ def test_background_harmonic_cutoff_is_converged():
             assert got[30] == got[45] == got[60]
 
 
+@pytest.mark.filterwarnings("ignore:wire background at d=:RuntimeWarning")
 @pytest.mark.parametrize("d", [12.0, 20.0, 155.0])
 def test_background_harmonics_do_not_depend_on_their_batch(monkeypatch, d):
     # every harmonic integrated alone must give the batched sum bit for bit
@@ -428,6 +449,7 @@ def test_background_harmonics_do_not_depend_on_their_batch(monkeypatch, d):
     assert quasistatic_background(GEOM, d, RADIAL) == batched
 
 
+@pytest.mark.filterwarnings("ignore:wire background at d=:RuntimeWarning")
 @pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
 @pytest.mark.parametrize("d", [10.0, 12.0, 15.0, 20.0, 30.0, 50.0, 100.0, 155.0, 300.0])
 def test_background_matches_scalar_quadrature(d, orientation):

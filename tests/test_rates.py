@@ -10,19 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoqed import (
-    ContractViolationError,
-    EmitterMoments,
-    ExpansionInvalidError,
-    GreenBundle,
-    ParameterError,
-    RateLadder,
-    extract_fields,
-    md_eq_split,
-    paper_moments,
-    rate_ladder,
-)
 from mesoqed import halfspace, nanowire
+from mesoqed.core import EmitterMoments, paper_moments
+from mesoqed.errors import ContractViolationError, ExpansionInvalidError, ParameterError
+from mesoqed.rates import GreenBundle, RateLadder, extract_fields, md_eq_split, rate_ladder
 
 NORM = 0.00114
 

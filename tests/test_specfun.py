@@ -17,7 +17,7 @@ from scipy.special import ive, kve
 
 import oracles
 from companions import bessel_j, hankel1
-from mesoqed import OutOfDomainError, ParameterError
+from mesoqed.errors import OutOfDomainError, ParameterError
 from mesoqed.specfun import bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled
 
 

@@ -8,11 +8,11 @@ Subcommands
     moments           symmetry pattern and smallness checks of the moments
     report            headline figures in one JSON document
 
-Configuration resolves in three layers: the paper's defaults, then a flat
-``key = value`` config file (``--config``), then explicit flags. All
-output is deterministic: no timestamps, floats at 12 significant
-digits, config keys emitted sorted, so identical invocations produce
-byte-identical files.
+A subcommand's flags, config-file keys and recorded config are the run
+parameters it reads (``_READS``), resolved from the paper's defaults, a
+flat ``key = value`` file (``--config``), then flags. Output is
+deterministic: no timestamps, floats at 12 significant digits, config
+keys sorted, so identical invocations give byte-identical files.
 
 Exit codes: 0 success, 2 usage or configuration error (including a
 moment expansion outside its validity domain), 3 numerical failure (no
@@ -88,12 +88,11 @@ def _parse_range(text: str) -> tuple:
 class _Key(NamedTuple):
     default: object
     cast: Callable         # flag text and config-file text alike
-    fmt: Callable | None   # `# config:` text; None: not printed
-    help: str | None       # common flag; None: a subcommand declares the flag
+    fmt: Callable | None   # `# config:` text; None: shapes no number, not printed
+    help: str
 
 
-# Every run parameter: its name is the RunConfig field, the flag's dest and
-# the config-file key. Common flags are added in this order.
+# Every run parameter; its name is the RunConfig field, flag dest and config key
 _KEYS = {
     "lambda0": _Key(core.PAPER_LAMBDA0_NM, float, _fmt, "vacuum wavelength [nm]"),
     "ratio": _Key(core.PAPER_RATIO_NM, float, _fmt,
@@ -107,16 +106,27 @@ _KEYS = {
     "tol": _Key(1.0e-8, float, _fmt,
                 "relative quadrature tolerance (default 1e-8); below about "
                 "3e-14 the wire background cannot certify it and warns"),
-    "workers": _Key(1, int, str, "worker processes over sweep points (default 1)"),
+    "workers": _Key(1, int, None, "worker processes over sweep points (default 1)"),
     "out": _Key("-", str, None, "output file, '-' for stdout (default)"),
-    "orientation": _Key(nanowire.AXIAL, str, None, None),
-    "range": _Key(None, _parse_range, _fmt_range, None),
+    "orientation": _Key(nanowire.AXIAL, str, str, "dipole orientation: axial (default) or radial"),
+    "range": _Key(None, _parse_range, _fmt_range, "sweep MIN:MAX:STEP [nm]"),
+}
+
+# The run parameters each subcommand reads, in _KEYS order
+_READS = {
+    "interface-sweep": ("lambda0", "ratio", "lqd", "host_n", "metal_n", "tol", "workers",
+                        "out", "range"),
+    "nanowire-sweep": tuple(_KEYS),
+    "dispersion": ("lambda0", "radius", "host_n", "metal_n", "out"),
+    "field-map": ("lambda0", "radius", "host_n", "metal_n", "out"),
+    "moments": ("lambda0", "lqd", "host_n", "out"),
+    "report": ("lambda0", "ratio", "radius", "lqd", "host_n", "metal_n", "out"),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters shared by every subcommand."""
+    """Fully resolved run parameters; a subcommand reads its _READS of them."""
 
     lambda0: float
     host_n: complex
@@ -165,7 +175,7 @@ def _cast(key: str, text: str, where: str = "") -> object:
         raise UsageError(f"{where}bad value {text!r} for {key}") from None
 
 
-def _apply_config_file(values: dict, path: str) -> None:
+def _apply_config_file(values: dict, path: str, command: str) -> None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -179,25 +189,24 @@ def _apply_config_file(values: dict, path: str) -> None:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, text = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in _READS[command]:
+            raise UsageError(f"{path}:{lineno}: {command} takes no config key {key!r}")
         values[key] = _cast(key, text.strip(), f"{path}:{lineno}: ")
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     values = {key: spec.default for key, spec in _KEYS.items()}
     if args.config:
-        _apply_config_file(values, args.config)
-    for key in _KEYS:
-        text = getattr(args, key, None)
+        _apply_config_file(values, args.config, args.command)
+    for key in _READS[args.command]:
+        text = getattr(args, key)
         if text is not None:
             values[key] = _cast(key, text)
     return RunConfig(**values)
 
 
-def _config_entries(cfg: RunConfig, extra: dict | None = None) -> dict:
-    entries = {key: spec.fmt(getattr(cfg, key)) for key, spec in _KEYS.items()
-               if spec.fmt and getattr(cfg, key) is not None}
+def _config_entries(command: str, cfg: RunConfig, extra: dict | None = None) -> dict:
+    entries = {key: _KEYS[key].fmt(getattr(cfg, key)) for key in _READS[command] if _KEYS[key].fmt}
     entries.update(extra or {})
     return entries
 
@@ -304,7 +313,7 @@ def _map_points(cfg: RunConfig, label: str, values: list, worker) -> list:
 def _csv_text(command: str, cfg: RunConfig, conventions: list, header: list, rows: list,
               extra: dict | None = None) -> str:
     lines = [f"# mesoqed {__version__}", f"# command: {command}"]
-    for key, value in sorted(_config_entries(cfg, extra).items()):
+    for key, value in sorted(_config_entries(command, cfg, extra).items()):
         lines.append(f"# config: {key} = {value}")
     for note in conventions:
         lines.append(f"# convention: {note}")
@@ -319,16 +328,16 @@ def _json_text(command: str, cfg: RunConfig, payload: dict, extra: dict | None =
     doc["meta"] = {
         "version": __version__,
         "command": command,
-        "config": _config_entries(cfg, extra),
+        "config": _config_entries(command, cfg, extra),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _sweep_text(cfg: RunConfig, command: str, label: str, worker, header: list,
-                conventions: list, extra: dict | None = None) -> str:
+                conventions: list) -> str:
     rows = _map_points(cfg, label, _sweep_values(cfg, command), worker)
     conventions = ["rates normalized to the homogeneous-host emission rate", *conventions]
-    return _csv_text(command, cfg, conventions, header, rows, extra)
+    return _csv_text(command, cfg, conventions, header, rows)
 
 
 def _v_g(mode: nanowire.GuidedMode) -> dict:
@@ -379,7 +388,7 @@ def _cmd_nanowire_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
         " background = 1 + electrostatic surface-loss floor",
         "total_direct = background + gamma0_pl + gamma1_pl + gamma2_pl;"
         " total_inverted flips the sign of gamma1_pl",
-    ], {"orientation": cfg.orientation})
+    ])
 
 
 def _cmd_dispersion(cfg: RunConfig, args: argparse.Namespace) -> str:
@@ -422,9 +431,7 @@ def _cmd_field_map(cfg: RunConfig, args: argparse.Namespace) -> str:
 
 def _cmd_moments(cfg: RunConfig, args: argparse.Namespace) -> str:
     pattern = qd.allowed_moments(qd.LENS_SHAPED_TABLE)
-    env = qd.GaussianEnvelopes(
-        sigma_e=args.sigma_e, mass_ratio=args.mass_ratio, shift=args.shift
-    )
+    env = qd.GaussianEnvelopes(sigma_e=args.sigma_e, mass_ratio=args.mass_ratio, shift=args.shift)
     payload = {
         "allowed_mu": list(pattern.allowed_mu_axes()),
         "allowed_lambda": ["".join(pair) for pair in pattern.allowed_lambda_entries()],
@@ -469,13 +476,12 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> str:
 
 
 def _command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
-    """A subcommand with the common flags, run by handler."""
+    """A subcommand with a flag per run parameter it reads, run by handler."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--config", metavar="FILE",
                    help="flat 'key = value' file applied over the defaults")
-    for key, spec in _KEYS.items():
-        if spec.help:
-            p.add_argument("--" + key.replace("_", "-"), help=spec.help)
+    for key in _READS[name]:
+        p.add_argument("--" + key.replace("_", "-"), help=_KEYS[key].help)
     p.set_defaults(handler=handler)
     return p
 
@@ -488,16 +494,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mesoqed {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "interface-sweep", _cmd_interface_sweep,
-                 "rate ladder vs height above the planar mirror")
-    p.add_argument("--range", metavar="MIN:MAX:STEP", help="height sweep [nm]")
-
-    p = _command(sub, "nanowire-sweep", _cmd_nanowire_sweep,
-                 "plasmon ladder and background vs wire distance")
-    p.add_argument("--range", metavar="MIN:MAX:STEP", help="surface-distance sweep [nm]")
-    p.add_argument("--orientation", choices=[nanowire.AXIAL, nanowire.RADIAL],
-                   help="dipole orientation relative to the wire axis (default axial)")
-
+    _command(sub, "interface-sweep", _cmd_interface_sweep,
+             "rate ladder vs height above the planar mirror")
+    _command(sub, "nanowire-sweep", _cmd_nanowire_sweep,
+             "plasmon ladder and background vs wire distance")
     _command(sub, "dispersion", _cmd_dispersion, "guided-mode data of the wire")
 
     p = _command(sub, "field-map", _cmd_field_map, "complex mode field on an (r, z) grid")

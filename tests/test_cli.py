@@ -13,7 +13,7 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
-from unittest.mock import MagicMock
+from unittest.mock import MagicMock, patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -258,8 +258,7 @@ def test_parallel_workers_match_serial(tmp_path):
     parallel = run_text(
         ["interface-sweep", "--range", "60:181:60", "--workers", "2"], tmp_path, "p.csv"
     )
-    strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("# config: workers")]
-    assert strip(serial) == strip(parallel)
+    assert serial == parallel
 
 
 def test_worker_pool_is_bounded_by_points_and_cpus(capsys, monkeypatch, pool_sizes):
@@ -270,13 +269,11 @@ def test_worker_pool_is_bounded_by_points_and_cpus(capsys, monkeypatch, pool_siz
     serial = stdout_of(argv, capsys)
     pooled = stdout_of(argv + ["--workers", "100000"], capsys)
     assert pool_sizes == [3]
-    assert pooled == serial.replace("# config: workers = 1\n", "# config: workers = 100000\n")
-    assert pooled != serial
+    assert pooled == serial
     # one point, or one CPU: the points run in this process, with no pool
     stdout_of(["interface-sweep", "--range", "20:21:5", "--workers", "8"], capsys)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert stdout_of(argv + ["--workers", "8"], capsys) == \
-        serial.replace("workers = 1\n", "workers = 8\n")
+    assert stdout_of(argv + ["--workers", "8"], capsys) == serial
     assert pool_sizes == [3]
 
 
@@ -313,35 +310,129 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert data_rows(via_config) == data_rows(direct)
 
 
-# a value for every key the table prints as a `# config:` line
+# the run parameters each subcommand's handler reads: its flags, its
+# config-file keys and, but for `out` and `workers`, its recorded config
+READS = {
+    "interface-sweep": {"lambda0", "ratio", "lqd", "host_n", "metal_n", "tol", "workers",
+                        "range", "out"},
+    "nanowire-sweep": {"lambda0", "ratio", "radius", "lqd", "host_n", "metal_n", "tol",
+                       "workers", "range", "orientation", "out"},
+    "dispersion": {"lambda0", "radius", "host_n", "metal_n", "out"},
+    "field-map": {"lambda0", "radius", "host_n", "metal_n", "out"},
+    "moments": {"lambda0", "lqd", "host_n", "out"},
+    "report": {"lambda0", "ratio", "radius", "lqd", "host_n", "metal_n", "out"},
+}
+# flags of a subcommand that are not run parameters, and the `# config:`
+# entries they record
+OWN_FLAGS = {
+    "field-map": {"rmin", "rmax", "zmin", "zmax", "nr", "nz"},
+    "moments": {"sigma-e", "mass-ratio", "shift"},
+}
+OWN_ENTRIES = {
+    "field-map": {"window", "samples"},
+    "moments": {"sigma_e", "mass_ratio", "shift"},
+}
+# one quick run of each subcommand
+BASE = {
+    "interface-sweep": ["interface-sweep", "--range", "100:101:5"],
+    "nanowire-sweep": ["nanowire-sweep", "--range", "20:21:5"],
+    "dispersion": ["dispersion"],
+    "field-map": ["field-map", "--nr", "2", "--nz", "2"],
+    "moments": ["moments"],
+    "report": ["report"],
+}
+# a value, other than the default, for every run parameter but `out`
 TABLE_VALUES = {
     "lambda0": "900", "ratio": "-7.5", "radius": "40", "lqd": "15",
-    "host_n": "3.5", "metal_n": "0.25 + 6.5j", "tol": "1e-9", "workers": "2",
-    "range": "100:151:50",
+    "host_n": "3.5", "metal_n": "0.25 + 6.5j", "tol": "1e-3", "workers": "2",
+    "orientation": "radial", "range": "100:151:50",
 }
 
 
+def with_key(command, key, value):
+    """BASE run of command with the run parameter key set to value by a flag."""
+    argv = BASE[command][:1] if key == "range" else BASE[command]
+    return argv + ["--" + key.replace("_", "-"), value]
+
+
+def recorded_config(text):
+    if text.startswith("{"):
+        return set(json.loads(text)["meta"]["config"])
+    return config_keys(text)
+
+
+def data_of(text):
+    """CSV rows, or the JSON document without its meta."""
+    if text.startswith("{"):
+        doc = json.loads(text)
+        del doc["meta"]
+        return doc
+    return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_keys_the_subcommand_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", capsys.readouterr().out))
+    assert listed == {key.replace("_", "-") for key in READS[command]} \
+        | OWN_FLAGS.get(command, set()) | {"help", "config"}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_keys_the_subcommand_does_not_read_exit_2(command, tmp_path, capsys):
+    # besides TABLE_VALUES, the bad metal indices `moments` once accepted:
+    # it builds no metal, so the flag is refused whatever its value
+    unread_values = {"metal_n": ("nan+1j", "1-1j")}
+    for key in sorted(set(cli._KEYS) - READS[command]):
+        for value in (TABLE_VALUES[key], *unread_values.get(key, ())):
+            with pytest.raises(SystemExit) as exc:
+                main(with_key(command, key, value))
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --{key.replace('_', '-')}" in capsys.readouterr().err
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err == \
+                f"mesoqed: {cfg}:1: {command} takes no config key {key!r}\n"
+            assert not (tmp_path / "x").exists()
+
+
+# the wire's rates do not depend on lqd; it only bounds the expansion,
+# Re(k_sp)*lqd < 1, so a long enough emitter fails the sweep
+BOUND_ONLY = {("nanowire-sweep", "lqd"): "50"}
+
+
 def test_every_table_key_reads_the_same_from_flag_and_file(tmp_path, capsys, pool_sizes):
-    printed = {key for key, spec in cli._KEYS.items() if spec.fmt}
-    assert set(TABLE_VALUES) == printed
-    base = ["interface-sweep", "--range", "100:101:5"]
-    default = stdout_of(base, capsys)
-    for key, value in TABLE_VALUES.items():
-        argv = base[:1] if key == "range" else base
-        cfg = tmp_path / f"{key}.cfg"
-        cfg.write_text(f"{key.replace('_', '-')} = {value}\n", encoding="utf-8")
-        via_file = stdout_of(argv + ["--config", str(cfg)], capsys)
-        via_flag = stdout_of(argv + ["--" + key.replace("_", "-"), value], capsys)
-        assert via_file == via_flag != default
+    # and each but `workers` changes the data, not just the `# config:`
+    # lines: a run parameter that no number depends on is no run parameter
+    assert set(TABLE_VALUES) == set(cli._KEYS) - {"out"}
+    for command, reads in READS.items():
+        default = stdout_of(BASE[command], capsys)
+        for key in sorted(reads - {"out"}):
+            flagged = with_key(command, key, TABLE_VALUES[key])
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key.replace('_', '-')} = {TABLE_VALUES[key]}\n", encoding="utf-8")
+            via_file = stdout_of(flagged[:-2] + ["--config", str(cfg)], capsys)
+            via_flag = stdout_of(flagged, capsys)
+            assert via_file == via_flag, (command, key)
+            if key == "workers":
+                # a sweep's output is the same whatever --workers says
+                assert via_flag == default, command
+            elif (command, key) in BOUND_ONLY:
+                assert data_of(via_flag) == data_of(default) and via_flag != default
+                argv = with_key(command, key, BOUND_ONLY[command, key])
+                assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+                assert "k*L_qd" in capsys.readouterr().err
+            else:
+                assert data_of(via_flag) != data_of(default), (command, key)
 
 
 def test_printed_config_keys_are_the_table(capsys):
-    printed = {key for key, spec in cli._KEYS.items() if spec.fmt}
-    assert config_keys(stdout_of(["interface-sweep", "--range", "100:101:5"], capsys)) == printed
-    assert config_keys(stdout_of(["nanowire-sweep", "--range", "20:21:5"], capsys)) == \
-        printed | {"orientation"}
-    assert config_keys(stdout_of(["field-map", "--nr", "2", "--nz", "2"], capsys)) == \
-        printed - {"range"} | {"window", "samples"}
+    for command, reads in READS.items():
+        assert recorded_config(stdout_of(BASE[command], capsys)) == \
+            reads - {"out", "workers"} | OWN_ENTRIES.get(command, set()), command
 
 
 def test_run_config_fields_are_the_table():
@@ -378,7 +469,7 @@ def test_config_file_bad_value_names_line_and_key(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [("--host-n", "abc"), ("--lambda0", "abc"),
                                          ("--workers", "1.5")])
 def test_flag_bad_value_names_the_key(tmp_path, capsys, flag, value):
-    rc = main(["report", flag, value, "--out", str(tmp_path / "x")])
+    rc = main(["interface-sweep", flag, value, "--out", str(tmp_path / "x")])
     assert rc == 2
     key = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"mesoqed: bad value {value!r} for {key}\n"
@@ -441,8 +532,8 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["field-map", "--zmax", "inf", "--nr", "2", "--nz", "2"], 2),
     (["field-map", "--rmin", "nan"], 2),
     (["field-map", "--rmax", "inf"], 2),
-    (["moments", "--metal-n", "nan+1j"], 2),
-    (["moments", "--metal-n", "1-1j"], 2),
+    (["moments", "--host-n", "nan+1j"], 2),
+    (["moments", "--host-n", "1-1j"], 2),
     (["moments", "--host-n", "3.42+0.1j"], 2),
     (["field-map", "--rmax", "30000", "--nr", "3", "--nz", "2"], 0),
     (["nanowire-sweep", "--range", "30000:30001:5"], 3),
@@ -475,9 +566,9 @@ def test_field_map_reads_zero_where_k_underflows(tmp_path):
     assert rows[4:] == ["30000,0,0,0,0,0", "30000,500,0,0,0,0"]
 
 
-# edge values for every common flag except --workers (a draw must not
-# start a process pool); one-point sweeps and a 3 x 2 map keep each run
-# far below core.MAX_POINTS
+# edge values for every run parameter with a number; one-point sweeps
+# and a 3 x 2 map keep each run far below core.MAX_POINTS, and a
+# one-point sweep starts no process pool whatever --workers says
 EDGE_VALUES = ("0", "-1", "1e300", "1e-300", "-1e300", "nan", "inf", "-inf")
 FUZZ_FLAGS = {
     "lambda0": EDGE_VALUES,
@@ -487,6 +578,7 @@ FUZZ_FLAGS = {
     "host-n": EDGE_VALUES + ("3.42+0.1j", "-3.42", "3.42-1j"),
     "metal-n": EDGE_VALUES + ("1-1j", "nan+1j", "0.2+infj", "3.42"),
     "tol": ("1e-14", "1e-3", "9.9e-15", "1.1e-3"),
+    "workers": ("0", "-1", "1.5", "1e300", "100000"),
 }
 FUZZ_COMMANDS = (
     ("interface-sweep", "--range", "20:21:5"),
@@ -497,6 +589,13 @@ FUZZ_COMMANDS = (
     ("moments",),
     ("report",),
 )
+
+
+def fuzz_run(command):
+    """command with edge values for some of the flags it declares."""
+    own = {flag: st.sampled_from(values) for flag, values in FUZZ_FLAGS.items()
+           if flag.replace("-", "_") in READS[command[0]]}
+    return st.tuples(st.just(command), st.fixed_dictionaries({}, optional=own))
 
 
 def assert_numbers_finite(text):
@@ -528,25 +627,25 @@ def assert_numbers_finite(text):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(command=st.sampled_from(FUZZ_COMMANDS),
-       flags=st.fixed_dictionaries({}, optional={
-           key: st.sampled_from(values) for key, values in FUZZ_FLAGS.items()}))
-@example(command=("moments",), flags={"metal-n": "nan+1j"})
-@example(command=("moments",), flags={"metal-n": "1-1j"})
-@example(command=("moments",), flags={"host-n": "3.42+0.1j"})
-@example(command=("dispersion",), flags={"host-n": "-3.42"})
-@example(command=FUZZ_COMMANDS[0], flags={"ratio": "1e300"})
-@example(command=FUZZ_COMMANDS[1], flags={"radius": "1e-300"})
-@example(command=FUZZ_COMMANDS[2], flags={"tol": "1e-14"})
-@example(command=FUZZ_COMMANDS[0], flags={"lambda0": "1e300", "tol": "1e-3"})
-@example(command=FUZZ_COMMANDS[0], flags={"lambda0": "1e300", "host-n": "1e-300"})
-@example(command=("report",), flags={"ratio": "-1e300"})
-@example(command=("moments",), flags={"lambda0": "1e-300"})
-def test_cli_exits_0_2_or_3_on_edge_inputs(command, flags):
+@given(run=st.sampled_from(FUZZ_COMMANDS).flatmap(fuzz_run))
+@example(run=(("moments",), {"host-n": "3.42+0.1j"}))
+@example(run=(("dispersion",), {"host-n": "-3.42"}))
+@example(run=(FUZZ_COMMANDS[0], {"ratio": "1e300"}))
+@example(run=(FUZZ_COMMANDS[1], {"radius": "1e-300"}))
+@example(run=(FUZZ_COMMANDS[2], {"tol": "1e-14"}))
+@example(run=(FUZZ_COMMANDS[0], {"lambda0": "1e300", "tol": "1e-3"}))
+@example(run=(FUZZ_COMMANDS[0], {"lambda0": "1e300", "host-n": "1e-300"}))
+@example(run=(("report",), {"ratio": "-1e300"}))
+@example(run=(("moments",), {"lambda0": "1e-300"}))
+@example(run=(FUZZ_COMMANDS[0], {"workers": "100000"}))
+@example(run=(FUZZ_COMMANDS[1], {"workers": "1e300"}))
+def test_cli_exits_0_2_or_3_on_edge_inputs(run):
+    command, flags = run
     argv = list(command) + [f"--{key}={value}" for key, value in flags.items()]
     out, err = io.StringIO(), io.StringIO()
+    pool = AssertionError("a one-point sweep asked for a process pool")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
+            warnings.catch_warnings(), patch.object(cli, "ProcessPoolExecutor", side_effect=pool):
         warnings.simplefilter("ignore", RuntimeWarning)
         code = main(argv)
     assert code in (0, 2, 3), argv

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -306,6 +305,9 @@ def _map_points(cfg: RunConfig, label: str, values: list, worker) -> list:
     size = min(cfg.workers, len(tasks), os.cpu_count() or 1)
     if size == 1:
         return [_point(t) for t in tasks]
+    # the pool module loads multiprocessing: only a run that starts a pool pays for it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(_point, tasks))
 

@@ -5,12 +5,16 @@ silent overflow into explicit errors and pin the branch conventions the
 rest of the package relies on. Scalar inputs return python complex;
 numpy arrays pass through elementwise, and an integer array of orders
 broadcasts against the argument.
+
+Importing this module loads numpy only: scipy.special is imported on
+the first Bessel call and kept as the module attribute ``_sp``. Only
+wire code calls these functions, so the interface and moment layers
+never load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import OutOfDomainError, ParameterError
 
@@ -18,8 +22,29 @@ from .errors import OutOfDomainError, ParameterError
 _OVERFLOW_ARG = 690.0
 
 
+def _special():
+    """scipy.special, imported on the first call and kept as ``_sp``."""
+    global _sp
+    try:
+        return _sp
+    except NameError:
+        import scipy.special
+
+        _sp = scipy.special
+        return _sp
+
+
+def __getattr__(name):
+    # ``specfun._sp`` reads (and so loads) scipy.special before any call
+    if name == "_sp":
+        return _special()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _check_order(order):
-    if not isinstance(order, (int, np.integer)):
+    # bool is an int, but True is no Bessel order: it takes the array
+    # path, whose bool dtype is refused like np.True_
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         # an array of orders, broadcast against z by the caller's ufunc
         arr = np.asarray(order)
         if not np.issubdtype(arr.dtype, np.integer) or np.any(arr < 0):
@@ -57,8 +82,9 @@ def bessel_ik(order: int, z) -> tuple:
     order, zc = _principal(order, z, "bessel_ik")
     if np.any(zc.real > _OVERFLOW_ARG):
         raise OutOfDomainError(f"bessel_ik: Re z > {_OVERFLOW_ARG} overflows I")
-    i_val = _finish(_sp.iv(order, zc), "bessel_ik (I)")
-    k_val = _finish(_sp.kv(order, zc), "bessel_ik (K)")
+    sp = _special()
+    i_val = _finish(sp.iv(order, zc), "bessel_ik (I)")
+    k_val = _finish(sp.kv(order, zc), "bessel_ik (K)")
     return i_val, k_val
 
 
@@ -69,7 +95,7 @@ def bessel_k(order, z):
     0 where I would overflow.
     """
     order, zc = _principal(order, z, "bessel_k")
-    return _finish(_sp.kv(order, zc), "bessel_k")
+    return _finish(_special().kv(order, zc), "bessel_k")
 
 
 def bessel_ik_scaled(order, z) -> tuple:
@@ -82,8 +108,9 @@ def bessel_ik_scaled(order, z) -> tuple:
     exp(|Re a| - b).
     """
     order, zc = _principal(order, z, "bessel_ik_scaled")
-    i_val = _finish(_sp.ive(order, zc), "bessel_ik_scaled (I)")
-    k_val = _finish(_sp.kve(order, zc), "bessel_ik_scaled (K)")
+    sp = _special()
+    i_val = _finish(sp.ive(order, zc), "bessel_ik_scaled (I)")
+    k_val = _finish(sp.kve(order, zc), "bessel_ik_scaled (K)")
     return i_val, k_val
 
 
@@ -93,4 +120,4 @@ def bessel_k_scaled(order, z):
     Same order and domain guards; for callers that need no I at z.
     """
     order, zc = _principal(order, z, "bessel_k_scaled")
-    return _finish(_sp.kve(order, zc), "bessel_k_scaled")
+    return _finish(_special().kve(order, zc), "bessel_k_scaled")

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import concurrent.futures
 import contextlib
 import importlib.util
 import io
@@ -83,9 +84,10 @@ class FakePool:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    # no process starts: every pool the CLI asks for is a FakePool
+    # no process starts: every pool the CLI asks for is a FakePool (the
+    # CLI imports the pool class from concurrent.futures when it starts one)
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: FakePool(sizes, max_workers))
     return sizes
 
@@ -645,7 +647,8 @@ def test_cli_exits_0_2_or_3_on_edge_inputs(run):
     out, err = io.StringIO(), io.StringIO()
     pool = AssertionError("a one-point sweep asked for a process pool")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(), patch.object(cli, "ProcessPoolExecutor", side_effect=pool):
+            warnings.catch_warnings(), \
+            patch.object(concurrent.futures, "ProcessPoolExecutor", side_effect=pool):
         warnings.simplefilter("ignore", RuntimeWarning)
         code = main(argv)
     assert code in (0, 2, 3), argv
@@ -694,6 +697,42 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
     assert rows == [GOLDEN_WIRE_AXIAL_20]
 
 
+def test_interface_and_moments_leave_scipy_and_the_pool_out(tmp_path):
+    # a fresh interpreter: importing the CLI, a one-point interface sweep
+    # and moments load neither scipy nor the process pool's module; the
+    # wire's first Bessel call (report, then nanowire-sweep) loads
+    # scipy.special, and both still print the golden output
+    absent = ("scipy", "scipy.special", "concurrent.futures.process")
+    code = (
+        "import json, sys\n"
+        "from mesoqed.cli import main\n"
+        f"loaded = lambda: json.dumps([name in sys.modules for name in {absent!r}])\n"
+        "print(loaded())\n"
+        f"assert main(['interface-sweep', '--range', '20:21:5', '--out', "
+        f"{str(tmp_path / 'iface.csv')!r}]) == 0\n"
+        f"assert main(['moments', '--out', {str(tmp_path / 'moments.json')!r}]) == 0\n"
+        "print(loaded())\n"
+        f"assert main(['report', '--out', {str(tmp_path / 'report.json')!r}]) == 0\n"
+        f"assert main(['nanowire-sweep', '--range', '20:21:5', '--out', "
+        f"{str(tmp_path / 'wire.csv')!r}]) == 0\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    before, after_interface, after_wire = proc.stdout.split("\n")[:3]
+    assert json.loads(before) == json.loads(after_interface) == [False, False, False]
+    assert after_wire == "True"
+    assert (tmp_path / "iface.csv").read_text(encoding="utf-8") == \
+        run_text(["interface-sweep", "--range", "20:21:5"], tmp_path, "iface-ref.csv")
+    assert (tmp_path / "moments.json").read_text(encoding="utf-8") == \
+        run_text(["moments"], tmp_path, "moments-ref.json")
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
+        run_text(["report"], tmp_path, "ref.json")
+    _, rows = data_rows((tmp_path / "wire.csv").read_text(encoding="utf-8"))
+    assert rows == [GOLDEN_WIRE_AXIAL_20]
+
+
 @pytest.mark.parametrize("module, heavy", [
     ("mesoqed", "numpy"),
     ("mesoqed.errors", "numpy"),
@@ -702,10 +741,14 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
     ("mesoqed.rates", "numpy"),
     ("mesoqed.halfspace", "scipy"),
     ("mesoqed.quadrature", "scipy"),
+    ("mesoqed.specfun", "scipy"),
+    ("mesoqed.nanowire", "scipy"),
+    ("mesoqed.cli", "scipy"),
 ])
 def test_import_loads_only_what_the_module_imports(module, heavy):
     # a fresh interpreter: the package binds no submodule, the
-    # pure-Python layers leave numpy out and the interface leaves scipy out
+    # pure-Python layers leave numpy out, and no module loads scipy at
+    # import (specfun imports scipy.special on its first Bessel call)
     code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, env=CHILD_ENV)

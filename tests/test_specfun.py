@@ -144,10 +144,16 @@ def test_order_validation():
             fn(-1)
         with pytest.raises(ParameterError):
             fn(1.5)
-    for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([1.0, 2.0])):
+    for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([1.0, 2.0]), [True],
+                np.array([False])):
         for fn in (bessel_ik_scaled, bessel_k_scaled):
             with pytest.raises(ParameterError):
                 fn(bad, np.ones(len(bad)))
+    # bool is an int to isinstance, but True is no order 1 (nor False 0)
+    for fn in (bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled):
+        for bad in (True, False, np.True_):
+            with pytest.raises(ParameterError, match="order must be a non-negative integer"):
+                fn(bad, 1.0)
 
 
 def test_bessel_j_rejects_huge_imaginary_part():

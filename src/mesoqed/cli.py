@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import __version__, core, halfspace, nanowire
@@ -61,11 +60,11 @@ def _fmt_range(sweep) -> str:
     return ":".join(_fmt(v) for v in sweep)
 
 
-def _entry(value, convention: str, units: str | None = None, **extra) -> dict:
+def _entry(value, convention: str, units: str | None = None, **fields) -> dict:
     """One JSON figure; a complex value is written as {"re", "im"}."""
     if isinstance(value, complex):
         value = {"re": value.real, "im": value.imag}
-    entry = {"value": value, "convention": convention, **extra}
+    entry = {"value": value, "convention": convention, **fields}
     if units is not None:
         entry["units"] = units
     return entry
@@ -91,7 +90,11 @@ class _Key(NamedTuple):
     help: str
 
 
-# Every run parameter; its name is the RunConfig field, flag dest and config key
+# the envelope of `report`'s lambda_zx check and the defaults of `moments`
+_ENVELOPE = qd.GaussianEnvelopes(2.0, 5.0, 2.5)
+
+# Every run parameter; its name is the flag dest, the config key and the
+# attribute of the resolved config
 _KEYS = {
     "lambda0": _Key(core.PAPER_LAMBDA0_NM, float, _fmt, "vacuum wavelength [nm]"),
     "ratio": _Key(core.PAPER_RATIO_NM, float, _fmt,
@@ -109,62 +112,29 @@ _KEYS = {
     "out": _Key("-", str, None, "output file, '-' for stdout (default)"),
     "orientation": _Key(nanowire.AXIAL, str, str, "dipole orientation: axial (default) or radial"),
     "range": _Key(None, _parse_range, _fmt_range, "sweep MIN:MAX:STEP [nm]"),
+    "rmin": _Key(0.0, float, _fmt, "grid start in r [nm]"),
+    "rmax": _Key(None, float, _fmt, "grid end in r [nm] (default radius + 120)"),
+    "zmin": _Key(0.0, float, _fmt, "grid start in z [nm]"),
+    "zmax": _Key(500.0, float, _fmt, "grid end in z [nm]"),
+    "nr": _Key(81, int, _fmt, "samples along r"),
+    "nz": _Key(161, int, _fmt, "samples along z"),
+    "sigma_e": _Key(_ENVELOPE.sigma_e, float, _fmt, "electron envelope HWHM [nm]"),
+    "mass_ratio": _Key(_ENVELOPE.mass_ratio, float, _fmt, "hole-to-electron mass ratio"),
+    "shift": _Key(_ENVELOPE.shift, float, _fmt, "electron-hole center separation [nm]"),
 }
 
 # The run parameters each subcommand reads, in _KEYS order
 _READS = {
     "interface-sweep": ("lambda0", "ratio", "lqd", "host_n", "metal_n", "tol", "workers",
                         "out", "range"),
-    "nanowire-sweep": tuple(_KEYS),
+    "nanowire-sweep": ("lambda0", "ratio", "radius", "lqd", "host_n", "metal_n", "tol",
+                       "workers", "out", "orientation", "range"),
     "dispersion": ("lambda0", "radius", "host_n", "metal_n", "out"),
-    "field-map": ("lambda0", "radius", "host_n", "metal_n", "out"),
-    "moments": ("lambda0", "lqd", "host_n", "out"),
+    "field-map": ("lambda0", "radius", "host_n", "metal_n", "out",
+                  "rmin", "rmax", "zmin", "zmax", "nr", "nz"),
+    "moments": ("lambda0", "lqd", "host_n", "out", "sigma_e", "mass_ratio", "shift"),
     "report": ("lambda0", "ratio", "radius", "lqd", "host_n", "metal_n", "out"),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters; a subcommand reads its _READS of them."""
-
-    lambda0: float
-    host_n: complex
-    metal_n: complex
-    ratio: float
-    lqd: float
-    radius: float
-    tol: float
-    workers: int
-    out: str
-    orientation: str
-    range: tuple | None
-
-    def __post_init__(self):
-        for name in ("lambda0", "lqd", "radius"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise UsageError(f"{name} must be a positive number, got {v!r}")
-        if not math.isfinite(self.ratio):
-            raise UsageError(f"ratio must be finite, got {self.ratio!r}")
-        if not (_TOL_MIN <= self.tol <= _TOL_MAX):
-            raise UsageError(
-                f"tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}], got {self.tol:g}"
-            )
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise UsageError(f"workers must be a positive integer, got {self.workers!r}")
-        if self.orientation not in (nanowire.AXIAL, nanowire.RADIAL):
-            raise UsageError(f"orientation must be axial or radial, got {self.orientation!r}")
-        if self.range is not None:
-            lo, hi, step = self.range
-            if not all(math.isfinite(v) for v in self.range):
-                raise UsageError(f"sweep range must be finite, got {_fmt_range(self.range)}")
-            if not lo < hi:
-                raise UsageError(f"sweep range is empty: need MIN < MAX, got {_fmt_range(self.range)}")
-            if not step > 0.0:
-                raise UsageError(f"sweep step must be positive, got {_fmt(step)}")
-        # the geometries' checks, for the subcommands that build none
-        core.check_host(_host(self))
-        _metal(self)
 
 
 def _cast(key: str, text: str, where: str = "") -> object:
@@ -193,7 +163,8 @@ def _apply_config_file(values: dict, path: str, command: str) -> None:
         values[key] = _cast(key, text.strip(), f"{path}:{lineno}: ")
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Every run parameter (default, then config file, then flag), checked."""
     values = {key: spec.default for key, spec in _KEYS.items()}
     if args.config:
         _apply_config_file(values, args.config, args.command)
@@ -201,47 +172,71 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         text = getattr(args, key)
         if text is not None:
             values[key] = _cast(key, text)
-    return RunConfig(**values)
+    if values["rmax"] is None:
+        values["rmax"] = values["radius"] + 120.0
+    cfg = argparse.Namespace(**values)
+    for name in ("lambda0", "lqd", "radius"):
+        v = getattr(cfg, name)
+        if not (math.isfinite(v) and v > 0.0):
+            raise UsageError(f"{name} must be a positive number, got {v!r}")
+    if not math.isfinite(cfg.ratio):
+        raise UsageError(f"ratio must be finite, got {cfg.ratio!r}")
+    if not (_TOL_MIN <= cfg.tol <= _TOL_MAX):
+        raise UsageError(f"tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}], got {cfg.tol:g}")
+    if not cfg.workers >= 1:
+        raise UsageError(f"workers must be a positive integer, got {cfg.workers!r}")
+    if cfg.orientation not in (nanowire.AXIAL, nanowire.RADIAL):
+        raise UsageError(f"orientation must be axial or radial, got {cfg.orientation!r}")
+    if cfg.range is not None:
+        lo, hi, step = cfg.range
+        if not all(math.isfinite(v) for v in cfg.range):
+            raise UsageError(f"sweep range must be finite, got {_fmt_range(cfg.range)}")
+        if not lo < hi:
+            raise UsageError(f"sweep range is empty: need MIN < MAX, got {_fmt_range(cfg.range)}")
+        if not step > 0.0:
+            raise UsageError(f"sweep step must be positive, got {_fmt(step)}")
+    # the geometries' checks, for the subcommands that build none
+    core.check_host(_host(cfg))
+    _metal(cfg)
+    return cfg
 
 
-def _config_entries(command: str, cfg: RunConfig, extra: dict | None = None) -> dict:
-    entries = {key: _KEYS[key].fmt(getattr(cfg, key)) for key in _READS[command] if _KEYS[key].fmt}
-    entries.update(extra or {})
-    return entries
+def _config_entries(command: str, cfg: argparse.Namespace) -> dict:
+    return {key: _KEYS[key].fmt(getattr(cfg, key)) for key in _READS[command] if _KEYS[key].fmt}
 
 
 # ------------------------------------------------------------ shared pieces
 
 
-def _host(cfg: RunConfig) -> Material:
+def _host(cfg: argparse.Namespace) -> Material:
     return Material("host", cfg.host_n)
 
 
-def _metal(cfg: RunConfig) -> Material:
+def _metal(cfg: argparse.Namespace) -> Material:
     return Material("metal", cfg.metal_n)
 
 
-def _k_host(cfg: RunConfig) -> float:
+def _k_host(cfg: argparse.Namespace) -> float:
     return wavevector(_host(cfg), cfg.lambda0).real
 
 
-def _moments(cfg: RunConfig) -> EmitterMoments:
+def _moments(cfg: argparse.Namespace) -> EmitterMoments:
     return EmitterMoments(lambda_over_mu=cfg.ratio, l_qd=cfg.lqd)
 
 
-def _interface_geom(cfg: RunConfig, h: float) -> halfspace.InterfaceGeometry:
+def _interface_geom(cfg: argparse.Namespace, h: float) -> halfspace.InterfaceGeometry:
     return halfspace.InterfaceGeometry(
         upper=_host(cfg), lower=_metal(cfg), h=h, lambda0=cfg.lambda0
     )
 
 
-def _wire_geom(cfg: RunConfig) -> nanowire.WireGeometry:
+def _wire_geom(cfg: argparse.Namespace) -> nanowire.WireGeometry:
     return nanowire.WireGeometry(
         rho=cfg.radius, metal=_metal(cfg), host=_host(cfg), lambda0=cfg.lambda0
     )
 
 
-def _sweep_values(cfg: RunConfig, what: str) -> list:
+def _sweep_values(cfg: argparse.Namespace, what: str) -> list:
     if cfg.range is None:
         raise UsageError(f"{what} needs --range MIN:MAX:STEP (or 'range' in the config file)")
     lo, hi, step = cfg.range
@@ -254,7 +249,7 @@ def _sweep_values(cfg: RunConfig, what: str) -> list:
     return [lo + i * step for i in range(n)]
 
 
-def _interface_row(cfg: RunConfig, h: float) -> tuple:
+def _interface_row(cfg: argparse.Namespace, h: float) -> tuple:
     pt = halfspace.interface_point(_interface_geom(cfg, h), _moments(cfg), rel_tol=cfg.tol)
     lad = pt.ladder
     scale = cfg.lqd / pt.norm
@@ -273,7 +268,7 @@ def _interface_row(cfg: RunConfig, h: float) -> tuple:
     )
 
 
-def _wire_row(cfg: RunConfig, d: float) -> tuple:
+def _wire_row(cfg: argparse.Namespace, d: float) -> tuple:
     geom = _wire_geom(cfg)
     lad = nanowire.plasmon_rates(geom, d, _moments(cfg), cfg.orientation)
     bg = nanowire.quasistatic_background(geom, d, cfg.orientation, rel_tol=cfg.tol)
@@ -299,7 +294,7 @@ def _point(task) -> tuple:
         raise exc.__class__(f"{label} = {_fmt(value)}: {exc}") from exc
 
 
-def _map_points(cfg: RunConfig, label: str, values: list, worker) -> list:
+def _map_points(cfg: argparse.Namespace, label: str, values: list, worker) -> list:
     tasks = [(worker, label, cfg, v) for v in values]
     # a pool starts all its processes at once: no more than points or CPUs
     size = min(cfg.workers, len(tasks), os.cpu_count() or 1)
@@ -312,10 +307,10 @@ def _map_points(cfg: RunConfig, label: str, values: list, worker) -> list:
         return list(pool.map(_point, tasks))
 
 
-def _csv_text(command: str, cfg: RunConfig, conventions: list, header: list, rows: list,
-              extra: dict | None = None) -> str:
+def _csv_text(command: str, cfg: argparse.Namespace, conventions: list, header: list,
+              rows: list) -> str:
     lines = [f"# mesoqed {__version__}", f"# command: {command}"]
-    for key, value in sorted(_config_entries(command, cfg, extra).items()):
+    for key, value in sorted(_config_entries(command, cfg).items()):
         lines.append(f"# config: {key} = {value}")
     for note in conventions:
         lines.append(f"# convention: {note}")
@@ -325,17 +320,17 @@ def _csv_text(command: str, cfg: RunConfig, conventions: list, header: list, row
     return "\n".join(lines) + "\n"
 
 
-def _json_text(command: str, cfg: RunConfig, payload: dict, extra: dict | None = None) -> str:
+def _json_text(command: str, cfg: argparse.Namespace, payload: dict) -> str:
     doc = dict(payload)
     doc["meta"] = {
         "version": __version__,
         "command": command,
-        "config": _config_entries(command, cfg, extra),
+        "config": _config_entries(command, cfg),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _sweep_text(cfg: RunConfig, command: str, label: str, worker, header: list,
+def _sweep_text(cfg: argparse.Namespace, command: str, label: str, worker, header: list,
                 conventions: list) -> str:
     rows = _map_points(cfg, label, _sweep_values(cfg, command), worker)
     conventions = ["rates normalized to the homogeneous-host emission rate", *conventions]
@@ -346,17 +341,18 @@ def _v_g(mode: nanowire.GuidedMode) -> dict:
     return _entry(mode.v_g, "group velocity at frozen material permittivities", "nm/fs")
 
 
-def _n_eff(cfg: RunConfig, mode: nanowire.GuidedMode) -> dict:
+def _n_eff(cfg: argparse.Namespace, mode: nanowire.GuidedMode) -> dict:
     return _entry(mode.k_sp / (2.0 * math.pi / cfg.lambda0), "k_sp / k0", "dimensionless")
 
 
-def _lambda_zx(cfg: RunConfig, env: qd.GaussianEnvelopes, convention: str, **extra) -> dict:
+def _lambda_zx(cfg: argparse.Namespace, env: qd.GaussianEnvelopes, convention: str,
+               **fields) -> dict:
     est = qd.lambda_zx_estimate(env)
     return _entry(est, convention, "nm",
-                  significance_2k=qd.lambda_zx_significance(est, _k_host(cfg)), **extra)
+                  significance_2k=qd.lambda_zx_significance(est, _k_host(cfg)), **fields)
 
 
-def _omega(cfg: RunConfig) -> dict:
+def _omega(cfg: argparse.Namespace) -> dict:
     vac = qd.omega_negligibility(2.0 * math.pi / cfg.lambda0, cfg.lqd)
     host = qd.omega_negligibility(_k_host(cfg), cfg.lqd)
     return _entry(vac.value,
@@ -368,11 +364,7 @@ def _omega(cfg: RunConfig) -> dict:
 # ----------------------------------------------------------------- commands
 
 
-# the envelope of `report`'s lambda_zx check and the defaults of `moments`
-_ENVELOPE = qd.GaussianEnvelopes(2.0, 5.0, 2.5)
-
-
-def _cmd_interface_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
+def _cmd_interface_sweep(cfg: argparse.Namespace) -> str:
     header = ["h", "gamma0", "gamma1", "gamma2", "total_direct", "total_inverted",
               "rad", "pl", "ls", "b_yx_norm", "q_xz_norm"]
     return _sweep_text(cfg, "interface-sweep", "h", _interface_row, header, [
@@ -382,7 +374,7 @@ def _cmd_interface_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
     ])
 
 
-def _cmd_nanowire_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
+def _cmd_nanowire_sweep(cfg: argparse.Namespace) -> str:
     header = ["d", "gamma0_pl", "gamma1_pl", "gamma2_pl", "background",
               "total_direct", "total_inverted"]
     return _sweep_text(cfg, "nanowire-sweep", "d", _wire_row, header, [
@@ -393,7 +385,7 @@ def _cmd_nanowire_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
     ])
 
 
-def _cmd_dispersion(cfg: RunConfig, args: argparse.Namespace) -> str:
+def _cmd_dispersion(cfg: argparse.Namespace) -> str:
     mode = nanowire.solve_dispersion(_wire_geom(cfg))
     return _json_text("dispersion", cfg, {
         "k_sp": _entry(mode.k_sp, "guided-mode wavevector, Im > 0 decaying", "rad/nm"),
@@ -407,11 +399,9 @@ def _cmd_dispersion(cfg: RunConfig, args: argparse.Namespace) -> str:
     })
 
 
-def _cmd_field_map(cfg: RunConfig, args: argparse.Namespace) -> str:
-    r_max = args.rmax if args.rmax is not None else cfg.radius + 120.0
+def _cmd_field_map(cfg: argparse.Namespace) -> str:
     window = nanowire.FieldWindow(
-        r_min=args.rmin, r_max=r_max, z_min=args.zmin, z_max=args.zmax,
-        n_r=args.nr, n_z=args.nz,
+        r_min=cfg.rmin, r_max=cfg.rmax, z_min=cfg.zmin, z_max=cfg.zmax, n_r=cfg.nr, n_z=cfg.nz,
     )
     fm = nanowire.field_map(_wire_geom(cfg), window)
     rows = []
@@ -420,20 +410,15 @@ def _cmd_field_map(cfg: RunConfig, args: argparse.Namespace) -> str:
             er = fm.e_r[i, j]
             ez = fm.e_z[i, j]
             rows.append((r, z, er.real, er.imag, ez.real, ez.imag))
-    extra = {
-        "window": f"r:{_fmt(window.r_min)}:{_fmt(window.r_max)}"
-                  f" z:{_fmt(window.z_min)}:{_fmt(window.z_max)}",
-        "samples": f"{window.n_r}x{window.n_z}",
-    }
     conventions = ["complex mode field, normalized cross-section power integral;"
                    " real part = instantaneous field"]
     return _csv_text("field-map", cfg, conventions,
-                     ["r", "z", "e_r_re", "e_r_im", "e_z_re", "e_z_im"], rows, extra)
+                     ["r", "z", "e_r_re", "e_r_im", "e_z_re", "e_z_im"], rows)
 
 
-def _cmd_moments(cfg: RunConfig, args: argparse.Namespace) -> str:
+def _cmd_moments(cfg: argparse.Namespace) -> str:
     pattern = qd.allowed_moments(qd.LENS_SHAPED_TABLE)
-    env = qd.GaussianEnvelopes(sigma_e=args.sigma_e, mass_ratio=args.mass_ratio, shift=args.shift)
+    env = qd.GaussianEnvelopes(sigma_e=cfg.sigma_e, mass_ratio=cfg.mass_ratio, shift=cfg.shift)
     payload = {
         "allowed_mu": list(pattern.allowed_mu_axes()),
         "allowed_lambda": ["".join(pair) for pair in pattern.allowed_lambda_entries()],
@@ -441,15 +426,10 @@ def _cmd_moments(cfg: RunConfig, args: argparse.Namespace) -> str:
                                 "Gaussian-envelope growth-axis moment per dipole moment"),
         "omega_check": _omega(cfg),
     }
-    extra = {
-        "sigma_e": _fmt(args.sigma_e),
-        "mass_ratio": _fmt(args.mass_ratio),
-        "shift": _fmt(args.shift),
-    }
-    return _json_text("moments", cfg, payload, extra)
+    return _json_text("moments", cfg, payload)
 
 
-def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> str:
+def _cmd_report(cfg: argparse.Namespace) -> str:
     mom = _moments(cfg)
     fom_if = figures_of_merit(_k_host(cfg), mom)
     mode = nanowire.solve_dispersion(_wire_geom(cfg))
@@ -477,7 +457,7 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> str:
 # ------------------------------------------------------------------ parser
 
 
-def _command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+def _command(sub, name: str, handler, help: str) -> None:
     """A subcommand with a flag per run parameter it reads, run by handler."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--config", metavar="FILE",
@@ -485,7 +465,6 @@ def _command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
     for key in _READS[name]:
         p.add_argument("--" + key.replace("_", "-"), help=_KEYS[key].help)
     p.set_defaults(handler=handler)
-    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -501,23 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _command(sub, "nanowire-sweep", _cmd_nanowire_sweep,
              "plasmon ladder and background vs wire distance")
     _command(sub, "dispersion", _cmd_dispersion, "guided-mode data of the wire")
-
-    p = _command(sub, "field-map", _cmd_field_map, "complex mode field on an (r, z) grid")
-    p.add_argument("--rmin", type=float, default=0.0, help="grid start in r [nm]")
-    p.add_argument("--rmax", type=float, help="grid end in r [nm] (default radius + 120)")
-    p.add_argument("--zmin", type=float, default=0.0, help="grid start in z [nm]")
-    p.add_argument("--zmax", type=float, default=500.0, help="grid end in z [nm]")
-    p.add_argument("--nr", type=int, default=81, help="samples along r")
-    p.add_argument("--nz", type=int, default=161, help="samples along z")
-
-    p = _command(sub, "moments", _cmd_moments, "moment symmetry pattern and smallness checks")
-    p.add_argument("--sigma-e", dest="sigma_e", type=float, default=_ENVELOPE.sigma_e,
-                   help="electron envelope HWHM [nm]")
-    p.add_argument("--mass-ratio", dest="mass_ratio", type=float,
-                   default=_ENVELOPE.mass_ratio, help="hole-to-electron mass ratio")
-    p.add_argument("--shift", type=float, default=_ENVELOPE.shift,
-                   help="electron-hole center separation [nm]")
-
+    _command(sub, "field-map", _cmd_field_map, "complex mode field on an (r, z) grid")
+    _command(sub, "moments", _cmd_moments, "moment symmetry pattern and smallness checks")
     _command(sub, "report", _cmd_report, "headline figures as JSON")
     return parser
 
@@ -535,7 +499,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        text = args.handler(cfg, args)
+        text = args.handler(cfg)
     except UsageError as exc:
         print(f"mesoqed: {exc}", file=sys.stderr)
         return 2

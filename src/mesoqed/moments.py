@@ -16,6 +16,7 @@ neglected second-order moment.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -171,12 +172,20 @@ def lambda_zx_estimate(env: GaussianEnvelopes) -> float:
     z_h = 0.0
     z_e = z_h + env.shift
 
-    var_sum = s_e * s_e + s_h * s_h
+    var_e = s_e * s_e
+    var_h = s_h * s_h
+    # each variance, and so each weight 1/variance, a finite nonzero double
+    if not all(sys.float_info.min <= v <= sys.float_info.max for v in (var_e, var_h)):
+        raise ParameterError(
+            f"envelope widths {env.sigma_e:g} and {env.sigma_h:g} nm"
+            " leave double range when squared"
+        )
+    var_sum = var_e + var_h
     if env.shift * env.shift / (2.0 * var_sum) > 700.0:
         raise ParameterError("electron and hole envelopes do not overlap")
 
-    w_e = 1.0 / (s_e * s_e)
-    w_h = 1.0 / (s_h * s_h)
+    w_e = 1.0 / var_e
+    w_h = 1.0 / var_h
     centroid = (w_e * z_e + w_h * z_h) / (w_e + w_h)
 
     xi = env.mass_ratio

@@ -613,13 +613,17 @@ def field_map(geom: WireGeometry, window: FieldWindow) -> FieldMap:
         e_r, e_z = mode.raw(float(r))
         prof_r[i] = mode.norm * e_r
         prof_z[i] = mode.norm * e_z
-    phase = np.exp(1j * mode.k_sp * z_vals)
-    return FieldMap(
-        r=r_vals,
-        z=z_vals,
-        e_r=prof_r[:, None] * phase[None, :],
-        e_z=prof_z[:, None] * phase[None, :],
-    )
+    # Im k_sp > 0: the phase grows toward negative z and may overflow there
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(1j * mode.k_sp * z_vals)
+        e_r = prof_r[:, None] * phase[None, :]
+        e_z = prof_z[:, None] * phase[None, :]
+    if not (np.isfinite(e_r).all() and np.isfinite(e_z).all()):
+        raise ParameterError(
+            f"mode field is not finite over the window: e^(i k_sp z) overflows"
+            f" at z = {window.z_min:g} nm"
+        )
+    return FieldMap(r=r_vals, z=z_vals, e_r=e_r, e_z=e_z)
 
 
 def paper_wire(lambda0: float = PAPER_LAMBDA0_NM,

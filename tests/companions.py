@@ -32,7 +32,9 @@ from mesoqed.specfun import _OVERFLOW_ARG, _finish
 
 
 def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)) or order not in (0, 1):
+    # bool is an int to isinstance, but True is no order 1 (nor False 0)
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) \
+            or order not in (0, 1):
         raise ParameterError(f"order must be 0 or 1, got {order!r}")
     return int(order)
 

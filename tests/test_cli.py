@@ -12,7 +12,6 @@ import runpy
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
 from unittest.mock import MagicMock, patch
 
@@ -320,19 +319,10 @@ READS = {
     "nanowire-sweep": {"lambda0", "ratio", "radius", "lqd", "host_n", "metal_n", "tol",
                        "workers", "range", "orientation", "out"},
     "dispersion": {"lambda0", "radius", "host_n", "metal_n", "out"},
-    "field-map": {"lambda0", "radius", "host_n", "metal_n", "out"},
-    "moments": {"lambda0", "lqd", "host_n", "out"},
+    "field-map": {"lambda0", "radius", "host_n", "metal_n", "out",
+                  "rmin", "rmax", "zmin", "zmax", "nr", "nz"},
+    "moments": {"lambda0", "lqd", "host_n", "out", "sigma_e", "mass_ratio", "shift"},
     "report": {"lambda0", "ratio", "radius", "lqd", "host_n", "metal_n", "out"},
-}
-# flags of a subcommand that are not run parameters, and the `# config:`
-# entries they record
-OWN_FLAGS = {
-    "field-map": {"rmin", "rmax", "zmin", "zmax", "nr", "nz"},
-    "moments": {"sigma-e", "mass-ratio", "shift"},
-}
-OWN_ENTRIES = {
-    "field-map": {"window", "samples"},
-    "moments": {"sigma_e", "mass_ratio", "shift"},
 }
 # one quick run of each subcommand
 BASE = {
@@ -348,13 +338,19 @@ TABLE_VALUES = {
     "lambda0": "900", "ratio": "-7.5", "radius": "40", "lqd": "15",
     "host_n": "3.5", "metal_n": "0.25 + 6.5j", "tol": "1e-3", "workers": "2",
     "orientation": "radial", "range": "100:151:50",
+    "rmin": "10", "rmax": "200", "zmin": "-50", "zmax": "300", "nr": "3", "nz": "3",
+    "sigma_e": "3", "mass_ratio": "4", "shift": "1.5",
 }
 
 
 def with_key(command, key, value):
     """BASE run of command with the run parameter key set to value by a flag."""
-    argv = BASE[command][:1] if key == "range" else BASE[command]
-    return argv + ["--" + key.replace("_", "-"), value]
+    flag = "--" + key.replace("_", "-")
+    argv = BASE[command]
+    if flag in argv:  # the BASE run's own value goes, so a config file can set it
+        i = argv.index(flag)
+        argv = argv[:i] + argv[i + 2:]
+    return argv + [flag, value]
 
 
 def recorded_config(text):
@@ -378,8 +374,7 @@ def test_help_lists_exactly_the_keys_the_subcommand_reads(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     listed = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", capsys.readouterr().out))
-    assert listed == {key.replace("_", "-") for key in READS[command]} \
-        | OWN_FLAGS.get(command, set()) | {"help", "config"}
+    assert listed == {key.replace("_", "-") for key in READS[command]} | {"help", "config"}
 
 
 @pytest.mark.parametrize("command", sorted(READS))
@@ -404,6 +399,10 @@ def test_keys_the_subcommand_does_not_read_exit_2(command, tmp_path, capsys):
 # the wire's rates do not depend on lqd; it only bounds the expansion,
 # Re(k_sp)*lqd < 1, so a long enough emitter fails the sweep
 BOUND_ONLY = {("nanowire-sweep", "lqd"): "50"}
+# with the hole width tied to the mass ratio (equal hbar*omega, criterion
+# 10), lambda_zx vanishes for every envelope: these keys move `moments`'
+# data by roundoff at most
+ROUNDOFF_ONLY = {("moments", "sigma_e"), ("moments", "mass_ratio"), ("moments", "shift")}
 
 
 def test_every_table_key_reads_the_same_from_flag_and_file(tmp_path, capsys, pool_sizes):
@@ -427,6 +426,14 @@ def test_every_table_key_reads_the_same_from_flag_and_file(tmp_path, capsys, poo
                 argv = with_key(command, key, BOUND_ONLY[command, key])
                 assert main(argv + ["--out", str(tmp_path / "x")]) == 2
                 assert "k*L_qd" in capsys.readouterr().err
+            elif (command, key) in ROUNDOFF_ONLY:
+                doc, ref = data_of(via_flag), data_of(default)
+                moved, fixed = doc.pop("lambda_zx"), ref.pop("lambda_zx")
+                assert doc == ref and via_flag != default, key
+                for entry in (moved, fixed):
+                    assert abs(entry.pop("value")) < 1e-12
+                    assert abs(entry.pop("significance_2k")) < 1e-12
+                assert moved == fixed, key
             else:
                 assert data_of(via_flag) != data_of(default), (command, key)
 
@@ -434,13 +441,28 @@ def test_every_table_key_reads_the_same_from_flag_and_file(tmp_path, capsys, poo
 def test_printed_config_keys_are_the_table(capsys):
     for command, reads in READS.items():
         assert recorded_config(stdout_of(BASE[command], capsys)) == \
-            reads - {"out", "workers"} | OWN_ENTRIES.get(command, set()), command
+            reads - {"out", "workers"}, command
 
 
-def test_run_config_fields_are_the_table():
-    # one name per run parameter: RunConfig field, flag dest, config key
-    assert {f.name for f in fields(cli.RunConfig)} == set(cli._KEYS)
-    assert set(cli._KEYS) <= set(vars(cli._build_parser().parse_args(["nanowire-sweep"])))
+def test_field_map_records_the_grid_it_used(capsys):
+    # rmax defaults to radius + 120, and the record holds the value used
+    text = stdout_of(BASE["field-map"] + ["--radius", "25"], capsys)
+    assert "# config: rmax = 145\n" in text
+    assert data_rows(text)[1][-1].startswith("145,500,")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_flag_table_is_the_table():
+    # README's subcommand table lists each subcommand's flags in _READS order
+    rows = re.findall(r"^\| (`[a-z-]+`(?:, `[a-z-]+`)*) \| (`--[^|]*`) \|$",
+                      README.read_text(encoding="utf-8"), re.M)
+    table = {}
+    for names, flags in rows:
+        for name in re.findall(r"`([a-z-]+)`", names):
+            table[name] = tuple(f.replace("-", "_") for f in re.findall(r"--([a-z0-9-]+)", flags))
+    assert table == cli._READS
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -469,11 +491,13 @@ def test_config_file_bad_value_names_line_and_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--host-n", "abc"), ("--lambda0", "abc"),
-                                         ("--workers", "1.5")])
+                                         ("--workers", "1.5"), ("--nr", "1.5"),
+                                         ("--sigma-e", "abc")])
 def test_flag_bad_value_names_the_key(tmp_path, capsys, flag, value):
-    rc = main(["interface-sweep", flag, value, "--out", str(tmp_path / "x")])
-    assert rc == 2
     key = flag[2:].replace("-", "_")
+    command = next(name for name, keys in READS.items() if key in keys)
+    rc = main([command, flag, value, "--out", str(tmp_path / "x")])
+    assert rc == 2
     assert capsys.readouterr().err == f"mesoqed: bad value {value!r} for {key}\n"
 
 
@@ -539,6 +563,10 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["moments", "--host-n", "3.42+0.1j"], 2),
     (["field-map", "--rmax", "30000", "--nr", "3", "--nz", "2"], 0),
     (["nanowire-sweep", "--range", "30000:30001:5"], 3),
+    (["moments", "--sigma-e", "1e300"], 2),
+    (["moments", "--sigma-e", "1e-300"], 2),
+    (["field-map", "--nr", "3", "--nz", "2", "--zmin=-1e6"], 2),
+    (["field-map", "--nr", "3", "--nz", "2", "--zmin=-1e300"], 2),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -546,8 +574,10 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # Re(k_sp)*L_qd >= 1, a metal at eps = -eps_host, a wire so thin
     # that k_sp does not move with frequency, a host index that is not
     # positive, a field window that is not finite, a gain or non-finite
-    # index where no geometry is built, and points so far from the wire
-    # that K underflows: a message, never a traceback or a printed inf
+    # index where no geometry is built, points so far from the wire that
+    # K underflows, envelope widths that square outside double range and a
+    # field window far below z = 0, where e^{i k_sp z} overflows: a
+    # message, never a traceback or a printed inf
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # h below 10 nm
@@ -581,6 +611,15 @@ FUZZ_FLAGS = {
     "metal-n": EDGE_VALUES + ("1-1j", "nan+1j", "0.2+infj", "3.42"),
     "tol": ("1e-14", "1e-3", "9.9e-15", "1.1e-3"),
     "workers": ("0", "-1", "1.5", "1e300", "100000"),
+    "rmin": EDGE_VALUES,
+    "rmax": EDGE_VALUES,
+    "zmin": EDGE_VALUES,
+    "zmax": EDGE_VALUES,
+    "nr": EDGE_VALUES + ("1", "1.5", "1000001"),
+    "nz": EDGE_VALUES + ("1", "1.5", "1000001"),
+    "sigma-e": EDGE_VALUES,
+    "mass-ratio": EDGE_VALUES,
+    "shift": EDGE_VALUES,
 }
 FUZZ_COMMANDS = (
     ("interface-sweep", "--range", "20:21:5"),
@@ -641,6 +680,9 @@ def assert_numbers_finite(text):
 @example(run=(("moments",), {"lambda0": "1e-300"}))
 @example(run=(FUZZ_COMMANDS[0], {"workers": "100000"}))
 @example(run=(FUZZ_COMMANDS[1], {"workers": "1e300"}))
+@example(run=(("moments",), {"sigma-e": "1e300"}))
+@example(run=(("moments",), {"sigma-e": "1e-300"}))
+@example(run=(FUZZ_COMMANDS[4], {"zmin": "-1e300"}))
 def test_cli_exits_0_2_or_3_on_edge_inputs(run):
     command, flags = run
     argv = list(command) + [f"--{key}={value}" for key, value in flags.items()]

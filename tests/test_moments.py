@@ -120,6 +120,17 @@ def test_overlap_guard():
         lambda_zx_estimate(GaussianEnvelopes(sigma_e=0.5, mass_ratio=2.0, shift=500.0))
 
 
+def test_widths_that_square_outside_double_range():
+    # sigma**2 overflows (every weight 1/sigma**2 is 0) or underflows
+    # (the variance sum is 0): a ParameterError, not a ZeroDivisionError
+    for sigma_e, mass_ratio in ((1e300, 5.0), (1e-300, 5.0), (1e-160, 1.0), (2.0, 1e-310)):
+        with pytest.raises(ParameterError, match="leave double range"):
+            lambda_zx_estimate(GaussianEnvelopes(sigma_e, mass_ratio, 2.5))
+    # the widest and narrowest widths inside range still give the tie's 0
+    for sigma_e in (1e150, 1e-150):
+        assert abs(lambda_zx_estimate(GaussianEnvelopes(sigma_e, 5.0, 0.0))) == 0.0
+
+
 def test_significance_scale():
     k_host = 3.42 * 2.0 * math.pi / 1000.0
     val = lambda_zx_significance(0.1, k_host)

@@ -602,6 +602,14 @@ def test_boundary_conditions_at_the_surface():
     assert EPS_METAL * er_in == pytest.approx(EPS_HOST * er_out, rel=1e-4)
 
 
+def test_field_map_refuses_a_window_whose_field_overflows():
+    # Im k_sp > 0, so e^{i k_sp z} overflows far below z = 0
+    for z_min in (-1e6, -1e300):
+        window = FieldWindow(r_min=0.0, r_max=150.0, z_min=z_min, z_max=500.0, n_r=3, n_z=2)
+        with pytest.raises(ParameterError, match="not finite"):
+            field_map(GEOM, window)
+
+
 def test_field_window_validation():
     with pytest.raises(ParameterError):
         FieldWindow(r_min=-1.0, r_max=50.0, z_min=0.0, z_max=10.0)

@@ -154,6 +154,10 @@ def test_order_validation():
         for bad in (True, False, np.True_):
             with pytest.raises(ParameterError, match="order must be a non-negative integer"):
                 fn(bad, 1.0)
+    for fn in (bessel_j, hankel1):
+        for bad in (True, False, np.True_):
+            with pytest.raises(ParameterError, match="order must be 0 or 1"):
+                fn(bad, 1.0)
 
 
 def test_bessel_j_rejects_huge_imaginary_part():

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -249,8 +250,13 @@ def _sweep_values(cfg: argparse.Namespace, what: str) -> list:
     return [lo + i * step for i in range(n)]
 
 
-def _interface_row(cfg: argparse.Namespace, h: float) -> tuple:
-    pt = halfspace.interface_point(_interface_geom(cfg, h), _moments(cfg), rel_tol=cfg.tol)
+def _interface_rows(cfg: argparse.Namespace, heights: list):
+    points = halfspace.interface_sweep(_interface_geom(cfg, heights[0]), heights, _moments(cfg),
+                                       rel_tol=cfg.tol)
+    return (_interface_row(cfg, h, pt) for h, pt in zip(heights, points))
+
+
+def _interface_row(cfg: argparse.Namespace, h: float, pt: halfspace.InterfacePoint) -> tuple:
     lad = pt.ladder
     scale = cfg.lqd / pt.norm
     return (
@@ -268,6 +274,10 @@ def _interface_row(cfg: argparse.Namespace, h: float) -> tuple:
     )
 
 
+def _wire_rows(cfg: argparse.Namespace, distances: list):
+    return (_wire_row(cfg, d) for d in distances)
+
+
 def _wire_row(cfg: argparse.Namespace, d: float) -> tuple:
     geom = _wire_geom(cfg)
     lad = nanowire.plasmon_rates(geom, d, _moments(cfg), cfg.orientation)
@@ -283,28 +293,35 @@ def _wire_row(cfg: argparse.Namespace, d: float) -> tuple:
     )
 
 
-def _point(task) -> tuple:
-    """worker's row at one point; a numerical failure names the point."""
-    worker, label, cfg, value = task
+def _block(task) -> list:
+    """The rows rows_of yields for a block of points; a numerical failure names its point."""
+    rows_of, label, cfg, values = task
+    rows = []
     try:
-        return worker(cfg, value)
+        rows.extend(rows_of(cfg, values))
     except ParameterError:
         raise
     except MesoqedError as exc:
-        raise exc.__class__(f"{label} = {_fmt(value)}: {exc}") from exc
+        raise exc.__class__(f"{label} = {_fmt(values[len(rows)])}: {exc}") from exc
+    return rows
 
 
-def _map_points(cfg: argparse.Namespace, label: str, values: list, worker) -> list:
-    tasks = [(worker, label, cfg, v) for v in values]
+def _pool_size(cfg: argparse.Namespace, points: int) -> int:
     # a pool starts all its processes at once: no more than points or CPUs
-    size = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    return min(cfg.workers, points, os.cpu_count() or 1)
+
+
+def _map_blocks(cfg: argparse.Namespace, label: str, blocks: list, rows_of) -> list:
+    """Rows of each block in order, over `--workers` processes."""
+    tasks = [(rows_of, label, cfg, block) for block in blocks]
+    size = _pool_size(cfg, len(tasks))
     if size == 1:
-        return [_point(t) for t in tasks]
+        return [row for task in tasks for row in _block(task)]
     # the pool module loads multiprocessing: only a run that starts a pool pays for it
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(_point, tasks))
+        return [row for rows in pool.map(_block, tasks) for row in rows]
 
 
 def _csv_text(command: str, cfg: argparse.Namespace, conventions: list, header: list,
@@ -330,9 +347,8 @@ def _json_text(command: str, cfg: argparse.Namespace, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _sweep_text(cfg: argparse.Namespace, command: str, label: str, worker, header: list,
+def _sweep_text(cfg: argparse.Namespace, command: str, rows: list, header: list,
                 conventions: list) -> str:
-    rows = _map_points(cfg, label, _sweep_values(cfg, command), worker)
     conventions = ["rates normalized to the homogeneous-host emission rate", *conventions]
     return _csv_text(command, cfg, conventions, header, rows)
 
@@ -367,7 +383,13 @@ def _omega(cfg: argparse.Namespace) -> dict:
 def _cmd_interface_sweep(cfg: argparse.Namespace) -> str:
     header = ["h", "gamma0", "gamma1", "gamma2", "total_direct", "total_inverted",
               "rad", "pl", "ls", "b_yx_norm", "q_xz_norm"]
-    return _sweep_text(cfg, "interface-sweep", "h", _interface_row, header, [
+    heights = _sweep_values(cfg, "interface-sweep")
+    # one contiguous block of heights per process: a block's heights share quadrature rounds
+    size = _pool_size(cfg, len(heights))
+    blocks = [heights[i * len(heights) // size:(i + 1) * len(heights) // size]
+              for i in range(size)]
+    rows = _map_blocks(cfg, "h", blocks, _interface_rows)
+    return _sweep_text(cfg, "interface-sweep", rows, header, [
         "total_direct = gamma0 + gamma1 + gamma2; total_inverted flips the sign of gamma1",
         "rad + pl + ls = total_direct (decay-channel split of the direct total)",
         "b_yx_norm = b_yx*lqd/norm and q_xz_norm = q_xz*lqd/norm, norm = homogeneous Im G_xx",
@@ -377,7 +399,8 @@ def _cmd_interface_sweep(cfg: argparse.Namespace) -> str:
 def _cmd_nanowire_sweep(cfg: argparse.Namespace) -> str:
     header = ["d", "gamma0_pl", "gamma1_pl", "gamma2_pl", "background",
               "total_direct", "total_inverted"]
-    return _sweep_text(cfg, "nanowire-sweep", "d", _wire_row, header, [
+    rows = _map_blocks(cfg, "d", [[d] for d in _sweep_values(cfg, "nanowire-sweep")], _wire_rows)
+    return _sweep_text(cfg, "nanowire-sweep", rows, header, [
         "gamma*_pl is the guided-plasmon channel alone;"
         " background = 1 + electrostatic surface-loss floor",
         "total_direct = background + gamma0_pl + gamma1_pl + gamma2_pl;"
@@ -467,6 +490,28 @@ def _command(sub, name: str, handler, help: str) -> None:
     p.set_defaults(handler=handler)
 
 
+# a word that starts like a negative number: -5, -1e6, -.5, -inf, -0.2+7j, -5:10:5
+_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list) -> list:
+    """Each '--key -1e6' as '--key=-1e6', for every table key.
+
+    argparse takes a word that starts with '-' for an option unless it
+    reads as a plain decimal such as -5 or -0.5; every table flag takes
+    one value, so a negative number after one is that value.
+    """
+    words = []
+    for word in argv:
+        flag = words[-1] if words else ""
+        if _NEGATIVE.match(word) and flag.startswith("--") \
+                and flag[2:].replace("-", "_") in _KEYS:
+            words[-1] = f"{flag}={word}"
+        else:
+            words.append(word)
+    return words
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mesoqed",
@@ -496,7 +541,7 @@ def _emit(text: str, out: str) -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _resolve(args)
         text = args.handler(cfg)

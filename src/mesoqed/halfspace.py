@@ -24,6 +24,13 @@ Conventions fixed here and relied on everywhere:
   projection of 2*pi*i times that component's residue at the r_p pole;
   the lossy-surface channel is the evanescent-path remainder.
 
+Every height of a sweep (`interface_sweep`) adds its contour segments
+as intervals of one adaptive quadrature, so each round evaluates the
+nodes of all heights in one call of an array integrand. That integrand
+rounds as Python's scalar arithmetic does, operation by operation
+(`_mul`, `_libm`, `_quotients`), so the numbers of a height do not depend
+on the heights computed with it.
+
 The four component integrands, written per unit dk_par with
 phi = exp(2i*k_z1*h) and all lengths in nm:
 
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +57,8 @@ from .rates import GreenBundle
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
 _MIN_SAFE_HEIGHT = 10.0
+# heights in one quadrature at most: each keeps its intervals' panels until the block ends
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -90,9 +99,35 @@ def _kz(eps: complex, k0: float, kp: complex) -> complex:
     return w
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.asarray(re, dtype=complex)  # a new array: re is real
+    z.imag = im
+    return z
+
+
+def _mul(a, b) -> np.ndarray:
+    """a * b by the real-pair formula, which Python's complex product uses.
+
+    numpy's array product of two complex arrays may fuse a multiply into
+    an add (FMA) and then rounds differently; its sum, difference,
+    quotient, sqrt and exp agree with the scalar results. A real operand
+    counts as complex with imaginary part 0.0, as in Python.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn of each element through Python's math: numpy's SIMD sin, cos, sinh and cosh
+    differ from libm in the last bit on some arguments."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
 def _fresnel_from_kz(kz1, kz2, eps1, eps2):
     rs = (kz1 - kz2) / (kz1 + kz2)
-    rp = (eps2 * kz1 - eps1 * kz2) / (eps2 * kz1 + eps1 * kz2)
+    e2k1 = _mul(eps2, kz1)
+    e1k2 = _mul(eps1, kz2)
+    rp = (e2k1 - e1k2) / (e2k1 + e1k2)
     return rs, rp
 
 
@@ -122,16 +157,16 @@ def spp_pole(geom: InterfaceGeometry) -> complex:
 
 @dataclass(frozen=True)
 class _Contour:
+    """The k_par path of a geometry; only the tail's end depends on the height."""
+
     k0: float
     k1: float
-    h: float
     eps1: complex
     eps2: complex
     pole: complex | None  # r_p pole, None when no bound surface mode exists
     k_b: float
     delta: float
     t_b: float
-    t_max: float
 
 
 def _contour(geom: InterfaceGeometry) -> _Contour:
@@ -144,89 +179,167 @@ def _contour(geom: InterfaceGeometry) -> _Contour:
     k_b = 1.5 * k1 if pole is None else max(2.0 * pole.real - k1, 1.5 * k1)
     delta = 0.25 * (k_b - k1)
     t_b = math.acosh(k_b / k1)
-    t_max = math.asinh(_TAIL_EXPONENT / (2.0 * k1 * geom.h))
-    return _Contour(
-        k0=k0, k1=k1, h=geom.h, eps1=geom.upper.eps, eps2=geom.lower.eps,
-        pole=pole, k_b=k_b, delta=delta, t_b=t_b, t_max=t_max,
-    )
+    return _Contour(k0=k0, k1=k1, eps1=geom.upper.eps, eps2=geom.lower.eps, pole=pole,
+                    k_b=k_b, delta=delta, t_b=t_b)
 
 
-def _integrate_contour(c: _Contour, fn, rel_tol: float, abs_scale: float):
-    """Integrate a component vector along the deformed k_par path.
+def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float,
+                       abs_scale: float) -> list:
+    """Integrate a component vector along the deformed k_par path at each height.
 
-    fn(kp, kz1, rs, rp, phi, dkp_du, inv_term) -> complex vector, where
-    dkp_du is the parametrization Jacobian and inv_term = dkp_du/kz1 is
-    supplied in analytically cancelled form on the segments where kz1
-    vanishes at an endpoint. Returns (radiative part, evanescent part,
-    accumulated error estimate).
+    fn(kp, kz1, rs, rp, phi, dkp_du, inv_term) takes complex arrays over
+    the nodes of a quadrature round and returns their values, an array
+    (nodes, components); the value at a node must not depend on the
+    other nodes. dkp_du is the parametrization Jacobian and inv_term =
+    dkp_du/kz1 is supplied in analytically cancelled form on the segments
+    where kz1 vanishes at an endpoint. kp is real (imaginary part 0.0) on
+    the two real-axis segments and strictly complex on the ellipse.
+
+    Every height's segments are intervals of one quad_vec call, so one
+    call of fn per round evaluates the nodes of all heights. Returns, per
+    height, (radiative part, evanescent part, accumulated error
+    estimate), or the ConvergenceError of that height.
     """
-    if c.h < _MIN_SAFE_HEIGHT:
-        warnings.warn(
-            f"h = {c.h} nm is below {_MIN_SAFE_HEIGHT} nm; the quasi-static tail "
-            "dominates and quadrature gets expensive",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    eps1, eps2, k0, k1, h = c.eps1, c.eps2, c.k0, c.k1, c.h
+    for h in heights:
+        if h < _MIN_SAFE_HEIGHT:
+            warnings.warn(
+                f"h = {h} nm is below {_MIN_SAFE_HEIGHT} nm; the quasi-static tail "
+                "dominates and quadrature gets expensive",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return _integrate_heights(c, heights, fn, rel_tol, abs_scale)
 
-    def eval_at(kp, kz1, dkp_du, inv_term):
-        kz2 = _kz(eps2, k0, kp)
-        rs, rp = _fresnel_from_kz(kz1, kz2, eps1, eps2)
-        phi = np.exp(2.0j * kz1 * h)
-        return fn(kp, kz1, rs, rp, phi, dkp_du, inv_term)
 
-    def seg_radiative(t):
-        kp = k1 * math.sin(t)
-        kz1 = k1 * math.cos(t)
-        return eval_at(kp, kz1, kz1, 1.0)
+def _integrate_heights(c: _Contour, heights: list, fn, rel_tol: float,
+                       abs_scale: float) -> list:
+    try:
+        return _lockstep(c, heights, fn, rel_tol, abs_scale)
+    except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
+        if len(heights) > 1:
+            # one height at a time: only those whose integrand overflows fail
+            return [out for h in heights
+                    for out in _integrate_heights(c, [h], fn, rel_tol, abs_scale)]
+        failure = ConvergenceError(f"k_par integrand overflows at h = {heights[0]:g} nm")
+        failure.__cause__ = exc
+        return [failure]
 
+
+def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, abs_scale: float) -> list:
+    eps1, eps2, k0, k1 = c.eps1, c.eps2, c.k0, c.k1
+    eps1_k0 = eps1 * k0 * k0
+    eps2_k0 = eps2 * k0 * k0
     m_c = 0.5 * (c.k_b + k1)
     half = 0.5 * (c.k_b - k1)
+    i_delta = 1.0j * c.delta
+    i_k1 = 1.0j * k1
 
-    def seg_ellipse(sigma):
+    # each height's segments are intervals in a row: radiative, ellipse(, tail)
+    bounds, segment_of, height_of, counts = [], [], [], []
+    for h in heights:
+        ends = [(0.0, 0.5 * math.pi), (0.0, 1.0)]
+        t_max = math.asinh(_TAIL_EXPONENT / (2.0 * k1 * h))
+        if t_max > c.t_b:
+            ends.append((c.t_b, t_max))
+        bounds += ends
+        segment_of += range(len(ends))
+        height_of += [h] * len(ends)
+        counts.append(len(ends))
+    segment_of = np.array(segment_of)
+    height_of = np.array(height_of)
+
+    def seg_radiative(t):  # 0 -> k1 on the real axis as k1*sin(t)
+        kz1 = k1 * _libm(math.cos, t)
+        return k1 * _libm(math.sin, t), kz1, kz1, 1.0
+
+    def seg_ellipse(sigma):  # the half-ellipse below the axis, theta = pi*sigma^2
         # quadrature nodes lie strictly inside a panel, so sigma > 0
         theta = math.pi * sigma * sigma
-        kp = m_c - half * math.cos(theta) - 1.0j * c.delta * math.sin(theta)
-        dkp_du = (half * math.sin(theta) - 1.0j * c.delta * math.cos(theta)) * (
-            2.0 * math.pi * sigma
-        )
-        kz1 = _kz(eps1, k0, kp)
-        return eval_at(kp, kz1, dkp_du, dkp_du / kz1)
+        sin_t, cos_t = _libm(math.sin, theta), _libm(math.cos, theta)
+        kp = m_c - half * cos_t - _mul(i_delta, sin_t)
+        dkp_du = _mul(half * sin_t - _mul(i_delta, cos_t), 2.0 * math.pi * sigma)
+        kz1 = _kz_nodes(eps1_k0, kp)
+        return kp, kz1, dkp_du, dkp_du / kz1
 
-    def seg_tail(t):
-        kp = k1 * math.cosh(t)
-        kz1 = 1.0j * k1 * math.sinh(t)
-        dkp_du = k1 * math.sinh(t)
+    def seg_tail(t):  # back on the real axis as k1*cosh(t)
+        sinh_t = _libm(math.sinh, t)
         # dkp_du / kz1 = 1/i exactly on this segment
-        return eval_at(kp, kz1, dkp_du, -1.0j)
+        return k1 * _libm(math.cosh, t), _mul(i_k1, sinh_t), k1 * sinh_t, -1.0j
 
-    segments = [seg_radiative, seg_ellipse]
-    bounds = [(0.0, 0.5 * math.pi), (0.0, 1.0)]
-    if c.t_max > c.t_b:
-        segments.append(seg_tail)
-        bounds.append((c.t_b, c.t_max))
+    segments = (seg_radiative, seg_ellipse, seg_tail)
 
     def integrand(x, k):
-        return segments[k](x)
+        segment = segment_of[k]
+        kp, kz1, dkp_du, inv_term = columns = np.empty((4, x.size), dtype=complex)
+        for s in np.flatnonzero(np.bincount(segment)).tolist():
+            on = segment == s
+            for column, value in zip(columns, segments[s](x[on])):
+                column[on] = value
+        rs, rp = _fresnel_from_kz(kz1, _kz_nodes(eps2_k0, kp), eps1, eps2)
+        phi = np.exp(_mul(_mul(2.0j, kz1), height_of[k]))
+        return fn(kp, kz1, rs, rp, phi, dkp_du, inv_term)
 
     eps_abs = rel_tol * abs_scale
-    try:
-        (rad, err), (evan, err_b), *tail = quad_vec(integrand, bounds, epsabs=eps_abs,
-                                                    epsrel=rel_tol)
-    except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
-        raise ConvergenceError(f"k_par integrand overflows at h = {c.h:g} nm") from exc
-    err += err_b
-    for part, err_c in tail:
-        evan = evan + part
-        err += err_c
+    # a non-finite value fails the error test below, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        parts = iter(quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol))
+    outcomes = []
+    for n in counts:
+        (rad, err), (evan, err_b), *tail = (next(parts) for _ in range(n))
+        err += err_b
+        for part, err_c in tail:
+            evan = evan + part
+            err += err_c
+        scale = max(abs_scale, float(np.max(np.abs(rad))), float(np.max(np.abs(evan))))
+        if not err <= 50.0 * max(eps_abs, rel_tol * scale):
+            outcomes.append(ConvergenceError(
+                f"k_par quadrature reached {err:.3e}, wanted {rel_tol:.1e} relative "
+                f"(scale {scale:.3e})"
+            ))
+        else:
+            outcomes.append((rad, evan, err))
+    return outcomes
 
-    scale = max(abs_scale, float(np.max(np.abs(rad))), float(np.max(np.abs(evan))))
-    if not err <= 50.0 * max(eps_abs, rel_tol * scale):
-        raise ConvergenceError(
-            f"k_par quadrature reached {err:.3e}, wanted {rel_tol:.1e} relative "
-            f"(scale {scale:.3e})"
-        )
-    return rad, evan, err
+
+def _kz_nodes(eps_k0: complex, kp: np.ndarray) -> np.ndarray:
+    """`_kz` at many nodes; eps_k0 is eps*k0*k0."""
+    w = np.sqrt(eps_k0 - _mul(kp, kp))
+    return np.negative(w, out=w, where=w.imag < 0.0)
+
+
+def _div_float(z: np.ndarray, x: float) -> np.ndarray:
+    """z / x as Python divides a complex by a float; numpy rounds it differently."""
+    ratio = 0.0 / x
+    denom = x + 0.0 * ratio
+    return _complex((z.real + z.imag * ratio) / denom, (z.imag - z.real * ratio) / denom)
+
+
+def _quotients(kp: np.ndarray, k1: float) -> np.ndarray:
+    """kp**3/k1**3, kp**5/k1**4 and kp/k1 at each node, in Python's arithmetic.
+
+    A real kp (the real-axis segments) takes libm's pow, which numpy's
+    SIMD power does not match in every last bit. A complex kp takes
+    Python's complex power, (1*kp)*kp**2 and (1*kp)*(kp**2)**2. Raises
+    OverflowError and ZeroDivisionError where Python does.
+    """
+    k13, k14 = k1 ** 3, k1 ** 4
+    if k13 == 0.0 or k14 == 0.0:
+        raise ZeroDivisionError("a power of k1 underflows to 0")
+    out = np.empty((3, kp.size), dtype=complex)
+    real = kp.imag == 0.0
+    if real.any():
+        x = kp.real[real]
+        listed = x.tolist()
+        out[:, real] = (np.array([v ** 3 for v in listed]) / k13,
+                        np.array([v ** 5 for v in listed]) / k14, x / k1)
+    if not real.all():
+        z = kp[~real]
+        z1, z2 = _mul(1.0, z), _mul(z, z)
+        z3, z5 = _mul(z1, z2), _mul(z1, _mul(z2, z2))
+        if np.isinf(z3).any() or np.isinf(z5).any():
+            raise OverflowError("complex exponentiation")
+        out[:, ~real] = _div_float(z3, k13), _div_float(z5, k14), _div_float(z, k1)
+    return out
 
 
 def _ladder_vector(k1: float):
@@ -234,17 +347,26 @@ def _ladder_vector(k1: float):
 
     Gradient components are pre-scaled by 1/k1 per derivative so all
     four share units of 1/nm and one max-norm tolerance controls them
-    evenly; callers undo the scaling via _unscale.
+    evenly; callers undo the scaling via _unscale. Each product is
+    `_mul` and each power Python's, in the order of the formulas in the
+    module docstring, so a node's value has the same bits in any batch
+    and the same as in Python's scalar arithmetic.
     """
     pref = 1.0 / (8.0 * math.pi)
+    # the leading factor of each component: 1.0j*pref, -pref, 1.0j*pref, -pref
+    lead = np.array([1.0j * pref, -pref, 1.0j * pref, -pref])[:, None]
 
     def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        common = (rs - rp * kz1 * kz1 / (k1 * k1)) * phi
-        f0 = 1.0j * pref * kp * common * inv_term
-        f1 = -pref * (kp ** 3 / (k1 ** 3)) * rp * phi * dkp_du
-        f2 = 1.0j * pref * (kp ** 5 / (k1 ** 4)) * rp * phi * inv_term
-        f3 = -pref * (kp / k1) * common * dkp_du
-        return np.array([f0, f1, f2, f3], dtype=complex)
+        kp3, kp5, kp1 = _quotients(kp, k1)
+        common = _mul(rs - _mul(_mul(rp, kz1), kz1) / (k1 * k1), phi)
+        # the four products left to right, all components in each step:
+        # f0 = lead*kp*common*inv_term           f1 = lead*kp3*rp*phi*dkp_du
+        # f2 = lead*kp5*rp*phi*inv_term          f3 = lead*kp1*common*dkp_du
+        f = _mul(lead, np.stack((kp, kp3, kp5, kp1)))
+        f = _mul(f, np.stack((common, rp, rp, common)))
+        f = _mul(f, np.stack((inv_term, phi, phi, dkp_du)))
+        f[1:3] = _mul(f[1:3], np.stack((dkp_du, inv_term)))
+        return f.T
 
     return fn
 
@@ -253,8 +375,8 @@ def _unscale(vec, k1: float):
     return np.array([vec[0], vec[1] * k1, vec[2] * k1 * k1, vec[3] * k1], dtype=complex)
 
 
-def _pole_vector(c: _Contour) -> np.ndarray:
-    """2*pi*i times the r_p-pole residue of each ladder component.
+def _pole_vector(c: _Contour, h: float) -> np.ndarray:
+    """2*pi*i times the r_p-pole residue of each ladder component at height h.
 
     Scaled like _ladder_vector. Zero when no bound pole exists.
     """
@@ -265,7 +387,7 @@ def _pole_vector(c: _Contour) -> np.ndarray:
     kz2p = _kz(c.eps2, c.k0, ks)
     dprime = -ks * (c.eps2 / kz1p + c.eps1 / kz2p)
     rtilde = 2.0 * c.eps2 * kz1p / dprime
-    phip = np.exp(2.0j * kz1p * c.h)
+    phip = np.exp(2.0j * kz1p * h)
     pref = rtilde * phip / (8.0 * math.pi)
     k1 = c.k1
     res = np.array(
@@ -292,18 +414,9 @@ class InterfacePoint:
     k1: float
 
 
-def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,
-                    rel_tol: float = 1.0e-8) -> InterfacePoint:
-    """Bundle, ladder, multipole split and channels from one contour pass.
-
-    The homogeneous part enters g_xx and the order-zero radiative
-    channel; the moment expansion needs k1*L_qd < 1.
-    """
-    c = _contour(geom)
+def _interface_point(c: _Contour, h: float, moments: EmitterMoments, norm: float,
+                     rad: np.ndarray, evan: np.ndarray) -> InterfacePoint:
     k1 = c.k1
-    _rates.check_expansion(k1, moments)
-    norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
-    rad, evan, _ = _integrate_contour(c, _ladder_vector(k1), rel_tol=rel_tol, abs_scale=norm)
     j = _unscale(rad + evan, k1)
     bundle = GreenBundle(g_xx=norm + j[0].imag, d_g_zx=j[1].imag, dd_g_zz=j[2].imag,
                          dz_g_xx=j[3].imag)
@@ -312,13 +425,48 @@ def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,
 
     lam = moments.lambda_over_mu
     f = np.array([1.0, 2.0 * lam, lam * lam]) / norm
-    pole = _unscale(_pole_vector(c), k1)[:3].imag
+    pole = _unscale(_pole_vector(c, h), k1)[:3].imag
     rad_ch = f * _unscale(rad, k1)[:3].imag
     rad_ch[0] += 1.0  # the homogeneous rate is purely radiative
     channels = ChannelDecomposition(rad=tuple(rad_ch), pl=tuple(f * pole),
                                     ls=tuple(f * (_unscale(evan, k1)[:3].imag - pole)))
     return InterfacePoint(bundle=bundle, ladder=ladder, split=split,
                           channels=channels, norm=norm, k1=k1)
+
+
+def interface_sweep(geometry: InterfaceGeometry, heights, moments: EmitterMoments,
+                    rel_tol: float = 1.0e-8):
+    """Yield the InterfacePoint at each of the heights, in order.
+
+    geometry gives the materials and the wavelength; its own h is not
+    used. Every height is checked before any integration. Blocks of up
+    to _BLOCK heights share one quadrature: each round evaluates the
+    contour nodes of the whole block in one integrand call, and every
+    value is bitwise what a block of one gives. A height that fails
+    raises when the iteration reaches it, after all earlier heights.
+    """
+    heights = [replace(geometry, h=h).h for h in heights]
+    c = _contour(geometry)
+    _rates.check_expansion(c.k1, moments)
+    norm = homogeneous_im_gxx(geometry.upper, geometry.lambda0)
+    fn = _ladder_vector(c.k1)
+    for start in range(0, len(heights), _BLOCK):
+        block = heights[start:start + _BLOCK]
+        for h, outcome in zip(block, _integrate_contour(c, block, fn, rel_tol, norm)):
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield _interface_point(c, h, moments, norm, *outcome[:2])
+
+
+def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,
+                    rel_tol: float = 1.0e-8) -> InterfacePoint:
+    """Bundle, ladder, multipole split and channels from one contour pass.
+
+    `interface_sweep` at the one height geom.h. The homogeneous part
+    enters g_xx and the order-zero radiative channel; the moment
+    expansion needs k1*L_qd < 1.
+    """
+    return next(interface_sweep(geom, [geom.h], moments, rel_tol))
 
 
 def paper_interface(h: float) -> InterfaceGeometry:

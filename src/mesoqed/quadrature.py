@@ -5,19 +5,22 @@ estimate, computed as scipy's ``_quadrature_gk``: nodes from the right
 end to the left end, sums strictly in that order starting from 0.0, so
 a panel's sums do not depend on its neighbours.
 
+Both drivers take an array integrand ``f(x, k)``: x holds the nodes of
+every panel evaluated in a round, flat, and k the index of the interval
+(or row) each node belongs to; one call per round evaluates them all.
+
 `quad_vec` integrates one vector integrand over several finite intervals
 and gives, for each interval, exactly what scipy's
 ``quad_vec(g, a, b, epsabs, epsrel, norm="max")`` gives: the same
 subdivisions in the same order, the same stops and bitwise the same
-value and error estimate. It differs in how the work is scheduled, not
-in what is computed: the intervals are independent adaptive processes
-run in lockstep, and every round evaluates the nodes of all panels being
-split at once. The integrand is still called once per node with a
-Python float, so its own arithmetic is untouched.
+value and error estimate, provided the integrand's value at a node does
+not depend on the other nodes of the call. It differs in how the work is
+scheduled, not in what is computed: the intervals are independent
+adaptive processes run in lockstep, and every round evaluates the nodes
+of all panels being split at once.
 
 `quad` integrates many real scalar integrands ("rows") by adaptive
-bisection, each to a relative tolerance on its own, with one array call
-of the integrand per round for the nodes of every panel being split.
+bisection, each to a relative tolerance on its own.
 
 The G10/K21 table below is QUADPACK's qk21 on [-1, 1], listed from the
 end to the centre with the Kronrod and Gauss weights of each node (the
@@ -111,11 +114,16 @@ def _rule(fv: np.ndarray, h: np.ndarray) -> tuple:
     return hc * s_k, err, rnd
 
 
+def _panels(f, k: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """`_rule` on the panels [a, b] of intervals k: one call of f(x, k) for all their nodes."""
+    nodes, h = _nodes(a, b)
+    fv = f(nodes.ravel(), np.repeat(k, _X.size))
+    return _rule(fv.reshape(*nodes.shape, -1), h)
+
+
 def _gk21(f, panels: list) -> tuple:
-    """`_rule` on (k, a, b) panels of a per-node integrand f(x, k)."""
-    nodes, h = _nodes(np.array([p[1] for p in panels]), np.array([p[2] for p in panels]))
-    fv = np.array([f(x, k) for (k, _, _), row in zip(panels, nodes.tolist()) for x in row])
-    return _rule(fv.reshape(len(panels), _X.size, -1), h)
+    """`_panels` on a list of (k, a, b) panels."""
+    return _panels(f, *(np.array(column) for column in zip(*panels)))
 
 
 class _Interval:
@@ -167,12 +175,13 @@ class _Interval:
 def quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
     """Integrate f over each finite interval of `bounds`, max norm.
 
-    f(x, k) is the integrand on interval k at the node x, a 1-d array of
-    the same length on every interval. Returns one (value, error
+    f(x, k) takes the flat nodes x of a round and the interval index k
+    of each, and returns their values as an array (nodes, components),
+    with as many components on every interval. Returns one (value, error
     estimate) pair per interval, each bitwise equal to scipy's
-    quad_vec(lambda x: f(x, k), a, b, epsabs=epsabs, epsrel=epsrel,
-    norm="max") for vectors small enough that scipy's 100 MB interval
-    cache holds its 10000 intervals.
+    quad_vec(lambda x: f(np.array([x]), np.array([k]))[0], a, b,
+    epsabs=epsabs, epsrel=epsrel, norm="max") for vectors small enough
+    that scipy's 100 MB interval cache holds its 10000 intervals.
     """
     values, errs, rnds = _gk21(f, [(k, a, b) for k, (a, b) in enumerate(bounds)])
     procs = [_Interval(a, b, values[k], errs[k], rnds[k]) for k, (a, b) in enumerate(bounds)]
@@ -203,9 +212,7 @@ _ROW_LIMIT = 400  # panels per row of `quad`
 
 def _row_panels(f, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Panels [a, b] of `rows` as columns (a, b, value, error, roundoff)."""
-    nodes, h = _nodes(a, b)
-    fv = f(nodes.ravel(), np.repeat(rows, _X.size)).reshape(*nodes.shape, 1)
-    values, errs, rnds = _rule(fv, h)
+    values, errs, rnds = _panels(f, rows, a, b)
     return np.array((a, b, values[:, 0], errs, rnds))
 
 

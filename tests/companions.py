@@ -9,7 +9,9 @@ a lateral offset and of G_xx over a vertical offset against the
 gradients the contour integrand carries in closed form. The offset
 integrals run on the library's own deformed contour
 (`halfspace._contour` and `halfspace._integrate_contour`); only the
-integrand differs.
+integrand differs. Like the library's, it is array code whose complex
+products go through `halfspace._mul`, so a node's value does not depend
+on the other nodes of its quadrature round.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from mesoqed.halfspace import (
     _fresnel_from_kz,
     _integrate_contour,
     _kz,
+    _mul,
 )
 from mesoqed.specfun import _OVERFLOW_ARG, _finish
 
@@ -80,8 +83,11 @@ def fresnel(k_par, geom: InterfaceGeometry):
 
 
 def _integrate_single(geom: InterfaceGeometry, fn, rel_tol: float) -> complex:
-    rad, evan, _ = _integrate_contour(_contour(geom), fn, rel_tol=rel_tol,
-                                      abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
+    [outcome] = _integrate_contour(_contour(geom), [geom.h], fn, rel_tol=rel_tol,
+                                   abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
+    if isinstance(outcome, Exception):
+        raise outcome
+    rad, evan, _ = outcome
     return complex((rad + evan)[0])
 
 
@@ -97,7 +103,8 @@ def gzx_lateral(geom: InterfaceGeometry, x: float, rel_tol: float = 1.0e-8) -> c
     pref = -1.0 / (4.0 * math.pi * k1 * k1)
 
     def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        return np.array([pref * kp * kp * bessel_j(1, kp * x) * rp * phi * dkp_du])
+        value = _mul(_mul(_mul(pref * kp, kp), bessel_j(1, x * kp)), rp)
+        return _mul(_mul(value, phi), dkp_du)[:, None]
 
     return _integrate_single(geom, fn, rel_tol)
 
@@ -112,8 +119,9 @@ def gxx_vertical_offset(geom: InterfaceGeometry, dz: float, rel_tol: float = 1.0
     k1 = wavevector(geom.upper, geom.lambda0).real
 
     def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        extra = np.exp(1.0j * kz1 * dz)
-        common = rs - rp * kz1 * kz1 / (k1 * k1)
-        return np.array([pref * kp * common * phi * extra * inv_term])
+        extra = np.exp(_mul(1.0j * dz, kz1))
+        common = rs - _mul(_mul(rp, kz1), kz1) / (k1 * k1)
+        value = _mul(_mul(_mul(pref, kp), common), phi)
+        return _mul(_mul(value, extra), inv_term)[:, None]
 
     return _integrate_single(geom, fn, rel_tol)

@@ -12,8 +12,9 @@ magnitude form (fed the mode's field values as plain numbers), the
 wire mode's normalization integral from closed-form Lommel integrals,
 finite-difference ground states of harmonically confined carriers, and
 the wire's quasi-static background as one scalar adaptive quadrature
-per azimuthal harmonic, and the planar contour quadrature as one scipy
-`quad_vec` call per contour segment. None of it routes through the
+per azimuthal harmonic, the planar contour quadrature as one scipy
+`quad_vec` call per contour segment, and the planar ladder integrand in
+its scalar Python form. None of it routes through the
 package modules, so a library bug cannot cancel against an oracle bug.
 
 Conventions match the package: lengths nm, wavevectors rad/nm, rates
@@ -514,12 +515,78 @@ def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
     """The contour quadrature by scipy: one quad_vec call per interval.
 
     This is how the planar interface integrated its contour segments
-    before the package had its own integrator, one after the other.
-    Same signature and result as `mesoqed.quadrature.quad_vec`, so a
-    test can put it in place of `halfspace.quad_vec`.
+    before the package had its own integrator, one after the other, and
+    one node at a time: the array integrand f(x, k) gets each node as a
+    size-1 array. Same signature and result as
+    `mesoqed.quadrature.quad_vec`, so a test can put it in place of
+    `halfspace.quad_vec`.
     """
-    return [quad_vec(lambda x, k=k: f(x, k), a, b, epsabs=epsabs, epsrel=epsrel, norm="max")
+    def at(x, k):
+        return f(np.array([x]), np.array([k]))[0]
+
+    return [quad_vec(lambda x, k=k: at(x, k), a, b, epsabs=epsabs, epsrel=epsrel, norm="max")
             for k, (a, b) in enumerate(bounds)]
+
+
+def scalar_ladder_integrand(k0: float, k1: float, eps1: complex, eps2: complex, k_b: float,
+                            delta: float, h: float):
+    """The planar ladder integrand in scalar Python, one node per call.
+
+    This is the form the package evaluated before its integrand became
+    array code, kept verbatim as the bitwise reference: Python floats
+    and complex numbers where it had them, numpy scalars where it had
+    them. Returns f(x, segment) -> the four scaled components at node x
+    of segment 0 (radiative, k1*sin t), 1 (the half-ellipse) or 2 (the
+    tail, k1*cosh t).
+    """
+    def _kz(eps, kp):
+        w = np.sqrt(complex(eps * k0 * k0 - kp * kp))
+        if w.imag < 0.0:
+            w = -w
+        return w
+
+    pref = 1.0 / (8.0 * math.pi)
+
+    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
+        common = (rs - rp * kz1 * kz1 / (k1 * k1)) * phi
+        f0 = 1.0j * pref * kp * common * inv_term
+        f1 = -pref * (kp ** 3 / (k1 ** 3)) * rp * phi * dkp_du
+        f2 = 1.0j * pref * (kp ** 5 / (k1 ** 4)) * rp * phi * inv_term
+        f3 = -pref * (kp / k1) * common * dkp_du
+        return np.array([f0, f1, f2, f3], dtype=complex)
+
+    def eval_at(kp, kz1, dkp_du, inv_term):
+        kz2 = _kz(eps2, kp)
+        rs = (kz1 - kz2) / (kz1 + kz2)
+        rp = (eps2 * kz1 - eps1 * kz2) / (eps2 * kz1 + eps1 * kz2)
+        phi = np.exp(2.0j * kz1 * h)
+        return fn(kp, kz1, rs, rp, phi, dkp_du, inv_term)
+
+    def seg_radiative(t):
+        kp = k1 * math.sin(t)
+        kz1 = k1 * math.cos(t)
+        return eval_at(kp, kz1, kz1, 1.0)
+
+    m_c = 0.5 * (k_b + k1)
+    half = 0.5 * (k_b - k1)
+
+    def seg_ellipse(sigma):
+        theta = math.pi * sigma * sigma
+        kp = m_c - half * math.cos(theta) - 1.0j * delta * math.sin(theta)
+        dkp_du = (half * math.sin(theta) - 1.0j * delta * math.cos(theta)) * (
+            2.0 * math.pi * sigma
+        )
+        kz1 = _kz(eps1, kp)
+        return eval_at(kp, kz1, dkp_du, dkp_du / kz1)
+
+    def seg_tail(t):
+        kp = k1 * math.cosh(t)
+        kz1 = 1.0j * k1 * math.sinh(t)
+        dkp_du = k1 * math.sinh(t)
+        return eval_at(kp, kz1, dkp_du, -1.0j)
+
+    segments = (seg_radiative, seg_ellipse, seg_tail)
+    return lambda x, segment: segments[segment](x)
 
 
 # ------------------------------------------------------------ small helpers

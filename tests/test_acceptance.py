@@ -30,7 +30,7 @@ from mesoqed.core import (
     paper_moments,
     wavevector,
 )
-from mesoqed.halfspace import InterfaceGeometry, interface_point, paper_interface
+from mesoqed.halfspace import InterfaceGeometry, interface_point, interface_sweep, paper_interface
 from mesoqed.moments import GaussianEnvelopes, lambda_zx_estimate, omega_negligibility
 from mesoqed.nanowire import (
     AXIAL,
@@ -118,8 +118,8 @@ def test_criterion_04_mirror_limit():
 
 def test_criterion_05_oscillation_period():
     heights = np.arange(100.0, 900.0 + 0.5, 1.0)
-    g0 = np.array([interface_point(paper_interface(h), MOMENTS).ladder.gamma0
-                   for h in heights])
+    g0 = np.array([pt.ladder.gamma0
+                   for pt in interface_sweep(paper_interface(100.0), heights, MOMENTS)])
     peaks, _ = find_peaks(g0)
     spacing = float(np.mean(np.diff(heights[peaks])))
     target = LAMBDA0 / (2.0 * GAAS.n.real)

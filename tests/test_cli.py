@@ -567,6 +567,9 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["moments", "--sigma-e", "1e-300"], 2),
     (["field-map", "--nr", "3", "--nz", "2", "--zmin=-1e6"], 2),
     (["field-map", "--nr", "3", "--nz", "2", "--zmin=-1e300"], 2),
+    (["field-map", "--nr", "3", "--nz", "2", "--zmin", "-1e6"], 2),
+    (["interface-sweep", "--range", "1e-10:2e-10:1e-10", "--lambda0", "1e300"], 3),
+    (["interface-sweep", "--range", "1e-300:2e-300:1e-300", "--lambda0", "1e300"], 3),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -575,9 +578,11 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # that k_sp does not move with frequency, a host index that is not
     # positive, a field window that is not finite, a gain or non-finite
     # index where no geometry is built, points so far from the wire that
-    # K underflows, envelope widths that square outside double range and a
-    # field window far below z = 0, where e^{i k_sp z} overflows: a
-    # message, never a traceback or a printed inf
+    # K underflows, envelope widths that square outside double range, a
+    # field window far below z = 0, where e^{i k_sp z} overflows (its
+    # bound also given as a separate word), and heights so small at so
+    # long a wavelength that the contour tail's end overflows or 2*k1*h
+    # underflows to 0: a message, never a traceback or a printed inf
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # h below 10 nm
@@ -683,22 +688,31 @@ def assert_numbers_finite(text):
 @example(run=(("moments",), {"sigma-e": "1e300"}))
 @example(run=(("moments",), {"sigma-e": "1e-300"}))
 @example(run=(FUZZ_COMMANDS[4], {"zmin": "-1e300"}))
+@example(run=(FUZZ_COMMANDS[4], {"zmin": "-1e6"}))
+@example(run=(FUZZ_COMMANDS[0], {"ratio": "-1e2"}))
 def test_cli_exits_0_2_or_3_on_edge_inputs(run):
     command, flags = run
+
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        pool = AssertionError("a one-point sweep asked for a process pool")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(), \
+                patch.object(concurrent.futures, "ProcessPoolExecutor", side_effect=pool):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return main(argv), out.getvalue(), err.getvalue()
+
     argv = list(command) + [f"--{key}={value}" for key, value in flags.items()]
-    out, err = io.StringIO(), io.StringIO()
-    pool = AssertionError("a one-point sweep asked for a process pool")
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(), \
-            patch.object(concurrent.futures, "ProcessPoolExecutor", side_effect=pool):
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(argv)
+    code, out, err = outcome(argv)
     assert code in (0, 2, 3), argv
     if code:
-        assert err.getvalue().startswith("mesoqed: "), argv
-        assert "Traceback" not in err.getvalue(), argv
+        assert err.startswith("mesoqed: "), argv
+        assert "Traceback" not in err, argv
     else:
-        assert_numbers_finite(out.getvalue())
+        assert_numbers_finite(out)
+    # each value as a separate word, negative ones in exponent form included
+    spaced = list(command) + [word for key, value in flags.items() for word in (f"--{key}", value)]
+    assert outcome(spaced) == (code, out, err), spaced
 
 
 def test_version_flag():

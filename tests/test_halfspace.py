@@ -16,7 +16,8 @@ import oracles
 from companions import fresnel, gxx_vertical_offset, gzx_lateral
 from mesoqed import halfspace
 from mesoqed.core import GAAS, SILVER, EmitterMoments, Material, paper_moments
-from mesoqed.errors import ExpansionInvalidError, NoBoundModeError, ParameterError
+from mesoqed.errors import (ConvergenceError, ExpansionInvalidError, NoBoundModeError,
+                            ParameterError)
 from mesoqed.halfspace import InterfaceGeometry, interface_point, paper_interface, spp_pole
 from mesoqed.rates import extract_fields
 
@@ -308,3 +309,76 @@ def test_companion_integrals_equal_scipy_quad_vec_bitwise(monkeypatch, lower):
     want = values()
     assert [[(z.real.hex(), z.imag.hex()) for z in row] for row in got] == \
         [[(z.real.hex(), z.imag.hex()) for z in row] for row in want]
+
+
+# --------------------------------------- the array integrand and the sweep
+
+BIT_PIN_LOWER = {"Ag": 0.2 + 7.0j, "glass": 1.5, "host": 3.42, "lossless metal": 7.0j,
+                 "near resonance": 0.1 + 3.6j}
+
+
+@pytest.mark.filterwarnings("ignore:h = .* is below 10.0 nm:RuntimeWarning")
+@pytest.mark.parametrize("lower", sorted(BIT_PIN_LOWER))
+def test_array_integrand_matches_scalar_reference_bitwise(monkeypatch, lower):
+    # every node of real quadrature runs, in the batches the sweep forms:
+    # the array integrand against the scalar form it replaced, on all
+    # three segments (the tail ends before the ellipse does at 1e5 nm);
+    # at 0.7 nm a lower medium equal to the host takes 400 000 nodes,
+    # so it starts at 3 nm
+    heights = [0.7, 3.0, 20.0, 150.0, 1000.0, 1.0e5]
+    if lower == "host":
+        heights = heights[1:]
+    geom = InterfaceGeometry(upper=GAAS, lower=Material("m", BIT_PIN_LOWER[lower]), h=1.0,
+                             lambda0=1000.0)
+    rounds = []
+    quad_vec = halfspace.quad_vec
+
+    def recording(f, bounds, **kwargs):
+        def g(x, k):
+            value = f(x, k)
+            rounds.append((bounds, x, k, value))
+            return value
+        return quad_vec(g, bounds, **kwargs)
+
+    monkeypatch.setattr(halfspace, "quad_vec", recording)
+    list(halfspace.interface_sweep(geom, heights, MOMENTS))
+    c = halfspace._contour(geom)
+    reference = [oracles.scalar_ladder_integrand(c.k0, c.k1, c.eps1, c.eps2, c.k_b, c.delta, h)
+                 for h in heights]
+    segments, mixed = set(), False
+    for bounds, x, k, value in rounds:
+        # the intervals run radiative, ellipse(, tail) height by height
+        height, segment = [], []
+        for a, b in bounds:
+            first = (a, b) == (0.0, 0.5 * math.pi)
+            height.append(height[-1] + first if height else 0)
+            segment.append(0 if first else segment[-1] + 1)
+        for node, interval, got in zip(x.tolist(), k.tolist(), value):
+            want = reference[height[interval]](node, segment[interval])
+            assert got.tobytes() == want.tobytes(), (heights[height[interval]], node)
+            segments.add(segment[interval])
+        mixed |= len({height[i] for i in k.tolist()}) > 1
+    assert segments == {0, 1, 2} and mixed
+
+
+def test_sweep_equals_one_height_at_a_time_bitwise():
+    # 300 heights make ten blocks, the last one short
+    heights = [float(h) for h in np.geomspace(10.5, 3000.0, 300)]
+    assert len(heights) > 9 * halfspace._BLOCK
+    swept = list(halfspace.interface_sweep(paper_interface(100.0), heights, MOMENTS))
+    assert [point_bits(p) for p in swept] == \
+        [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
+
+
+@pytest.mark.filterwarnings("ignore:h = .* is below 10.0 nm:RuntimeWarning")
+def test_sweep_raises_a_failure_at_its_height():
+    # the contour tail at 1e-300 nm overflows: the sweep yields the
+    # height before it, then raises that height's own error
+    heights = [20.0, 1.0e-300, 30.0]
+    sweep = halfspace.interface_sweep(paper_interface(20.0), heights, MOMENTS)
+    assert point_bits(next(sweep)) == point_bits(interface_point(paper_interface(20.0), MOMENTS))
+    with pytest.raises(ConvergenceError) as swept:
+        next(sweep)
+    with pytest.raises(ConvergenceError) as alone:
+        interface_point(paper_interface(1.0e-300), MOMENTS)
+    assert str(swept.value) == str(alone.value) == "k_par integrand overflows at h = 1e-300 nm"

@@ -43,7 +43,6 @@ phi = exp(2i*k_z1*h) and all lengths in nm:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +55,6 @@ from .quadrature import quad_vec
 from .rates import GreenBundle
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
-_MIN_SAFE_HEIGHT = 10.0
 # heights in one quadrature at most: each keeps its intervals' panels until the block ends
 _BLOCK = 32
 
@@ -200,26 +198,13 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float,
     height, (radiative part, evanescent part, accumulated error
     estimate), or the ConvergenceError of that height.
     """
-    for h in heights:
-        if h < _MIN_SAFE_HEIGHT:
-            warnings.warn(
-                f"h = {h} nm is below {_MIN_SAFE_HEIGHT} nm; the quasi-static tail "
-                "dominates and quadrature gets expensive",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return _integrate_heights(c, heights, fn, rel_tol, abs_scale)
-
-
-def _integrate_heights(c: _Contour, heights: list, fn, rel_tol: float,
-                       abs_scale: float) -> list:
     try:
         return _lockstep(c, heights, fn, rel_tol, abs_scale)
     except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
         if len(heights) > 1:
             # one height at a time: only those whose integrand overflows fail
             return [out for h in heights
-                    for out in _integrate_heights(c, [h], fn, rel_tol, abs_scale)]
+                    for out in _integrate_contour(c, [h], fn, rel_tol, abs_scale)]
         failure = ConvergenceError(f"k_par integrand overflows at h = {heights[0]:g} nm")
         failure.__cause__ = exc
         return [failure]
@@ -439,15 +424,19 @@ def interface_sweep(geometry: InterfaceGeometry, heights, moments: EmitterMoment
     """Yield the InterfacePoint at each of the heights, in order.
 
     geometry gives the materials and the wavelength; its own h is not
-    used. Every height is checked before any integration. Blocks of up
-    to _BLOCK heights share one quadrature: each round evaluates the
-    contour nodes of the whole block in one integrand call, and every
-    value is bitwise what a block of one gives. A height that fails
-    raises when the iteration reaches it, after all earlier heights.
+    used. Every height is checked before any integration, the moment
+    expansion included: it needs k_eff*L_qd < 1 with k_eff = max(k1, 1/(2h)),
+    because the reflected near field's Taylor series in the source and
+    field offsets converges only while L_qd < 2h. Blocks of up to _BLOCK
+    heights share one quadrature: each round evaluates the contour nodes
+    of the whole block in one integrand call, and every value is bitwise
+    what a block of one gives. A height that fails in quadrature raises
+    when the iteration reaches it, after all earlier heights.
     """
     heights = [replace(geometry, h=h).h for h in heights]
     c = _contour(geometry)
-    _rates.check_expansion(c.k1, moments)
+    for h in heights:
+        _rates.check_expansion(max(c.k1, 0.5 / h), moments)
     norm = homogeneous_im_gxx(geometry.upper, geometry.lambda0)
     fn = _ladder_vector(c.k1)
     for start in range(0, len(heights), _BLOCK):
@@ -464,7 +453,8 @@ def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,
 
     `interface_sweep` at the one height geom.h. The homogeneous part
     enters g_xx and the order-zero radiative channel; the moment
-    expansion needs k1*L_qd < 1.
+    expansion needs k_eff*L_qd < 1 with k_eff = max(k1, 1/(2h)), so
+    L_qd < 2h as well as k1*L_qd < 1.
     """
     return next(interface_sweep(geom, [geom.h], moments, rel_tol))
 

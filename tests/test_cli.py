@@ -288,6 +288,13 @@ def test_failing_point_is_named(capsys, monkeypatch, pool_sizes, workers):
     assert pool_sizes == ([] if workers == "1" else [2])
 
 
+def test_height_within_half_the_dot_is_refused_by_name(capsys):
+    # L_qd < 2h: the default 20 nm dot refuses h = 5 before any quadrature
+    assert main(["interface-sweep", "--range", "5:30:5"]) == 2
+    assert capsys.readouterr() == ("", "mesoqed: invalid configuration: h = 5: k*L_qd = 2.000 "
+                                       ">= 1: the moment expansion does not converge\n")
+
+
 # ------------------------------------------------------------- config file
 
 
@@ -547,7 +554,7 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["interface-sweep", "--range", "20:21:1e-300"], 2),
     (["interface-sweep", "--range", "0:1000000:1"], 2),
     (["field-map", "--nr", "1000000000", "--nz", "2"], 2),
-    (["interface-sweep", "--range", "1e-300:1e-299:1e-300"], 3),
+    (["interface-sweep", "--range", "1e-300:1e-299:1e-300", "--lqd", "1e-300"], 3),
     (["interface-sweep", "--range", "20:21:5", "--ratio", "1e200"], 2),
     (["nanowire-sweep", "--range", "20:21:5", "--ratio", "1e300"], 2),
     (["nanowire-sweep", "--radius", "10", "--range", "20:21:5"], 2),
@@ -568,8 +575,13 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["field-map", "--nr", "3", "--nz", "2", "--zmin=-1e6"], 2),
     (["field-map", "--nr", "3", "--nz", "2", "--zmin=-1e300"], 2),
     (["field-map", "--nr", "3", "--nz", "2", "--zmin", "-1e6"], 2),
-    (["interface-sweep", "--range", "1e-10:2e-10:1e-10", "--lambda0", "1e300"], 3),
-    (["interface-sweep", "--range", "1e-300:2e-300:1e-300", "--lambda0", "1e300"], 3),
+    (["interface-sweep", "--range", "1e-10:2e-10:1e-10", "--lambda0", "1e300", "--lqd", "1e-10"],
+     3),
+    (["interface-sweep", "--range", "1e-300:2e-300:1e-300", "--lambda0", "1e300",
+      "--lqd", "1e-300"], 3),
+    (["interface-sweep", "--range", "5:30:5"], 2),
+    (["interface-sweep", "--range", "10:30:5"], 2),
+    (["interface-sweep", "--range", "3:30:1", "--lqd", "5"], 0),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -580,13 +592,13 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # index where no geometry is built, points so far from the wire that
     # K underflows, envelope widths that square outside double range, a
     # field window far below z = 0, where e^{i k_sp z} overflows (its
-    # bound also given as a separate word), and heights so small at so
+    # bound also given as a separate word), heights so small at so
     # long a wavelength that the contour tail's end overflows or 2*k1*h
-    # underflows to 0: a message, never a traceback or a printed inf
+    # underflows to 0 (with a dot small enough for them), and heights
+    # at or below L_qd/2, which a smaller dot admits: a message, never
+    # a traceback, a warning or a printed inf
     out = tmp_path / "x"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # h below 10 nm
-        assert main(argv + ["--out", str(out)]) == code
+    assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert out.exists() == (code == 0)
     if code:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec as scipy_quad_vec
 
 import oracles
 from companions import fresnel, gxx_vertical_offset, gzx_lateral
@@ -99,10 +100,10 @@ def test_mirror_limit_against_image_dipole():
 
 def test_quasi_static_gradient_limit():
     # At h far below the wavelength the lateral gradient entry
-    # approaches the electrostatic image result.
+    # approaches the electrostatic image result; a dot of L_qd = 5 nm
+    # admits h = 3 nm (L_qd < 2h)
     h = 3.0
-    with pytest.warns(RuntimeWarning):
-        bundle = interface_point(paper_interface(h), EmitterMoments(0.0)).bundle
+    bundle = interface_point(paper_interface(h), EmitterMoments(0.0, l_qd=5.0)).bundle
     ref = oracles.quasistatic_gzx_gradient(h, 1000.0, 3.42, 0.2 + 7.0j)
     assert bundle.d_g_zx / ref == pytest.approx(1.0, abs=0.05)
 
@@ -213,15 +214,29 @@ def test_self_convergence_under_tolerance_halving():
 
 def test_expansion_validity_guard(monkeypatch):
     # k1 = 0.02149 rad/nm in GaAs at 1000 nm, so k1*L_qd crosses 1
-    # between 46 and 47 nm; the check runs before any quadrature
+    # between 46 and 47 nm; L_qd = 20 nm refuses a sweep's 5 nm height.
+    # Every height is checked before any quadrature
     geom = paper_interface(100.0)
     interface_point(geom, EmitterMoments(lambda_over_mu=10.0, l_qd=46.0))
-    passes = []
-    monkeypatch.setattr(halfspace, "_integrate_contour",
-                        lambda *args, **kwargs: passes.append(args))
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the expansion check")
+
+    monkeypatch.setattr(halfspace, "quad_vec", no_quadrature)
     with pytest.raises(ExpansionInvalidError):
         interface_point(geom, EmitterMoments(lambda_over_mu=10.0, l_qd=47.0))
-    assert passes == []
+    with pytest.raises(ExpansionInvalidError, match=r"^k\*L_qd = 2\.000 >= 1"):
+        next(halfspace.interface_sweep(geom, [100.0, 50.0, 5.0], MOMENTS))
+
+
+@pytest.mark.parametrize("l_qd, admitted, refused", [(20.0, 10.5, 10.0), (5.0, 3.0, 2.5)])
+def test_expansion_needs_dot_below_twice_the_height(l_qd, admitted, refused):
+    # the reflected near field's Taylor series in the source and field
+    # offsets converges only while L_qd < 2h: k_eff = max(k1, 1/(2h))
+    moments = EmitterMoments(10.0, l_qd=l_qd)
+    interface_point(paper_interface(admitted), moments)
+    with pytest.raises(ExpansionInvalidError, match=r"^k\*L_qd = 1\.000 >= 1"):
+        interface_point(paper_interface(refused), moments)
 
 
 @pytest.mark.parametrize("lower", [SILVER, Material("glass", 1.5)])
@@ -289,8 +304,19 @@ def test_interface_point_equals_scipy_quad_vec_bitwise(monkeypatch, lower, rel_t
     cases = [(InterfaceGeometry(upper=GAAS, lower=LOWER[lower], h=float(h), lambda0=1000.0),
               EmitterMoments((10.0, -3.0, 0.0)[i % 3])) for i, h in enumerate(heights)]
     got = [point_bits(interface_point(g, m, rel_tol=rel_tol)) for g, m in cases]
-    monkeypatch.setattr(halfspace, "quad_vec", oracles.scipy_quad_vec)
-    want = [point_bits(interface_point(g, m, rel_tol=rel_tol)) for g, m in cases]
+    want = []
+    for g, m in cases:
+        c = halfspace._contour(g)
+        ref = oracles.scalar_ladder_integrand(c.k0, c.k1, c.eps1, c.eps2, c.k_b, c.delta, g.h)
+
+        def scalar_quad_vec(f, bounds, epsabs, epsrel, ref=ref):
+            # scipy on the scalar reference: interval k of one height is segment k
+            return [scipy_quad_vec(lambda x, k=k: ref(x, k), a, b, epsabs=epsabs,
+                                   epsrel=epsrel, norm="max")
+                    for k, (a, b) in enumerate(bounds)]
+
+        monkeypatch.setattr(halfspace, "quad_vec", scalar_quad_vec)
+        want.append(point_bits(interface_point(g, m, rel_tol=rel_tol)))
     assert got == want
 
 
@@ -317,14 +343,14 @@ BIT_PIN_LOWER = {"Ag": 0.2 + 7.0j, "glass": 1.5, "host": 3.42, "lossless metal":
                  "near resonance": 0.1 + 3.6j}
 
 
-@pytest.mark.filterwarnings("ignore:h = .* is below 10.0 nm:RuntimeWarning")
 @pytest.mark.parametrize("lower", sorted(BIT_PIN_LOWER))
 def test_array_integrand_matches_scalar_reference_bitwise(monkeypatch, lower):
     # every node of real quadrature runs, in the batches the sweep forms:
     # the array integrand against the scalar form it replaced, on all
     # three segments (the tail ends before the ellipse does at 1e5 nm);
     # at 0.7 nm a lower medium equal to the host takes 400 000 nodes,
-    # so it starts at 3 nm
+    # so it starts at 3 nm; the moments do not enter the integrand, and
+    # a dot of 1 nm admits every height
     heights = [0.7, 3.0, 20.0, 150.0, 1000.0, 1.0e5]
     if lower == "host":
         heights = heights[1:]
@@ -341,7 +367,7 @@ def test_array_integrand_matches_scalar_reference_bitwise(monkeypatch, lower):
         return quad_vec(g, bounds, **kwargs)
 
     monkeypatch.setattr(halfspace, "quad_vec", recording)
-    list(halfspace.interface_sweep(geom, heights, MOMENTS))
+    list(halfspace.interface_sweep(geom, heights, EmitterMoments(10.0, l_qd=1.0)))
     c = halfspace._contour(geom)
     reference = [oracles.scalar_ladder_integrand(c.k0, c.k1, c.eps1, c.eps2, c.k_b, c.delta, h)
                  for h in heights]
@@ -370,15 +396,16 @@ def test_sweep_equals_one_height_at_a_time_bitwise():
         [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
 
 
-@pytest.mark.filterwarnings("ignore:h = .* is below 10.0 nm:RuntimeWarning")
 def test_sweep_raises_a_failure_at_its_height():
     # the contour tail at 1e-300 nm overflows: the sweep yields the
-    # height before it, then raises that height's own error
+    # height before it, then raises that height's own error; a dot of
+    # 1e-300 nm admits every height
     heights = [20.0, 1.0e-300, 30.0]
-    sweep = halfspace.interface_sweep(paper_interface(20.0), heights, MOMENTS)
-    assert point_bits(next(sweep)) == point_bits(interface_point(paper_interface(20.0), MOMENTS))
+    moments = EmitterMoments(10.0, l_qd=1.0e-300)
+    sweep = halfspace.interface_sweep(paper_interface(20.0), heights, moments)
+    assert point_bits(next(sweep)) == point_bits(interface_point(paper_interface(20.0), moments))
     with pytest.raises(ConvergenceError) as swept:
         next(sweep)
     with pytest.raises(ConvergenceError) as alone:
-        interface_point(paper_interface(1.0e-300), MOMENTS)
+        interface_point(paper_interface(1.0e-300), moments)
     assert str(swept.value) == str(alone.value) == "k_par integrand overflows at h = 1e-300 nm"

@@ -417,8 +417,6 @@ def _cmd_dispersion(cfg: argparse.Namespace) -> str:
         "kappa_out": _entry(mode.kappa_out, "exterior transverse decay constant", "1/nm"),
         "v_g": _v_g(mode),
         "residual": _entry(mode.residual, "characteristic-equation residual at k_sp (scaled)"),
-        "normalization_integral": _entry(mode.normalization_check(),
-                                         "cross-section integral of Re(eps)|e|^2, target 1"),
     })
 
 

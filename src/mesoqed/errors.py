@@ -26,4 +26,5 @@ class OutOfDomainError(MesoqedError):
 
 
 class ContractViolationError(MesoqedError):
-    """An internal cross-check between two independent code paths failed."""
+    """A computed quantity broke a physical invariant: gamma0 < 0, or a
+    mode normalization integral that is not positive and finite."""

@@ -89,14 +89,6 @@ class ChannelDecomposition:
     ls: tuple
 
 
-def _kz(eps: complex, k0: float, kp: complex) -> complex:
-    """Vertical wavevector with Im >= 0 pointwise."""
-    w = np.sqrt(complex(eps * k0 * k0 - kp * kp))
-    if w.imag < 0.0:
-        w = -w
-    return w
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     z = np.asarray(re, dtype=complex)  # a new array: re is real
     z.imag = im
@@ -287,7 +279,7 @@ def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, abs_scale: float) 
 
 
 def _kz_nodes(eps_k0: complex, kp: np.ndarray) -> np.ndarray:
-    """`_kz` at many nodes; eps_k0 is eps*k0*k0."""
+    """Vertical wavevector with Im >= 0 at each node kp; eps_k0 is eps*k0*k0."""
     w = np.sqrt(eps_k0 - _mul(kp, kp))
     return np.negative(w, out=w, where=w.imag < 0.0)
 
@@ -368,8 +360,8 @@ def _pole_vector(c: _Contour, h: float) -> np.ndarray:
     if c.pole is None:
         return np.zeros(4, dtype=complex)
     ks = c.pole
-    kz1p = _kz(c.eps1, c.k0, ks)
-    kz2p = _kz(c.eps2, c.k0, ks)
+    kz1p = _kz_nodes(c.eps1 * c.k0 * c.k0, np.array([ks]))[0]
+    kz2p = _kz_nodes(c.eps2 * c.k0 * c.k0, np.array([ks]))[0]
     dprime = -ks * (c.eps2 / kz1p + c.eps1 / kz2p)
     rtilde = 2.0 * c.eps2 * kz1p / dprime
     phip = np.exp(2.0j * kz1p * h)

@@ -19,8 +19,8 @@ of kappa_out: the thin wire's x0/rho (Takahara et al., Opt. Lett. 22,
 Conventions fixed here and used by the rate formulas:
   * profile(r) returns real positive magnitudes (E_r(r), E_z(r)); the
     physical field is (-E_r, 0, i E_z) e^{i k_sp z}.  Rates built from
-    these magnitudes; the raw complex solution (needed for boundary
-    matching) is exposed separately.
+    these magnitudes; GuidedMode.raw(r) is the raw complex solution
+    (needed for boundary matching), inside and outside the wire.
   * normalization: integral of Re[eps(r)] |e|^2 over the cross-section
     equals 1.  Re makes the norm a positive real number for lossy metal.
   * per-photon prefactor C = 3 pi c0 / (n_host k0^2 v_g), vacuum
@@ -64,6 +64,7 @@ from .rates import GreenBundle
 
 _ROOT_RESIDUAL = 1e-12
 _NORM_TAIL = 40.0  # exterior cutoff: exp(-2*40) tail below double precision
+_ORDERS = np.arange(2)  # each radial pair, orders 0 and 1, in one Bessel call
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ def _characteristic(k: complex, geom: WireGeometry) -> tuple[complex, float]:
     kap_in = _transverse(k, geom.metal.eps, k0, bound=False)
     kap_out = _transverse(k, geom.host.eps, k0, bound=True)
     # Python complex scalars: numpy's complex arithmetic can round differently
-    (i0, i1), _ = specfun.bessel_ik_scaled(np.arange(2), kap_in * geom.rho)
-    q0, q1 = specfun.bessel_k_scaled(np.arange(2), kap_out * geom.rho)
+    (i0, i1), _ = specfun.bessel_ik_scaled(_ORDERS, kap_in * geom.rho)
+    q0, q1 = specfun.bessel_k_scaled(_ORDERS, kap_out * geom.rho)
     i0, i1, q0, q1 = map(complex, (i0, i1, q0, q1))
     t_in = (geom.metal.eps / kap_in) * (i1 / i0)
     t_out = (geom.host.eps / kap_out) * (q1 / q0)
@@ -158,7 +159,7 @@ def _electrostatic_root(geom: WireGeometry) -> float:
         )
 
     def side(x: float) -> float:
-        (i0, i1), (k0, k1) = specfun.bessel_ik_scaled(np.arange(2), x)
+        (i0, i1), (k0, k1) = specfun.bessel_ik_scaled(_ORDERS, x)
         return (eps_m * i1 / i0 + eps_h * k1 / k0).real
 
     lo, hi = 0.0, 1.0
@@ -201,29 +202,17 @@ class GuidedMode:
     geometry: WireGeometry
     a_in: complex
 
-    def raw_exterior(self, r: float) -> tuple[complex, complex]:
-        """Unnormalized (e_r, e_z) for r >= rho, unit K0 amplitude."""
-        kv0 = specfun.bessel_k(0, self.kappa_out * r)
-        kv1 = specfun.bessel_k(1, self.kappa_out * r)
-        e_z = kv0
-        e_r = 1j * (self.k_sp / self.kappa_out) * kv1
-        return e_r, e_z
-
-    def raw_interior(self, r: float) -> tuple[complex, complex]:
-        """Unnormalized (e_r, e_z) for r <= rho, same overall amplitude."""
-        if r == 0.0:
-            return 0.0j, complex(self.a_in)  # I0(0)=1, I1(0)=0
-        iv0, _ = specfun.bessel_ik(0, self.kappa_in * r)
-        iv1, _ = specfun.bessel_ik(1, self.kappa_in * r)
-        e_z = self.a_in * iv0
-        e_r = -1j * (self.k_sp / self.kappa_in) * self.a_in * iv1
-        return e_r, e_z
-
     def raw(self, r: float) -> tuple[complex, complex]:
         """Unnormalized (e_r, e_z) at r, inside or outside the wire."""
+        # Python complex scalars: numpy's complex arithmetic can round differently
         if r >= self.geometry.rho:
-            return self.raw_exterior(r)
-        return self.raw_interior(r)
+            kv0, kv1 = map(complex, specfun.bessel_k(_ORDERS, self.kappa_out * r))
+            return 1j * (self.k_sp / self.kappa_out) * kv1, kv0
+        if r == 0.0:
+            return 0.0j, complex(self.a_in)  # I0(0)=1, I1(0)=0
+        (iv0, iv1), _ = specfun.bessel_ik(_ORDERS, self.kappa_in * r)
+        iv0, iv1 = complex(iv0), complex(iv1)
+        return -1j * (self.k_sp / self.kappa_in) * self.a_in * iv1, self.a_in * iv0
 
     def profile(self, r: float) -> tuple[float, float]:
         """Real positive magnitudes (E_r, E_z) of the normalized mode."""
@@ -234,15 +223,14 @@ class GuidedMode:
         """d|E_z|/dr of the normalized mode, exterior region only."""
         if r < self.geometry.rho:
             raise ParameterError("magnitude derivative implemented outside the wire only")
-        kv0 = specfun.bessel_k(0, self.kappa_out * r)
-        kv1 = specfun.bessel_k(1, self.kappa_out * r)
+        kv0, kv1 = map(complex, specfun.bessel_k(_ORDERS, self.kappa_out * r))
         if kv0 == 0.0:
             raise OutOfDomainError(f"d|E_z|/dr at r = {r:g} nm: K0 underflows to 0")
         num = (self.kappa_out * kv1 * kv0.conjugate()).real
         return -self.norm * num / abs(kv0)
 
     def normalization_check(self) -> float:
-        """Recompute the cross-section normalization integral (target 1)."""
+        """norm^2 times a re-run of the integral that set norm: 1 to roundoff by construction."""
         raw = _norm_integral(self.geometry, self.k_sp, self.kappa_in, self.kappa_out, self.a_in)
         return self.norm * self.norm * raw
 
@@ -263,12 +251,10 @@ def _norm_integral(
         inner = row == 0
         out = np.empty_like(r)
         r_in, r_out = r[inner], r[~inner]
-        iv0, _ = specfun.bessel_ik(0, kap_in * r_in)
-        iv1, _ = specfun.bessel_ik(1, kap_in * r_in)
+        (iv0, iv1), _ = specfun.bessel_ik(_ORDERS[:, None], kap_in * r_in)
         dens = a2 * (np.abs(iv0) ** 2 + ratio_in * np.abs(iv1) ** 2)
         out[inner] = eps_in_re * dens * 2.0 * math.pi * r_in
-        kv0 = specfun.bessel_k(0, kap_out * r_out)
-        kv1 = specfun.bessel_k(1, kap_out * r_out)
+        kv0, kv1 = specfun.bessel_k(_ORDERS[:, None], kap_out * r_out)
         dens = np.abs(kv0) ** 2 + ratio_out * np.abs(kv1) ** 2
         out[~inner] = eps_out_re * dens * 2.0 * math.pi * r_out
         return out

@@ -28,7 +28,7 @@ from mesoqed.halfspace import (
     _contour,
     _fresnel_from_kz,
     _integrate_contour,
-    _kz,
+    _kz_nodes,
     _mul,
 )
 from mesoqed.specfun import _OVERFLOW_ARG, _finish
@@ -77,8 +77,8 @@ def fresnel(k_par, geom: InterfaceGeometry):
     axis); branch of both k_z follows the Im >= 0 convention.
     """
     k0 = 2.0 * math.pi / geom.lambda0
-    kz1 = _kz(geom.upper.eps, k0, k_par)
-    kz2 = _kz(geom.lower.eps, k0, k_par)
+    kz1 = _kz_nodes(geom.upper.eps * k0 * k0, np.array([k_par]))[0]
+    kz2 = _kz_nodes(geom.lower.eps * k0 * k0, np.array([k_par]))[0]
     return _fresnel_from_kz(kz1, kz2, geom.upper.eps, geom.lower.eps)
 
 

@@ -204,7 +204,6 @@ def test_dispersion_payload(tmp_path):
     assert doc["residual"]["value"] < 1e-10
     assert doc["n_eff"]["value"]["re"] == pytest.approx(5.998823, rel=1e-6)
     assert doc["n_eff"]["value"]["im"] == pytest.approx(0.174823, rel=1e-5)
-    assert doc["normalization_integral"]["value"] == pytest.approx(1.0, rel=1e-9)
     assert doc["kappa_out"]["value"]["re"] > 0.0
 
 

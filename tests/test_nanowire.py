@@ -224,19 +224,115 @@ def _cold_solve(geom):
     return mode.k_sp, mode.v_g, mode.norm
 
 
+_COLD_GEOMS = [WireGeometry(rho=rho, metal=Material("m", n), host=GAAS, lambda0=lam)
+               for n in (0.2 + 7.0j, 0.1 + 3.6j, 0.3 + 5.0j)
+               for rho in (0.5, 1.0, 2.0, 5.0, 30.0, 100.0, 500.0, 1500.0, 3000.0)
+               for lam in (700.0, 1000.0, 1400.0)]
+
+
 def test_cold_solve_matches_scalar_bessel_calls_bitwise(monkeypatch):
     # the characteristic function takes its four Bessel values from two
     # order-array calls; every solve must equal the scalar-call one bit
     # for bit (k_sp, v_g and norm), or fail the same way
-    geoms = [WireGeometry(rho=rho, metal=Material("m", n), host=GAAS, lambda0=lam)
-             for n in (0.2 + 7.0j, 0.1 + 3.6j, 0.3 + 5.0j)
-             for rho in (0.5, 1.0, 2.0, 5.0, 30.0, 100.0, 500.0, 1500.0, 3000.0)
-             for lam in (700.0, 1000.0, 1400.0)]
-    arrays = [_cold_solve(g) for g in geoms]
+    arrays = [_cold_solve(g) for g in _COLD_GEOMS]
     monkeypatch.setattr(nanowire, "_characteristic", _characteristic_four_calls)
-    scalars = [_cold_solve(g) for g in geoms]
+    scalars = [_cold_solve(g) for g in _COLD_GEOMS]
     assert sum(isinstance(a[0], complex) for a in arrays) > 60
     assert arrays == scalars
+
+
+# the mode's field with one scalar Bessel call per order: the forms that
+# GuidedMode.raw, d_ez_mag_dr and the norm density replace
+
+
+def _raw_exterior(mode, r):
+    kv0 = specfun.bessel_k(0, mode.kappa_out * r)
+    kv1 = specfun.bessel_k(1, mode.kappa_out * r)
+    return 1j * (mode.k_sp / mode.kappa_out) * kv1, kv0
+
+
+def _raw_interior(mode, r):
+    if r == 0.0:
+        return 0.0j, complex(mode.a_in)
+    iv0, _ = specfun.bessel_ik(0, mode.kappa_in * r)
+    iv1, _ = specfun.bessel_ik(1, mode.kappa_in * r)
+    return -1j * (mode.k_sp / mode.kappa_in) * mode.a_in * iv1, mode.a_in * iv0
+
+
+def _d_ez_mag_dr_per_order(mode, r):
+    kv0 = specfun.bessel_k(0, mode.kappa_out * r)
+    kv1 = specfun.bessel_k(1, mode.kappa_out * r)
+    if kv0 == 0.0:
+        raise OutOfDomainError("K0 underflows to 0")
+    return -mode.norm * (mode.kappa_out * kv1 * kv0.conjugate()).real / abs(kv0)
+
+
+def _norm_integral_per_order(geom, k_sp, kap_in, kap_out, a_in):
+    ratio_in = abs(k_sp / kap_in) ** 2
+    ratio_out = abs(k_sp / kap_out) ** 2
+    a2 = abs(a_in) ** 2
+
+    def density(r, row):
+        inner = row == 0
+        out = np.empty_like(r)
+        r_in, r_out = r[inner], r[~inner]
+        iv0, _ = specfun.bessel_ik(0, kap_in * r_in)
+        iv1, _ = specfun.bessel_ik(1, kap_in * r_in)
+        dens = a2 * (np.abs(iv0) ** 2 + ratio_in * np.abs(iv1) ** 2)
+        out[inner] = geom.metal.eps.real * dens * 2.0 * math.pi * r_in
+        kv0 = specfun.bessel_k(0, kap_out * r_out)
+        kv1 = specfun.bessel_k(1, kap_out * r_out)
+        dens = np.abs(kv0) ** 2 + ratio_out * np.abs(kv1) ** 2
+        out[~inner] = geom.host.eps.real * dens * 2.0 * math.pi * r_out
+        return out
+
+    r_max = geom.rho + nanowire._NORM_TAIL / kap_out.real
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_in, w_out = nanowire.quad(density, np.array([0.0, geom.rho]),
+                                    np.array([geom.rho, r_max]), 1e-11)
+    return float(w_in + w_out)
+
+
+def _cold_mode(geom):
+    try:
+        return nanowire.solve_dispersion.__wrapped__(geom)
+    except MesoqedError as exc:
+        return type(exc)
+
+
+def _bits(value):
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    z = complex(value)
+    return z.real.hex(), z.imag.hex()
+
+
+def _outcome(fn, *args):
+    # the value's bits, or the type of the error it raised
+    try:
+        return _bits(fn(*args))
+    except MesoqedError as exc:
+        return type(exc)
+
+
+def test_mode_fields_match_per_order_bessel_calls_bitwise(monkeypatch):
+    # raw, d_ez_mag_dr and the norm density take each radial Bessel pair
+    # (I0, I1 or K0, K1) from one order-array call; each must equal the
+    # per-order scalar calls bit for bit, or fail the same way
+    modes = [_cold_mode(g) for g in _COLD_GEOMS]
+    monkeypatch.setattr(nanowire, "_norm_integral", _norm_integral_per_order)
+    per_order = [_cold_mode(g) for g in _COLD_GEOMS]
+    # a norm is positive and finite, so == compares its bits
+    assert [getattr(m, "norm", m) for m in modes] == [getattr(m, "norm", m) for m in per_order]
+    modes = [m for m in modes if isinstance(m, nanowire.GuidedMode)]
+    assert len(modes) > 60
+    for mode in modes:
+        rho = mode.geometry.rho
+        for r in (0.0, rho / 2.0, rho * (1.0 - 1e-9)):
+            assert _outcome(mode.raw, r) == _outcome(_raw_interior, mode, r)
+        for r in (rho, rho + 20.0, rho + 300.0):
+            assert _outcome(mode.raw, r) == _outcome(_raw_exterior, mode, r)
+            assert _outcome(mode.d_ez_mag_dr, r) == _outcome(_d_ez_mag_dr_per_order, mode, r)
 
 
 def test_geometry_validation():
@@ -532,6 +628,36 @@ def test_background_bessel_work_per_node(monkeypatch, orientation, ive_per_node,
     assert special.elements == {"ive": ive_per_node * nodes[0], "kve": kve_per_node * nodes[0]}
 
 
+def test_mode_field_bessel_work(monkeypatch):
+    # each radial pair of the solved mode's field is one order-array call:
+    # K0, K1 at the emitter for the profile and again for d|E_z|/dr, and
+    # one pair per nonzero radius of a field map (E at r = 0 is closed form)
+    solve_dispersion(GEOM)
+    calls = dict.fromkeys(("bessel_ik", "bessel_k", "bessel_ik_scaled", "bessel_k_scaled"), 0)
+
+    def counting(name, fn):
+        def counted(order, z):
+            calls[name] += 1
+            return fn(order, z)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(specfun, name, counting(name, getattr(specfun, name)))
+    for orientation in (AXIAL, RADIAL):
+        calls.update(dict.fromkeys(calls, 0))
+        plasmon_bundle(GEOM, 20.0, orientation)
+        assert calls == {"bessel_ik": 0, "bessel_k": 2, "bessel_ik_scaled": 0,
+                         "bessel_k_scaled": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    fm = field_map(GEOM, FieldWindow(r_min=0.0, r_max=GEOM.rho + 120.0, z_min=0.0, z_max=500.0))
+    assert fm.r.size == 81
+    assert calls == {"bessel_ik": np.count_nonzero((fm.r > 0.0) & (fm.r < GEOM.rho)),
+                     "bessel_k": np.count_nonzero(fm.r >= GEOM.rho), "bessel_ik_scaled": 0,
+                     "bessel_k_scaled": 0}
+    assert calls["bessel_ik"] + calls["bessel_k"] == 80
+
+
 def test_background_warns_when_it_accepts_a_stalled_series():
     # at d = 10 nm the radial series still moves at m_max = 30 (last term
     # about 1.4e-7 of the sum) and is accepted below 1e-6: it must say so
@@ -595,8 +721,8 @@ def test_boundary_conditions_at_the_surface():
     mode = solve_dispersion(GEOM)
     eps_out = 1e-6
     r_in, r_out = 30.0 - eps_out, 30.0 + eps_out
-    er_in, ez_in = mode.raw_interior(r_in)
-    er_out, ez_out = mode.raw_exterior(r_out)
+    er_in, ez_in = mode.raw(r_in)
+    er_out, ez_out = mode.raw(r_out)
     # tangential E and normal D continuous
     assert ez_in == pytest.approx(ez_out, rel=1e-4)
     assert EPS_METAL * er_in == pytest.approx(EPS_HOST * er_out, rel=1e-4)

@@ -306,17 +306,14 @@ def _block(task) -> list:
     return rows
 
 
-def _pool_size(cfg: argparse.Namespace, points: int) -> int:
+def _map_blocks(cfg: argparse.Namespace, label: str, points: list, rows_of) -> list:
+    """Rows of the points in order, one contiguous block of points per process."""
     # a pool starts all its processes at once: no more than points or CPUs
-    return min(cfg.workers, points, os.cpu_count() or 1)
-
-
-def _map_blocks(cfg: argparse.Namespace, label: str, blocks: list, rows_of) -> list:
-    """Rows of each block in order, over `--workers` processes."""
-    tasks = [(rows_of, label, cfg, block) for block in blocks]
-    size = _pool_size(cfg, len(tasks))
+    size = min(cfg.workers, len(points), os.cpu_count() or 1)
+    tasks = [(rows_of, label, cfg, points[i * len(points) // size:(i + 1) * len(points) // size])
+             for i in range(size)]
     if size == 1:
-        return [row for task in tasks for row in _block(task)]
+        return _block(tasks[0])
     # the pool module loads multiprocessing: only a run that starts a pool pays for it
     from concurrent.futures import ProcessPoolExecutor
 
@@ -383,12 +380,7 @@ def _omega(cfg: argparse.Namespace) -> dict:
 def _cmd_interface_sweep(cfg: argparse.Namespace) -> str:
     header = ["h", "gamma0", "gamma1", "gamma2", "total_direct", "total_inverted",
               "rad", "pl", "ls", "b_yx_norm", "q_xz_norm"]
-    heights = _sweep_values(cfg, "interface-sweep")
-    # one contiguous block of heights per process: a block's heights share quadrature rounds
-    size = _pool_size(cfg, len(heights))
-    blocks = [heights[i * len(heights) // size:(i + 1) * len(heights) // size]
-              for i in range(size)]
-    rows = _map_blocks(cfg, "h", blocks, _interface_rows)
+    rows = _map_blocks(cfg, "h", _sweep_values(cfg, "interface-sweep"), _interface_rows)
     return _sweep_text(cfg, "interface-sweep", rows, header, [
         "total_direct = gamma0 + gamma1 + gamma2; total_inverted flips the sign of gamma1",
         "rad + pl + ls = total_direct (decay-channel split of the direct total)",
@@ -399,7 +391,7 @@ def _cmd_interface_sweep(cfg: argparse.Namespace) -> str:
 def _cmd_nanowire_sweep(cfg: argparse.Namespace) -> str:
     header = ["d", "gamma0_pl", "gamma1_pl", "gamma2_pl", "background",
               "total_direct", "total_inverted"]
-    rows = _map_blocks(cfg, "d", [[d] for d in _sweep_values(cfg, "nanowire-sweep")], _wire_rows)
+    rows = _map_blocks(cfg, "d", _sweep_values(cfg, "nanowire-sweep"), _wire_rows)
     return _sweep_text(cfg, "nanowire-sweep", rows, header, [
         "gamma*_pl is the guided-plasmon channel alone;"
         " background = 1 + electrostatic surface-loss floor",

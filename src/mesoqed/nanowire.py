@@ -17,10 +17,11 @@ of kappa_out: the thin wire's x0/rho (Takahara et al., Opt. Lett. 22,
 0 <= Im k < Re k.  Mode conventions: Chang et al., PRB 76, 035420 (2007).
 
 Conventions fixed here and used by the rate formulas:
-  * profile(r) returns real positive magnitudes (E_r(r), E_z(r)); the
-    physical field is (-E_r, 0, i E_z) e^{i k_sp z}.  Rates built from
-    these magnitudes; GuidedMode.raw(r) is the raw complex solution
-    (needed for boundary matching), inside and outside the wire.
+  * exterior(r) returns real positive magnitudes (E_r(r), E_z(r)) and
+    d|E_z|/dr outside the wire; the physical field is
+    (-E_r, 0, i E_z) e^{i k_sp z}.  Rates are built from these;
+    GuidedMode.raw(r) is the raw complex solution (boundary matching,
+    field maps), inside and outside the wire.
   * normalization: integral of Re[eps(r)] |e|^2 over the cross-section
     equals 1.  Re makes the norm a positive real number for lossy metal.
   * per-photon prefactor C = 3 pi c0 / (n_host k0^2 v_g), vacuum
@@ -214,20 +215,16 @@ class GuidedMode:
         iv0, iv1 = complex(iv0), complex(iv1)
         return -1j * (self.k_sp / self.kappa_in) * self.a_in * iv1, self.a_in * iv0
 
-    def profile(self, r: float) -> tuple[float, float]:
-        """Real positive magnitudes (E_r, E_z) of the normalized mode."""
-        e_r, e_z = self.raw(r)
-        return self.norm * abs(e_r), self.norm * abs(e_z)
-
-    def d_ez_mag_dr(self, r: float) -> float:
-        """d|E_z|/dr of the normalized mode, exterior region only."""
+    def exterior(self, r: float) -> tuple[float, float, float]:
+        """Magnitudes (E_r, E_z) of the normalized mode and d|E_z|/dr, outside the wire."""
         if r < self.geometry.rho:
-            raise ParameterError("magnitude derivative implemented outside the wire only")
+            raise ParameterError("the exterior field is defined outside the wire only")
         kv0, kv1 = map(complex, specfun.bessel_k(_ORDERS, self.kappa_out * r))
         if kv0 == 0.0:
             raise OutOfDomainError(f"d|E_z|/dr at r = {r:g} nm: K0 underflows to 0")
+        e_r = 1j * (self.k_sp / self.kappa_out) * kv1
         num = (self.kappa_out * kv1 * kv0.conjugate()).real
-        return -self.norm * num / abs(kv0)
+        return self.norm * abs(e_r), self.norm * abs(kv0), -self.norm * num / abs(kv0)
 
     def normalization_check(self) -> float:
         """norm^2 times a re-run of the integral that set norm: 1 to roundoff by construction."""
@@ -378,8 +375,7 @@ def plasmon_bundle(geom: WireGeometry, d: float, orientation: str) -> GreenBundl
     mode = solve_dispersion(geom)
     scale = homogeneous_im_gxx(geom.host, geom.lambda0) * _rate_prefactor(geom, mode)
     r0 = geom.rho + d
-    e_r, e_z = mode.profile(r0)
-    dez = mode.d_ez_mag_dr(r0)
+    e_r, e_z, dez = mode.exterior(r0)
     if orientation == AXIAL:
         # complex fields (-E_r, 0, i E_z) e^{i k z}: conj(d_z e_r) e_z at z=0
         cross = (1j * mode.k_sp * (-e_r)).conjugate() * (1j * e_z)

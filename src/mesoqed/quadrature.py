@@ -17,7 +17,9 @@ value and error estimate, provided the integrand's value at a node does
 not depend on the other nodes of the call. It differs in how the work is
 scheduled, not in what is computed: the intervals are independent
 adaptive processes run in lockstep, and every round evaluates the nodes
-of all panels being split at once.
+of all panels being split at once. Each panel keeps its integral until
+it is split; scipy re-integrates a panel its cache has lost, which gives
+the same bits, so only scipy's evaluation count can differ.
 
 `quad` integrates many real scalar integrands ("rows") by adaptive
 bisection, each to a relative tolerance on its own.
@@ -30,6 +32,7 @@ Gauss nodes are every second one).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 import warnings
@@ -127,28 +130,33 @@ def _gk21(f, panels: list) -> tuple:
 
 
 class _Interval:
-    """scipy's adaptive state for one interval: heap, cache and sums."""
+    """scipy's adaptive state for one interval: heap of panels and sums.
+
+    A heap entry (-err, a, b, n, integral) carries its panel's integral,
+    which scipy keeps in a cache keyed by (a, b); n counts the interval's
+    pushes, so two entries never compare their integrals.
+    """
 
     def __init__(self, a: float, b: float, integral, err: float, rnd: float):
         self.integral = integral
         self.error = err
         self.rounding = rnd
-        self.cache = {(a, b): integral}
-        self.heap = [(-err, a, b)]
+        self.pushes = itertools.count()
+        self.heap = [(-err, a, b, next(self.pushes), integral)]
 
     def tol(self, epsabs: float, epsrel: float) -> float:
         return max(epsabs, epsrel * float(_max_norm(self.integral)))
 
     def pop(self, epsabs: float, epsrel: float) -> list:
-        """The intervals scipy splits next: (a, b, error, cached integral)."""
+        """The panels scipy splits next: (a, midpoint, b, error, integral)."""
         tol = self.tol(epsabs, epsrel)
         taken = []
         err_sum = 0
         for j in range(_PARALLEL):
             if not self.heap or (j > 0 and err_sum > self.error - tol / 8):
                 break
-            neg_err, a, b = heapq.heappop(self.heap)
-            taken.append((a, b, -neg_err, self.cache.pop((a, b), None)))
+            neg_err, a, b, _, integral = heapq.heappop(self.heap)
+            taken.append((a, 0.5 * (a + b), b, -neg_err, integral))
             err_sum += -neg_err
         return taken
 
@@ -158,8 +166,7 @@ class _Interval:
         self.error += err1 + err2 - old_err
         self.rounding += rnd1 + rnd2
         for x1, x2, ig, err in ((a, c, s1, err1), (c, b, s2, err2)):
-            self.cache[(x1, x2)] = ig
-            heapq.heappush(self.heap, (-err, x1, x2))
+            heapq.heappush(self.heap, (-err, x1, x2, next(self.pushes), ig))
 
     def done(self, epsabs: float, epsrel: float) -> bool:
         """scipy's stops: target met, roundoff reached, non-finite, limit."""
@@ -180,29 +187,19 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
     with as many components on every interval. Returns one (value, error
     estimate) pair per interval, each bitwise equal to scipy's
     quad_vec(lambda x: f(np.array([x]), np.array([k]))[0], a, b,
-    epsabs=epsabs, epsrel=epsrel, norm="max") for vectors small enough
-    that scipy's 100 MB interval cache holds its 10000 intervals.
+    epsabs=epsabs, epsrel=epsrel, norm="max"). Each round evaluates two
+    panels per split.
     """
     values, errs, rnds = _gk21(f, [(k, a, b) for k, (a, b) in enumerate(bounds)])
     procs = [_Interval(a, b, values[k], errs[k], rnds[k]) for k, (a, b) in enumerate(bounds)]
     active = list(range(len(procs)))
     while active:
-        work = [(k, a, 0.5 * (a + b), b, old_err, old_int)
-                for k in active for a, b, old_err, old_int in procs[k].pop(epsabs, epsrel)]
-        panels = []
-        for k, a, c, b, _, old_int in work:
-            # scipy re-integrates a popped interval only if its cache lost it
-            panels += [(k, a, c), (k, c, b)] + ([(k, a, b)] if old_int is None else [])
-        values, errs, rnds = _gk21(f, panels)
-        i = 0
-        for k, a, c, b, old_err, old_int in work:
-            left = (values[i], errs[i], rnds[i])
-            right = (values[i + 1], errs[i + 1], rnds[i + 1])
-            if old_int is None:
-                old_int = values[i + 2]
-                i += 1
-            i += 2
-            procs[k].split(a, c, b, old_err, old_int, left, right)
+        work = [(k, *panel) for k in active for panel in procs[k].pop(epsabs, epsrel)]
+        values, errs, rnds = _gk21(f, [panel for k, a, c, b, *_ in work
+                                       for panel in ((k, a, c), (k, c, b))])
+        for i, (k, a, c, b, old_err, old_int) in enumerate(work):
+            two = slice(2 * i, 2 * i + 2)
+            procs[k].split(a, c, b, old_err, old_int, *zip(values[two], errs[two], rnds[two]))
         active = [k for k in active if not procs[k].done(epsabs, epsrel)]
     return [(p.integral, p.error + p.rounding) for p in procs]
 

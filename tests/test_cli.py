@@ -66,10 +66,11 @@ def config_keys(text):
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+    """Stands in for ProcessPoolExecutor: logs its size and task points, maps in this process."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, blocks, max_workers):
         sizes.append(max_workers)
+        self.blocks = blocks
 
     def __enter__(self):
         return self
@@ -78,17 +79,26 @@ class FakePool:
         return False
 
     def map(self, fn, tasks):
+        tasks = list(tasks)
+        # a task is (rows_of, label, cfg, points)
+        self.blocks.append([task[-1] for task in tasks])
         return map(fn, tasks)
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
+def pool_log(monkeypatch):
     # no process starts: every pool the CLI asks for is a FakePool (the
-    # CLI imports the pool class from concurrent.futures when it starts one)
-    sizes = []
+    # CLI imports the pool class from concurrent.futures when it starts
+    # one); the log holds each pool's size and the points of its tasks
+    sizes, blocks = [], []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: FakePool(sizes, max_workers))
-    return sizes
+                        lambda max_workers: FakePool(sizes, blocks, max_workers))
+    return sizes, blocks
+
+
+@pytest.fixture
+def pool_sizes(pool_log):
+    return pool_log[0]
 
 
 # ------------------------------------------------------------ golden rows
@@ -252,13 +262,30 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
 
 
 def test_parallel_workers_match_serial(tmp_path):
-    serial = run_text(
-        ["interface-sweep", "--range", "60:181:60", "--workers", "1"], tmp_path, "s.csv"
-    )
-    parallel = run_text(
-        ["interface-sweep", "--range", "60:181:60", "--workers", "2"], tmp_path, "p.csv"
-    )
-    assert serial == parallel
+    for argv in (["interface-sweep", "--range", "60:181:60"],
+                 ["nanowire-sweep", "--range", "20:81:20"]):
+        serial = run_text(argv + ["--workers", "1"], tmp_path, "s.csv")
+        parallel = run_text(argv + ["--workers", "2"], tmp_path, "p.csv")
+        assert serial == parallel
+
+
+@pytest.mark.parametrize("command", ["interface-sweep", "nanowire-sweep"])
+def test_sweeps_hand_each_process_one_contiguous_block(capsys, monkeypatch, pool_log, command):
+    # both sweeps split their points alike: as many processes as asked
+    # for (up to points and CPUs), each one block of consecutive points,
+    # in order, the blocks as even as the count allows
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    argv = [command, "--range", "20:81:5"]
+    points = [20.0 + 5.0 * i for i in range(13)]
+    serial = stdout_of(argv, capsys)
+    sizes, blocks = pool_log
+    for workers in (2, 3, 5, 13, 100):
+        assert stdout_of(argv + ["--workers", str(workers)], capsys) == serial
+    assert sizes == [2, 3, 5, 13, 13]
+    for size, pool in zip(sizes, blocks):
+        assert len(pool) == size
+        assert [p for block in pool for p in block] == points
+        assert max(map(len, pool)) - min(map(len, pool)) <= 1
 
 
 def test_worker_pool_is_bounded_by_points_and_cpus(capsys, monkeypatch, pool_sizes):
@@ -285,6 +312,16 @@ def test_failing_point_is_named(capsys, monkeypatch, pool_sizes, workers):
     assert rc == 2
     assert capsys.readouterr().err.startswith("mesoqed: invalid configuration: h = 20: ")
     assert pool_sizes == ([] if workers == "1" else [2])
+
+
+def test_height_whose_quadrature_fails_is_named(capsys):
+    # a lower medium with the host's index at a 1e-14 target: the k_par
+    # quadrature stops at 3.4e-14, and the sweep exits 3 naming the height
+    argv = ["interface-sweep", "--range", "20:21:5", "--metal-n", "3.42", "--tol", "1e-14"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "mesoqed: numerical failure: h = 20: k_par quadrature "
+                                       "reached 3.434e-14, wanted 1.0e-14 relative "
+                                       "(scale 1.140e-03)\n")
 
 
 def test_height_within_half_the_dot_is_refused_by_name(capsys):
@@ -581,6 +618,12 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["interface-sweep", "--range", "5:30:5"], 2),
     (["interface-sweep", "--range", "10:30:5"], 2),
     (["interface-sweep", "--range", "3:30:1", "--lqd", "5"], 0),
+    (["interface-sweep", "--range", "a:b:c"], 2),
+    (["interface-sweep", "--range", "10:inf:5"], 2),
+    (["interface-sweep", "--range", "10:20:0"], 2),
+    (["nanowire-sweep", "--range", "20:21:5", "--orientation", "diagonal"], 2),
+    (["interface-sweep", "--range", "20:21:5", "--ratio", "nan"], 2),
+    (["report", "--config", "/nonexistent/cfg.txt"], 2),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -594,8 +637,10 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # bound also given as a separate word), heights so small at so
     # long a wavelength that the contour tail's end overflows or 2*k1*h
     # underflows to 0 (with a dot small enough for them), and heights
-    # at or below L_qd/2, which a smaller dot admits: a message, never
-    # a traceback, a warning or a printed inf
+    # at or below L_qd/2, which a smaller dot admits, then a range that
+    # is not numeric, not finite or has step 0, an unknown orientation,
+    # a NaN ratio and a config file that does not exist: a message,
+    # never a traceback, a warning or a printed inf
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err

@@ -242,7 +242,7 @@ def test_cold_solve_matches_scalar_bessel_calls_bitwise(monkeypatch):
 
 
 # the mode's field with one scalar Bessel call per order: the forms that
-# GuidedMode.raw, d_ez_mag_dr and the norm density replace
+# GuidedMode.raw, GuidedMode.exterior and the norm density replace
 
 
 def _raw_exterior(mode, r):
@@ -265,6 +265,17 @@ def _d_ez_mag_dr_per_order(mode, r):
     if kv0 == 0.0:
         raise OutOfDomainError("K0 underflows to 0")
     return -mode.norm * (mode.kappa_out * kv1 * kv0.conjugate()).real / abs(kv0)
+
+
+def _exterior_per_order(mode, r):
+    e_r, e_z = _raw_exterior(mode, r)
+    return mode.norm * abs(e_r), mode.norm * abs(e_z), _d_ez_mag_dr_per_order(mode, r)
+
+
+def _profile(mode, r):
+    """Magnitudes (E_r, E_z) of the normalized mode, inside or outside the wire."""
+    e_r, e_z = mode.raw(r)
+    return mode.norm * abs(e_r), mode.norm * abs(e_z)
 
 
 def _norm_integral_per_order(geom, k_sp, kap_in, kap_out, a_in):
@@ -316,7 +327,7 @@ def _outcome(fn, *args):
 
 
 def test_mode_fields_match_per_order_bessel_calls_bitwise(monkeypatch):
-    # raw, d_ez_mag_dr and the norm density take each radial Bessel pair
+    # raw, exterior and the norm density take each radial Bessel pair
     # (I0, I1 or K0, K1) from one order-array call; each must equal the
     # per-order scalar calls bit for bit, or fail the same way
     modes = [_cold_mode(g) for g in _COLD_GEOMS]
@@ -332,7 +343,7 @@ def test_mode_fields_match_per_order_bessel_calls_bitwise(monkeypatch):
             assert _outcome(mode.raw, r) == _outcome(_raw_interior, mode, r)
         for r in (rho, rho + 20.0, rho + 300.0):
             assert _outcome(mode.raw, r) == _outcome(_raw_exterior, mode, r)
-            assert _outcome(mode.d_ez_mag_dr, r) == _outcome(_d_ez_mag_dr_per_order, mode, r)
+            assert _outcome(mode.exterior, r) == _outcome(_exterior_per_order, mode, r)
 
 
 def test_geometry_validation():
@@ -455,9 +466,9 @@ def test_rate_validation():
 def _reduced_ladder(d, orientation):
     mode = solve_dispersion(GEOM)
     r0 = GEOM.rho + d
-    e_r, e_z = mode.profile(r0)
+    e_r, e_z, dez = mode.exterior(r0)
     return oracles.wire_plasmon_ladder(
-        mode.k_sp, mode.v_g, e_r, e_z, mode.d_ez_mag_dr(r0), GEOM.lambda0,
+        mode.k_sp, mode.v_g, e_r, e_z, dez, GEOM.lambda0,
         GAAS.n.real, MOMENTS.lambda_over_mu, orientation == AXIAL,
     )
 
@@ -630,8 +641,8 @@ def test_background_bessel_work_per_node(monkeypatch, orientation, ive_per_node,
 
 def test_mode_field_bessel_work(monkeypatch):
     # each radial pair of the solved mode's field is one order-array call:
-    # K0, K1 at the emitter for the profile and again for d|E_z|/dr, and
-    # one pair per nonzero radius of a field map (E at r = 0 is closed form)
+    # K0, K1 at the emitter once for E_r, E_z and d|E_z|/dr, and one
+    # pair per nonzero radius of a field map (E at r = 0 is closed form)
     solve_dispersion(GEOM)
     calls = dict.fromkeys(("bessel_ik", "bessel_k", "bessel_ik_scaled", "bessel_k_scaled"), 0)
 
@@ -647,7 +658,7 @@ def test_mode_field_bessel_work(monkeypatch):
     for orientation in (AXIAL, RADIAL):
         calls.update(dict.fromkeys(calls, 0))
         plasmon_bundle(GEOM, 20.0, orientation)
-        assert calls == {"bessel_ik": 0, "bessel_k": 2, "bessel_ik_scaled": 0,
+        assert calls == {"bessel_ik": 0, "bessel_k": 1, "bessel_ik_scaled": 0,
                          "bessel_k_scaled": 0}
     calls.update(dict.fromkeys(calls, 0))
     fm = field_map(GEOM, FieldWindow(r_min=0.0, r_max=GEOM.rho + 120.0, z_min=0.0, z_max=500.0))
@@ -705,7 +716,7 @@ def test_field_map_shapes_and_moment_independence():
     mode = solve_dispersion(GEOM)
     decay = np.abs(np.exp(1j * mode.k_sp * fm.z))
     for i, r in enumerate(fm.r):
-        mag_r, mag_z = mode.profile(float(r))
+        mag_r, mag_z = _profile(mode, float(r))
         assert np.allclose(np.abs(fm.e_r[i]), mag_r * decay, rtol=1e-12, atol=0.0)
         assert np.allclose(np.abs(fm.e_z[i]), mag_z * decay, rtol=1e-12, atol=0.0)
 
@@ -713,7 +724,7 @@ def test_field_map_shapes_and_moment_independence():
 def test_field_decays_outside_the_wire():
     mode = solve_dispersion(GEOM)
     rs = np.linspace(40.0, 400.0, 19)
-    ez = [mode.profile(float(r))[1] for r in rs]
+    ez = [mode.exterior(float(r))[1] for r in rs]
     assert all(a > b for a, b in zip(ez, ez[1:]))
 
 
@@ -761,13 +772,14 @@ def test_field_window_validation():
 def test_magnitude_derivative_guard():
     mode = solve_dispersion(GEOM)
     with pytest.raises(ParameterError):
-        mode.d_ez_mag_dr(10.0)
-    got = mode.d_ez_mag_dr(50.0)
+        mode.exterior(10.0)
+    e_r, e_z, got = mode.exterior(50.0)
+    assert (e_r, e_z) == _profile(mode, 50.0)
     step = 1e-4
-    fd = (mode.profile(50.0 + step)[1] - mode.profile(50.0 - step)[1]) / (2.0 * step)
+    fd = (_profile(mode, 50.0 + step)[1] - _profile(mode, 50.0 - step)[1]) / (2.0 * step)
     assert got == pytest.approx(fd, rel=1e-6)
     # tens of microns out K0 underflows to 0: the field reads 0, the
     # derivative of its magnitude has no value
-    assert mode.profile(30000.0) == (0.0, 0.0)
+    assert _profile(mode, 30000.0) == (0.0, 0.0)
     with pytest.raises(OutOfDomainError):
-        mode.d_ez_mag_dr(30000.0)
+        mode.exterior(30000.0)

@@ -90,6 +90,31 @@ def test_rounding_error_stop_matches_scipy():
     assert got_err == want_err
 
 
+@pytest.mark.parametrize("g", [
+    lambda x: np.array([math.inf if x < 0.5 else 1.0]),
+    lambda x: np.array([np.float64(1.0) / (np.float64(x) - 0.25) ** 2]),
+], ids=["inf-on-half", "double-pole"])
+def test_non_finite_stop_matches_scipy(g):
+    # inf on half of [0, 1], or a pole at the centre node of [0, 0.5]:
+    # the first split's error is not finite and scipy stops (status 3)
+    calls = []
+
+    def f(x, k):
+        calls.append(x.size)
+        return per_node(g)(x, k)
+
+    with np.errstate(all="ignore"):
+        want, want_err, info = scipy_quad_vec(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, norm="max",
+                                              full_output=True)
+        [(got, got_err)] = quad_vec(f, [(0.0, 1.0)], epsabs=0.0, epsrel=1e-10)
+    assert info.status == 3
+    assert not math.isfinite(got_err)
+    # bitwise, so NaN equals NaN
+    assert bits(got) == bits(want)
+    assert bits(got_err) == bits(want_err)
+    assert sum(calls) == info.neval == 63
+
+
 def test_intervals_in_lockstep_match_scipy_one_by_one():
     # the intervals split different numbers of panels per round and stop
     # in different rounds; each still equals its own scipy run

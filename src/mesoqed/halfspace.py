@@ -31,6 +31,17 @@ rounds as Python's scalar arithmetic does, operation by operation
 (`_mul`, `_libm`, `_quotients`), so the numbers of a height do not depend
 on the heights computed with it.
 
+The integrand has two stages. The node columns (`_node_columns`) are
+everything that depends on the node and the geometry only: kp, kz1, the
+Fresnel factors, the Jacobian, the powers of kp. The height stage takes
+phi = exp(2i*kz1*h) and the products that involve it. Radiative and
+ellipse nodes recur from height to height, so each geometry's contour
+keeps their columns in a memo (`_Memo`, up to _MEMO_NODES distinct nodes
+per segment), and the last _GEOMETRIES contours are kept with their
+memos (`_contour`): a sweep and every later `interface_point` of the
+same materials and wavelength build each shared node once. A stored
+column has the bits a fresh one would have, so the memo moves no number.
+
 The four component integrands, written per unit dk_par with
 phi = exp(2i*k_z1*h) and all lengths in nm:
 
@@ -43,7 +54,8 @@ phi = exp(2i*k_z1*h) and all lengths in nm:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +69,11 @@ from .rates import GreenBundle
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
 # heights in one quadrature at most: each keeps its intervals' panels until the block ends
 _BLOCK = 32
+# geometries whose contour and node memos are kept, the least recently used dropped first
+_GEOMETRIES = 8
+# distinct nodes whose columns a memo keeps, per segment of a geometry
+_MEMO_NODES = 4096
+_CONTOURS: dict = {}  # exact (n_upper, n_lower, lambda0) -> _Contour, oldest use first
 
 
 @dataclass(frozen=True)
@@ -147,7 +164,11 @@ def spp_pole(geom: InterfaceGeometry) -> complex:
 
 @dataclass(frozen=True)
 class _Contour:
-    """The k_par path of a geometry; only the tail's end depends on the height."""
+    """The k_par path of a geometry; only the tail's end depends on the height.
+
+    memos holds the node columns of the radiative and ellipse segments,
+    whose nodes every height shares; the tail's depend on its end.
+    """
 
     k0: float
     k1: float
@@ -157,9 +178,10 @@ class _Contour:
     k_b: float
     delta: float
     t_b: float
+    memos: tuple = field(compare=False, repr=False)
 
 
-def _contour(geom: InterfaceGeometry) -> _Contour:
+def _new_contour(geom: InterfaceGeometry) -> _Contour:
     k0 = 2.0 * math.pi / geom.lambda0
     k1 = wavevector(geom.upper, geom.lambda0).real
     try:
@@ -170,20 +192,136 @@ def _contour(geom: InterfaceGeometry) -> _Contour:
     delta = 0.25 * (k_b - k1)
     t_b = math.acosh(k_b / k1)
     return _Contour(k0=k0, k1=k1, eps1=geom.upper.eps, eps2=geom.lower.eps, pole=pole,
-                    k_b=k_b, delta=delta, t_b=t_b)
+                    k_b=k_b, delta=delta, t_b=t_b, memos=(_Memo(0), _Memo(1)))
+
+
+def _contour(geom: InterfaceGeometry) -> _Contour:
+    """The contour of geom's materials and wavelength, kept in _CONTOURS with its memos."""
+    # exact bits: n = 1.5+0j and 1.5-0j compare equal but do not round alike
+    key = tuple(float(v).hex() for v in (geom.upper.n.real, geom.upper.n.imag,
+                                         geom.lower.n.real, geom.lower.n.imag, geom.lambda0))
+    c = _CONTOURS.pop(key, None)
+    if c is None:
+        c = _new_contour(geom)
+    _CONTOURS[key] = c
+    if len(_CONTOURS) > _GEOMETRIES:
+        del _CONTOURS[next(iter(_CONTOURS))]  # the least recently used
+    return c
+
+
+class _Columns(NamedTuple):
+    """Everything the integrand takes at a node that does not depend on the height."""
+
+    kp: np.ndarray
+    kz1: np.ndarray
+    rp: np.ndarray
+    dkp_du: np.ndarray
+    inv_term: np.ndarray
+    two_i_kz1: np.ndarray  # phi = exp(two_i_kz1*h)
+    r_xx: np.ndarray  # rs - rp*kz1^2/k1^2
+    # four rows, the ladder's factors before phi: lead*kp, lead*kp3*rp, lead*kp5*rp, lead*kp1
+    ladder: np.ndarray
+
+
+_ROWS = 11  # rows of the columns of a batch of nodes, the ladder's four included
+_PREF = 1.0 / (8.0 * math.pi)
+# the leading factor of each ladder component: 1.0j*pref, -pref, 1.0j*pref, -pref
+_LEAD = np.array([1.0j * _PREF, -_PREF, 1.0j * _PREF, -_PREF])[:, None]
+
+
+def _node_columns(c: _Contour, segment: int, x: np.ndarray) -> np.ndarray:
+    """The columns at nodes x of one segment, an array (_ROWS, nodes).
+
+    Segment 0 runs 0 -> k1 on the real axis as k1*sin(t), 1 is the
+    half-ellipse below the axis (theta = pi*sigma^2) and 2 the tail back
+    on the real axis as k1*cosh(t). dkp_du is the parametrization
+    Jacobian and inv_term = dkp_du/kz1, in analytically cancelled form
+    where kz1 vanishes at an endpoint. kp is real (imaginary part 0.0)
+    on the real-axis segments and strictly complex on the ellipse.
+    """
+    k1 = c.k1
+    out = np.empty((_ROWS, x.size), dtype=complex)
+    kp, kz1, rp, dkp_du, inv_term, two_i_kz1, r_xx, ladder = *out[:7], out[7:]
+    if segment == 0:
+        kz1[:] = k1 * _libm(math.cos, x)
+        kp[:], dkp_du[:], inv_term[:] = k1 * _libm(math.sin, x), kz1, 1.0
+    elif segment == 1:
+        m_c, half, i_delta = 0.5 * (c.k_b + k1), 0.5 * (c.k_b - k1), 1.0j * c.delta
+        # quadrature nodes lie strictly inside a panel, so sigma > 0
+        theta = math.pi * x * x
+        sin_t, cos_t = _libm(math.sin, theta), _libm(math.cos, theta)
+        kp[:] = m_c - half * cos_t - _mul(i_delta, sin_t)
+        dkp_du[:] = _mul(half * sin_t - _mul(i_delta, cos_t), 2.0 * math.pi * x)
+        kz1[:] = _kz_nodes(c.eps1 * c.k0 * c.k0, kp)
+        inv_term[:] = dkp_du / kz1
+    else:
+        sinh_t = _libm(math.sinh, x)
+        kp[:], kz1[:], dkp_du[:] = k1 * _libm(math.cosh, x), _mul(1.0j * k1, sinh_t), k1 * sinh_t
+        inv_term[:] = -1.0j  # dkp_du / kz1 = 1/i exactly on this segment
+    rs, rp[:] = _fresnel_from_kz(kz1, _kz_nodes(c.eps2 * c.k0 * c.k0, kp), c.eps1, c.eps2)
+    two_i_kz1[:] = _mul(2.0j, kz1)
+    r_xx[:] = rs - _mul(_mul(rp, kz1), kz1) / (k1 * k1)
+    ladder[:] = _mul(_LEAD, np.concatenate((kp[None], _quotients(kp, k1))))
+    ladder[1:3] = _mul(ladder[1:3], rp)
+    return out
+
+
+class _Memo:
+    """The columns of one segment's first _MEMO_NODES distinct nodes.
+
+    A node's columns do not depend on the other nodes of its batch, so a
+    stored column has the bits a fresh one would have. keys holds the
+    stored nodes sorted, then +inf, so that searchsorted gives every
+    node an index and one equality test finds it, in a batch of any size.
+    """
+
+    def __init__(self, segment: int):
+        self.segment = segment
+        self.keys = np.array([np.inf])
+        self.columns = np.zeros((_ROWS, 1), dtype=complex)
+
+    def __len__(self) -> int:
+        return self.keys.size - 1
+
+    def __call__(self, c: _Contour, x: np.ndarray) -> np.ndarray:
+        """The columns at nodes x; only nodes it does not hold are built."""
+        at = np.searchsorted(self.keys, x)
+        hit = self.keys[at] == x
+        if hit.all():
+            return self.columns[:, at]
+        room = _MEMO_NODES - len(self)
+        if not hit.any():
+            new, first = np.unique(x, return_index=True)
+            if new.size == x.size:  # all new and distinct: no copy but the stored one
+                out = _node_columns(c, self.segment, x)
+                self._store(new[:room], out[:, first[:room]])
+                return out
+        out = np.empty((_ROWS, x.size), dtype=complex)
+        out[:, hit] = self.columns[:, at[hit]]
+        new, inverse = np.unique(x[~hit], return_inverse=True)
+        built = _node_columns(c, self.segment, new)
+        self._store(new[:room], built[:, :room])
+        out[:, ~hit] = built[:, inverse]
+        return out
+
+    def _store(self, new: np.ndarray, columns: np.ndarray) -> None:
+        """Insert the sorted nodes new, none of them held yet, and their columns."""
+        if new.size:
+            at = np.searchsorted(self.keys, new)
+            self.keys = np.insert(self.keys, at, new)
+            self.columns = np.insert(self.columns, at, columns, axis=1)
 
 
 def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float,
                        abs_scale: float) -> list:
     """Integrate a component vector along the deformed k_par path at each height.
 
-    fn(kp, kz1, rs, rp, phi, dkp_du, inv_term) takes complex arrays over
-    the nodes of a quadrature round and returns their values, an array
-    (nodes, components); the value at a node must not depend on the
-    other nodes. dkp_du is the parametrization Jacobian and inv_term =
-    dkp_du/kz1 is supplied in analytically cancelled form on the segments
-    where kz1 vanishes at an endpoint. kp is real (imaginary part 0.0) on
-    the two real-axis segments and strictly complex on the ellipse.
+    fn(columns, phi) takes the _Columns of the nodes of a quadrature
+    round and phi = exp(2i*kz1*h) at each, complex arrays over the nodes,
+    and returns their values, an array (nodes, components); the value at
+    a node must not depend on the other nodes (`_node_columns` says what
+    each column holds). The columns of radiative and ellipse nodes come
+    from the contour's memos when a height before has used the same node.
 
     Every height's segments are intervals of one quad_vec call, so one
     call of fn per round evaluates the nodes of all heights. Returns, per
@@ -203,19 +341,11 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float,
 
 
 def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, abs_scale: float) -> list:
-    eps1, eps2, k0, k1 = c.eps1, c.eps2, c.k0, c.k1
-    eps1_k0 = eps1 * k0 * k0
-    eps2_k0 = eps2 * k0 * k0
-    m_c = 0.5 * (c.k_b + k1)
-    half = 0.5 * (c.k_b - k1)
-    i_delta = 1.0j * c.delta
-    i_k1 = 1.0j * k1
-
     # each height's segments are intervals in a row: radiative, ellipse(, tail)
     bounds, segment_of, height_of, counts = [], [], [], []
     for h in heights:
         ends = [(0.0, 0.5 * math.pi), (0.0, 1.0)]
-        t_max = math.asinh(_TAIL_EXPONENT / (2.0 * k1 * h))
+        t_max = math.asinh(_TAIL_EXPONENT / (2.0 * c.k1 * h))
         if t_max > c.t_b:
             ends.append((c.t_b, t_max))
         bounds += ends
@@ -225,36 +355,15 @@ def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, abs_scale: float) 
     segment_of = np.array(segment_of)
     height_of = np.array(height_of)
 
-    def seg_radiative(t):  # 0 -> k1 on the real axis as k1*sin(t)
-        kz1 = k1 * _libm(math.cos, t)
-        return k1 * _libm(math.sin, t), kz1, kz1, 1.0
-
-    def seg_ellipse(sigma):  # the half-ellipse below the axis, theta = pi*sigma^2
-        # quadrature nodes lie strictly inside a panel, so sigma > 0
-        theta = math.pi * sigma * sigma
-        sin_t, cos_t = _libm(math.sin, theta), _libm(math.cos, theta)
-        kp = m_c - half * cos_t - _mul(i_delta, sin_t)
-        dkp_du = _mul(half * sin_t - _mul(i_delta, cos_t), 2.0 * math.pi * sigma)
-        kz1 = _kz_nodes(eps1_k0, kp)
-        return kp, kz1, dkp_du, dkp_du / kz1
-
-    def seg_tail(t):  # back on the real axis as k1*cosh(t)
-        sinh_t = _libm(math.sinh, t)
-        # dkp_du / kz1 = 1/i exactly on this segment
-        return k1 * _libm(math.cosh, t), _mul(i_k1, sinh_t), k1 * sinh_t, -1.0j
-
-    segments = (seg_radiative, seg_ellipse, seg_tail)
-
     def integrand(x, k):
         segment = segment_of[k]
-        kp, kz1, dkp_du, inv_term = columns = np.empty((4, x.size), dtype=complex)
+        columns = np.empty((_ROWS, x.size), dtype=complex)
         for s in np.flatnonzero(np.bincount(segment)).tolist():
             on = segment == s
-            for column, value in zip(columns, segments[s](x[on])):
-                column[on] = value
-        rs, rp = _fresnel_from_kz(kz1, _kz_nodes(eps2_k0, kp), eps1, eps2)
-        phi = np.exp(_mul(_mul(2.0j, kz1), height_of[k]))
-        return fn(kp, kz1, rs, rp, phi, dkp_du, inv_term)
+            # the tail's nodes depend on its end: no other height shares them
+            columns[:, on] = c.memos[s](c, x[on]) if s < 2 else _node_columns(c, s, x[on])
+        columns = _Columns(*columns[:7], columns[7:])
+        return fn(columns, np.exp(_mul(columns.two_i_kz1, height_of[k])))
 
     eps_abs = rel_tol * abs_scale
     # a non-finite value fails the error test below, so numpy need not warn of it
@@ -319,7 +428,7 @@ def _quotients(kp: np.ndarray, k1: float) -> np.ndarray:
     return out
 
 
-def _ladder_vector(k1: float):
+def _ladder(col: _Columns, phi: np.ndarray) -> np.ndarray:
     """Component integrand for the four rate-ladder quantities.
 
     Gradient components are pre-scaled by 1/k1 per derivative so all
@@ -329,23 +438,13 @@ def _ladder_vector(k1: float):
     module docstring, so a node's value has the same bits in any batch
     and the same as in Python's scalar arithmetic.
     """
-    pref = 1.0 / (8.0 * math.pi)
-    # the leading factor of each component: 1.0j*pref, -pref, 1.0j*pref, -pref
-    lead = np.array([1.0j * pref, -pref, 1.0j * pref, -pref])[:, None]
-
-    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        kp3, kp5, kp1 = _quotients(kp, k1)
-        common = _mul(rs - _mul(_mul(rp, kz1), kz1) / (k1 * k1), phi)
-        # the four products left to right, all components in each step:
-        # f0 = lead*kp*common*inv_term           f1 = lead*kp3*rp*phi*dkp_du
-        # f2 = lead*kp5*rp*phi*inv_term          f3 = lead*kp1*common*dkp_du
-        f = _mul(lead, np.stack((kp, kp3, kp5, kp1)))
-        f = _mul(f, np.stack((common, rp, rp, common)))
-        f = _mul(f, np.stack((inv_term, phi, phi, dkp_du)))
-        f[1:3] = _mul(f[1:3], np.stack((dkp_du, inv_term)))
-        return f.T
-
-    return fn
+    # the four products left to right, all components in each step; col.ladder
+    # holds each one up to the factor that brings in phi:
+    # f0 = lead*kp*common*inv_term           f1 = lead*kp3*rp*phi*dkp_du
+    # f2 = lead*kp5*rp*phi*inv_term          f3 = lead*kp1*common*dkp_du
+    common = _mul(col.r_xx, phi)
+    f = _mul(col.ladder, np.stack((common, phi, phi, common)))
+    return _mul(f, np.stack((col.inv_term, col.dkp_du, col.inv_term, col.dkp_du))).T
 
 
 def _unscale(vec, k1: float):
@@ -355,7 +454,7 @@ def _unscale(vec, k1: float):
 def _pole_vector(c: _Contour, h: float) -> np.ndarray:
     """2*pi*i times the r_p-pole residue of each ladder component at height h.
 
-    Scaled like _ladder_vector. Zero when no bound pole exists.
+    Scaled like _ladder. Zero when no bound pole exists.
     """
     if c.pole is None:
         return np.zeros(4, dtype=complex)
@@ -430,10 +529,9 @@ def interface_sweep(geometry: InterfaceGeometry, heights, moments: EmitterMoment
     for h in heights:
         _rates.check_expansion(max(c.k1, 0.5 / h), moments)
     norm = homogeneous_im_gxx(geometry.upper, geometry.lambda0)
-    fn = _ladder_vector(c.k1)
     for start in range(0, len(heights), _BLOCK):
         block = heights[start:start + _BLOCK]
-        for h, outcome in zip(block, _integrate_contour(c, block, fn, rel_tol, norm)):
+        for h, outcome in zip(block, _integrate_contour(c, block, _ladder, rel_tol, norm)):
             if isinstance(outcome, Exception):
                 raise outcome
             yield _interface_point(c, h, moments, norm, *outcome[:2])

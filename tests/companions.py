@@ -8,10 +8,11 @@ formula and the surface-mode pole, and finite differences of G_zx over
 a lateral offset and of G_xx over a vertical offset against the
 gradients the contour integrand carries in closed form. The offset
 integrals run on the library's own deformed contour
-(`halfspace._contour` and `halfspace._integrate_contour`); only the
-integrand differs. Like the library's, it is array code whose complex
-products go through `halfspace._mul`, so a node's value does not depend
-on the other nodes of its quadrature round.
+(`halfspace._contour` and `halfspace._integrate_contour`), from the
+same node columns and memo; only the height stage differs, fn(columns,
+phi). Like the library's, it is array code whose complex products go
+through `halfspace._mul`, so a node's value does not depend on the
+other nodes of its quadrature round.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def gzx_lateral(geom: InterfaceGeometry, x: float, rel_tol: float = 1.0e-8) -> c
     k1 = wavevector(geom.upper, geom.lambda0).real
     pref = -1.0 / (4.0 * math.pi * k1 * k1)
 
-    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        value = _mul(_mul(_mul(pref * kp, kp), bessel_j(1, x * kp)), rp)
-        return _mul(_mul(value, phi), dkp_du)[:, None]
+    def fn(col, phi):
+        value = _mul(_mul(_mul(pref * col.kp, col.kp), bessel_j(1, x * col.kp)), col.rp)
+        return _mul(_mul(value, phi), col.dkp_du)[:, None]
 
     return _integrate_single(geom, fn, rel_tol)
 
@@ -116,12 +117,10 @@ def gxx_vertical_offset(geom: InterfaceGeometry, dz: float, rel_tol: float = 1.0
     in dz checks the in-integrand vertical derivative dz_g_xx.
     """
     pref = 1.0j / (8.0 * math.pi)
-    k1 = wavevector(geom.upper, geom.lambda0).real
 
-    def fn(kp, kz1, rs, rp, phi, dkp_du, inv_term):
-        extra = np.exp(_mul(1.0j * dz, kz1))
-        common = rs - _mul(_mul(rp, kz1), kz1) / (k1 * k1)
-        value = _mul(_mul(_mul(pref, kp), common), phi)
-        return _mul(_mul(value, extra), inv_term)[:, None]
+    def fn(col, phi):
+        extra = np.exp(_mul(1.0j * dz, col.kz1))
+        value = _mul(_mul(_mul(pref, col.kp), col.r_xx), phi)
+        return _mul(_mul(value, extra), col.inv_term)[:, None]
 
     return _integrate_single(geom, fn, rel_tol)

@@ -8,6 +8,7 @@ and snapshot values for regression locking.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,7 +242,9 @@ def test_expansion_needs_dot_below_twice_the_height(l_qd, admitted, refused):
 
 @pytest.mark.parametrize("lower", [SILVER, Material("glass", 1.5)])
 def test_one_contour_and_one_pole_per_height(monkeypatch, lower):
-    # the glass interface has no bound pole; spp_pole is still asked once
+    # the glass interface has no bound pole; spp_pole is still asked once,
+    # when the geometry's contour is built, and never again while it is kept
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
     calls = {"spp_pole": 0, "_contour": 0}
     for name in calls:
         original = getattr(halfspace, name)
@@ -254,6 +257,8 @@ def test_one_contour_and_one_pole_per_height(monkeypatch, lower):
     geom = InterfaceGeometry(upper=GAAS, lower=lower, h=100.0, lambda0=1000.0)
     interface_point(geom, MOMENTS)
     assert calls == {"spp_pole": 1, "_contour": 1}
+    interface_point(InterfaceGeometry(upper=GAAS, lower=lower, h=50.0, lambda0=1000.0), MOMENTS)
+    assert calls == {"spp_pole": 1, "_contour": 2}
 
 
 def test_geometry_validation():
@@ -387,13 +392,102 @@ def test_array_integrand_matches_scalar_reference_bitwise(monkeypatch, lower):
     assert segments == {0, 1, 2} and mixed
 
 
-def test_sweep_equals_one_height_at_a_time_bitwise():
-    # 300 heights make ten blocks, the last one short
+def test_sweep_equals_one_height_at_a_time_bitwise(monkeypatch):
+    # 300 heights make ten blocks, the last one short; the single heights
+    # run once on the memo the sweep filled and once from an empty one
     heights = [float(h) for h in np.geomspace(10.5, 3000.0, 300)]
     assert len(heights) > 9 * halfspace._BLOCK
-    swept = list(halfspace.interface_sweep(paper_interface(100.0), heights, MOMENTS))
-    assert [point_bits(p) for p in swept] == \
-        [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
+    swept = [point_bits(p) for p in
+             halfspace.interface_sweep(paper_interface(100.0), heights, MOMENTS)]
+    assert swept == [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    assert swept == [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
+
+
+# ------------------------------------------------ the node memo
+
+MEMO_MOMENTS = EmitterMoments(10.0, l_qd=1.0)  # a dot of 1 nm admits every height below
+
+
+def fill_memo(geom, heights, rel_tol):
+    # a sweep that stops in failure has filled the memo all the same: a
+    # lower medium equal to the host cannot reach 1e-13
+    try:
+        list(halfspace.interface_sweep(geom, heights, MEMO_MOMENTS, rel_tol=rel_tol))
+    except ConvergenceError:
+        assert rel_tol == 1e-13
+
+
+@pytest.mark.parametrize("lower", sorted(BIT_PIN_LOWER))
+def test_memo_leaves_every_bit_as_it_was(monkeypatch, lower):
+    # a point from an empty memo against the same point after sweeps up,
+    # down and at a tight tolerance have filled the memo (the host's to
+    # its cap)
+    geom = InterfaceGeometry(upper=GAAS, lower=Material("m", BIT_PIN_LOWER[lower]), h=1.0,
+                             lambda0=1000.0)
+    points = [(replace(geom, h=100.0), 1e-8), (replace(geom, h=37.0), 1e-10)]
+
+    def bits():
+        return [point_bits(interface_point(g, MEMO_MOMENTS, rel_tol=tol)) for g, tol in points]
+
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    fresh = []
+    for g, tol in points:
+        halfspace._CONTOURS.clear()
+        fresh.append(point_bits(interface_point(g, MEMO_MOMENTS, rel_tol=tol)))
+    heights = [float(h) for h in np.geomspace(3.0, 1000.0, 12)]
+    for sweep, rel_tol in ((heights, 1e-8), (heights[::-1], 1e-8), ([20.0, 150.0, 1000.0], 1e-13)):
+        halfspace._CONTOURS.clear()
+        fill_memo(geom, sweep, rel_tol)
+        assert bits() == fresh
+    memos = halfspace._contour(geom).memos
+    assert all(0 < len(memo) <= halfspace._MEMO_NODES for memo in memos)
+    if lower == "host":
+        assert len(memos[0]) == halfspace._MEMO_NODES
+
+
+def test_memo_builds_each_shared_node_once(monkeypatch):
+    # 100 heights one at a time, as the benchmark draws them: every
+    # radiative and ellipse node has its columns built once and stored,
+    # and no tail node is stored
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    built = {0: [], 1: [], 2: []}
+    node_columns = halfspace._node_columns
+
+    def counted(c, segment, x):
+        built[segment].append(x.copy())
+        return node_columns(c, segment, x)
+
+    monkeypatch.setattr(halfspace, "_node_columns", counted)
+    for h in np.random.default_rng(1).uniform(20.0, 1000.0, 100).tolist():
+        interface_point(paper_interface(h), MOMENTS)
+    memos = halfspace._contour(paper_interface(100.0)).memos
+    assert len(memos) == 2
+    tail = np.concatenate(built[2])
+    for segment, memo in enumerate(memos):
+        nodes = np.concatenate(built[segment])
+        assert len(memo) < halfspace._MEMO_NODES  # it had room throughout
+        assert np.unique(nodes).size == nodes.size
+        assert np.array_equal(memo.keys[:-1], np.sort(nodes))
+        assert not np.isin(tail, memo.keys).any()
+
+
+def test_contour_cache_keeps_the_latest_geometries(monkeypatch):
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    geoms = [InterfaceGeometry(upper=GAAS, lower=SILVER, h=100.0, lambda0=lam)
+             for lam in np.linspace(900.0, 1100.0, halfspace._GEOMETRIES + 2).tolist()]
+    contours = [halfspace._contour(g) for g in geoms]
+    assert len(halfspace._CONTOURS) == halfspace._GEOMETRIES
+    assert halfspace._contour(geoms[-1]) is contours[-1]
+    assert halfspace._contour(geoms[0]) is not contours[0]
+    # a use renews a geometry: the second one is now the oldest
+    halfspace._contour(geoms[3])
+    halfspace._contour(InterfaceGeometry(upper=GAAS, lower=GAAS, h=1.0, lambda0=1000.0))
+    assert halfspace._contour(geoms[3]) is contours[3]
+    # 1.5+0j and 1.5-0j are equal numbers with different bits
+    glass = [InterfaceGeometry(upper=GAAS, lower=Material("glass", complex(1.5, zero)), h=1.0,
+                               lambda0=1000.0) for zero in (0.0, -0.0)]
+    assert halfspace._contour(glass[0]) is not halfspace._contour(glass[1])
 
 
 def test_sweep_raises_a_failure_at_its_height():

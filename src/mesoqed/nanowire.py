@@ -406,6 +406,29 @@ def _harmonic_chunks(d: float, rho: float, m_max: int) -> list[np.ndarray]:
     return [np.arange(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
+def _node_bessel(m: np.ndarray, x: np.ndarray, y: np.ndarray, radial: bool) -> tuple:
+    """Scaled I_m, K_m, I'_m, K'_m at x and the emitter's K factor w at y.
+
+    One AMOS pair per node, (I_m, K_m) at x; the rest comes from
+    real-argument routines. K'_m = -K_{m-1} - (m/x) K_m (at m = 0 the
+    ladder's K_|0-1| = K_1 gives K'_0 = -K_1) is the K ladder's ratio
+    times the AMOS K_m. I'_m comes from the Wronskian
+    I_m K'_m - I'_m K_m = -1/x, which the scaled functions keep; its
+    two terms stand at most 2:1 for m >= 1, but at m = 0 they cancel
+    like 1/x^2 as x -> 0, so there I'_0 = I_1 is taken directly.
+    w is K_m(y) axial and K'_m(y) radial.
+    """
+    (k_m, ky_m), (k_l, ky_l) = specfun.bessel_k_ladder(np.array((m, m)), np.array((x, y)))
+    im0, km0 = specfun.bessel_ik_scaled(m, x)
+    kvp = (-k_l / k_m - m / x) * km0
+    ivp = (im0 * kvp + 1.0 / x) / km0
+    zero = m == 0
+    if zero.any():
+        ivp[zero] = specfun.bessel_i1_scaled(x[zero])
+    w = -ky_l - (m / y) * ky_m if radial else ky_m
+    return im0, km0, ivp, kvp, w
+
+
 def quasistatic_background(
     geom: WireGeometry,
     d: float,
@@ -435,11 +458,12 @@ def quasistatic_background(
     reach `rel_tol` (roundoff, or 400 panels) is kept with a
     RuntimeWarning.
 
-    Per quadrature node the integrand takes the scaled I and K of
-    orders m and |m-1| at k*rho in one array call, and the derivatives
-    from I'_m = I_{m-1} - (m/x) I_m, K'_m = -K_{m-1} - (m/x) K_m; at
-    k*(rho+d) it takes K alone (order m axial, orders m and |m-1|
-    radial): 2 I and 3 K values per node axial, 2 and 4 radial.
+    Per quadrature node the integrand makes one complex Bessel call,
+    the scaled I_m and K_m at k*rho; the real K ladder gives K_m and
+    K_|m-1| at k*rho and k*(rho+d), and the derivatives follow from
+    K'_m = -K_{m-1} - (m/x) K_m and the Wronskian (`_node_bessel`):
+    1 I and 1 K complex value per node, plus 2 K0 and 2 K1 real ones
+    (and a real I_1 at order 0), in either orientation.
     """
     _check_point(d, orientation)
     if m_max < 2:
@@ -482,19 +506,7 @@ def quasistatic_background(
                 out[limit] = ml * ml / (r0 * r0) * lim if radial else kl * kl * lim
             full = ~limit
             k, m, x, y = k[full], m[full], x[full], y[full]
-            # orders m and |m-1| suffice: I'_m = I_{m-1} - (m/x) I_m and
-            # K'_m = -K_{m-1} - (m/x) K_m hold for the scaled functions
-            # too, and at m = 0 the order |0-1| = 1 gives I'_0 = I_1,
-            # K'_0 = -K_1
-            orders = np.stack((m, np.abs(m - 1)))
-            (im0, iml), (km0, kml) = specfun.bessel_ik_scaled(orders, x)
-            ivp = iml - (m / x) * im0
-            kvp = -kml - (m / x) * km0
-            if radial:
-                wm, wl = specfun.bessel_k_scaled(orders, y)
-                w = -wl - (m / y) * wm
-            else:
-                w = specfun.bessel_k_scaled(m, y)
+            im0, km0, ivp, kvp, w = _node_bessel(m, x, y, radial)
             denom = eps1 * im0 * kvp - eps2 * ivp * km0
             damp = np.exp(x - y)  # = exp(-k d); applied per bracket, squared overall
             br1 = im0 * w * damp

@@ -1,10 +1,13 @@
-"""Complex-argument modified Bessel functions.
+"""Complex-argument modified Bessel functions, and a real-argument K ladder.
 
 Thin guard layer over scipy.special (AMOS backend). The guards turn
 silent overflow into explicit errors and pin the branch conventions the
 rest of the package relies on. Scalar inputs return python complex;
 numpy arrays pass through elementwise, and an integer array of orders
-broadcasts against the argument.
+broadcasts against the argument. `bessel_k_ladder` takes real
+arguments only: it seeds the scaled K0, K1 from scipy's real-argument
+routines and climbs to higher orders by the upward recurrence, which
+is the stable direction for K.
 
 Importing this module loads numpy only: scipy.special is imported on
 the first Bessel call and kept as the module attribute ``_sp``. Only
@@ -47,7 +50,7 @@ def _check_order(order):
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         # an array of orders, broadcast against z by the caller's ufunc
         arr = np.asarray(order)
-        if not np.issubdtype(arr.dtype, np.integer) or np.any(arr < 0):
+        if not np.issubdtype(arr.dtype, np.integer) or (arr < 0).any():
             raise ParameterError(f"order must be a non-negative integer, got {order!r}")
         return arr
     if order < 0:
@@ -57,10 +60,10 @@ def _check_order(order):
 
 def _finish(values, where: str):
     out = np.asarray(values)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise OutOfDomainError(f"{where}: result overflowed or is undefined")
     if out.shape == ():
-        return complex(out)
+        return out.item()
     return out
 
 
@@ -68,7 +71,7 @@ def _principal(order, z, where: str):
     """Checked order and complex argument with Re z > 0."""
     order = _check_order(order)
     zc = np.asarray(z, dtype=complex)
-    if np.any(zc.real <= 0.0):
+    if (zc.real <= 0.0).any():
         raise OutOfDomainError(f"{where}: principal branch requires Re z > 0")
     return order, zc
 
@@ -121,3 +124,48 @@ def bessel_k_scaled(order, z):
     """
     order, zc = _principal(order, z, "bessel_k_scaled")
     return _finish(_special().kve(order, zc), "bessel_k_scaled")
+
+
+def _positive_real(z, where: str) -> np.ndarray:
+    zr = np.asarray(z)
+    if np.iscomplexobj(zr) or not (zr > 0.0).all():
+        raise OutOfDomainError(f"{where}: requires real z > 0")
+    return zr.astype(float)
+
+
+def bessel_i1_scaled(z):
+    """Scaled I_1 = I_1*exp(-z) of real z > 0 (scipy's real-argument i1e)."""
+    return _finish(_special().i1e(_positive_real(z, "bessel_i1_scaled")), "bessel_i1_scaled")
+
+
+def bessel_k_ladder(order, z) -> tuple:
+    """Scaled (K_order, K_|order-1|) of real z > 0, by upward recurrence.
+
+    K_{j+1} = K_{j-1} + (2j/z) K_j from the seeds k0e, k1e (Abramowitz &
+    Stegun 9.6.26); `order` may be a non-negative integer array that
+    broadcasts against z. Each element climbs only to its own order, so
+    its bits do not depend on the other elements of the call. Values
+    beyond double range raise.
+    """
+    order, zr = np.broadcast_arrays(_check_order(order), _positive_real(z, "bessel_k_ladder"))
+    sort = np.argsort(order, axis=None, kind="stable")
+    orders, zs = order.ravel()[sort], zr.ravel()[sort]
+    sp = _special()
+    # two rungs that take turns: step j overwrites K_{j-1} with K_{j+1},
+    # so K of an even order ends in `even` and of an odd order in `odd`
+    even, odd = sp.k0e(zs), sp.k1e(zs)
+    steps = np.arange(1, int(orders[-1]) if orders.size else 0)
+    # nodes above order j climb at step j; sorted, they are one tail
+    starts = np.searchsorted(orders, steps, side="right")
+    factors = (2.0 * steps)[:, None] / zs  # 2j/z, row j-1
+    with np.errstate(over="ignore"):
+        for j, start, factor in zip(steps, starts, factors):
+            low, high = (even, odd) if j % 2 else (odd, even)
+            tail = factor[start:]
+            tail *= high[start:]
+            low[start:] += tail
+    is_even = orders % 2 == 0
+    k_m, k_l = np.empty_like(even), np.empty_like(even)
+    k_m[sort], k_l[sort] = np.where(is_even, even, odd), np.where(is_even, odd, even)
+    return (_finish(k_m.reshape(zr.shape), "bessel_k_ladder (K_m)"),
+            _finish(k_l.reshape(zr.shape), "bessel_k_ladder (K_|m-1|)"))

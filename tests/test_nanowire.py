@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ive, kve
 
 import oracles
 from mesoqed import nanowire, specfun
@@ -597,11 +598,11 @@ def test_background_validation_and_convergence_guard():
 
 
 class _CountingSpecial:
-    """scipy.special stand-in that counts the elements ive and kve return."""
+    """scipy.special stand-in that counts the elements its Bessel functions return."""
 
     def __init__(self, real):
         self._real = real
-        self.elements = {"ive": 0, "kve": 0}
+        self.elements = {"ive": 0, "kve": 0, "k0e": 0, "k1e": 0, "i1e": 0}
 
     def __getattr__(self, name):
         fn = getattr(self._real, name)
@@ -616,13 +617,16 @@ class _CountingSpecial:
         return counted
 
 
-@pytest.mark.parametrize("orientation, ive_per_node, kve_per_node",
-                         [(AXIAL, 2, 3), (RADIAL, 2, 4)])
-def test_background_bessel_work_per_node(monkeypatch, orientation, ive_per_node, kve_per_node):
+@pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
+def test_background_bessel_work_per_node(monkeypatch, orientation):
     # at d = 20 nm no order reaches the small-argument switch (m >= 60),
-    # so every quadrature node takes the full Bessel branch
+    # so every quadrature node takes the full Bessel branch: one complex
+    # (I_m, K_m) pair at k*rho, the real K0, K1 seeds of the K ladder at
+    # k*rho and k*(rho+d), in either orientation, and the real I_1 at
+    # the order-0 nodes
     nodes = [0]
-    real_quad = nanowire.quad
+    orders = []
+    real_quad, real_node = nanowire.quad, nanowire._node_bessel
 
     def counting_quad(func, *args):
         def integrand(k, row):
@@ -631,12 +635,20 @@ def test_background_bessel_work_per_node(monkeypatch, orientation, ive_per_node,
 
         return real_quad(integrand, *args)
 
+    def node_bessel(m, *args):
+        orders.append(m)
+        return real_node(m, *args)
+
     monkeypatch.setattr(nanowire, "quad", counting_quad)
+    monkeypatch.setattr(nanowire, "_node_bessel", node_bessel)
     special = _CountingSpecial(specfun._sp)
     monkeypatch.setattr(specfun, "_sp", special)
     quasistatic_background(GEOM, 20.0, orientation)
-    assert nodes[0] > 0
-    assert special.elements == {"ive": ive_per_node * nodes[0], "kve": kve_per_node * nodes[0]}
+    orders = np.concatenate(orders)
+    zero = np.count_nonzero(orders == 0)
+    assert orders.size == nodes[0] and 0 < zero < nodes[0]
+    assert special.elements == {"ive": nodes[0], "kve": nodes[0], "k0e": 2 * nodes[0],
+                                "k1e": 2 * nodes[0], "i1e": zero}
 
 
 def test_mode_field_bessel_work(monkeypatch):
@@ -667,6 +679,56 @@ def test_mode_field_bessel_work(monkeypatch):
                      "bessel_k": np.count_nonzero(fm.r >= GEOM.rho), "bessel_ik_scaled": 0,
                      "bessel_k_scaled": 0}
     assert calls["bessel_ik"] + calls["bessel_k"] == 80
+
+
+@pytest.mark.filterwarnings("ignore:wire background at d=:RuntimeWarning")
+def test_background_node_derivatives_match_the_one_sided_forms(monkeypatch):
+    # every node the paper wire's background integrates (x = k*rho up to
+    # about 150, orders up to 30): I'_m from the Wronskian (I_1 at m = 0),
+    # K'_m from the ladder's ratio and the emitter's w against the scaled
+    # one-sided forms of scipy's ive and kve
+    seen = []
+    real = nanowire._node_bessel
+
+    def spy(m, x, y, radial):
+        out = real(m, x, y, radial)
+        seen.append((m, x, y, radial, out))
+        return out
+
+    monkeypatch.setattr(nanowire, "_node_bessel", spy)
+    for d in (10.0, 20.0, 50.0, 155.0, 300.0):
+        for orientation in (AXIAL, RADIAL):
+            quasistatic_background(GEOM, d, orientation)
+    worst = dict.fromkeys(("ivp", "kvp", "w"), 0.0)
+    for m, x, y, radial, (im0, km0, ivp, kvp, w) in seen:
+        lo = np.abs(m - 1)
+        ref_w = -kve(lo, y) - (m / y) * kve(m, y) if radial else kve(m, y)
+        for name, got, ref in (("ivp", ivp, ive(lo, x) - (m / x) * ive(m, x)),
+                               ("kvp", kvp, -kve(lo, x) - (m / x) * kve(m, x)),
+                               ("w", w, ref_w)):
+            worst[name] = max(worst[name], np.max(np.abs(got / ref - 1.0)))
+    assert {radial for *_, radial, _ in seen} == {False, True}
+    assert min(x.min() for _, x, *_ in seen) < 1e-3
+    assert 140.0 < max(x.max() for _, x, *_ in seen) < 150.0
+    assert max(worst.values()) < 1e-13, worst
+
+
+@pytest.mark.parametrize("m, x", [(0, 1e-4), (0, 0.3), (1, 1e-3), (27, 1e-3), (30, 0.0043),
+                                  (30, 150.0)])
+def test_background_node_derivatives_against_mpmath(m, x):
+    # where the one-sided I' form cancels (order 0 at small x, like
+    # 1/x^2) or scipy's own I_m is off (about 1e-13 at orders near 30
+    # and x near 1e-3), the exact derivative decides
+    mp = pytest.importorskip("mpmath")
+    y = x * (GEOM.rho + 20.0) / GEOM.rho
+    _, _, ivp, kvp, w = nanowire._node_bessel(np.array([m]), np.array([x]), np.array([y]), True)
+    with mp.workdps(40):
+        # I'_m = (I_{m-1} + I_{m+1})/2 and K'_m = -(K_{m-1} + K_{m+1})/2
+        exact = {"ivp": (mp.besseli(abs(m - 1), x) + mp.besseli(m + 1, x)) / 2 * mp.exp(-x),
+                 "kvp": -(mp.besselk(abs(m - 1), x) + mp.besselk(m + 1, x)) / 2 * mp.exp(x),
+                 "w": -(mp.besselk(abs(m - 1), y) + mp.besselk(m + 1, y)) / 2 * mp.exp(y)}
+        for name, got in (("ivp", ivp[0]), ("kvp", kvp[0]), ("w", w[0])):
+            assert abs((complex(got) - exact[name]) / exact[name]) < 1e-13, name
 
 
 def test_background_warns_when_it_accepts_a_stalled_series():

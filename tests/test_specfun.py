@@ -8,17 +8,19 @@ library wraps just the modified pair I/K.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import ive, kve
+from scipy.special import i1e, ive, k0e, k1e, kve
 
 import oracles
 from companions import bessel_j, hankel1
 from mesoqed.errors import OutOfDomainError, ParameterError
-from mesoqed.specfun import bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled
+from mesoqed.specfun import (bessel_i1_scaled, bessel_ik, bessel_ik_scaled, bessel_k,
+                             bessel_k_ladder, bessel_k_scaled)
 
 
 # ---------------------------------------------------------- spot values
@@ -139,18 +141,19 @@ def test_scaled_pair_survives_huge_arguments():
 def test_order_validation():
     for fn in (lambda o: bessel_j(o, 1.0), lambda o: hankel1(o, 1.0),
                lambda o: bessel_ik(o, 1.0), lambda o: bessel_ik_scaled(o, 1.0),
-               lambda o: bessel_k(o, 1.0), lambda o: bessel_k_scaled(o, 1.0)):
+               lambda o: bessel_k(o, 1.0), lambda o: bessel_k_scaled(o, 1.0),
+               lambda o: bessel_k_ladder(o, 1.0)):
         with pytest.raises(ParameterError):
             fn(-1)
         with pytest.raises(ParameterError):
             fn(1.5)
     for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([1.0, 2.0]), [True],
                 np.array([False])):
-        for fn in (bessel_ik_scaled, bessel_k_scaled):
+        for fn in (bessel_ik_scaled, bessel_k_scaled, bessel_k_ladder):
             with pytest.raises(ParameterError):
                 fn(bad, np.ones(len(bad)))
     # bool is an int to isinstance, but True is no order 1 (nor False 0)
-    for fn in (bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled):
+    for fn in (bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled, bessel_k_ladder):
         for bad in (True, False, np.True_):
             with pytest.raises(ParameterError, match="order must be a non-negative integer"):
                 fn(bad, 1.0)
@@ -188,6 +191,12 @@ def test_bessel_ik_domain():
         for z in (-2.0, 0.0, 3.0j, np.array([1.0, -0.5 + 1.0j])):
             with pytest.raises(OutOfDomainError):
                 fn(0, z)
+    # the real-argument routines refuse every complex z, even on the axis
+    for fn in (lambda z: bessel_k_ladder(2, z), bessel_i1_scaled):
+        for z in (-2.0, 0.0, -0.0, math.nan, 3.0 + 0.0j, np.array([1.0, -0.5]),
+                  np.array([1.0, 0.0])):
+            with pytest.raises(OutOfDomainError, match="requires real z > 0"):
+                fn(z)
 
 
 @given(
@@ -268,3 +277,80 @@ def test_i_derivative_identity_against_mpmath(m, x):
         exact = 0.5 * (mp.besseli(abs(m - 1), x) + mp.besseli(m + 1, x)) * mp.exp(-x)
         i_m, i_lo = ive(m, x), ive(abs(m - 1), x)
         assert abs((i_lo - (m / x) * i_m - exact) / exact) < 3e-13
+
+
+# ------------------------------------------------ the real K ladder
+
+
+def test_k_ladder_matches_kve():
+    # wherever kve keeps K_m and K_|m-1| finite, orders 0-250 and real z
+    # from 1e-3 to 1200. Up to order 30 the two agree to about 1.1e-14;
+    # above, kve (AMOS) is itself off by up to 2.2e-13 against mpmath
+    # (order 165 at z = 1.79, say) while the ladder stays within 3e-15
+    # (test_k_ladder_against_mpmath), so the bound there is 3e-13.
+    m = np.arange(251)[:, None]
+    z = np.geomspace(1e-3, 1200.0, 300)[None, :]
+    with np.errstate(over="ignore"):
+        k_m, k_l = kve(m, z), kve(np.abs(m - 1), z)
+    ok = np.isfinite(k_m) & np.isfinite(k_l)
+    assert ok.sum() > 0.6 * ok.size
+    orders, zs = np.broadcast_to(m, ok.shape)[ok], np.broadcast_to(z, ok.shape)[ok]
+    got_m, got_l = bessel_k_ladder(orders, zs)
+    rel = np.maximum(np.abs(got_m / k_m[ok] - 1.0), np.abs(got_l / k_l[ok] - 1.0))
+    assert rel[orders <= 30].max() < 2e-14
+    assert rel.max() < 3e-13
+
+
+@pytest.mark.parametrize("m, z", [(0, 1e-3), (1, 0.5), (7, 2.0), (30, 1e-3), (142, 1.97),
+                                  (165, 1.79), (245, 32.6), (250, 1200.0)])
+def test_k_ladder_against_mpmath(m, z):
+    mp = pytest.importorskip("mpmath")
+    got_m, got_l = bessel_k_ladder(m, z)
+    assert isinstance(got_m, float) and isinstance(got_l, float)
+    with mp.workdps(40):
+        for got, order in ((got_m, m), (got_l, abs(m - 1))):
+            exact = mp.besselk(order, z) * mp.exp(z)
+            assert abs((got - exact) / exact) < 1e-14
+
+
+def test_k_ladder_seeds_and_shapes():
+    z = np.array([1e-3, 0.7, 30.0, 1200.0])
+    k0, k1 = bessel_k_ladder(0, z)
+    assert np.array_equal(k0, k0e(z)) and np.array_equal(k1, k1e(z))
+    k1_, k0_ = bessel_k_ladder(1, z)
+    assert np.array_equal(k1_, k1e(z)) and np.array_equal(k0_, k0e(z))
+    # an order column broadcasts against a row of arguments
+    grid_m, grid_l = bessel_k_ladder(np.arange(4)[:, None], z[None, :])
+    assert grid_m.shape == grid_l.shape == (4, z.size)
+    assert np.array_equal(grid_m[2], grid_l[3])
+    assert np.array_equal(grid_m[1], k1) and np.array_equal(grid_l[2], k1)
+
+
+def test_k_ladder_node_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(21)
+    orders = rng.integers(0, 61, 400)
+    zs = np.exp(rng.uniform(math.log(0.05), math.log(500.0), 400))
+    k_m, k_l = bessel_k_ladder(orders, zs)
+    for i in range(0, 400, 7):
+        assert bessel_k_ladder(int(orders[i]), float(zs[i])) == (k_m[i], k_l[i])
+    # a batch reordered or cut gives each node the same bits
+    perm = rng.permutation(400)
+    assert np.array_equal(bessel_k_ladder(orders[perm], zs[perm])[0], k_m[perm])
+    assert np.array_equal(bessel_k_ladder(orders[:57], zs[:57])[1], k_l[:57])
+
+
+def test_k_ladder_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomainError, match="bessel_k_ladder"):
+            bessel_k_ladder(250, 1e-3)
+        with pytest.raises(OutOfDomainError, match="bessel_k_ladder"):
+            bessel_k_ladder(np.array([3, 250]), np.array([1.0, 1e-3]))
+
+
+def test_i1_scaled_is_the_order_one_i():
+    z = np.geomspace(1e-4, 1200.0, 200)
+    got = bessel_i1_scaled(z)
+    assert np.array_equal(got, i1e(z))
+    assert np.abs(got / ive(1, z) - 1.0).max() < 1e-14
+    assert isinstance(bessel_i1_scaled(0.5), float)

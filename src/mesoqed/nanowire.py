@@ -409,24 +409,23 @@ def _harmonic_chunks(d: float, rho: float, m_max: int) -> list[np.ndarray]:
 def _node_bessel(m: np.ndarray, x: np.ndarray, y: np.ndarray, radial: bool) -> tuple:
     """Scaled I_m, K_m, I'_m, K'_m at x and the emitter's K factor w at y.
 
-    One AMOS pair per node, (I_m, K_m) at x; the rest comes from
-    real-argument routines. K'_m = -K_{m-1} - (m/x) K_m (at m = 0 the
-    ladder's K_|0-1| = K_1 gives K'_0 = -K_1) is the K ladder's ratio
-    times the AMOS K_m. I'_m comes from the Wronskian
-    I_m K'_m - I'_m K_m = -1/x, which the scaled functions keep; its
-    two terms stand at most 2:1 for m >= 1, but at m = 0 they cancel
-    like 1/x^2 as x -> 0, so there I'_0 = I_1 is taken directly.
-    w is K_m(y) axial and K'_m(y) radial.
+    All five in real arithmetic. The K ladder gives K_m and K_|m-1| at
+    x and y, and K'_m = -K_{m-1} - (m/x) K_m (at m = 0 the ladder's
+    K_|0-1| = K_1 gives K'_0 = -K_1). I_m is one real-argument ive.
+    I'_m comes from the Wronskian I_m K'_m - I'_m K_m = -1/x, which the
+    scaled functions keep; its two terms stand at most 2:1 for m >= 1,
+    but at m = 0 they cancel like 1/x^2 as x -> 0, so there I'_0 = I_1
+    is taken directly. w is K_m(y) axial and K'_m(y) radial.
     """
     (k_m, ky_m), (k_l, ky_l) = specfun.bessel_k_ladder(np.array((m, m)), np.array((x, y)))
-    im0, km0 = specfun.bessel_ik_scaled(m, x)
-    kvp = (-k_l / k_m - m / x) * km0
-    ivp = (im0 * kvp + 1.0 / x) / km0
+    i_m = specfun.bessel_i_scaled_real(m, x)
+    kvp = -k_l - (m / x) * k_m
+    ivp = (i_m * kvp + 1.0 / x) / k_m
     zero = m == 0
     if zero.any():
         ivp[zero] = specfun.bessel_i1_scaled(x[zero])
     w = -ky_l - (m / y) * ky_m if radial else ky_m
-    return im0, km0, ivp, kvp, w
+    return i_m, k_m, ivp, kvp, w
 
 
 def quasistatic_background(
@@ -458,12 +457,14 @@ def quasistatic_background(
     reach `rel_tol` (roundoff, or 400 panels) is kept with a
     RuntimeWarning.
 
-    Per quadrature node the integrand makes one complex Bessel call,
-    the scaled I_m and K_m at k*rho; the real K ladder gives K_m and
-    K_|m-1| at k*rho and k*(rho+d), and the derivatives follow from
-    K'_m = -K_{m-1} - (m/x) K_m and the Wronskian (`_node_bessel`):
-    1 I and 1 K complex value per node, plus 2 K0 and 2 K1 real ones
-    (and a real I_1 at order 0), in either orientation.
+    Per quadrature node the integrand takes its Bessel values in real
+    arithmetic (`_node_bessel`): the real K ladder gives K_m and
+    K_|m-1| at k*rho and k*(rho+d), one real-argument call the scaled
+    I_m at k*rho, and the derivatives follow from
+    K'_m = -K_{m-1} - (m/x) K_m and the Wronskian: 1 I, 2 K0 and 2 K1
+    real values per node (and a real I_1 at order 0), in either
+    orientation. Complex arithmetic starts where the permittivities
+    enter.
     """
     _check_point(d, orientation)
     if m_max < 2:
@@ -543,7 +544,7 @@ def quasistatic_background(
             partial = [sum(terms[: i + 1]) for i in range(len(terms))]
             raise ConvergenceError(
                 f"azimuthal harmonic sum still moving at m_max={m_max}; "
-                f"last partial sums {partial[-4:]}"
+                f"last partial sums [{', '.join(f'{p:.6g}' for p in partial[-4:])}]"
             )
         warnings.warn(
             f"wire background at d={d:g} nm: harmonic sum not converged at "

@@ -1,13 +1,17 @@
-"""Complex-argument modified Bessel functions, and a real-argument K ladder.
+"""Modified Bessel functions of complex and of real argument.
 
 Thin guard layer over scipy.special (AMOS backend). The guards turn
 silent overflow into explicit errors and pin the branch conventions the
-rest of the package relies on. Scalar inputs return python complex;
-numpy arrays pass through elementwise, and an integer array of orders
-broadcasts against the argument. `bessel_k_ladder` takes real
-arguments only: it seeds the scaled K0, K1 from scipy's real-argument
-routines and climbs to higher orders by the upward recurrence, which
-is the stable direction for K.
+rest of the package relies on. numpy arrays pass through elementwise,
+and an integer array of orders broadcasts against the argument.
+
+The complex routines (`bessel_ik`, `bessel_k`, `bessel_ik_scaled`,
+`bessel_k_scaled`) promote the argument to complex and return python
+complex for scalar inputs. The real routines take real z > 0 only and
+return float: `bessel_i_scaled_real` (scaled I of any order),
+`bessel_i1_scaled` (scaled I_1) and `bessel_k_ladder`, which seeds the
+scaled K0, K1 from scipy's real-argument routines and climbs to higher
+orders by the upward recurrence, the stable direction for K.
 
 Importing this module loads numpy only: scipy.special is imported on
 the first Bessel call and kept as the module attribute ``_sp``. Only
@@ -133,6 +137,17 @@ def _positive_real(z, where: str) -> np.ndarray:
     return zr.astype(float)
 
 
+def bessel_i_scaled_real(order, z):
+    """Scaled I_order = I_order*exp(-z) of real z > 0 (scipy's ive on float64).
+
+    The real half of bessel_ik_scaled's I, with no complex promotion;
+    `order` may be a non-negative integer array that broadcasts against z.
+    """
+    order = _check_order(order)
+    zr = _positive_real(z, "bessel_i_scaled_real")
+    return _finish(_special().ive(order, zr), "bessel_i_scaled_real")
+
+
 def bessel_i1_scaled(z):
     """Scaled I_1 = I_1*exp(-z) of real z > 0 (scipy's real-argument i1e)."""
     return _finish(_special().i1e(_positive_real(z, "bessel_i1_scaled")), "bessel_i1_scaled")
@@ -156,12 +171,11 @@ def bessel_k_ladder(order, z) -> tuple:
     even, odd = sp.k0e(zs), sp.k1e(zs)
     steps = np.arange(1, int(orders[-1]) if orders.size else 0)
     # nodes above order j climb at step j; sorted, they are one tail
-    starts = np.searchsorted(orders, steps, side="right")
-    factors = (2.0 * steps)[:, None] / zs  # 2j/z, row j-1
+    starts = np.searchsorted(orders, steps, side="right").tolist()
     with np.errstate(over="ignore"):
-        for j, start, factor in zip(steps, starts, factors):
-            low, high = (even, odd) if j % 2 else (odd, even)
-            tail = factor[start:]
+        for j, start in enumerate(starts, 1):
+            low, high = (even, odd) if j & 1 else (odd, even)
+            tail = (2.0 * j) / zs[start:]
             tail *= high[start:]
             low[start:] += tail
     is_even = orders % 2 == 0

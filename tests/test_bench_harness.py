@@ -71,7 +71,8 @@ def test_traced_point_matches_untraced_point(case):
     assert spans <= {span[3] for span in tracer.spans}
     if name != "wire-sweep":
         assert tracer.integrand_evals["halfspace"] > 0
-    if name != "iface-sweep":
-        assert tracer.leaves["specfun.bessel_ik_scaled"][0] > 0
     if name == "geometry-scan":
+        # the cold mode solve calls the traced complex pair; a warm wire
+        # point makes no such call, its background nodes are real
+        assert tracer.leaves["specfun.bessel_ik_scaled"][0] > 0
         assert len(tracer.miss_ms) == 1

@@ -593,12 +593,20 @@ def test_background_validation_and_convergence_guard():
     with pytest.raises(ParameterError):
         quasistatic_background(GEOM, -5.0, AXIAL)
     fat = paper_wire(rho=600.0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as err:
         quasistatic_background(fat, 10.0, AXIAL, m_max=3, series_tol=1e-10)
+    # the partial sums print to 6 significant digits, so a last-bit
+    # change of the sum leaves the message as it is
+    assert str(err.value) == ("azimuthal harmonic sum still moving at m_max=3; "
+                              "last partial sums [0.010095, 0.0292634, 0.0482734, 0.0671032]")
 
 
 class _CountingSpecial:
-    """scipy.special stand-in that counts the elements its Bessel functions return."""
+    """scipy.special stand-in that counts the elements its Bessel functions return.
+
+    Each counted call must pass a float64 argument (and integer orders),
+    so no complex promotion reaches scipy unseen.
+    """
 
     def __init__(self, real):
         self._real = real
@@ -610,6 +618,9 @@ class _CountingSpecial:
             return fn
 
         def counted(*args):
+            *orders, z = map(np.asarray, args)
+            assert z.dtype == np.float64, (name, z.dtype)
+            assert all(np.issubdtype(o.dtype, np.integer) for o in orders), name
             out = fn(*args)
             self.elements[name] += np.size(out)
             return out
@@ -620,10 +631,9 @@ class _CountingSpecial:
 @pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
 def test_background_bessel_work_per_node(monkeypatch, orientation):
     # at d = 20 nm no order reaches the small-argument switch (m >= 60),
-    # so every quadrature node takes the full Bessel branch: one complex
-    # (I_m, K_m) pair at k*rho, the real K0, K1 seeds of the K ladder at
-    # k*rho and k*(rho+d), in either orientation, and the real I_1 at
-    # the order-0 nodes
+    # so every quadrature node takes the full Bessel branch, all of it
+    # real: I_m at k*rho, the K0, K1 seeds of the K ladder at k*rho and
+    # k*(rho+d), in either orientation, and I_1 at the order-0 nodes
     nodes = [0]
     orders = []
     real_quad, real_node = nanowire.quad, nanowire._node_bessel
@@ -647,7 +657,7 @@ def test_background_bessel_work_per_node(monkeypatch, orientation):
     orders = np.concatenate(orders)
     zero = np.count_nonzero(orders == 0)
     assert orders.size == nodes[0] and 0 < zero < nodes[0]
-    assert special.elements == {"ive": nodes[0], "kve": nodes[0], "k0e": 2 * nodes[0],
+    assert special.elements == {"ive": nodes[0], "kve": 0, "k0e": 2 * nodes[0],
                                 "k1e": 2 * nodes[0], "i1e": zero}
 
 
@@ -681,12 +691,11 @@ def test_mode_field_bessel_work(monkeypatch):
     assert calls["bessel_ik"] + calls["bessel_k"] == 80
 
 
-@pytest.mark.filterwarnings("ignore:wire background at d=:RuntimeWarning")
-def test_background_node_derivatives_match_the_one_sided_forms(monkeypatch):
-    # every node the paper wire's background integrates (x = k*rho up to
-    # about 150, orders up to 30): I'_m from the Wronskian (I_1 at m = 0),
-    # K'_m from the ladder's ratio and the emitter's w against the scaled
-    # one-sided forms of scipy's ive and kve
+@pytest.fixture(scope="module")
+def paper_wire_nodes():
+    """Every (m, x, y, radial, _node_bessel output) the paper wire's
+    background integrates at d = 10, 20, 50, 155 and 300 nm, both
+    orientations (x = k*rho up to about 150, orders up to 30)."""
     seen = []
     real = nanowire._node_bessel
 
@@ -695,12 +704,22 @@ def test_background_node_derivatives_match_the_one_sided_forms(monkeypatch):
         seen.append((m, x, y, radial, out))
         return out
 
-    monkeypatch.setattr(nanowire, "_node_bessel", spy)
-    for d in (10.0, 20.0, 50.0, 155.0, 300.0):
-        for orientation in (AXIAL, RADIAL):
-            quasistatic_background(GEOM, d, orientation)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "wire background at d=", RuntimeWarning)
+        patch.setattr(nanowire, "_node_bessel", spy)
+        for d in (10.0, 20.0, 50.0, 155.0, 300.0):
+            for orientation in (AXIAL, RADIAL):
+                quasistatic_background(GEOM, d, orientation)
+    return seen
+
+
+def test_background_node_derivatives_match_the_one_sided_forms(paper_wire_nodes):
+    # I'_m from the Wronskian (I_1 at m = 0), K'_m from the ladder and
+    # the emitter's w against the scaled one-sided forms of scipy's ive
+    # and kve
+    seen = paper_wire_nodes
     worst = dict.fromkeys(("ivp", "kvp", "w"), 0.0)
-    for m, x, y, radial, (im0, km0, ivp, kvp, w) in seen:
+    for m, x, y, radial, (_, _, ivp, kvp, w) in seen:
         lo = np.abs(m - 1)
         ref_w = -kve(lo, y) - (m / y) * kve(m, y) if radial else kve(m, y)
         for name, got, ref in (("ivp", ivp, ive(lo, x) - (m / x) * ive(m, x)),
@@ -711,6 +730,21 @@ def test_background_node_derivatives_match_the_one_sided_forms(monkeypatch):
     assert min(x.min() for _, x, *_ in seen) < 1e-3
     assert 140.0 < max(x.max() for _, x, *_ in seen) < 150.0
     assert max(worst.values()) < 1e-13, worst
+
+
+def test_background_nodes_are_real(paper_wire_nodes):
+    # all five node values are float64; I_m has the bits of the complex
+    # pair's I, and K_m is the ladder's, within its bound of kve at
+    # orders up to 30
+    for *_, out in paper_wire_nodes:
+        assert all(v.dtype == np.float64 for v in out)
+    m = np.concatenate([m for m, *_ in paper_wire_nodes])
+    x = np.concatenate([x for _, x, *_ in paper_wire_nodes])
+    i_m = np.concatenate([out[0] for *_, out in paper_wire_nodes])
+    k_m = np.concatenate([out[1] for *_, out in paper_wire_nodes])
+    assert m.max() == 30
+    assert np.array_equal(i_m, specfun.bessel_ik_scaled(m, x)[0].real)
+    assert np.abs(k_m / kve(m, x) - 1.0).max() < 2e-14
 
 
 @pytest.mark.parametrize("m, x", [(0, 1e-4), (0, 0.3), (1, 1e-3), (27, 1e-3), (30, 0.0043),

@@ -19,8 +19,8 @@ from scipy.special import i1e, ive, k0e, k1e, kve
 import oracles
 from companions import bessel_j, hankel1
 from mesoqed.errors import OutOfDomainError, ParameterError
-from mesoqed.specfun import (bessel_i1_scaled, bessel_ik, bessel_ik_scaled, bessel_k,
-                             bessel_k_ladder, bessel_k_scaled)
+from mesoqed.specfun import (bessel_i1_scaled, bessel_i_scaled_real, bessel_ik,
+                             bessel_ik_scaled, bessel_k, bessel_k_ladder, bessel_k_scaled)
 
 
 # ---------------------------------------------------------- spot values
@@ -142,18 +142,19 @@ def test_order_validation():
     for fn in (lambda o: bessel_j(o, 1.0), lambda o: hankel1(o, 1.0),
                lambda o: bessel_ik(o, 1.0), lambda o: bessel_ik_scaled(o, 1.0),
                lambda o: bessel_k(o, 1.0), lambda o: bessel_k_scaled(o, 1.0),
-               lambda o: bessel_k_ladder(o, 1.0)):
+               lambda o: bessel_k_ladder(o, 1.0), lambda o: bessel_i_scaled_real(o, 1.0)):
         with pytest.raises(ParameterError):
             fn(-1)
         with pytest.raises(ParameterError):
             fn(1.5)
     for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([1.0, 2.0]), [True],
                 np.array([False])):
-        for fn in (bessel_ik_scaled, bessel_k_scaled, bessel_k_ladder):
+        for fn in (bessel_ik_scaled, bessel_k_scaled, bessel_k_ladder, bessel_i_scaled_real):
             with pytest.raises(ParameterError):
                 fn(bad, np.ones(len(bad)))
     # bool is an int to isinstance, but True is no order 1 (nor False 0)
-    for fn in (bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled, bessel_k_ladder):
+    for fn in (bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled, bessel_k_ladder,
+               bessel_i_scaled_real):
         for bad in (True, False, np.True_):
             with pytest.raises(ParameterError, match="order must be a non-negative integer"):
                 fn(bad, 1.0)
@@ -354,3 +355,20 @@ def test_i1_scaled_is_the_order_one_i():
     assert np.array_equal(got, i1e(z))
     assert np.abs(got / ive(1, z) - 1.0).max() < 1e-14
     assert isinstance(bessel_i1_scaled(0.5), float)
+
+
+def test_real_i_scaled_is_the_real_half_of_the_pair():
+    # the real-argument ive has the bits of the complex one's I, which is
+    # real on the positive axis, at orders 0-60 and z from 1e-4 to 1200
+    rng = np.random.default_rng(22)
+    m = rng.integers(0, 61, 4000)
+    z = np.exp(rng.uniform(math.log(1e-4), math.log(1200.0), 4000))
+    got = bessel_i_scaled_real(m, z)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, ive(m, z.astype(complex)).real)
+    assert isinstance(bessel_i_scaled_real(3, 0.5), float)
+    # an order column broadcasts against a row of arguments
+    assert bessel_i_scaled_real(np.arange(3)[:, None], z[None, :5]).shape == (3, 5)
+    for bad in (0.0, -1.0, 1.0 + 0.0j, np.array([1.0, np.nan])):
+        with pytest.raises(OutOfDomainError, match="bessel_i_scaled_real"):
+            bessel_i_scaled_real(1, bad)

@@ -287,21 +287,14 @@ class _Memo:
         """The columns at nodes x; only nodes it does not hold are built."""
         at = np.searchsorted(self.keys, x)
         hit = self.keys[at] == x
+        out = self.columns[:, at]
         if hit.all():
-            return self.columns[:, at]
-        room = _MEMO_NODES - len(self)
-        if not hit.any():
-            new, first = np.unique(x, return_index=True)
-            if new.size == x.size:  # all new and distinct: no copy but the stored one
-                out = _node_columns(c, self.segment, x)
-                self._store(new[:room], out[:, first[:room]])
-                return out
-        out = np.empty((_ROWS, x.size), dtype=complex)
-        out[:, hit] = self.columns[:, at[hit]]
+            return out
         new, inverse = np.unique(x[~hit], return_inverse=True)
         built = _node_columns(c, self.segment, new)
-        self._store(new[:room], built[:, :room])
         out[:, ~hit] = built[:, inverse]
+        room = _MEMO_NODES - len(self)
+        self._store(new[:room], built[:, :room])
         return out
 
     def _store(self, new: np.ndarray, columns: np.ndarray) -> None:

@@ -117,12 +117,14 @@ def _characteristic(k: complex, geom: WireGeometry) -> tuple[complex, float]:
     return value, scale
 
 
-def _newton(geom: WireGeometry, seed: complex) -> complex | None:
+def _newton(geom: WireGeometry, seed: complex) -> tuple[complex, float] | None:
+    """The root from seed and its residual |value|/scale, or None where Newton fails."""
     k = complex(seed)
     for _ in range(60):
         value, scale = _characteristic(k, geom)
-        if abs(value) / scale < _ROOT_RESIDUAL:
-            return k
+        residual = abs(value) / scale
+        if residual < _ROOT_RESIDUAL:
+            return k, residual
         h = 1e-6 * abs(k)
         vp, _ = _characteristic(k + h, geom)
         vm, _ = _characteristic(k - h, geom)
@@ -133,15 +135,14 @@ def _newton(geom: WireGeometry, seed: complex) -> complex | None:
         # damp: do not accept a step that grows the residual
         for _ in range(8):
             trial, tscale = _characteristic(k + step, geom)
-            if abs(trial) / tscale <= abs(value) / scale:
+            if abs(trial) / tscale <= residual:
                 break
             step *= 0.5
         k = k + step
         if abs(step) < 1e-14 * abs(k):
             value, scale = _characteristic(k, geom)
-            if abs(value) / scale < _ROOT_RESIDUAL:
-                return k
-            return None
+            residual = abs(value) / scale
+            return (k, residual) if residual < _ROOT_RESIDUAL else None
     return None
 
 
@@ -263,7 +264,7 @@ def _norm_integral(
     return float(w_in + w_out)
 
 
-def _build_mode(geom: WireGeometry, root: complex, v_g: float) -> GuidedMode:
+def _build_mode(geom: WireGeometry, root: complex, residual: float, v_g: float) -> GuidedMode:
     k0 = geom.k0
     kap_in = _transverse(root, geom.metal.eps, k0, bound=False)
     kap_out = _transverse(root, geom.host.eps, k0, bound=True)
@@ -275,14 +276,13 @@ def _build_mode(geom: WireGeometry, root: complex, v_g: float) -> GuidedMode:
         raise ContractViolationError(
             f"mode normalization integral is {raw}; cannot normalize"
         )
-    value, scale = _characteristic(root, geom)
     return GuidedMode(
         k_sp=root,
         kappa_in=kap_in,
         kappa_out=kap_out,
         norm=1.0 / math.sqrt(raw),
         v_g=v_g,
-        residual=abs(value) / scale,
+        residual=residual,
         geometry=geom,
         a_in=a_in,
     )
@@ -297,11 +297,11 @@ def solve_dispersion(geom: WireGeometry) -> GuidedMode:
     """
     if geom.metal.n == geom.host.n:
         raise ParameterError("metal and host are identical; no guided plasmon exists")
-    root = _newton(geom, _seed(geom))
+    root, residual = _newton(geom, _seed(geom)) or (None, None)
     if root is None or not 0.0 <= root.imag < root.real:
         raise NoBoundModeError(f"Newton from the electrostatic seed found no guided root: {root}")
     v_g = _group_velocity_at(geom, root, 1e-3)
-    return _build_mode(geom, root, v_g)
+    return _build_mode(geom, root, residual, v_g)
 
 
 def _group_velocity_at(geom: WireGeometry, center_root: complex, delta: float) -> float:
@@ -312,12 +312,12 @@ def _group_velocity_at(geom: WireGeometry, center_root: complex, delta: float) -
         omega = omega0 * (1.0 + sgn * delta)
         lam = 2.0 * math.pi * c0 / omega
         shifted = WireGeometry(geom.rho, geom.metal, geom.host, lam)
-        root = _newton(shifted, center_root)
-        if root is None:
+        found = _newton(shifted, center_root)
+        if found is None:
             raise NoBoundModeError(
                 f"dispersion solve failed at the frequency offset {sgn * delta:+g}"
             )
-        res.append((omega, root.real))
+        res.append((omega, found[0].real))
     (om_p, k_p), (om_m, k_m) = res
     if k_p == k_m:
         raise NoBoundModeError(f"Re k_sp does not move over the offsets +-{delta:g}: no v_g")
@@ -406,6 +406,21 @@ def _harmonic_chunks(d: float, rho: float, m_max: int) -> list[np.ndarray]:
     return [np.arange(start, stop) for start, stop in zip(starts, starts[1:])]
 
 
+def _switch_x(m: int) -> float:
+    """x = k*rho below which the background's scaled I_m, K_m leave double range.
+
+    Their product stays moderate there, so the exact small-argument
+    limit of the m-th integrand takes over below it (that region
+    carries a negligible share of the term). 0 below order 60.
+    """
+    if m < 60:
+        return 0.0
+    x = 0.0
+    for _ in range(3):
+        x = 2.0 * math.exp((math.lgamma(m + 1) - 620.0 + x) / m)
+    return x
+
+
 def _node_bessel(m: np.ndarray, x: np.ndarray, y: np.ndarray, radial: bool) -> tuple:
     """Scaled I_m, K_m, I'_m, K'_m at x and the emitter's K factor w at y.
 
@@ -444,18 +459,22 @@ def quasistatic_background(
     exactly 1.
 
     Harmonic m is the integral over [0, 30/d + 2m/rho] of a product of
-    scaled I_m, K_m over the cylinder's resonant denominator.  The
-    harmonics are integrated in chunks, all panels of a chunk at once by
+    scaled I_m, K_m over the cylinder's resonant denominator.  From
+    order 60 on, these leave double range below k_switch =
+    `_switch_x(m)`/rho; there the integrand's small-argument limit is
+    integrated in closed form and the harmonic's quadrature starts at
+    k_switch, so every node takes the formula.  The harmonics are
+    integrated in chunks, all panels of a chunk at once by
     `quadrature.quad` (adaptive G10/K21 bisection with QUADPACK's error
     estimate), each harmonic to `rel_tol` on its own, so a harmonic's
     value does not depend on the chunk it shares.  After each chunk the
-    series stops once two successive terms fall below `series_tol` of
-    the sum.  If that has not happened at m_max (fixed, not scaled with
-    rho/d), a last term above 1e-6 of the sum raises ConvergenceError
-    and a smaller one is accepted with a RuntimeWarning that names d,
-    m_max and the last term's share of the sum.  A harmonic that cannot
-    reach `rel_tol` (roundoff, or 400 panels) is kept with a
-    RuntimeWarning.
+    series stops at the first m >= 2 where terms m-1 and m both fall
+    below `series_tol` of the partial sum through m.  If that has not
+    happened at m_max (fixed, not scaled with rho/d), a last term above
+    1e-6 of the sum raises ConvergenceError and a smaller one is
+    accepted with a RuntimeWarning that names d, m_max and the last
+    term's share of the sum.  A harmonic that cannot reach `rel_tol`
+    (roundoff, or 400 panels) is kept with a RuntimeWarning.
 
     Per quadrature node the integrand takes its Bessel values in real
     arithmetic (`_node_bessel`): the real K ladder gives K_m and
@@ -480,80 +499,59 @@ def quasistatic_background(
 
     beta_flat = (eps2 - eps1) / (eps1 + eps2)
 
-    def switch_x(m: int) -> float:
-        # below this the I,K factors of order m leave double range even
-        # scaled; the product itself stays moderate, so the exact
-        # small-argument limit of the m-th integrand takes over there
-        # (that region carries a negligible share of the term)
-        if m < 60:
-            return 0.0
-        x = 0.0
-        for _ in range(3):
-            x = 2.0 * math.exp((math.lgamma(m + 1) - 620.0 + x) / m)
-        return x
+    def below_switch(m: int) -> tuple[float, float]:
+        # k_switch of order m and the integral over [0, k_switch] of the
+        # integrand's limit there, c_m k^2 (axial) or c_m m^2/r0^2 (radial)
+        k_s = _switch_x(m) / rho
+        if k_s == 0.0:
+            return 0.0, 0.0
+        c_m = -beta_flat.imag * (rho / r0) ** (2 * m) / (2.0 * m)
+        return k_s, c_m * (m * m / (r0 * r0) * k_s if radial else k_s**3 / 3.0)
 
     def terms_of(ms: np.ndarray) -> np.ndarray:
-        x_switch = np.array([switch_x(int(m)) for m in ms])
+        k_switch, head = np.array([below_switch(int(m)) for m in ms]).T
 
         def integrand(k: np.ndarray, row: np.ndarray) -> np.ndarray:
-            m = ms[row]
             x = k * rho
             y = k * r0
-            out = np.empty_like(k)
-            limit = (m >= 1) & (x < x_switch[row])
-            if limit.any():
-                ml, kl = m[limit], k[limit]
-                lim = -beta_flat.imag * (rho / r0) ** (2 * ml) / (2.0 * ml)
-                out[limit] = ml * ml / (r0 * r0) * lim if radial else kl * kl * lim
-            full = ~limit
-            k, m, x, y = k[full], m[full], x[full], y[full]
-            im0, km0, ivp, kvp, w = _node_bessel(m, x, y, radial)
+            im0, km0, ivp, kvp, w = _node_bessel(ms[row], x, y, radial)
             denom = eps1 * im0 * kvp - eps2 * ivp * km0
             damp = np.exp(x - y)  # = exp(-k d); applied per bracket, squared overall
             br1 = im0 * w * damp
             br2 = ivp * w * damp
             ratio = (eps2 - eps1) * br1 * br2 / denom
-            out[full] = k * k * ratio.imag
-            return out
+            return k * k * ratio.imag
 
         # support of the m-th term: exp(-2kd) tail plus the bracket
         # transition at k ~ m/rho
         k_up = 30.0 / d + 2.0 * ms / rho
         weight = np.where(ms == 0, 1.0, 2.0)
-        return pref * weight * quad(integrand, np.zeros(ms.size), k_up, rel_tol)
+        return pref * weight * (head + quad(integrand, k_switch, k_up, rel_tol))
 
     pref = -3.0 / (math.pi * k1**3)
-    total = 0.0
-    terms: list[float] = []
-    converged = False
+    terms = np.empty(0)
     for chunk in _harmonic_chunks(d, rho, m_max):
-        for m, term in zip(chunk, terms_of(chunk)):
-            term = float(term)
-            total += term
-            terms.append(term)
-            if m >= 2:
-                scale = abs(total) + 1e-300
-                if abs(terms[-1]) < series_tol * scale and abs(terms[-2]) < series_tol * scale:
-                    converged = True
-                    break
-        if converged:
-            break
-    if not converged:
-        scale = abs(total) + 1e-300
-        if abs(terms[-1]) > max(_QS_STALL_TOL, series_tol) * scale:
-            partial = [sum(terms[: i + 1]) for i in range(len(terms))]
-            raise ConvergenceError(
-                f"azimuthal harmonic sum still moving at m_max={m_max}; "
-                f"last partial sums [{', '.join(f'{p:.6g}' for p in partial[-4:])}]"
-            )
-        warnings.warn(
-            f"wire background at d={d:g} nm: harmonic sum not converged at "
-            f"m_max={m_max}, last term {abs(terms[-1]) / scale:.3g} of the sum "
-            f"(series_tol {series_tol:g}); accepted",
-            RuntimeWarning,
-            stacklevel=2,
+        terms = np.concatenate((terms, terms_of(chunk)))
+        partial = np.cumsum(terms)
+        # stop at the first m >= 2 where terms m-1 and m fall below series_tol of S_m
+        tol = series_tol * (np.abs(partial[2:]) + 1e-300)
+        stop = np.flatnonzero((np.abs(terms[1:-1]) < tol) & (np.abs(terms[2:]) < tol))
+        if stop.size:
+            return 1.0 + float(partial[stop[0] + 2])
+    scale = abs(partial[-1]) + 1e-300
+    if abs(terms[-1]) > max(_QS_STALL_TOL, series_tol) * scale:
+        raise ConvergenceError(
+            f"azimuthal harmonic sum still moving at m_max={m_max}; "
+            f"last partial sums [{', '.join(f'{p:.6g}' for p in partial[-4:])}]"
         )
-    return 1.0 + total
+    warnings.warn(
+        f"wire background at d={d:g} nm: harmonic sum not converged at "
+        f"m_max={m_max}, last term {abs(terms[-1]) / scale:.3g} of the sum "
+        f"(series_tol {series_tol:g}); accepted",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return 1.0 + float(partial[-1])
 
 
 @dataclass(frozen=True)

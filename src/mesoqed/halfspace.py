@@ -36,11 +36,12 @@ everything that depends on the node and the geometry only: kp, kz1, the
 Fresnel factors, the Jacobian, the powers of kp. The height stage takes
 phi = exp(2i*kz1*h) and the products that involve it. Radiative and
 ellipse nodes recur from height to height, so each geometry's contour
-keeps their columns in a memo (`_Memo`, up to _MEMO_NODES distinct nodes
-per segment), and the last _GEOMETRIES contours are kept with their
-memos (`_contour`): a sweep and every later `interface_point` of the
-same materials and wavelength build each shared node once. A stored
-column has the bits a fresh one would have, so the memo moves no number.
+keeps their columns in a memo (`_Contour.columns`, up to _MEMO_NODES
+distinct nodes per segment), and the last _GEOMETRIES contours are kept
+with their memos (`_contour`): a sweep and every later `interface_point`
+of the same materials and wavelength build each shared node once. A
+stored column has the bits a fresh one would have, so the memo moves no
+number.
 
 The four component integrands, written per unit dk_par with
 phi = exp(2i*k_z1*h) and all lengths in nm:
@@ -54,7 +55,7 @@ phi = exp(2i*k_z1*h) and all lengths in nm:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -154,55 +155,67 @@ def spp_pole(geom: InterfaceGeometry) -> complex:
     if abs(s) < 1.0e-6 * (abs(eps1) + abs(eps2)):
         raise NoBoundModeError("surface-mode resonance: eps2 too close to -eps1")
     k0 = 2.0 * math.pi / geom.lambda0
-    k = k0 * np.sqrt(complex(eps1 * eps2 / s))
-    if k.real < 0.0:
-        k = -k
+    k = k0 * np.sqrt(complex(eps1 * eps2 / s))  # Re k >= 0: k0 > 0, principal root
     if k.imag < 0.0:
         raise NoBoundModeError(f"pole {k!r} decays backwards; not a bound mode")
     return complex(k)
 
 
-@dataclass(frozen=True)
 class _Contour:
-    """The k_par path of a geometry; only the tail's end depends on the height.
+    """The k_par path of a geometry, its host norm and its node columns.
 
-    memos holds the node columns of the radiative and ellipse segments,
-    whose nodes every height shares; the tail's depend on its end.
+    Only the tail's end depends on the height. The radiative and ellipse
+    nodes (segments 0 and 1) are shared by every height, so the contour
+    keeps the columns of each one's first _MEMO_NODES distinct nodes:
+    keys[s] holds segment s's stored nodes sorted, then +inf, so that
+    searchsorted gives every node an index and one equality test finds
+    it, in a batch of any size; stored[s] holds their columns. A node's
+    columns do not depend on the other nodes of its batch, so a stored
+    column has the bits a fresh one would have.
     """
 
-    k0: float
-    k1: float
-    eps1: complex
-    eps2: complex
-    pole: complex | None  # r_p pole, None when no bound surface mode exists
-    k_b: float
-    delta: float
-    t_b: float
-    memos: tuple = field(compare=False, repr=False)
+    def __init__(self, geom: InterfaceGeometry):
+        self.k0 = 2.0 * math.pi / geom.lambda0
+        self.k1 = k1 = wavevector(geom.upper, geom.lambda0).real
+        self.eps1, self.eps2 = geom.upper.eps, geom.lower.eps
+        try:
+            self.pole = spp_pole(geom)
+        except NoBoundModeError:
+            self.pole = None  # r_p has no bound surface-mode pole
+        self.k_b = 1.5 * k1 if self.pole is None else max(2.0 * self.pole.real - k1, 1.5 * k1)
+        self.delta = 0.25 * (self.k_b - k1)
+        self.t_b = math.acosh(self.k_b / k1)
+        self.norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
+        self.keys = [np.array([np.inf]) for _ in range(2)]
+        self.stored = [np.zeros((_ROWS, 1), dtype=complex) for _ in range(2)]
 
-
-def _new_contour(geom: InterfaceGeometry) -> _Contour:
-    k0 = 2.0 * math.pi / geom.lambda0
-    k1 = wavevector(geom.upper, geom.lambda0).real
-    try:
-        pole = spp_pole(geom)
-    except NoBoundModeError:
-        pole = None
-    k_b = 1.5 * k1 if pole is None else max(2.0 * pole.real - k1, 1.5 * k1)
-    delta = 0.25 * (k_b - k1)
-    t_b = math.acosh(k_b / k1)
-    return _Contour(k0=k0, k1=k1, eps1=geom.upper.eps, eps2=geom.lower.eps, pole=pole,
-                    k_b=k_b, delta=delta, t_b=t_b, memos=(_Memo(0), _Memo(1)))
+    def columns(self, segment: int, x: np.ndarray) -> np.ndarray:
+        """The columns at nodes x of one segment; only nodes not stored are built."""
+        if segment == 2:  # the tail's nodes depend on its end: no other height shares them
+            return _node_columns(self, 2, x)
+        keys, stored = self.keys[segment], self.stored[segment]
+        at = np.searchsorted(keys, x)
+        hit = keys[at] == x
+        out = stored[:, at]
+        if hit.all():
+            return out
+        new, inverse = np.unique(x[~hit], return_inverse=True)
+        built = _node_columns(self, segment, new)
+        out[:, ~hit] = built[:, inverse]
+        room = _MEMO_NODES + 1 - keys.size
+        if room > 0:  # a full memo inserts nothing and copies no array
+            at = np.searchsorted(keys, new[:room])
+            self.keys[segment] = np.insert(keys, at, new[:room])
+            self.stored[segment] = np.insert(stored, at, built[:, :room], axis=1)
+        return out
 
 
 def _contour(geom: InterfaceGeometry) -> _Contour:
-    """The contour of geom's materials and wavelength, kept in _CONTOURS with its memos."""
+    """The contour of geom's materials and wavelength, kept in _CONTOURS with its columns."""
     # exact bits: n = 1.5+0j and 1.5-0j compare equal but do not round alike
     key = tuple(float(v).hex() for v in (geom.upper.n.real, geom.upper.n.imag,
                                          geom.lower.n.real, geom.lower.n.imag, geom.lambda0))
-    c = _CONTOURS.pop(key, None)
-    if c is None:
-        c = _new_contour(geom)
+    c = _CONTOURS.pop(key, None) or _Contour(geom)
     _CONTOURS[key] = c
     if len(_CONTOURS) > _GEOMETRIES:
         del _CONTOURS[next(iter(_CONTOURS))]  # the least recently used
@@ -266,55 +279,15 @@ def _node_columns(c: _Contour, segment: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Memo:
-    """The columns of one segment's first _MEMO_NODES distinct nodes.
-
-    A node's columns do not depend on the other nodes of its batch, so a
-    stored column has the bits a fresh one would have. keys holds the
-    stored nodes sorted, then +inf, so that searchsorted gives every
-    node an index and one equality test finds it, in a batch of any size.
-    """
-
-    def __init__(self, segment: int):
-        self.segment = segment
-        self.keys = np.array([np.inf])
-        self.columns = np.zeros((_ROWS, 1), dtype=complex)
-
-    def __len__(self) -> int:
-        return self.keys.size - 1
-
-    def __call__(self, c: _Contour, x: np.ndarray) -> np.ndarray:
-        """The columns at nodes x; only nodes it does not hold are built."""
-        at = np.searchsorted(self.keys, x)
-        hit = self.keys[at] == x
-        out = self.columns[:, at]
-        if hit.all():
-            return out
-        new, inverse = np.unique(x[~hit], return_inverse=True)
-        built = _node_columns(c, self.segment, new)
-        out[:, ~hit] = built[:, inverse]
-        room = _MEMO_NODES - len(self)
-        self._store(new[:room], built[:, :room])
-        return out
-
-    def _store(self, new: np.ndarray, columns: np.ndarray) -> None:
-        """Insert the sorted nodes new, none of them held yet, and their columns."""
-        if new.size:
-            at = np.searchsorted(self.keys, new)
-            self.keys = np.insert(self.keys, at, new)
-            self.columns = np.insert(self.columns, at, columns, axis=1)
-
-
-def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float,
-                       abs_scale: float) -> list:
+def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
     """Integrate a component vector along the deformed k_par path at each height.
 
     fn(columns, phi) takes the _Columns of the nodes of a quadrature
     round and phi = exp(2i*kz1*h) at each, complex arrays over the nodes,
     and returns their values, an array (nodes, components); the value at
     a node must not depend on the other nodes (`_node_columns` says what
-    each column holds). The columns of radiative and ellipse nodes come
-    from the contour's memos when a height before has used the same node.
+    each column holds). They come from `_Contour.columns`, which builds a
+    radiative or ellipse node only when no height before has used it.
 
     Every height's segments are intervals of one quad_vec call, so one
     call of fn per round evaluates the nodes of all heights. Returns, per
@@ -322,18 +295,18 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float,
     estimate), or the ConvergenceError of that height.
     """
     try:
-        return _lockstep(c, heights, fn, rel_tol, abs_scale)
+        return _lockstep(c, heights, fn, rel_tol)
     except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
         if len(heights) > 1:
             # one height at a time: only those whose integrand overflows fail
             return [out for h in heights
-                    for out in _integrate_contour(c, [h], fn, rel_tol, abs_scale)]
+                    for out in _integrate_contour(c, [h], fn, rel_tol)]
         failure = ConvergenceError(f"k_par integrand overflows at h = {heights[0]:g} nm")
         failure.__cause__ = exc
         return [failure]
 
 
-def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, abs_scale: float) -> list:
+def _lockstep(c: _Contour, heights: list, fn, rel_tol: float) -> list:
     # each height's segments are intervals in a row: radiative, ellipse(, tail)
     bounds, segment_of, height_of, counts = [], [], [], []
     for h in heights:
@@ -353,12 +326,11 @@ def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, abs_scale: float) 
         columns = np.empty((_ROWS, x.size), dtype=complex)
         for s in np.flatnonzero(np.bincount(segment)).tolist():
             on = segment == s
-            # the tail's nodes depend on its end: no other height shares them
-            columns[:, on] = c.memos[s](c, x[on]) if s < 2 else _node_columns(c, s, x[on])
+            columns[:, on] = c.columns(s, x[on])
         columns = _Columns(*columns[:7], columns[7:])
         return fn(columns, np.exp(_mul(columns.two_i_kz1, height_of[k])))
 
-    eps_abs = rel_tol * abs_scale
+    eps_abs = rel_tol * c.norm
     # a non-finite value fails the error test below, so numpy need not warn of it
     with np.errstate(all="ignore"):
         parts = iter(quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol))
@@ -369,7 +341,7 @@ def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, abs_scale: float) 
         for part, err_c in tail:
             evan = evan + part
             err += err_c
-        scale = max(abs_scale, float(np.max(np.abs(rad))), float(np.max(np.abs(evan))))
+        scale = max(c.norm, float(np.max(np.abs(rad))), float(np.max(np.abs(evan))))
         if not err <= 50.0 * max(eps_abs, rel_tol * scale):
             outcomes.append(ConvergenceError(
                 f"k_par quadrature reached {err:.3e}, wanted {rel_tol:.1e} relative "
@@ -483,9 +455,9 @@ class InterfacePoint:
     k1: float
 
 
-def _interface_point(c: _Contour, h: float, moments: EmitterMoments, norm: float,
+def _interface_point(c: _Contour, h: float, moments: EmitterMoments,
                      rad: np.ndarray, evan: np.ndarray) -> InterfacePoint:
-    k1 = c.k1
+    k1, norm = c.k1, c.norm
     j = _unscale(rad + evan, k1)
     bundle = GreenBundle(g_xx=norm + j[0].imag, d_g_zx=j[1].imag, dd_g_zz=j[2].imag,
                          dz_g_xx=j[3].imag)
@@ -521,13 +493,12 @@ def interface_sweep(geometry: InterfaceGeometry, heights, moments: EmitterMoment
     c = _contour(geometry)
     for h in heights:
         _rates.check_expansion(max(c.k1, 0.5 / h), moments)
-    norm = homogeneous_im_gxx(geometry.upper, geometry.lambda0)
     for start in range(0, len(heights), _BLOCK):
         block = heights[start:start + _BLOCK]
-        for h, outcome in zip(block, _integrate_contour(c, block, _ladder, rel_tol, norm)):
+        for h, outcome in zip(block, _integrate_contour(c, block, _ladder, rel_tol)):
             if isinstance(outcome, Exception):
                 raise outcome
-            yield _interface_point(c, h, moments, norm, *outcome[:2])
+            yield _interface_point(c, h, moments, *outcome[:2])
 
 
 def interface_point(geom: InterfaceGeometry, moments: EmitterMoments,

@@ -9,7 +9,8 @@ transverse constants kappa_i^2 = k_sp^2 - eps_i k0^2 the mode satisfies
   + (eps_out/kappa_out) K1/K0 (kappa_out rho) = 0.
 
 The characteristic function is even in the kappa_in branch choice;
-Re kappa_out > 0 is enforced so the exterior field is bound.
+kappa_out is the principal square root, whose real part is never
+negative, so the exterior field does not grow away from the wire.
 
 One damped Newton solve finds the root, from the larger of two limits
 of kappa_out: the thin wire's x0/rho (Takahara et al., Opt. Lett. 22,
@@ -94,18 +95,15 @@ class WireGeometry:
         return wavevector(self.host, self.lambda0).real
 
 
-def _transverse(k: complex, eps: complex, k0: float, bound: bool) -> complex:
-    kap = cmath.sqrt(k * k - eps * k0 * k0)
-    if bound and kap.real < 0.0:
-        kap = -kap
-    return kap
+def _transverse(k: complex, eps: complex, k0: float) -> complex:
+    return cmath.sqrt(k * k - eps * k0 * k0)  # the principal root: Re kappa >= 0
 
 
 def _characteristic(k: complex, geom: WireGeometry) -> tuple[complex, float]:
     """Characteristic function and its two-term magnitude scale."""
     k0 = geom.k0
-    kap_in = _transverse(k, geom.metal.eps, k0, bound=False)
-    kap_out = _transverse(k, geom.host.eps, k0, bound=True)
+    kap_in = _transverse(k, geom.metal.eps, k0)
+    kap_out = _transverse(k, geom.host.eps, k0)
     # Python complex scalars: numpy's complex arithmetic can round differently
     (i0, i1), _ = specfun.bessel_ik_scaled(_ORDERS, kap_in * geom.rho)
     q0, q1 = specfun.bessel_k_scaled(_ORDERS, kap_out * geom.rho)
@@ -266,8 +264,8 @@ def _norm_integral(
 
 def _build_mode(geom: WireGeometry, root: complex, residual: float, v_g: float) -> GuidedMode:
     k0 = geom.k0
-    kap_in = _transverse(root, geom.metal.eps, k0, bound=False)
-    kap_out = _transverse(root, geom.host.eps, k0, bound=True)
+    kap_in = _transverse(root, geom.metal.eps, k0)
+    kap_out = _transverse(root, geom.host.eps, k0)
     kv0 = specfun.bessel_k(0, kap_out * geom.rho)
     iv0, _ = specfun.bessel_ik(0, kap_in * geom.rho)
     a_in = kv0 / iv0

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from mesoqed.core import homogeneous_im_gxx, wavevector
+from mesoqed.core import wavevector
 from mesoqed.errors import OutOfDomainError, ParameterError
 from mesoqed.halfspace import (
     InterfaceGeometry,
@@ -84,8 +84,7 @@ def fresnel(k_par, geom: InterfaceGeometry):
 
 
 def _integrate_single(geom: InterfaceGeometry, fn, rel_tol: float) -> complex:
-    [outcome] = _integrate_contour(_contour(geom), [geom.h], fn, rel_tol=rel_tol,
-                                   abs_scale=homogeneous_im_gxx(geom.upper, geom.lambda0))
+    [outcome] = _integrate_contour(_contour(geom), [geom.h], fn, rel_tol=rel_tol)
     if isinstance(outcome, Exception):
         raise outcome
     rad, evan, _ = outcome

@@ -2,20 +2,21 @@
 
 Everything here is coded directly from classical results: Fresnel
 coefficients written out inline, the image-dipole mirror rate, the
-electrostatic lossy-surface rates, the surface-mode pole of a single
-interface, hand-rolled power series and integral representations for
-the Bessel functions, an arbitrary-precision root polish of the wire
-mode equation from its own electrostatic seed, a scan of the guided
-wedge for every wire root, the wire's axial gradient ratio from
-Gauss's law, the wire's plasmon ladder in the reduced E_r*E_z
-magnitude form (fed the mode's field values as plain numbers), the
-wire mode's normalization integral from closed-form Lommel integrals,
+perfect mirror's field bundle and rate ladder by image (mpmath
+derivatives), the electrostatic lossy-surface rates, the surface-mode
+pole of a single interface, hand-rolled power series and integral
+representations for the Bessel functions, an arbitrary-precision root
+polish of the wire mode equation from its own electrostatic seed, a scan
+of the guided wedge for every wire root, the wire's axial gradient ratio
+from Gauss's law, the wire's plasmon ladder in the reduced E_r*E_z
+magnitude form (fed the mode's field values as plain numbers), the wire
+mode's normalization integral from closed-form Lommel integrals,
 finite-difference ground states of harmonically confined carriers, and
-the wire's quasi-static background as one scalar adaptive quadrature
-per azimuthal harmonic, the planar contour quadrature as one scipy
+the wire's quasi-static background as one scalar adaptive quadrature per
+azimuthal harmonic, the planar contour quadrature as one scipy
 `quad_vec` call per contour segment, and the planar ladder integrand in
-its scalar Python form. None of it routes through the
-package modules, so a library bug cannot cancel against an oracle bug.
+its scalar Python form. None of it routes through the package modules,
+so a library bug cannot cancel against an oracle bug.
 
 Conventions match the package: lengths nm, wavevectors rad/nm, rates
 normalized to the emitter's rate in the unbounded upper/host medium.
@@ -84,6 +85,48 @@ def mirror_image_rate(h: float, k1: float) -> float:
     """Closed-form rate of a dipole parallel to a perfect mirror."""
     u = 2.0 * k1 * h
     return 1.0 - 1.5 * (math.sin(u) / u + math.cos(u) / u**2 - math.sin(u) / u**3)
+
+
+def mirror_bundle(h: float, k1: float) -> tuple:
+    """Scattered field bundle of a perfect mirror at height h, by image.
+
+    The image of the emitter sits 2h below it, with its horizontal
+    moments inverted and its vertical ones kept, so the four entries
+    are the imaginary parts of -G0_xx, -d_X G0_zx, -d_X^2 G0_zz (the
+    source derivative d_x' is -d_X) and -d_Z G0_xx, with
+    G0 = (I + grad grad/k1^2) e^{i k1 R}/(4 pi R) the free-space dyadic
+    at the offset (X, 0, Z) = (0, 0, 2h). Every derivative is mpmath's
+    numerical one at 30 digits. Returns (g_xx without its homogeneous
+    part, d_g_zx, dd_g_zz, dz_g_xx).
+    """
+    with mp.workdps(30):
+        k = mp.mpf(k1)
+
+        def g(x, z):
+            r = mp.sqrt(x * x + z * z)
+            return mp.exp(1j * k * r) / (4 * mp.pi * r)
+
+        def d(nx: int, nz: int):
+            return mp.diff(g, (0, 2 * mp.mpf(h)), (nx, nz))
+
+        entries = (d(0, 0) + d(2, 0) / k**2,  # G0_xx
+                   d(2, 1) / k**2,  # d_X G0_zx
+                   d(2, 0) + d(2, 2) / k**2,  # d_X^2 G0_zz
+                   d(0, 1) + d(2, 1) / k**2)  # d_Z G0_xx
+        return tuple(float(-mp.im(v)) for v in entries)
+
+
+def mirror_rates(bundle: tuple, k1: float, ratio: float) -> tuple:
+    """(gamma0, gamma1, gamma2, gamma1_md, gamma1_eq) of a `mirror_bundle`.
+
+    Rates are normalized to the host's Im G_xx = k1/(6 pi); gamma1 is
+    2*ratio*d_g_zx, gamma2 ratio^2*dd_g_zz, and the magnetic-dipole and
+    quadrupole parts ratio*(d_g_zx -/+ dz_g_xx), each over that norm.
+    """
+    gxx, dzx, ddzz, dzxx = bundle
+    norm = k1 / (6.0 * math.pi)
+    return (1.0 + gxx / norm, 2.0 * ratio * dzx / norm, ratio * ratio * ddzz / norm,
+            ratio * (dzx - dzxx) / norm, ratio * (dzx + dzxx) / norm)
 
 
 def surface_mode_pole(lambda0: float, n1: float, n2: complex) -> complex:
@@ -386,7 +429,8 @@ def quasistatic_background_scalar(rho: float, d: float, lambda0: float,
     electrostatic cylinder denominator), the same per-m interval
     [0, 30/d + 2m/rho], the same small-argument limit for m >= 60 and
     the same series stop rule, each harmonic integrated on its own by
-    QUADPACK at `rel_tol`. Returns 1 + Gamma_LS; raises RuntimeError
+    QUADPACK at `rel_tol` (from order 60 on, in two calls split at the
+    limit's switch). Returns 1 + Gamma_LS; raises RuntimeError
     where the harmonic sum is still moving at m_max.
     """
     eps1 = n_host * n_host
@@ -442,8 +486,12 @@ def quasistatic_background_scalar(rho: float, d: float, lambda0: float,
     for m in range(m_max + 1):
         weight = 1.0 if m == 0 else 2.0
         k_up = 30.0 / d + 2.0 * m / rho
-        val, _ = quad(integrand, 0.0, k_up, args=(m, switch_x(m)),
-                      epsabs=1e-300, epsrel=rel_tol, limit=400)
+        x_switch = switch_x(m)
+        # from order 60 on, one call below the switch and one above it, so
+        # that no call straddles the integrand's change of formula
+        cuts = [0.0, k_up] if x_switch == 0.0 else [0.0, x_switch / rho, k_up]
+        val = sum(quad(integrand, a, b, args=(m, x_switch), epsabs=1e-300, epsrel=rel_tol,
+                       limit=400)[0] for a, b in zip(cuts, cuts[1:]))
         term = pref * weight * val
         total += term
         terms.append(term)

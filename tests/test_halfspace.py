@@ -99,6 +99,33 @@ def test_mirror_limit_against_image_dipole():
         assert got == pytest.approx(oracles.mirror_image_rate(float(h), k1), rel=5e-3)
 
 
+def _mirror_deviations(n: complex) -> np.ndarray:
+    # relative distance of every scattered entry, rung and half of the
+    # split from its image form, height by height
+    k1 = 3.42 * 2.0 * math.pi / 1000.0
+    out = []
+    for h in (12.0, 30.0, 100.0, 400.0, 1500.0):
+        geom = InterfaceGeometry(upper=GAAS, lower=Material("mirror", n), h=h, lambda0=1000.0)
+        pt = interface_point(geom, MOMENTS, rel_tol=1e-10)
+        b = pt.bundle
+        got = (b.g_xx - pt.norm, b.d_g_zx, b.dd_g_zz, b.dz_g_xx, pt.ladder.gamma0,
+               pt.ladder.gamma1, pt.ladder.gamma2, pt.split.gamma1_md, pt.split.gamma1_eq)
+        bundle = oracles.mirror_bundle(h, k1)
+        want = (*bundle, *oracles.mirror_rates(bundle, k1, MOMENTS.lambda_over_mu))
+        out += [abs(g - w) / abs(w) for g, w in zip(got, want)]
+    return np.array(out)
+
+
+def test_every_rung_and_the_split_approach_the_image_mirror():
+    # a metal of index n is a perfect mirror up to terms of order 1/|n|:
+    # each deviation is below 1e3/|n| at n = 1e6j and grows a hundredfold
+    # at 1e4j, so what is left is the finite index, not the quadrature
+    near = _mirror_deviations(1.0e6j)
+    far = _mirror_deviations(1.0e4j)
+    assert near.max() < 1.0e3 / 1.0e6
+    assert far / near == pytest.approx(np.full(near.size, 100.0), rel=0.05)
+
+
 def test_quasi_static_gradient_limit():
     # At h far below the wavelength the lateral gradient entry
     # approaches the electrostatic image result; a dot of L_qd = 5 nm
@@ -440,10 +467,10 @@ def test_memo_leaves_every_bit_as_it_was(monkeypatch, lower):
         halfspace._CONTOURS.clear()
         fill_memo(geom, sweep, rel_tol)
         assert bits() == fresh
-    memos = halfspace._contour(geom).memos
-    assert all(0 < len(memo) <= halfspace._MEMO_NODES for memo in memos)
+    stored = [keys.size - 1 for keys in halfspace._contour(geom).keys]
+    assert all(0 < n <= halfspace._MEMO_NODES for n in stored)
     if lower == "host":
-        assert len(memos[0]) == halfspace._MEMO_NODES
+        assert stored[0] == halfspace._MEMO_NODES
 
 
 def test_memo_builds_each_shared_node_once(monkeypatch):
@@ -461,15 +488,15 @@ def test_memo_builds_each_shared_node_once(monkeypatch):
     monkeypatch.setattr(halfspace, "_node_columns", counted)
     for h in np.random.default_rng(1).uniform(20.0, 1000.0, 100).tolist():
         interface_point(paper_interface(h), MOMENTS)
-    memos = halfspace._contour(paper_interface(100.0)).memos
-    assert len(memos) == 2
+    memo_keys = halfspace._contour(paper_interface(100.0)).keys
+    assert len(memo_keys) == 2
     tail = np.concatenate(built[2])
-    for segment, memo in enumerate(memos):
+    for segment, keys in enumerate(memo_keys):
         nodes = np.concatenate(built[segment])
-        assert len(memo) < halfspace._MEMO_NODES  # it had room throughout
+        assert keys.size - 1 < halfspace._MEMO_NODES  # it had room throughout
         assert np.unique(nodes).size == nodes.size
-        assert np.array_equal(memo.keys[:-1], np.sort(nodes))
-        assert not np.isin(tail, memo.keys).any()
+        assert np.array_equal(keys[:-1], np.sort(nodes))
+        assert not np.isin(tail, keys).any()
 
 
 def test_contour_cache_keeps_the_latest_geometries(monkeypatch):

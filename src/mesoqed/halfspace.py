@@ -27,9 +27,11 @@ Conventions fixed here and relied on everywhere:
 Every height of a sweep (`interface_sweep`) adds its contour segments
 as intervals of one adaptive quadrature, so each round evaluates the
 nodes of all heights in one call of an array integrand. That integrand
-rounds as Python's scalar arithmetic does, operation by operation
-(`_mul`, `_libm`, `_quotients`), so the numbers of a height do not depend
-on the heights computed with it.
+rounds as Python's scalar arithmetic does, so the numbers of a height do
+not depend on the heights computed with it: powers and quotients are
+Python's ** and / node by node (`_quotients`), sin, cos, sinh and cosh
+math's (`_libm`), and only the complex product is written out (`_mul`),
+since numpy's array product may fuse a multiply into an add.
 
 The integrand has two stages. The node columns (`_node_columns`) are
 everything that depends on the node and the geometry only: kp, kz1, the
@@ -107,12 +109,6 @@ class ChannelDecomposition:
     ls: tuple
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    z = np.asarray(re, dtype=complex)  # a new array: re is real
-    z.imag = im
-    return z
-
-
 def _mul(a, b) -> np.ndarray:
     """a * b by the real-pair formula, which Python's complex product uses.
 
@@ -122,7 +118,9 @@ def _mul(a, b) -> np.ndarray:
     counts as complex with imaginary part 0.0, as in Python.
     """
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+    z = np.asarray(ar * br - ai * bi, dtype=complex)  # a new array: the difference is real
+    z.imag = ar * bi + ai * br
+    return z
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -358,39 +356,19 @@ def _kz_nodes(eps_k0: complex, kp: np.ndarray) -> np.ndarray:
     return np.negative(w, out=w, where=w.imag < 0.0)
 
 
-def _div_float(z: np.ndarray, x: float) -> np.ndarray:
-    """z / x as Python divides a complex by a float; numpy rounds it differently."""
-    ratio = 0.0 / x
-    denom = x + 0.0 * ratio
-    return _complex((z.real + z.imag * ratio) / denom, (z.imag - z.real * ratio) / denom)
-
-
 def _quotients(kp: np.ndarray, k1: float) -> np.ndarray:
-    """kp**3/k1**3, kp**5/k1**4 and kp/k1 at each node, in Python's arithmetic.
+    """kp**3/k1**3, kp**5/k1**4 and kp/k1 at each node, by Python's ** and /.
 
-    A real kp (the real-axis segments) takes libm's pow, which numpy's
-    SIMD power does not match in every last bit. A complex kp takes
-    Python's complex power, (1*kp)*kp**2 and (1*kp)*(kp**2)**2. Raises
-    OverflowError and ZeroDivisionError where Python does.
+    A real kp (the real-axis segments) is a float, so its power is libm's
+    pow, which numpy's SIMD power does not match in every last bit; a
+    complex kp (the ellipse) is a Python complex. Python raises the
+    OverflowError and ZeroDivisionError that `_integrate_contour` reports.
+    Only the complex product is hand-written (`_mul`): numpy's may use FMA.
     """
     k13, k14 = k1 ** 3, k1 ** 4
-    if k13 == 0.0 or k14 == 0.0:
-        raise ZeroDivisionError("a power of k1 underflows to 0")
-    out = np.empty((3, kp.size), dtype=complex)
-    real = kp.imag == 0.0
-    if real.any():
-        x = kp.real[real]
-        listed = x.tolist()
-        out[:, real] = (np.array([v ** 3 for v in listed]) / k13,
-                        np.array([v ** 5 for v in listed]) / k14, x / k1)
-    if not real.all():
-        z = kp[~real]
-        z1, z2 = _mul(1.0, z), _mul(z, z)
-        z3, z5 = _mul(z1, z2), _mul(z1, _mul(z2, z2))
-        if np.isinf(z3).any() or np.isinf(z5).any():
-            raise OverflowError("complex exponentiation")
-        out[:, ~real] = _div_float(z3, k13), _div_float(z5, k14), _div_float(z, k1)
-    return out
+    nodes = [z.real if z.imag == 0.0 else z for z in kp.tolist()]
+    return np.array([[z ** 3 / k13 for z in nodes], [z ** 5 / k14 for z in nodes],
+                     [z / k1 for z in nodes]], dtype=complex)
 
 
 def _ladder(col: _Columns, phi: np.ndarray) -> np.ndarray:

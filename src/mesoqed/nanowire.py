@@ -210,7 +210,7 @@ class GuidedMode:
             return 1j * (self.k_sp / self.kappa_out) * kv1, kv0
         if r == 0.0:
             return 0.0j, complex(self.a_in)  # I0(0)=1, I1(0)=0
-        (iv0, iv1), _ = specfun.bessel_ik(_ORDERS, self.kappa_in * r)
+        iv0, iv1 = specfun.bessel_i(_ORDERS, self.kappa_in * r)
         iv0, iv1 = complex(iv0), complex(iv1)
         return -1j * (self.k_sp / self.kappa_in) * self.a_in * iv1, self.a_in * iv0
 
@@ -247,7 +247,7 @@ def _norm_integral(
         inner = row == 0
         out = np.empty_like(r)
         r_in, r_out = r[inner], r[~inner]
-        (iv0, iv1), _ = specfun.bessel_ik(_ORDERS[:, None], kap_in * r_in)
+        iv0, iv1 = specfun.bessel_i(_ORDERS[:, None], kap_in * r_in)
         dens = a2 * (np.abs(iv0) ** 2 + ratio_in * np.abs(iv1) ** 2)
         out[inner] = eps_in_re * dens * 2.0 * math.pi * r_in
         kv0, kv1 = specfun.bessel_k(_ORDERS[:, None], kap_out * r_out)
@@ -267,7 +267,7 @@ def _build_mode(geom: WireGeometry, root: complex, residual: float, v_g: float) 
     kap_in = _transverse(root, geom.metal.eps, k0)
     kap_out = _transverse(root, geom.host.eps, k0)
     kv0 = specfun.bessel_k(0, kap_out * geom.rho)
-    iv0, _ = specfun.bessel_ik(0, kap_in * geom.rho)
+    iv0 = specfun.bessel_i(0, kap_in * geom.rho)
     a_in = kv0 / iv0
     raw = _norm_integral(geom, root, kap_in, kap_out, a_in)
     if not (raw > 0.0) or not math.isfinite(raw):

@@ -5,13 +5,14 @@ silent overflow into explicit errors and pin the branch conventions the
 rest of the package relies on. numpy arrays pass through elementwise,
 and an integer array of orders broadcasts against the argument.
 
-The complex routines (`bessel_ik`, `bessel_k`, `bessel_ik_scaled`,
-`bessel_k_scaled`) promote the argument to complex and return python
-complex for scalar inputs. The real routines take real z > 0 only and
-return float: `bessel_i_scaled_real` (scaled I of any order),
-`bessel_i1_scaled` (scaled I_1) and `bessel_k_ladder`, which seeds the
-scaled K0, K1 from scipy's real-argument routines and climbs to higher
-orders by the upward recurrence, the stable direction for K.
+The complex routines (`bessel_ik`, `bessel_i`, `bessel_k`,
+`bessel_ik_scaled`, `bessel_k_scaled`) promote the argument to complex
+and return python complex for scalar inputs. The real routines take
+real z > 0 only and return float: `bessel_i_scaled_real` (scaled I of
+any order), `bessel_i1_scaled` (scaled I_1) and `bessel_k_ladder`,
+which seeds the scaled K0, K1 from scipy's real-argument routines and
+climbs to higher orders by the upward recurrence, the stable direction
+for K.
 
 Importing this module loads numpy only: `_special` imports
 scipy.special on the first Bessel call. Only wire code calls these
@@ -70,19 +71,27 @@ def _principal(order, z, where: str):
     return order, zc
 
 
+def bessel_i(order, z):
+    """Unscaled I alone, the I half of bessel_ik.
+
+    Requires Re z > 0; arguments with Re z beyond ~690 overflow I and
+    raise. For callers that discard K, which underflows or overflows
+    where I does not (K_1 of z near 0).
+    """
+    order, zc = _principal(order, z, "bessel_i")
+    if np.any(zc.real > _OVERFLOW_ARG):
+        raise OutOfDomainError(f"bessel_i: Re z > {_OVERFLOW_ARG} overflows I")
+    return _finish(_special().iv(order, zc), "bessel_i")
+
+
 def bessel_ik(order: int, z) -> tuple:
     """Modified Bessel pair (I_order, K_order) on the principal branch.
 
-    Requires Re z > 0; the branch cut of K runs along the negative real
-    axis. Arguments with Re z beyond ~690 overflow I and raise.
+    `bessel_i` and `bessel_k` with their guards: Re z > 0, since the
+    branch cut of K runs along the negative real axis, and Re z beyond
+    ~690 overflows I and raises.
     """
-    order, zc = _principal(order, z, "bessel_ik")
-    if np.any(zc.real > _OVERFLOW_ARG):
-        raise OutOfDomainError(f"bessel_ik: Re z > {_OVERFLOW_ARG} overflows I")
-    sp = _special()
-    i_val = _finish(sp.iv(order, zc), "bessel_ik (I)")
-    k_val = _finish(sp.kv(order, zc), "bessel_ik (K)")
-    return i_val, k_val
+    return bessel_i(order, z), bessel_k(order, z)
 
 
 def bessel_k(order, z):

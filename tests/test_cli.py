@@ -585,6 +585,13 @@ def test_unwritable_output_path(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+# k1 ~ 1e60/nm and k_b ~ 630*k1, with no tail: kp**5 overflows on the ellipse alone
+ELLIPSE_OVERFLOW = ["interface-sweep", "--lambda0", "2.149e-59", "--lqd", "1e-62",
+                    "--range", "1e-58:2e-58:1e-58", "--metal-n", "0.0001+3.4200171j"]
+ELLIPSE_OVERFLOW_ERR = ("mesoqed: numerical failure: h = 1e-58: "
+                        "k_par integrand overflows at h = 1e-58 nm\n")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["report", "--lqd", "1e300"], 2),
     (["interface-sweep", "--range", "20:21:1e-300"], 2),
@@ -624,6 +631,7 @@ def test_unwritable_output_path(tmp_path, capsys):
     (["nanowire-sweep", "--range", "20:21:5", "--orientation", "diagonal"], 2),
     (["interface-sweep", "--range", "20:21:5", "--ratio", "nan"], 2),
     (["report", "--config", "/nonexistent/cfg.txt"], 2),
+    (ELLIPSE_OVERFLOW, 3),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -639,8 +647,9 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # underflows to 0 (with a dot small enough for them), and heights
     # at or below L_qd/2, which a smaller dot admits, then a range that
     # is not numeric, not finite or has step 0, an unknown orientation,
-    # a NaN ratio and a config file that does not exist: a message,
-    # never a traceback, a warning or a printed inf
+    # a NaN ratio, a config file that does not exist and a wavelength so
+    # short that kp**5 overflows on the ellipse (its message pinned): a
+    # message, never a traceback, a warning or a printed inf
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -649,6 +658,8 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
         assert err.startswith("mesoqed: ") and "Traceback" not in err
     else:
         assert_numbers_finite(out.read_text(encoding="utf-8"))
+    if argv == ELLIPSE_OVERFLOW:
+        assert err == ELLIPSE_OVERFLOW_ERR
 
 
 def test_field_map_reads_zero_where_k_underflows(tmp_path):

@@ -690,9 +690,11 @@ def test_background_bessel_work_per_node(monkeypatch, orientation):
 def test_mode_field_bessel_work(monkeypatch):
     # each radial pair of the solved mode's field is one order-array call:
     # K0, K1 at the emitter once for E_r, E_z and d|E_z|/dr, and one
-    # pair per nonzero radius of a field map (E at r = 0 is closed form)
+    # pair per nonzero radius of a field map (E at r = 0 is closed form):
+    # I0, I1 inside the wire, where no K is computed, and K0, K1 outside
     solve_dispersion(GEOM)
-    calls = dict.fromkeys(("bessel_ik", "bessel_k", "bessel_ik_scaled", "bessel_k_scaled"), 0)
+    calls = dict.fromkeys(("bessel_ik", "bessel_i", "bessel_k", "bessel_ik_scaled",
+                           "bessel_k_scaled"), 0)
 
     def counting(name, fn):
         def counted(order, z):
@@ -706,15 +708,16 @@ def test_mode_field_bessel_work(monkeypatch):
     for orientation in (AXIAL, RADIAL):
         calls.update(dict.fromkeys(calls, 0))
         plasmon_bundle(GEOM, 20.0, orientation)
-        assert calls == {"bessel_ik": 0, "bessel_k": 1, "bessel_ik_scaled": 0,
+        assert calls == {"bessel_ik": 0, "bessel_i": 0, "bessel_k": 1, "bessel_ik_scaled": 0,
                          "bessel_k_scaled": 0}
     calls.update(dict.fromkeys(calls, 0))
     fm = field_map(GEOM, FieldWindow(r_min=0.0, r_max=GEOM.rho + 120.0, z_min=0.0, z_max=500.0))
     assert fm.r.size == 81
-    assert calls == {"bessel_ik": np.count_nonzero((fm.r > 0.0) & (fm.r < GEOM.rho)),
+    assert calls == {"bessel_ik": 0,
+                     "bessel_i": np.count_nonzero((fm.r > 0.0) & (fm.r < GEOM.rho)),
                      "bessel_k": np.count_nonzero(fm.r >= GEOM.rho), "bessel_ik_scaled": 0,
                      "bessel_k_scaled": 0}
-    assert calls["bessel_ik"] + calls["bessel_k"] == 80
+    assert calls["bessel_i"] + calls["bessel_k"] == 80
 
 
 @pytest.fixture(scope="module")
@@ -859,6 +862,18 @@ def test_boundary_conditions_at_the_surface():
     # tangential E and normal D continuous
     assert ez_in == pytest.approx(ez_out, rel=1e-4)
     assert EPS_METAL * er_in == pytest.approx(EPS_HOST * er_out, rel=1e-4)
+
+
+def test_field_map_near_the_axis_takes_no_k():
+    # K_1 of kappa_in*r overflows at r = 1e-309 nm, but the interior field
+    # is a_in*(I_1, I_0) -> (0, a_in) there and needs no K
+    mode = solve_dispersion(GEOM)
+    e_r, e_z = mode.raw(1e-300)
+    assert abs(e_r) < 1e-290 and e_z == pytest.approx(mode.a_in, rel=1e-15)
+    window = FieldWindow(r_min=1e-309, r_max=10.0, z_min=0.0, z_max=500.0, n_r=2, n_z=2)
+    fm = field_map(GEOM, window)
+    assert np.isfinite(fm.e_r).all() and np.isfinite(fm.e_z).all()
+    assert fm.e_z[0, 0] == pytest.approx(mode.norm * mode.a_in, rel=1e-15)
 
 
 def test_field_map_refuses_a_window_whose_field_overflows():

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import i1e, ive, k0e, k1e, kve
+from scipy.special import i1e, iv, ive, k0e, k1e, kve
 
 import oracles
 from companions import bessel_j, hankel1
 from mesoqed.errors import OutOfDomainError, ParameterError
-from mesoqed.specfun import (bessel_i1_scaled, bessel_i_scaled_real, bessel_ik,
+from mesoqed.specfun import (bessel_i, bessel_i1_scaled, bessel_i_scaled_real, bessel_ik,
                              bessel_ik_scaled, bessel_k, bessel_k_ladder, bessel_k_scaled)
 
 
@@ -245,6 +245,27 @@ def test_k_is_the_k_half_of_the_plain_pair():
     assert bessel_k(0, 700.0) == pytest.approx(bessel_k_scaled(0, 700.0) * math.exp(-700.0),
                                                rel=1e-12)
     assert bessel_k(1, 800.0 + 5.0j) == 0.0
+
+
+def test_i_is_the_i_half_of_the_plain_pair():
+    for z in (0.3, 2.0 + 1.0j, 40.0 - 3.0j, 600.0):
+        for order in (0, 1, 7):
+            got = bessel_i(order, z)
+            assert isinstance(got, complex)
+            assert got == iv(order, complex(z)) == bessel_ik(order, z)[0]
+    orders = np.array([[0], [1]])
+    zs = np.array([0.3, 2.0 + 1.0j, 15.0, 40.0 - 3.0j])
+    assert np.array_equal(bessel_i(orders, zs), iv(orders, zs.astype(complex)))
+    # near z = 0, K_1 overflows and the pair raises, but I alone is finite
+    with pytest.raises(OutOfDomainError, match="bessel_k"):
+        bessel_ik(1, 1e-309)
+    assert bessel_i(0, 1e-309) == 1.0 and bessel_i(1, 1e-309).real < 1e-308
+    for z in (-2.0, 0.0, 3.0j, 800.0):
+        with pytest.raises(OutOfDomainError, match="bessel_i"):
+            bessel_i(0, z)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ParameterError):
+            bessel_i(bad, 1.0)
 
 
 def test_derivative_identities_match_the_two_sided_recurrence():

@@ -12,6 +12,7 @@ constant in the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .errors import ExpansionInvalidError, ParameterError
@@ -115,6 +116,17 @@ def check_host(host: Material) -> None:
         raise ParameterError(
             f"emitter medium {host.name!r} must be lossless with Re n > 0, got n = {host.n:g}"
         )
+
+
+def check_tolerances(**tols) -> None:
+    """Each named tolerance must be a finite real number > 0.
+
+    A NaN, zero or negative tolerance would reach the comparisons of a
+    quadrature or a series test, which then stop at once or never.
+    """
+    for name, tol in tols.items():
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
+            raise ParameterError(f"{name} must be finite and > 0, got {tol!r}")
 
 
 def homogeneous_im_gxx(host: Material, lambda0: float) -> float:

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
-from .core import check_host, homogeneous_im_gxx, wavevector
+from .core import check_host, check_tolerances, homogeneous_im_gxx, wavevector
 from .errors import ConvergenceError, NoBoundModeError, ParameterError
 from .quadrature import quad_vec
 from .rates import GreenBundle
@@ -458,15 +458,16 @@ def interface_sweep(geometry: InterfaceGeometry, heights, moments: EmitterMoment
     """Yield the InterfacePoint at each of the heights, in order.
 
     geometry gives the materials and the wavelength; its own h is not
-    used. Every height is checked before any integration, the moment
-    expansion included: it needs k_eff*L_qd < 1 with k_eff = max(k1, 1/(2h)),
-    because the reflected near field's Taylor series in the source and
+    used. rel_tol and every height are checked before any integration,
+    the moment expansion included: it needs k_eff*L_qd < 1 with
+    k_eff = max(k1, 1/(2h)), because the reflected near field's Taylor series in the source and
     field offsets converges only while L_qd < 2h. Blocks of up to _BLOCK
     heights share one quadrature: each round evaluates the contour nodes
     of the whole block in one integrand call, and every value is bitwise
     what a block of one gives. A height that fails in quadrature raises
     when the iteration reaches it, after all earlier heights.
     """
+    check_tolerances(rel_tol=rel_tol)
     heights = [replace(geometry, h=h).h for h in heights]
     c = _contour(geometry)
     for h in heights:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -53,7 +54,8 @@ import numpy as np
 from . import rates as _rates
 from . import specfun
 from .core import GAAS, PAPER_LAMBDA0_NM, PAPER_WIRE_RADIUS_NM, SILVER, SPEED_OF_LIGHT_NM_PER_FS
-from .core import MAX_POINTS, EmitterMoments, Material, check_host, homogeneous_im_gxx, wavevector
+from .core import MAX_POINTS, EmitterMoments, Material, check_host, check_tolerances
+from .core import homogeneous_im_gxx, wavevector
 from .errors import (
     ConvergenceError,
     ContractViolationError,
@@ -392,14 +394,21 @@ _QS_STALL_TOL = 1e-6
 _QS_CHUNK = 8  # orders per chunk after the first (see _harmonic_chunks)
 
 
-def _harmonic_chunks(d: float, rho: float, m_max: int) -> list[np.ndarray]:
-    """Orders 0..m_max in the chunks the background integrates together."""
-    # term m falls off about as (rho/r0)^(2m) = exp(-fall * m): the first
-    # chunk ends two orders past where that reaches the default series
-    # tolerance (or at m_max), later chunks take _QS_CHUNK orders each
+def _harmonic_chunks(d: float, rho: float, m_max: int, radial: bool) -> list[np.ndarray]:
+    """Orders 0..m_max in the chunks the background integrates together.
+
+    Term m falls off about as (rho/r0)^(2m) = exp(-fall * m). The first
+    chunk ends at m_max or two orders past where that reaches the
+    default series tolerance, three for a radial dipole, whose
+    K'_m(k r0) carries an extra m/(k r0) and so falls about one order
+    later; later chunks take _QS_CHUNK orders each. At the default
+    m_max = 30 the series stops within the first chunk in both
+    orientations at every distance checked (3-3000 nm from wires of
+    radius 10-100 nm), so later chunks serve larger m_max.
+    """
     fall = 2.0 * math.log1p(d / rho)
     orders = -math.log(_QS_SERIES_TOL)
-    first = 3 + math.ceil(orders / fall) if fall * m_max > orders else m_max + 1
+    first = 3 + radial + math.ceil(orders / fall) if fall * m_max > orders else m_max + 1
     starts = [0, *range(first, m_max + 1, _QS_CHUNK), m_max + 1]
     return [np.arange(start, stop) for start, stop in zip(starts, starts[1:])]
 
@@ -465,7 +474,11 @@ def quasistatic_background(
     integrated in chunks, all panels of a chunk at once by
     `quadrature.quad` (adaptive G10/K21 bisection with QUADPACK's error
     estimate), each harmonic to `rel_tol` on its own, so a harmonic's
-    value does not depend on the chunk it shares.  After each chunk the
+    value does not depend on the chunk it shares.  The first chunk ends
+    a few orders past where (rho/r0)^(2m) reaches 1e-10, one order
+    later for a radial dipole, whose K'_m carries an extra m/(k r0);
+    at the default m_max that makes one quadrature call per background
+    (see `_harmonic_chunks`).  After each chunk the
     series stops at the first m >= 2 where terms m-1 and m both fall
     below `series_tol` of the partial sum through m.  If that has not
     happened at m_max (fixed, not scaled with rho/d), a last term above
@@ -484,8 +497,10 @@ def quasistatic_background(
     enter.
     """
     _check_point(d, orientation)
-    if m_max < 2:
-        raise ParameterError(f"m_max of {m_max} cannot establish series convergence")
+    check_tolerances(rel_tol=rel_tol, series_tol=series_tol)
+    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 2:
+        raise ParameterError(f"m_max must be an integer >= 2 to establish series "
+                             f"convergence, got {m_max!r}")
     eps1 = geom.host.eps
     eps2 = geom.metal.eps
     if eps2.imag == 0.0:
@@ -528,7 +543,7 @@ def quasistatic_background(
 
     pref = -3.0 / (math.pi * k1**3)
     terms = np.empty(0)
-    for chunk in _harmonic_chunks(d, rho, m_max):
+    for chunk in _harmonic_chunks(d, rho, m_max, radial):
         terms = np.concatenate((terms, terms_of(chunk)))
         partial = np.cumsum(terms)
         # stop at the first m >= 2 where terms m-1 and m fall below series_tol of S_m

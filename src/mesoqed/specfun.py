@@ -45,7 +45,7 @@ def _check_order(order):
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         # an array of orders, broadcast against z by the caller's ufunc
         arr = np.asarray(order)
-        if not np.issubdtype(arr.dtype, np.integer) or (arr < 0).any():
+        if arr.dtype.kind not in "iu" or (arr < 0).any():  # signed or unsigned integers
             raise ParameterError(f"order must be a non-negative integer, got {order!r}")
         return arr
     if order < 0:
@@ -133,7 +133,7 @@ def _positive_real(z, where: str) -> np.ndarray:
     zr = np.asarray(z)
     if np.iscomplexobj(zr) or not (zr > 0.0).all():
         raise OutOfDomainError(f"{where}: requires real z > 0")
-    return zr.astype(float)
+    return zr if zr.dtype == np.float64 else zr.astype(float)  # float64 passes uncopied
 
 
 def bessel_i_scaled_real(order, z):
@@ -161,14 +161,22 @@ def bessel_k_ladder(order, z) -> tuple:
     its bits do not depend on the other elements of the call. Values
     beyond double range raise.
     """
-    order, zr = np.broadcast_arrays(_check_order(order), _positive_real(z, "bessel_k_ladder"))
-    sort = np.argsort(order, axis=None, kind="stable")
-    orders, zs = order.ravel()[sort], zr.ravel()[sort]
+    order, zr = _check_order(order), _positive_real(z, "bessel_k_ladder")
+    if np.shape(order) != zr.shape:
+        order, zr = np.broadcast_arrays(order, zr)
     sp = _special()
+    if np.max(order, initial=0) <= 1:
+        # no element climbs: K_m, K_|m-1| are the seeds, in either order
+        k0, k1 = sp.k0e(zr), sp.k1e(zr)
+        is_zero = order == 0
+        return (_finish(np.where(is_zero, k0, k1), "bessel_k_ladder (K_m)"),
+                _finish(np.where(is_zero, k1, k0), "bessel_k_ladder (K_|m-1|)"))
+    sort = np.argsort(order, axis=None, kind="stable")
+    orders, zs = np.ravel(order)[sort], zr.ravel()[sort]
     # two rungs that take turns: step j overwrites K_{j-1} with K_{j+1},
     # so K of an even order ends in `even` and of an odd order in `odd`
     even, odd = sp.k0e(zs), sp.k1e(zs)
-    steps = np.arange(1, int(orders[-1]) if orders.size else 0)
+    steps = np.arange(1, int(orders[-1]))
     # nodes above order j climb at step j; sorted, they are one tail
     starts = np.searchsorted(orders, steps, side="right").tolist()
     with np.errstate(over="ignore"):

@@ -298,6 +298,16 @@ def test_geometry_validation():
         InterfaceGeometry(upper=lossy, lower=GAAS, h=100.0, lambda0=1000.0)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1e-8, math.inf, "1e-8"])
+def test_tolerance_validation(rel_tol):
+    # checked before any integration: a NaN tolerance used to reach the
+    # quadrature and fail there as a ConvergenceError ("wanted nan relative")
+    with pytest.raises(ParameterError, match="rel_tol must be finite and > 0"):
+        interface_point(paper_interface(50.0), MOMENTS, rel_tol=rel_tol)
+    with pytest.raises(ParameterError, match="rel_tol must be finite and > 0"):
+        next(halfspace.interface_sweep(paper_interface(50.0), [50.0, 80.0], MOMENTS, rel_tol))
+
+
 def test_gamma2_can_go_negative_for_scattered_fields():
     # The second rung is a scattered-field quantity and may dip below
     # zero as long as the total stays physical.

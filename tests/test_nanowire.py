@@ -550,7 +550,7 @@ def test_background_harmonics_do_not_depend_on_their_batch(monkeypatch, d):
     # every harmonic integrated alone must give the batched sum bit for bit
     batched = quasistatic_background(GEOM, d, RADIAL)
 
-    def one_order_chunks(d, rho, m_max):
+    def one_order_chunks(d, rho, m_max, radial):
         return [np.array([m]) for m in range(m_max + 1)]
 
     monkeypatch.setattr(nanowire, "_harmonic_chunks", one_order_chunks)
@@ -597,7 +597,8 @@ def test_background_rows_start_where_the_formula_takes_over(monkeypatch):
         for d in (10.0, 20.0, 155.0, 300.0):
             for orientation in (AXIAL, RADIAL):
                 quasistatic_background(GEOM, d, orientation)
-    assert len(starts) > 8 and not np.concatenate(starts).any()
+    # one quadrature call per default background, radial ones included
+    assert len(starts) == 8 and not np.concatenate(starts).any()
     starts.clear()
     wide = paper_wire(rho=200.0)
     quasistatic_background(wide, 10.0, AXIAL, m_max=250, series_tol=1e-5)
@@ -605,6 +606,44 @@ def test_background_rows_start_where_the_formula_takes_over(monkeypatch):
     assert lower.size > 100
     assert not lower[:60].any() and (lower[60:] > 0.0).all()
     assert np.array_equal(lower, [nanowire._switch_x(m) / 200.0 for m in range(lower.size)])
+
+
+def test_background_makes_one_quad_call_at_default_m_max(monkeypatch):
+    # the first chunk is sized per orientation: the radial term falls
+    # about one order later, and a radial chunk one order short used to
+    # cost a second call of 8 more harmonics (94 of these 581 distances)
+    calls = []
+    real_quad = nanowire.quad
+
+    def spy(f, lower, upper, rel_tol):
+        calls[-1] += 1
+        return real_quad(f, lower, upper, rel_tol)
+
+    monkeypatch.setattr(nanowire, "quad", spy)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "wire background at d=", RuntimeWarning)
+        for orientation in (AXIAL, RADIAL):
+            for d in np.arange(10.0, 300.25, 0.5):
+                calls.append(0)
+                quasistatic_background(GEOM, float(d), orientation)
+    assert len(calls) == 2 * 581 and set(calls) == {1}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rel_tol": math.nan}, {"rel_tol": 0.0}, {"rel_tol": -1e-8}, {"rel_tol": math.inf},
+    {"series_tol": math.nan}, {"series_tol": 0.0}, {"series_tol": -1e-10},
+    {"m_max": 30.0}, {"m_max": True}, {"m_max": 1}, {"m_max": "30"},
+])
+def test_background_tolerance_and_order_validation(kwargs):
+    # rel_tol=nan used to return 1.0334 at d = 50 nm (1.11399 is right),
+    # and m_max=30.0 raised a bare TypeError; lossless metal, which
+    # integrates nothing, checks them too
+    lossless = WireGeometry(rho=30.0, metal=Material("drude", 3.5j), host=GAAS, lambda0=1000.0)
+    for geom in (GEOM, lossless):
+        with pytest.raises(ParameterError, match="must be"):
+            quasistatic_background(geom, 50.0, AXIAL, **kwargs)
+    assert quasistatic_background(GEOM, 50.0, AXIAL, m_max=np.int64(30)) == \
+        quasistatic_background(GEOM, 50.0, AXIAL)
 
 
 def test_background_lossless_metal_is_unity():

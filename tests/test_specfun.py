@@ -147,11 +147,15 @@ def test_order_validation():
             fn(-1)
         with pytest.raises(ParameterError):
             fn(1.5)
-    for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([1.0, 2.0]), [True],
-                np.array([False])):
+    for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([[2], [-3]], dtype=np.int32),
+                np.array([1.0, 2.0]), [True], np.array([False])):
         for fn in (bessel_ik_scaled, bessel_k_scaled, bessel_k_ladder, bessel_i_scaled_real):
             with pytest.raises(ParameterError):
                 fn(bad, np.ones(len(bad)))
+    # any integer dtype is an order array, signed or not
+    want = bessel_k_ladder(np.array([0, 3]), np.array([1.0, 2.0]))
+    for dtype in (np.uint8, np.int32):
+        assert np.array_equal(bessel_k_ladder(np.array([0, 3], dtype=dtype), [1.0, 2.0]), want)
     # bool is an int to isinstance, but True is no order 1 (nor False 0)
     for fn in (bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled, bessel_k_ladder,
                bessel_i_scaled_real):
@@ -359,6 +363,32 @@ def test_k_ladder_node_does_not_depend_on_its_batch():
     perm = rng.permutation(400)
     assert np.array_equal(bessel_k_ladder(orders[perm], zs[perm])[0], k_m[perm])
     assert np.array_equal(bessel_k_ladder(orders[:57], zs[:57])[1], k_l[:57])
+
+
+def test_k_ladder_paths_give_per_element_bits():
+    # three paths: no element climbs (all orders <= 1), shapes that
+    # already agree, and orders that broadcast against the arguments;
+    # each gives every element the bits of a call of its own
+    rng = np.random.default_rng(26)
+    zs = np.exp(rng.uniform(math.log(0.05), math.log(500.0), 60))
+    kept = zs.copy()
+    for orders in (rng.integers(0, 2, 60), rng.integers(0, 31, 60)):
+        got = bessel_k_ladder(orders, zs)
+        stacked = bessel_k_ladder(np.array((orders, orders)), np.array((zs, 2.0 * zs)))
+        for i in range(60):
+            want = bessel_k_ladder(int(orders[i]), float(zs[i]))
+            assert (got[0][i], got[1][i]) == want == (stacked[0][0, i], stacked[1][0, i])
+    low = rng.integers(0, 2, 60)
+    assert np.array_equal(bessel_k_ladder(low, zs)[0], np.where(low == 0, k0e(zs), k1e(zs)))
+    column = np.array([0, 1, 5, 30])
+    grid = bessel_k_ladder(column[:, None], zs[None, :])
+    for i, m in enumerate(column):
+        assert np.array_equal(grid[0][i], bessel_k_ladder(int(m), zs)[0])
+        for j in range(0, 60, 7):
+            assert (grid[0][i, j], grid[1][i, j]) == bessel_k_ladder(int(m), float(zs[j]))
+    # a float64 argument passes uncopied, so no path may write to it
+    bessel_i_scaled_real(low, zs)
+    assert np.array_equal(zs, kept)
 
 
 def test_k_ladder_overflow_raises_without_warning():

@@ -35,6 +35,11 @@ class Material:
             raise ParameterError(
                 f"material {self.name!r}: Im(n) = {n.imag} < 0 means gain, not a passive medium"
             )
+        if n.real < 0.0 < n.imag:
+            raise ParameterError(
+                f"material {self.name!r}: n = {n} gives Im(eps) = 2 Re(n) Im(n) < 0, "
+                "gain, not a passive medium"
+            )
         object.__setattr__(self, "n", n)
 
     @property

@@ -46,7 +46,7 @@ import cmath
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -190,19 +190,37 @@ def _seed(geom: WireGeometry) -> complex:
 class GuidedMode:
     """Solved fundamental TM mode, mode fields and bookkeeping.
 
-    `norm` scales the raw exterior solution (unit K0 amplitude) so the
-    cross-section integral of Re[eps]|e|^2 is 1.  `a_in` is the interior
-    amplitude relative to that same unit exterior amplitude.
+    The constructor derives kappa_in, kappa_out, a_in and norm from
+    k_sp.  `norm` scales the raw exterior solution (unit K0 amplitude)
+    so the cross-section integral of Re[eps]|e|^2 is 1.  `a_in` is the
+    interior amplitude relative to that same unit exterior amplitude.
     """
 
     k_sp: complex
-    kappa_in: complex
-    kappa_out: complex
-    norm: float
     v_g: float
     residual: float
     geometry: WireGeometry
-    a_in: complex
+    kappa_in: complex = field(init=False)
+    kappa_out: complex = field(init=False)
+    a_in: complex = field(init=False)
+    norm: float = field(init=False)
+
+    def __post_init__(self):
+        geom = self.geometry
+        k0 = geom.k0
+        kap_in = _transverse(self.k_sp, geom.metal.eps, k0)
+        kap_out = _transverse(self.k_sp, geom.host.eps, k0)
+        kv0 = specfun.bessel_k(0, kap_out * geom.rho)
+        iv0 = specfun.bessel_i(0, kap_in * geom.rho)
+        object.__setattr__(self, "kappa_in", kap_in)
+        object.__setattr__(self, "kappa_out", kap_out)
+        object.__setattr__(self, "a_in", kv0 / iv0)
+        raw = self._norm_integral()
+        if not (raw > 0.0) or not math.isfinite(raw):
+            raise ContractViolationError(
+                f"mode normalization integral is {raw}; cannot normalize"
+            )
+        object.__setattr__(self, "norm", 1.0 / math.sqrt(raw))
 
     def raw(self, r: float) -> tuple[complex, complex]:
         """Unnormalized (e_r, e_z) at r, inside or outside the wire."""
@@ -229,63 +247,36 @@ class GuidedMode:
 
     def normalization_check(self) -> float:
         """norm^2 times a re-run of the integral that set norm: 1 to roundoff by construction."""
-        raw = _norm_integral(self.geometry, self.k_sp, self.kappa_in, self.kappa_out, self.a_in)
-        return self.norm * self.norm * raw
+        return self.norm * self.norm * self._norm_integral()
 
+    def _norm_integral(self) -> float:
+        """Cross-section integral of Re[eps]|e|^2 for the unit-amplitude solution."""
+        rho = self.geometry.rho
+        eps_in_re = self.geometry.metal.eps.real
+        eps_out_re = self.geometry.host.eps.real
+        kap_in, kap_out = self.kappa_in, self.kappa_out
+        ratio_in = abs(self.k_sp / kap_in) ** 2
+        ratio_out = abs(self.k_sp / kap_out) ** 2
+        a2 = abs(self.a_in) ** 2
 
-def _norm_integral(
-    geom: WireGeometry, k_sp: complex, kap_in: complex, kap_out: complex, a_in: complex
-) -> float:
-    """Cross-section integral of Re[eps]|e|^2 for the unit-amplitude solution."""
-    rho = geom.rho
-    eps_in_re = geom.metal.eps.real
-    eps_out_re = geom.host.eps.real
-    ratio_in = abs(k_sp / kap_in) ** 2
-    ratio_out = abs(k_sp / kap_out) ** 2
-    a2 = abs(a_in) ** 2
+        def density(r: np.ndarray, row: np.ndarray) -> np.ndarray:
+            # row 0 is the interior [0, rho], row 1 the exterior
+            inner = row == 0
+            out = np.empty_like(r)
+            r_in, r_out = r[inner], r[~inner]
+            iv0, iv1 = specfun.bessel_i(_ORDERS[:, None], kap_in * r_in)
+            dens = a2 * (np.abs(iv0) ** 2 + ratio_in * np.abs(iv1) ** 2)
+            out[inner] = eps_in_re * dens * 2.0 * math.pi * r_in
+            kv0, kv1 = specfun.bessel_k(_ORDERS[:, None], kap_out * r_out)
+            dens = np.abs(kv0) ** 2 + ratio_out * np.abs(kv1) ** 2
+            out[~inner] = eps_out_re * dens * 2.0 * math.pi * r_out
+            return out
 
-    def density(r: np.ndarray, row: np.ndarray) -> np.ndarray:
-        # row 0 is the interior [0, rho], row 1 the exterior
-        inner = row == 0
-        out = np.empty_like(r)
-        r_in, r_out = r[inner], r[~inner]
-        iv0, iv1 = specfun.bessel_i(_ORDERS[:, None], kap_in * r_in)
-        dens = a2 * (np.abs(iv0) ** 2 + ratio_in * np.abs(iv1) ** 2)
-        out[inner] = eps_in_re * dens * 2.0 * math.pi * r_in
-        kv0, kv1 = specfun.bessel_k(_ORDERS[:, None], kap_out * r_out)
-        dens = np.abs(kv0) ** 2 + ratio_out * np.abs(kv1) ** 2
-        out[~inner] = eps_out_re * dens * 2.0 * math.pi * r_out
-        return out
-
-    r_max = rho + _NORM_TAIL / kap_out.real
-    # a thick wire overflows |I0|^2; _build_mode reports the non-finite total
-    with np.errstate(over="ignore", invalid="ignore"):
-        w_in, w_out = quad(density, np.array([0.0, rho]), np.array([rho, r_max]), 1e-11)
-    return float(w_in + w_out)
-
-
-def _build_mode(geom: WireGeometry, root: complex, residual: float, v_g: float) -> GuidedMode:
-    k0 = geom.k0
-    kap_in = _transverse(root, geom.metal.eps, k0)
-    kap_out = _transverse(root, geom.host.eps, k0)
-    kv0 = specfun.bessel_k(0, kap_out * geom.rho)
-    iv0 = specfun.bessel_i(0, kap_in * geom.rho)
-    a_in = kv0 / iv0
-    raw = _norm_integral(geom, root, kap_in, kap_out, a_in)
-    if not (raw > 0.0) or not math.isfinite(raw):
-        raise ContractViolationError(
-            f"mode normalization integral is {raw}; cannot normalize"
-        )
-    return GuidedMode(
-        k_sp=root,
-        kappa_in=kap_in,
-        kappa_out=kap_out,
-        norm=1.0 / math.sqrt(raw),
-        v_g=v_g,
-        residual=residual,
-        geometry=geom,
-        a_in=a_in,
-    )
+        r_max = rho + _NORM_TAIL / kap_out.real
+        # a thick wire overflows |I0|^2; the constructor reports the non-finite total
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_in, w_out = quad(density, np.array([0.0, rho]), np.array([rho, r_max]), 1e-11)
+        return float(w_in + w_out)
 
 
 @lru_cache(maxsize=64)
@@ -301,7 +292,7 @@ def solve_dispersion(geom: WireGeometry) -> GuidedMode:
     if root is None or not 0.0 <= root.imag < root.real:
         raise NoBoundModeError(f"Newton from the electrostatic seed found no guided root: {root}")
     v_g = _group_velocity_at(geom, root, 1e-3)
-    return _build_mode(geom, root, residual, v_g)
+    return GuidedMode(root, v_g, residual, geom)
 
 
 def _group_velocity_at(geom: WireGeometry, center_root: complex, delta: float) -> float:
@@ -322,13 +313,6 @@ def _group_velocity_at(geom: WireGeometry, center_root: complex, delta: float) -
     if k_p == k_m:
         raise NoBoundModeError(f"Re k_sp does not move over the offsets +-{delta:g}: no v_g")
     return (om_p - om_m) / (k_p - k_m)
-
-
-def _rate_prefactor(geom: WireGeometry, mode: GuidedMode) -> float:
-    # per-photon factor with vacuum permittivity 1; bulk normalization folded in
-    n_host = geom.host.n.real
-    k0 = geom.k0
-    return 3.0 * math.pi * SPEED_OF_LIGHT_NM_PER_FS / (n_host * k0 * k0 * mode.v_g)
 
 
 AXIAL = "axial"
@@ -373,7 +357,10 @@ def plasmon_bundle(geom: WireGeometry, d: float, orientation: str) -> GreenBundl
     """
     _check_point(d, orientation)
     mode = solve_dispersion(geom)
-    scale = homogeneous_im_gxx(geom.host, geom.lambda0) * _rate_prefactor(geom, mode)
+    # per-photon factor C with vacuum permittivity 1; bulk normalization folded in
+    k0 = geom.k0
+    c_photon = 3.0 * math.pi * SPEED_OF_LIGHT_NM_PER_FS / (geom.host.n.real * k0 * k0 * mode.v_g)
+    scale = homogeneous_im_gxx(geom.host, geom.lambda0) * c_photon
     r0 = geom.rho + d
     e_r, e_z, dez = mode.exterior(r0)
     if orientation == AXIAL:

@@ -1,11 +1,14 @@
 """Materials, emitter moments, and the scalar figures of merit."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mesoqed
 from mesoqed.core import (
     GAAS,
     SILVER,
@@ -32,10 +35,16 @@ def test_reference_materials():
 def test_material_validation():
     with pytest.raises(ParameterError):
         Material("gain", 1.0 - 0.5j)
+    # Im n > 0, but Im eps = 2 Re n Im n < 0: eps = -48.96 - 2.8i has gain
+    with pytest.raises(ParameterError, match="gain"):
+        Material("gain", -0.2 + 7.0j)
     with pytest.raises(ParameterError):
         Material("nan", complex(float("nan"), 0.0))
     Material("lossless", 2.0)
     Material("lossy", 0.1 + 3.0j)
+    # real eps, and a signed-zero real part, stay passive
+    assert Material("negative", -1.5).eps == 2.25
+    assert Material("signed zero", complex(-0.0, 7.0)).eps.imag == 0.0
 
 
 def test_wavevector_host():
@@ -122,3 +131,22 @@ def test_emitter_moments_validation():
         EmitterMoments(lambda_over_mu=float("inf"))
     with pytest.raises(ParameterError):
         EmitterMoments(lambda_over_mu=1.0, l_qd=-3.0)
+
+
+def test_private_definitions_have_a_library_caller():
+    # a private function, class or method that only tests call belongs in
+    # tests/: each one must be named somewhere in the package
+    named, private = set(), set()
+    for path in Path(mesoqed.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update((node.name, node.asname))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    private.add(node.name)
+    assert private
+    assert sorted(private - named) == []

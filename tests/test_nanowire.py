@@ -7,6 +7,7 @@ against one scalar QUADPACK integral per harmonic and against the
 flat-surface closed form in the large-radius limit.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -332,7 +333,8 @@ def test_mode_fields_match_per_order_bessel_calls_bitwise(monkeypatch):
     # (I0, I1 or K0, K1) from one order-array call; each must equal the
     # per-order scalar calls bit for bit, or fail the same way
     modes = [_cold_mode(g) for g in _COLD_GEOMS]
-    monkeypatch.setattr(nanowire, "_norm_integral", _norm_integral_per_order)
+    monkeypatch.setattr(nanowire.GuidedMode, "_norm_integral", lambda m: _norm_integral_per_order(
+        m.geometry, m.k_sp, m.kappa_in, m.kappa_out, m.a_in))
     per_order = [_cold_mode(g) for g in _COLD_GEOMS]
     # a norm is positive and finite, so == compares its bits
     assert [getattr(m, "norm", m) for m in modes] == [getattr(m, "norm", m) for m in per_order]
@@ -345,6 +347,26 @@ def test_mode_fields_match_per_order_bessel_calls_bitwise(monkeypatch):
         for r in (rho, rho + 20.0, rho + 300.0):
             assert _outcome(mode.raw, r) == _outcome(_raw_exterior, mode, r)
             assert _outcome(mode.exterior, r) == _outcome(_exterior_per_order, mode, r)
+
+
+def test_constructor_rebuilds_the_solved_mode_bitwise():
+    # the mode derives kappa_in, kappa_out, a_in and norm from its root, so
+    # rebuilding it from (k_sp, v_g, residual, geometry) gives every bit back
+    modes = [m for m in map(_cold_mode, _COLD_GEOMS) if isinstance(m, nanowire.GuidedMode)]
+    assert len(modes) > 60
+    for mode in modes:
+        again = nanowire.GuidedMode(mode.k_sp, mode.v_g, mode.residual, mode.geometry)
+        assert again.geometry == mode.geometry
+        for f in dataclasses.fields(mode):
+            if f.name != "geometry":
+                assert _bits(getattr(again, f.name)) == _bits(getattr(mode, f.name)), f.name
+
+
+def test_unnormalizable_mode_raises_in_the_solve():
+    # |I0(kappa_in r)|^2 overflows the norm integral of a 5 um wire at 600 nm:
+    # the solve itself refuses the mode, not a later use of its norm
+    with pytest.raises(ContractViolationError, match="normalization integral"):
+        nanowire.solve_dispersion.__wrapped__(paper_wire(lambda0=600.0, rho=5000.0))
 
 
 def test_geometry_validation():

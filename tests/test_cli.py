@@ -611,10 +611,6 @@ ELLIPSE_OVERFLOW_ERR = ("mesoqed: numerical failure: h = 1e-58: "
     (["moments", "--host-n", "nan+1j"], 2),
     (["moments", "--host-n", "1-1j"], 2),
     (["moments", "--host-n", "3.42+0.1j"], 2),
-    (["interface-sweep", "--range", "20:60:20", "--metal-n=-0.2+7j"], 2),
-    (["dispersion", "--metal-n=-0.2+7j"], 2),
-    (["interface-sweep", "--range", "20:60:20", "--metal-n=-0.0+7j"], 0),
-    (["dispersion", "--metal-n=-0.0+7j"], 0),
     (["field-map", "--rmax", "30000", "--nr", "3", "--nz", "2"], 0),
     (["nanowire-sweep", "--range", "30000:30001:5"], 3),
     (["moments", "--sigma-e", "1e300"], 2),
@@ -636,6 +632,10 @@ ELLIPSE_OVERFLOW_ERR = ("mesoqed: numerical failure: h = 1e-58: "
     (["interface-sweep", "--range", "20:21:5", "--ratio", "nan"], 2),
     (["report", "--config", "/nonexistent/cfg.txt"], 2),
     (ELLIPSE_OVERFLOW, 3),
+    (["interface-sweep", "--range", "20:60:20", "--metal-n=-0.2+7j"], 2),
+    (["dispersion", "--metal-n=-0.2+7j"], 2),
+    (["interface-sweep", "--range", "20:60:20", "--metal-n=-0.0+7j"], 0),
+    (["dispersion", "--metal-n=-0.0+7j"], 0),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -643,19 +643,19 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # Re(k_sp)*L_qd >= 1, a metal at eps = -eps_host, a wire so thin
     # that k_sp does not move with frequency, a host index that is not
     # positive, a field window that is not finite, a gain or non-finite
-    # index where no geometry is built, a metal with Re n < 0 < Im n
-    # (gain in Im eps) and its passive signed-zero twin, points so far
-    # from the wire that K underflows, envelope widths that square
-    # outside double range, a field window far below z = 0, where
-    # e^{i k_sp z} overflows (its bound also given as a separate
-    # word), heights so small at so
+    # index where no geometry is built, points so far from the wire that
+    # K underflows, envelope widths that square outside double range, a
+    # field window far below z = 0, where e^{i k_sp z} overflows (its
+    # bound also given as a separate word), heights so small at so
     # long a wavelength that the contour tail's end overflows or 2*k1*h
     # underflows to 0 (with a dot small enough for them), and heights
     # at or below L_qd/2, which a smaller dot admits, then a range that
     # is not numeric, not finite or has step 0, an unknown orientation,
     # a NaN ratio, a config file that does not exist and a wavelength so
-    # short that kp**5 overflows on the ellipse (its message pinned): a
-    # message, never a traceback, a warning or a printed inf
+    # short that kp**5 overflows on the ellipse (its message pinned),
+    # and a metal with Re n < 0 < Im n (gain in Im eps) next to its
+    # passive signed-zero twin: a message, never a traceback, a warning
+    # or a printed inf
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err

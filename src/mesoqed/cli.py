@@ -27,11 +27,12 @@ import math
 import os
 import re
 import sys
+import warnings
 from typing import Callable, NamedTuple
 
 from . import __version__, core, halfspace, nanowire
 from . import moments as qd
-from .core import EmitterMoments, Material, figures_of_merit, wavevector
+from .core import EmitterMoments, Material, figures_of_merit
 from .errors import ExpansionInvalidError, MesoqedError, ParameterError
 
 
@@ -176,18 +177,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     if values["rmax"] is None:
         values["rmax"] = values["radius"] + 120.0
     cfg = argparse.Namespace(**values)
-    for name in ("lambda0", "lqd", "radius"):
-        v = getattr(cfg, name)
-        if not (math.isfinite(v) and v > 0.0):
-            raise UsageError(f"{name} must be a positive number, got {v!r}")
-    if not math.isfinite(cfg.ratio):
-        raise UsageError(f"ratio must be finite, got {cfg.ratio!r}")
     if not (_TOL_MIN <= cfg.tol <= _TOL_MAX):
         raise UsageError(f"tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}], got {cfg.tol:g}")
     if not cfg.workers >= 1:
         raise UsageError(f"workers must be a positive integer, got {cfg.workers!r}")
-    if cfg.orientation not in (nanowire.AXIAL, nanowire.RADIAL):
-        raise UsageError(f"orientation must be axial or radial, got {cfg.orientation!r}")
     if cfg.range is not None:
         lo, hi, step = cfg.range
         if not all(math.isfinite(v) for v in cfg.range):
@@ -196,9 +189,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"sweep range is empty: need MIN < MAX, got {_fmt_range(cfg.range)}")
         if not step > 0.0:
             raise UsageError(f"sweep step must be positive, got {_fmt(step)}")
-    # the geometries' checks, for the subcommands that build none
-    core.check_host(_host(cfg))
-    _metal(cfg)
+    # built once per run; their constructors check lambda0, lqd, radius, ratio and indices
+    cfg.host = Material("host", cfg.host_n)
+    cfg.metal = Material("metal", cfg.metal_n)
+    cfg.wire = nanowire.WireGeometry(rho=cfg.radius, metal=cfg.metal, host=cfg.host,
+                                     lambda0=cfg.lambda0)
+    cfg.moments = EmitterMoments(lambda_over_mu=cfg.ratio, l_qd=cfg.lqd)
     return cfg
 
 
@@ -209,32 +205,8 @@ def _config_entries(command: str, cfg: argparse.Namespace) -> dict:
 # ------------------------------------------------------------ shared pieces
 
 
-def _host(cfg: argparse.Namespace) -> Material:
-    return Material("host", cfg.host_n)
-
-
-def _metal(cfg: argparse.Namespace) -> Material:
-    return Material("metal", cfg.metal_n)
-
-
-def _k_host(cfg: argparse.Namespace) -> float:
-    return wavevector(_host(cfg), cfg.lambda0).real
-
-
-def _moments(cfg: argparse.Namespace) -> EmitterMoments:
-    return EmitterMoments(lambda_over_mu=cfg.ratio, l_qd=cfg.lqd)
-
-
 def _interface_geom(cfg: argparse.Namespace, h: float) -> halfspace.InterfaceGeometry:
-    return halfspace.InterfaceGeometry(
-        upper=_host(cfg), lower=_metal(cfg), h=h, lambda0=cfg.lambda0
-    )
-
-
-def _wire_geom(cfg: argparse.Namespace) -> nanowire.WireGeometry:
-    return nanowire.WireGeometry(
-        rho=cfg.radius, metal=_metal(cfg), host=_host(cfg), lambda0=cfg.lambda0
-    )
+    return halfspace.InterfaceGeometry(upper=cfg.host, lower=cfg.metal, h=h, lambda0=cfg.lambda0)
 
 
 def _sweep_values(cfg: argparse.Namespace, what: str) -> list:
@@ -251,7 +223,7 @@ def _sweep_values(cfg: argparse.Namespace, what: str) -> list:
 
 
 def _interface_rows(cfg: argparse.Namespace, heights: list):
-    points = halfspace.interface_sweep(_interface_geom(cfg, heights[0]), heights, _moments(cfg),
+    points = halfspace.interface_sweep(_interface_geom(cfg, heights[0]), heights, cfg.moments,
                                        rel_tol=cfg.tol)
     return (_interface_row(cfg, h, pt) for h, pt in zip(heights, points))
 
@@ -279,9 +251,8 @@ def _wire_rows(cfg: argparse.Namespace, distances: list):
 
 
 def _wire_row(cfg: argparse.Namespace, d: float) -> tuple:
-    geom = _wire_geom(cfg)
-    lad = nanowire.plasmon_rates(geom, d, _moments(cfg), cfg.orientation)
-    bg = nanowire.quasistatic_background(geom, d, cfg.orientation, rel_tol=cfg.tol)
+    lad = nanowire.plasmon_rates(cfg.wire, d, cfg.moments, cfg.orientation)
+    bg = nanowire.quasistatic_background(cfg.wire, d, cfg.orientation, rel_tol=cfg.tol)
     return (
         d,
         lad.gamma0,
@@ -355,19 +326,19 @@ def _v_g(mode: nanowire.GuidedMode) -> dict:
 
 
 def _n_eff(cfg: argparse.Namespace, mode: nanowire.GuidedMode) -> dict:
-    return _entry(mode.k_sp / (2.0 * math.pi / cfg.lambda0), "k_sp / k0", "dimensionless")
+    return _entry(mode.k_sp / cfg.wire.k0, "k_sp / k0", "dimensionless")
 
 
 def _lambda_zx(cfg: argparse.Namespace, env: qd.GaussianEnvelopes, convention: str,
                **fields) -> dict:
     est = qd.lambda_zx_estimate(env)
     return _entry(est, convention, "nm",
-                  significance_2k=qd.lambda_zx_significance(est, _k_host(cfg)), **fields)
+                  significance_2k=qd.lambda_zx_significance(est, cfg.wire.k_host), **fields)
 
 
 def _omega(cfg: argparse.Namespace) -> dict:
-    vac = qd.omega_negligibility(2.0 * math.pi / cfg.lambda0, cfg.lqd)
-    host = qd.omega_negligibility(_k_host(cfg), cfg.lqd)
+    vac = qd.omega_negligibility(cfg.wire.k0, cfg.lqd)
+    host = qd.omega_negligibility(cfg.wire.k_host, cfg.lqd)
     return _entry(vac.value,
                   "(k*lqd)**2, negligible below 0.1; host-k variant reported alongside",
                   negligible=vac.negligible, k_convention="vacuum",
@@ -401,7 +372,7 @@ def _cmd_nanowire_sweep(cfg: argparse.Namespace) -> str:
 
 
 def _cmd_dispersion(cfg: argparse.Namespace) -> str:
-    mode = nanowire.solve_dispersion(_wire_geom(cfg))
+    mode = nanowire.solve_dispersion(cfg.wire)
     return _json_text("dispersion", cfg, {
         "k_sp": _entry(mode.k_sp, "guided-mode wavevector, Im > 0 decaying", "rad/nm"),
         "n_eff": _n_eff(cfg, mode),
@@ -416,7 +387,7 @@ def _cmd_field_map(cfg: argparse.Namespace) -> str:
     window = nanowire.FieldWindow(
         r_min=cfg.rmin, r_max=cfg.rmax, z_min=cfg.zmin, z_max=cfg.zmax, n_r=cfg.nr, n_z=cfg.nz,
     )
-    fm = nanowire.field_map(_wire_geom(cfg), window)
+    fm = nanowire.field_map(cfg.wire, window)
     rows = []
     for i, r in enumerate(fm.r):
         for j, z in enumerate(fm.z):
@@ -443,10 +414,9 @@ def _cmd_moments(cfg: argparse.Namespace) -> str:
 
 
 def _cmd_report(cfg: argparse.Namespace) -> str:
-    mom = _moments(cfg)
-    fom_if = figures_of_merit(_k_host(cfg), mom)
-    mode = nanowire.solve_dispersion(_wire_geom(cfg))
-    fom_wire = figures_of_merit(mode.k_sp.real, mom)
+    fom_if = figures_of_merit(cfg.wire.k_host, cfg.moments)
+    mode = nanowire.solve_dispersion(cfg.wire)
+    fom_wire = figures_of_merit(mode.k_sp.real, cfg.moments)
     pole = halfspace.spp_pole(_interface_geom(cfg, 100.0))
     envelope = {"sigma_e_nm": _ENVELOPE.sigma_e, "mass_ratio": _ENVELOPE.mass_ratio,
                 "shift_nm": _ENVELOPE.shift}
@@ -534,7 +504,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _resolve(args)
-        text = args.handler(cfg)
+        with warnings.catch_warnings():
+            # a library warning as one line, without Python's echo of the warning call
+            warnings.showwarning = lambda message, *_: print(f"mesoqed: warning: {message}",
+                                                             file=sys.stderr)
+            text = args.handler(cfg)
     except UsageError as exc:
         print(f"mesoqed: {exc}", file=sys.stderr)
         return 2

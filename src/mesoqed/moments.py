@@ -212,6 +212,9 @@ def omega_negligibility(k: float, l_qd: float) -> OmegaCheck:
 
     Negligible below 0.1; the expansion itself requires k*l_qd < 1.
     """
+    for name, v in (("k", k), ("l_qd", l_qd)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ParameterError(f"{name} must be positive, got {v}")
     try:
         value = (k * l_qd) ** 2
     except OverflowError:

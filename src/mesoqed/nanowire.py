@@ -338,6 +338,7 @@ def plasmon_rates(
     gamma2 from the magnitude gradient of E_z.  All normalized to the
     bulk-host rate.  The moment expansion needs Re(k_sp) L_qd < 1.
     """
+    _check_point(d, orientation)
     _rates.check_expansion(solve_dispersion(geom).k_sp.real, moments)
     norm = homogeneous_im_gxx(geom.host, geom.lambda0)
     ladder = _rates.rate_ladder(plasmon_bundle(geom, d, orientation), moments, norm)
@@ -572,6 +573,10 @@ class FieldWindow:
             raise ParameterError("field window needs 0 <= r_min < r_max")
         if self.z_max <= self.z_min:
             raise ParameterError("field window needs z_min < z_max")
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
+               for n in (self.n_r, self.n_z)):
+            raise ParameterError(f"field window sample counts must be integers, "
+                                 f"got {self.n_r!r} and {self.n_z!r}")
         if self.n_r < 2 or self.n_z < 2:
             raise ParameterError("field window needs at least 2 samples per axis")
         if self.n_r * self.n_z > MAX_POINTS:

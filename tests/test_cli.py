@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mesoqed
-from mesoqed import __version__, cli
+from mesoqed import __version__, cli, nanowire
 from mesoqed.cli import main
 
 GOLDEN_INTERFACE_100 = (
@@ -636,6 +636,11 @@ ELLIPSE_OVERFLOW_ERR = ("mesoqed: numerical failure: h = 1e-58: "
     (["dispersion", "--metal-n=-0.2+7j"], 2),
     (["interface-sweep", "--range", "20:60:20", "--metal-n=-0.0+7j"], 0),
     (["dispersion", "--metal-n=-0.0+7j"], 0),
+    (["moments", "--lqd", "-3"], 2),
+    (["dispersion", "--radius", "0"], 2),
+    (["report", "--ratio", "nan"], 2),
+    (["field-map", "--lambda0", "-5"], 2),
+    (["nanowire-sweep", "--range", "20:21:5", "--orientation", "diagonal", "--metal-n", "1.5"], 2),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -653,9 +658,12 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # is not numeric, not finite or has step 0, an unknown orientation,
     # a NaN ratio, a config file that does not exist and a wavelength so
     # short that kp**5 overflows on the ellipse (its message pinned),
-    # and a metal with Re n < 0 < Im n (gain in Im eps) next to its
-    # passive signed-zero twin: a message, never a traceback, a warning
-    # or a printed inf
+    # a metal with Re n < 0 < Im n (gain in Im eps) next to its passive
+    # signed-zero twin, then the checks the library types make for every
+    # subcommand (extent, radius, ratio, wavelength) and an unknown
+    # orientation on a metal with no bound mode, which is refused before
+    # the mode solve: a message, never a traceback, a warning or a
+    # printed inf
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -886,6 +894,53 @@ def test_import_loads_only_what_the_module_imports(module, heavy):
     assert heavy not in loaded
     if module == "mesoqed":
         assert not {name for name in loaded if name.startswith("mesoqed.")}
+
+
+STALLED = ["nanowire-sweep", "--range", "10:11:5"]
+STALLED_WARNING = ("mesoqed: warning: wire background at d=10 nm: harmonic sum not converged "
+                   "at m_max=30, last term 1.94e-08 of the sum (series_tol 1e-10); accepted\n")
+
+
+def test_library_warning_is_one_stderr_line():
+    # the background accepts a stalled series at d = 10 nm with a
+    # warning, which the run prints as one line of its own
+    proc = subprocess.run([sys.executable, "-m", "mesoqed.cli", *STALLED], capture_output=True,
+                          text=True, timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0
+    assert proc.stderr == STALLED_WARNING
+
+
+def test_warning_format_stays_inside_main(capsys):
+    # main sets no filter: an error filter still raises the warning; and
+    # the caller's showwarning is back in place once main returns
+    show = warnings.showwarning
+    with pytest.raises(RuntimeWarning, match="not converged"):
+        main(STALLED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        assert main(STALLED) == 0
+    assert capsys.readouterr().err == STALLED_WARNING
+    assert warnings.showwarning is show
+
+
+def test_a_wire_sweep_builds_its_wire_once(capsys, monkeypatch):
+    # the geometry is built when the run's parameters are resolved, not
+    # per point: a cold run builds the same number for 1 point as for 9
+    built = []
+    post_init = nanowire.WireGeometry.__post_init__
+
+    def counted(geom):
+        built.append(geom)
+        post_init(geom)
+
+    monkeypatch.setattr(nanowire.WireGeometry, "__post_init__", counted)
+    counts = []
+    for sweep in ("20:21:5", "20:61:5"):
+        nanowire.solve_dispersion.cache_clear()
+        built.clear()
+        stdout_of(["nanowire-sweep", "--range", sweep], capsys)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_thick_wire_failure_is_one_stderr_line():

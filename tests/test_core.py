@@ -150,3 +150,21 @@ def test_private_definitions_have_a_library_caller():
                     private.add(node.name)
     assert private
     assert sorted(private - named) == []
+
+
+def test_every_import_is_used_in_its_module():
+    # a name a module imports and never reads is dead weight left behind
+    # by a refactor; `import a.b` binds `a`, and __future__ binds nothing
+    unused = []
+    for path in sorted(Path(mesoqed.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -175,3 +175,13 @@ def test_omega_threshold():
     small = omega_negligibility(0.01, 20.0)
     assert small.value == pytest.approx(0.04, rel=1e-12)
     assert small.negligible is True
+
+
+@pytest.mark.parametrize("k, l_qd", [
+    (0.02, -20.0), (-0.02, 20.0), (0.0, 20.0), (0.02, 0.0),
+    (math.nan, 20.0), (0.02, math.inf),
+])
+def test_omega_refuses_a_wavevector_or_extent_that_is_not_positive(k, l_qd):
+    # (k*l_qd)**2 would read a sign flip or a zero as a valid check
+    with pytest.raises(ParameterError, match="must be positive"):
+        omega_negligibility(k, l_qd)

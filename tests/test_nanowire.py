@@ -481,6 +481,11 @@ def test_rate_validation():
         plasmon_rates(GEOM, 0.0, MOMENTS, AXIAL)
     with pytest.raises(ParameterError):
         plasmon_rates(GEOM, 20.0, MOMENTS, "diagonal")
+    # the point is checked before the mode solve: a wire with no bound mode
+    # still reports the bad orientation, not the missing mode
+    dielectric = WireGeometry(rho=30.0, metal=Material("diel", 1.5), host=GAAS, lambda0=1000.0)
+    with pytest.raises(ParameterError, match="orientation"):
+        plasmon_rates(dielectric, 20.0, MOMENTS, "diagonal")
 
 
 # -------------------------------------- against the reduced-formula oracle
@@ -965,6 +970,11 @@ def test_field_window_validation():
         FieldWindow(r_min=0.0, r_max=50.0, z_min=0.0, z_max=10.0, n_r=1000, n_z=1001)
     with pytest.raises(ParameterError):
         FieldWindow(r_min=0.0, r_max=50.0, z_min=0.0, z_max=10.0, n_r=10**9, n_z=2)
+    # sample counts are integers: numpy's included, a bool or a float not
+    assert FieldWindow(0.0, 50.0, 0.0, 10.0, np.int64(3), 2).n_r == 3
+    for counts in ((2.5, 3), (3, 3.0), (True, 3), (3, np.float64(4.0))):
+        with pytest.raises(ParameterError, match="integers"):
+            FieldWindow(0.0, 100.0, 0.0, 100.0, *counts)
 
 
 def test_magnitude_derivative_guard():

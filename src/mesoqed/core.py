@@ -11,8 +11,10 @@ constant in the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ExpansionInvalidError, ParameterError
@@ -63,10 +65,8 @@ class EmitterMoments:
     l_qd: float = 20.0
 
     def __post_init__(self):
-        if not math.isfinite(self.lambda_over_mu):
-            raise ParameterError("lambda_over_mu must be finite")
-        if not (math.isfinite(self.l_qd) and self.l_qd > 0.0):
-            raise ParameterError(f"l_qd must be positive, got {self.l_qd}")
+        check_finite(ratio=self.lambda_over_mu)
+        check_positive(lqd=self.l_qd)
 
     def flipped(self) -> "EmitterMoments":
         """The same emitter mounted upside down."""
@@ -83,12 +83,12 @@ class FiguresOfMerit:
 
 def wavevector(material: Material, lambda0: float) -> complex:
     """Wavevector 2*pi*n/lambda0 in the given material, rad/nm."""
-    if not (math.isfinite(lambda0) and lambda0 > 0.0):
-        raise ParameterError(f"wavelength must be positive, got {lambda0}")
+    check_positive(lambda0=lambda0)
     k = 2.0 * math.pi * material.n / lambda0
-    if k == 0.0 and material.n != 0.0:
+    if not cmath.isfinite(k) or (k == 0.0 and material.n != 0.0):
         raise ParameterError(
-            f"wavevector of {material.name!r} underflows to 0 at lambda0 = {lambda0:g}"
+            f"wavevector 2*pi*n/lambda0 of {material.name!r} leaves double range "
+            f"at lambda0 = {lambda0!r}"
         )
     return k
 
@@ -100,8 +100,7 @@ def figures_of_merit(k: float, moments: EmitterMoments) -> FiguresOfMerit:
     against the dipole channel; g2 = (k*|lambda_over_mu|)**2 = (g1/2)**2
     measures the pure second-order channel.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise ParameterError(f"k must be a positive real wavevector, got {k}")
+    check_positive(k=k)
     kl = k * abs(moments.lambda_over_mu)
     if not math.isfinite(kl * kl):
         raise ExpansionInvalidError(
@@ -109,6 +108,13 @@ def figures_of_merit(k: float, moments: EmitterMoments) -> FiguresOfMerit:
             "the moment ratio overflows double precision"
         )
     return FiguresOfMerit(g1=2.0 * kl, g2=kl * kl)
+
+
+def host_wavevectors(host: Material, lambda0: float) -> tuple[float, float]:
+    """The vacuum and host wavevectors at lambda0, rad/nm; the host must pass check_host."""
+    k0 = wavevector(VACUUM, lambda0).real
+    check_host(host)
+    return k0, wavevector(host, lambda0).real
 
 
 def check_host(host: Material) -> None:
@@ -123,15 +129,33 @@ def check_host(host: Material) -> None:
         )
 
 
-def check_tolerances(**tols) -> None:
-    """Each named tolerance must be a finite real number > 0.
+def _refuse(values: dict, rule: str, holds) -> None:
+    """ParameterError for the first named value that is a bool, not real, or fails holds."""
+    for name, value in values.items():
+        # float and int first: the ABC test alone takes about a microsecond
+        real = isinstance(value, (float, int)) or isinstance(value, numbers.Real)
+        if isinstance(value, bool) or not (real and holds(value)):
+            raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
-    A NaN, zero or negative tolerance would reach the comparisons of a
-    quadrature or a series test, which then stop at once or never.
+
+def check_finite(**values) -> None:
+    """Each named value must be a finite real number, and not a bool."""
+    # the bound compares an int exactly: a huge one neither overflows nor passes
+    _refuse(values, "finite", lambda v: abs(v) <= sys.float_info.max)
+
+
+def check_positive(**values) -> None:
+    """Each named value must be a finite real number > 0, and not a bool.
+
+    The library's one rule for a length, wavevector, tolerance or norm.
+    Each name is the CLI flag that sets the value, or else the parameter's.
     """
-    for name, tol in tols.items():
-        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
-            raise ParameterError(f"{name} must be finite and > 0, got {tol!r}")
+    _refuse(values, "finite and > 0", lambda v: 0.0 < v <= sys.float_info.max)
+
+
+def check_count(**values) -> None:
+    """Each named value must be an integer >= 2, and not a bool."""
+    _refuse(values, "an integer >= 2", lambda v: isinstance(v, numbers.Integral) and v >= 2)
 
 
 def homogeneous_im_gxx(host: Material, lambda0: float) -> float:
@@ -144,7 +168,8 @@ def homogeneous_im_gxx(host: Material, lambda0: float) -> float:
     return k / (6.0 * math.pi)
 
 
-# Default parameter set used throughout the examples and the CLI.
+# Reference materials and the default parameter set of the examples and the CLI.
+VACUUM = Material("vacuum", 1.0)
 GAAS = Material("GaAs", 3.42 + 0.0j)
 SILVER = Material("Ag", 0.2 + 7.0j)
 PAPER_LAMBDA0_NM = 1000.0

@@ -57,15 +57,15 @@ phi = exp(2i*k_z1*h) and all lengths in nm:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
-from .core import check_host, check_tolerances, homogeneous_im_gxx, wavevector
-from .errors import ConvergenceError, NoBoundModeError, ParameterError
+from .core import check_positive, homogeneous_im_gxx, host_wavevectors
+from .errors import ConvergenceError, NoBoundModeError
 from .quadrature import quad_vec
 from .rates import GreenBundle
 
@@ -87,13 +87,14 @@ class InterfaceGeometry:
     lower: Material
     h: float
     lambda0: float
+    k0: float = field(init=False, repr=False)  # vacuum wavevector, set from lambda0
+    k_host: float = field(init=False, repr=False)  # the upper medium's
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ParameterError(f"height must be positive, got {self.h}")
-        if not (math.isfinite(self.lambda0) and self.lambda0 > 0.0):
-            raise ParameterError(f"wavelength must be positive, got {self.lambda0}")
-        check_host(self.upper)
+        check_positive(h=self.h)
+        k0, k_host = host_wavevectors(self.upper, self.lambda0)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k_host", k_host)
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ def spp_pole(geom: InterfaceGeometry) -> complex:
         )
     if abs(s) < 1.0e-6 * (abs(eps1) + abs(eps2)):
         raise NoBoundModeError("surface-mode resonance: eps2 too close to -eps1")
-    k0 = 2.0 * math.pi / geom.lambda0
-    k = k0 * np.sqrt(complex(eps1 * eps2 / s))  # Re k >= 0: k0 > 0, principal root
+    k = geom.k0 * np.sqrt(complex(eps1 * eps2 / s))  # Re k >= 0: k0 > 0, principal root
     if k.imag < 0.0:
         raise NoBoundModeError(f"pole {k!r} decays backwards; not a bound mode")
     return complex(k)
@@ -173,8 +173,8 @@ class _Contour:
     """
 
     def __init__(self, geom: InterfaceGeometry):
-        self.k0 = 2.0 * math.pi / geom.lambda0
-        self.k1 = k1 = wavevector(geom.upper, geom.lambda0).real
+        self.k0 = geom.k0
+        self.k1 = k1 = geom.k_host
         self.eps1, self.eps2 = geom.upper.eps, geom.lower.eps
         try:
             self.pole = spp_pole(geom)
@@ -467,10 +467,11 @@ def interface_sweep(geometry: InterfaceGeometry, heights, moments: EmitterMoment
     what a block of one gives. A height that fails in quadrature raises
     when the iteration reaches it, after all earlier heights.
     """
-    check_tolerances(rel_tol=rel_tol)
-    heights = [replace(geometry, h=h).h for h in heights]
+    check_positive(rel_tol=rel_tol)
+    heights = list(heights)
     c = _contour(geometry)
     for h in heights:
+        check_positive(h=h)
         _rates.check_expansion(max(c.k1, 0.5 / h), moments)
     for start in range(0, len(heights), _BLOCK):
         block = heights[start:start + _BLOCK]

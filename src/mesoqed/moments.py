@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .core import check_finite, check_positive
 from .errors import ParameterError
 
 _AXES = ("x", "y", "z")
@@ -135,12 +136,8 @@ class GaussianEnvelopes:
     shift: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_e) and self.sigma_e > 0.0):
-            raise ParameterError(f"sigma_e must be positive, got {self.sigma_e}")
-        if not (math.isfinite(self.mass_ratio) and self.mass_ratio > 0.0):
-            raise ParameterError(f"mass_ratio must be positive, got {self.mass_ratio}")
-        if not math.isfinite(self.shift):
-            raise ParameterError("shift must be finite")
+        check_positive(sigma_e=self.sigma_e, mass_ratio=self.mass_ratio)
+        check_finite(shift=self.shift)
 
     @property
     def sigma_h(self) -> float:
@@ -195,10 +192,10 @@ def lambda_zx_estimate(env: GaussianEnvelopes) -> float:
 
 def lambda_zx_significance(estimate: float, k: float) -> float:
     """Dimensionless weight 2*k*estimate of the growth-axis moment."""
-    if estimate < 0.0 or not math.isfinite(estimate):
-        raise ParameterError(f"estimate must be a non-negative length, got {estimate}")
-    if not (math.isfinite(k) and k > 0.0):
-        raise ParameterError(f"k must be positive, got {k}")
+    check_finite(estimate=estimate)
+    if estimate < 0.0:
+        raise ParameterError(f"estimate must be a non-negative length, got {estimate!r}")
+    check_positive(k=k)
     return 2.0 * k * estimate
 
 
@@ -212,9 +209,7 @@ def omega_negligibility(k: float, l_qd: float) -> OmegaCheck:
 
     Negligible below 0.1; the expansion itself requires k*l_qd < 1.
     """
-    for name, v in (("k", k), ("l_qd", l_qd)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ParameterError(f"{name} must be positive, got {v}")
+    check_positive(k=k, lqd=l_qd)
     try:
         value = (k * l_qd) ** 2
     except OverflowError:

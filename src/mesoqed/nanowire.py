@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -54,8 +53,8 @@ import numpy as np
 from . import rates as _rates
 from . import specfun
 from .core import GAAS, PAPER_LAMBDA0_NM, PAPER_WIRE_RADIUS_NM, SILVER, SPEED_OF_LIGHT_NM_PER_FS
-from .core import MAX_POINTS, EmitterMoments, Material, check_host, check_tolerances
-from .core import homogeneous_im_gxx, wavevector
+from .core import MAX_POINTS, EmitterMoments, Material, check_count, check_finite
+from .core import check_positive, homogeneous_im_gxx, host_wavevectors
 from .errors import (
     ConvergenceError,
     ContractViolationError,
@@ -79,22 +78,14 @@ class WireGeometry:
     metal: Material
     host: Material
     lambda0: float
+    k0: float = field(init=False, repr=False)  # vacuum wavevector, set from lambda0
+    k_host: float = field(init=False, repr=False)  # the host medium's
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ParameterError(f"wire radius must be positive, got {self.rho}")
-        if not (math.isfinite(self.lambda0) and self.lambda0 > 0.0):
-            raise ParameterError(f"wavelength must be positive, got {self.lambda0}")
-        check_host(self.host)
-
-    @property
-    def k0(self) -> float:
-        return 2.0 * math.pi / self.lambda0
-
-    @property
-    def k_host(self) -> float:
-        # check_host makes the host lossless, so the wavevector is real
-        return wavevector(self.host, self.lambda0).real
+        check_positive(radius=self.rho)
+        k0, k_host = host_wavevectors(self.host, self.lambda0)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k_host", k_host)
 
 
 def _transverse(k: complex, eps: complex, k0: float) -> complex:
@@ -320,8 +311,7 @@ RADIAL = "radial"
 
 
 def _check_point(d: float, orientation: str) -> None:
-    if not (math.isfinite(d) and d > 0.0):
-        raise ParameterError(f"emitter-surface distance must be positive, got {d}")
+    check_positive(d=d)
     if orientation not in (AXIAL, RADIAL):
         raise ParameterError(f"orientation must be '{AXIAL}' or '{RADIAL}', got {orientation!r}")
 
@@ -485,10 +475,8 @@ def quasistatic_background(
     enter.
     """
     _check_point(d, orientation)
-    check_tolerances(rel_tol=rel_tol, series_tol=series_tol)
-    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 2:
-        raise ParameterError(f"m_max must be an integer >= 2 to establish series "
-                             f"convergence, got {m_max!r}")
+    check_positive(rel_tol=rel_tol, series_tol=series_tol)
+    check_count(m_max=m_max)
     eps1 = geom.host.eps
     eps2 = geom.metal.eps
     if eps2.imag == 0.0:
@@ -567,18 +555,12 @@ class FieldWindow:
     n_z: int = 161
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.r_min, self.r_max, self.z_min, self.z_max))):
-            raise ParameterError("field window bounds must be finite")
+        check_finite(rmin=self.r_min, rmax=self.r_max, zmin=self.z_min, zmax=self.z_max)
+        check_count(nr=self.n_r, nz=self.n_z)
         if self.r_min < 0.0 or self.r_max <= self.r_min:
             raise ParameterError("field window needs 0 <= r_min < r_max")
         if self.z_max <= self.z_min:
             raise ParameterError("field window needs z_min < z_max")
-        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral)
-               for n in (self.n_r, self.n_z)):
-            raise ParameterError(f"field window sample counts must be integers, "
-                                 f"got {self.n_r!r} and {self.n_z!r}")
-        if self.n_r < 2 or self.n_z < 2:
-            raise ParameterError("field window needs at least 2 samples per axis")
         if self.n_r * self.n_z > MAX_POINTS:
             raise ParameterError(
                 f"field window has {self.n_r}x{self.n_z} samples, more than {MAX_POINTS}"

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EmitterMoments
-from .errors import ContractViolationError, ExpansionInvalidError, ParameterError
+from .core import EmitterMoments, check_positive
+from .errors import ContractViolationError, ExpansionInvalidError
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,6 @@ class MultipoleSplit:
         return self.gamma1_md + self.gamma1_eq
 
 
-def _check_norm(norm: float) -> None:
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise ParameterError(f"norm must be positive, got {norm}")
-
-
 def check_expansion(k: float, moments: EmitterMoments) -> None:
     """The moment expansion converges only for k*L_qd < 1."""
     if k * moments.l_qd >= 1.0:
@@ -107,7 +102,7 @@ def rate_ladder(bundle, moments: EmitterMoments, norm: float) -> RateLadder:
     gamma2 = (ratio)**2*dd_g_zz/norm with the signed ratio of the
     moments.
     """
-    _check_norm(norm)
+    check_positive(norm=norm)
     lam = moments.lambda_over_mu
     return RateLadder(
         gamma0=bundle.g_xx / norm,
@@ -118,7 +113,7 @@ def rate_ladder(bundle, moments: EmitterMoments, norm: float) -> RateLadder:
 
 def md_eq_split(bundle, moments: EmitterMoments, norm: float) -> MultipoleSplit:
     """Split gamma1 into its magnetic-dipole and quadrupole parts."""
-    _check_norm(norm)
+    check_positive(norm=norm)
     lam = moments.lambda_over_mu
     return MultipoleSplit(
         gamma1_md=lam * bundle.b_yx / norm,

@@ -641,6 +641,11 @@ ELLIPSE_OVERFLOW_ERR = ("mesoqed: numerical failure: h = 1e-58: "
     (["report", "--ratio", "nan"], 2),
     (["field-map", "--lambda0", "-5"], 2),
     (["nanowire-sweep", "--range", "20:21:5", "--orientation", "diagonal", "--metal-n", "1.5"], 2),
+    (["report", "--lambda0", "1e-320"], 2),
+    (["moments", "--lambda0", "1e-320"], 2),
+    (["dispersion", "--lambda0", "1e-320"], 2),
+    (["field-map", "--lambda0", "1e-320", "--nr", "2", "--nz", "2"], 2),
+    (["nanowire-sweep", "--lambda0", "1e-320", "--range", "20:21:5"], 2),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -662,8 +667,9 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # signed-zero twin, then the checks the library types make for every
     # subcommand (extent, radius, ratio, wavelength) and an unknown
     # orientation on a metal with no bound mode, which is refused before
-    # the mode solve: a message, never a traceback, a warning or a
-    # printed inf
+    # the mode solve, and a wavelength so short that 2*pi/lambda0
+    # overflows, which the geometry refuses for every subcommand: a
+    # message, never a traceback, a warning or a printed inf
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err

@@ -21,8 +21,11 @@ from mesoqed.core import (
     wavevector,
 )
 from mesoqed.errors import ExpansionInvalidError, ParameterError
-from mesoqed.halfspace import InterfaceGeometry
-from mesoqed.nanowire import WireGeometry
+from mesoqed.halfspace import InterfaceGeometry, interface_sweep, paper_interface
+from mesoqed.moments import GaussianEnvelopes, lambda_zx_significance, omega_negligibility
+from mesoqed.nanowire import (AXIAL, FieldWindow, WireGeometry, paper_wire, plasmon_bundle,
+                              plasmon_rates, quasistatic_background)
+from mesoqed.rates import GreenBundle, md_eq_split, rate_ladder
 
 
 def test_reference_materials():
@@ -56,6 +59,21 @@ def test_wavevector_host():
         wavevector(GAAS, -5.0)
     with pytest.raises(ParameterError):  # 2*pi*n/lambda0 underflows to 0
         wavevector(Material("thin", 1e-300), 1e300)
+
+
+def test_a_wavevector_that_overflows_is_refused_with_its_wavelength():
+    # 2*pi/1e-320 is inf: both geometries take their wavevectors when built
+    with pytest.raises(ParameterError, match="double range at lambda0 = 1e-320"):
+        wavevector(GAAS, 1e-320)
+    with pytest.raises(ParameterError, match="of 'vacuum' .* lambda0 = 1e-320"):
+        WireGeometry(rho=30.0, metal=SILVER, host=GAAS, lambda0=1e-320)
+    with pytest.raises(ParameterError, match="of 'vacuum' .* lambda0 = 1e-320"):
+        InterfaceGeometry(upper=GAAS, lower=SILVER, h=20.0, lambda0=1e-320)
+    # a host index above 1 overflows first at a wavelength the vacuum survives
+    with pytest.raises(ParameterError, match="of 'GaAs' .* lambda0 = 5e-308"):
+        WireGeometry(rho=30.0, metal=SILVER, host=GAAS, lambda0=5e-308)
+    geom = paper_wire()
+    assert (geom.k0, geom.k_host) == (2.0 * math.pi / 1000.0, wavevector(GAAS, 1000.0).real)
 
 
 def test_homogeneous_im_gxx_value():
@@ -133,6 +151,68 @@ def test_emitter_moments_validation():
         EmitterMoments(lambda_over_mu=1.0, l_qd=-3.0)
 
 
+GEOM = paper_wire()
+MOMENTS = paper_moments()
+BUNDLE = GreenBundle(g_xx=0.002, d_g_zx=1e-5, dd_g_zz=1e-7, dz_g_xx=2e-5)
+
+# every entry point the parameter rule guards: (entry, name in the refusal,
+# what the value must be, the call with the value in that place)
+GUARDED = [
+    ("EmitterMoments", "ratio", "finite", lambda v: EmitterMoments(v)),
+    ("EmitterMoments", "lqd", "positive", lambda v: EmitterMoments(10.0, l_qd=v)),
+    ("InterfaceGeometry", "h", "positive", lambda v: InterfaceGeometry(GAAS, SILVER, v, 1000.0)),
+    ("InterfaceGeometry", "lambda0", "positive",
+     lambda v: InterfaceGeometry(GAAS, SILVER, 20.0, v)),
+    ("WireGeometry", "radius", "positive", lambda v: WireGeometry(v, SILVER, GAAS, 1000.0)),
+    ("WireGeometry", "lambda0", "positive", lambda v: WireGeometry(30.0, SILVER, GAAS, v)),
+    ("FieldWindow", "rmin", "finite", lambda v: FieldWindow(v, 50.0, 0.0, 10.0)),
+    ("FieldWindow", "rmax", "finite", lambda v: FieldWindow(0.0, v, 0.0, 10.0)),
+    ("FieldWindow", "zmin", "finite", lambda v: FieldWindow(0.0, 50.0, v, 10.0)),
+    ("FieldWindow", "zmax", "finite", lambda v: FieldWindow(0.0, 50.0, 0.0, v)),
+    ("FieldWindow", "nr", "count", lambda v: FieldWindow(0.0, 50.0, 0.0, 10.0, n_r=v)),
+    ("FieldWindow", "nz", "count", lambda v: FieldWindow(0.0, 50.0, 0.0, 10.0, n_z=v)),
+    ("GaussianEnvelopes", "sigma_e", "positive", lambda v: GaussianEnvelopes(v, 5.0, 2.5)),
+    ("GaussianEnvelopes", "mass_ratio", "positive", lambda v: GaussianEnvelopes(2.0, v, 2.5)),
+    ("GaussianEnvelopes", "shift", "finite", lambda v: GaussianEnvelopes(2.0, 5.0, v)),
+    ("wavevector", "lambda0", "positive", lambda v: wavevector(GAAS, v)),
+    ("figures_of_merit", "k", "positive", lambda v: figures_of_merit(v, MOMENTS)),
+    ("omega_negligibility", "k", "positive", lambda v: omega_negligibility(v, 20.0)),
+    ("omega_negligibility", "lqd", "positive", lambda v: omega_negligibility(0.02, v)),
+    ("lambda_zx_significance", "k", "positive", lambda v: lambda_zx_significance(0.1, v)),
+    ("lambda_zx_significance", "estimate", "finite", lambda v: lambda_zx_significance(v, 0.02)),
+    ("plasmon_rates", "d", "positive", lambda v: plasmon_rates(GEOM, v, MOMENTS, AXIAL)),
+    ("plasmon_bundle", "d", "positive", lambda v: plasmon_bundle(GEOM, v, AXIAL)),
+    ("quasistatic_background", "d", "positive", lambda v: quasistatic_background(GEOM, v, AXIAL)),
+    ("quasistatic_background", "rel_tol", "positive",
+     lambda v: quasistatic_background(GEOM, 50.0, AXIAL, rel_tol=v)),
+    ("quasistatic_background", "series_tol", "positive",
+     lambda v: quasistatic_background(GEOM, 50.0, AXIAL, series_tol=v)),
+    ("quasistatic_background", "m_max", "count",
+     lambda v: quasistatic_background(GEOM, 50.0, AXIAL, m_max=v)),
+    ("interface_sweep", "h", "positive",
+     lambda v: next(interface_sweep(paper_interface(50.0), [50.0, v], MOMENTS))),
+    ("interface_sweep", "rel_tol", "positive",
+     lambda v: next(interface_sweep(paper_interface(50.0), [50.0], MOMENTS, rel_tol=v))),
+    ("rate_ladder", "norm", "positive", lambda v: rate_ladder(BUNDLE, MOMENTS, v)),
+    ("md_eq_split", "norm", "positive", lambda v: md_eq_split(BUNDLE, MOMENTS, v)),
+]
+BAD_VALUES = [math.nan, math.inf, 0, -1, True, "5", 1 + 1j]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{entry}-{name}-{value!r}")
+    for entry, name, rule, call in GUARDED for value in BAD_VALUES
+    if not (rule == "finite" and value in (0, -1))])
+def test_every_guarded_parameter_refuses_what_is_not_a_finite_real(call, name, value):
+    # NaN, infinity, a bool, a string or a complex number, and a value
+    # that is not > 0 where it must be (or < 2 where it counts): one rule,
+    # one error and one form, which names the value as given
+    with pytest.raises(ParameterError) as refusal:
+        call(value)
+    message = str(refusal.value)
+    assert message.startswith(f"{name} must be ") and message.endswith(f", got {value!r}")
+
+
 def test_private_definitions_have_a_library_caller():
     # a private function, class or method that only tests call belongs in
     # tests/: each one must be named somewhere in the package
@@ -168,3 +248,23 @@ def test_every_import_is_used_in_its_module():
                 imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_the_parameter_rule_has_one_home():
+    # a finite, positive or integer test written out again beside
+    # core.check_positive, check_finite and check_count words its refusal
+    # its own way; the CLI's range and step are its own policy
+    phrases = ("must be positive", "must be finite", "must be an integer")
+    found = []
+    for path in sorted(Path(mesoqed.__file__).parent.glob("*.py")):
+        if path.stem in ("core", "cli"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {text!r}" for p in phrases if p in text]
+    assert found == []

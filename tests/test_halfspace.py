@@ -75,6 +75,15 @@ def test_no_bound_mode_for_dielectric_lower_half():
         spp_pole(geom)
 
 
+def test_no_bound_mode_next_to_the_surface_resonance():
+    # eps2 = -3.42000001**2 is within 1e-6 of -eps1: Re(eps1 + eps2) < 0,
+    # but the closed-form pole diverges there
+    geom = InterfaceGeometry(upper=GAAS, lower=Material("m", 3.42000001j), h=100.0,
+                             lambda0=1000.0)
+    with pytest.raises(NoBoundModeError, match="surface-mode resonance"):
+        spp_pole(geom)
+
+
 # ------------------------------------------------- dipole-rate oracle
 
 

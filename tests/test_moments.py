@@ -183,5 +183,5 @@ def test_omega_threshold():
 ])
 def test_omega_refuses_a_wavevector_or_extent_that_is_not_positive(k, l_qd):
     # (k*l_qd)**2 would read a sign flip or a zero as a valid check
-    with pytest.raises(ParameterError, match="must be positive"):
+    with pytest.raises(ParameterError, match="must be finite and > 0"):
         omega_negligibility(k, l_qd)

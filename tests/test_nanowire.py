@@ -204,6 +204,42 @@ def test_solve_validation():
         solve_dispersion(dielectric)
 
 
+def test_newton_stops_where_the_derivative_vanishes(monkeypatch):
+    # a constant characteristic function: its difference quotient is 0
+    monkeypatch.setattr(nanowire, "_characteristic", lambda k, geom: (1.0, 1.0))
+    assert nanowire._newton(GEOM, 0.05) is None
+    with pytest.raises(NoBoundModeError, match="found no guided root: None"):
+        nanowire.solve_dispersion.__wrapped__(GEOM)
+
+
+def test_newton_gives_up_after_sixty_steps(monkeypatch):
+    # k*k + 1 has its roots at +-i, which Newton from a real seed never
+    # reaches; from the paper wire's seed no step is small enough to stop
+    # early and no difference quotient is 0, so all 60 steps run
+    calls = []
+
+    def characteristic(k, geom):
+        calls.append(k)
+        return k * k + 1, 1.0
+
+    monkeypatch.setattr(nanowire, "_characteristic", characteristic)
+    assert nanowire._newton(GEOM, nanowire._seed(GEOM)) is None
+    assert all(k.imag == 0.0 for k in calls)
+    # a step starts with the value at k, then the difference at k + 1e-6*|k|
+    assert sum(b == a + 1e-6 * abs(a) for a, b in zip(calls, calls[1:])) == 60
+    with pytest.raises(NoBoundModeError, match="found no guided root: None"):
+        nanowire.solve_dispersion.__wrapped__(GEOM)
+
+
+def test_group_velocity_fails_where_an_offset_solve_fails(monkeypatch):
+    # the root solves; the first frequency offset's solve does not
+    newton = nanowire._newton
+    monkeypatch.setattr(nanowire, "_newton", lambda geom, seed: (
+        newton(geom, seed) if geom.lambda0 == GEOM.lambda0 else None))
+    with pytest.raises(NoBoundModeError, match=r"frequency offset \+0\.001"):
+        nanowire.solve_dispersion.__wrapped__(GEOM)
+
+
 def _characteristic_four_calls(k, geom):
     # the characteristic function with one scalar Bessel pair per value
     k0 = geom.k0
@@ -375,11 +411,11 @@ def test_geometry_validation():
     with pytest.raises(ParameterError):
         WireGeometry(rho=30.0, metal=GAAS, host=GAAS, lambda0=-1.0)
     for rho, lambda0 in ((math.inf, 1000.0), (30.0, math.inf)):
-        with pytest.raises(ParameterError, match="must be positive, got inf"):
+        with pytest.raises(ParameterError, match="must be finite and > 0, got inf"):
             WireGeometry(rho=rho, metal=SILVER, host=GAAS, lambda0=lambda0)
-    with pytest.raises(ParameterError, match="distance must be positive, got inf"):
+    with pytest.raises(ParameterError, match="d must be finite and > 0, got inf"):
         plasmon_rates(GEOM, math.inf, MOMENTS, AXIAL)
-    with pytest.raises(ParameterError, match="distance must be positive, got inf"):
+    with pytest.raises(ParameterError, match="d must be finite and > 0, got inf"):
         quasistatic_background(GEOM, math.inf, AXIAL)
     lossy = Material("lossy", 3.42 + 0.1j)
     with pytest.raises(ParameterError):
@@ -973,7 +1009,7 @@ def test_field_window_validation():
     # sample counts are integers: numpy's included, a bool or a float not
     assert FieldWindow(0.0, 50.0, 0.0, 10.0, np.int64(3), 2).n_r == 3
     for counts in ((2.5, 3), (3, 3.0), (True, 3), (3, np.float64(4.0))):
-        with pytest.raises(ParameterError, match="integers"):
+        with pytest.raises(ParameterError, match="must be an integer >= 2"):
             FieldWindow(0.0, 100.0, 0.0, 100.0, *counts)
 
 

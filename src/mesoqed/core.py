@@ -30,9 +30,11 @@ class Material:
     n: complex
 
     def __post_init__(self):
+        # complex() would also take a bool or a string, and overflow on a huge int
+        big = sys.float_info.max
+        _refuse({f"material {self.name!r}: n": self.n}, "a finite complex number",
+                lambda v: abs(v.real) <= big and abs(v.imag) <= big, numbers.Complex)
         n = complex(self.n)
-        if not (math.isfinite(n.real) and math.isfinite(n.imag)):
-            raise ParameterError(f"material {self.name!r}: refractive index must be finite")
         if n.imag < 0.0:
             raise ParameterError(
                 f"material {self.name!r}: Im(n) = {n.imag} < 0 means gain, not a passive medium"
@@ -129,12 +131,12 @@ def check_host(host: Material) -> None:
         )
 
 
-def _refuse(values: dict, rule: str, holds) -> None:
-    """ParameterError for the first named value that is a bool, not real, or fails holds."""
+def _refuse(values: dict, rule: str, holds, kind=numbers.Real) -> None:
+    """ParameterError for the first named value that is a bool, not a `kind`, or fails holds."""
     for name, value in values.items():
         # float and int first: the ABC test alone takes about a microsecond
-        real = isinstance(value, (float, int)) or isinstance(value, numbers.Real)
-        if isinstance(value, bool) or not (real and holds(value)):
+        number = isinstance(value, (float, int)) or isinstance(value, kind)
+        if isinstance(value, bool) or not (number and holds(value)):
             raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 

@@ -367,43 +367,26 @@ def plasmon_bundle(geom: WireGeometry, d: float, orientation: str) -> GreenBundl
                        dz_g_xx=0.0)
 
 
+_QS_M_MAX = 30  # the last azimuthal order summed
 _QS_SERIES_TOL = 1e-10
 _QS_STALL_TOL = 1e-6
-_QS_CHUNK = 8  # orders per chunk after the first (see _harmonic_chunks)
 
 
-def _harmonic_chunks(d: float, rho: float, m_max: int, radial: bool) -> list[np.ndarray]:
-    """Orders 0..m_max in the chunks the background integrates together.
+def _harmonic_chunks(d: float, rho: float, radial: bool) -> list[np.ndarray]:
+    """Orders 0.._QS_M_MAX in the chunks the background integrates together.
 
     Term m falls off about as (rho/r0)^(2m) = exp(-fall * m). The first
-    chunk ends at m_max or two orders past where that reaches the
-    default series tolerance, three for a radial dipole, whose
-    K'_m(k r0) carries an extra m/(k r0) and so falls about one order
-    later; later chunks take _QS_CHUNK orders each. At the default
-    m_max = 30 the series stops within the first chunk in both
+    chunk ends two orders past where that reaches the series tolerance,
+    three for a radial dipole, whose K'_m(k r0) carries an extra m/(k r0)
+    and so falls about one order later; the second holds the orders
+    left, if any. The series stops within the first chunk in both
     orientations at every distance checked (3-3000 nm from wires of
-    radius 10-100 nm), so later chunks serve larger m_max.
+    radius 10-100 nm).
     """
     fall = 2.0 * math.log1p(d / rho)
     orders = -math.log(_QS_SERIES_TOL)
-    first = 3 + radial + math.ceil(orders / fall) if fall * m_max > orders else m_max + 1
-    starts = [0, *range(first, m_max + 1, _QS_CHUNK), m_max + 1]
-    return [np.arange(start, stop) for start, stop in zip(starts, starts[1:])]
-
-
-def _switch_x(m: int) -> float:
-    """x = k*rho below which the background's scaled I_m, K_m leave double range.
-
-    Their product stays moderate there, so the exact small-argument
-    limit of the m-th integrand takes over below it (that region
-    carries a negligible share of the term). 0 below order 60.
-    """
-    if m < 60:
-        return 0.0
-    x = 0.0
-    for _ in range(3):
-        x = 2.0 * math.exp((math.lgamma(m + 1) - 620.0 + x) / m)
-    return x
+    first = 3 + radial + math.ceil(orders / fall) if fall * _QS_M_MAX > orders else _QS_M_MAX + 1
+    return [chunk for chunk in np.split(np.arange(_QS_M_MAX + 1), [first]) if chunk.size]
 
 
 def _node_bessel(m: np.ndarray, x: np.ndarray, y: np.ndarray, radial: bool) -> tuple:
@@ -429,41 +412,32 @@ def _node_bessel(m: np.ndarray, x: np.ndarray, y: np.ndarray, radial: bool) -> t
 
 
 def quasistatic_background(
-    geom: WireGeometry,
-    d: float,
-    orientation: str,
-    m_max: int = 30,
-    rel_tol: float = 1e-8,
-    series_tol: float = _QS_SERIES_TOL,
+    geom: WireGeometry, d: float, orientation: str, rel_tol: float = 1e-8
 ) -> float:
     """Radiative-plus-lossy floor for a point dipole next to the wire.
 
-    Electrostatic cylinder response, azimuthal harmonics m = 0..m_max.
+    Electrostatic cylinder response, azimuthal harmonics m = 0..30.
     The radiative part is approximated by the homogeneous host rate, so
     the return value is 1 + Gamma_LS (normalized).  Lossless metal gives
     exactly 1.
 
     Harmonic m is the integral over [0, 30/d + 2m/rho] of a product of
-    scaled I_m, K_m over the cylinder's resonant denominator.  From
-    order 60 on, these leave double range below k_switch =
-    `_switch_x(m)`/rho; there the integrand's small-argument limit is
-    integrated in closed form and the harmonic's quadrature starts at
-    k_switch, so every node takes the formula.  The harmonics are
-    integrated in chunks, all panels of a chunk at once by
+    scaled I_m, K_m over the cylinder's resonant denominator.  The
+    harmonics are integrated in chunks, all panels of a chunk at once by
     `quadrature.quad` (adaptive G10/K21 bisection with QUADPACK's error
     estimate), each harmonic to `rel_tol` on its own, so a harmonic's
     value does not depend on the chunk it shares.  The first chunk ends
     a few orders past where (rho/r0)^(2m) reaches 1e-10, one order
     later for a radial dipole, whose K'_m carries an extra m/(k r0);
-    at the default m_max that makes one quadrature call per background
-    (see `_harmonic_chunks`).  After each chunk the
-    series stops at the first m >= 2 where terms m-1 and m both fall
-    below `series_tol` of the partial sum through m.  If that has not
-    happened at m_max (fixed, not scaled with rho/d), a last term above
-    1e-6 of the sum raises ConvergenceError and a smaller one is
-    accepted with a RuntimeWarning that names d, m_max and the last
-    term's share of the sum.  A harmonic that cannot reach `rel_tol`
-    (roundoff, or 400 panels) is kept with a RuntimeWarning.
+    that makes one quadrature call per background (see
+    `_harmonic_chunks`).  After each chunk the series stops at the
+    first m >= 2 where terms m-1 and m both fall below 1e-10 of the
+    partial sum through m.  If that has not happened at m = 30 (fixed,
+    not scaled with rho/d), a last term above 1e-6 of the sum raises
+    ConvergenceError and a smaller one is accepted with a
+    RuntimeWarning that names d, m_max and the last term's share of
+    the sum.  A harmonic that cannot reach `rel_tol` (roundoff, or 400
+    panels) is kept with a RuntimeWarning.
 
     Per quadrature node the integrand takes its Bessel values in real
     arithmetic (`_node_bessel`): the real K ladder gives K_m and
@@ -475,8 +449,7 @@ def quasistatic_background(
     enter.
     """
     _check_point(d, orientation)
-    check_positive(rel_tol=rel_tol, series_tol=series_tol)
-    check_count(m_max=m_max)
+    check_positive(rel_tol=rel_tol)
     eps1 = geom.host.eps
     eps2 = geom.metal.eps
     if eps2.imag == 0.0:
@@ -486,20 +459,7 @@ def quasistatic_background(
     k1 = geom.k_host
     radial = orientation == RADIAL
 
-    beta_flat = (eps2 - eps1) / (eps1 + eps2)
-
-    def below_switch(m: int) -> tuple[float, float]:
-        # k_switch of order m and the integral over [0, k_switch] of the
-        # integrand's limit there, c_m k^2 (axial) or c_m m^2/r0^2 (radial)
-        k_s = _switch_x(m) / rho
-        if k_s == 0.0:
-            return 0.0, 0.0
-        c_m = -beta_flat.imag * (rho / r0) ** (2 * m) / (2.0 * m)
-        return k_s, c_m * (m * m / (r0 * r0) * k_s if radial else k_s**3 / 3.0)
-
     def terms_of(ms: np.ndarray) -> np.ndarray:
-        k_switch, head = np.array([below_switch(int(m)) for m in ms]).T
-
         def integrand(k: np.ndarray, row: np.ndarray) -> np.ndarray:
             x = k * rho
             y = k * r0
@@ -515,28 +475,28 @@ def quasistatic_background(
         # transition at k ~ m/rho
         k_up = 30.0 / d + 2.0 * ms / rho
         weight = np.where(ms == 0, 1.0, 2.0)
-        return pref * weight * (head + quad(integrand, k_switch, k_up, rel_tol))
+        return pref * weight * quad(integrand, np.zeros(ms.size), k_up, rel_tol)
 
     pref = -3.0 / (math.pi * k1**3)
     terms = np.empty(0)
-    for chunk in _harmonic_chunks(d, rho, m_max, radial):
+    for chunk in _harmonic_chunks(d, rho, radial):
         terms = np.concatenate((terms, terms_of(chunk)))
         partial = np.cumsum(terms)
-        # stop at the first m >= 2 where terms m-1 and m fall below series_tol of S_m
-        tol = series_tol * (np.abs(partial[2:]) + 1e-300)
+        # stop at the first m >= 2 where terms m-1 and m fall below the tolerance of S_m
+        tol = _QS_SERIES_TOL * (np.abs(partial[2:]) + 1e-300)
         stop = np.flatnonzero((np.abs(terms[1:-1]) < tol) & (np.abs(terms[2:]) < tol))
         if stop.size:
             return 1.0 + float(partial[stop[0] + 2])
     scale = abs(partial[-1]) + 1e-300
-    if abs(terms[-1]) > max(_QS_STALL_TOL, series_tol) * scale:
+    if abs(terms[-1]) > _QS_STALL_TOL * scale:
         raise ConvergenceError(
-            f"azimuthal harmonic sum still moving at m_max={m_max}; "
+            f"azimuthal harmonic sum still moving at m_max={_QS_M_MAX}; "
             f"last partial sums [{', '.join(f'{p:.6g}' for p in partial[-4:])}]"
         )
     warnings.warn(
         f"wire background at d={d:g} nm: harmonic sum not converged at "
-        f"m_max={m_max}, last term {abs(terms[-1]) / scale:.3g} of the sum "
-        f"(series_tol {series_tol:g}); accepted",
+        f"m_max={_QS_M_MAX}, last term {abs(terms[-1]) / scale:.3g} of the sum "
+        f"(series_tol {_QS_SERIES_TOL:g}); accepted",
         RuntimeWarning,
         stacklevel=2,
     )

@@ -427,11 +427,18 @@ def quasistatic_background_scalar(rho: float, d: float, lambda0: float,
     The harmonic-by-harmonic reference for the library's batched
     background: the same integrand (scaled I_m, K_m products over the
     electrostatic cylinder denominator), the same per-m interval
-    [0, 30/d + 2m/rho], the same small-argument limit for m >= 60 and
-    the same series stop rule, each harmonic integrated on its own by
-    QUADPACK at `rel_tol` (from order 60 on, in two calls split at the
-    limit's switch). Returns 1 + Gamma_LS; raises RuntimeError
-    where the harmonic sum is still moving at m_max.
+    [0, 30/d + 2m/rho] and the same series stop rule, each harmonic
+    integrated on its own by QUADPACK at `rel_tol`. Returns
+    1 + Gamma_LS; raises RuntimeError where the harmonic sum is still
+    moving at m_max.
+
+    The library sums orders 0..30 at a fixed series tolerance; this is
+    the only home of orders above 30 and of the converged and
+    near-surface backgrounds (d << rho) that need them. From order 60
+    on, the scaled I_m and K_m leave double range near k = 0, so below
+    the switch x = k*rho of `switch_x` the integrand is its
+    small-argument limit, and the harmonic is integrated in two calls
+    split at that switch.
     """
     eps1 = n_host * n_host
     eps2 = n_metal * n_metal

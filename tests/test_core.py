@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,9 +42,12 @@ def test_material_validation():
     # Im n > 0, but Im eps = 2 Re n Im n < 0: eps = -48.96 - 2.8i has gain
     with pytest.raises(ParameterError, match="gain"):
         Material("gain", -0.2 + 7.0j)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"material 'nan': n must be .*, got \(nan\+0j\)$"):
         Material("nan", complex(float("nan"), 0.0))
     Material("lossless", 2.0)
+    # numpy scalars are numbers; complex() alone took a bool and a string
+    assert Material("np", np.complex128(0.2 + 7.0j)).n == SILVER.n
+    assert Material("np", np.float64(1.5)).n == 1.5 + 0.0j
     Material("lossy", 0.1 + 3.0j)
     # real eps, and a signed-zero real part, stay passive
     assert Material("negative", -1.5).eps == 2.25
@@ -158,6 +162,7 @@ BUNDLE = GreenBundle(g_xx=0.002, d_g_zx=1e-5, dd_g_zz=1e-7, dz_g_xx=2e-5)
 # every entry point the parameter rule guards: (entry, name in the refusal,
 # what the value must be, the call with the value in that place)
 GUARDED = [
+    ("Material", "material 'm': n", "complex", lambda v: Material("m", v)),
     ("EmitterMoments", "ratio", "finite", lambda v: EmitterMoments(v)),
     ("EmitterMoments", "lqd", "positive", lambda v: EmitterMoments(10.0, l_qd=v)),
     ("InterfaceGeometry", "h", "positive", lambda v: InterfaceGeometry(GAAS, SILVER, v, 1000.0)),
@@ -185,10 +190,6 @@ GUARDED = [
     ("quasistatic_background", "d", "positive", lambda v: quasistatic_background(GEOM, v, AXIAL)),
     ("quasistatic_background", "rel_tol", "positive",
      lambda v: quasistatic_background(GEOM, 50.0, AXIAL, rel_tol=v)),
-    ("quasistatic_background", "series_tol", "positive",
-     lambda v: quasistatic_background(GEOM, 50.0, AXIAL, series_tol=v)),
-    ("quasistatic_background", "m_max", "count",
-     lambda v: quasistatic_background(GEOM, 50.0, AXIAL, m_max=v)),
     ("interface_sweep", "h", "positive",
      lambda v: next(interface_sweep(paper_interface(50.0), [50.0, v], MOMENTS))),
     ("interface_sweep", "rel_tol", "positive",
@@ -197,16 +198,20 @@ GUARDED = [
     ("md_eq_split", "norm", "positive", lambda v: md_eq_split(BUNDLE, MOMENTS, v)),
 ]
 BAD_VALUES = [math.nan, math.inf, 0, -1, True, "5", 1 + 1j]
+# the values of BAD_VALUES each rule takes: a refractive index may be
+# zero, negative or complex
+ALLOWED = {"finite": (0, -1), "complex": (0, -1, 1 + 1j)}
 
 
 @pytest.mark.parametrize("call, name, value", [
     pytest.param(call, name, value, id=f"{entry}-{name}-{value!r}")
     for entry, name, rule, call in GUARDED for value in BAD_VALUES
-    if not (rule == "finite" and value in (0, -1))])
+    if value not in ALLOWED.get(rule, ())])
 def test_every_guarded_parameter_refuses_what_is_not_a_finite_real(call, name, value):
     # NaN, infinity, a bool, a string or a complex number, and a value
     # that is not > 0 where it must be (or < 2 where it counts): one rule,
-    # one error and one form, which names the value as given
+    # one error and one form, which names the value as given; an index
+    # is the same rule over the complex numbers
     with pytest.raises(ParameterError) as refusal:
         call(value)
     message = str(refusal.value)
@@ -248,6 +253,19 @@ def test_every_import_is_used_in_its_module():
                 imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_guarded_name_has_a_refusal_row():
+    # each name a check_positive, check_finite or check_count call in the
+    # package guards must be refused by a row of GUARDED
+    rules = {"check_positive", "check_finite", "check_count"}
+    guarded = set()
+    for path in Path(mesoqed.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in rules:
+                guarded.update(keyword.arg for keyword in node.keywords)
+    assert len(guarded) > 10
+    assert sorted(guarded - {name for _, name, _, _ in GUARDED}) == []
 
 
 def test_the_parameter_rule_has_one_home():

@@ -197,19 +197,23 @@ GUARDED = [
     ("rate_ladder", "norm", "positive", lambda v: rate_ladder(BUNDLE, MOMENTS, v)),
     ("md_eq_split", "norm", "positive", lambda v: md_eq_split(BUNDLE, MOMENTS, v)),
 ]
-BAD_VALUES = [math.nan, math.inf, 0, -1, True, "5", 1 + 1j]
+# an int past double range must be refused as not finite, not overflow
+# in a float conversion
+HUGE = 10**400
+BAD_VALUES = [math.nan, math.inf, 0, -1, True, "5", 1 + 1j, HUGE]
 # the values of BAD_VALUES each rule takes: a refractive index may be
-# zero, negative or complex
-ALLOWED = {"finite": (0, -1), "complex": (0, -1, 1 + 1j)}
+# zero, negative or complex, and a count has no upper bound
+ALLOWED = {"finite": (0, -1), "complex": (0, -1, 1 + 1j), "count": (HUGE,)}
 
 
 @pytest.mark.parametrize("call, name, value", [
-    pytest.param(call, name, value, id=f"{entry}-{name}-{value!r}")
+    pytest.param(call, name, value,
+                 id=f"{entry}-{name}-{'10**400' if value is HUGE else repr(value)}")
     for entry, name, rule, call in GUARDED for value in BAD_VALUES
     if value not in ALLOWED.get(rule, ())])
 def test_every_guarded_parameter_refuses_what_is_not_a_finite_real(call, name, value):
-    # NaN, infinity, a bool, a string or a complex number, and a value
-    # that is not > 0 where it must be (or < 2 where it counts): one rule,
+    # NaN, infinity, a bool, a string, a complex number or a huge int,
+    # and a value that is not > 0 where it must be (or < 2 where it counts): one rule,
     # one error and one form, which names the value as given; an index
     # is the same rule over the complex numbers
     with pytest.raises(ParameterError) as refusal:

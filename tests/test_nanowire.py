@@ -635,6 +635,21 @@ def test_background_fades_at_distance():
         assert far == pytest.approx(1.0, abs=1e-6)
 
 
+def test_background_harmonic_cutoff_is_converged(monkeypatch):
+    # at the paper's distances the stop rule, not the order cap, ends the
+    # series: a higher cap moves the harmonic chunks, the sum must not notice
+    for d in (20.0, 155.0):
+        for orientation in (AXIAL, RADIAL):
+            got, chunks = {}, {}
+            for m_max in (30, 45, 60):
+                monkeypatch.setattr(nanowire, "_QS_M_MAX", m_max)
+                got[m_max] = quasistatic_background(GEOM, d, orientation)
+                chunks[m_max] = [c[-1] for c in
+                                 nanowire._harmonic_chunks(d, GEOM.rho, orientation == RADIAL)]
+            assert got[30] == got[45] == got[60]
+            assert chunks[30][-1] == 30 and chunks[60][-1] == 60
+
+
 @pytest.mark.filterwarnings("ignore:wire background at d=:RuntimeWarning")
 @pytest.mark.parametrize("d", [12.0, 20.0, 155.0])
 def test_background_harmonics_do_not_depend_on_their_batch(monkeypatch, d):

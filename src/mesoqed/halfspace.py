@@ -97,7 +97,7 @@ class InterfaceGeometry:
         object.__setattr__(self, "k_host", k_host)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelDecomposition:
     """Per-order split into radiative, plasmon and lossy-surface parts.
 
@@ -181,6 +181,7 @@ class _Contour:
         except NoBoundModeError:
             self.pole = None  # r_p has no bound surface-mode pole
         self.k_b = 1.5 * k1 if self.pole is None else max(2.0 * self.pole.real - k1, 1.5 * k1)
+        self.residue = None  # `_residue_factors`, once a point needs them
         self.delta = 0.25 * (self.k_b - k1)
         self.t_b = math.acosh(self.k_b / k1)
         self.norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
@@ -394,34 +395,45 @@ def _unscale(vec, k1: float):
     return np.array([vec[0], vec[1] * k1, vec[2] * k1 * k1, vec[3] * k1], dtype=complex)
 
 
-def _pole_vector(c: _Contour, h: float) -> np.ndarray:
-    """2*pi*i times the r_p-pole residue of each ladder component at height h.
-
-    Scaled like _ladder. Zero when no bound pole exists.
-    """
-    if c.pole is None:
-        return np.zeros(4, dtype=complex)
-    ks = c.pole
+def _residue_factors(c: _Contour) -> tuple:
+    """The factors of `_pole_vector` that do not depend on the height."""
+    ks, k1 = c.pole, c.k1
     kz1p = _kz_nodes(c.eps1 * c.k0 * c.k0, np.array([ks]))[0]
     kz2p = _kz_nodes(c.eps2 * c.k0 * c.k0, np.array([ks]))[0]
     dprime = -ks * (c.eps2 / kz1p + c.eps1 / kz2p)
     rtilde = 2.0 * c.eps2 * kz1p / dprime
-    phip = np.exp(2.0j * kz1p * h)
+    return (2.0j * kz1p, rtilde, ks, kz1p, k1 * k1, ks ** 3, k1 ** 3, ks ** 5,
+            kz1p * k1 ** 4, kz1p ** 2)
+
+
+def _pole_vector(c: _Contour, h: float) -> np.ndarray:
+    """2*pi*i times the r_p-pole residue of each ladder component at height h.
+
+    Scaled like _ladder. Zero when no bound pole exists. Only phip and
+    pref depend on h; `_residue_factors` holds the other factors.
+    """
+    if c.pole is None:
+        return np.zeros(4, dtype=complex)
+    if c.residue is None:
+        # built when a point first needs them: a power of the pole may
+        # overflow, and a height whose quadrature overflows reports that instead
+        c.residue = _residue_factors(c)
+    two_i_kz1p, rtilde, ks, kz1p, k1_2, ks_3, k1_3, ks_5, kz1p_k1_4, kz1p_2 = c.residue
+    phip = np.exp(two_i_kz1p * h)
     pref = rtilde * phip / (8.0 * math.pi)
-    k1 = c.k1
     res = np.array(
         [
-            -1.0j * pref * ks * kz1p / (k1 * k1),
-            -pref * ks ** 3 / (k1 ** 3),
-            1.0j * pref * ks ** 5 / (kz1p * k1 ** 4),
-            pref * ks * kz1p ** 2 / (k1 ** 3),
+            -1.0j * pref * ks * kz1p / k1_2,
+            -pref * ks_3 / k1_3,
+            1.0j * pref * ks_5 / kz1p_k1_4,
+            pref * ks * kz1p_2 / k1_3,
         ],
         dtype=complex,
     )
     return 2.0j * math.pi * res
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterfacePoint:
     """Everything the sweep needs at one height, from one quadrature pass."""
 

@@ -17,9 +17,12 @@ value and error estimate, provided the integrand's value at a node does
 not depend on the other nodes of the call. It differs in how the work is
 scheduled, not in what is computed: the intervals are independent
 adaptive processes run in lockstep, and every round evaluates the nodes
-of all panels being split at once. Each panel keeps its integral until
-it is split; scipy re-integrates a panel its cache has lost, which gives
-the same bits, so only scipy's evaluation count can differ.
+of all panels being split at once. The first round splits each
+interval's one panel, so the first call evaluates that panel and both
+its halves together, and the first round makes no call of its own; the
+nodes evaluated are scipy's all the same. Each panel keeps its integral
+until it is split; scipy re-integrates a panel its cache has lost, which
+gives the same bits, so only scipy's evaluation count can differ.
 
 `quad` integrates many real scalar integrands ("rows") by adaptive
 bisection, each to a relative tolerance on its own.
@@ -187,16 +190,24 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
     with as many components on every interval. Returns one (value, error
     estimate) pair per interval, each bitwise equal to scipy's
     quad_vec(lambda x: f(np.array([x]), np.array([k]))[0], a, b,
-    epsabs=epsabs, epsrel=epsrel, norm="max"). Each round evaluates two
-    panels per split.
+    epsabs=epsabs, epsrel=epsrel, norm="max"). The first call evaluates
+    every interval's panel and its two halves: the first round always
+    splits each interval's one panel, as scipy's does. Every later round
+    evaluates two panels per split.
     """
-    values, errs, rnds = _gk21(f, [(k, a, b) for k, (a, b) in enumerate(bounds)])
-    procs = [_Interval(a, b, values[k], errs[k], rnds[k]) for k, (a, b) in enumerate(bounds)]
-    active = list(range(len(procs)))
+    panels = [(k, a, b) for k, (a, b) in enumerate(bounds)]
+    halves = [half for k, a, b in panels
+              for half in ((k, a, 0.5 * (a + b)), (k, 0.5 * (a + b), b))]
+    values, errs, rnds = _gk21(f, panels + halves)
+    procs = [_Interval(a, b, values[k], errs[k], rnds[k]) for k, a, b in panels]
+    n = len(panels)
+    first = values[n:], errs[n:], rnds[n:]  # the halves the first round splits into
+    active = list(range(n))
     while active:
         work = [(k, *panel) for k in active for panel in procs[k].pop(epsabs, epsrel)]
-        values, errs, rnds = _gk21(f, [panel for k, a, c, b, *_ in work
-                                       for panel in ((k, a, c), (k, c, b))])
+        values, errs, rnds = first or _gk21(f, [panel for k, a, c, b, *_ in work
+                                                for panel in ((k, a, c), (k, c, b))])
+        first = None
         for i, (k, a, c, b, old_err, old_int) in enumerate(work):
             two = slice(2 * i, 2 * i + 2)
             procs[k].split(a, c, b, old_err, old_int, *zip(values[two], errs[two], rnds[two]))

@@ -14,7 +14,7 @@ from .core import EmitterMoments, check_positive
 from .errors import ContractViolationError, ExpansionInvalidError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GreenBundle:
     """Field quantities entering the rate ladder, all at the emitter.
 
@@ -43,7 +43,7 @@ class GreenBundle:
         return self.d_g_zx + self.dz_g_xx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateLadder:
     """Normalized decay-rate contributions by expansion order."""
 
@@ -71,7 +71,7 @@ class RateLadder:
         return self.gamma0 + self.gamma1 + self.gamma2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultipoleSplit:
     """Magnetic-dipole and electric-quadrupole parts of the order-1 rate.
 

@@ -8,7 +8,7 @@ and snapshot values for regression locking.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -448,6 +448,29 @@ def test_sweep_equals_one_height_at_a_time_bitwise(monkeypatch):
     assert swept == [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
     monkeypatch.setattr(halfspace, "_CONTOURS", {})
     assert swept == [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
+
+
+@pytest.mark.parametrize("h, calls, nodes", [(20.0, 2, 273), (317.3, 2, 231), (884.8, 3, 399)])
+def test_one_height_makes_one_integrand_call_per_split_round(monkeypatch, h, calls, nodes):
+    # the first call holds each segment's panel and both its halves, 63
+    # nodes a segment, so that round's split needs no call of its own
+    sizes = []
+    quad_vec = halfspace.quad_vec
+
+    def counted(f, bounds, **kwargs):
+        return quad_vec(lambda x, k: (sizes.append(x.size), f(x, k))[1], bounds, **kwargs)
+
+    monkeypatch.setattr(halfspace, "quad_vec", counted)
+    interface_point(paper_interface(h), MOMENTS)
+    assert sizes[0] == 3 * 63
+    assert (len(sizes), sum(sizes)) == (calls, nodes)
+
+
+def test_interface_point_keeps_no_instance_dicts():
+    # a retained point and everything it holds store their fields in slots
+    pt = interface_point(paper_interface(100.0), MOMENTS)
+    held = [getattr(pt, f.name) for f in fields(pt)]
+    assert not any(hasattr(obj, "__dict__") for obj in [pt, *held])
 
 
 # ------------------------------------------------ the node memo

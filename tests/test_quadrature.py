@@ -156,6 +156,56 @@ def test_zero_integrand_splits_up_to_the_interval_limit():
     assert bits(value) == bits(np.zeros(1)) and err == 0.0
 
 
+def test_first_call_evaluates_each_panel_and_both_its_halves():
+    # the first round always splits each interval's one panel, so the
+    # first call holds its 21 nodes and the 42 of its halves: the nodes
+    # of scipy's first three panels. No node comes again in a later call,
+    # and every interval still evaluates scipy's neval nodes
+    gs = [lambda x: np.sin(50.0 * x) * np.exp(1j * x * ALPHA[:2]),
+          INTEGRANDS["endpoint-peaked"][0],
+          lambda x: np.array([complex(math.cos(x), -x), -0.0j])]
+    bounds = [(0.0, 3.0), (0.0, 1.0), (-1.0, 2.0)]
+    calls = []
+
+    def f(x, k):
+        calls.append((x, k))
+        return np.array([gs[interval](node) for node, interval in zip(x.tolist(), k.tolist())])
+
+    quad_vec(f, bounds, epsabs=1e-12, epsrel=1e-10)
+    assert np.bincount(calls[0][1]).tolist() == [63, 63, 63]
+    for k, (g, (a, b)) in enumerate(zip(gs, bounds)):
+        scipy_nodes = []
+
+        def recorded(x, g=g):
+            scipy_nodes.append(x)
+            return g(x)
+
+        *_, info = scipy_quad_vec(recorded, a, b, epsabs=1e-12, epsrel=1e-10, norm="max",
+                                  full_output=True)
+        first = calls[0][0][calls[0][1] == k]
+        assert sorted(first.tolist()) == sorted(scipy_nodes[:63])
+        nodes = np.concatenate([x[ks == k] for x, ks in calls])
+        assert np.unique(nodes).size == nodes.size == info.neval
+        assert sorted(nodes.tolist()) == sorted(scipy_nodes)
+
+
+def test_zero_integrand_makes_one_call_per_split_round():
+    # each interval splits 1, 2, 4, ..., 64 panels in 7 rounds, then 128
+    # per round in 78 more up to 10112 panels: 85 rounds, in lockstep.
+    # The first call brings the first round's halves, so 85 calls where
+    # evaluating the first panels alone would take 86
+    calls = []
+
+    def f(x, k):
+        calls.append(x.size)
+        return np.zeros((x.size, 1))
+
+    quad_vec(f, [(0.0, 1.0), (-1.0, 0.5)], epsabs=0.0, epsrel=1e-8)
+    assert len(calls) == 85
+    assert calls[:3] == [2 * 63, 2 * 2 * 42, 2 * 4 * 42]
+    assert sum(calls) == 2 * (21 + 42 * 10111)
+
+
 def test_quad_rows_are_independent():
     # cos(w x) over [a, 3]: slow rows settle on their first panel, so its
     # sum enters the result, fast rows are bisected for several rounds;

@@ -329,9 +329,10 @@ def plasmon_rates(
     bulk-host rate.  The moment expansion needs Re(k_sp) L_qd < 1.
     """
     _check_point(d, orientation)
-    _rates.check_expansion(solve_dispersion(geom).k_sp.real, moments)
+    mode = solve_dispersion(geom)
+    _rates.check_expansion(mode.k_sp.real, moments)
     norm = homogeneous_im_gxx(geom.host, geom.lambda0)
-    ladder = _rates.rate_ladder(plasmon_bundle(geom, d, orientation), moments, norm)
+    ladder = _rates.rate_ladder(_bundle(geom, mode, norm, d, orientation), moments, norm)
     if orientation == RADIAL:
         # 2*ratio*0.0 carries the ratio's sign; the vanishing rung is +0.0
         ladder = replace(ladder, gamma1=0.0)
@@ -348,10 +349,16 @@ def plasmon_bundle(geom: WireGeometry, d: float, orientation: str) -> GreenBundl
     """
     _check_point(d, orientation)
     mode = solve_dispersion(geom)
+    return _bundle(geom, mode, homogeneous_im_gxx(geom.host, geom.lambda0), d, orientation)
+
+
+def _bundle(geom: WireGeometry, mode: GuidedMode, norm: float, d: float,
+            orientation: str) -> GreenBundle:
+    """plasmon_bundle from geom's solved mode and the host's Im G_xx `norm`."""
     # per-photon factor C with vacuum permittivity 1; bulk normalization folded in
     k0 = geom.k0
     c_photon = 3.0 * math.pi * SPEED_OF_LIGHT_NM_PER_FS / (geom.host.n.real * k0 * k0 * mode.v_g)
-    scale = homogeneous_im_gxx(geom.host, geom.lambda0) * c_photon
+    scale = norm * c_photon
     r0 = geom.rho + d
     e_r, e_z, dez = mode.exterior(r0)
     if orientation == AXIAL:
@@ -392,21 +399,19 @@ def _harmonic_chunks(d: float, rho: float, radial: bool) -> list[np.ndarray]:
 def _node_bessel(m: np.ndarray, x: np.ndarray, y: np.ndarray, radial: bool) -> tuple:
     """Scaled I_m, K_m, I'_m, K'_m at x and the emitter's K factor w at y.
 
-    All five in real arithmetic. The K ladder gives K_m and K_|m-1| at
-    x and y, and K'_m = -K_{m-1} - (m/x) K_m (at m = 0 the ladder's
-    K_|0-1| = K_1 gives K'_0 = -K_1). I_m is one real-argument ive.
-    I'_m comes from the Wronskian I_m K'_m - I'_m K_m = -1/x, which the
-    scaled functions keep; its two terms stand at most 2:1 for m >= 1,
-    but at m = 0 they cancel like 1/x^2 as x -> 0, so there I'_0 = I_1
-    is taken directly. w is K_m(y) axial and K'_m(y) radial.
+    All five in real arithmetic, from one `specfun._background_node`
+    call: I_m at x, and K_m and K_|m-1| at x and y, whence
+    K'_m = -K_{m-1} - (m/x) K_m (at m = 0, K_|0-1| = K_1 gives
+    K'_0 = -K_1). I'_m comes from the Wronskian
+    I_m K'_m - I'_m K_m = -1/x, which the scaled functions keep; its two
+    terms stand at most 2:1 for m >= 1, but at m = 0 they cancel like
+    1/x^2 as x -> 0, so there I'_0 = I_1 is taken directly. w is K_m(y)
+    axial and K'_m(y) radial.
     """
-    (k_m, ky_m), (k_l, ky_l) = specfun.bessel_k_ladder(np.array((m, m)), np.array((x, y)))
-    i_m = specfun.bessel_i_scaled_real(m, x)
+    i_m, k_m, k_l, ky_m, ky_l, i_1 = specfun._background_node(m, x, y)
     kvp = -k_l - (m / x) * k_m
     ivp = (i_m * kvp + 1.0 / x) / k_m
-    zero = m == 0
-    if zero.any():
-        ivp[zero] = specfun.bessel_i1_scaled(x[zero])
+    ivp[m == 0] = i_1
     w = -ky_l - (m / y) * ky_m if radial else ky_m
     return i_m, k_m, ivp, kvp, w
 
@@ -440,9 +445,9 @@ def quasistatic_background(
     panels) is kept with a RuntimeWarning.
 
     Per quadrature node the integrand takes its Bessel values in real
-    arithmetic (`_node_bessel`): the real K ladder gives K_m and
-    K_|m-1| at k*rho and k*(rho+d), one real-argument call the scaled
-    I_m at k*rho, and the derivatives follow from
+    arithmetic (`_node_bessel`): one `specfun` call climbs K_m and
+    K_|m-1| at k*rho and k*(rho+d) from K0, K1 and gives the scaled I_m
+    at k*rho, and the derivatives follow from
     K'_m = -K_{m-1} - (m/x) K_m and the Wronskian: 1 I, 2 K0 and 2 K1
     real values per node (and a real I_1 at order 0), in either
     orientation. Complex arithmetic starts where the permittivities

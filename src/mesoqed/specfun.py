@@ -7,12 +7,12 @@ and an integer array of orders broadcasts against the argument.
 
 The complex routines (`bessel_ik`, `bessel_i`, `bessel_k`,
 `bessel_ik_scaled`, `bessel_k_scaled`) promote the argument to complex
-and return python complex for scalar inputs. The real routines take
-real z > 0 only and return float: `bessel_i_scaled_real` (scaled I of
-any order), `bessel_i1_scaled` (scaled I_1) and `bessel_k_ladder`,
-which seeds the scaled K0, K1 from scipy's real-argument routines and
-climbs to higher orders by the upward recurrence, the stable direction
-for K.
+and return python complex for scalar inputs. The wire background's
+real values come from one private routine, `_background_node`: scipy's
+real-argument ive and i1e, and K seeded with k0e, k1e and climbed to
+higher orders by the upward recurrence, the stable direction for K. It
+takes only the arrays the background builds, so it guards nothing but
+K's overflow.
 
 Importing this module loads numpy only: `_special` imports
 scipy.special on the first Bessel call. Only wire code calls these
@@ -129,50 +129,21 @@ def bessel_k_scaled(order, z):
     return _finish(_special().kve(order, zc), "bessel_k_scaled")
 
 
-def _positive_real(z, where: str) -> np.ndarray:
-    zr = np.asarray(z)
-    if np.iscomplexobj(zr) or not (zr > 0.0).all():
-        raise OutOfDomainError(f"{where}: requires real z > 0")
-    return zr if zr.dtype == np.float64 else zr.astype(float)  # float64 passes uncopied
+def _background_node(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Scaled real Bessel values at the wire background's quadrature nodes.
 
-
-def bessel_i_scaled_real(order, z):
-    """Scaled I_order = I_order*exp(-z) of real z > 0 (scipy's ive on float64).
-
-    The real half of bessel_ik_scaled's I, with no complex promotion;
-    `order` may be a non-negative integer array that broadcasts against z.
+    For an integer order array m and positive float64 arrays x, y of its
+    shape: I_m(x), K_m(x), K_|m-1|(x), K_m(y), K_|m-1|(y), and I_1(x) at
+    the nodes of order 0. K climbs from the seeds k0e, k1e by
+    K_{j+1} = K_{j-1} + (2j/z) K_j (Abramowitz & Stegun 9.6.26), the
+    stable direction for K. Each node climbs only to its own order, so
+    its bits do not depend on the other nodes of the call. A K beyond
+    double range raises.
     """
-    order = _check_order(order)
-    zr = _positive_real(z, "bessel_i_scaled_real")
-    return _finish(_special().ive(order, zr), "bessel_i_scaled_real")
-
-
-def bessel_i1_scaled(z):
-    """Scaled I_1 = I_1*exp(-z) of real z > 0 (scipy's real-argument i1e)."""
-    return _finish(_special().i1e(_positive_real(z, "bessel_i1_scaled")), "bessel_i1_scaled")
-
-
-def bessel_k_ladder(order, z) -> tuple:
-    """Scaled (K_order, K_|order-1|) of real z > 0, by upward recurrence.
-
-    K_{j+1} = K_{j-1} + (2j/z) K_j from the seeds k0e, k1e (Abramowitz &
-    Stegun 9.6.26); `order` may be a non-negative integer array that
-    broadcasts against z. Each element climbs only to its own order, so
-    its bits do not depend on the other elements of the call. Values
-    beyond double range raise.
-    """
-    order, zr = _check_order(order), _positive_real(z, "bessel_k_ladder")
-    if np.shape(order) != zr.shape:
-        order, zr = np.broadcast_arrays(order, zr)
     sp = _special()
-    if np.max(order, initial=0) <= 1:
-        # no element climbs: K_m, K_|m-1| are the seeds, in either order
-        k0, k1 = sp.k0e(zr), sp.k1e(zr)
-        is_zero = order == 0
-        return (_finish(np.where(is_zero, k0, k1), "bessel_k_ladder (K_m)"),
-                _finish(np.where(is_zero, k1, k0), "bessel_k_ladder (K_|m-1|)"))
-    sort = np.argsort(order, axis=None, kind="stable")
-    orders, zs = np.ravel(order)[sort], zr.ravel()[sort]
+    orders = np.concatenate((m, m))
+    sort = np.argsort(orders, kind="stable")
+    orders, zs = orders[sort], np.concatenate((x, y))[sort]
     # two rungs that take turns: step j overwrites K_{j-1} with K_{j+1},
     # so K of an even order ends in `even` and of an odd order in `odd`
     even, odd = sp.k0e(zs), sp.k1e(zs)
@@ -185,8 +156,10 @@ def bessel_k_ladder(order, z) -> tuple:
             tail = (2.0 * j) / zs[start:]
             tail *= high[start:]
             low[start:] += tail
+    if not (np.isfinite(even).all() and np.isfinite(odd).all()):
+        raise OutOfDomainError("wire background: K_m beyond double range")
     is_even = orders % 2 == 0
     k_m, k_l = np.empty_like(even), np.empty_like(even)
     k_m[sort], k_l[sort] = np.where(is_even, even, odd), np.where(is_even, odd, even)
-    return (_finish(k_m.reshape(zr.shape), "bessel_k_ladder (K_m)"),
-            _finish(k_l.reshape(zr.shape), "bessel_k_ladder (K_|m-1|)"))
+    n = m.size
+    return sp.ive(m, x), k_m[:n], k_l[:n], k_m[n:], k_l[n:], sp.i1e(x[m == 0])

@@ -44,7 +44,7 @@ from mesoqed.nanowire import (
     quasistatic_background,
     solve_dispersion,
 )
-from mesoqed.rates import extract_fields, md_eq_split
+from mesoqed.rates import extract_fields, md_eq_split, rate_ladder
 
 GEOM = paper_wire()
 MOMENTS = paper_moments()
@@ -589,6 +589,31 @@ def test_bundle_route_matches_reduced_route(orientation, d):
     assert ladder.gamma2 == pytest.approx(g2, rel=1e-12)
 
 
+def _counting(calls: dict, name: str, fn):
+    """fn, adding each of its calls to calls[name]."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
+def test_plasmon_rates_checks_solves_and_normalizes_once(monkeypatch, orientation):
+    # one point check, one mode lookup and one host norm per point, and
+    # the ladder has the bits of rate_ladder on plasmon_bundle
+    calls = dict.fromkeys(("_check_point", "solve_dispersion", "homogeneous_im_gxx"), 0)
+
+    for name in calls:
+        monkeypatch.setattr(nanowire, name, _counting(calls, name, getattr(nanowire, name)))
+    ladder = plasmon_rates(GEOM, 35.0, MOMENTS, orientation)
+    assert calls == dict.fromkeys(calls, 1)
+    norm = homogeneous_im_gxx(GEOM.host, GEOM.lambda0)
+    want = rate_ladder(plasmon_bundle(GEOM, 35.0, orientation), MOMENTS, norm)
+    assert (ladder.gamma0, ladder.gamma2) == (want.gamma0, want.gamma2)
+    assert ladder.gamma1 == (want.gamma1 if orientation == AXIAL else 0.0)
+
+
 @given(d=st.floats(10.0, 200.0))
 def test_bundle_route_matches_reduced_route_generic(d):
     _, g1, g2 = _reduced_ladder(d, AXIAL)
@@ -786,6 +811,34 @@ def test_background_bessel_work_per_node(monkeypatch, orientation):
                                 "k1e": 2 * nodes[0], "i1e": zero}
 
 
+@pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
+def test_background_takes_one_specfun_call_per_round(monkeypatch, orientation):
+    # each quadrature round is one integrand call, and it takes every
+    # node's Bessel values from one call of the background's routine;
+    # no other specfun function runs (`_special` is the scipy accessor)
+    rounds = [0]
+    real_quad = nanowire.quad
+
+    def counting_quad(func, *args):
+        def integrand(k, row):
+            rounds[0] += 1
+            return func(k, row)
+
+        return real_quad(integrand, *args)
+
+    calls = {}
+
+    for name, fn in list(vars(specfun).items()):
+        if name != "_special" and getattr(fn, "__module__", None) == specfun.__name__:
+            calls[name] = 0
+            monkeypatch.setattr(specfun, name, _counting(calls, name, fn))
+    assert {"_background_node", "bessel_ik_scaled", "bessel_k"} <= calls.keys()
+    monkeypatch.setattr(nanowire, "quad", counting_quad)
+    quasistatic_background(GEOM, 20.0, orientation)
+    assert rounds[0] > 1
+    assert calls == {**dict.fromkeys(calls, 0), "_background_node": rounds[0]}
+
+
 def test_mode_field_bessel_work(monkeypatch):
     # each radial pair of the solved mode's field is one order-array call:
     # K0, K1 at the emitter once for E_r, E_z and d|E_z|/dr, and one
@@ -795,15 +848,8 @@ def test_mode_field_bessel_work(monkeypatch):
     calls = dict.fromkeys(("bessel_ik", "bessel_i", "bessel_k", "bessel_ik_scaled",
                            "bessel_k_scaled"), 0)
 
-    def counting(name, fn):
-        def counted(order, z):
-            calls[name] += 1
-            return fn(order, z)
-
-        return counted
-
     for name in calls:
-        monkeypatch.setattr(specfun, name, counting(name, getattr(specfun, name)))
+        monkeypatch.setattr(specfun, name, _counting(calls, name, getattr(specfun, name)))
     for orientation in (AXIAL, RADIAL):
         calls.update(dict.fromkeys(calls, 0))
         plasmon_bundle(GEOM, 20.0, orientation)

@@ -19,8 +19,8 @@ from scipy.special import i1e, iv, ive, k0e, k1e, kve
 import oracles
 from companions import bessel_j, hankel1
 from mesoqed.errors import OutOfDomainError, ParameterError
-from mesoqed.specfun import (bessel_i, bessel_i1_scaled, bessel_i_scaled_real, bessel_ik,
-                             bessel_ik_scaled, bessel_k, bessel_k_ladder, bessel_k_scaled)
+from mesoqed.specfun import (_background_node, bessel_i, bessel_ik, bessel_ik_scaled, bessel_k,
+                             bessel_k_scaled)
 
 
 # ---------------------------------------------------------- spot values
@@ -141,24 +141,18 @@ def test_scaled_pair_survives_huge_arguments():
 def test_order_validation():
     for fn in (lambda o: bessel_j(o, 1.0), lambda o: hankel1(o, 1.0),
                lambda o: bessel_ik(o, 1.0), lambda o: bessel_ik_scaled(o, 1.0),
-               lambda o: bessel_k(o, 1.0), lambda o: bessel_k_scaled(o, 1.0),
-               lambda o: bessel_k_ladder(o, 1.0), lambda o: bessel_i_scaled_real(o, 1.0)):
+               lambda o: bessel_k(o, 1.0), lambda o: bessel_k_scaled(o, 1.0)):
         with pytest.raises(ParameterError):
             fn(-1)
         with pytest.raises(ParameterError):
             fn(1.5)
     for bad in ([-1], [1.5], np.array([0, 2, -3]), np.array([[2], [-3]], dtype=np.int32),
                 np.array([1.0, 2.0]), [True], np.array([False])):
-        for fn in (bessel_ik_scaled, bessel_k_scaled, bessel_k_ladder, bessel_i_scaled_real):
+        for fn in (bessel_ik_scaled, bessel_k_scaled):
             with pytest.raises(ParameterError):
                 fn(bad, np.ones(len(bad)))
-    # any integer dtype is an order array, signed or not
-    want = bessel_k_ladder(np.array([0, 3]), np.array([1.0, 2.0]))
-    for dtype in (np.uint8, np.int32):
-        assert np.array_equal(bessel_k_ladder(np.array([0, 3], dtype=dtype), [1.0, 2.0]), want)
     # bool is an int to isinstance, but True is no order 1 (nor False 0)
-    for fn in (bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled, bessel_k_ladder,
-               bessel_i_scaled_real):
+    for fn in (bessel_ik, bessel_ik_scaled, bessel_k, bessel_k_scaled):
         for bad in (True, False, np.True_):
             with pytest.raises(ParameterError, match="order must be a non-negative integer"):
                 fn(bad, 1.0)
@@ -196,12 +190,6 @@ def test_bessel_ik_domain():
         for z in (-2.0, 0.0, 3.0j, np.array([1.0, -0.5 + 1.0j])):
             with pytest.raises(OutOfDomainError):
                 fn(0, z)
-    # the real-argument routines refuse every complex z, even on the axis
-    for fn in (lambda z: bessel_k_ladder(2, z), bessel_i1_scaled):
-        for z in (-2.0, 0.0, -0.0, math.nan, 3.0 + 0.0j, np.array([1.0, -0.5]),
-                  np.array([1.0, 0.0])):
-            with pytest.raises(OutOfDomainError, match="requires real z > 0"):
-                fn(z)
 
 
 @given(
@@ -305,7 +293,13 @@ def test_i_derivative_identity_against_mpmath(m, x):
         assert abs((i_lo - (m / x) * i_m - exact) / exact) < 3e-13
 
 
-# ------------------------------------------------ the real K ladder
+# ------------------------------------ the wire background's real values
+
+
+def _node(m, x, y=None):
+    """_background_node on fresh arrays, with y = x unless given."""
+    m, x = np.array(m, dtype=np.int64, ndmin=1), np.array(x, dtype=float, ndmin=1)
+    return _background_node(m, x, x.copy() if y is None else np.array(y, dtype=float, ndmin=1))
 
 
 def test_k_ladder_matches_kve():
@@ -321,7 +315,9 @@ def test_k_ladder_matches_kve():
     ok = np.isfinite(k_m) & np.isfinite(k_l)
     assert ok.sum() > 0.6 * ok.size
     orders, zs = np.broadcast_to(m, ok.shape)[ok], np.broadcast_to(z, ok.shape)[ok]
-    got_m, got_l = bessel_k_ladder(orders, zs)
+    _, got_m, got_l, got_ym, got_yl, _ = _background_node(orders, zs, zs.copy())
+    # a node's K at y has the bits of the same node's K at x
+    assert np.array_equal(got_ym, got_m) and np.array_equal(got_yl, got_l)
     rel = np.maximum(np.abs(got_m / k_m[ok] - 1.0), np.abs(got_l / k_l[ok] - 1.0))
     assert rel[orders <= 30].max() < 2e-14
     assert rel.max() < 3e-13
@@ -331,23 +327,24 @@ def test_k_ladder_matches_kve():
                                   (165, 1.79), (245, 32.6), (250, 1200.0)])
 def test_k_ladder_against_mpmath(m, z):
     mp = pytest.importorskip("mpmath")
-    got_m, got_l = bessel_k_ladder(m, z)
-    assert isinstance(got_m, float) and isinstance(got_l, float)
+    _, got_m, got_l, got_ym, got_yl, _ = _node(m, z, 2.0 * z)
     with mp.workdps(40):
-        for got, order in ((got_m, m), (got_l, abs(m - 1))):
-            exact = mp.besselk(order, z) * mp.exp(z)
-            assert abs((got - exact) / exact) < 1e-14
+        for got, order, at in ((got_m, m, z), (got_l, abs(m - 1), z),
+                               (got_ym, m, 2.0 * z), (got_yl, abs(m - 1), 2.0 * z)):
+            exact = mp.besselk(order, at) * mp.exp(at)
+            assert abs((got[0] - exact) / exact) < 1e-14
 
 
 def test_k_ladder_seeds_and_shapes():
     z = np.array([1e-3, 0.7, 30.0, 1200.0])
-    k0, k1 = bessel_k_ladder(0, z)
+    _, k0, k1, *_ = _node(np.zeros(4), z)
     assert np.array_equal(k0, k0e(z)) and np.array_equal(k1, k1e(z))
-    k1_, k0_ = bessel_k_ladder(1, z)
+    _, k1_, k0_, *_ = _node(np.ones(4), z)
     assert np.array_equal(k1_, k1e(z)) and np.array_equal(k0_, k0e(z))
-    # an order column broadcasts against a row of arguments
-    grid_m, grid_l = bessel_k_ladder(np.arange(4)[:, None], z[None, :])
-    assert grid_m.shape == grid_l.shape == (4, z.size)
+    # orders 0-3 at every argument: K_2 of the order-2 and order-3 nodes
+    # agree, and so do K_1 of the orders 1 and 2
+    _, grid_m, grid_l, *_ = _node(np.repeat(np.arange(4), z.size), np.tile(z, 4))
+    grid_m, grid_l = grid_m.reshape(4, z.size), grid_l.reshape(4, z.size)
     assert np.array_equal(grid_m[2], grid_l[3])
     assert np.array_equal(grid_m[1], k1) and np.array_equal(grid_l[2], k1)
 
@@ -355,71 +352,82 @@ def test_k_ladder_seeds_and_shapes():
 def test_k_ladder_node_does_not_depend_on_its_batch():
     rng = np.random.default_rng(21)
     orders = rng.integers(0, 61, 400)
-    zs = np.exp(rng.uniform(math.log(0.05), math.log(500.0), 400))
-    k_m, k_l = bessel_k_ladder(orders, zs)
+    xs = np.exp(rng.uniform(math.log(0.05), math.log(500.0), 400))
+    ys = xs * rng.uniform(1.0, 10.0, 400)
+    i_m, *ks, i_1 = _background_node(orders, xs, ys)
+    zero = orders == 0
+    assert i_1.size == np.count_nonzero(zero) > 0
     for i in range(0, 400, 7):
-        assert bessel_k_ladder(int(orders[i]), float(zs[i])) == (k_m[i], k_l[i])
+        one = _background_node(orders[i:i + 1], xs[i:i + 1], ys[i:i + 1])
+        assert [v[0] for v in one[:5]] == [i_m[i], *(k[i] for k in ks)]
+        assert list(one[5]) == ([i_1[np.count_nonzero(zero[:i])]] if zero[i] else [])
     # a batch reordered or cut gives each node the same bits
     perm = rng.permutation(400)
-    assert np.array_equal(bessel_k_ladder(orders[perm], zs[perm])[0], k_m[perm])
-    assert np.array_equal(bessel_k_ladder(orders[:57], zs[:57])[1], k_l[:57])
+    assert np.array_equal(_background_node(orders[perm], xs[perm], ys[perm])[1], ks[0][perm])
+    assert np.array_equal(_background_node(orders[:57], xs[:57], ys[:57])[2], ks[1][:57])
 
 
 def test_k_ladder_paths_give_per_element_bits():
-    # three paths: no element climbs (all orders <= 1), shapes that
-    # already agree, and orders that broadcast against the arguments;
-    # each gives every element the bits of a call of its own
+    # one climb for every batch: nodes that do not climb (orders <= 1)
+    # and nodes that do get the bits of a call of their own, and a node's
+    # K at y the bits of the same order's K at x = y
     rng = np.random.default_rng(26)
     zs = np.exp(rng.uniform(math.log(0.05), math.log(500.0), 60))
     kept = zs.copy()
     for orders in (rng.integers(0, 2, 60), rng.integers(0, 31, 60)):
-        got = bessel_k_ladder(orders, zs)
-        stacked = bessel_k_ladder(np.array((orders, orders)), np.array((zs, 2.0 * zs)))
+        kept_orders = orders.copy()
+        got = _background_node(orders, zs, 2.0 * zs)
+        at_y = _background_node(orders, 2.0 * zs, zs)
+        assert np.array_equal(got[3], at_y[1]) and np.array_equal(got[4], at_y[2])
         for i in range(60):
-            want = bessel_k_ladder(int(orders[i]), float(zs[i]))
-            assert (got[0][i], got[1][i]) == want == (stacked[0][0, i], stacked[1][0, i])
+            want = _node(orders[i], zs[i], 2.0 * zs[i])
+            assert [v[i] for v in got[:5]] == [v[0] for v in want[:5]]
+        assert np.array_equal(orders, kept_orders)
     low = rng.integers(0, 2, 60)
-    assert np.array_equal(bessel_k_ladder(low, zs)[0], np.where(low == 0, k0e(zs), k1e(zs)))
+    _, k_m, k_l, *_ = _background_node(low, zs, zs)
+    assert np.array_equal(k_m, np.where(low == 0, k0e(zs), k1e(zs)))
+    assert np.array_equal(k_l, np.where(low == 0, k1e(zs), k0e(zs)))
     column = np.array([0, 1, 5, 30])
-    grid = bessel_k_ladder(column[:, None], zs[None, :])
+    _, grid_m, grid_l, *_ = _background_node(np.repeat(column, 60), np.tile(zs, 4),
+                                             np.tile(zs, 4))
     for i, m in enumerate(column):
-        assert np.array_equal(grid[0][i], bessel_k_ladder(int(m), zs)[0])
-        for j in range(0, 60, 7):
-            assert (grid[0][i, j], grid[1][i, j]) == bessel_k_ladder(int(m), float(zs[j]))
-    # a float64 argument passes uncopied, so no path may write to it
-    bessel_i_scaled_real(low, zs)
+        _, row_m, row_l, *_ = _node(np.full(60, m), zs)
+        assert np.array_equal(grid_m[60 * i:60 * (i + 1)], row_m)
+        assert np.array_equal(grid_l[60 * i:60 * (i + 1)], row_l)
+    # the routine writes to neither argument
     assert np.array_equal(zs, kept)
 
 
 def test_k_ladder_overflow_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OutOfDomainError, match="bessel_k_ladder"):
-            bessel_k_ladder(250, 1e-3)
-        with pytest.raises(OutOfDomainError, match="bessel_k_ladder"):
-            bessel_k_ladder(np.array([3, 250]), np.array([1.0, 1e-3]))
+        for m, x, y in (([250], [1e-3], [1.0]), ([3, 250], [1.0, 1e-3], [2.0, 2.0]),
+                        ([250], [1200.0], [1e-3])):
+            with pytest.raises(OutOfDomainError, match="double range"):
+                _node(m, x, y)
 
 
 def test_i1_scaled_is_the_order_one_i():
     z = np.geomspace(1e-4, 1200.0, 200)
-    got = bessel_i1_scaled(z)
+    got = _node(np.zeros(200), z)[5]
     assert np.array_equal(got, i1e(z))
     assert np.abs(got / ive(1, z) - 1.0).max() < 1e-14
-    assert isinstance(bessel_i1_scaled(0.5), float)
+    # only the order-0 nodes take I_1
+    orders = np.arange(200) % 3
+    assert np.array_equal(_node(orders, z)[5], i1e(z[orders == 0]))
 
 
 def test_real_i_scaled_is_the_real_half_of_the_pair():
     # the real-argument ive has the bits of the complex one's I, which is
     # real on the positive axis, at orders 0-60 and z from 1e-4 to 1200
+    # wherever kve keeps K_m and K_|m-1| in double range (the call also
+    # climbs K, and raises where K leaves it)
     rng = np.random.default_rng(22)
     m = rng.integers(0, 61, 4000)
     z = np.exp(rng.uniform(math.log(1e-4), math.log(1200.0), 4000))
-    got = bessel_i_scaled_real(m, z)
+    with np.errstate(over="ignore"):
+        ok = np.isfinite(kve(m, z)) & np.isfinite(kve(np.abs(m - 1), z))
+    assert ok.sum() > 0.99 * ok.size
+    got = _background_node(m[ok], z[ok], z[ok])[0]
     assert got.dtype == np.float64
-    assert np.array_equal(got, ive(m, z.astype(complex)).real)
-    assert isinstance(bessel_i_scaled_real(3, 0.5), float)
-    # an order column broadcasts against a row of arguments
-    assert bessel_i_scaled_real(np.arange(3)[:, None], z[None, :5]).shape == (3, 5)
-    for bad in (0.0, -1.0, 1.0 + 0.0j, np.array([1.0, np.nan])):
-        with pytest.raises(OutOfDomainError, match="bessel_i_scaled_real"):
-            bessel_i_scaled_real(1, bad)
+    assert np.array_equal(got, ive(m[ok], z[ok].astype(complex)).real)

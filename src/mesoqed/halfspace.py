@@ -289,23 +289,37 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
     radiative or ellipse node only when no height before has used it.
 
     Every height's segments are intervals of one quad_vec call, so one
-    call of fn per round evaluates the nodes of all heights. Returns, per
-    height, (radiative part, evanescent part, accumulated error
-    estimate), or the ConvergenceError of that height.
+    call of fn per round evaluates the nodes of all heights. A block of
+    one height looks ahead on its radiative and ellipse segments (see
+    `_lockstep`). Returns, per height, (radiative part, evanescent part,
+    accumulated error estimate), or the ConvergenceError of that height.
     """
     try:
-        return _lockstep(c, heights, fn, rel_tol)
+        return _lockstep(c, heights, fn, rel_tol, ahead=len(heights) == 1)
     except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
         if len(heights) > 1:
             # one height at a time: only those whose integrand overflows fail
             return [out for h in heights
                     for out in _integrate_contour(c, [h], fn, rel_tol)]
-        failure = ConvergenceError(f"k_par integrand overflows at h = {heights[0]:g} nm")
-        failure.__cause__ = exc
-        return [failure]
+        try:
+            # the look-ahead evaluates nodes that the adaptive process may never reach
+            return _lockstep(c, heights, fn, rel_tol, ahead=False)
+        except (OverflowError, ZeroDivisionError) as exc:
+            failure = ConvergenceError(f"k_par integrand overflows at h = {heights[0]:g} nm")
+            failure.__cause__ = exc
+            return [failure]
 
 
-def _lockstep(c: _Contour, heights: list, fn, rel_tol: float) -> list:
+def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, ahead: bool) -> list:
+    """`_integrate_contour`'s quadrature, with or without look-ahead.
+
+    With `ahead`, the first call also evaluates the halves of both halves
+    of the radiative and ellipse segments of the (one) height: their node
+    columns come from the memo, so only the height stage is paid, and the
+    second round takes them instead of calling fn. A block of many heights
+    shares each round's call anyway, and there the look-ahead costs more
+    than it saves.
+    """
     # each height's segments are intervals in a row: radiative, ellipse(, tail)
     bounds, segment_of, height_of, counts = [], [], [], []
     for h in heights:
@@ -332,7 +346,8 @@ def _lockstep(c: _Contour, heights: list, fn, rel_tol: float) -> list:
     eps_abs = rel_tol * c.norm
     # a non-finite value fails the error test below, so numpy need not warn of it
     with np.errstate(all="ignore"):
-        parts = iter(quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol))
+        parts = iter(quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol,
+                              ahead=(0, 1) if ahead else ()))
     outcomes = []
     for n in counts:
         (rad, err), (evan, err_b), *tail = (next(parts) for _ in range(n))

@@ -386,9 +386,12 @@ def _harmonic_chunks(d: float, rho: float, radial: bool) -> list[np.ndarray]:
     chunk ends two orders past where that reaches the series tolerance,
     three for a radial dipole, whose K'_m(k r0) carries an extra m/(k r0)
     and so falls about one order later; the second holds the orders
-    left, if any. The series stops within the first chunk in both
-    orientations at every distance checked (3-3000 nm from wires of
-    radius 10-100 nm).
+    left, if any. No background needs the second chunk at any of 40
+    distances from 3 to 3000 nm from wires of radius 10, 30 and 100 nm,
+    in either orientation: in 181 of these 240 cases the series stops
+    within the first chunk, and in the other 59, near the wire, the
+    first chunk already holds every order and the series does not stop
+    by m = 30 (22 accept the stalled series, 37 raise ConvergenceError).
     """
     fall = 2.0 * math.log1p(d / rho)
     orders = -math.log(_QS_SERIES_TOL)

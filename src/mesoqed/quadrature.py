@@ -6,26 +6,37 @@ end to the left end, sums strictly in that order starting from 0.0, so
 a panel's sums do not depend on its neighbours.
 
 Both drivers take an array integrand ``f(x, k)``: x holds the nodes of
-every panel evaluated in a round, flat, and k the index of the interval
-(or row) each node belongs to; one call per round evaluates them all.
+every panel evaluated in a call, flat, and k the index of the interval
+(or row) each node belongs to. A round makes one call at most, for the
+nodes of all panels it needs that are not evaluated yet.
+
+Both drivers look ahead: their first call also evaluates panels that
+later rounds split in nearly every case, and a round that splits such a
+panel takes its halves from there. Every split decision, sum, stop and
+warning is that of the plain process, computed with the same midpoint
+arithmetic; only the call a node is evaluated in moves, and a panel
+looked ahead but never split costs its nodes. So the integrand's value
+at a node must not depend on the other nodes of its call.
 
 `quad_vec` integrates one vector integrand over several finite intervals
 and gives, for each interval, exactly what scipy's
 ``quad_vec(g, a, b, epsabs, epsrel, norm="max")`` gives: the same
 subdivisions in the same order, the same stops and bitwise the same
-value and error estimate, provided the integrand's value at a node does
-not depend on the other nodes of the call. It differs in how the work is
-scheduled, not in what is computed: the intervals are independent
-adaptive processes run in lockstep, and every round evaluates the nodes
-of all panels being split at once. The first round splits each
-interval's one panel, so the first call evaluates that panel and both
-its halves together, and the first round makes no call of its own; the
-nodes evaluated are scipy's all the same. Each panel keeps its integral
-until it is split; scipy re-integrates a panel its cache has lost, which
-gives the same bits, so only scipy's evaluation count can differ.
+value and error estimate. It differs in how the work is scheduled, not
+in what is computed: the intervals are independent adaptive processes
+run in lockstep, and every round evaluates the nodes of all panels
+being split at once. The first round splits each interval's one panel,
+so the first call evaluates that panel and both its halves together;
+for the intervals the caller names it also evaluates the halves of both
+halves, which the second round splits unless the interval stops. Each
+panel keeps its integral until it is split; scipy re-integrates a panel
+its cache has lost, which gives the same bits, so only scipy's
+evaluation count can differ.
 
 `quad` integrates many real scalar integrands ("rows") by adaptive
-bisection, each to a relative tolerance on its own.
+bisection, each to a relative tolerance on its own. Its first call also
+evaluates each row's left spine, for integrands that fall off from
+their rows' lower ends.
 
 The G10/K21 table below is QUADPACK's qk21 on [-1, 1], listed from the
 end to the centre with the Kronrod and Gauss weights of each node (the
@@ -151,7 +162,7 @@ class _Interval:
         return max(epsabs, epsrel * float(_max_norm(self.integral)))
 
     def pop(self, epsabs: float, epsrel: float) -> list:
-        """The panels scipy splits next: (a, midpoint, b, error, integral)."""
+        """The panels scipy splits next: (a, b, error, integral)."""
         tol = self.tol(epsabs, epsrel)
         taken = []
         err_sum = 0
@@ -159,15 +170,16 @@ class _Interval:
             if not self.heap or (j > 0 and err_sum > self.error - tol / 8):
                 break
             neg_err, a, b, _, integral = heapq.heappop(self.heap)
-            taken.append((a, 0.5 * (a + b), b, -neg_err, integral))
+            taken.append((a, b, -neg_err, integral))
             err_sum += -neg_err
         return taken
 
-    def split(self, a, c, b, old_err, old_int, left, right) -> None:
+    def split(self, a, b, old_err, old_int, left, right) -> None:
         (s1, err1, rnd1), (s2, err2, rnd2) = left, right
         self.integral = self.integral + (s1 + s2 - old_int)
         self.error += err1 + err2 - old_err
         self.rounding += rnd1 + rnd2
+        c = 0.5 * (a + b)
         for x1, x2, ig, err in ((a, c, s1, err1), (c, b, s2, err2)):
             heapq.heappush(self.heap, (-err, x1, x2, next(self.pushes), ig))
 
@@ -182,7 +194,25 @@ class _Interval:
         return len(self.heap) >= _LIMIT
 
 
-def quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
+def _halves(k, a: float, b: float) -> tuple:
+    """The halves of panel (k, a, b), split at scipy's midpoint."""
+    c = 0.5 * (a + b)
+    return (k, a, c), (k, c, b)
+
+
+def _split_rules(f, panels: list, split: list) -> tuple:
+    """One `_gk21` call for `panels` and both halves of every panel of `split`.
+
+    Returns the rules (value, error, roundoff) of `panels`, and a
+    (left, right) pair of rules for each panel of `split`.
+    """
+    values, errs, rnds = _gk21(f, panels + [half for panel in split for half in _halves(*panel)])
+    rules = list(zip(values, errs, rnds))
+    n = len(panels)
+    return rules[:n], list(zip(rules[n::2], rules[n + 1::2]))
+
+
+def quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
     """Integrate f over each finite interval of `bounds`, max norm.
 
     f(x, k) takes the flat nodes x of a round and the interval index k
@@ -192,30 +222,36 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
     quad_vec(lambda x: f(np.array([x]), np.array([k]))[0], a, b,
     epsabs=epsabs, epsrel=epsrel, norm="max"). The first call evaluates
     every interval's panel and its two halves: the first round always
-    splits each interval's one panel, as scipy's does. Every later round
-    evaluates two panels per split.
+    splits each interval's one panel, as scipy's does. For the intervals
+    whose indices are in `ahead` it also evaluates the halves of both
+    halves, which the second round takes if it splits them. Every later
+    round makes one call at most, for the halves of the panels it splits
+    that are not evaluated yet.
     """
     panels = [(k, a, b) for k, (a, b) in enumerate(bounds)]
-    halves = [half for k, a, b in panels
-              for half in ((k, a, 0.5 * (a + b)), (k, 0.5 * (a + b), b))]
-    values, errs, rnds = _gk21(f, panels + halves)
-    procs = [_Interval(a, b, values[k], errs[k], rnds[k]) for k, a, b in panels]
-    n = len(panels)
-    first = values[n:], errs[n:], rnds[n:]  # the halves the first round splits into
-    active = list(range(n))
+    split = panels + [half for panel in panels if panel[0] in ahead for half in _halves(*panel)]
+    rules, pairs = _split_rules(f, panels, split)
+    procs = [_Interval(a, b, *rule) for (k, a, b), rule in zip(panels, rules)]
+    ready = dict(zip(split, pairs))  # the halves evaluated before their panel is split
+    active = list(range(len(panels)))
     while active:
         work = [(k, *panel) for k in active for panel in procs[k].pop(epsabs, epsrel)]
-        values, errs, rnds = first or _gk21(f, [panel for k, a, c, b, *_ in work
-                                                for panel in ((k, a, c), (k, c, b))])
-        first = None
-        for i, (k, a, c, b, old_err, old_int) in enumerate(work):
-            two = slice(2 * i, 2 * i + 2)
-            procs[k].split(a, c, b, old_err, old_int, *zip(values[two], errs[two], rnds[two]))
+        pairs = [ready.pop(panel[:3], None) for panel in work]
+        todo = [i for i, pair in enumerate(pairs) if pair is None]
+        if todo:
+            _, fresh = _split_rules(f, [], [work[i][:3] for i in todo])
+            for i, pair in zip(todo, fresh):
+                pairs[i] = pair
+        for (k, a, b, old_err, old_int), pair in zip(work, pairs):
+            procs[k].split(a, b, old_err, old_int, *pair)
         active = [k for k in active if not procs[k].done(epsabs, epsrel)]
     return [(p.integral, p.error + p.rounding) for p in procs]
 
 
 _ROW_LIMIT = 400  # panels per row of `quad`
+# depth of the left spine that `quad`'s first call evaluates: integrands that
+# fall off from their rows' lower ends split the leftmost panel first
+_SPINE = 3
 
 
 def _row_panels(f, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,10 +271,25 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
     splitting at _ROW_LIMIT panels. Rows share no decision and no sum,
     so each result is the same whichever rows are integrated with it.
     Warns when a row ends above its tolerance.
+
+    The first call evaluates each row's panel and its left spine: the
+    halves of the panel, of its left half and of its left quarter (to
+    depth _SPINE). A round that splits a spine panel takes its halves
+    from there; every round makes one call at most, for the halves not
+    evaluated yet. The decisions and sums are those of plain bisection.
     """
     n = upper.size
     rows = np.arange(n)
-    panels = _row_panels(f, rows, lower, upper)
+    # spine panel j is [lower, ends[j]], its halves [lower, ends[j + 1]] and [ends[j + 1], ends[j]]
+    ends = [upper]
+    for _ in range(_SPINE):
+        ends.append(0.5 * (lower + ends[-1]))
+    lo = [lower] + [x for j in range(_SPINE) for x in (lower, ends[j + 1])]
+    hi = [upper] + [x for j in range(_SPINE) for x in (ends[j + 1], ends[j])]
+    first = _row_panels(f, np.tile(rows, len(lo)), np.concatenate(lo), np.concatenate(hi))
+    panels = first[:, :n]
+    # the halves of a row's spine panel j are columns n*(1 + 2j) + row and n*(2 + 2j) + row
+    ends = np.array(ends[:_SPINE]).T  # ends[row, j]
     while True:
         a, b, val, err, rnd = panels
         total = np.bincount(rows, val, n)
@@ -249,11 +300,20 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
         split &= (err > (tol / count)[rows]) & (err > rnd)
         if not split.any():
             break
-        halves_of = np.tile(rows[split], 2)
-        mid = 0.5 * (a[split] + b[split])
-        lo, hi = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
-        halves = _row_panels(f, halves_of, lo, hi)
-        rows = np.concatenate((rows[~split], halves_of))
+        of, a, b = rows[split], a[split], b[split]
+        # a split spine panel takes its halves from the first call
+        spine = (a == lower[of])[:, None] & (b[:, None] == ends[of])
+        hit = spine.any(axis=1)
+        left = n * (1 + 2 * spine.argmax(axis=1)[hit]) + of[hit]
+        stored = np.tile(hit, 2)
+        halves = np.empty((5, stored.size))
+        halves[:, stored] = first[:, np.concatenate((left, left + n))]
+        if not hit.all():
+            a, b = a[~hit], b[~hit]
+            mid = 0.5 * (a + b)
+            halves[:, ~stored] = _row_panels(f, np.tile(of[~hit], 2), np.concatenate((a, mid)),
+                                             np.concatenate((mid, b)))
+        rows = np.concatenate((rows[~split], of, of))
         panels = np.concatenate((panels[:, ~split], halves), axis=1)
     if unmet.any():
         warnings.warn(

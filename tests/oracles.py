@@ -13,7 +13,8 @@ magnitude form (fed the mode's field values as plain numbers), the wire
 mode's normalization integral from closed-form Lommel integrals,
 finite-difference ground states of harmonically confined carriers, and
 the wire's quasi-static background as one scalar adaptive quadrature per
-azimuthal harmonic, the planar contour quadrature as one scipy
+azimuthal harmonic, plain adaptive bisection of one row at a time on
+scipy's G10/K21 panel rule, the planar contour quadrature as one scipy
 `quad_vec` call per contour segment, and the planar ladder integrand in
 its scalar Python form. None of it routes through the package modules,
 so a library bug cannot cancel against an oracle bug.
@@ -26,10 +27,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad, quad_vec
+from scipy.integrate._quad_vec import _max_norm, _quadrature_gk21
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import ive, kv, kve
 
@@ -563,10 +566,62 @@ def harmonic_envelope_moment(sigma_e: float, mass_ratio: float, shift: float,
     return float(sigma_h), float(abs(centroid - z0))
 
 
+# ------------------------------------------------------- row quadrature
+
+
+def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
+    """`mesoqed.quadrature.quad` as plain bisection, one row and one panel at a time.
+
+    Each panel is scipy's G10/K21 rule on the row's integrand
+    f(np.array([x]), np.array([row])). While a row's summed error
+    estimate exceeds rel_tol times its value and it holds fewer than 400
+    panels, every panel whose error exceeds the row's tolerance over its
+    panel count, and its own roundoff estimate, is halved. A row keeps
+    its unsplit panels in order, then the left halves, then the right
+    halves, and sums values and errors in that order from 0.0, as
+    `quad` sums all rows. Warns as `quad` does.
+    """
+    totals, unmet = [], 0
+    for row, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
+        def g(x, row=row):
+            return f(np.array([x]), np.array([row]))
+
+        def panel(a, b):
+            value, err, rnd = _quadrature_gk21(a, b, g, _max_norm)
+            return a, b, float(value[0]), err, rnd
+
+        panels = [panel(lo, hi)]
+        while True:
+            total = err_sum = 0.0
+            for _, _, value, err, _ in panels:
+                total += value
+                err_sum += err
+            tol = rel_tol * abs(total)
+            if not err_sum > tol or len(panels) >= 400:
+                break
+            cut = [err > tol / len(panels) and err > rnd for _, _, _, err, rnd in panels]
+            if not any(cut):
+                break
+            split = [p[:2] for p, c in zip(panels, cut) if c]
+            panels = ([p for p, c in zip(panels, cut) if not c]
+                      + [panel(a, 0.5 * (a + b)) for a, b in split]
+                      + [panel(0.5 * (a + b), b) for a, b in split])
+        totals.append(total)
+        unmet += err_sum > tol
+    if unmet:
+        warnings.warn(
+            f"{unmet} of {len(totals)} integrals stopped above the relative "
+            f"tolerance {rel_tol:g} (roundoff or 400 panels)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return np.array(totals)
+
+
 # ---------------------------------------------------- contour quadrature
 
 
-def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
+def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
     """The contour quadrature by scipy: one quad_vec call per interval.
 
     This is how the planar interface integrated its contour segments
@@ -574,7 +629,8 @@ def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float) -> list:
     one node at a time: the array integrand f(x, k) gets each node as a
     size-1 array. Same signature and result as
     `mesoqed.quadrature.quad_vec`, so a test can put it in place of
-    `halfspace.quad_vec`.
+    `halfspace.quad_vec`; `ahead` only schedules nodes there, so it is
+    ignored here.
     """
     def at(x, k):
         return f(np.array([x]), np.array([k]))[0]

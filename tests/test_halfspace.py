@@ -360,8 +360,9 @@ def test_interface_point_equals_scipy_quad_vec_bitwise(monkeypatch, lower, rel_t
         c = halfspace._contour(g)
         ref = oracles.scalar_ladder_integrand(c.k0, c.k1, c.eps1, c.eps2, c.k_b, c.delta, g.h)
 
-        def scalar_quad_vec(f, bounds, epsabs, epsrel, ref=ref):
-            # scipy on the scalar reference: interval k of one height is segment k
+        def scalar_quad_vec(f, bounds, epsabs, epsrel, ahead=(), ref=ref):
+            # scipy on the scalar reference: interval k of one height is
+            # segment k; the look-ahead moves no value, so it is ignored
             return [scipy_quad_vec(lambda x, k=k: ref(x, k), a, b, epsabs=epsabs,
                                    epsrel=epsrel, norm="max")
                     for k, (a, b) in enumerate(bounds)]
@@ -450,10 +451,13 @@ def test_sweep_equals_one_height_at_a_time_bitwise(monkeypatch):
     assert swept == [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
 
 
-@pytest.mark.parametrize("h, calls, nodes", [(20.0, 2, 273), (317.3, 2, 231), (884.8, 3, 399)])
+@pytest.mark.parametrize("h, calls, nodes", [(20.0, 2, 399), (317.3, 1, 357), (884.8, 2, 441)])
 def test_one_height_makes_one_integrand_call_per_split_round(monkeypatch, h, calls, nodes):
     # the first call holds each segment's panel and both its halves, 63
-    # nodes a segment, so that round's split needs no call of its own
+    # nodes a segment, and for the radiative and ellipse segments also
+    # the halves of both halves, 147 nodes each: the first round's split
+    # needs no call of its own, nor the second's where it splits none but
+    # those. Without the look-ahead: (2, 273), (2, 231) and (3, 399)
     sizes = []
     quad_vec = halfspace.quad_vec
 
@@ -462,8 +466,61 @@ def test_one_height_makes_one_integrand_call_per_split_round(monkeypatch, h, cal
 
     monkeypatch.setattr(halfspace, "quad_vec", counted)
     interface_point(paper_interface(h), MOMENTS)
-    assert sizes[0] == 3 * 63
+    assert sizes[0] == 2 * 147 + 63
     assert (len(sizes), sum(sizes)) == (calls, nodes)
+
+
+def test_many_height_block_takes_no_look_ahead(monkeypatch):
+    # a block of two heights shares each round's call, so it makes the
+    # calls of quadrature without look-ahead, node for node
+    heights = [20.0, 884.8]
+    quad_vec = halfspace.quad_vec
+
+    def calls(**forced):
+        made = []
+
+        def recording(f, bounds, **kwargs):
+            def g(x, k):
+                made.append((x.tobytes(), k.tobytes()))
+                return f(x, k)
+            return quad_vec(g, bounds, **{**kwargs, **forced})
+
+        monkeypatch.setattr(halfspace, "quad_vec", recording)
+        list(halfspace.interface_sweep(paper_interface(1.0), heights, MOMENTS))
+        return made
+
+    made = calls()
+    assert [len(x) // 8 for x, _ in made] == [378, 210, 84]
+    assert made == calls(ahead=())
+
+
+def test_overflow_at_a_look_ahead_node_changes_no_outcome(monkeypatch):
+    # at 317.3 nm the look-ahead evaluates 126 nodes that the adaptive
+    # process never reaches. An integrand that overflows at those alone
+    # fails the first call; the height then runs without look-ahead and
+    # gives the point that quadrature without look-ahead gives
+    geom = paper_interface(317.3)
+    want = point_bits(interface_point(geom, MOMENTS))
+    ladder = halfspace._ladder
+    reached = set()
+
+    def reaching(col, phi):
+        reached.update(col.kp.tolist())
+        return ladder(col, phi)
+
+    halfspace._lockstep(halfspace._contour(geom), [geom.h], reaching, 1e-8, ahead=False)
+    failed = []
+
+    def overflowing(col, phi):
+        unreached = set(col.kp.tolist()) - reached
+        if unreached:
+            failed.append((col.kp.size, len(unreached)))
+            raise OverflowError("a look-ahead node overflows")
+        return ladder(col, phi)
+
+    monkeypatch.setattr(halfspace, "_ladder", overflowing)
+    assert point_bits(interface_point(geom, MOMENTS)) == want
+    assert failed == [(357, 126)]
 
 
 def test_interface_point_keeps_no_instance_dicts():

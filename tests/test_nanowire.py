@@ -722,6 +722,26 @@ def test_background_makes_one_quad_call_at_default_m_max(monkeypatch):
     assert len(calls) == 2 * 581 and set(calls) == {1}
 
 
+@pytest.mark.parametrize("d, orientation, calls, nodes", [
+    (20.0, AXIAL, 7, 4368), (20.0, RADIAL, 7, 4641), (155.0, AXIAL, 5, 2142),
+])
+def test_background_integrand_calls(monkeypatch, d, orientation, calls, nodes):
+    # every row of the background decays from k = 0, so its first three
+    # split rounds split its leftmost panel, whose halves the first call
+    # evaluated with the row's left spine. Plain bisection makes 10, 10
+    # and 8 calls on 4368, 4599 and 2142 nodes; at 20 nm radial one
+    # pair of halves of one row's spine goes unused (42 nodes)
+    sizes = []
+    real_quad = nanowire.quad
+
+    def counting_quad(func, *args):
+        return real_quad(lambda k, row: (sizes.append(k.size), func(k, row))[1], *args)
+
+    monkeypatch.setattr(nanowire, "quad", counting_quad)
+    quasistatic_background(GEOM, d, orientation)
+    assert (len(sizes), sum(sizes)) == (calls, nodes)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": math.nan}, {"rel_tol": 0.0}, {"rel_tol": -1e-8}, {"rel_tol": math.inf},
 ])

@@ -3,7 +3,9 @@
 `quadrature.quad_vec` must reproduce scipy's max-norm quad_vec decision
 for decision, so value and error estimate are compared bitwise (sign of
 zero included), never to a tolerance. `quadrature.quad` shares the panel
-rule; its rows must not depend on each other.
+rule; its rows must not depend on each other. Both drivers look ahead on
+their first call, which must move no bit: `quad` is compared bitwise
+with plain per-row bisection (`oracles.bisection_quad`).
 """
 
 import math
@@ -14,7 +16,8 @@ import pytest
 from scipy.integrate import quad_vec as scipy_quad_vec
 from scipy.integrate._quad_vec import _max_norm, _quadrature_gk21
 
-from mesoqed.quadrature import _gk21, _row_panels, quad, quad_vec
+import oracles
+from mesoqed.quadrature import _gk21, _nodes, _row_panels, quad, quad_vec
 
 ALPHA = np.linspace(0.1, 3.0, 4)
 
@@ -69,11 +72,14 @@ def test_panel_rule_matches_scipy_bitwise():
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 @pytest.mark.parametrize("epsrel, epsabs", [(1e-8, 1e-200), (1e-10, 1e-12), (1e-13, 0.0)])
 def test_matches_scipy_bitwise(name, epsrel, epsabs):
+    # the look-ahead only moves where nodes are evaluated, never a value
     g, a, b = INTEGRANDS[name]
     want, want_err = scipy_quad_vec(g, a, b, epsabs=epsabs, epsrel=epsrel, norm="max")
-    [(got, got_err)] = quad_vec(per_node(g), [(a, b)], epsabs=epsabs, epsrel=epsrel)
-    assert bits(got) == bits(want)
-    assert got_err == want_err
+    for ahead in ((), (0,)):
+        [(got, got_err)] = quad_vec(per_node(g), [(a, b)], epsabs=epsabs, epsrel=epsrel,
+                                    ahead=ahead)
+        assert bits(got) == bits(want)
+        assert got_err == want_err
 
 
 def test_rounding_error_stop_matches_scipy():
@@ -117,26 +123,46 @@ def test_non_finite_stop_matches_scipy(g):
 
 def test_intervals_in_lockstep_match_scipy_one_by_one():
     # the intervals split different numbers of panels per round and stop
-    # in different rounds; each still equals its own scipy run
+    # in different rounds; each still equals its own scipy run and
+    # evaluates scipy's nodes, none twice. With look-ahead it may also
+    # evaluate quarters that scipy never reaches, all in the first call:
+    # one of the peaked interval's, both of the smooth one's, which stops
+    # after its first split
     gs = [lambda x: np.sin(50.0 * x) * np.exp(1j * x * ALPHA[:2]),
           INTEGRANDS["endpoint-peaked"][0],
           lambda x: np.array([complex(math.cos(x), -x), -0.0j])]
     bounds = [(0.0, 3.0), (0.0, 1.0), (-1.0, 2.0)]
-    calls = []
+    wanted = []
+    for g, (a, b) in zip(gs, bounds):
+        scipy_nodes = []
 
-    def f(x, k):
-        # one call per round holds the nodes of every interval still splitting
-        calls.append(k)
-        return np.array([gs[interval](node) for node, interval in zip(x.tolist(), k.tolist())])
+        def recorded(x, g=g):
+            scipy_nodes.append(x)
+            return g(x)
 
-    got = quad_vec(f, bounds, epsabs=1e-12, epsrel=1e-10)
-    assert any(np.unique(k).size > 1 for k in calls)
-    for k, ((value, err), g, (a, b)) in enumerate(zip(got, gs, bounds)):
-        want, want_err, info = scipy_quad_vec(g, a, b, epsabs=1e-12, epsrel=1e-10, norm="max",
-                                              full_output=True)
-        assert bits(value) == bits(want)
-        assert err == want_err
-        assert sum(np.count_nonzero(ks == k) for ks in calls) == info.neval
+        *want, info = scipy_quad_vec(recorded, a, b, epsabs=1e-12, epsrel=1e-10, norm="max",
+                                     full_output=True)
+        wanted.append((want, info.neval, set(scipy_nodes)))
+    for ahead, unused in (((), (0, 0, 0)), ((0, 1, 2), (0, 42, 84))):
+        calls = []
+
+        def f(x, k):
+            # one call per round holds the nodes of every interval still splitting
+            calls.append((x, k))
+            return np.array([gs[interval](node)
+                             for node, interval in zip(x.tolist(), k.tolist())])
+
+        got = quad_vec(f, bounds, epsabs=1e-12, epsrel=1e-10, ahead=ahead)
+        assert any(np.unique(k).size > 1 for _, k in calls)
+        for k, ((value, err), ((want, want_err), neval, scipy_nodes)) in enumerate(
+                zip(got, wanted)):
+            assert bits(value) == bits(want)
+            assert err == want_err
+            nodes = np.concatenate([x[ks == k] for x, ks in calls])
+            extra = set(nodes.tolist()) - scipy_nodes
+            assert np.unique(nodes).size == nodes.size == neval + len(extra)
+            assert len(extra) == unused[k]
+            assert extra <= set(calls[0][0][calls[0][1] == k].tolist())
 
 
 def test_zero_integrand_splits_up_to_the_interval_limit():
@@ -193,17 +219,19 @@ def test_zero_integrand_makes_one_call_per_split_round():
     # each interval splits 1, 2, 4, ..., 64 panels in 7 rounds, then 128
     # per round in 78 more up to 10112 panels: 85 rounds, in lockstep.
     # The first call brings the first round's halves, so 85 calls where
-    # evaluating the first panels alone would take 86
-    calls = []
+    # evaluating the first panels alone would take 86; with look-ahead
+    # it brings the second round's quarters as well, so 84
+    for ahead, first, rounds in (((), [2 * 63, 2 * 2 * 42], 85), ((0, 1), [2 * 147], 84)):
+        calls = []
 
-    def f(x, k):
-        calls.append(x.size)
-        return np.zeros((x.size, 1))
+        def f(x, k):
+            calls.append(x.size)
+            return np.zeros((x.size, 1))
 
-    quad_vec(f, [(0.0, 1.0), (-1.0, 0.5)], epsabs=0.0, epsrel=1e-8)
-    assert len(calls) == 85
-    assert calls[:3] == [2 * 63, 2 * 2 * 42, 2 * 4 * 42]
-    assert sum(calls) == 2 * (21 + 42 * 10111)
+        quad_vec(f, [(0.0, 1.0), (-1.0, 0.5)], epsabs=0.0, epsrel=1e-8, ahead=ahead)
+        assert len(calls) == rounds
+        assert calls[:len(first) + 1] == first + [2 * 4 * 42]
+        assert sum(calls) == 2 * (21 + 42 * 10111)
 
 
 def test_quad_rows_are_independent():
@@ -245,3 +273,92 @@ def test_quad_warns_once_for_rows_above_tolerance(rel_tol, unmet):
     assert panels < 1600
     if unmet == 1:
         assert panels >= 400
+
+
+# each kind of row a bisection meets: `quad` evaluates every row's left
+# spine on its first call, and the rows take it or leave it
+SPINE_ROWS = {
+    # refines toward its left end, past the spine's depth
+    "left": (lambda x: 1.0 / (1e-6 + x * x), 0.0, 1.0),
+    # refines toward its right end: only the spine's first halves are used
+    "right": (lambda x: 1.0 / (1e-6 + (3.0 - x) * (3.0 - x)), 0.0, 3.0),
+    "interior": (lambda x: 1.0 / (1e-6 + (x - 1.3) * (x - 1.3)), -0.5, 3.0),
+    # exact on its first panel, so it never splits and its spine goes unused
+    "first panel": (lambda x: 1.0 + x * x, 0.2, 2.0),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-17])
+def test_quad_spine_replays_plain_bisection(rel_tol):
+    # each kind alone and all four together: bitwise the totals and the
+    # warnings of plain per-row bisection. At 1e-17, below the roundoff
+    # estimate, every row stops above its tolerance. The left row alone
+    # splits only its spine in its first three split rounds, so it makes
+    # three calls fewer than the 10 (at 1e-10) and 11 (at 1e-17) of
+    # plain bisection's one call per round
+    for names in [[name] for name in SPINE_ROWS] + [list(SPINE_ROWS)]:
+        gs = [SPINE_ROWS[name][0] for name in names]
+        lower = np.array([SPINE_ROWS[name][1] for name in names])
+        upper = np.array([SPINE_ROWS[name][2] for name in names])
+        calls = []
+
+        def f(x, row):
+            calls.append(x.size)
+            return np.stack([g(x) for g in gs])[row, np.arange(x.size)]
+
+        results = []
+        for integrate in (quad, oracles.bisection_quad):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                total = integrate(f, lower, upper, rel_tol)
+            results.append((bits(total), [(w.category, str(w.message)) for w in caught]))
+            if integrate is quad and names == ["left"]:
+                assert len(calls) == {1e-10: 7, 1e-17: 8}[rel_tol]
+        assert results[0] == results[1], names
+        assert len(results[0][1]) == (rel_tol == 1e-17)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+def test_quad_rows_that_stop_within_their_spine(rel_tol):
+    # rows falling off from their lower ends split nothing but their
+    # spine and stop within three split rounds, so one call serves them
+    # all. Their sums still follow plain bisection's panel order: taking
+    # a spine pair's halves the wrong way round moves 2 to 4 totals
+    w = np.geomspace(0.01, 3.0, 30)
+    calls = []
+
+    def f(x, row):
+        calls.append(x.size)
+        return 1.0 / (w[row] + x * x * x)
+
+    lower, upper = np.zeros(w.size), np.full(w.size, 2.0)
+    got = quad(f, lower, upper, rel_tol)
+    assert calls == [147 * w.size]
+    assert bits(got) == bits(oracles.bisection_quad(f, lower, upper, rel_tol))
+
+
+def test_quad_first_call_evaluates_each_row_and_its_left_spine():
+    # 7 panels a row: its own, the halves of it, of its left half and of
+    # its left quarter, 147 nodes with none twice; rows starting at 0
+    # and elsewhere
+    rows = []
+
+    def f(x, row):
+        rows.append((x, row))
+        return np.cos(3.0 * x)
+
+    lower, upper = np.array([0.0, 0.2, -1.0]), np.array([3.0, 1.0, 2.0])
+    quad(f, lower, upper, 1e-10)
+    x, row = rows[0]
+    assert np.bincount(row).tolist() == [147, 147, 147]
+    for r, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
+        panels = [(lo, hi)]
+        end = hi
+        for _ in range(3):
+            mid = 0.5 * (lo + end)
+            panels += [(lo, mid), (mid, end)]
+            end = mid
+        want = _nodes(*map(np.array, zip(*panels)))[0].ravel()
+        got = x[row == r]
+        assert np.unique(got).size == got.size
+        assert sorted(got.tolist()) == sorted(want.tolist())

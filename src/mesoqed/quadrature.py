@@ -119,9 +119,11 @@ def _rule(fv: np.ndarray, h: np.ndarray) -> tuple:
     s_g = _sum_nodes(_WG * fv[:, 1::2])
     s_k_dabs = _sum_nodes(_WK * np.abs(fv - (s_k / 2.0)[:, None]))
     hc = h[:, None]
-    err = _max_norm((s_k - s_g) * hc).tolist()
-    dabs = _max_norm(s_k_dabs * hc).tolist()
-    rnd = _max_norm((_ROUND * h)[:, None] * s_k_abs).tolist()
+    # one component is its own max norm: `quad`'s rows skip the reduction
+    norm = _max_norm if fv.shape[-1] > 1 else lambda values: np.abs(values[:, 0])
+    err = norm((s_k - s_g) * hc).tolist()
+    dabs = norm(s_k_dabs * hc).tolist()
+    rnd = norm((_ROUND * h)[:, None] * s_k_abs).tolist()
     for i, (e, d, r) in enumerate(zip(err, dabs, rnd)):
         if d != 0 and e != 0:
             e = d * min(1.0, (200 * e / d) ** 1.5)
@@ -254,12 +256,6 @@ _ROW_LIMIT = 400  # panels per row of `quad`
 _SPINE = 3
 
 
-def _row_panels(f, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Panels [a, b] of `rows` as columns (a, b, value, error, roundoff)."""
-    values, errs, rnds = _panels(f, rows, a, b)
-    return np.array((a, b, values[:, 0], errs, rnds))
-
-
 def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
     """Integral over [lower[row], upper[row]] of each row's integrand, all rows at once.
 
@@ -274,9 +270,12 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
 
     The first call evaluates each row's panel and its left spine: the
     halves of the panel, of its left half and of its left quarter (to
-    depth _SPINE). A round that splits a spine panel takes its halves
-    from there; every round makes one call at most, for the halves not
-    evaluated yet. The decisions and sums are those of plain bisection.
+    depth _SPINE). Each panel carries its spine level, so a round that
+    splits a spine panel takes its halves from there; every round makes
+    one call at most, for the halves not evaluated yet. The decisions
+    and sums are those of plain bisection, and so is the panel order,
+    on which `np.bincount`'s sums depend: a round keeps the unsplit
+    panels in order, then the left halves, then the right halves.
     """
     n = upper.size
     rows = np.arange(n)
@@ -284,12 +283,16 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
     ends = [upper]
     for _ in range(_SPINE):
         ends.append(0.5 * (lower + ends[-1]))
-    lo = [lower] + [x for j in range(_SPINE) for x in (lower, ends[j + 1])]
-    hi = [upper] + [x for j in range(_SPINE) for x in (ends[j + 1], ends[j])]
-    first = _row_panels(f, np.tile(rows, len(lo)), np.concatenate(lo), np.concatenate(hi))
-    panels = first[:, :n]
-    # the halves of a row's spine panel j are columns n*(1 + 2j) + row and n*(2 + 2j) + row
-    ends = np.array(ends[:_SPINE]).T  # ends[row, j]
+    a = np.concatenate([lower] + [x for j in range(_SPINE) for x in (lower, ends[j + 1])])
+    b = np.concatenate([upper] + [x for j in range(_SPINE) for x in (ends[j + 1], ends[j])])
+    values, errs, rnds = _panels(f, np.tile(rows, 1 + 2 * _SPINE), a, b)
+    # per panel a, b, value, error, roundoff; the halves of a row's spine
+    # panel j are the first call's panels n*(1 + 2j) + row and n*(2 + 2j) + row
+    first = (a, b, values[:, 0], np.array(errs), np.array(rnds))
+    panels = [column[:n] for column in first]
+    # each panel's spine level: j for a row's spine panel j, and from _SPINE on
+    # for a panel whose halves the first call did not evaluate
+    level = np.zeros(n, dtype=np.intp)
     while True:
         a, b, val, err, rnd = panels
         total = np.bincount(rows, val, n)
@@ -300,21 +303,29 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
         split &= (err > (tol / count)[rows]) & (err > rnd)
         if not split.any():
             break
-        of, a, b = rows[split], a[split], b[split]
-        # a split spine panel takes its halves from the first call
-        spine = (a == lower[of])[:, None] & (b[:, None] == ends[of])
-        hit = spine.any(axis=1)
-        left = n * (1 + 2 * spine.argmax(axis=1)[hit]) + of[hit]
-        stored = np.tile(hit, 2)
-        halves = np.empty((5, stored.size))
-        halves[:, stored] = first[:, np.concatenate((left, left + n))]
-        if not hit.all():
-            a, b = a[~hit], b[~hit]
+        of, lv = rows[split], level[split]
+        # where each split panel's halves are: a spine panel's in the first call
+        left = n * (1 + 2 * lv) + of
+        right = left + n
+        pool = first
+        fresh = lv >= _SPINE
+        if fresh.any():
+            a, b, halved = a[split][fresh], b[split][fresh], of[fresh]
             mid = 0.5 * (a + b)
-            halves[:, ~stored] = _row_panels(f, np.tile(of[~hit], 2), np.concatenate((a, mid)),
-                                             np.concatenate((mid, b)))
-        rows = np.concatenate((rows[~split], of, of))
-        panels = np.concatenate((panels[:, ~split], halves), axis=1)
+            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+            values, errs, rnds = _panels(f, np.concatenate((halved, halved)), a, b)
+            # the new halves follow the first call's panels, left ones first
+            halves = (a, b, values[:, 0], np.array(errs), np.array(rnds))
+            pool = [np.concatenate(pair) for pair in zip(first, halves)]
+            start = first[0].size
+            left[fresh] = np.arange(start, start + halved.size)
+            right[fresh] = left[fresh] + halved.size
+        keep, take = ~split, np.concatenate((left, right))
+        panels = [np.concatenate((column[keep], source[take]))
+                  for column, source in zip(panels, pool)]
+        rows = np.concatenate((rows[keep], of, of))
+        # a left half goes one level down the spine, a right half leaves it
+        level = np.concatenate((level[keep], lv + 1, lv + _SPINE))
     if unmet.any():
         warnings.warn(
             f"{np.count_nonzero(unmet)} of {n} integrals stopped above the relative "

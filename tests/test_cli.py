@@ -842,14 +842,16 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
 
 def test_interface_and_moments_leave_scipy_and_the_pool_out(tmp_path):
     # a fresh interpreter: importing the CLI, a one-point interface sweep
-    # and moments load neither scipy nor the process pool's module; the
-    # wire's first Bessel call (report, then nanowire-sweep) loads
-    # scipy.special, and both still print the golden output
-    absent = ("scipy", "scipy.special", "concurrent.futures.process")
+    # and moments load neither scipy nor the process pool's nor the
+    # thread pool's module, and start no thread; the wire's first Bessel
+    # call (report, then nanowire-sweep) loads scipy.special, and both
+    # still print the golden output
+    absent = ("scipy", "scipy.special", "concurrent.futures.process", "concurrent.futures.thread")
     code = (
-        "import json, sys\n"
+        "import json, sys, threading\n"
         "from mesoqed.cli import main\n"
-        f"loaded = lambda: json.dumps([name in sys.modules for name in {absent!r}])\n"
+        f"loaded = lambda: json.dumps([name in sys.modules for name in {absent!r}]"
+        " + [threading.active_count()])\n"
         "print(loaded())\n"
         f"assert main(['interface-sweep', '--range', '20:21:5', '--out', "
         f"{str(tmp_path / 'iface.csv')!r}]) == 0\n"
@@ -864,7 +866,7 @@ def test_interface_and_moments_leave_scipy_and_the_pool_out(tmp_path):
                           timeout=300, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     before, after_interface, after_wire = proc.stdout.split("\n")[:3]
-    assert json.loads(before) == json.loads(after_interface) == [False, False, False]
+    assert json.loads(before) == json.loads(after_interface) == [False, False, False, False, 1]
     assert after_wire == "True"
     assert (tmp_path / "iface.csv").read_text(encoding="utf-8") == \
         run_text(["interface-sweep", "--range", "20:21:5"], tmp_path, "iface-ref.csv")
@@ -900,6 +902,18 @@ def test_import_loads_only_what_the_module_imports(module, heavy):
     assert heavy not in loaded
     if module == "mesoqed":
         assert not {name for name in loaded if name.startswith("mesoqed.")}
+
+
+def test_importing_the_package_starts_no_thread():
+    # specfun's worker thread starts with the first large background
+    # batch, not at import, and its pool module loads with it
+    code = ("import json, sys, threading, mesoqed.cli, mesoqed.nanowire, mesoqed.specfun\n"
+            "print(json.dumps([threading.active_count(),"
+            " 'concurrent.futures.thread' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, False]
 
 
 STALLED = ["nanowire-sweep", "--range", "10:11:5"]

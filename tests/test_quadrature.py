@@ -17,7 +17,7 @@ from scipy.integrate import quad_vec as scipy_quad_vec
 from scipy.integrate._quad_vec import _max_norm, _quadrature_gk21
 
 import oracles
-from mesoqed.quadrature import _gk21, _nodes, _row_panels, quad, quad_vec
+from mesoqed.quadrature import _gk21, _nodes, _panels, quad, quad_vec
 
 ALPHA = np.linspace(0.1, 3.0, 4)
 
@@ -61,8 +61,8 @@ def test_panel_rule_matches_scipy_bitwise():
 
     a = np.array([p[1] for p in panels])
     b = np.array([p[2] for p in panels])
-    columns = _row_panels(lambda x, row: real(x), np.arange(a.size), a, b)
-    for lo, hi, value, err, rnd in columns.T:
+    values, errs, rnds = _panels(lambda x, row: real(x), np.arange(a.size), a, b)
+    for lo, hi, value, err, rnd in zip(a, b, values[:, 0], errs, rnds):
         want, want_err, want_rnd = _quadrature_gk21(lo, hi, lambda x: np.array([real(x)]),
                                                     _max_norm)
         assert bits(value) == bits(want[0])

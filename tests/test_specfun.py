@@ -8,6 +8,9 @@ library wraps just the modified pair I/K.
 """
 
 import math
+import os
+import time
+import types
 import warnings
 
 import numpy as np
@@ -18,6 +21,7 @@ from scipy.special import i1e, iv, ive, k0e, k1e, kve
 
 import oracles
 from companions import bessel_j, hankel1
+from mesoqed import specfun
 from mesoqed.errors import OutOfDomainError, ParameterError
 from mesoqed.specfun import (_background_node, bessel_i, bessel_ik, bessel_ik_scaled, bessel_k,
                              bessel_k_scaled)
@@ -405,6 +409,65 @@ def test_k_ladder_overflow_raises_without_warning():
                         ([250], [1200.0], [1e-3])):
             with pytest.raises(OutOfDomainError, match="double range"):
                 _node(m, x, y)
+
+
+OVERFLOWS = (([250], [1e-3], [1.0]), ([3, 250], [1.0, 1e-3], [2.0, 2.0]),
+             ([250], [1200.0], [1e-3]))
+
+
+@pytest.mark.parametrize("overlap", [0, 10**9])
+def test_overflow_raises_on_either_side_of_the_overlap(monkeypatch, overlap):
+    # each overflow case, alone and repeated into a batch of 300 or 600
+    # nodes, raises without a warning whether the worker thread takes a
+    # share of I (_OVERLAP 0) or not, and leaves no worker call pending
+    futures = []
+    executor = specfun._worker()
+
+    def submit(*args):
+        futures.append(executor.submit(*args))
+        return futures[-1]
+
+    worker = types.SimpleNamespace(submit=submit)
+    monkeypatch.setattr(specfun, "_worker", lambda: worker)
+    monkeypatch.setattr(specfun, "_OVERLAP", overlap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, x, y in OVERFLOWS:
+            for times in (1, 300):
+                with pytest.raises(OutOfDomainError, match="double range"):
+                    _node(m * times, x * times, y * times)
+    assert len(futures) == (0 if overlap else 4)
+    assert all(future.done() for future in futures)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX only")
+def test_forked_child_starts_its_own_worker():
+    # the parent's worker thread is not in a forked child: the child
+    # starts its own and gets the parent's bits, where the parent's
+    # executor would leave the call waiting for a thread it does not have
+    rng = np.random.default_rng(34)
+    m = rng.integers(0, 31, 2000)
+    x = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 2000))
+    want = [v.tobytes() for v in _background_node(m, x, 2.0 * x)]
+    with warnings.catch_warnings():
+        # Python 3.12 warns that a process with threads forks
+        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if [v.tobytes() for v in _background_node(m, x, 2.0 * x)] == want else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not done[0]:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the forked child hung"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_i1_scaled_is_the_order_one_i():

@@ -289,65 +289,49 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
     radiative or ellipse node only when no height before has used it.
 
     Every height's segments are intervals of one quad_vec call, so one
-    call of fn per round evaluates the nodes of all heights. A block of
-    one height looks ahead on its radiative and ellipse segments (see
-    `_lockstep`). Returns, per height, (radiative part, evanescent part,
+    call of fn per round evaluates the nodes of all heights; a block of
+    one height looks ahead on its radiative and ellipse segments, whose
+    columns the memo holds. If a block overflows, each of its heights
+    runs alone. Returns, per height, (radiative part, evanescent part,
     accumulated error estimate), or the ConvergenceError of that height.
     """
     try:
-        return _lockstep(c, heights, fn, rel_tol, ahead=len(heights) == 1)
+        # each height's segments are intervals in a row: radiative, ellipse(, tail)
+        bounds, segment_of, height_of, counts = [], [], [], []
+        for h in heights:
+            ends = [(0.0, 0.5 * math.pi), (0.0, 1.0)]
+            t_max = math.asinh(_TAIL_EXPONENT / (2.0 * c.k1 * h))
+            if t_max > c.t_b:
+                ends.append((c.t_b, t_max))
+            bounds += ends
+            segment_of += range(len(ends))
+            height_of += [h] * len(ends)
+            counts.append(len(ends))
+        segment_of = np.array(segment_of)
+        height_of = np.array(height_of)
+
+        def integrand(x, k):
+            segment = segment_of[k]
+            columns = np.empty((_ROWS, x.size), dtype=complex)
+            for s in np.flatnonzero(np.bincount(segment)).tolist():
+                on = segment == s
+                columns[:, on] = c.columns(s, x[on])
+            columns = _Columns(*columns[:7], columns[7:])
+            return fn(columns, np.exp(_mul(columns.two_i_kz1, height_of[k])))
+
+        eps_abs = rel_tol * c.norm
+        # a non-finite value fails the error test below, so numpy need not warn of it
+        with np.errstate(all="ignore"):
+            parts = iter(quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol,
+                                  ahead=(0, 1) if len(heights) == 1 else ()))
     except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
         if len(heights) > 1:
             # one height at a time: only those whose integrand overflows fail
             return [out for h in heights
                     for out in _integrate_contour(c, [h], fn, rel_tol)]
-        try:
-            # the look-ahead evaluates nodes that the adaptive process may never reach
-            return _lockstep(c, heights, fn, rel_tol, ahead=False)
-        except (OverflowError, ZeroDivisionError) as exc:
-            failure = ConvergenceError(f"k_par integrand overflows at h = {heights[0]:g} nm")
-            failure.__cause__ = exc
-            return [failure]
-
-
-def _lockstep(c: _Contour, heights: list, fn, rel_tol: float, ahead: bool) -> list:
-    """`_integrate_contour`'s quadrature, with or without look-ahead.
-
-    With `ahead`, the first call also evaluates the halves of both halves
-    of the radiative and ellipse segments of the (one) height: their node
-    columns come from the memo, so only the height stage is paid, and the
-    second round takes them instead of calling fn. A block of many heights
-    shares each round's call anyway, and there the look-ahead costs more
-    than it saves.
-    """
-    # each height's segments are intervals in a row: radiative, ellipse(, tail)
-    bounds, segment_of, height_of, counts = [], [], [], []
-    for h in heights:
-        ends = [(0.0, 0.5 * math.pi), (0.0, 1.0)]
-        t_max = math.asinh(_TAIL_EXPONENT / (2.0 * c.k1 * h))
-        if t_max > c.t_b:
-            ends.append((c.t_b, t_max))
-        bounds += ends
-        segment_of += range(len(ends))
-        height_of += [h] * len(ends)
-        counts.append(len(ends))
-    segment_of = np.array(segment_of)
-    height_of = np.array(height_of)
-
-    def integrand(x, k):
-        segment = segment_of[k]
-        columns = np.empty((_ROWS, x.size), dtype=complex)
-        for s in np.flatnonzero(np.bincount(segment)).tolist():
-            on = segment == s
-            columns[:, on] = c.columns(s, x[on])
-        columns = _Columns(*columns[:7], columns[7:])
-        return fn(columns, np.exp(_mul(columns.two_i_kz1, height_of[k])))
-
-    eps_abs = rel_tol * c.norm
-    # a non-finite value fails the error test below, so numpy need not warn of it
-    with np.errstate(all="ignore"):
-        parts = iter(quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol,
-                              ahead=(0, 1) if ahead else ()))
+        failure = ConvergenceError(f"k_par integrand overflows at h = {heights[0]:g} nm")
+        failure.__cause__ = exc
+        return [failure]
     outcomes = []
     for n in counts:
         (rad, err), (evan, err_b), *tail = (next(parts) for _ in range(n))

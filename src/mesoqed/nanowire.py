@@ -441,10 +441,10 @@ def quasistatic_background(
     `_harmonic_chunks`).  After each chunk the series stops at the
     first m >= 2 where terms m-1 and m both fall below 1e-10 of the
     partial sum through m.  If that has not happened at m = 30 (fixed,
-    not scaled with rho/d), a last term above 1e-6 of the sum raises
-    ConvergenceError and a smaller one is accepted with a
-    RuntimeWarning that names d, m_max and the last term's share of
-    the sum.  A harmonic that cannot reach `rel_tol` (roundoff, or 400
+    not scaled with rho/d), a sum that is not finite or whose last term
+    is above 1e-6 of it raises ConvergenceError, and a smaller last
+    term is accepted with a RuntimeWarning that names d, m_max and the
+    last term's share of the sum.  A harmonic that cannot reach `rel_tol` (roundoff, or 400
     panels) is kept with a RuntimeWarning.
 
     Per quadrature node the integrand takes its Bessel values in real
@@ -483,7 +483,9 @@ def quasistatic_background(
         # transition at k ~ m/rho
         k_up = 30.0 / d + 2.0 * ms / rho
         weight = np.where(ms == 0, 1.0, 2.0)
-        return pref * weight * quad(integrand, np.zeros(ms.size), k_up, rel_tol)
+        # a non-finite term fails the verdict below, so numpy need not warn of it
+        with np.errstate(all="ignore"):
+            return pref * weight * quad(integrand, np.zeros(ms.size), k_up, rel_tol)
 
     pref = -3.0 / (math.pi * k1**3)
     terms = np.empty(0)
@@ -496,9 +498,11 @@ def quasistatic_background(
         if stop.size:
             return 1.0 + float(partial[stop[0] + 2])
     scale = abs(partial[-1]) + 1e-300
-    if abs(terms[-1]) > _QS_STALL_TOL * scale:
+    finite = math.isfinite(scale)
+    if not (finite and abs(terms[-1]) <= _QS_STALL_TOL * scale):
         raise ConvergenceError(
-            f"azimuthal harmonic sum still moving at m_max={_QS_M_MAX}; "
+            f"azimuthal harmonic sum {'still moving' if finite else 'not finite'} "
+            f"at m_max={_QS_M_MAX}; "
             f"last partial sums [{', '.join(f'{p:.6g}' for p in partial[-4:])}]"
         )
     warnings.warn(

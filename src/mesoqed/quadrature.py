@@ -16,7 +16,9 @@ panel takes its halves from there. Every split decision, sum, stop and
 warning is that of the plain process, computed with the same midpoint
 arithmetic; only the call a node is evaluated in moves, and a panel
 looked ahead but never split costs its nodes. So the integrand's value
-at a node must not depend on the other nodes of its call.
+at a node must not depend on the other nodes of its call. If a node
+looked ahead raises, `quad_vec` makes its first call again without the
+look-ahead (`quad`'s array integrands do not raise).
 
 `quad_vec` integrates one vector integrand over several finite intervals
 and gives, for each interval, exactly what scipy's
@@ -228,11 +230,19 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
     whose indices are in `ahead` it also evaluates the halves of both
     halves, which the second round takes if it splits them. Every later
     round makes one call at most, for the halves of the panels it splits
-    that are not evaluated yet.
+    that are not evaluated yet. A first call that looked ahead and raises
+    an ArithmeticError is made again on the panels and halves alone, so
+    only a node the plain process reaches can raise.
     """
     panels = [(k, a, b) for k, (a, b) in enumerate(bounds)]
     split = panels + [half for panel in panels if panel[0] in ahead for half in _halves(*panel)]
-    rules, pairs = _split_rules(f, panels, split)
+    try:
+        rules, pairs = _split_rules(f, panels, split)
+    except ArithmeticError:
+        if len(split) == len(panels):
+            raise
+        split = panels
+        rules, pairs = _split_rules(f, panels, split)
     procs = [_Interval(a, b, *rule) for (k, a, b), rule in zip(panels, rules)]
     ready = dict(zip(split, pairs))  # the halves evaluated before their panel is split
     active = list(range(len(panels)))

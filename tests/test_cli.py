@@ -646,6 +646,7 @@ ELLIPSE_OVERFLOW_ERR = ("mesoqed: numerical failure: h = 1e-58: "
     (["dispersion", "--lambda0", "1e-320"], 2),
     (["field-map", "--lambda0", "1e-320", "--nr", "2", "--nz", "2"], 2),
     (["nanowire-sweep", "--lambda0", "1e-320", "--range", "20:21:5"], 2),
+    (["nanowire-sweep", "--range", "1e-7:2e-7:1e-7"], 3),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -668,7 +669,8 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # subcommand (extent, radius, ratio, wavelength) and an unknown
     # orientation on a metal with no bound mode, which is refused before
     # the mode solve, and a wavelength so short that 2*pi/lambda0
-    # overflows, which the geometry refuses for every subcommand: a
+    # overflows, which the geometry refuses for every subcommand, and a
+    # dipole so close to the wire that its background is NaN: a
     # message, never a traceback, a warning or a printed inf
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == code
@@ -676,6 +678,7 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     assert out.exists() == (code == 0)
     if code:
         assert err.startswith("mesoqed: ") and "Traceback" not in err
+        assert err.count("\n") == 1
     else:
         assert_numbers_finite(out.read_text(encoding="utf-8"))
     if argv == ELLIPSE_OVERFLOW:
@@ -712,6 +715,8 @@ FUZZ_FLAGS = {
     "sigma-e": EDGE_VALUES,
     "mass-ratio": EDGE_VALUES,
     "shift": EDGE_VALUES,
+    # one-point sweeps at extreme distances and heights
+    "range": ("1e-300:1.5e-300:1e-300", "1e-7:1.5e-7:1e-7", "1e300:1.5e300:1e300"),
 }
 FUZZ_COMMANDS = (
     ("interface-sweep", "--range", "20:21:5"),
@@ -777,6 +782,7 @@ def assert_numbers_finite(text):
 @example(run=(FUZZ_COMMANDS[4], {"zmin": "-1e300"}))
 @example(run=(FUZZ_COMMANDS[4], {"zmin": "-1e6"}))
 @example(run=(FUZZ_COMMANDS[0], {"ratio": "-1e2"}))
+@example(run=(FUZZ_COMMANDS[1], {"range": "1e-7:2e-7:1e-7"}))
 def test_cli_exits_0_2_or_3_on_edge_inputs(run):
     command, flags = run
 

@@ -497,18 +497,22 @@ def test_many_height_block_takes_no_look_ahead(monkeypatch):
 def test_overflow_at_a_look_ahead_node_changes_no_outcome(monkeypatch):
     # at 317.3 nm the look-ahead evaluates 126 nodes that the adaptive
     # process never reaches. An integrand that overflows at those alone
-    # fails the first call; the height then runs without look-ahead and
-    # gives the point that quadrature without look-ahead gives
+    # fails the first call; quad_vec makes it again without look-ahead,
+    # and the point is the one quadrature without look-ahead gives
     geom = paper_interface(317.3)
     want = point_bits(interface_point(geom, MOMENTS))
     ladder = halfspace._ladder
+    quad_vec = halfspace.quad_vec
     reached = set()
 
     def reaching(col, phi):
         reached.update(col.kp.tolist())
         return ladder(col, phi)
 
-    halfspace._lockstep(halfspace._contour(geom), [geom.h], reaching, 1e-8, ahead=False)
+    monkeypatch.setattr(halfspace, "quad_vec",
+                        lambda f, bounds, **kwargs: quad_vec(f, bounds, **{**kwargs, "ahead": ()}))
+    monkeypatch.setattr(halfspace, "_ladder", reaching)
+    assert point_bits(interface_point(geom, MOMENTS)) == want
     failed = []
 
     def overflowing(col, phi):
@@ -518,6 +522,7 @@ def test_overflow_at_a_look_ahead_node_changes_no_outcome(monkeypatch):
             raise OverflowError("a look-ahead node overflows")
         return ladder(col, phi)
 
+    monkeypatch.setattr(halfspace, "quad_vec", quad_vec)
     monkeypatch.setattr(halfspace, "_ladder", overflowing)
     assert point_bits(interface_point(geom, MOMENTS)) == want
     assert failed == [(357, 126)]

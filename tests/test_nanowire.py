@@ -772,6 +772,19 @@ def test_background_validation_and_convergence_guard():
                               "last partial sums [10.3176, 10.3185, 10.3192, 10.3197]")
 
 
+@pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
+@pytest.mark.parametrize("d", [1e-7, 1e-300])
+def test_background_that_is_not_finite_raises(orientation, d):
+    # so close to the wire every harmonic is NaN: the series is refused,
+    # not accepted with a warning, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as err:
+            quasistatic_background(GEOM, d, orientation)
+    assert str(err.value) == ("azimuthal harmonic sum not finite at m_max=30; "
+                              "last partial sums [nan, nan, nan, nan]")
+
+
 class _CountingSpecial:
     """scipy.special stand-in that counts the elements its Bessel functions return.
 

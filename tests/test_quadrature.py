@@ -234,6 +234,73 @@ def test_zero_integrand_makes_one_call_per_split_round():
         assert sum(calls) == 2 * (21 + 42 * 10111)
 
 
+def plain_nodes(g, a, b, **tols):
+    """The node sets of quad_vec's calls on g over [a, b] without look-ahead."""
+    calls = []
+
+    def f(x, k):
+        calls.append(set(x.tolist()))
+        return per_node(g)(x, k)
+
+    quad_vec(f, [(a, b)], ahead=(), **tols)
+    return calls
+
+
+def test_overflow_at_unreached_look_ahead_nodes_changes_no_outcome():
+    # the peaked integrand never splits one quarter that the look-ahead
+    # evaluates (42 nodes). Overflowing there fails the first call alone:
+    # it is made again without the look-ahead, and every later call, the
+    # value and the error estimate are those of the plain process
+    g, a, b = INTEGRANDS["endpoint-peaked"]
+    tols = dict(epsabs=1e-12, epsrel=1e-10)
+    plain = plain_nodes(g, a, b, **tols)
+    reached = set().union(*plain)
+    calls = []
+
+    def f(x, k):
+        calls.append(set(x.tolist()))
+        if not calls[-1] <= reached:
+            raise OverflowError("a look-ahead node overflows")
+        return per_node(g)(x, k)
+
+    [(got, got_err)] = quad_vec(f, [(a, b)], ahead=(0,), **tols)
+    want, want_err = scipy_quad_vec(g, a, b, norm="max", **tols)
+    assert bits(got) == bits(want)
+    assert got_err == want_err
+    assert [len(nodes) for nodes in calls[:2]] == [147, 63]
+    assert len(calls[0] - reached) == 42
+    assert calls[1:] == plain
+
+
+@pytest.mark.parametrize("call", [0, -1], ids=["first-call", "last-call"])
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+def test_overflow_at_a_reached_node_raises_as_without_look_ahead(call, error):
+    # a node of the plain process's first or last call raises the same
+    # exception, message included, with look-ahead as without it; a
+    # first call that did not look ahead is not made again
+    g, a, b = INTEGRANDS["endpoint-peaked"]
+    tols = dict(epsabs=1e-12, epsrel=1e-10)
+    plain = plain_nodes(g, a, b, **tols)
+    bad = min(plain[call] - plain[0]) if call else min(plain[0])
+    made = {}
+    for ahead in ((), (0,)):
+        sizes = made[ahead] = []
+
+        def f(x, k, sizes=sizes):
+            sizes.append(x.size)
+            if bad in x.tolist():
+                raise error(f"node {bad!r}")
+            return per_node(g)(x, k)
+
+        with pytest.raises(error) as raised:
+            quad_vec(f, [(a, b)], ahead=ahead, **tols)
+        assert str(raised.value) == f"node {bad!r}"
+    plain_sizes = [len(nodes) for nodes in plain]
+    assert made[()] == (plain_sizes if call else plain_sizes[:1])
+    if not call:
+        assert made[(0,)] == [147, 63]
+
+
 def test_quad_rows_are_independent():
     # cos(w x) over [a, 3]: slow rows settle on their first panel, so its
     # sum enters the result, fast rows are bisected for several rounds;

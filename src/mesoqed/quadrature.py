@@ -36,9 +36,12 @@ its cache has lost, which gives the same bits, so only scipy's
 evaluation count can differ.
 
 `quad` integrates many real scalar integrands ("rows") by adaptive
-bisection, each to a relative tolerance on its own. Its first call also
-evaluates each row's left spine, for integrands that fall off from
-their rows' lower ends.
+bisection, each to a relative tolerance on its own. It keeps every
+panel it evaluates in one pool, linked to its halves once they are
+evaluated, and each row's current panels as indices into it. Its first
+call also evaluates and links each row's left spine, for integrands
+that fall off from their rows' lower ends. Its panels are scalar, so
+the rule takes them as (panels, nodes) arrays and skips the max norm.
 
 The G10/K21 table below is QUADPACK's qk21 on [-1, 1], listed from the
 end to the centre with the Kronrod and Gauss weights of each node (the
@@ -83,8 +86,8 @@ _GK_WG = (
 # scipy's node order, right end to left end; the Gauss weights belong to
 # the odd-numbered nodes
 _X = np.array(_GK_XK + tuple(-x for x in _GK_XK[-2::-1]))
-_WK = np.array(_GK_WK + _GK_WK[-2::-1])[:, None]
-_WG = np.array(_GK_WG[1::2] + _GK_WG[-2::-2])[:, None]
+_WK = np.array(_GK_WK + _GK_WK[-2::-1])
+_WG = np.array(_GK_WG[1::2] + _GK_WG[-2::-2])
 
 _ROUND = 50 * sys.float_info.epsilon
 _PARALLEL = 128  # intervals split per round at most, as in scipy
@@ -111,21 +114,23 @@ def _nodes(a: np.ndarray, b: np.ndarray) -> tuple:
 def _rule(fv: np.ndarray, h: np.ndarray) -> tuple:
     """Values, error estimates and roundoff estimates of panels.
 
-    fv[panel, node, component] holds the integrand at `_nodes`; the
-    arithmetic is scipy's ``_quadrature_gk`` applied to every panel at
-    once. The error transform stays a scalar loop: numpy's array ``**``
-    rounds differently from Python's in some last bits.
+    fv[panel, node] holds a scalar integrand at `_nodes`, and
+    fv[panel, node, component] a vector one; the arithmetic is scipy's
+    ``_quadrature_gk`` applied to every panel at once. A scalar is its
+    own max norm, so its panels skip the reduction. The error transform
+    stays a scalar loop: numpy's array ``**`` rounds differently from
+    Python's in some last bits.
     """
-    s_k = _sum_nodes(_WK * fv)
-    s_k_abs = _sum_nodes(_WK * np.abs(fv))
-    s_g = _sum_nodes(_WG * fv[:, 1::2])
-    s_k_dabs = _sum_nodes(_WK * np.abs(fv - (s_k / 2.0)[:, None]))
-    hc = h[:, None]
-    # one component is its own max norm: `quad`'s rows skip the reduction
-    norm = _max_norm if fv.shape[-1] > 1 else lambda values: np.abs(values[:, 0])
+    scalar = fv.ndim == 2
+    wk, wg, hc = (_WK, _WG, h) if scalar else (_WK[:, None], _WG[:, None], h[:, None])
+    norm = np.abs if scalar else _max_norm
+    s_k = _sum_nodes(wk * fv)
+    s_k_abs = _sum_nodes(wk * np.abs(fv))
+    s_g = _sum_nodes(wg * fv[:, 1::2])
+    s_k_dabs = _sum_nodes(wk * np.abs(fv - (s_k / 2.0)[:, None]))
     err = norm((s_k - s_g) * hc).tolist()
     dabs = norm(s_k_dabs * hc).tolist()
-    rnd = norm((_ROUND * h)[:, None] * s_k_abs).tolist()
+    rnd = norm(_ROUND * hc * s_k_abs).tolist()
     for i, (e, d, r) in enumerate(zip(err, dabs, rnd)):
         if d != 0 and e != 0:
             e = d * min(1.0, (200 * e / d) ** 1.5)
@@ -266,6 +271,39 @@ _ROW_LIMIT = 400  # panels per row of `quad`
 _SPINE = 3
 
 
+class _Pool:
+    """Every panel `quad` has evaluated, by pool index.
+
+    One column each for a panel's a, b, row, value, error and roundoff,
+    and the pool indices of its left and right halves, -1 until they
+    are evaluated. The columns grow by doubling.
+    """
+
+    def __init__(self, f, size: int):
+        self.f = f
+        self.size = 0
+        self.a, self.b, self.val, self.err, self.rnd = (np.empty(size) for _ in range(5))
+        self.row, self.left, self.right = (np.full(size, -1, dtype=np.intp) for _ in range(3))
+
+    def add(self, row: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Evaluate the panels [a, b] of `row` in one call of f; their pool indices."""
+        start, stop = self.size, self.size + a.size
+        if stop > self.a.size:
+            for name in ("a", "b", "val", "err", "rnd", "row", "left", "right"):
+                column = getattr(self, name)
+                grown = np.full(max(stop, 2 * column.size), -1, dtype=column.dtype)
+                grown[:start] = column[:start]
+                setattr(self, name, grown)
+        nodes, h = _nodes(a, b)
+        fv = self.f(nodes.ravel(), row.repeat(_X.size))
+        values, errs, rnds = _rule(fv.reshape(nodes.shape), h)
+        new = slice(start, stop)
+        self.a[new], self.b[new], self.row[new] = a, b, row
+        self.val[new], self.err[new], self.rnd[new] = values, errs, rnds
+        self.size = stop
+        return np.arange(start, stop)
+
+
 def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
     """Integral over [lower[row], upper[row]] of each row's integrand, all rows at once.
 
@@ -278,11 +316,13 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
     so each result is the same whichever rows are integrated with it.
     Warns when a row ends above its tolerance.
 
-    The first call evaluates each row's panel and its left spine: the
-    halves of the panel, of its left half and of its left quarter (to
-    depth _SPINE). Each panel carries its spine level, so a round that
-    splits a spine panel takes its halves from there; every round makes
-    one call at most, for the halves not evaluated yet. The decisions
+    Every panel evaluated goes into one pool (`_Pool`), linked to its
+    halves once they are evaluated, and a row's current panels are pool
+    indices. The first call evaluates each row's panel and its left
+    spine: the halves of the panel, of its left half and of its left
+    quarter (to depth _SPINE), linked. A round splits by the pool's
+    values and makes one call at most, for the split panels without
+    halves; every other split takes its linked halves. The decisions
     and sums are those of plain bisection, and so is the panel order,
     on which `np.bincount`'s sums depend: a round keeps the unsplit
     panels in order, then the left halves, then the right halves.
@@ -295,47 +335,33 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
         ends.append(0.5 * (lower + ends[-1]))
     a = np.concatenate([lower] + [x for j in range(_SPINE) for x in (lower, ends[j + 1])])
     b = np.concatenate([upper] + [x for j in range(_SPINE) for x in (ends[j + 1], ends[j])])
-    values, errs, rnds = _panels(f, np.tile(rows, 1 + 2 * _SPINE), a, b)
-    # per panel a, b, value, error, roundoff; the halves of a row's spine
-    # panel j are the first call's panels n*(1 + 2j) + row and n*(2 + 2j) + row
-    first = (a, b, values[:, 0], np.array(errs), np.array(rnds))
-    panels = [column[:n] for column in first]
-    # each panel's spine level: j for a row's spine panel j, and from _SPINE on
-    # for a panel whose halves the first call did not evaluate
-    level = np.zeros(n, dtype=np.intp)
+    pool = _Pool(f, 2 * a.size)
+    pool.add(np.tile(rows, 1 + 2 * _SPINE), a, b)
+    # a row's spine panel j is pool panel row at j = 0 and (2j - 1)*n + row
+    # deeper; its halves are pool panels (1 + 2j)*n + row and (2 + 2j)*n + row
+    j = np.arange(_SPINE)[:, None]
+    spine = np.maximum(2 * j - 1, 0) * n + rows
+    pool.left[spine], pool.right[spine] = (1 + 2 * j) * n + rows, (2 + 2 * j) * n + rows
+    cur = rows
     while True:
-        a, b, val, err, rnd = panels
+        rows, val, err, rnd = pool.row[cur], pool.val[cur], pool.err[cur], pool.rnd[cur]
         total = np.bincount(rows, val, n)
         count = np.bincount(rows, minlength=n)
         tol = rel_tol * np.abs(total)
         unmet = np.bincount(rows, err, n) > tol
         split = (unmet & (count < _ROW_LIMIT))[rows]
         split &= (err > (tol / count)[rows]) & (err > rnd)
-        if not split.any():
+        if not np.count_nonzero(split):
             break
-        of, lv = rows[split], level[split]
-        # where each split panel's halves are: a spine panel's in the first call
-        left = n * (1 + 2 * lv) + of
-        right = left + n
-        pool = first
-        fresh = lv >= _SPINE
-        if fresh.any():
-            a, b, halved = a[split][fresh], b[split][fresh], of[fresh]
+        halved = cur[split]
+        fresh = halved[pool.left[halved] < 0]
+        if fresh.size:
+            a, b, of = pool.a[fresh], pool.b[fresh], pool.row[fresh]
             mid = 0.5 * (a + b)
-            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-            values, errs, rnds = _panels(f, np.concatenate((halved, halved)), a, b)
-            # the new halves follow the first call's panels, left ones first
-            halves = (a, b, values[:, 0], np.array(errs), np.array(rnds))
-            pool = [np.concatenate(pair) for pair in zip(first, halves)]
-            start = first[0].size
-            left[fresh] = np.arange(start, start + halved.size)
-            right[fresh] = left[fresh] + halved.size
-        keep, take = ~split, np.concatenate((left, right))
-        panels = [np.concatenate((column[keep], source[take]))
-                  for column, source in zip(panels, pool)]
-        rows = np.concatenate((rows[keep], of, of))
-        # a left half goes one level down the spine, a right half leaves it
-        level = np.concatenate((level[keep], lv + 1, lv + _SPINE))
+            halves = pool.add(np.concatenate((of, of)), np.concatenate((a, mid)),
+                              np.concatenate((mid, b)))
+            pool.left[fresh], pool.right[fresh] = halves[:fresh.size], halves[fresh.size:]
+        cur = np.concatenate((cur[~split], pool.left[halved], pool.right[halved]))
     if unmet.any():
         warnings.warn(
             f"{np.count_nonzero(unmet)} of {n} integrals stopped above the relative "

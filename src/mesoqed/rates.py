@@ -89,9 +89,12 @@ class MultipoleSplit:
 
 def check_expansion(k: float, moments: EmitterMoments) -> None:
     """The moment expansion converges only for k*L_qd < 1."""
-    if k * moments.l_qd >= 1.0:
+    kl = k * moments.l_qd
+    if kl >= 1.0:
+        # fixed point while it stays short, exponent form beyond
+        shown = f"{kl:.3f}" if kl < 1e6 else f"{kl:.3e}"
         raise ExpansionInvalidError(
-            f"k*L_qd = {k * moments.l_qd:.3f} >= 1: the moment expansion does not converge"
+            f"k*L_qd = {shown} >= 1: the moment expansion does not converge"
         )
 
 

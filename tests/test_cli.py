@@ -331,6 +331,16 @@ def test_height_within_half_the_dot_is_refused_by_name(capsys):
                                        ">= 1: the moment expansion does not converge\n")
 
 
+def test_height_far_inside_the_dot_is_refused_in_one_short_line(capsys):
+    # k*L_qd near 1e301 is shown in exponent form, not as 300 digits
+    assert main(["interface-sweep", "--range", "1e-300:2e-300:1e-300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
+    assert "k*L_qd = 1.000e+301 >= 1" in err
+
+
 # ------------------------------------------------------------- config file
 
 

@@ -357,32 +357,63 @@ SPINE_ROWS = {
 
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-17])
 def test_quad_spine_replays_plain_bisection(rel_tol):
-    # each kind alone and all four together: bitwise the totals and the
-    # warnings of plain per-row bisection. At 1e-17, below the roundoff
-    # estimate, every row stops above its tolerance. The left row alone
-    # splits only its spine in its first three split rounds, so it makes
-    # three calls fewer than the 10 (at 1e-10) and 11 (at 1e-17) of
-    # plain bisection's one call per round
-    for names in [[name] for name in SPINE_ROWS] + [list(SPINE_ROWS)]:
+    # each kind alone, the interior and first-panel rows together, and
+    # all four together: bitwise the totals and the warnings of plain
+    # per-row bisection, with no node evaluated twice. At 1e-17, below
+    # the roundoff estimate, every row stops above its tolerance. The
+    # left row alone splits only its spine in its first three split
+    # rounds, so it makes three calls fewer than the 10 (at 1e-10) and
+    # 11 (at 1e-17) of plain bisection's one call per round
+    pair = ["interior", "first panel"]
+    for names in [[name] for name in SPINE_ROWS] + [pair, list(SPINE_ROWS)]:
         gs = [SPINE_ROWS[name][0] for name in names]
         lower = np.array([SPINE_ROWS[name][1] for name in names])
         upper = np.array([SPINE_ROWS[name][2] for name in names])
         calls = []
 
         def f(x, row):
-            calls.append(x.size)
+            calls.append((x, row))
             return np.stack([g(x) for g in gs])[row, np.arange(x.size)]
 
         results = []
         for integrate in (quad, oracles.bisection_quad):
+            calls.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 total = integrate(f, lower, upper, rel_tol)
             results.append((bits(total), [(w.category, str(w.message)) for w in caught]))
-            if integrate is quad and names == ["left"]:
-                assert len(calls) == {1e-10: 7, 1e-17: 8}[rel_tol]
+            if integrate is quad:
+                x, row = (np.concatenate(column) for column in zip(*calls))
+                for r in range(len(names)):
+                    assert np.unique(x[row == r]).size == np.count_nonzero(row == r), names[r]
+                if names == ["left"]:
+                    assert len(calls) == {1e-10: 7, 1e-17: 8}[rel_tol]
+                if names == pair:
+                    # the interior row goes at least 6 levels past the spine's 3
+                    # (a panel's nodes span its width times that of [0, 1]'s),
+                    # while the first-panel row keeps its first call's nodes
+                    spans = np.ptp(x[row == 0].reshape(-1, 21), axis=1)
+                    unit = np.ptp(_nodes(np.zeros(1), np.ones(1))[0])
+                    assert spans.min() <= unit * (upper[0] - lower[0]) / 2 ** 9
+                    assert np.count_nonzero(row == 1) == 147
         assert results[0] == results[1], names
         assert len(results[0][1]) == (rel_tol == 1e-17)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+def test_quad_fresh_halves_keep_plain_bisection_order(rel_tol):
+    # rows peaked inside their interval split mostly panels off the
+    # spine. Their sums follow plain bisection's panel order only if the
+    # halves evaluated in a round are linked the right way round:
+    # swapping them moves 5 to 9 of these 20 totals
+    centre = np.linspace(0.3, 2.7, 20)
+
+    def f(x, row):
+        return 1.0 / (1e-6 + (x - centre[row]) ** 2)
+
+    lower, upper = np.full(centre.size, -0.5), np.full(centre.size, 3.0)
+    got = quad(f, lower, upper, rel_tol)
+    assert bits(got) == bits(oracles.bisection_quad(f, lower, upper, rel_tol))
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])

@@ -269,6 +269,46 @@ def test_parallel_workers_match_serial(tmp_path):
         assert serial == parallel
 
 
+@pytest.mark.parametrize("argv", [["interface-sweep", "--range", "60:181:60"],
+                                  ["nanowire-sweep", "--range", "20:81:20"]])
+def test_pool_of_a_fresh_cli_process_matches_serial(argv):
+    # the CLI process loads no geometry module before it starts the pool,
+    # so each worker loads its own; the rows are the serial run's bytes
+    def run(workers):
+        proc = subprocess.run([sys.executable, "-m", "mesoqed.cli", *argv, "--workers", workers],
+                              capture_output=True, text=True, timeout=300, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr
+
+    assert run("2") == run("1")
+
+
+@pytest.mark.parametrize("command, geometry", [("interface-sweep", "mesoqed.halfspace"),
+                                               ("nanowire-sweep", "mesoqed.nanowire")])
+def test_a_sweep_loads_its_geometry_before_it_starts_a_pool(command, geometry):
+    # a fresh interpreter whose pool class records, when it is built,
+    # whether the sweep's geometry module is loaded: forked workers share
+    # it then, rather than each importing it and numpy again
+    code = ("import concurrent.futures, os, sys\n"
+            "from mesoqed.cli import main\n"
+            "class Pool:\n"
+            "    def __init__(self, max_workers):\n"
+            f"        print({geometry!r} in sys.modules)\n"
+            "    def __enter__(self):\n"
+            "        return self\n"
+            "    def __exit__(self, *exc):\n"
+            "        return False\n"
+            "    def map(self, fn, tasks):\n"
+            "        return map(fn, tasks)\n"
+            "concurrent.futures.ProcessPoolExecutor = Pool\n"
+            "os.cpu_count = lambda: 2\n"
+            f"main([{command!r}, '--range', '60:181:60', '--workers', '2', '--out', os.devnull])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 @pytest.mark.parametrize("command", ["interface-sweep", "nanowire-sweep"])
 def test_sweeps_hand_each_process_one_contiguous_block(capsys, monkeypatch, pool_log, command):
     # both sweeps split their points alike: as many processes as asked
@@ -543,6 +583,17 @@ def test_config_file_bad_value_names_line_and_key(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_config_file_not_utf8_is_refused_like_an_unreadable_one(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    rc = main(["report", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"mesoqed: cannot read config file {cfg}: 'utf-8' codec "
+                                       "can't decode byte 0xff in position 0: invalid start "
+                                       "byte\n")
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--host-n", "abc"), ("--lambda0", "abc"),
                                          ("--workers", "1.5"), ("--nr", "1.5"),
                                          ("--sigma-e", "abc")])
@@ -600,6 +651,8 @@ ELLIPSE_OVERFLOW = ["interface-sweep", "--lambda0", "2.149e-59", "--lqd", "1e-62
                     "--range", "1e-58:2e-58:1e-58", "--metal-n", "0.0001+3.4200171j"]
 ELLIPSE_OVERFLOW_ERR = ("mesoqed: numerical failure: h = 1e-58: "
                         "k_par integrand overflows at h = 1e-58 nm\n")
+# the name of a config file that holds the bytes ff fe, in the test's directory
+NOT_UTF8 = "not-utf8.cfg"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -657,6 +710,7 @@ ELLIPSE_OVERFLOW_ERR = ("mesoqed: numerical failure: h = 1e-58: "
     (["field-map", "--lambda0", "1e-320", "--nr", "2", "--nz", "2"], 2),
     (["nanowire-sweep", "--lambda0", "1e-320", "--range", "20:21:5"], 2),
     (["nanowire-sweep", "--range", "1e-7:2e-7:1e-7"], 3),
+    (["report", "--config", NOT_UTF8], 2),
 ])
 def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # overflowing moments, sweeps and maps past 1 000 000 points, a
@@ -680,8 +734,11 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
     # orientation on a metal with no bound mode, which is refused before
     # the mode solve, and a wavelength so short that 2*pi/lambda0
     # overflows, which the geometry refuses for every subcommand, and a
-    # dipole so close to the wire that its background is NaN: a
-    # message, never a traceback, a warning or a printed inf
+    # dipole so close to the wire that its background is NaN, and a
+    # config file that is not UTF-8: a message, never a traceback, a
+    # warning or a printed inf
+    (tmp_path / NOT_UTF8).write_bytes(b"\xff\xfe")
+    argv = [str(tmp_path / word) if word == NOT_UTF8 else word for word in argv]
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -693,6 +750,75 @@ def test_extreme_inputs_exit_with_documented_code(tmp_path, capsys, argv, code):
         assert_numbers_finite(out.read_text(encoding="utf-8"))
     if argv == ELLIPSE_OVERFLOW:
         assert err == ELLIPSE_OVERFLOW_ERR
+
+
+INVALID = "mesoqed: invalid configuration: "
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["interface-sweep", "--lambda0", "-1", "--lqd", "-1"],
+     INVALID + "lambda0 must be finite and > 0, got -1.0"),
+    (["interface-sweep", "--lambda0", "-1", "--host-n", "-3.42"],
+     INVALID + "lambda0 must be finite and > 0, got -1.0"),
+    (["interface-sweep", "--metal-n", "nan", "--host-n", "-1"],
+     INVALID + "material 'metal': n must be a finite complex number, got (nan+0j)"),
+    (["interface-sweep", "--ratio", "nan", "--lqd", "-1"],
+     INVALID + "ratio must be finite, got nan"),
+    (["interface-sweep", "--lqd", "-1", "--lambda0", "1e-320"],
+     INVALID + "wavevector 2*pi*n/lambda0 of 'vacuum' leaves double range at lambda0 = 1e-320"),
+    (["interface-sweep", "--tol", "1", "--lambda0", "-1"],
+     "mesoqed: tol must lie in [1e-14, 0.001], got 1"),
+    (["interface-sweep", "--range", "10:5:1", "--lambda0", "-1"],
+     "mesoqed: sweep range is empty: need MIN < MAX, got 10:5:1"),
+    (["interface-sweep", "--workers", "0", "--host-n", "1-1j"],
+     "mesoqed: workers must be a positive integer, got 0"),
+    (["interface-sweep", "--host-n", "1+1j", "--range", "20:21:5", "--ratio", "nan"],
+     INVALID + "emitter medium 'host' must be lossless with Re n > 0, got n = 1+1j"),
+    (["nanowire-sweep", "--radius", "-1", "--lambda0", "-1"],
+     INVALID + "radius must be finite and > 0, got -1.0"),
+    (["nanowire-sweep", "--radius", "nan", "--host-n", "1-1j"],
+     INVALID + "material 'host': Im(n) = -1.0 < 0 means gain, not a passive medium"),
+    (["nanowire-sweep", "--orientation", "diagonal", "--radius", "-1", "--range", "20:21:5"],
+     INVALID + "radius must be finite and > 0, got -1.0"),
+    (["nanowire-sweep", "--lqd", "-1", "--lambda0", "1e-320", "--range", "20:21:5"],
+     INVALID + "wavevector 2*pi*n/lambda0 of 'vacuum' leaves double range at lambda0 = 1e-320"),
+    (["dispersion", "--radius", "0", "--host-n", "1-1j"],
+     INVALID + "material 'host': Im(n) = -1.0 < 0 means gain, not a passive medium"),
+    (["dispersion", "--lambda0", "-1", "--host-n", "-3"],
+     INVALID + "lambda0 must be finite and > 0, got -1.0"),
+    (["dispersion", "--metal-n", "nan", "--radius", "-1"],
+     INVALID + "material 'metal': n must be a finite complex number, got (nan+0j)"),
+    (["field-map", "--lambda0", "-5", "--nr", "1"],
+     INVALID + "lambda0 must be finite and > 0, got -5.0"),
+    (["field-map", "--rmin", "nan", "--radius", "-1"],
+     INVALID + "radius must be finite and > 0, got -1.0"),
+    (["field-map", "--host-n", "0", "--zmax", "inf"],
+     INVALID + "emitter medium 'host' must be lossless with Re n > 0, got n = 0+0j"),
+    (["moments", "--lambda0", "0", "--host-n", "1-1j"],
+     INVALID + "material 'host': Im(n) = -1.0 < 0 means gain, not a passive medium"),
+    (["moments", "--host-n", "3.42+0.1j", "--lqd", "-3"],
+     INVALID + "emitter medium 'host' must be lossless with Re n > 0, got n = 3.42+0.1j"),
+    (["moments", "--sigma-e", "-1", "--lambda0", "-1"],
+     INVALID + "lambda0 must be finite and > 0, got -1.0"),
+    (["moments", "--lqd", "-3", "--sigma-e", "-1"],
+     INVALID + "lqd must be finite and > 0, got -3.0"),
+    (["moments", "--host-n", "nan", "--lambda0", "1e-320"],
+     INVALID + "material 'host': n must be a finite complex number, got (nan+0j)"),
+    (["report", "--host-n", "1+1j", "--ratio", "nan"],
+     INVALID + "emitter medium 'host' must be lossless with Re n > 0, got n = 1+1j"),
+    (["report", "--lambda0", "1e-320", "--metal-n", "nan"],
+     INVALID + "material 'metal': n must be a finite complex number, got (nan+0j)"),
+    (["report", "--radius", "-1", "--lqd", "-1"],
+     INVALID + "radius must be finite and > 0, got -1.0"),
+    (["report", "--ratio", "nan", "--lqd", "-1"],
+     INVALID + "ratio must be finite, got nan"),
+])
+def test_of_two_bad_values_the_same_one_is_refused(capsys, argv, err):
+    # the checks run in one order for every subcommand: the CLI's own
+    # (tol, workers, range), both materials, the radius, the wavelength,
+    # the host's index, the moments, then what the subcommand builds
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err + "\n")
 
 
 def test_field_map_reads_zero_where_k_underflows(tmp_path):
@@ -904,12 +1030,13 @@ def test_interface_and_moments_leave_scipy_and_the_pool_out(tmp_path):
     ("mesoqed.quadrature", "scipy"),
     ("mesoqed.specfun", "scipy"),
     ("mesoqed.nanowire", "scipy"),
-    ("mesoqed.cli", "scipy"),
+    ("mesoqed.cli", "numpy"),
 ])
 def test_import_loads_only_what_the_module_imports(module, heavy):
     # a fresh interpreter: the package binds no submodule, the
-    # pure-Python layers leave numpy out, and no module loads scipy at
-    # import (specfun imports scipy.special on its first Bessel call)
+    # pure-Python layers and the CLI leave numpy out, and no module loads
+    # scipy at import (specfun imports scipy.special on its first Bessel
+    # call)
     code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, env=CHILD_ENV)
@@ -918,6 +1045,40 @@ def test_import_loads_only_what_the_module_imports(module, heavy):
     assert heavy not in loaded
     if module == "mesoqed":
         assert not {name for name in loaded if name.startswith("mesoqed.")}
+
+
+NO_NUMPY = ("numpy", "mesoqed.halfspace", "mesoqed.nanowire", "mesoqed.quadrature",
+            "mesoqed.rates", "mesoqed.specfun")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["--help"], NO_NUMPY),
+    (["--version"], NO_NUMPY),
+    (["report", "--bogus"], NO_NUMPY),
+    (["moments"], NO_NUMPY),
+    (["moments", "--lambda0", "-1"], NO_NUMPY),
+    (["interface-sweep", "--range", "20:21:5"], ("mesoqed.nanowire", "mesoqed.specfun")),
+    (["nanowire-sweep", "--range", "20:21:5"], ("mesoqed.halfspace",)),
+    (["dispersion"], ("mesoqed.halfspace",)),
+    (["field-map", "--nr", "2", "--nz", "2"], ("mesoqed.halfspace",)),
+])
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, absent):
+    # a fresh interpreter runs main, then lists what it loaded: help,
+    # usage errors, refusals and moments need no numpy, the interface
+    # sweep no wire code and the wire subcommands no interface code
+    code = ("import contextlib, io, json, sys\n"
+            "from mesoqed.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        main({argv!r})\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(set(absent) & set(json.loads(proc.stdout))) == []
 
 
 def test_importing_the_package_starts_no_thread():

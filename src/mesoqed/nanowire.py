@@ -137,11 +137,13 @@ def _newton(geom: WireGeometry, seed: complex) -> tuple[complex, float] | None:
     return None
 
 
+@lru_cache(maxsize=64)
 def _electrostatic_root(geom: WireGeometry) -> float:
     """Real root x0 of Re(eps_metal) I1/I0(x) + eps_host K1/K0(x) = 0 (kappa = k).
 
     The left side falls strictly from +inf to Re(eps_metal) + eps_host,
     so x0 exists, and is unique, exactly when Re(eps_metal) < -eps_host.
+    Cached per geometry: the mode's seed and every background take it.
     """
     eps_m = geom.metal.eps.real
     eps_h = geom.host.eps.real
@@ -377,6 +379,9 @@ def _bundle(geom: WireGeometry, mode: GuidedMode, norm: float, d: float,
 _QS_M_MAX = 30  # the last azimuthal order summed
 _QS_SERIES_TOL = 1e-10
 _QS_STALL_TOL = 1e-6
+# levels of the first quadrature call's look-ahead per order: orders 0 and 1
+# refine eight to ten levels down, the others seldom past the default three
+_QS_AHEAD = np.array([8, 8] + [3] * (_QS_M_MAX - 1))
 
 
 def _harmonic_chunks(d: float, rho: float, radial: bool) -> list[np.ndarray]:
@@ -447,6 +452,14 @@ def quasistatic_background(
     last term's share of the sum.  A harmonic that cannot reach `rel_tol` (roundoff, or 400
     panels) is kept with a RuntimeWarning.
 
+    The first integrand call of `quad` looks ahead along the path each
+    harmonic refines: order 0 toward k = x0/rho, the m = 0 surface
+    plasmon of the electrostatic cylinder (`_electrostatic_root`; k = 0
+    for a metal with Re eps >= -eps_host, which has none), and every
+    other order toward k = 0, orders 0 and 1 eight levels deep and the
+    rest three. Later rounds take the halves they split from there, so
+    the look-ahead saves calls and moves no bit.
+
     Per quadrature node the integrand takes its Bessel values in real
     arithmetic (`_node_bessel`): one `specfun` call climbs K_m and
     K_|m-1| at k*rho and k*(rho+d) from K0, K1 and gives the scaled I_m
@@ -483,10 +496,17 @@ def quasistatic_background(
         # transition at k ~ m/rho
         k_up = 30.0 / d + 2.0 * ms / rho
         weight = np.where(ms == 0, 1.0, 2.0)
+        # order 0 refines around its surface-plasmon resonance, every other toward k = 0
+        toward = np.where(ms == 0, k_res, 0.0)
         # a non-finite term fails the verdict below, so numpy need not warn of it
         with np.errstate(all="ignore"):
-            return pref * weight * quad(integrand, np.zeros(ms.size), k_up, rel_tol)
+            return pref * weight * quad(integrand, np.zeros(ms.size), k_up, rel_tol, toward,
+                                        _QS_AHEAD[ms])
 
+    try:
+        k_res = _electrostatic_root(geom) / rho
+    except NoBoundModeError:
+        k_res = 0.0  # no resonance: order 0 falls off from k = 0 like the others
     pref = -3.0 / (math.pi * k1**3)
     terms = np.empty(0)
     for chunk in _harmonic_chunks(d, rho, radial):

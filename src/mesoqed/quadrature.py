@@ -16,9 +16,10 @@ panel takes its halves from there. Every split decision, sum, stop and
 warning is that of the plain process, computed with the same midpoint
 arithmetic; only the call a node is evaluated in moves, and a panel
 looked ahead but never split costs its nodes. So the integrand's value
-at a node must not depend on the other nodes of its call. If a node
-looked ahead raises, `quad_vec` makes its first call again without the
-look-ahead (`quad`'s array integrands do not raise).
+at a node must not depend on the other nodes of its call. If a first
+call that looked ahead raises an ArithmeticError (or, in `quad`, a
+special function's OutOfDomainError), the driver makes it again without
+the look-ahead, so only a node the plain process reaches can raise.
 
 `quad_vec` integrates one vector integrand over several finite intervals
 and gives, for each interval, exactly what scipy's
@@ -39,7 +40,9 @@ evaluation count can differ.
 bisection, each to a relative tolerance on its own. It keeps every
 panel it evaluates in one pool, linked to its halves once they are
 evaluated, and each row's current panels as indices into it. Its first
-call also evaluates and links each row's left spine, for integrands
+call also evaluates and links each row's bisection path toward a point
+where the caller expects the row to refine, to a depth the caller
+sets: by default the left spine, three levels deep, for integrands
 that fall off from their rows' lower ends. Its panels are scalar, so
 the rule takes them as (panels, nodes) arrays and skips the max norm.
 
@@ -57,6 +60,8 @@ import sys
 import warnings
 
 import numpy as np
+
+from .errors import OutOfDomainError
 
 _GK_XK = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
@@ -118,8 +123,10 @@ def _rule(fv: np.ndarray, h: np.ndarray) -> tuple:
     fv[panel, node, component] a vector one; the arithmetic is scipy's
     ``_quadrature_gk`` applied to every panel at once. A scalar is its
     own max norm, so its panels skip the reduction. The error transform
-    stays a scalar loop: numpy's array ``**`` rounds differently from
-    Python's in some last bits.
+    is a scalar loop, with Python's ``**`` (libm's pow). An array form
+    with ``np.float_power``, which calls the same pow, keeps every bit,
+    but costs several times the loop at the few panels of most rounds
+    and wins only from some tens of panels on.
     """
     scalar = fv.ndim == 2
     wk, wg, hc = (_WK, _WG, h) if scalar else (_WK[:, None], _WG[:, None], h[:, None])
@@ -266,8 +273,9 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
 
 
 _ROW_LIMIT = 400  # panels per row of `quad`
-# depth of the left spine that `quad`'s first call evaluates: integrands that
-# fall off from their rows' lower ends split the leftmost panel first
+# depth of the path that `quad`'s first call evaluates unless its caller sets
+# one: integrands that fall off from their rows' lower ends split the
+# leftmost panel first, so the default path is the left spine
 _SPINE = 3
 
 
@@ -304,7 +312,8 @@ class _Pool:
         return np.arange(start, stop)
 
 
-def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
+def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, toward=None,
+         depth=None) -> np.ndarray:
     """Integral over [lower[row], upper[row]] of each row's integrand, all rows at once.
 
     `f(x, row)` takes flat arrays of nodes and row indices and returns
@@ -318,30 +327,55 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
 
     Every panel evaluated goes into one pool (`_Pool`), linked to its
     halves once they are evaluated, and a row's current panels are pool
-    indices. The first call evaluates each row's panel and its left
-    spine: the halves of the panel, of its left half and of its left
-    quarter (to depth _SPINE), linked. A round splits by the pool's
-    values and makes one call at most, for the split panels without
-    halves; every other split takes its linked halves. The decisions
-    and sums are those of plain bisection, and so is the panel order,
-    on which `np.bincount`'s sums depend: a round keeps the unsplit
-    panels in order, then the left halves, then the right halves.
+    indices. The first call evaluates each row's panel and its path
+    toward the point toward[row] (default lower: the left spine), down
+    depth[row] levels (default _SPINE): the halves of the panel, then
+    the halves of the half that holds the point (the left one at the
+    midpoint, the right one past upper), and so on, linked. A round
+    splits by the pool's values and makes one call at most, for the
+    split panels without halves; every other split takes its linked
+    halves. The decisions and sums are those of plain bisection, and so
+    is the panel order, on which `np.bincount`'s sums depend: a round
+    keeps the unsplit panels in order, then the left halves, then the
+    right halves. A path panel that no round splits costs its nodes. If
+    the first call raises an ArithmeticError or OutOfDomainError, it is
+    made again on the rows' panels alone, as plain bisection's first
+    call, so only a node that plain bisection reaches can raise.
     """
     n = upper.size
     rows = np.arange(n)
-    # spine panel j is [lower, ends[j]], its halves [lower, ends[j + 1]] and [ends[j + 1], ends[j]]
-    ends = [upper]
-    for _ in range(_SPINE):
-        ends.append(0.5 * (lower + ends[-1]))
-    a = np.concatenate([lower] + [x for j in range(_SPINE) for x in (lower, ends[j + 1])])
-    b = np.concatenate([upper] + [x for j in range(_SPINE) for x in (ends[j + 1], ends[j])])
-    pool = _Pool(f, 2 * a.size)
-    pool.add(np.tile(rows, 1 + 2 * _SPINE), a, b)
-    # a row's spine panel j is pool panel row at j = 0 and (2j - 1)*n + row
-    # deeper; its halves are pool panels (1 + 2j)*n + row and (2 + 2j)*n + row
-    j = np.arange(_SPINE)[:, None]
-    spine = np.maximum(2 * j - 1, 0) * n + rows
-    pool.left[spine], pool.right[spine] = (1 + 2 * j) * n + rows, (2 + 2 * j) * n + rows
+    toward = lower if toward is None else toward
+    depth = np.full(n, _SPINE) if depth is None else depth
+    # level by level, the rows still descending and the pool index, a and b of
+    # their path panels; the pool takes the rows' panels, then each level's
+    # left halves and its right halves
+    live, at, a, b = rows, rows, lower, upper
+    row_of, a_of, b_of, links = [rows], [lower], [upper], []
+    size = n
+    for level in range(int(depth.max(initial=0))):
+        keep = depth[live] > level
+        live, at, a, b = live[keep], at[keep], a[keep], b[keep]
+        mid = 0.5 * (a + b)
+        row_of += [live, live]
+        a_of += [a, mid]
+        b_of += [mid, b]
+        left = np.arange(size, size + live.size)
+        links.append((at, left))
+        size += 2 * live.size
+        go_left = toward[live] <= mid
+        at = np.where(go_left, left, left + live.size)
+        a, b = np.where(go_left, a, mid), np.where(go_left, mid, b)
+    pool = _Pool(f, 2 * size)
+    try:
+        pool.add(np.concatenate(row_of), np.concatenate(a_of), np.concatenate(b_of))
+    except (ArithmeticError, OutOfDomainError):
+        if not links:
+            raise
+        # a path node raised: plain bisection's first call, the rows' panels alone
+        pool.add(rows, lower, upper)
+        links = []
+    for at, left in links:
+        pool.left[at], pool.right[at] = left, left + at.size
     cur = rows
     while True:
         rows, val, err, rnd = pool.row[cur], pool.val[cur], pool.err[cur], pool.rnd[cur]

@@ -569,7 +569,8 @@ def harmonic_envelope_moment(sigma_e: float, mass_ratio: float, shift: float,
 # ------------------------------------------------------- row quadrature
 
 
-def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> np.ndarray:
+def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, toward=None,
+                   depth=None) -> np.ndarray:
     """`mesoqed.quadrature.quad` as plain bisection, one row and one panel at a time.
 
     Each panel is scipy's G10/K21 rule on the row's integrand
@@ -579,7 +580,9 @@ def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float) -> n
     panel count, and its own roundoff estimate, is halved. A row keeps
     its unsplit panels in order, then the left halves, then the right
     halves, and sums values and errors in that order from 0.0, as
-    `quad` sums all rows. Warns as `quad` does.
+    `quad` sums all rows. Warns as `quad` does. Same signature as
+    `quad`, so a test can put it in place of `nanowire.quad`; `toward`
+    and `depth` only schedule nodes there, so they are ignored here.
     """
     totals, unmet = [], 0
     for row, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):

@@ -707,10 +707,10 @@ def test_background_makes_one_quad_call_at_default_m_max(monkeypatch):
     calls = []
     real_quad = nanowire.quad
 
-    def spy(f, lower, upper, rel_tol):
+    def spy(f, lower, upper, rel_tol, *args):
         calls[-1] += 1
         assert not lower.any()
-        return real_quad(f, lower, upper, rel_tol)
+        return real_quad(f, lower, upper, rel_tol, *args)
 
     monkeypatch.setattr(nanowire, "quad", spy)
     with warnings.catch_warnings():
@@ -723,14 +723,15 @@ def test_background_makes_one_quad_call_at_default_m_max(monkeypatch):
 
 
 @pytest.mark.parametrize("d, orientation, calls, nodes", [
-    (20.0, AXIAL, 7, 4368), (20.0, RADIAL, 7, 4641), (155.0, AXIAL, 5, 2142),
+    (20.0, AXIAL, 5, 4494), (20.0, RADIAL, 6, 4641), (155.0, AXIAL, 3, 2310),
 ])
 def test_background_integrand_calls(monkeypatch, d, orientation, calls, nodes):
-    # every row of the background decays from k = 0, so its first three
-    # split rounds split its leftmost panel, whose halves the first call
-    # evaluated with the row's left spine. Plain bisection makes 10, 10
-    # and 8 calls on 4368, 4599 and 2142 nodes; at 20 nm radial one
-    # pair of halves of one row's spine goes unused (42 nodes)
+    # the first call evaluates each row's path, which the row's first
+    # split rounds take their halves from: eight levels toward x0/rho
+    # for order 0 and toward k = 0 for order 1, three toward k = 0 for
+    # the others. Plain bisection makes 10, 10 and 8 calls on 4368, 4599
+    # and 2142 nodes; 3, 1 and 4 pairs of path halves go unused (126, 42
+    # and 168 nodes)
     sizes = []
     real_quad = nanowire.quad
 
@@ -740,6 +741,46 @@ def test_background_integrand_calls(monkeypatch, d, orientation, calls, nodes):
     monkeypatch.setattr(nanowire, "quad", counting_quad)
     quasistatic_background(GEOM, d, orientation)
     assert (len(sizes), sum(sizes)) == (calls, nodes)
+
+
+# Re eps = -10.9 is not below -eps_host = -11.7: no electrostatic resonance
+NO_RESONANCE = Material("no resonance", 0.1 + 3.3j)
+
+
+@pytest.mark.parametrize("geom, distances", [
+    (GEOM, (1e-300, 1e-7, 7.25, 7.5, 10.0, 12.0, 155.0, 300.0, 1e300)),
+    (dataclasses.replace(GEOM, metal=NO_RESONANCE),
+     (1e-300, 1e-7, 7.25, 7.5, 10.0, 12.0, 155.0, 300.0, 1e300)),
+    (dataclasses.replace(GEOM, rho=1e-6, metal=NO_RESONANCE), (1e300,)),
+], ids=["paper", "no resonance", "1e-6 nm no resonance"])
+def test_background_look_ahead_changes_no_outcome(monkeypatch, geom, distances):
+    # the first quad call evaluates each harmonic's path, nodes that plain
+    # bisection may never reach: order 0 toward x0/rho, or toward k = 0
+    # where the metal has no x0, and orders 0 and 1 eight levels down.
+    # Bitwise the value, the error and the warnings of plain bisection at
+    # distances from 1e-300 to 1e300 nm. On the 1e-6 nm wire at 1e300 nm,
+    # order 0's path reaches k*rho below 1e-308, where K1 overflows and
+    # `_background_node` raises, and plain bisection does not go there
+    if geom.metal is NO_RESONANCE:
+        with pytest.raises(NoBoundModeError):
+            nanowire._electrostatic_root(geom)
+
+    def outcomes():
+        out = []
+        for orientation in (AXIAL, RADIAL):
+            for d in distances:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        value = float.hex(quasistatic_background(geom, d, orientation))
+                    except MesoqedError as exc:
+                        value = (type(exc), str(exc))
+                out.append((d, orientation, value, [str(w.message) for w in caught]))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(nanowire, "quad", oracles.bisection_quad)
+    assert got == outcomes()
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -1031,9 +1072,9 @@ def test_background_stall_costs_less_than_twice_its_named_last_term(monkeypatch,
     rows = []
     real_quad = nanowire.quad
 
-    def spy(f, lower, upper, rel_tol):
+    def spy(f, lower, upper, rel_tol, *args):
         rows.append(upper.size)
-        return real_quad(f, lower, upper, rel_tol)
+        return real_quad(f, lower, upper, rel_tol, *args)
 
     monkeypatch.setattr(nanowire, "quad", spy)
     with pytest.warns(RuntimeWarning, match="harmonic sum not converged") as rec:

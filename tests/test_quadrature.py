@@ -17,6 +17,7 @@ from scipy.integrate import quad_vec as scipy_quad_vec
 from scipy.integrate._quad_vec import _max_norm, _quadrature_gk21
 
 import oracles
+from mesoqed.errors import OutOfDomainError
 from mesoqed.quadrature import _gk21, _nodes, _panels, quad, quad_vec
 
 ALPHA = np.linspace(0.1, 3.0, 4)
@@ -414,6 +415,90 @@ def test_quad_fresh_halves_keep_plain_bisection_order(rel_tol):
     lower, upper = np.full(centre.size, -0.5), np.full(centre.size, 3.0)
     got = quad(f, lower, upper, rel_tol)
     assert bits(got) == bits(oracles.bisection_quad(f, lower, upper, rel_tol))
+
+
+# the interior Lorentzians above, one peak a row
+PEAKS = np.linspace(0.3, 2.7, 20)
+
+
+def lorentzians(calls):
+    def f(x, row):
+        calls.append((x, row))
+        return 1.0 / (1e-6 + (x - PEAKS[row]) ** 2)
+
+    return f
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-17])
+def test_quad_paths_toward_any_point_replay_plain_bisection(rel_tol):
+    # each row's path aims at, left of or right of its peak and goes 0, 3
+    # or 9 levels down, the nine pairs on rows 0-8 and again from row 9:
+    # bitwise the totals and the warnings of plain bisection, with no node
+    # evaluated twice. At 1e-17, below the roundoff estimate, every row
+    # stops above its tolerance
+    rows = np.arange(PEAKS.size)
+    toward = PEAKS + np.array([0.0, -0.4, 0.4])[rows % 3]
+    depth = np.array([0, 3, 9])[rows // 3 % 3]
+    lower, upper = np.full(PEAKS.size, -0.5), np.full(PEAKS.size, 3.0)
+    calls = []
+    results = []
+    for integrate in (quad, oracles.bisection_quad):
+        calls.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            total = integrate(lorentzians(calls), lower, upper, rel_tol, toward, depth)
+        results.append((bits(total), [(w.category, str(w.message)) for w in caught]))
+        if integrate is quad:
+            x, row = (np.concatenate(column) for column in zip(*calls))
+            for r in rows.tolist():
+                assert np.unique(x[row == r]).size == np.count_nonzero(row == r), r
+    assert results[0] == results[1]
+    assert len(results[0][1]) == (rel_tol == 1e-17)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+def test_quad_path_aimed_at_the_peaks_saves_calls(rel_tol):
+    # a row refines around its peak, so a path 9 levels down to the peak
+    # serves rounds that the left spine leaves to calls of their own. The
+    # slowest row sets how many calls all rows make together; a row's own
+    # count is that of the calls holding its nodes, which it would make
+    # alone: 4 to 9 of them (1e-8) against the spine's 10 or 11
+    lower, upper = np.full(PEAKS.size, -0.5), np.full(PEAKS.size, 3.0)
+    spine, aimed = [], []
+    quad(lorentzians(spine), lower, upper, rel_tol)
+    quad(lorentzians(aimed), lower, upper, rel_tol, PEAKS, np.full(PEAKS.size, 9))
+    spine, aimed = ([row for _, rows in calls for row in np.unique(rows).tolist()]
+                    for calls in (spine, aimed))
+    assert (np.bincount(aimed) < np.bincount(spine)).all()
+
+
+def test_quad_path_node_that_raises_changes_no_outcome():
+    # the integrand raises at every node plain bisection does not reach; a
+    # path 9 levels down toward each row's upper end holds such nodes, so
+    # the first call raises and is made again on the rows' panels alone
+    lower, upper = np.full(PEAKS.size, -0.5), np.full(PEAKS.size, 3.0)
+    plain = []
+    want = oracles.bisection_quad(lorentzians(plain), lower, upper, 1e-8)
+    reached = {(node, row) for x, rows in plain for node, row in zip(x.tolist(), rows.tolist())}
+    calls = []
+    g = lorentzians([])
+
+    def f(x, row):
+        calls.append(x.size)
+        if not reached.issuperset(zip(x.tolist(), row.tolist())):
+            raise OutOfDomainError("a node plain bisection does not reach")
+        return g(x, row)
+
+    got = quad(f, lower, upper, 1e-8, upper, np.full(PEAKS.size, 9))
+    assert bits(got) == bits(want)
+    assert calls[:2] == [21 * PEAKS.size * 19, 21 * PEAKS.size]
+
+    def everywhere(x, row):
+        raise OutOfDomainError("every node")
+
+    # a node plain bisection reaches raises as it would there
+    with pytest.raises(OutOfDomainError, match="every node"):
+        quad(everywhere, lower, upper, 1e-8, upper, np.full(PEAKS.size, 9))
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])

@@ -28,8 +28,8 @@ Every height of a sweep (`interface_sweep`) adds its contour segments
 as intervals of one adaptive quadrature, so each round evaluates the
 nodes of all heights in one call of an array integrand. That integrand
 rounds as Python's scalar arithmetic does, so the numbers of a height do
-not depend on the heights computed with it: powers and quotients round
-as Python's ** and / (`_quotients`), sin, cos, sinh and cosh
+not depend on the heights computed with it: powers and quotients are
+Python's ** and / node by node (`_quotients`), sin, cos, sinh and cosh
 math's (`_libm`), and only the complex product is written out (`_mul`),
 since numpy's array product may fuse a multiply into an add.
 
@@ -357,31 +357,18 @@ def _kz_nodes(eps_k0: complex, kp: np.ndarray) -> np.ndarray:
 
 
 def _quotients(kp: np.ndarray, k1: float) -> np.ndarray:
-    """kp**3/k1**3, kp**5/k1**4 and kp/k1 at each node, rounded as Python's ** and /.
+    """kp**3/k1**3, kp**5/k1**4 and kp/k1 at each node, by Python's ** and /.
 
-    A real kp (the real-axis segments) takes its powers from
-    np.float_power, which calls libm's pow as Python's float ** does
-    (numpy's SIMD power does not match it in every last bit); a complex
-    kp (the ellipse) is a Python complex. Where a real power is not
-    finite or a power of k1 is 0, every node takes Python's operators,
-    which raise the OverflowError and ZeroDivisionError that
-    `_integrate_contour` reports. Only the complex product is
-    hand-written (`_mul`): numpy's may use FMA.
+    A real kp (the real-axis segments) is a float, so its power is libm's
+    pow, which numpy's SIMD power does not match in every last bit; a
+    complex kp (the ellipse) is a Python complex. Python raises the
+    OverflowError and ZeroDivisionError that `_integrate_contour` reports.
+    Only the complex product is hand-written (`_mul`): numpy's may use FMA.
     """
     k13, k14 = k1 ** 3, k1 ** 4
-    out = np.empty((3, kp.size), dtype=complex)
-    real = kp.imag == 0.0
-    x = kp.real[real]
-    with np.errstate(all="ignore"):
-        x3, x5 = np.float_power(x, 3), np.float_power(x, 5)
-        if k13 and k14 and np.isfinite(x3).all() and np.isfinite(x5).all():
-            out[:, real] = x3 / k13, x5 / k14, x / k1
-        else:
-            real[:] = False
-    nodes = [z.real if z.imag == 0.0 else z for z in kp[~real].tolist()]
-    out[:, ~real] = ([z ** 3 / k13 for z in nodes], [z ** 5 / k14 for z in nodes],
-                     [z / k1 for z in nodes])
-    return out
+    nodes = [z.real if z.imag == 0.0 else z for z in kp.tolist()]
+    return np.array([[z ** 3 / k13 for z in nodes], [z ** 5 / k14 for z in nodes],
+                     [z / k1 for z in nodes]], dtype=complex)
 
 
 def _ladder(col: _Columns, phi: np.ndarray) -> np.ndarray:

@@ -137,13 +137,11 @@ def _newton(geom: WireGeometry, seed: complex) -> tuple[complex, float] | None:
     return None
 
 
-@lru_cache(maxsize=64)
 def _electrostatic_root(geom: WireGeometry) -> float:
     """Real root x0 of Re(eps_metal) I1/I0(x) + eps_host K1/K0(x) = 0 (kappa = k).
 
     The left side falls strictly from +inf to Re(eps_metal) + eps_host,
     so x0 exists, and is unique, exactly when Re(eps_metal) < -eps_host.
-    Cached per geometry: the mode's seed and every background take it.
     """
     eps_m = geom.metal.eps.real
     eps_h = geom.host.eps.real
@@ -268,7 +266,7 @@ class GuidedMode:
         r_max = rho + _NORM_TAIL / kap_out.real
         # a thick wire overflows |I0|^2; the constructor reports the non-finite total
         with np.errstate(over="ignore", invalid="ignore"):
-            w_in, w_out = quad(density, np.array([0.0, rho]), np.array([rho, r_max]), 1e-11)
+            (w_in, w_out), _ = quad(density, np.array([0.0, rho]), np.array([rho, r_max]), 1e-11)
         return float(w_in + w_out)
 
 
@@ -379,9 +377,26 @@ def _bundle(geom: WireGeometry, mode: GuidedMode, norm: float, d: float,
 _QS_M_MAX = 30  # the last azimuthal order summed
 _QS_SERIES_TOL = 1e-10
 _QS_STALL_TOL = 1e-6
-# levels of the first quadrature call's look-ahead per order: orders 0 and 1
-# refine eight to ten levels down, the others seldom past the default three
-_QS_AHEAD = np.array([8, 8] + [3] * (_QS_M_MAX - 1))
+_QS_BUCKETS = 8  # buckets of the tree memo per octave of d/rho
+_QS_TREE_ENTRIES = 128
+# (geom, orientation, rel_tol, bucket) -> {order: sorted heap codes}, oldest use first
+_QS_TREES: dict = {}
+
+
+def _tree_entry(key: tuple) -> tuple[dict, dict]:
+    """The trees to look ahead along at `key`, and the memo entry for the splits made there.
+
+    An empty bucket borrows the nearest populated bucket of its kind, if any.
+    """
+    ahead = own = _QS_TREES.pop(key, None)
+    if own is None:
+        near = min((k for k in _QS_TREES if k[:3] == key[:3]),
+                   key=lambda k: abs(k[3] - key[3]), default=None)
+        ahead, own = _QS_TREES.get(near, {}), {}
+    _QS_TREES[key] = own
+    if len(_QS_TREES) > _QS_TREE_ENTRIES:
+        del _QS_TREES[next(iter(_QS_TREES))]  # the least recently used
+    return ahead, own
 
 
 def _harmonic_chunks(d: float, rho: float, radial: bool) -> list[np.ndarray]:
@@ -452,13 +467,12 @@ def quasistatic_background(
     last term's share of the sum.  A harmonic that cannot reach `rel_tol` (roundoff, or 400
     panels) is kept with a RuntimeWarning.
 
-    The first integrand call of `quad` looks ahead along the path each
-    harmonic refines: order 0 toward k = x0/rho, the m = 0 surface
-    plasmon of the electrostatic cylinder (`_electrostatic_root`; k = 0
-    for a metal with Re eps >= -eps_host, which has none), and every
-    other order toward k = 0, orders 0 and 1 eight levels deep and the
-    rest three. Later rounds take the halves they split from there, so
-    the look-ahead saves calls and moves no bit.
+    The first integrand call of `quad` looks ahead along each harmonic's
+    tree: the union of the panels it split at earlier distances in the
+    same 1/8-octave bucket of d/rho (`_QS_TREES`, per geometry,
+    orientation and `rel_tol`; an empty bucket borrows the nearest one).
+    Harmonics refine alike across a bucket, so most backgrounds make one
+    call, and by `quad`'s own guarantee no tree moves a bit.
 
     Per quadrature node the integrand takes its Bessel values in real
     arithmetic (`_node_bessel`): one `specfun` call climbs K_m and
@@ -496,17 +510,18 @@ def quasistatic_background(
         # transition at k ~ m/rho
         k_up = 30.0 / d + 2.0 * ms / rho
         weight = np.where(ms == 0, 1.0, 2.0)
-        # order 0 refines around its surface-plasmon resonance, every other toward k = 0
-        toward = np.where(ms == 0, k_res, 0.0)
+        orders = ms.tolist()
         # a non-finite term fails the verdict below, so numpy need not warn of it
         with np.errstate(all="ignore"):
-            return pref * weight * quad(integrand, np.zeros(ms.size), k_up, rel_tol, toward,
-                                        _QS_AHEAD[ms])
+            total, split = quad(integrand, np.zeros(ms.size), k_up, rel_tol,
+                                [ahead.get(m) for m in orders])
+        for m, tree in zip(orders, split):
+            if m not in own or not tree.issubset(own[m]):
+                own[m] = tuple(sorted(tree.union(own.get(m, ()))))  # a third of a set's size
+        return pref * weight * total
 
-    try:
-        k_res = _electrostatic_root(geom) / rho
-    except NoBoundModeError:
-        k_res = 0.0  # no resonance: order 0 falls off from k = 0 like the others
+    bucket = math.floor(_QS_BUCKETS * (math.log2(d) - math.log2(rho)))
+    ahead, own = _tree_entry((geom, orientation, rel_tol, bucket))
     pref = -3.0 / (math.pi * k1**3)
     terms = np.empty(0)
     for chunk in _harmonic_chunks(d, rho, radial):

@@ -40,11 +40,11 @@ evaluation count can differ.
 bisection, each to a relative tolerance on its own. It keeps every
 panel it evaluates in one pool, linked to its halves once they are
 evaluated, and each row's current panels as indices into it. Its first
-call also evaluates and links each row's bisection path toward a point
-where the caller expects the row to refine, to a depth the caller
-sets: by default the left spine, three levels deep, for integrands
-that fall off from their rows' lower ends. Its panels are scalar, so
-the rule takes them as (panels, nodes) arrays and skips the max norm.
+call also evaluates and links the halves of the panels in a tree the
+caller gives each row (by default the left spine, three levels deep),
+and it returns the tree of panels each row split, with which a call
+on the same integrands needs no other. Its panels are scalar, so the
+rule takes them as (panels, nodes) arrays and skips the max norm.
 
 The G10/K21 table below is QUADPACK's qk21 on [-1, 1], listed from the
 end to the centre with the Kronrod and Gauss weights of each node (the
@@ -273,31 +273,35 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
 
 
 _ROW_LIMIT = 400  # panels per row of `quad`
-# depth of the path that `quad`'s first call evaluates unless its caller sets
-# one: integrands that fall off from their rows' lower ends split the
-# leftmost panel first, so the default path is the left spine
-_SPINE = 3
+# the tree of a row without one: integrands that fall off from their rows'
+# lower ends split the leftmost panel first, so it is the left spine
+_SPINE = (1, 2, 4)
+_DEEPEST = 2 ** 62  # halves of a panel with a smaller heap code get codes in int64
+
 
 
 class _Pool:
     """Every panel `quad` has evaluated, by pool index.
 
-    One column each for a panel's a, b, row, value, error and roundoff,
-    and the pool indices of its left and right halves, -1 until they
-    are evaluated. The columns grow by doubling.
+    One column each for a panel's a, b, row, heap code, value, error and
+    roundoff, and the pool indices of its left and right halves, -1
+    until they are evaluated. A row's panel has heap code 1, the halves
+    of panel c have 2c and 2c + 1, and those of a panel past `_DEEPEST`
+    have 0. The columns grow by doubling.
     """
 
     def __init__(self, f, size: int):
         self.f = f
         self.size = 0
         self.a, self.b, self.val, self.err, self.rnd = (np.empty(size) for _ in range(5))
-        self.row, self.left, self.right = (np.full(size, -1, dtype=np.intp) for _ in range(3))
+        self.row, self.code, self.left, self.right = (
+            np.full(size, -1, dtype=np.intp) for _ in range(4))
 
-    def add(self, row: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Evaluate the panels [a, b] of `row` in one call of f; their pool indices."""
+    def add(self, row: np.ndarray, a: np.ndarray, b: np.ndarray, code) -> np.ndarray:
+        """Evaluate panels [a, b] of `row`, heap codes `code`, in one call of f; their indices."""
         start, stop = self.size, self.size + a.size
         if stop > self.a.size:
-            for name in ("a", "b", "val", "err", "rnd", "row", "left", "right"):
+            for name in ("a", "b", "val", "err", "rnd", "row", "code", "left", "right"):
                 column = getattr(self, name)
                 grown = np.full(max(stop, 2 * column.size), -1, dtype=column.dtype)
                 grown[:start] = column[:start]
@@ -306,14 +310,13 @@ class _Pool:
         fv = self.f(nodes.ravel(), row.repeat(_X.size))
         values, errs, rnds = _rule(fv.reshape(nodes.shape), h)
         new = slice(start, stop)
-        self.a[new], self.b[new], self.row[new] = a, b, row
+        self.a[new], self.b[new], self.row[new], self.code[new] = a, b, row, code
         self.val[new], self.err[new], self.rnd[new] = values, errs, rnds
         self.size = stop
         return np.arange(start, stop)
 
 
-def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, toward=None,
-         depth=None) -> np.ndarray:
+def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, trees=None) -> tuple:
     """Integral over [lower[row], upper[row]] of each row's integrand, all rows at once.
 
     `f(x, row)` takes flat arrays of nodes and row indices and returns
@@ -325,58 +328,58 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, toward=None,
     so each result is the same whichever rows are integrated with it.
     Warns when a row ends above its tolerance.
 
-    Every panel evaluated goes into one pool (`_Pool`), linked to its
-    halves once they are evaluated, and a row's current panels are pool
-    indices. The first call evaluates each row's panel and its path
-    toward the point toward[row] (default lower: the left spine), down
-    depth[row] levels (default _SPINE): the halves of the panel, then
-    the halves of the half that holds the point (the left one at the
-    midpoint, the right one past upper), and so on, linked. A round
-    splits by the pool's values and makes one call at most, for the
-    split panels without halves; every other split takes its linked
-    halves. The decisions and sums are those of plain bisection, and so
-    is the panel order, on which `np.bincount`'s sums depend: a round
-    keeps the unsplit panels in order, then the left halves, then the
-    right halves. A path panel that no round splits costs its nodes. If
-    the first call raises an ArithmeticError or OutOfDomainError, it is
-    made again on the rows' panels alone, as plain bisection's first
-    call, so only a node that plain bisection reaches can raise.
+    Returns the totals and each row's tree: the set of heap codes
+    (`_Pool`) of the panels plain bisection split in that row, down to
+    62 levels. `trees` gives each row a tree to look ahead along, any
+    collection of heap codes; a row whose tree is None, and every row when
+    `trees` is None, takes the left spine `_SPINE`. The first call
+    evaluates each row's panel and the halves of every panel of its
+    tree that the tree reaches from the row's panel, each built from
+    its parent's a and b with bisection's midpoint, and links them in
+    the pool. A round splits by the pool's values and makes one call at
+    most, for the split panels without halves; every other split takes
+    its linked halves. The decisions and sums are those of plain
+    bisection, and so is the panel order, on which `np.bincount`'s sums
+    depend: a round keeps the unsplit panels in order, then the left
+    halves, then the right halves. A tree's panel that no round splits
+    costs its halves' nodes, so any tree gives the same result, and the
+    row's own tree gives it in one call. If the first call raises an
+    ArithmeticError or OutOfDomainError, it is made again on the rows'
+    panels alone, as plain bisection's first call, so only a node that
+    plain bisection reaches can raise.
     """
     n = upper.size
     rows = np.arange(n)
-    toward = lower if toward is None else toward
-    depth = np.full(n, _SPINE) if depth is None else depth
-    # level by level, the rows still descending and the pool index, a and b of
-    # their path panels; the pool takes the rows' panels, then each level's
-    # left halves and its right halves
-    live, at, a, b = rows, rows, lower, upper
-    row_of, a_of, b_of, links = [rows], [lower], [upper], []
-    size = n
-    for level in range(int(depth.max(initial=0))):
-        keep = depth[live] > level
-        live, at, a, b = live[keep], at[keep], a[keep], b[keep]
-        mid = 0.5 * (a + b)
-        row_of += [live, live]
-        a_of += [a, mid]
-        b_of += [mid, b]
-        left = np.arange(size, size + live.size)
-        links.append((at, left))
-        size += 2 * live.size
-        go_left = toward[live] <= mid
-        at = np.where(go_left, left, left + live.size)
-        a, b = np.where(go_left, a, mid), np.where(go_left, mid, b)
-    pool = _Pool(f, 2 * size)
+    # the halves of each tree's panels that its row's panel reaches, left and
+    # right, go into the pool after the rows' panels
+    row_of, a_of, b_of, code_of, links = [], [], [], [], []
+    for row, (lo, hi, tree) in enumerate(zip(lower.tolist(), upper.tolist(), trees or [None] * n)):
+        reached = {1: (lo, hi, row)}  # heap code -> a, b, pool index
+        for c in sorted(_SPINE if tree is None else tree):
+            if c in reached and c < _DEEPEST:
+                a, b, at = reached.pop(c)
+                mid = 0.5 * (a + b)
+                left = n + len(a_of)
+                row_of += (row, row)
+                a_of += (a, mid)
+                b_of += (mid, b)
+                code_of += (2 * c, 2 * c + 1)
+                links.append((at, left))
+                reached[2 * c], reached[2 * c + 1] = (a, mid, left), (mid, b, left + 1)
+    pool = _Pool(f, 2 * (n + len(a_of)))
     try:
-        pool.add(np.concatenate(row_of), np.concatenate(a_of), np.concatenate(b_of))
+        pool.add(np.array(rows.tolist() + row_of), np.concatenate((lower, a_of)),
+                 np.concatenate((upper, b_of)), [1] * n + code_of)
     except (ArithmeticError, OutOfDomainError):
         if not links:
             raise
-        # a path node raised: plain bisection's first call, the rows' panels alone
-        pool.add(rows, lower, upper)
+        # a tree's node raised: plain bisection's first call, the rows' panels alone
+        pool.add(rows, lower, upper, 1)
         links = []
-    for at, left in links:
-        pool.left[at], pool.right[at] = left, left + at.size
-    cur = rows
+    if links:
+        at, left = np.array(links).T
+        pool.left[at], pool.right[at] = left, left + 1
+    cur, done = rows, []
     while True:
         rows, val, err, rnd = pool.row[cur], pool.val[cur], pool.err[cur], pool.rnd[cur]
         total = np.bincount(rows, val, n)
@@ -388,12 +391,14 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, toward=None,
         if not np.count_nonzero(split):
             break
         halved = cur[split]
+        done += zip(pool.row[halved].tolist(), pool.code[halved].tolist())
         fresh = halved[pool.left[halved] < 0]
         if fresh.size:
             a, b, of = pool.a[fresh], pool.b[fresh], pool.row[fresh]
             mid = 0.5 * (a + b)
+            code = 2 * np.where(pool.code[fresh] < _DEEPEST, pool.code[fresh], 0)
             halves = pool.add(np.concatenate((of, of)), np.concatenate((a, mid)),
-                              np.concatenate((mid, b)))
+                              np.concatenate((mid, b)), np.concatenate((code, code + (code > 0))))
             pool.left[fresh], pool.right[fresh] = halves[:fresh.size], halves[fresh.size:]
         cur = np.concatenate((cur[~split], pool.left[halved], pool.right[halved]))
     if unmet.any():
@@ -403,4 +408,8 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, toward=None,
             RuntimeWarning,
             stacklevel=2,
         )
-    return total
+    split_trees = [set() for _ in range(n)]
+    for row, code in done:
+        if code:
+            split_trees[row].add(code)
+    return total, split_trees

@@ -569,8 +569,8 @@ def harmonic_envelope_moment(sigma_e: float, mass_ratio: float, shift: float,
 # ------------------------------------------------------- row quadrature
 
 
-def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, toward=None,
-                   depth=None) -> np.ndarray:
+def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float,
+                   trees=None) -> tuple:
     """`mesoqed.quadrature.quad` as plain bisection, one row and one panel at a time.
 
     Each panel is scipy's G10/K21 rule on the row's integrand
@@ -581,35 +581,40 @@ def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, towa
     its unsplit panels in order, then the left halves, then the right
     halves, and sums values and errors in that order from 0.0, as
     `quad` sums all rows. Warns as `quad` does. Same signature as
-    `quad`, so a test can put it in place of `nanowire.quad`; `toward`
-    and `depth` only schedule nodes there, so they are ignored here.
+    `quad`, so a test can put it in place of `nanowire.quad`: returns the
+    totals and each row's set of split heap codes (the row's panel is 1,
+    the halves of c are 2c and 2c + 1). `trees` only schedules nodes
+    there, so it is ignored here.
     """
-    totals, unmet = [], 0
+    totals, splits, unmet = [], [], 0
     for row, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
         def g(x, row=row):
             return f(np.array([x]), np.array([row]))
 
-        def panel(a, b):
+        def panel(a, b, code):
             value, err, rnd = _quadrature_gk21(a, b, g, _max_norm)
-            return a, b, float(value[0]), err, rnd
+            return a, b, float(value[0]), err, rnd, code
 
-        panels = [panel(lo, hi)]
+        panels = [panel(lo, hi, 1)]
+        split_codes = set()
         while True:
             total = err_sum = 0.0
-            for _, _, value, err, _ in panels:
+            for _, _, value, err, _, _ in panels:
                 total += value
                 err_sum += err
             tol = rel_tol * abs(total)
             if not err_sum > tol or len(panels) >= 400:
                 break
-            cut = [err > tol / len(panels) and err > rnd for _, _, _, err, rnd in panels]
+            cut = [err > tol / len(panels) and err > rnd for _, _, _, err, rnd, _ in panels]
             if not any(cut):
                 break
-            split = [p[:2] for p, c in zip(panels, cut) if c]
+            split = [(a, b, code) for (a, b, *_, code), c in zip(panels, cut) if c]
+            split_codes.update(code for _, _, code in split)
             panels = ([p for p, c in zip(panels, cut) if not c]
-                      + [panel(a, 0.5 * (a + b)) for a, b in split]
-                      + [panel(0.5 * (a + b), b) for a, b in split])
+                      + [panel(a, 0.5 * (a + b), 2 * code) for a, b, code in split]
+                      + [panel(0.5 * (a + b), b, 2 * code + 1) for a, b, code in split])
         totals.append(total)
+        splits.append(split_codes)
         unmet += err_sum > tol
     if unmet:
         warnings.warn(
@@ -618,7 +623,7 @@ def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, towa
             RuntimeWarning,
             stacklevel=2,
         )
-    return np.array(totals)
+    return np.array(totals), splits
 
 
 # ---------------------------------------------------- contour quadrature

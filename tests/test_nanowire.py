@@ -52,6 +52,13 @@ EPS_METAL = (0.2 + 7.0j) ** 2
 EPS_HOST = 3.42**2
 
 
+@pytest.fixture(autouse=True)
+def cold_tree_memo():
+    # every test starts with the background's tree memo of a fresh process:
+    # the integrand calls and nodes a background takes depend on it
+    nanowire._QS_TREES.clear()
+
+
 # ------------------------------------------------------------ mode solve
 
 
@@ -377,8 +384,8 @@ def _norm_integral_per_order(geom, k_sp, kap_in, kap_out, a_in):
 
     r_max = geom.rho + nanowire._NORM_TAIL / kap_out.real
     with np.errstate(over="ignore", invalid="ignore"):
-        w_in, w_out = nanowire.quad(density, np.array([0.0, geom.rho]),
-                                    np.array([geom.rho, r_max]), 1e-11)
+        (w_in, w_out), _ = nanowire.quad(density, np.array([0.0, geom.rho]),
+                                         np.array([geom.rho, r_max]), 1e-11)
     return float(w_in + w_out)
 
 
@@ -722,29 +729,135 @@ def test_background_makes_one_quad_call_at_default_m_max(monkeypatch):
     assert len(calls) == 2 * 581 and set(calls) == {1}
 
 
-@pytest.mark.parametrize("d, orientation, calls, nodes", [
-    (20.0, AXIAL, 5, 4494), (20.0, RADIAL, 6, 4641), (155.0, AXIAL, 3, 2310),
-])
-def test_background_integrand_calls(monkeypatch, d, orientation, calls, nodes):
-    # the first call evaluates each row's path, which the row's first
-    # split rounds take their halves from: eight levels toward x0/rho
-    # for order 0 and toward k = 0 for order 1, three toward k = 0 for
-    # the others. Plain bisection makes 10, 10 and 8 calls on 4368, 4599
-    # and 2142 nodes; 3, 1 and 4 pairs of path halves go unused (126, 42
-    # and 168 nodes)
-    sizes = []
+def recording_quad(sizes):
+    """`nanowire.quad` that records the size of every integrand call in `sizes`."""
     real_quad = nanowire.quad
 
-    def counting_quad(func, *args):
+    def counting(func, *args):
         return real_quad(lambda k, row: (sizes.append(k.size), func(k, row))[1], *args)
 
-    monkeypatch.setattr(nanowire, "quad", counting_quad)
-    quasistatic_background(GEOM, d, orientation)
-    assert (len(sizes), sum(sizes)) == (calls, nodes)
+    return counting
+
+
+@pytest.mark.parametrize("d, orientation, cold, warm", [
+    (20.0, AXIAL, (7, 4368), (1, 4368)),
+    (20.0, RADIAL, (7, 4641), (1, 4599)),
+    (155.0, AXIAL, (5, 2142), (1, 2142)),
+])
+def test_background_integrand_calls(monkeypatch, d, orientation, cold, warm):
+    # with a cold memo the first call looks ahead along each harmonic's
+    # left spine, three levels down; plain bisection makes 10, 10 and 8
+    # calls on 4368, 4599 and 2142 nodes, and 0, 1 and 0 pairs of spine
+    # halves go unused. The memo then holds the trees the harmonics split,
+    # so the same background again evaluates in one call exactly the
+    # nodes of plain bisection
+    sizes = []
+    monkeypatch.setattr(nanowire, "quad", recording_quad(sizes))
+    counts = []
+    for _ in range(2):
+        sizes.clear()
+        quasistatic_background(GEOM, d, orientation)
+        counts.append((len(sizes), sum(sizes)))
+    assert counts == [cold, warm]
+
+
+def test_background_borrows_the_nearest_bucket_of_its_kind(monkeypatch):
+    # 20 and 22 nm lie in neighbouring 1/8-octave buckets of d/rho: the
+    # empty bucket of 22 nm looks ahead along the trees of 20 nm, in 3
+    # calls instead of 7, but not along those of the other orientation or
+    # of another tolerance
+    sizes = []
+    monkeypatch.setattr(nanowire, "quad", recording_quad(sizes))
+
+    def calls(d, orientation, rel_tol=1e-8):
+        sizes.clear()
+        quasistatic_background(GEOM, d, orientation, rel_tol)
+        return len(sizes)
+
+    others = [(22.0, RADIAL), (22.0, AXIAL, 1e-9)]
+    cold = []
+    for args in others:
+        nanowire._QS_TREES.clear()
+        cold.append(calls(*args))
+    nanowire._QS_TREES.clear()
+    assert calls(20.0, AXIAL) == 7
+    assert [calls(*args) for args in others] == cold == [7, 8]
+    assert calls(22.0, AXIAL) == 3
+    buckets = [key[3] for key in nanowire._QS_TREES]
+    assert buckets == [-5, -4, -4, -4]
+
+
+def test_background_tree_memo_keys_and_bound(monkeypatch):
+    # the bucket is floor(8 log2(d/rho)), taken as a difference of
+    # logarithms: d/rho leaves double range at 1e300 nm from a 1e-10 nm
+    # wire and at 1e-300 nm from a 1e10 nm one. The tolerance is part of
+    # the key: at 300 nm the trees go 8 levels down at 1e-14 and 4 at
+    # 1e-8. A sweep over 10 000 buckets keeps the 128 used last
+    for rho, d in ((1e-10, 1e300), (1e10, 1e-300)):
+        key = (dataclasses.replace(GEOM, rho=rho), AXIAL, 1e-8)
+        try:
+            quasistatic_background(key[0], d, AXIAL)
+        except MesoqedError:
+            pass
+        bucket = math.floor(8 * (math.log2(d) - math.log2(rho)))
+        assert list(nanowire._QS_TREES)[-1] == (*key, bucket)
+    quasistatic_background(GEOM, 300.0, AXIAL)
+    with pytest.warns(RuntimeWarning, match="stopped above the relative tolerance 1e-14"):
+        quasistatic_background(GEOM, 300.0, AXIAL, 1e-14)
+    *_, loose, tight = nanowire._QS_TREES.items()
+    assert [key[2] for key in (loose[0], tight[0])] == [1e-8, 1e-14]
+    depth = [max(max(tree, default=1) for tree in trees.values()).bit_length() - 1
+             for _, trees in (loose, tight)]
+    assert depth == [4, 8]
+
+    def no_quad(f, lower, upper, rel_tol, trees):
+        return np.zeros(upper.size), [set() for _ in range(upper.size)]
+
+    monkeypatch.setattr(nanowire, "quad", no_quad)
+    sweep = 2.0 ** (np.arange(-5000, 5000) / 8 + 1 / 16) * GEOM.rho
+    for d in sweep.tolist():
+        quasistatic_background(GEOM, d, RADIAL)
+        assert len(nanowire._QS_TREES) <= nanowire._QS_TREE_ENTRIES
+    assert [key[3] for key in nanowire._QS_TREES] == list(range(4872, 5000))
+    # a bucket used again outlasts the ones used since: 4873 goes first
+    for d in (sweep[-128], 2.0 ** (5000 / 8 + 1 / 16) * GEOM.rho):
+        quasistatic_background(GEOM, float(d), RADIAL)
+    assert [key[3] for key in nanowire._QS_TREES] == [*range(4874, 5000), 4872, 5000]
 
 
 # Re eps = -10.9 is not below -eps_host = -11.7: no electrostatic resonance
 NO_RESONANCE = Material("no resonance", 0.1 + 3.3j)
+
+
+def foreign_tree_memo(geom):
+    """A tree memo of geom from other distances, the other orientation and another tolerance.
+
+    The trees of backgrounds at 1e-12 are filed under the default
+    tolerance and the other orientation.
+    """
+    nanowire._QS_TREES.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for orientation in (AXIAL, RADIAL):
+            for d in (0.5, 3.0, 40.0, 1000.0, 1e250):
+                try:
+                    quasistatic_background(geom, d, orientation, 1e-12)
+                except MesoqedError:
+                    pass
+    other = {AXIAL: RADIAL, RADIAL: AXIAL}
+    memo = {(g, other[o], 1e-8, b): trees for (g, o, _, b), trees in nanowire._QS_TREES.items()}
+    nanowire._QS_TREES.clear()
+    nanowire._QS_TREES.update(memo)
+
+
+def deep_spine_memo(geom, distances):
+    """A tree memo of geom in which every harmonic's tree is a left spine 40 levels deep."""
+    nanowire._QS_TREES.clear()
+    for orientation in (AXIAL, RADIAL):
+        for d in distances:
+            bucket = math.floor(8 * (math.log2(d) - math.log2(geom.rho)))
+            nanowire._QS_TREES[(geom, orientation, 1e-8, bucket)] = {
+                m: {1 << level for level in range(40)} for m in range(31)}
 
 
 @pytest.mark.parametrize("geom, distances", [
@@ -754,17 +867,15 @@ NO_RESONANCE = Material("no resonance", 0.1 + 3.3j)
     (dataclasses.replace(GEOM, rho=1e-6, metal=NO_RESONANCE), (1e300,)),
 ], ids=["paper", "no resonance", "1e-6 nm no resonance"])
 def test_background_look_ahead_changes_no_outcome(monkeypatch, geom, distances):
-    # the first quad call evaluates each harmonic's path, nodes that plain
-    # bisection may never reach: order 0 toward x0/rho, or toward k = 0
-    # where the metal has no x0, and orders 0 and 1 eight levels down.
+    # the first quad call evaluates the halves of every panel in each
+    # harmonic's tree, nodes that plain bisection may never reach.
     # Bitwise the value, the error and the warnings of plain bisection at
-    # distances from 1e-300 to 1e300 nm. On the 1e-6 nm wire at 1e300 nm,
-    # order 0's path reaches k*rho below 1e-308, where K1 overflows and
-    # `_background_node` raises, and plain bisection does not go there
-    if geom.metal is NO_RESONANCE:
-        with pytest.raises(NoBoundModeError):
-            nanowire._electrostatic_root(geom)
-
+    # distances from 1e-300 to 1e300 nm, with a cold memo (the left
+    # spine, then the trees of the distances before), with one of foreign
+    # trees and with one of left spines 40 levels deep. At 1e300 nm, and
+    # at some other distances, such a spine reaches k*rho below 1e-308,
+    # where K1 overflows and `_background_node` raises; plain bisection
+    # does not go there, and on the 1e-6 nm wire it returns 1.0
     def outcomes():
         out = []
         for orientation in (AXIAL, RADIAL):
@@ -778,9 +889,16 @@ def test_background_look_ahead_changes_no_outcome(monkeypatch, geom, distances):
                 out.append((d, orientation, value, [str(w.message) for w in caught]))
         return out
 
-    got = outcomes()
+    if geom.metal is NO_RESONANCE:
+        with pytest.raises(NoBoundModeError):
+            nanowire._electrostatic_root(geom)
+    cold = outcomes()
+    foreign_tree_memo(geom)
+    foreign = outcomes()
+    deep_spine_memo(geom, distances)
+    deep = outcomes()
     monkeypatch.setattr(nanowire, "quad", oracles.bisection_quad)
-    assert got == outcomes()
+    assert cold == foreign == deep == outcomes()
 
 
 @pytest.mark.parametrize("kwargs", [

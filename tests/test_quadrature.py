@@ -5,7 +5,8 @@ for decision, so value and error estimate are compared bitwise (sign of
 zero included), never to a tolerance. `quadrature.quad` shares the panel
 rule; its rows must not depend on each other. Both drivers look ahead on
 their first call, which must move no bit: `quad` is compared bitwise
-with plain per-row bisection (`oracles.bisection_quad`).
+with plain per-row bisection (`oracles.bisection_quad`), and so is the
+tree of panels each row reports it split.
 """
 
 import math
@@ -309,9 +310,9 @@ def test_quad_rows_are_independent():
     freq = np.arange(1.0, 13.0)
     upper = np.full(freq.size, 3.0)
     for lower in (np.zeros(freq.size), np.linspace(0.2, 1.3, freq.size)):
-        together = quad(lambda x, row: np.cos(freq[row] * x), lower, upper, 1e-10)
+        together, _ = quad(lambda x, row: np.cos(freq[row] * x), lower, upper, 1e-10)
         for i, w in enumerate(freq):
-            alone = quad(lambda x, row: np.cos(w * x), lower[i:i + 1], upper[i:i + 1], 1e-10)
+            alone, _ = quad(lambda x, row: np.cos(w * x), lower[i:i + 1], upper[i:i + 1], 1e-10)
             assert alone[0] == together[i]
         want = (np.sin(freq * upper) - np.sin(freq * lower)) / freq
         assert np.allclose(together, want, rtol=1e-10, atol=1e-14)
@@ -330,7 +331,7 @@ def test_quad_warns_once_for_rows_above_tolerance(rel_tol, unmet):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = quad(f, np.zeros(3), np.full(3, 3.0), rel_tol)
+        got, _ = quad(f, np.zeros(3), np.full(3, 3.0), rel_tol)
     assert [w.category for w in caught] == [RuntimeWarning]
     assert str(caught[0].message).startswith(f"{unmet} of 3 integrals stopped above")
     assert np.all(np.isfinite(got))
@@ -359,8 +360,8 @@ SPINE_ROWS = {
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-17])
 def test_quad_spine_replays_plain_bisection(rel_tol):
     # each kind alone, the interior and first-panel rows together, and
-    # all four together: bitwise the totals and the warnings of plain
-    # per-row bisection, with no node evaluated twice. At 1e-17, below
+    # all four together: bitwise the totals, the split trees and the
+    # warnings of plain per-row bisection, with no node evaluated twice. At 1e-17, below
     # the roundoff estimate, every row stops above its tolerance. The
     # left row alone splits only its spine in its first three split
     # rounds, so it makes three calls fewer than the 10 (at 1e-10) and
@@ -381,8 +382,8 @@ def test_quad_spine_replays_plain_bisection(rel_tol):
             calls.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                total = integrate(f, lower, upper, rel_tol)
-            results.append((bits(total), [(w.category, str(w.message)) for w in caught]))
+                total, trees = integrate(f, lower, upper, rel_tol)
+            results.append((bits(total), trees, [(w.category, str(w.message)) for w in caught]))
             if integrate is quad:
                 x, row = (np.concatenate(column) for column in zip(*calls))
                 for r in range(len(names)):
@@ -398,7 +399,7 @@ def test_quad_spine_replays_plain_bisection(rel_tol):
                     assert spans.min() <= unit * (upper[0] - lower[0]) / 2 ** 9
                     assert np.count_nonzero(row == 1) == 147
         assert results[0] == results[1], names
-        assert len(results[0][1]) == (rel_tol == 1e-17)
+        assert len(results[0][2]) == (rel_tol == 1e-17)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
@@ -413,8 +414,8 @@ def test_quad_fresh_halves_keep_plain_bisection_order(rel_tol):
         return 1.0 / (1e-6 + (x - centre[row]) ** 2)
 
     lower, upper = np.full(centre.size, -0.5), np.full(centre.size, 3.0)
-    got = quad(f, lower, upper, rel_tol)
-    assert bits(got) == bits(oracles.bisection_quad(f, lower, upper, rel_tol))
+    got, _ = quad(f, lower, upper, rel_tol)
+    assert bits(got) == bits(oracles.bisection_quad(f, lower, upper, rel_tol)[0])
 
 
 # the interior Lorentzians above, one peak a row
@@ -429,56 +430,94 @@ def lorentzians(calls):
     return f
 
 
+def trees_of(own):
+    """Each kind of tree a row may carry, from the rows' own final trees `own`."""
+    return {
+        "own": own,
+        # the top three levels, and every second code, whose parents are
+        # often missing: a panel counts only below a split parent
+        "subset": [{c for c in tree if c < 8} for tree in own],
+        "scattered": [set(sorted(tree)[::2]) for tree in own],
+        # every panel of the first five levels besides
+        "superset": [tree | set(range(1, 32)) for tree in own],
+        # a peak 0.6 away refines elsewhere
+        "another row's": own[5:] + own[:5],
+        # the leftmost and rightmost descendants of each panel, six levels on
+        "deeper": [tree | {(c << j) + k for c in tree for j in range(1, 7)
+                           for k in (0, (1 << j) - 1)} for tree in own],
+        "none": [None] * len(own),
+        "empty": [set() for _ in own],
+    }
+
+
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-17])
-def test_quad_paths_toward_any_point_replay_plain_bisection(rel_tol):
-    # each row's path aims at, left of or right of its peak and goes 0, 3
-    # or 9 levels down, the nine pairs on rows 0-8 and again from row 9:
-    # bitwise the totals and the warnings of plain bisection, with no node
-    # evaluated twice. At 1e-17, below the roundoff estimate, every row
-    # stops above its tolerance
-    rows = np.arange(PEAKS.size)
-    toward = PEAKS + np.array([0.0, -0.4, 0.4])[rows % 3]
-    depth = np.array([0, 3, 9])[rows // 3 % 3]
+def test_quad_any_tree_replays_plain_bisection(rel_tol):
+    # whatever tree each row carries, bitwise the totals, the split trees
+    # and the warnings of plain bisection, with no node evaluated twice.
+    # At 1e-17, below the roundoff estimate, every row stops above its
+    # tolerance. The oracle takes a tree and ignores it
     lower, upper = np.full(PEAKS.size, -0.5), np.full(PEAKS.size, 3.0)
-    calls = []
-    results = []
-    for integrate in (quad, oracles.bisection_quad):
-        calls.clear()
+
+    def outcome(integrate, trees=None):
+        calls = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            total = integrate(lorentzians(calls), lower, upper, rel_tol, toward, depth)
-        results.append((bits(total), [(w.category, str(w.message)) for w in caught]))
-        if integrate is quad:
-            x, row = (np.concatenate(column) for column in zip(*calls))
-            for r in rows.tolist():
-                assert np.unique(x[row == r]).size == np.count_nonzero(row == r), r
-    assert results[0] == results[1]
-    assert len(results[0][1]) == (rel_tol == 1e-17)
+            total, split = integrate(lorentzians(calls), lower, upper, rel_tol, trees)
+        return (bits(total), split, [(w.category, str(w.message)) for w in caught]), calls
+
+    want, _ = outcome(oracles.bisection_quad)
+    assert len(want[2]) == (rel_tol == 1e-17)
+    own = want[1]
+    for kind, trees in trees_of(own).items():
+        got, calls = outcome(quad, trees)
+        assert got == want, kind
+        x, row = (np.concatenate(column) for column in zip(*calls))
+        for r in range(PEAKS.size):
+            assert np.unique(x[row == r]).size == np.count_nonzero(row == r), (kind, r)
+    assert outcome(oracles.bisection_quad, own)[0] == want
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
-def test_quad_path_aimed_at_the_peaks_saves_calls(rel_tol):
-    # a row refines around its peak, so a path 9 levels down to the peak
-    # serves rounds that the left spine leaves to calls of their own. The
-    # slowest row sets how many calls all rows make together; a row's own
-    # count is that of the calls holding its nodes, which it would make
-    # alone: 4 to 9 of them (1e-8) against the spine's 10 or 11
+def test_quad_row_given_its_own_tree_takes_one_call(rel_tol):
+    # the tree a row reports is the panels plain bisection split, so given
+    # back it makes the first call evaluate exactly the panels bisection
+    # reaches: one call, no node wasted. The left spine takes 10 or 11
     lower, upper = np.full(PEAKS.size, -0.5), np.full(PEAKS.size, 3.0)
-    spine, aimed = [], []
-    quad(lorentzians(spine), lower, upper, rel_tol)
-    quad(lorentzians(aimed), lower, upper, rel_tol, PEAKS, np.full(PEAKS.size, 9))
-    spine, aimed = ([row for _, rows in calls for row in np.unique(rows).tolist()]
-                    for calls in (spine, aimed))
-    assert (np.bincount(aimed) < np.bincount(spine)).all()
+    spine, again = [], []
+    total, own = quad(lorentzians(spine), lower, upper, rel_tol)
+    assert len(spine) >= 10
+    again_total, again_own = quad(lorentzians(again), lower, upper, rel_tol, own)
+    assert bits(again_total) == bits(total) and again_own == own
+    assert [x.size for x, _ in again] == [21 * (PEAKS.size + 2 * sum(map(len, own)))]
+
+
+def test_quad_trees_past_62_levels():
+    # x^-1/2 at 1e-12 bisects its left end 77 levels down; heap codes stop
+    # at 62 levels, so the reported tree is plain bisection's up to there,
+    # and the full tree, codes past int64 included, is a tree like any other
+    lower, upper = np.zeros(1), np.ones(1)
+
+    def f(x, row):
+        return x ** -0.5
+
+    want, tree = oracles.bisection_quad(f, lower, upper, 1e-12)
+    assert max(tree[0]).bit_length() == 78
+    got, split = quad(f, lower, upper, 1e-12)
+    assert bits(got) == bits(want)
+    assert split[0] == {c for c in tree[0] if c.bit_length() <= 63}
+    for trees in (tree, split):
+        again, again_split = quad(f, lower, upper, 1e-12, trees)
+        assert bits(again) == bits(want) and again_split == split
 
 
 def test_quad_path_node_that_raises_changes_no_outcome():
     # the integrand raises at every node plain bisection does not reach; a
-    # path 9 levels down toward each row's upper end holds such nodes, so
+    # tree 9 levels down toward each row's upper end holds such nodes, so
     # the first call raises and is made again on the rows' panels alone
     lower, upper = np.full(PEAKS.size, -0.5), np.full(PEAKS.size, 3.0)
+    right = [{(1 << level) - 1 for level in range(1, 10)}] * PEAKS.size
     plain = []
-    want = oracles.bisection_quad(lorentzians(plain), lower, upper, 1e-8)
+    want, _ = oracles.bisection_quad(lorentzians(plain), lower, upper, 1e-8)
     reached = {(node, row) for x, rows in plain for node, row in zip(x.tolist(), rows.tolist())}
     calls = []
     g = lorentzians([])
@@ -489,7 +528,7 @@ def test_quad_path_node_that_raises_changes_no_outcome():
             raise OutOfDomainError("a node plain bisection does not reach")
         return g(x, row)
 
-    got = quad(f, lower, upper, 1e-8, upper, np.full(PEAKS.size, 9))
+    got, _ = quad(f, lower, upper, 1e-8, right)
     assert bits(got) == bits(want)
     assert calls[:2] == [21 * PEAKS.size * 19, 21 * PEAKS.size]
 
@@ -498,7 +537,7 @@ def test_quad_path_node_that_raises_changes_no_outcome():
 
     # a node plain bisection reaches raises as it would there
     with pytest.raises(OutOfDomainError, match="every node"):
-        quad(everywhere, lower, upper, 1e-8, upper, np.full(PEAKS.size, 9))
+        quad(everywhere, lower, upper, 1e-8, right)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
@@ -515,9 +554,9 @@ def test_quad_rows_that_stop_within_their_spine(rel_tol):
         return 1.0 / (w[row] + x * x * x)
 
     lower, upper = np.zeros(w.size), np.full(w.size, 2.0)
-    got = quad(f, lower, upper, rel_tol)
+    got, _ = quad(f, lower, upper, rel_tol)
     assert calls == [147 * w.size]
-    assert bits(got) == bits(oracles.bisection_quad(f, lower, upper, rel_tol))
+    assert bits(got) == bits(oracles.bisection_quad(f, lower, upper, rel_tol)[0])
 
 
 def test_quad_first_call_evaluates_each_row_and_its_left_spine():

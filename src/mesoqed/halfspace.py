@@ -290,10 +290,11 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
 
     Every height's segments are intervals of one quad_vec call, so one
     call of fn per round evaluates the nodes of all heights; a block of
-    one height looks ahead on its radiative and ellipse segments, whose
-    columns the memo holds. If a block overflows, each of its heights
-    runs alone. Returns, per height, (radiative part, evanescent part,
-    accumulated error estimate), or the ConvergenceError of that height.
+    one height looks ahead to the quarters of its radiative and ellipse
+    segments, whose columns the memo holds. If a block overflows, each
+    of its heights runs alone. Returns, per height, (radiative part,
+    evanescent part, accumulated error estimate), or the
+    ConvergenceError of that height.
     """
     try:
         # each height's segments are intervals in a row: radiative, ellipse(, tail)
@@ -323,7 +324,8 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
         # a non-finite value fails the error test below, so numpy need not warn of it
         with np.errstate(all="ignore"):
             parts = iter(quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol,
-                                  ahead=(0, 1) if len(heights) == 1 else ()))
+                                  trees=[(1, 2, 3), (1, 2, 3), (1,)][:len(bounds)]
+                                  if len(heights) == 1 else None))
     except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
         if len(heights) > 1:
             # one height at a time: only those whose integrand overflows fail

@@ -279,8 +279,14 @@ def solve_dispersion(geom: WireGeometry) -> GuidedMode:
     """
     if geom.metal.n == geom.host.n:
         raise ParameterError("metal and host are identical; no guided plasmon exists")
-    root, residual = _newton(geom, _seed(geom)) or (None, None)
-    if root is None or not 0.0 <= root.imag < root.real:
+    found = _newton(geom, _seed(geom))
+    if found is None:
+        raise NoBoundModeError(
+            "Newton from the electrostatic seed found no guided root for the wire of radius "
+            f"{geom.rho:g} nm, metal n = {geom.metal.n:g} and host n = {geom.host.n:g} "
+            f"at lambda0 = {geom.lambda0:g} nm")
+    root, residual = found
+    if not 0.0 <= root.imag < root.real:
         raise NoBoundModeError(f"Newton from the electrostatic seed found no guided root: {root}")
     v_g = _group_velocity_at(geom, root, 1e-3)
     return GuidedMode(root, v_g, residual, geom)

@@ -10,16 +10,15 @@ every panel evaluated in a call, flat, and k the index of the interval
 (or row) each node belongs to. A round makes one call at most, for the
 nodes of all panels it needs that are not evaluated yet.
 
-Both drivers look ahead: their first call also evaluates panels that
-later rounds split in nearly every case, and a round that splits such a
-panel takes its halves from there. Every split decision, sum, stop and
-warning is that of the plain process, computed with the same midpoint
-arithmetic; only the call a node is evaluated in moves, and a panel
-looked ahead but never split costs its nodes. So the integrand's value
-at a node must not depend on the other nodes of its call. If a first
-call that looked ahead raises an ArithmeticError (or, in `quad`, a
-special function's OutOfDomainError), the driver makes it again without
-the look-ahead, so only a node the plain process reaches can raise.
+Both drivers look ahead along a tree of heap codes per interval: the
+interval's panel is 1, and the halves of panel c are 2c and 2c + 1.
+Their first call (`_first_call`) also evaluates the halves of the
+tree's panels, and a round that splits such a panel takes its halves
+from there. Every split decision, sum, stop and warning is that of the
+plain process, computed with the same midpoint arithmetic; only the
+call a node is evaluated in moves, and a panel looked ahead but never
+split costs its halves' nodes. So the integrand's value at a node must
+not depend on the other nodes of its call.
 
 `quad_vec` integrates one vector integrand over several finite intervals
 and gives, for each interval, exactly what scipy's
@@ -28,23 +27,17 @@ subdivisions in the same order, the same stops and bitwise the same
 value and error estimate. It differs in how the work is scheduled, not
 in what is computed: the intervals are independent adaptive processes
 run in lockstep, and every round evaluates the nodes of all panels
-being split at once. The first round splits each interval's one panel,
-so the first call evaluates that panel and both its halves together;
-for the intervals the caller names it also evaluates the halves of both
-halves, which the second round splits unless the interval stops. Each
-panel keeps its integral until it is split; scipy re-integrates a panel
-its cache has lost, which gives the same bits, so only scipy's
-evaluation count can differ.
+being split at once. Each panel keeps its integral until it is split;
+scipy re-integrates a panel its cache has lost, which gives the same
+bits, so only scipy's evaluation count can differ.
 
 `quad` integrates many real scalar integrands ("rows") by adaptive
 bisection, each to a relative tolerance on its own. It keeps every
 panel it evaluates in one pool, linked to its halves once they are
-evaluated, and each row's current panels as indices into it. Its first
-call also evaluates and links the halves of the panels in a tree the
-caller gives each row (by default the left spine, three levels deep),
-and it returns the tree of panels each row split, with which a call
-on the same integrands needs no other. Its panels are scalar, so the
-rule takes them as (panels, nodes) arrays and skips the max norm.
+evaluated, and each row's current panels as indices into it. It
+returns the tree of panels each row split, with which a call on the
+same integrands needs no other. Its panels are scalar, so the rule
+takes them as (panels, nodes) arrays and skips the max norm.
 
 The G10/K21 table below is QUADPACK's qk21 on [-1, 1], listed from the
 end to the centre with the Kronrod and Gauss weights of each node (the
@@ -151,12 +144,55 @@ def _panels(f, k: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     """`_rule` on the panels [a, b] of intervals k: one call of f(x, k) for all their nodes."""
     nodes, h = _nodes(a, b)
     fv = f(nodes.ravel(), np.repeat(k, _X.size))
-    return _rule(fv.reshape(*nodes.shape, -1), h)
+    return _rule(fv.reshape(nodes.shape + fv.shape[1:]), h)
 
 
-def _gk21(f, panels: list) -> tuple:
-    """`_panels` on a list of (k, a, b) panels."""
-    return _panels(f, *(np.array(column) for column in zip(*panels)))
+_DEEPEST = 2 ** 62  # halves of a panel with a smaller heap code get codes in int64
+
+
+def _first_call(evaluate, lower: list, upper: list, trees, plain) -> tuple:
+    """A driver's first call: evaluate(k, a, b, code) on every interval's panel and tree.
+
+    Interval k's panel is [lower[k], upper[k]], heap code 1, and
+    trees[k] is any collection of heap codes. The call also evaluates the
+    halves of every panel of the tree that the tree reaches from code 1,
+    down to `_DEEPEST`: each from its parent's a and b with bisection's
+    midpoint, after the intervals' panels, a left half just before its
+    right one; evaluate takes the four columns as lists. Returns its
+    result and the (parent, left half) positions in the call of the
+    halves. If evaluate raises an ArithmeticError or a special
+    function's OutOfDomainError, it is called again with the plain
+    process's tree `plain` for every interval, so only a node the plain
+    process reaches can raise; a call that already held the plain panels
+    is not made again.
+    """
+    n = len(lower)
+
+    def expand(trees) -> tuple:
+        k_of, a_of, b_of, code_of, links = list(range(n)), lower[:], upper[:], [1] * n, []
+        for k, (lo, hi, tree) in enumerate(zip(lower, upper, trees)):
+            reached = {1: (lo, hi, k)}  # heap code -> a, b, position in the call
+            for c in sorted(tree):
+                if c in reached and c < _DEEPEST:
+                    a, b, at = reached.pop(c)
+                    mid = 0.5 * (a + b)
+                    left = len(a_of)
+                    links.append((at, left))
+                    reached[2 * c], reached[2 * c + 1] = (a, mid, left), (mid, b, left + 1)
+                    k_of += (k, k)
+                    a_of += (a, mid)
+                    b_of += (mid, b)
+                    code_of += (2 * c, 2 * c + 1)
+        return (k_of, a_of, b_of, code_of), links
+
+    panels, links = expand(trees)
+    try:
+        return evaluate(*panels), links
+    except (ArithmeticError, OutOfDomainError):
+        panels, plain_links = expand([plain] * n)
+        if plain_links == links:
+            raise
+        return evaluate(*panels), plain_links
 
 
 class _Interval:
@@ -210,25 +246,7 @@ class _Interval:
         return len(self.heap) >= _LIMIT
 
 
-def _halves(k, a: float, b: float) -> tuple:
-    """The halves of panel (k, a, b), split at scipy's midpoint."""
-    c = 0.5 * (a + b)
-    return (k, a, c), (k, c, b)
-
-
-def _split_rules(f, panels: list, split: list) -> tuple:
-    """One `_gk21` call for `panels` and both halves of every panel of `split`.
-
-    Returns the rules (value, error, roundoff) of `panels`, and a
-    (left, right) pair of rules for each panel of `split`.
-    """
-    values, errs, rnds = _gk21(f, panels + [half for panel in split for half in _halves(*panel)])
-    rules = list(zip(values, errs, rnds))
-    n = len(panels)
-    return rules[:n], list(zip(rules[n::2], rules[n + 1::2]))
-
-
-def quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
+def quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> list:
     """Integrate f over each finite interval of `bounds`, max norm.
 
     f(x, k) takes the flat nodes x of a round and the interval index k
@@ -236,36 +254,32 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
     with as many components on every interval. Returns one (value, error
     estimate) pair per interval, each bitwise equal to scipy's
     quad_vec(lambda x: f(np.array([x]), np.array([k]))[0], a, b,
-    epsabs=epsabs, epsrel=epsrel, norm="max"). The first call evaluates
-    every interval's panel and its two halves: the first round always
-    splits each interval's one panel, as scipy's does. For the intervals
-    whose indices are in `ahead` it also evaluates the halves of both
-    halves, which the second round takes if it splits them. Every later
-    round makes one call at most, for the halves of the panels it splits
-    that are not evaluated yet. A first call that looked ahead and raises
-    an ArithmeticError is made again on the panels and halves alone, so
-    only a node the plain process reaches can raise.
+    epsabs=epsabs, epsrel=epsrel, norm="max"). `trees` gives each
+    interval a tree to look ahead along (see the module docstring); by
+    default, and as the plain process, (1,): the first round always
+    splits each interval's one panel, as scipy's does.
     """
-    panels = [(k, a, b) for k, (a, b) in enumerate(bounds)]
-    split = panels + [half for panel in panels if panel[0] in ahead for half in _halves(*panel)]
-    try:
-        rules, pairs = _split_rules(f, panels, split)
-    except ArithmeticError:
-        if len(split) == len(panels):
-            raise
-        split = panels
-        rules, pairs = _split_rules(f, panels, split)
-    procs = [_Interval(a, b, *rule) for (k, a, b), rule in zip(panels, rules)]
-    ready = dict(zip(split, pairs))  # the halves evaluated before their panel is split
-    active = list(range(len(panels)))
+    def first(k, a, b, _code):
+        return k, a, b, list(zip(*_panels(f, *map(np.array, (k, a, b)))))
+
+    lower, upper = (list(ends) for ends in zip(*bounds))
+    (k, a, b, rules), links = _first_call(first, lower, upper, trees or [(1,)] * len(bounds), (1,))
+    procs = [_Interval(lo, hi, *rule) for lo, hi, rule in zip(lower, upper, rules)]
+    # the halves evaluated before their panel is split
+    ready = {(k[at], a[at], b[at]): (rules[left], rules[left + 1]) for at, left in links}
+    active = list(range(len(bounds)))
     while active:
         work = [(k, *panel) for k in active for panel in procs[k].pop(epsabs, epsrel)]
         pairs = [ready.pop(panel[:3], None) for panel in work]
         todo = [i for i, pair in enumerate(pairs) if pair is None]
         if todo:
-            _, fresh = _split_rules(f, [], [work[i][:3] for i in todo])
-            for i, pair in zip(todo, fresh):
-                pairs[i] = pair
+            halves = []
+            for k, a, b, *_ in (work[i] for i in todo):
+                mid = 0.5 * (a + b)
+                halves += (k, a, mid), (k, mid, b)
+            fresh = list(zip(*_panels(f, *(np.array(column) for column in zip(*halves)))))
+            for i, left, right in zip(todo, fresh[::2], fresh[1::2]):
+                pairs[i] = left, right
         for (k, a, b, old_err, old_int), pair in zip(work, pairs):
             procs[k].split(a, b, old_err, old_int, *pair)
         active = [k for k in active if not procs[k].done(epsabs, epsrel)]
@@ -276,8 +290,6 @@ _ROW_LIMIT = 400  # panels per row of `quad`
 # the tree of a row without one: integrands that fall off from their rows'
 # lower ends split the leftmost panel first, so it is the left spine
 _SPINE = (1, 2, 4)
-_DEEPEST = 2 ** 62  # halves of a panel with a smaller heap code get codes in int64
-
 
 
 class _Pool:
@@ -285,17 +297,18 @@ class _Pool:
 
     One column each for a panel's a, b, row, heap code, value, error and
     roundoff, and the pool indices of its left and right halves, -1
-    until they are evaluated. A row's panel has heap code 1, the halves
-    of panel c have 2c and 2c + 1, and those of a panel past `_DEEPEST`
-    have 0. The columns grow by doubling.
+    until they are evaluated. The halves of a panel past `_DEEPEST` have
+    heap code 0. The pool starts with the panels of `quad`'s first call
+    (`_first_call`), and its columns grow by doubling.
     """
 
-    def __init__(self, f, size: int):
+    def __init__(self, f, row: np.ndarray, a: np.ndarray, b: np.ndarray, code: np.ndarray):
         self.f = f
         self.size = 0
-        self.a, self.b, self.val, self.err, self.rnd = (np.empty(size) for _ in range(5))
+        self.a, self.b, self.val, self.err, self.rnd = (np.empty(2 * a.size) for _ in range(5))
         self.row, self.code, self.left, self.right = (
-            np.full(size, -1, dtype=np.intp) for _ in range(4))
+            np.full(2 * a.size, -1, dtype=np.intp) for _ in range(4))
+        self.add(row, a, b, code)
 
     def add(self, row: np.ndarray, a: np.ndarray, b: np.ndarray, code) -> np.ndarray:
         """Evaluate panels [a, b] of `row`, heap codes `code`, in one call of f; their indices."""
@@ -306,9 +319,7 @@ class _Pool:
                 grown = np.full(max(stop, 2 * column.size), -1, dtype=column.dtype)
                 grown[:start] = column[:start]
                 setattr(self, name, grown)
-        nodes, h = _nodes(a, b)
-        fv = self.f(nodes.ravel(), row.repeat(_X.size))
-        values, errs, rnds = _rule(fv.reshape(nodes.shape), h)
+        values, errs, rnds = _panels(self.f, row, a, b)
         new = slice(start, stop)
         self.a[new], self.b[new], self.row[new], self.code[new] = a, b, row, code
         self.val[new], self.err[new], self.rnd[new] = values, errs, rnds
@@ -328,58 +339,26 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, trees=None) ->
     so each result is the same whichever rows are integrated with it.
     Warns when a row ends above its tolerance.
 
-    Returns the totals and each row's tree: the set of heap codes
-    (`_Pool`) of the panels plain bisection split in that row, down to
-    62 levels. `trees` gives each row a tree to look ahead along, any
-    collection of heap codes; a row whose tree is None, and every row when
-    `trees` is None, takes the left spine `_SPINE`. The first call
-    evaluates each row's panel and the halves of every panel of its
-    tree that the tree reaches from the row's panel, each built from
-    its parent's a and b with bisection's midpoint, and links them in
-    the pool. A round splits by the pool's values and makes one call at
-    most, for the split panels without halves; every other split takes
-    its linked halves. The decisions and sums are those of plain
-    bisection, and so is the panel order, on which `np.bincount`'s sums
-    depend: a round keeps the unsplit panels in order, then the left
-    halves, then the right halves. A tree's panel that no round splits
-    costs its halves' nodes, so any tree gives the same result, and the
-    row's own tree gives it in one call. If the first call raises an
-    ArithmeticError or OutOfDomainError, it is made again on the rows'
-    panels alone, as plain bisection's first call, so only a node that
-    plain bisection reaches can raise.
+    Returns the totals and each row's tree: the set of heap codes of
+    the panels plain bisection split in that row, down to 62 levels.
+    `trees` gives each row a tree to look ahead along (see the module
+    docstring); a row whose tree is None, and every row when `trees` is
+    None, takes the left spine `_SPINE`. Plain bisection's first call
+    evaluates the rows' panels alone, so its tree is empty. A round
+    splits by the pool's values and makes one call at most, for the
+    split panels without halves; every other split takes its linked
+    halves. The panel order is plain bisection's, on which
+    `np.bincount`'s sums depend: a round keeps the unsplit panels in
+    order, then the left halves, then the right halves. So any tree
+    gives the same result, and the row's own tree gives it in one call.
     """
     n = upper.size
-    rows = np.arange(n)
-    # the halves of each tree's panels that its row's panel reaches, left and
-    # right, go into the pool after the rows' panels
-    row_of, a_of, b_of, code_of, links = [], [], [], [], []
-    for row, (lo, hi, tree) in enumerate(zip(lower.tolist(), upper.tolist(), trees or [None] * n)):
-        reached = {1: (lo, hi, row)}  # heap code -> a, b, pool index
-        for c in sorted(_SPINE if tree is None else tree):
-            if c in reached and c < _DEEPEST:
-                a, b, at = reached.pop(c)
-                mid = 0.5 * (a + b)
-                left = n + len(a_of)
-                row_of += (row, row)
-                a_of += (a, mid)
-                b_of += (mid, b)
-                code_of += (2 * c, 2 * c + 1)
-                links.append((at, left))
-                reached[2 * c], reached[2 * c + 1] = (a, mid, left), (mid, b, left + 1)
-    pool = _Pool(f, 2 * (n + len(a_of)))
-    try:
-        pool.add(np.array(rows.tolist() + row_of), np.concatenate((lower, a_of)),
-                 np.concatenate((upper, b_of)), [1] * n + code_of)
-    except (ArithmeticError, OutOfDomainError):
-        if not links:
-            raise
-        # a tree's node raised: plain bisection's first call, the rows' panels alone
-        pool.add(rows, lower, upper, 1)
-        links = []
-    if links:
-        at, left = np.array(links).T
-        pool.left[at], pool.right[at] = left, left + 1
-    cur, done = rows, []
+    trees = [_SPINE if tree is None else tree for tree in trees or [None] * n]
+    pool, links = _first_call(lambda *panels: _Pool(f, *map(np.array, panels)), lower.tolist(),
+                              upper.tolist(), trees, ())
+    at, left = np.array(links, dtype=np.intp).reshape(-1, 2).T
+    pool.left[at], pool.right[at] = left, left + 1
+    cur, done = np.arange(n), []
     while True:
         rows, val, err, rnd = pool.row[cur], pool.val[cur], pool.err[cur], pool.rnd[cur]
         total = np.bincount(rows, val, n)

@@ -629,7 +629,7 @@ def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float,
 # ---------------------------------------------------- contour quadrature
 
 
-def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
+def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> list:
     """The contour quadrature by scipy: one quad_vec call per interval.
 
     This is how the planar interface integrated its contour segments
@@ -637,7 +637,7 @@ def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float, ahead=()) -> list:
     one node at a time: the array integrand f(x, k) gets each node as a
     size-1 array. Same signature and result as
     `mesoqed.quadrature.quad_vec`, so a test can put it in place of
-    `halfspace.quad_vec`; `ahead` only schedules nodes there, so it is
+    `halfspace.quad_vec`; `trees` only schedules nodes there, so it is
     ignored here.
     """
     def at(x, k):

@@ -360,7 +360,7 @@ def test_interface_point_equals_scipy_quad_vec_bitwise(monkeypatch, lower, rel_t
         c = halfspace._contour(g)
         ref = oracles.scalar_ladder_integrand(c.k0, c.k1, c.eps1, c.eps2, c.k_b, c.delta, g.h)
 
-        def scalar_quad_vec(f, bounds, epsabs, epsrel, ahead=(), ref=ref):
+        def scalar_quad_vec(f, bounds, epsabs, epsrel, trees=None, ref=ref):
             # scipy on the scalar reference: interval k of one height is
             # segment k; the look-ahead moves no value, so it is ignored
             return [scipy_quad_vec(lambda x, k=k: ref(x, k), a, b, epsabs=epsabs,
@@ -491,7 +491,7 @@ def test_many_height_block_takes_no_look_ahead(monkeypatch):
 
     made = calls()
     assert [len(x) // 8 for x, _ in made] == [378, 210, 84]
-    assert made == calls(ahead=())
+    assert made == calls(trees=None)
 
 
 def test_overflow_at_a_look_ahead_node_changes_no_outcome(monkeypatch):
@@ -510,7 +510,7 @@ def test_overflow_at_a_look_ahead_node_changes_no_outcome(monkeypatch):
         return ladder(col, phi)
 
     monkeypatch.setattr(halfspace, "quad_vec",
-                        lambda f, bounds, **kwargs: quad_vec(f, bounds, **{**kwargs, "ahead": ()}))
+                        lambda f, bounds, **kwargs: quad_vec(f, bounds, **{**kwargs, "trees": None}))
     monkeypatch.setattr(halfspace, "_ladder", reaching)
     assert point_bits(interface_point(geom, MOMENTS)) == want
     failed = []

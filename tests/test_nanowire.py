@@ -212,11 +212,17 @@ def test_solve_validation():
         solve_dispersion(dielectric)
 
 
+# what solve_dispersion says of the paper wire when Newton finds no root
+NEWTON_MISS = re.escape(
+    "Newton from the electrostatic seed found no guided root for the wire of radius 30 nm, "
+    "metal n = 0.2+7j and host n = 3.42+0j at lambda0 = 1000 nm")
+
+
 def test_newton_stops_where_the_derivative_vanishes(monkeypatch):
     # a constant characteristic function: its difference quotient is 0
     monkeypatch.setattr(nanowire, "_characteristic", lambda k, geom: (1.0, 1.0))
     assert nanowire._newton(GEOM, 0.05) is None
-    with pytest.raises(NoBoundModeError, match="found no guided root: None"):
+    with pytest.raises(NoBoundModeError, match=NEWTON_MISS):
         nanowire.solve_dispersion.__wrapped__(GEOM)
 
 
@@ -235,7 +241,14 @@ def test_newton_gives_up_after_sixty_steps(monkeypatch):
     assert all(k.imag == 0.0 for k in calls)
     # a step starts with the value at k, then the difference at k + 1e-6*|k|
     assert sum(b == a + 1e-6 * abs(a) for a, b in zip(calls, calls[1:])) == 60
-    with pytest.raises(NoBoundModeError, match="found no guided root: None"):
+    with pytest.raises(NoBoundModeError, match=NEWTON_MISS):
+        nanowire.solve_dispersion.__wrapped__(GEOM)
+
+
+def test_a_root_that_is_not_guided_is_named(monkeypatch):
+    # Newton converged, but on a root no guided mode has
+    monkeypatch.setattr(nanowire, "_newton", lambda geom, seed: (-0.05 + 0.01j, 0.0))
+    with pytest.raises(NoBoundModeError, match=re.escape("found no guided root: (-0.05+0.01j)")):
         nanowire.solve_dispersion.__wrapped__(GEOM)
 
 
@@ -274,7 +287,7 @@ def test_newton_stops_on_a_stalled_step_short_of_a_root(monkeypatch):
     monkeypatch.setattr(nanowire, "_characteristic", characteristic)
     assert nanowire._newton(GEOM, seed) is None
     assert len(calls) == 5
-    with pytest.raises(NoBoundModeError, match="found no guided root: None"):
+    with pytest.raises(NoBoundModeError, match=NEWTON_MISS):
         nanowire.solve_dispersion.__wrapped__(GEOM)
 
 

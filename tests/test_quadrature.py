@@ -19,7 +19,7 @@ from scipy.integrate._quad_vec import _max_norm, _quadrature_gk21
 
 import oracles
 from mesoqed.errors import OutOfDomainError
-from mesoqed.quadrature import _gk21, _nodes, _panels, quad, quad_vec
+from mesoqed.quadrature import _nodes, _panels, quad, quad_vec
 
 ALPHA = np.linspace(0.1, 3.0, 4)
 
@@ -31,6 +31,10 @@ INTEGRANDS = {
     # real vector with a signed-zero component
     "real": (lambda x: np.array([math.exp(-x), -0.0, x ** 3]), -1.0, 2.0),
 }
+
+
+# the tree that looks ahead to an interval's quarters
+QUARTERS = (1, 2, 3)
 
 
 def bits(value):
@@ -49,25 +53,24 @@ def test_panel_rule_matches_scipy_bitwise():
     def g(x):
         return np.array([np.sin(50.0 * x) * np.exp(1j * x), complex(-0.0, x), -0.0j])
 
-    panels = [(0, 0.0, 0.1), (1, 0.1, 3.0), (0, -2.0, -1.5)]
-    values, errs, rnds = _gk21(per_node(g), panels)
-    for (_, a, b), value, err, rnd in zip(panels, values, errs, rnds):
-        want, want_err, want_rnd = _quadrature_gk21(a, b, g, _max_norm)
+    k, a, b = np.array([0, 1, 0]), np.array([0.0, 0.1, -2.0]), np.array([0.1, 3.0, -1.5])
+    values, errs, rnds = _panels(per_node(g), k, a, b)
+    for lo, hi, value, err, rnd in zip(a.tolist(), b.tolist(), values, errs, rnds):
+        want, want_err, want_rnd = _quadrature_gk21(lo, hi, g, _max_norm)
         assert bits(value) == bits(want)
         assert (err, rnd) == (want_err, want_rnd)
 
-    # the one-component form `quad` evaluates: an array integrand of the
-    # flat nodes, shaped (panels, 21, 1), with a sign change on one panel
+    # the scalar form `quad`'s pool evaluates: an integrand that returns
+    # one value per flat node gives one value per panel, with a sign
+    # change on one panel
     def real(x):
         return x / (0.01 + (x - 0.3) * (x - 0.3))
 
-    a = np.array([p[1] for p in panels])
-    b = np.array([p[2] for p in panels])
-    values, errs, rnds = _panels(lambda x, row: real(x), np.arange(a.size), a, b)
-    for lo, hi, value, err, rnd in zip(a, b, values[:, 0], errs, rnds):
-        want, want_err, want_rnd = _quadrature_gk21(lo, hi, lambda x: np.array([real(x)]),
-                                                    _max_norm)
-        assert bits(value) == bits(want[0])
+    values, errs, rnds = _panels(lambda x, row: real(x), k, a, b)
+    assert values.shape == a.shape
+    for lo, hi, value, err, rnd in zip(a.tolist(), b.tolist(), values, errs, rnds):
+        want, want_err, want_rnd = _quadrature_gk21(lo, hi, real, _max_norm)
+        assert bits(value) == bits(want)
         assert (err, rnd) == (want_err, want_rnd)
 
 
@@ -77,9 +80,9 @@ def test_matches_scipy_bitwise(name, epsrel, epsabs):
     # the look-ahead only moves where nodes are evaluated, never a value
     g, a, b = INTEGRANDS[name]
     want, want_err = scipy_quad_vec(g, a, b, epsabs=epsabs, epsrel=epsrel, norm="max")
-    for ahead in ((), (0,)):
+    for trees in (None, [QUARTERS]):
         [(got, got_err)] = quad_vec(per_node(g), [(a, b)], epsabs=epsabs, epsrel=epsrel,
-                                    ahead=ahead)
+                                    trees=trees)
         assert bits(got) == bits(want)
         assert got_err == want_err
 
@@ -145,7 +148,7 @@ def test_intervals_in_lockstep_match_scipy_one_by_one():
         *want, info = scipy_quad_vec(recorded, a, b, epsabs=1e-12, epsrel=1e-10, norm="max",
                                      full_output=True)
         wanted.append((want, info.neval, set(scipy_nodes)))
-    for ahead, unused in (((), (0, 0, 0)), ((0, 1, 2), (0, 42, 84))):
+    for trees, unused in ((None, (0, 0, 0)), ([QUARTERS] * 3, (0, 42, 84))):
         calls = []
 
         def f(x, k):
@@ -154,7 +157,7 @@ def test_intervals_in_lockstep_match_scipy_one_by_one():
             return np.array([gs[interval](node)
                              for node, interval in zip(x.tolist(), k.tolist())])
 
-        got = quad_vec(f, bounds, epsabs=1e-12, epsrel=1e-10, ahead=ahead)
+        got = quad_vec(f, bounds, epsabs=1e-12, epsrel=1e-10, trees=trees)
         assert any(np.unique(k).size > 1 for _, k in calls)
         for k, ((value, err), ((want, want_err), neval, scipy_nodes)) in enumerate(
                 zip(got, wanted)):
@@ -223,14 +226,15 @@ def test_zero_integrand_makes_one_call_per_split_round():
     # The first call brings the first round's halves, so 85 calls where
     # evaluating the first panels alone would take 86; with look-ahead
     # it brings the second round's quarters as well, so 84
-    for ahead, first, rounds in (((), [2 * 63, 2 * 2 * 42], 85), ((0, 1), [2 * 147], 84)):
+    for trees, first, rounds in ((None, [2 * 63, 2 * 2 * 42], 85),
+                                 ([QUARTERS] * 2, [2 * 147], 84)):
         calls = []
 
         def f(x, k):
             calls.append(x.size)
             return np.zeros((x.size, 1))
 
-        quad_vec(f, [(0.0, 1.0), (-1.0, 0.5)], epsabs=0.0, epsrel=1e-8, ahead=ahead)
+        quad_vec(f, [(0.0, 1.0), (-1.0, 0.5)], epsabs=0.0, epsrel=1e-8, trees=trees)
         assert len(calls) == rounds
         assert calls[:len(first) + 1] == first + [2 * 4 * 42]
         assert sum(calls) == 2 * (21 + 42 * 10111)
@@ -244,15 +248,18 @@ def plain_nodes(g, a, b, **tols):
         calls.append(set(x.tolist()))
         return per_node(g)(x, k)
 
-    quad_vec(f, [(a, b)], ahead=(), **tols)
+    quad_vec(f, [(a, b)], trees=None, **tols)
     return calls
 
 
-def test_overflow_at_unreached_look_ahead_nodes_changes_no_outcome():
-    # the peaked integrand never splits one quarter that the look-ahead
-    # evaluates (42 nodes). Overflowing there fails the first call alone:
-    # it is made again without the look-ahead, and every later call, the
-    # value and the error estimate are those of the plain process
+def raise_at_unreached_look_ahead_nodes(error):
+    """quad_vec on the peaked integrand, raising `error` where the plain process never goes.
+
+    The peaked integrand never splits one quarter that the look-ahead
+    evaluates (42 nodes). Raising there fails the first call alone: it
+    is made again without the look-ahead, and every later call, the
+    value and the error estimate are those of the plain process.
+    """
     g, a, b = INTEGRANDS["endpoint-peaked"]
     tols = dict(epsabs=1e-12, epsrel=1e-10)
     plain = plain_nodes(g, a, b, **tols)
@@ -262,16 +269,26 @@ def test_overflow_at_unreached_look_ahead_nodes_changes_no_outcome():
     def f(x, k):
         calls.append(set(x.tolist()))
         if not calls[-1] <= reached:
-            raise OverflowError("a look-ahead node overflows")
+            raise error("a look-ahead node fails")
         return per_node(g)(x, k)
 
-    [(got, got_err)] = quad_vec(f, [(a, b)], ahead=(0,), **tols)
+    [(got, got_err)] = quad_vec(f, [(a, b)], trees=[QUARTERS], **tols)
     want, want_err = scipy_quad_vec(g, a, b, norm="max", **tols)
     assert bits(got) == bits(want)
     assert got_err == want_err
     assert [len(nodes) for nodes in calls[:2]] == [147, 63]
     assert len(calls[0] - reached) == 42
     assert calls[1:] == plain
+
+
+def test_overflow_at_unreached_look_ahead_nodes_changes_no_outcome():
+    raise_at_unreached_look_ahead_nodes(OverflowError)
+
+
+def test_out_of_domain_at_unreached_look_ahead_nodes_changes_no_outcome():
+    # both drivers share the first call's guard, and with it a special
+    # function's domain error
+    raise_at_unreached_look_ahead_nodes(OutOfDomainError)
 
 
 @pytest.mark.parametrize("call", [0, -1], ids=["first-call", "last-call"])
@@ -285,8 +302,8 @@ def test_overflow_at_a_reached_node_raises_as_without_look_ahead(call, error):
     plain = plain_nodes(g, a, b, **tols)
     bad = min(plain[call] - plain[0]) if call else min(plain[0])
     made = {}
-    for ahead in ((), (0,)):
-        sizes = made[ahead] = []
+    for trees in (None, (QUARTERS,)):
+        sizes = made[trees] = []
 
         def f(x, k, sizes=sizes):
             sizes.append(x.size)
@@ -295,12 +312,12 @@ def test_overflow_at_a_reached_node_raises_as_without_look_ahead(call, error):
             return per_node(g)(x, k)
 
         with pytest.raises(error) as raised:
-            quad_vec(f, [(a, b)], ahead=ahead, **tols)
+            quad_vec(f, [(a, b)], trees=trees, **tols)
         assert str(raised.value) == f"node {bad!r}"
     plain_sizes = [len(nodes) for nodes in plain]
-    assert made[()] == (plain_sizes if call else plain_sizes[:1])
+    assert made[None] == (plain_sizes if call else plain_sizes[:1])
     if not call:
-        assert made[(0,)] == [147, 63]
+        assert made[(QUARTERS,)] == [147, 63]
 
 
 def test_quad_rows_are_independent():
@@ -533,11 +550,18 @@ def test_quad_path_node_that_raises_changes_no_outcome():
     assert calls[:2] == [21 * PEAKS.size * 19, 21 * PEAKS.size]
 
     def everywhere(x, row):
+        calls.append(x.size)
         raise OutOfDomainError("every node")
 
-    # a node plain bisection reaches raises as it would there
-    with pytest.raises(OutOfDomainError, match="every node"):
-        quad(everywhere, lower, upper, 1e-8, right)
+    # a node plain bisection reaches raises as it would there. With every
+    # row's tree empty the first call is plain bisection's own, so it is
+    # not made again
+    for trees, sizes in ((right, [21 * PEAKS.size * 19, 21 * PEAKS.size]),
+                         ([()] * PEAKS.size, [21 * PEAKS.size])):
+        calls.clear()
+        with pytest.raises(OutOfDomainError, match="every node"):
+            quad(everywhere, lower, upper, 1e-8, trees)
+        assert calls == sizes
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])

@@ -20,8 +20,8 @@ Conventions fixed here and relied on everywhere:
   analytic between this path and the real axis (the surface-plasmon
   pole of r_p lies above the axis), so the detour changes no value,
   only the conditioning near the pole.
-* The plasmon channel of each component is defined as the imaginary
-  projection of 2*pi*i times that component's residue at the r_p pole;
+* The plasmon channel of each rung is defined as the imaginary
+  projection of 2*pi*i times that rung's residue at the r_p pole;
   the lossy-surface channel is the evanescent-path remainder.
 
 Every height of a sweep (`interface_sweep`) adds its contour segments
@@ -56,6 +56,7 @@ phi = exp(2i*k_z1*h) and all lengths in nm:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -160,7 +161,7 @@ def spp_pole(geom: InterfaceGeometry) -> complex:
 
 
 class _Contour:
-    """The k_par path of a geometry, its host norm and its node columns.
+    """The k_par path of a geometry, its host norm, node columns and pole factors.
 
     Only the tail's end depends on the height. The radiative and ellipse
     nodes (segments 0 and 1) are shared by every height, so the contour
@@ -181,7 +182,6 @@ class _Contour:
         except NoBoundModeError:
             self.pole = None  # r_p has no bound surface-mode pole
         self.k_b = 1.5 * k1 if self.pole is None else max(2.0 * self.pole.real - k1, 1.5 * k1)
-        self.residue = None  # `_residue_factors`, once a point needs them
         self.delta = 0.25 * (self.k_b - k1)
         self.t_b = math.acosh(self.k_b / k1)
         self.norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
@@ -207,6 +207,19 @@ class _Contour:
             self.keys[segment] = np.insert(keys, at, new[:room])
             self.stored[segment] = np.insert(stored, at, built[:, :room], axis=1)
         return out
+
+    @functools.cached_property
+    def residue(self) -> tuple:
+        """The height-free factors of `_pole_vector`, built when a point first needs them:
+        a power of the pole may overflow, and a height whose quadrature overflows
+        reports that instead. A raise is not cached."""
+        ks, k1 = self.pole, self.k1
+        kz1p = _kz_nodes(self.eps1 * self.k0 * self.k0, np.array([ks]))[0]
+        kz2p = _kz_nodes(self.eps2 * self.k0 * self.k0, np.array([ks]))[0]
+        dprime = -ks * (self.eps2 / kz1p + self.eps1 / kz2p)
+        rtilde = 2.0 * self.eps2 * kz1p / dprime
+        return (2.0j * kz1p, rtilde, ks, kz1p, k1 * k1, ks ** 3, k1 ** 3, ks ** 5,
+                kz1p * k1 ** 4)
 
 
 def _contour(geom: InterfaceGeometry) -> _Contour:
@@ -396,42 +409,23 @@ def _unscale(vec, k1: float):
     return np.array([vec[0], vec[1] * k1, vec[2] * k1 * k1, vec[3] * k1], dtype=complex)
 
 
-def _residue_factors(c: _Contour) -> tuple:
-    """The factors of `_pole_vector` that do not depend on the height."""
-    ks, k1 = c.pole, c.k1
-    kz1p = _kz_nodes(c.eps1 * c.k0 * c.k0, np.array([ks]))[0]
-    kz2p = _kz_nodes(c.eps2 * c.k0 * c.k0, np.array([ks]))[0]
-    dprime = -ks * (c.eps2 / kz1p + c.eps1 / kz2p)
-    rtilde = 2.0 * c.eps2 * kz1p / dprime
-    return (2.0j * kz1p, rtilde, ks, kz1p, k1 * k1, ks ** 3, k1 ** 3, ks ** 5,
-            kz1p * k1 ** 4, kz1p ** 2)
-
-
 def _pole_vector(c: _Contour, h: float) -> np.ndarray:
-    """2*pi*i times the r_p-pole residue of each ladder component at height h.
+    """Im of 2*pi*i times the r_p-pole residue of each rung at height h.
 
-    Scaled like _ladder. Zero when no bound pole exists. Only phip and
-    pref depend on h; `_residue_factors` holds the other factors.
+    The three rungs the channel split reads, unscaled; zero when no bound
+    pole exists. Only phip and pref depend on h; `_Contour.residue` holds
+    the other factors.
     """
     if c.pole is None:
-        return np.zeros(4, dtype=complex)
-    if c.residue is None:
-        # built when a point first needs them: a power of the pole may
-        # overflow, and a height whose quadrature overflows reports that instead
-        c.residue = _residue_factors(c)
-    two_i_kz1p, rtilde, ks, kz1p, k1_2, ks_3, k1_3, ks_5, kz1p_k1_4, kz1p_2 = c.residue
+        return np.zeros(3)
+    two_i_kz1p, rtilde, ks, kz1p, k1_2, ks_3, k1_3, ks_5, kz1p_k1_4 = c.residue
     phip = np.exp(two_i_kz1p * h)
     pref = rtilde * phip / (8.0 * math.pi)
-    res = np.array(
-        [
-            -1.0j * pref * ks * kz1p / k1_2,
-            -pref * ks_3 / k1_3,
-            1.0j * pref * ks_5 / kz1p_k1_4,
-            pref * ks * kz1p_2 / k1_3,
-        ],
+    res = 2.0j * math.pi * np.array(
+        [-1.0j * pref * ks * kz1p / k1_2, -pref * ks_3 / k1_3, 1.0j * pref * ks_5 / kz1p_k1_4],
         dtype=complex,
     )
-    return 2.0j * math.pi * res
+    return np.array([res[0], res[1] * c.k1, res[2] * c.k1 * c.k1], dtype=complex).imag
 
 
 @dataclass(frozen=True, slots=True)
@@ -457,7 +451,7 @@ def _interface_point(c: _Contour, h: float, moments: EmitterMoments,
 
     lam = moments.lambda_over_mu
     f = np.array([1.0, 2.0 * lam, lam * lam]) / norm
-    pole = _unscale(_pole_vector(c, h), k1)[:3].imag
+    pole = _pole_vector(c, h)
     rad_ch = f * _unscale(rad, k1)[:3].imag
     rad_ch[0] += 1.0  # the homogeneous rate is purely radiative
     channels = ChannelDecomposition(rad=tuple(rad_ch), pl=tuple(f * pole),

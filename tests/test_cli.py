@@ -1187,6 +1187,17 @@ def test_figures_script(tmp_path, monkeypatch):
     assert saved == ["interface_decay.png", "nanowire_decay.png"]
 
 
+def test_bitcheck_refuses_a_src_without_the_package(tmp_path):
+    # the package would come from PYTHONPATH instead, and two trees would
+    # compare equal without either being the one named
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bitcheck.py"
+    proc = subprocess.run([sys.executable, str(script), "--src", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60, env=CHILD_ENV)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"not the package under {tmp_path.resolve()}" in proc.stderr
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mesoqed.cli", "report"],

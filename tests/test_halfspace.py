@@ -84,6 +84,21 @@ def test_no_bound_mode_next_to_the_surface_resonance():
         spp_pole(geom)
 
 
+def test_pole_that_rounds_below_the_axis_is_refused():
+    # Im(eps1*eps2/(eps1+eps2)) = Im(eps2)*eps1^2/|eps1+eps2|^2 >= 0 for a
+    # passive metal, so only rounding puts the pole below the real axis: for
+    # this |n| ~ 8e8 with a small Re n, Im k comes out at -3.2e-28
+    metal = Material("m", 0.07099120226225493 + 829672707.1712525j)
+    geom = InterfaceGeometry(upper=GAAS, lower=metal, h=100.0, lambda0=1000.0)
+    with pytest.raises(NoBoundModeError, match="decays backwards"):
+        spp_pole(geom)
+    pt = interface_point(geom, MOMENTS)
+    assert pt.channels.pl == (0.0, 0.0, 0.0)
+    ladder = pt.ladder
+    assert all(map(math.isfinite, (ladder.gamma0, ladder.gamma1, ladder.gamma2,
+                                   *pt.channels.rad, *pt.channels.ls)))
+
+
 # ------------------------------------------------- dipole-rate oracle
 
 

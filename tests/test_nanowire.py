@@ -708,6 +708,29 @@ def test_background_harmonics_do_not_depend_on_their_batch(monkeypatch, d):
     assert quasistatic_background(GEOM, d, RADIAL) == batched
 
 
+def test_background_second_chunk_on_a_near_resonant_metal(monkeypatch):
+    # near the cylinder's resonance the series outlasts the first chunk:
+    # the real `_harmonic_chunks` then makes a second quad call for the rest
+    metal = Material("near-resonant", 0.05 + 3.5j)
+    geom = WireGeometry(rho=30.0, metal=metal, host=GAAS, lambda0=1000.0)
+    rows = []
+    real_quad = nanowire.quad
+
+    def spy(f, lower, upper, rel_tol, *args):
+        rows.append(lower.size)
+        return real_quad(f, lower, upper, rel_tol, *args)
+
+    monkeypatch.setattr(nanowire, "quad", spy)
+    chunked = quasistatic_background(geom, 40.0, AXIAL)
+    assert rows == [17, 14]
+
+    monkeypatch.setattr(nanowire, "_harmonic_chunks",
+                        lambda d, rho, radial: [np.arange(nanowire._QS_M_MAX + 1)])
+    assert quasistatic_background(geom, 40.0, AXIAL).hex() == chunked.hex()
+    ref = oracles.quasistatic_background_scalar(30.0, 40.0, 1000.0, GAAS.n, metal.n, False)
+    assert chunked - 1.0 == pytest.approx(ref - 1.0, rel=1e-10)
+
+
 @pytest.mark.filterwarnings("ignore:wire background at d=:RuntimeWarning")
 @pytest.mark.parametrize("orientation", [AXIAL, RADIAL])
 @pytest.mark.parametrize("d", [10.0, 12.0, 15.0, 20.0, 30.0, 50.0, 100.0, 155.0, 300.0])

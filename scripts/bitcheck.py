@@ -39,8 +39,10 @@ CLI_RUNS = [
     ["interface-sweep", "--range", "20:1000:5", "--metal-n", "7j"],
     ["interface-sweep", "--range", "20:1000:5", "--metal-n", "0.05+3.4205j", "--lqd", "5"],
     ["interface-sweep", "--range", "20:1000:5", "--metal-n", "1.5+0.1j"],
+    ["interface-sweep", "--range", "20:1000:5", "--workers", "2"],
     ["nanowire-sweep", "--range", "10:300:5", "--orientation", "axial"],
     ["nanowire-sweep", "--range", "10:300:5", "--orientation", "radial"],
+    ["nanowire-sweep", "--range", "10:300:5", "--workers", "2"],
     ["nanowire-sweep", "--range", "7.5:14:0.5", "--orientation", "axial"],
     ["nanowire-sweep", "--range", "7.5:14:0.5", "--orientation", "radial"],
     ["report"],

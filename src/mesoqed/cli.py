@@ -23,8 +23,8 @@ and ``moments``, and no numpy, so help, usage errors, refusals and
 ``moments`` run without it. A subcommand imports the geometry module it
 runs: ``halfspace`` for ``interface-sweep``, ``nanowire`` for the
 subcommands that read ``radius`` (their parameters are resolved into a
-``WireGeometry``), both for ``report``. Both sweeps load theirs before a
-process pool starts, so that forked workers share it.
+``WireGeometry``), both for ``report``. Both sweeps run in this process;
+``--workers`` is checked and otherwise ignored.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -121,7 +120,7 @@ _KEYS = {
     "tol": _Key(1.0e-8, float, _fmt,
                 "relative quadrature tolerance (default 1e-8); below about "
                 "3e-14 the wire background cannot certify it and warns"),
-    "workers": _Key(1, int, None, "worker processes over sweep points (default 1)"),
+    "workers": _Key(1, int, None, "accepted and ignored: a sweep runs in one process"),
     "out": _Key("-", str, None, "output file, '-' for stdout (default)"),
     "orientation": _Key("axial", str, str, "dipole orientation: axial (default) or radial"),
     "range": _Key(None, _parse_range, _fmt_range, "sweep MIN:MAX:STEP [nm]"),
@@ -288,32 +287,16 @@ def _wire_row(cfg: argparse.Namespace, d: float) -> tuple:
     )
 
 
-def _block(task) -> list:
-    """The rows rows_of yields for a block of points; a numerical failure names its point."""
-    rows_of, label, cfg, values = task
+def _rows(cfg: argparse.Namespace, label: str, points: list, rows_of) -> list:
+    """The rows rows_of yields for the points, in order; a numerical failure names its point."""
     rows = []
     try:
-        rows.extend(rows_of(cfg, values))
+        rows.extend(rows_of(cfg, points))
     except ParameterError:
         raise
     except MesoqedError as exc:
-        raise exc.__class__(f"{label} = {_fmt(values[len(rows)])}: {exc}") from exc
+        raise exc.__class__(f"{label} = {_fmt(points[len(rows)])}: {exc}") from exc
     return rows
-
-
-def _map_blocks(cfg: argparse.Namespace, label: str, points: list, rows_of) -> list:
-    """Rows of the points in order, one contiguous block of points per process."""
-    # a pool starts all its processes at once: no more than points or CPUs
-    size = min(cfg.workers, len(points), os.cpu_count() or 1)
-    tasks = [(rows_of, label, cfg, points[i * len(points) // size:(i + 1) * len(points) // size])
-             for i in range(size)]
-    if size == 1:
-        return _block(tasks[0])
-    # the pool module loads multiprocessing: only a run that starts a pool pays for it
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return [row for rows in pool.map(_block, tasks) for row in rows]
 
 
 def _csv_text(command: str, cfg: argparse.Namespace, conventions: list, header: list,
@@ -373,14 +356,9 @@ def _omega(cfg: argparse.Namespace) -> dict:
 
 
 def _cmd_interface_sweep(cfg: argparse.Namespace) -> str:
-    # loaded before a pool starts, so forked workers share it: with each
-    # worker importing numpy and halfspace itself, a two-worker sweep of
-    # 99 heights took 0.22 s instead of 0.12 s on a 2-vCPU Xeon
-    from . import halfspace  # noqa: F401
-
     header = ["h", "gamma0", "gamma1", "gamma2", "total_direct", "total_inverted",
               "rad", "pl", "ls", "b_yx_norm", "q_xz_norm"]
-    rows = _map_blocks(cfg, "h", _sweep_values(cfg, "interface-sweep"), _interface_rows)
+    rows = _rows(cfg, "h", _sweep_values(cfg, "interface-sweep"), _interface_rows)
     return _sweep_text(cfg, "interface-sweep", rows, header, [
         "total_direct = gamma0 + gamma1 + gamma2; total_inverted flips the sign of gamma1",
         "rad + pl + ls = total_direct (decay-channel split of the direct total)",
@@ -391,7 +369,7 @@ def _cmd_interface_sweep(cfg: argparse.Namespace) -> str:
 def _cmd_nanowire_sweep(cfg: argparse.Namespace) -> str:
     header = ["d", "gamma0_pl", "gamma1_pl", "gamma2_pl", "background",
               "total_direct", "total_inverted"]
-    rows = _map_blocks(cfg, "d", _sweep_values(cfg, "nanowire-sweep"), _wire_rows)
+    rows = _rows(cfg, "d", _sweep_values(cfg, "nanowire-sweep"), _wire_rows)
     return _sweep_text(cfg, "nanowire-sweep", rows, header, [
         "gamma*_pl is the guided-plasmon channel alone;"
         " background = 1 + electrostatic surface-loss floor",

@@ -55,14 +55,21 @@ def _special():
 
 @functools.cache
 def _worker():
-    """The one worker thread of `_background_node`, started on first use."""
+    """The one worker thread of `_background_node`, started on first use.
+
+    A forked child has none of its parent's threads, so the fork hook
+    below clears this cache in the child, which then starts a worker of
+    its own. Without it, a caller that forks after a large background
+    (``multiprocessing`` with the fork start method, say) would hand the
+    child's first batch of `_OVERLAP` or more nodes to the parent's
+    executor, whose thread the child lacks, and wait on it forever.
+    """
     # the executor module loads threading's pool machinery: only wire code pays for it
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=1)
 
 
-# a forked child has none of its parent's threads: it starts a worker of its own
 if hasattr(os, "register_at_fork"):  # POSIX; elsewhere no process forks
     os.register_at_fork(after_in_child=_worker.cache_clear)
 

@@ -65,42 +65,6 @@ def config_keys(text):
     return {ln.split()[2] for ln in text.splitlines() if ln.startswith("# config: ")}
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: logs its size and task points, maps in this process."""
-
-    def __init__(self, sizes, blocks, max_workers):
-        sizes.append(max_workers)
-        self.blocks = blocks
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        # a task is (rows_of, label, cfg, points)
-        self.blocks.append([task[-1] for task in tasks])
-        return map(fn, tasks)
-
-
-@pytest.fixture
-def pool_log(monkeypatch):
-    # no process starts: every pool the CLI asks for is a FakePool (the
-    # CLI imports the pool class from concurrent.futures when it starts
-    # one); the log holds each pool's size and the points of its tasks
-    sizes, blocks = [], []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: FakePool(sizes, blocks, max_workers))
-    return sizes, blocks
-
-
-@pytest.fixture
-def pool_sizes(pool_log):
-    return pool_log[0]
-
-
 # ------------------------------------------------------------ golden rows
 
 
@@ -262,96 +226,20 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
 
 
 def test_parallel_workers_match_serial(tmp_path):
+    # --workers is checked and ignored: every sweep runs in this process
     for argv in (["interface-sweep", "--range", "60:181:60"],
                  ["nanowire-sweep", "--range", "20:81:20"]):
-        serial = run_text(argv + ["--workers", "1"], tmp_path, "s.csv")
-        parallel = run_text(argv + ["--workers", "2"], tmp_path, "p.csv")
-        assert serial == parallel
-
-
-@pytest.mark.parametrize("argv", [["interface-sweep", "--range", "60:181:60"],
-                                  ["nanowire-sweep", "--range", "20:81:20"]])
-def test_pool_of_a_fresh_cli_process_matches_serial(argv):
-    # the CLI process loads no geometry module before it starts the pool,
-    # so each worker loads its own; the rows are the serial run's bytes
-    def run(workers):
-        proc = subprocess.run([sys.executable, "-m", "mesoqed.cli", *argv, "--workers", workers],
-                              capture_output=True, text=True, timeout=300, env=CHILD_ENV)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout, proc.stderr
-
-    assert run("2") == run("1")
-
-
-@pytest.mark.parametrize("command, geometry", [("interface-sweep", "mesoqed.halfspace"),
-                                               ("nanowire-sweep", "mesoqed.nanowire")])
-def test_a_sweep_loads_its_geometry_before_it_starts_a_pool(command, geometry):
-    # a fresh interpreter whose pool class records, when it is built,
-    # whether the sweep's geometry module is loaded: forked workers share
-    # it then, rather than each importing it and numpy again
-    code = ("import concurrent.futures, os, sys\n"
-            "from mesoqed.cli import main\n"
-            "class Pool:\n"
-            "    def __init__(self, max_workers):\n"
-            f"        print({geometry!r} in sys.modules)\n"
-            "    def __enter__(self):\n"
-            "        return self\n"
-            "    def __exit__(self, *exc):\n"
-            "        return False\n"
-            "    def map(self, fn, tasks):\n"
-            "        return map(fn, tasks)\n"
-            "concurrent.futures.ProcessPoolExecutor = Pool\n"
-            "os.cpu_count = lambda: 2\n"
-            f"main([{command!r}, '--range', '60:181:60', '--workers', '2', '--out', os.devnull])\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300, env=CHILD_ENV)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"
-
-
-@pytest.mark.parametrize("command", ["interface-sweep", "nanowire-sweep"])
-def test_sweeps_hand_each_process_one_contiguous_block(capsys, monkeypatch, pool_log, command):
-    # both sweeps split their points alike: as many processes as asked
-    # for (up to points and CPUs), each one block of consecutive points,
-    # in order, the blocks as even as the count allows
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    argv = [command, "--range", "20:81:5"]
-    points = [20.0 + 5.0 * i for i in range(13)]
-    serial = stdout_of(argv, capsys)
-    sizes, blocks = pool_log
-    for workers in (2, 3, 5, 13, 100):
-        assert stdout_of(argv + ["--workers", str(workers)], capsys) == serial
-    assert sizes == [2, 3, 5, 13, 13]
-    for size, pool in zip(sizes, blocks):
-        assert len(pool) == size
-        assert [p for block in pool for p in block] == points
-        assert max(map(len, pool)) - min(map(len, pool)) <= 1
-
-
-def test_worker_pool_is_bounded_by_points_and_cpus(capsys, monkeypatch, pool_sizes):
-    # a pool starts all its processes at once, so --workers 100000 over
-    # three heights must ask for three, and print the serial rows
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    argv = ["interface-sweep", "--range", "20:61:20"]
-    serial = stdout_of(argv, capsys)
-    pooled = stdout_of(argv + ["--workers", "100000"], capsys)
-    assert pool_sizes == [3]
-    assert pooled == serial
-    # one point, or one CPU: the points run in this process, with no pool
-    stdout_of(["interface-sweep", "--range", "20:21:5", "--workers", "8"], capsys)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert stdout_of(argv + ["--workers", "8"], capsys) == serial
-    assert pool_sizes == [3]
+        serial = run_text(argv, tmp_path, "s.csv")
+        for workers in ("1", "2", "100000"):
+            assert run_text(argv + ["--workers", workers], tmp_path, "w.csv") == serial, workers
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_failing_point_is_named(capsys, monkeypatch, pool_sizes, workers):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+def test_failing_point_is_named(capsys, workers):
     rc = main(["interface-sweep", "--range", "20:41:20", "--ratio", "1e200",
                "--workers", workers])
     assert rc == 2
     assert capsys.readouterr().err.startswith("mesoqed: invalid configuration: h = 20: ")
-    assert pool_sizes == ([] if workers == "1" else [2])
 
 
 def test_height_whose_quadrature_fails_is_named(capsys):
@@ -498,7 +386,7 @@ BOUND_ONLY = {("nanowire-sweep", "lqd"): "50"}
 ROUNDOFF_ONLY = {("moments", "sigma_e"), ("moments", "mass_ratio"), ("moments", "shift")}
 
 
-def test_every_table_key_reads_the_same_from_flag_and_file(tmp_path, capsys, pool_sizes):
+def test_every_table_key_reads_the_same_from_flag_and_file(tmp_path, capsys):
     # and each but `workers` changes the data, not just the `# config:`
     # lines: a run parameter that no number depends on is no run parameter
     assert set(TABLE_VALUES) == set(cli._KEYS) - {"out"}
@@ -830,8 +718,8 @@ def test_field_map_reads_zero_where_k_underflows(tmp_path):
 
 
 # edge values for every run parameter with a number; one-point sweeps
-# and a 3 x 2 map keep each run far below core.MAX_POINTS, and a
-# one-point sweep starts no process pool whatever --workers says
+# and a 3 x 2 map keep each run far below core.MAX_POINTS, and no sweep
+# starts a process pool whatever --workers says
 EDGE_VALUES = ("0", "-1", "1e300", "1e-300", "-1e300", "nan", "inf", "-inf")
 FUZZ_FLAGS = {
     "lambda0": EDGE_VALUES,
@@ -913,6 +801,8 @@ def assert_numbers_finite(text):
 @example(run=(("moments",), {"lambda0": "1e-300"}))
 @example(run=(FUZZ_COMMANDS[0], {"workers": "100000"}))
 @example(run=(FUZZ_COMMANDS[1], {"workers": "1e300"}))
+@example(run=(FUZZ_COMMANDS[0], {"range": "20:61:20", "workers": "2"}))
+@example(run=(FUZZ_COMMANDS[2], {"range": "20:61:20", "workers": "100000"}))
 @example(run=(("moments",), {"sigma-e": "1e300"}))
 @example(run=(("moments",), {"sigma-e": "1e-300"}))
 @example(run=(FUZZ_COMMANDS[4], {"zmin": "-1e300"}))
@@ -924,7 +814,7 @@ def test_cli_exits_0_2_or_3_on_edge_inputs(run):
 
     def outcome(argv):
         out, err = io.StringIO(), io.StringIO()
-        pool = AssertionError("a one-point sweep asked for a process pool")
+        pool = AssertionError("a sweep asked for a process pool")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(), \
                 patch.object(concurrent.futures, "ProcessPoolExecutor", side_effect=pool):
@@ -1018,6 +908,24 @@ def test_interface_and_moments_leave_scipy_and_the_pool_out(tmp_path):
         run_text(["report"], tmp_path, "ref.json")
     _, rows = data_rows((tmp_path / "wire.csv").read_text(encoding="utf-8"))
     assert rows == [GOLDEN_WIRE_AXIAL_20]
+
+
+def test_sweeps_with_workers_leave_the_process_pool_out(tmp_path):
+    # a fresh interpreter runs both sweeps with --workers 2 in its own
+    # process: the process pool's module never loads, and the rows are
+    # the serial run's bytes
+    runs = {"iface.csv": ["interface-sweep", "--range", "60:181:60"],
+            "wire.csv": ["nanowire-sweep", "--range", "20:81:20"]}
+    code = "import sys\nfrom mesoqed.cli import main\n" + "".join(
+        f"assert main({argv + ['--workers', '2', '--out', str(tmp_path / name)]!r}) == 0\n"
+        for name, argv in runs.items()) + "print('concurrent.futures.process' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    for name, argv in runs.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == \
+            run_text(argv, tmp_path, "serial-" + name), name
 
 
 @pytest.mark.parametrize("module, heavy", [

@@ -234,6 +234,37 @@ def test_parallel_workers_match_serial(tmp_path):
             assert run_text(argv + ["--workers", workers], tmp_path, "w.csv") == serial, workers
 
 
+@pytest.mark.parametrize("argv", [["interface-sweep", "--range", "60:181:60"],
+                                  ["nanowire-sweep", "--range", "20:81:20"]])
+def test_pool_of_a_fresh_cli_process_matches_serial(argv):
+    # a fresh CLI process asked for two workers runs in one process all
+    # the same: its stdout and stderr are the serial run's bytes
+    def run(workers):
+        proc = subprocess.run([sys.executable, "-m", "mesoqed.cli", *argv, "--workers", workers],
+                              capture_output=True, text=True, timeout=300, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr
+
+    assert run("2") == run("1")
+
+
+@pytest.mark.parametrize("command", ["interface-sweep", "nanowire-sweep"])
+@pytest.mark.parametrize("workers, err", [
+    ("0", "mesoqed: workers must be a positive integer, got 0\n"),
+    ("-1", "mesoqed: workers must be a positive integer, got -1\n"),
+    ("1.5", "mesoqed: bad value '1.5' for workers\n"),
+    ("1e300", "mesoqed: bad value '1e300' for workers\n"),
+])
+def test_ignored_workers_is_still_checked(tmp_path, capsys, command, workers, err):
+    # --workers changes no output, but a value that is not a positive
+    # integer is refused on both sweeps before any point runs
+    rc = main([command, "--range", "20:41:20", "--workers", workers,
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_failing_point_is_named(capsys, workers):
     rc = main(["interface-sweep", "--range", "20:41:20", "--ratio", "1e200",

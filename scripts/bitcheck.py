@@ -6,8 +6,10 @@ Prints one `name sha256` line per check:
                       fresh process
     point ...         float.hex of every InterfacePoint value, sign of zero
                       included, at 154 seeded heights from 1 nm to 1e5 nm
-                      (a 1 nm dot), one `interface_point` per height, in
-                      both mountings
+                      (a 1 nm dot), one `interface_point` per height: first
+                      in a seeded shuffled order, so that a height looks
+                      ahead along trees its neighbours split, then in
+                      order in both mountings
     sweep ...         the same heights through `interface_sweep` at three
                       tolerances
     background ...    `quasistatic_background` of the paper wire on two
@@ -52,6 +54,7 @@ CLI_RUNS = [
 # metal and one without a bound surface-plasmon pole
 METALS = {"Ag": 0.2 + 7.0j, "7i": 7.0j, "near-resonant": 0.05 + 3.4205j, "no-pole": 1.5 + 0.1j}
 HEIGHTS = sorted([1.0, 1.0e5, *(10.0 ** random.Random(42).uniform(0.0, 5.0) for _ in range(152))])
+SHUFFLED = random.Random(7).sample(HEIGHTS, len(HEIGHTS))
 SWEEP_TOLS = (1e-8, 1e-11, 1e-13)
 
 
@@ -84,17 +87,19 @@ def interface_checks():
 
     mountings = {"direct": EmitterMoments(10.0, l_qd=1.0)}
     mountings["inverted"] = mountings["direct"].flipped()
+    passes = [("shuffled", SHUFFLED, mountings["direct"]),
+              *((mounting, HEIGHTS, moments) for mounting, moments in mountings.items())]
     for name, n in METALS.items():
         metal = Material(name, n)
-        for mounting, moments in mountings.items():
+        for label, heights, moments in passes:
             rows = []
-            for h in HEIGHTS:
+            for h in heights:
                 geom = InterfaceGeometry(upper=GAAS, lower=metal, h=h, lambda0=1000.0)
                 try:
                     rows.append(point_bits(interface_point(geom, moments)))
                 except Exception as exc:  # a failure is an outcome too
                     rows.append(failure(exc))
-            yield f"point {name} {mounting}", "\n".join(rows)
+            yield f"point {name} {label}", "\n".join(rows)
         geom = InterfaceGeometry(upper=GAAS, lower=metal, h=1.0, lambda0=1000.0)
         for tol in SWEEP_TOLS:
             rows = []

@@ -29,7 +29,7 @@ as intervals of one adaptive quadrature, so each round evaluates the
 nodes of all heights in one call of an array integrand. That integrand
 rounds as Python's scalar arithmetic does, so the numbers of a height do
 not depend on the heights computed with it: powers and quotients are
-Python's ** and / node by node (`_quotients`), sin, cos, sinh and cosh
+libm's pow and Python's ** and / (`_quotients`), sin, cos, sinh and cosh
 math's (`_libm`), and only the complex product is written out (`_mul`),
 since numpy's array product may fuse a multiply into an add.
 
@@ -44,6 +44,12 @@ with their memos (`_contour`): a sweep and every later `interface_point`
 of the same materials and wavelength build each shared node once. A
 stored column has the bits a fresh one would have, so the memo moves no
 number.
+
+A point of one height evaluates in its first integrand call the panels
+that heights of its bucket of k1*h split before (`_Contour.trees`), so
+its adaptive rounds take their halves from there and most points make
+one call. The quadrature replays every split decision of the plain
+process, so no tree moves a bit either.
 
 The four component integrands, written per unit dk_par with
 phi = exp(2i*k_z1*h) and all lengths in nm:
@@ -67,7 +73,7 @@ from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
 from .core import check_positive, homogeneous_im_gxx, host_wavevectors
 from .errors import ConvergenceError, NoBoundModeError
-from .quadrature import quad_vec
+from .quadrature import merge_trees, quad_vec, tree_entry
 from .rates import GreenBundle
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
@@ -77,6 +83,8 @@ _BLOCK = 32
 _GEOMETRIES = 8
 # distinct nodes whose columns a memo keeps, per segment of a geometry
 _MEMO_NODES = 4096
+_TREE_BUCKETS = 8  # buckets of a contour's tree memo per octave of k1*h
+_TREE_ENTRIES = 128  # buckets a contour's tree memo keeps, the least recently used dropped first
 _CONTOURS: dict = {}  # exact (n_upper, n_lower, lambda0) -> _Contour, oldest use first
 
 
@@ -171,6 +179,11 @@ class _Contour:
     it, in a batch of any size; stored[s] holds their columns. A node's
     columns do not depend on the other nodes of its batch, so a stored
     column has the bits a fresh one would have.
+
+    `trees` is the contour's tree memo (`quadrature.tree_entry`): per
+    rel_tol and 1/8-octave bucket floor(8 log2(k1*h)), the union of the
+    panels each segment split at the heights of that bucket, which
+    refine alike. At most _TREE_ENTRIES buckets are kept.
     """
 
     def __init__(self, geom: InterfaceGeometry):
@@ -187,6 +200,8 @@ class _Contour:
         self.norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
         self.keys = [np.array([np.inf]) for _ in range(2)]
         self.stored = [np.zeros((_ROWS, 1), dtype=complex) for _ in range(2)]
+        # (rel_tol, bucket) -> {segment: sorted heap codes}, oldest use first
+        self.trees: dict = {}
 
     def columns(self, segment: int, x: np.ndarray) -> np.ndarray:
         """The columns at nodes x of one segment; only nodes not stored are built."""
@@ -302,13 +317,21 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
     radiative or ellipse node only when no height before has used it.
 
     Every height's segments are intervals of one quad_vec call, so one
-    call of fn per round evaluates the nodes of all heights; a block of
-    one height looks ahead to the quarters of its radiative and ellipse
-    segments, whose columns the memo holds. If a block overflows, each
-    of its heights runs alone. Returns, per height, (radiative part,
+    call of fn per round evaluates the nodes of all heights. A block of
+    one height looks ahead along the trees of its bucket in
+    `_Contour.trees` (an empty bucket borrows the nearest one with
+    trees; with none, each segment takes the plain (1,)), so it mostly
+    makes one call; a height that raises or fails its error test adds no
+    tree there. A block of many heights looks ahead along none: its
+    rounds share one call anyway. If a block overflows, each of its
+    heights runs alone. Returns, per height, (radiative part,
     evanescent part, accumulated error estimate), or the
     ConvergenceError of that height.
     """
+    ahead = own = None
+    if len(heights) == 1:  # a sum of logarithms: k1*h may leave double range
+        bucket = math.floor(_TREE_BUCKETS * (math.log2(c.k1) + math.log2(heights[0])))
+        ahead, own = tree_entry(c.trees, (rel_tol, bucket), _TREE_ENTRIES)
     try:
         # each height's segments are intervals in a row: radiative, ellipse(, tail)
         bounds, segment_of, height_of, counts = [], [], [], []
@@ -336,9 +359,9 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
         eps_abs = rel_tol * c.norm
         # a non-finite value fails the error test below, so numpy need not warn of it
         with np.errstate(all="ignore"):
-            parts = iter(quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol,
-                                  trees=[(1, 2, 3), (1, 2, 3), (1,)][:len(bounds)]
-                                  if len(heights) == 1 else None))
+            pairs, split = quad_vec(integrand, bounds, epsabs=eps_abs, epsrel=rel_tol,
+                                    trees=None if ahead is None else
+                                    [ahead.get(s) for s in range(len(bounds))])
     except (OverflowError, ZeroDivisionError) as exc:  # a power of k1 may underflow to 0
         if len(heights) > 1:
             # one height at a time: only those whose integrand overflows fail
@@ -347,6 +370,7 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
         failure = ConvergenceError(f"k_par integrand overflows at h = {heights[0]:g} nm")
         failure.__cause__ = exc
         return [failure]
+    parts = iter(pairs)
     outcomes = []
     for n in counts:
         (rad, err), (evan, err_b), *tail = (next(parts) for _ in range(n))
@@ -362,6 +386,8 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
             ))
         else:
             outcomes.append((rad, evan, err))
+            if own is not None:
+                merge_trees(own, enumerate(split))
     return outcomes
 
 
@@ -372,18 +398,33 @@ def _kz_nodes(eps_k0: complex, kp: np.ndarray) -> np.ndarray:
 
 
 def _quotients(kp: np.ndarray, k1: float) -> np.ndarray:
-    """kp**3/k1**3, kp**5/k1**4 and kp/k1 at each node, by Python's ** and /.
+    """kp**3/k1**3, kp**5/k1**4 and kp/k1 at each node, with Python's bits and errors.
 
-    A real kp (the real-axis segments) is a float, so its power is libm's
-    pow, which numpy's SIMD power does not match in every last bit; a
-    complex kp (the ellipse) is a Python complex. Python raises the
-    OverflowError and ZeroDivisionError that `_integrate_contour` reports.
-    Only the complex product is hand-written (`_mul`): numpy's may use FMA.
+    Nodes on the real-axis segments, where every kp is real, take their
+    powers from `np.float_power`, which calls libm's pow as Python's
+    float ** does (numpy's SIMD power does not match it in every last
+    bit). It raises Python's OverflowError where a finite node's power
+    overflows, and its ZeroDivisionError where k1**3 or k1**4 underflows
+    to 0; `_integrate_contour` reports both alike, so where both apply
+    this raises the ZeroDivisionError whatever the node order. On the
+    ellipse each node is Python's float or complex, whose ** and / raise
+    those errors themselves. Only the complex product is hand-written
+    (`_mul`): numpy's may use FMA.
     """
     k13, k14 = k1 ** 3, k1 ** 4
-    nodes = [z.real if z.imag == 0.0 else z for z in kp.tolist()]
-    return np.array([[z ** 3 / k13 for z in nodes], [z ** 5 / k14 for z in nodes],
-                     [z / k1 for z in nodes]], dtype=complex)
+    if kp.imag.any():
+        nodes = [z.real if z.imag == 0.0 else z for z in kp.tolist()]
+        return np.array([[z ** 3 / k13 for z in nodes], [z ** 5 / k14 for z in nodes],
+                         [z / k1 for z in nodes]], dtype=complex)
+    if kp.size and not (k13 and k14):
+        raise ZeroDivisionError("float division by zero")
+    x = kp.real
+    cube, fifth = np.float_power(x, 3.0), np.float_power(x, 5.0)
+    if not np.isfinite(fifth).all() and np.isinf(fifth[np.isfinite(x)]).any():
+        raise OverflowError("(34, 'Numerical result out of range')")
+    out = np.empty((3, x.size), dtype=complex)
+    out[0], out[1], out[2] = cube / k13, fifth / k14, x / k1
+    return out
 
 
 def _ladder(col: _Columns, phi: np.ndarray) -> np.ndarray:

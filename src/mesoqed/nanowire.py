@@ -64,7 +64,7 @@ from .errors import (
     OutOfDomainError,
     ParameterError,
 )
-from .quadrature import quad
+from .quadrature import merge_trees, quad, tree_entry
 from .rates import GreenBundle
 
 _ROOT_RESIDUAL = 1e-12
@@ -391,22 +391,6 @@ _QS_TREE_ENTRIES = 128
 _QS_TREES: dict = {}
 
 
-def _tree_entry(key: tuple) -> tuple[dict, dict]:
-    """The trees to look ahead along at `key`, and the memo entry for the splits made there.
-
-    An empty bucket borrows the nearest populated bucket of its kind, if any.
-    """
-    ahead = own = _QS_TREES.pop(key, None)
-    if own is None:
-        near = min((k for k in _QS_TREES if k[:3] == key[:3]),
-                   key=lambda k: abs(k[3] - key[3]), default=None)
-        ahead, own = _QS_TREES.get(near, {}), {}
-    _QS_TREES[key] = own
-    if len(_QS_TREES) > _QS_TREE_ENTRIES:
-        del _QS_TREES[next(iter(_QS_TREES))]  # the least recently used
-    return ahead, own
-
-
 def _harmonic_chunks(d: float, rho: float, radial: bool) -> list[np.ndarray]:
     """Orders 0.._QS_M_MAX in the chunks the background integrates together.
 
@@ -525,13 +509,11 @@ def quasistatic_background(
         with np.errstate(all="ignore"):
             total, split = quad(integrand, np.zeros(ms.size), k_up, rel_tol,
                                 [ahead.get(m) for m in orders])
-        for m, tree in zip(orders, split):
-            if m not in own or not tree.issubset(own[m]):
-                own[m] = tuple(sorted(tree.union(own.get(m, ()))))  # a third of a set's size
+        merge_trees(own, zip(orders, split))
         return pref * weight * total
 
     bucket = math.floor(_QS_BUCKETS * (math.log2(d) - math.log2(rho)))
-    ahead, own = _tree_entry((geom, orientation, rel_tol, bucket))
+    ahead, own = tree_entry(_QS_TREES, (geom, orientation, rel_tol, bucket), _QS_TREE_ENTRIES)
     pref = -3.0 / (math.pi * k1**3)
     terms = np.empty(0)
     for chunk in _harmonic_chunks(d, rho, radial):

@@ -18,7 +18,11 @@ from there. Every split decision, sum, stop and warning is that of the
 plain process, computed with the same midpoint arithmetic; only the
 call a node is evaluated in moves, and a panel looked ahead but never
 split costs its halves' nodes. So the integrand's value at a node must
-not depend on the other nodes of its call.
+not depend on the other nodes of its call. Both drivers return the tree
+of panels each interval split, with which a call on the same
+integrands needs no other. A caller keeps such trees in a tree memo
+(`tree_entry`, `merge_trees`): for each bucket of alike integrals, the
+union of the panels they split, for the next one to look ahead along.
 
 `quad_vec` integrates one vector integrand over several finite intervals
 and gives, for each interval, exactly what scipy's
@@ -27,17 +31,16 @@ subdivisions in the same order, the same stops and bitwise the same
 value and error estimate. It differs in how the work is scheduled, not
 in what is computed: the intervals are independent adaptive processes
 run in lockstep, and every round evaluates the nodes of all panels
-being split at once. Each panel keeps its integral until it is split;
-scipy re-integrates a panel its cache has lost, which gives the same
-bits, so only scipy's evaluation count can differ.
+being split at once. Each panel keeps its integral and heap code until
+it is split; scipy re-integrates a panel its cache has lost, which
+gives the same bits, so only scipy's evaluation count can differ.
 
 `quad` integrates many real scalar integrands ("rows") by adaptive
 bisection, each to a relative tolerance on its own. It keeps every
 panel it evaluates in one pool, linked to its halves once they are
-evaluated, and each row's current panels as indices into it. It
-returns the tree of panels each row split, with which a call on the
-same integrands needs no other. Its panels are scalar, so the rule
-takes them as (panels, nodes) arrays and skips the max norm.
+evaluated, and each row's current panels as indices into it. Its
+panels are scalar, so the rule takes them as (panels, nodes) arrays
+and skips the max norm.
 
 The G10/K21 table below is QUADPACK's qk21 on [-1, 1], listed from the
 end to the centre with the Kronrod and Gauss weights of each node (the
@@ -195,12 +198,19 @@ def _first_call(evaluate, lower: list, upper: list, trees, plain) -> tuple:
         return evaluate(*panels), plain_links
 
 
+def _halves(code: int) -> tuple:
+    """Heap codes of the halves of panel `code`: 0 past `_DEEPEST`, as in `quad`'s pool."""
+    left = 2 * code if code < _DEEPEST else 0
+    return left, left + (left > 0)
+
+
 class _Interval:
     """scipy's adaptive state for one interval: heap of panels and sums.
 
-    A heap entry (-err, a, b, n, integral) carries its panel's integral,
-    which scipy keeps in a cache keyed by (a, b); n counts the interval's
-    pushes, so two entries never compare their integrals.
+    A heap entry (-err, a, b, n, code, integral) carries its panel's heap
+    code and integral, which scipy keeps in a cache keyed by (a, b); n
+    counts the interval's pushes, so two entries never compare their
+    codes or integrals. `tree` collects the nonzero codes split.
     """
 
     def __init__(self, a: float, b: float, integral, err: float, rnd: float):
@@ -208,32 +218,35 @@ class _Interval:
         self.error = err
         self.rounding = rnd
         self.pushes = itertools.count()
-        self.heap = [(-err, a, b, next(self.pushes), integral)]
+        self.heap = [(-err, a, b, next(self.pushes), 1, integral)]
+        self.tree = set()
 
     def tol(self, epsabs: float, epsrel: float) -> float:
         return max(epsabs, epsrel * float(_max_norm(self.integral)))
 
     def pop(self, epsabs: float, epsrel: float) -> list:
-        """The panels scipy splits next: (a, b, error, integral)."""
+        """The panels scipy splits next: (a, b, error, code, integral)."""
         tol = self.tol(epsabs, epsrel)
         taken = []
         err_sum = 0
         for j in range(_PARALLEL):
             if not self.heap or (j > 0 and err_sum > self.error - tol / 8):
                 break
-            neg_err, a, b, _, integral = heapq.heappop(self.heap)
-            taken.append((a, b, -neg_err, integral))
+            neg_err, a, b, _, code, integral = heapq.heappop(self.heap)
+            taken.append((a, b, -neg_err, code, integral))
             err_sum += -neg_err
         return taken
 
-    def split(self, a, b, old_err, old_int, left, right) -> None:
+    def split(self, a, b, old_err, code, old_int, left, right) -> None:
         (s1, err1, rnd1), (s2, err2, rnd2) = left, right
         self.integral = self.integral + (s1 + s2 - old_int)
         self.error += err1 + err2 - old_err
         self.rounding += rnd1 + rnd2
+        if code:
+            self.tree.add(code)
         c = 0.5 * (a + b)
-        for x1, x2, ig, err in ((a, c, s1, err1), (c, b, s2, err2)):
-            heapq.heappush(self.heap, (-err, x1, x2, next(self.pushes), ig))
+        for x1, x2, half, ig, err in zip((a, c), (c, b), _halves(code), (s1, s2), (err1, err2)):
+            heapq.heappush(self.heap, (-err, x1, x2, next(self.pushes), half, ig))
 
     def done(self, epsabs: float, epsrel: float) -> bool:
         """scipy's stops: target met, roundoff reached, non-finite, limit."""
@@ -246,7 +259,7 @@ class _Interval:
         return len(self.heap) >= _LIMIT
 
 
-def quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> list:
+def quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> tuple:
     """Integrate f over each finite interval of `bounds`, max norm.
 
     f(x, k) takes the flat nodes x of a round and the interval index k
@@ -254,16 +267,21 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> list:
     with as many components on every interval. Returns one (value, error
     estimate) pair per interval, each bitwise equal to scipy's
     quad_vec(lambda x: f(np.array([x]), np.array([k]))[0], a, b,
-    epsabs=epsabs, epsrel=epsrel, norm="max"). `trees` gives each
-    interval a tree to look ahead along (see the module docstring); by
-    default, and as the plain process, (1,): the first round always
-    splits each interval's one panel, as scipy's does.
+    epsabs=epsabs, epsrel=epsrel, norm="max"), and each interval's tree:
+    the set of heap codes of the panels the plain process split, down
+    to 62 levels, as `quad` reports them. `trees` gives each interval a
+    tree to look ahead along (see the module docstring); an interval
+    whose tree is None, and every interval when `trees` is None, takes
+    the plain process's (1,): the first round always splits each
+    interval's one panel, as scipy's does. An interval's own tree gives
+    its result in one call.
     """
     def first(k, a, b, _code):
         return k, a, b, list(zip(*_panels(f, *map(np.array, (k, a, b)))))
 
     lower, upper = (list(ends) for ends in zip(*bounds))
-    (k, a, b, rules), links = _first_call(first, lower, upper, trees or [(1,)] * len(bounds), (1,))
+    trees = [(1,) if tree is None else tree for tree in trees or [None] * len(bounds)]
+    (k, a, b, rules), links = _first_call(first, lower, upper, trees, (1,))
     procs = [_Interval(lo, hi, *rule) for lo, hi, rule in zip(lower, upper, rules)]
     # the halves evaluated before their panel is split
     ready = {(k[at], a[at], b[at]): (rules[left], rules[left + 1]) for at, left in links}
@@ -280,10 +298,10 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> list:
             fresh = list(zip(*_panels(f, *(np.array(column) for column in zip(*halves)))))
             for i, left, right in zip(todo, fresh[::2], fresh[1::2]):
                 pairs[i] = left, right
-        for (k, a, b, old_err, old_int), pair in zip(work, pairs):
-            procs[k].split(a, b, old_err, old_int, *pair)
+        for (k, *panel), pair in zip(work, pairs):
+            procs[k].split(*panel, *pair)
         active = [k for k in active if not procs[k].done(epsabs, epsrel)]
-    return [(p.integral, p.error + p.rounding) for p in procs]
+    return [(p.integral, p.error + p.rounding) for p in procs], [p.tree for p in procs]
 
 
 _ROW_LIMIT = 400  # panels per row of `quad`
@@ -392,3 +410,29 @@ def quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float, trees=None) ->
         if code:
             split_trees[row].add(code)
     return total, split_trees
+
+
+def tree_entry(memo: dict, key: tuple, entries: int) -> tuple[dict, dict]:
+    """The trees to look ahead along at `key` of a tree memo, and its entry for the splits made there.
+
+    A tree memo maps keys (kind..., bucket) to entries {part: sorted heap
+    codes}, the least recently used first, and keeps `entries` of them.
+    A bucket without trees borrows those of the nearest bucket of its
+    kind (the same key but for the bucket) that has some, if any.
+    """
+    ahead = own = memo.pop(key, None) or {}
+    if not own:
+        near = min((k for k, trees in memo.items() if trees and k[:-1] == key[:-1]),
+                   key=lambda k: abs(k[-1] - key[-1]), default=None)
+        ahead = memo.get(near, {})
+    memo[key] = own
+    if len(memo) > entries:
+        del memo[next(iter(memo))]  # the least recently used
+    return ahead, own
+
+
+def merge_trees(own: dict, split) -> None:
+    """Add each (part, tree) of `split`, a driver's split trees, to the memo entry `own`."""
+    for part, tree in split:
+        if part not in own or not tree.issubset(own[part]):
+            own[part] = tuple(sorted(tree.union(own.get(part, ()))))  # a third of a set's size

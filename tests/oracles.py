@@ -629,7 +629,7 @@ def bisection_quad(f, lower: np.ndarray, upper: np.ndarray, rel_tol: float,
 # ---------------------------------------------------- contour quadrature
 
 
-def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> list:
+def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> tuple:
     """The contour quadrature by scipy: one quad_vec call per interval.
 
     This is how the planar interface integrated its contour segments
@@ -638,13 +638,13 @@ def scipy_quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> list:
     size-1 array. Same signature and result as
     `mesoqed.quadrature.quad_vec`, so a test can put it in place of
     `halfspace.quad_vec`; `trees` only schedules nodes there, so it is
-    ignored here.
+    ignored here, and every interval reports an empty tree.
     """
     def at(x, k):
         return f(np.array([x]), np.array([k]))[0]
 
     return [quad_vec(lambda x, k=k: at(x, k), a, b, epsabs=epsabs, epsrel=epsrel, norm="max")
-            for k, (a, b) in enumerate(bounds)]
+            for k, (a, b) in enumerate(bounds)], [set() for _ in bounds]
 
 
 def scalar_ladder_integrand(k0: float, k1: float, eps1: complex, eps2: complex, k_b: float,

@@ -8,6 +8,7 @@ and snapshot values for regression locking.
 """
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,6 +25,14 @@ from mesoqed.halfspace import InterfaceGeometry, interface_point, paper_interfac
 from mesoqed.rates import extract_fields
 
 MOMENTS = paper_moments()
+
+
+@pytest.fixture(autouse=True)
+def cold_tree_memo():
+    # every test starts with the tree memos of a fresh process: the
+    # integrand calls and nodes of a one-height point depend on them
+    for c in halfspace._CONTOURS.values():
+        c.trees.clear()
 
 
 # ------------------------------------------------------ reflection layer
@@ -377,10 +386,11 @@ def test_interface_point_equals_scipy_quad_vec_bitwise(monkeypatch, lower, rel_t
 
         def scalar_quad_vec(f, bounds, epsabs, epsrel, trees=None, ref=ref):
             # scipy on the scalar reference: interval k of one height is
-            # segment k; the look-ahead moves no value, so it is ignored
+            # segment k; the look-ahead moves no value, so it is ignored,
+            # and no tree is reported
             return [scipy_quad_vec(lambda x, k=k: ref(x, k), a, b, epsabs=epsabs,
                                    epsrel=epsrel, norm="max")
-                    for k, (a, b) in enumerate(bounds)]
+                    for k, (a, b) in enumerate(bounds)], [set() for _ in bounds]
 
         monkeypatch.setattr(halfspace, "quad_vec", scalar_quad_vec)
         want.append(point_bits(interface_point(g, m, rel_tol=rel_tol)))
@@ -466,13 +476,13 @@ def test_sweep_equals_one_height_at_a_time_bitwise(monkeypatch):
     assert swept == [point_bits(interface_point(paper_interface(h), MOMENTS)) for h in heights]
 
 
-@pytest.mark.parametrize("h, calls, nodes", [(20.0, 2, 399), (317.3, 1, 357), (884.8, 2, 441)])
-def test_one_height_makes_one_integrand_call_per_split_round(monkeypatch, h, calls, nodes):
-    # the first call holds each segment's panel and both its halves, 63
-    # nodes a segment, and for the radiative and ellipse segments also
-    # the halves of both halves, 147 nodes each: the first round's split
-    # needs no call of its own, nor the second's where it splits none but
-    # those. Without the look-ahead: (2, 273), (2, 231) and (3, 399)
+@pytest.mark.parametrize("h, plain", [(20.0, (2, 273)), (317.3, (2, 231)), (884.8, (3, 399))])
+def test_one_height_makes_one_integrand_call_per_split_round(monkeypatch, h, plain):
+    # with a cold tree memo a point makes the calls of quadrature without
+    # look-ahead: the first holds each segment's panel and both its
+    # halves, 63 nodes a segment, and each later split round makes one.
+    # The memo then holds the trees the segments split, so the same point
+    # again evaluates the same nodes in one call
     sizes = []
     quad_vec = halfspace.quad_vec
 
@@ -480,9 +490,12 @@ def test_one_height_makes_one_integrand_call_per_split_round(monkeypatch, h, cal
         return quad_vec(lambda x, k: (sizes.append(x.size), f(x, k))[1], bounds, **kwargs)
 
     monkeypatch.setattr(halfspace, "quad_vec", counted)
-    interface_point(paper_interface(h), MOMENTS)
-    assert sizes[0] == 2 * 147 + 63
-    assert (len(sizes), sum(sizes)) == (calls, nodes)
+    counts = []
+    for _ in range(2):
+        sizes.clear()
+        interface_point(paper_interface(h), MOMENTS)
+        counts.append((len(sizes), sum(sizes)))
+    assert counts == [plain, (1, plain[1])]
 
 
 def test_many_height_block_takes_no_look_ahead(monkeypatch):
@@ -509,11 +522,17 @@ def test_many_height_block_takes_no_look_ahead(monkeypatch):
     assert made == calls(trees=None)
 
 
+def bucket_of(h, k1):
+    """The bucket of a point at height h in its contour's tree memo."""
+    return math.floor(8 * (math.log2(k1) + math.log2(h)))
+
+
 def test_overflow_at_a_look_ahead_node_changes_no_outcome(monkeypatch):
-    # at 317.3 nm the look-ahead evaluates 126 nodes that the adaptive
-    # process never reaches. An integrand that overflows at those alone
-    # fails the first call; quad_vec makes it again without look-ahead,
-    # and the point is the one quadrature without look-ahead gives
+    # a tree memo that holds left spines 40 levels deep makes the first
+    # call of a point at 317.3 nm evaluate 4914 nodes that the adaptive
+    # process never reaches. An integrand that overflows at those alone fails the first
+    # call; quad_vec makes it again without look-ahead, and the point is
+    # the one quadrature without look-ahead gives
     geom = paper_interface(317.3)
     want = point_bits(interface_point(geom, MOMENTS))
     ladder = halfspace._ladder
@@ -539,8 +558,12 @@ def test_overflow_at_a_look_ahead_node_changes_no_outcome(monkeypatch):
 
     monkeypatch.setattr(halfspace, "quad_vec", quad_vec)
     monkeypatch.setattr(halfspace, "_ladder", overflowing)
+    c = halfspace._contour(geom)
+    c.trees.clear()
+    c.trees[(1e-8, bucket_of(geom.h, c.k1))] = {s: {1 << level for level in range(40)}
+                                                 for s in range(3)}
     assert point_bits(interface_point(geom, MOMENTS)) == want
-    assert failed == [(357, 126)]
+    assert failed == [(5103, 4914)]
 
 
 def test_interface_point_keeps_no_instance_dicts():
@@ -616,6 +639,82 @@ def test_memo_builds_each_shared_node_once(monkeypatch):
         assert np.unique(nodes).size == nodes.size
         assert np.array_equal(keys[:-1], np.sort(nodes))
         assert not np.isin(tail, keys).any()
+
+
+LOOK_AHEAD_HEIGHTS = (0.7, 3.0, 20.0, 150.0, 1000.0, 1.0e5)
+
+
+def foreign_trees(c, geom, rel_tol):
+    """Fill c's tree memo with trees of other heights and another tolerance.
+
+    The trees of points 3.7 times as high at the other tolerance are
+    filed under the buckets of `LOOK_AHEAD_HEIGHTS` at rel_tol.
+    """
+    c.trees.clear()
+    other = 1e-12 if rel_tol != 1e-12 else 1e-9
+    for h in LOOK_AHEAD_HEIGHTS:
+        try:
+            interface_point(replace(geom, h=3.7 * h), MEMO_MOMENTS, rel_tol=other)
+        except ConvergenceError:
+            pass
+    shift = math.floor(8 * math.log2(3.7))
+    memo = {(rel_tol, b - shift): trees for (_, b), trees in c.trees.items()}
+    c.trees.clear()
+    c.trees.update(memo)
+
+
+def deep_spines(c, rel_tol):
+    """A tree memo of c in which every segment's tree is a left spine 40 levels deep."""
+    c.trees.clear()
+    for h in LOOK_AHEAD_HEIGHTS:
+        c.trees[(rel_tol, bucket_of(h, c.k1))] = {s: {1 << level for level in range(40)}
+                                                  for s in range(3)}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-13])
+@pytest.mark.parametrize("lower", sorted(BIT_PIN_LOWER))
+def test_interface_look_ahead_changes_no_outcome(monkeypatch, lower, rel_tol):
+    # the first call of a one-height point evaluates the halves of every
+    # panel in its bucket's trees, nodes that the adaptive process may
+    # never reach. Bitwise every value, error and warning of quadrature
+    # without look-ahead at heights from 0.7 nm to 1e5 nm, with a cold
+    # tree memo (each height borrows the trees of the heights before),
+    # the same memo warm, a memo of foreign trees and one of left spines
+    # 40 levels deep. A lower medium equal to the host takes 400 000
+    # nodes at 0.7 nm, so it starts at 3 nm; at 1e-13 its radiative
+    # segment splits to the 10 000 panel limit and fails at every height,
+    # 0.4 s each, so it keeps the two ends
+    geom = InterfaceGeometry(upper=GAAS, lower=Material("m", BIT_PIN_LOWER[lower]), h=1.0,
+                             lambda0=1000.0)
+    heights = LOOK_AHEAD_HEIGHTS[lower == "host":]
+    if lower == "host" and rel_tol == 1e-13:
+        heights = heights[::len(heights) - 1]
+    c = halfspace._contour(geom)
+
+    def outcomes():
+        out = []
+        for h in heights:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    value = point_bits(interface_point(replace(geom, h=h), MEMO_MOMENTS,
+                                                       rel_tol=rel_tol))
+                except ConvergenceError as exc:
+                    value = str(exc)
+            out.append((h, value, [str(w.message) for w in caught]))
+        return out
+
+    c.trees.clear()
+    cold = outcomes()
+    warm = outcomes()
+    foreign_trees(c, geom, rel_tol)
+    foreign = outcomes()
+    deep_spines(c, rel_tol)
+    deep = outcomes()
+    quad_vec = halfspace.quad_vec
+    monkeypatch.setattr(halfspace, "quad_vec",
+                        lambda f, bounds, **kwargs: quad_vec(f, bounds, **{**kwargs, "trees": None}))
+    assert cold == warm == foreign == deep == outcomes()
 
 
 def test_contour_cache_keeps_the_latest_geometries(monkeypatch):

@@ -6,7 +6,8 @@ zero included), never to a tolerance. `quadrature.quad` shares the panel
 rule; its rows must not depend on each other. Both drivers look ahead on
 their first call, which must move no bit: `quad` is compared bitwise
 with plain per-row bisection (`oracles.bisection_quad`), and so is the
-tree of panels each row reports it split.
+tree of panels each row reports it split; the tree of each `quad_vec`
+interval is compared with the final panels scipy reports.
 """
 
 import math
@@ -35,6 +36,11 @@ INTEGRANDS = {
 
 # the tree that looks ahead to an interval's quarters
 QUARTERS = (1, 2, 3)
+# integrands of two components and their intervals, to run in lockstep
+LOCKSTEP = ([lambda x: np.sin(50.0 * x) * np.exp(1j * x * ALPHA[:2]),
+             INTEGRANDS["endpoint-peaked"][0],
+             lambda x: np.array([complex(math.cos(x), -x), -0.0j])],
+            [(0.0, 3.0), (0.0, 1.0), (-1.0, 2.0)])
 
 
 def bits(value):
@@ -81,7 +87,7 @@ def test_matches_scipy_bitwise(name, epsrel, epsabs):
     g, a, b = INTEGRANDS[name]
     want, want_err = scipy_quad_vec(g, a, b, epsabs=epsabs, epsrel=epsrel, norm="max")
     for trees in (None, [QUARTERS]):
-        [(got, got_err)] = quad_vec(per_node(g), [(a, b)], epsabs=epsabs, epsrel=epsrel,
+        [(got, got_err)], _ = quad_vec(per_node(g), [(a, b)], epsabs=epsabs, epsrel=epsrel,
                                     trees=trees)
         assert bits(got) == bits(want)
         assert got_err == want_err
@@ -96,7 +102,7 @@ def test_rounding_error_stop_matches_scipy():
     want, want_err, info = scipy_quad_vec(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-16, norm="max",
                                           full_output=True)
     assert info.status == 2
-    [(got, got_err)] = quad_vec(per_node(g), [(0.0, 1.0)], epsabs=0.0, epsrel=1e-16)
+    [(got, got_err)], _ = quad_vec(per_node(g), [(0.0, 1.0)], epsabs=0.0, epsrel=1e-16)
     assert bits(got) == bits(want)
     assert got_err == want_err
 
@@ -117,7 +123,7 @@ def test_non_finite_stop_matches_scipy(g):
     with np.errstate(all="ignore"):
         want, want_err, info = scipy_quad_vec(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, norm="max",
                                               full_output=True)
-        [(got, got_err)] = quad_vec(f, [(0.0, 1.0)], epsabs=0.0, epsrel=1e-10)
+        [(got, got_err)], _ = quad_vec(f, [(0.0, 1.0)], epsabs=0.0, epsrel=1e-10)
     assert info.status == 3
     assert not math.isfinite(got_err)
     # bitwise, so NaN equals NaN
@@ -133,10 +139,7 @@ def test_intervals_in_lockstep_match_scipy_one_by_one():
     # evaluate quarters that scipy never reaches, all in the first call:
     # one of the peaked interval's, both of the smooth one's, which stops
     # after its first split
-    gs = [lambda x: np.sin(50.0 * x) * np.exp(1j * x * ALPHA[:2]),
-          INTEGRANDS["endpoint-peaked"][0],
-          lambda x: np.array([complex(math.cos(x), -x), -0.0j])]
-    bounds = [(0.0, 3.0), (0.0, 1.0), (-1.0, 2.0)]
+    gs, bounds = LOCKSTEP
     wanted = []
     for g, (a, b) in zip(gs, bounds):
         scipy_nodes = []
@@ -157,7 +160,7 @@ def test_intervals_in_lockstep_match_scipy_one_by_one():
             return np.array([gs[interval](node)
                              for node, interval in zip(x.tolist(), k.tolist())])
 
-        got = quad_vec(f, bounds, epsabs=1e-12, epsrel=1e-10, trees=trees)
+        got, _ = quad_vec(f, bounds, epsabs=1e-12, epsrel=1e-10, trees=trees)
         assert any(np.unique(k).size > 1 for _, k in calls)
         for k, ((value, err), ((want, want_err), neval, scipy_nodes)) in enumerate(
                 zip(got, wanted)):
@@ -182,7 +185,7 @@ def test_zero_integrand_splits_up_to_the_interval_limit():
         calls.append(x.size)
         return np.zeros((x.size, 1))
 
-    [(value, err)] = quad_vec(f, [(0.0, 1.0)], epsabs=0.0, epsrel=1e-8)
+    [(value, err)], _ = quad_vec(f, [(0.0, 1.0)], epsabs=0.0, epsrel=1e-8)
     assert sum(calls) == 21 + 42 * 10111
     assert bits(value) == bits(np.zeros(1)) and err == 0.0
 
@@ -192,10 +195,7 @@ def test_first_call_evaluates_each_panel_and_both_its_halves():
     # first call holds its 21 nodes and the 42 of its halves: the nodes
     # of scipy's first three panels. No node comes again in a later call,
     # and every interval still evaluates scipy's neval nodes
-    gs = [lambda x: np.sin(50.0 * x) * np.exp(1j * x * ALPHA[:2]),
-          INTEGRANDS["endpoint-peaked"][0],
-          lambda x: np.array([complex(math.cos(x), -x), -0.0j])]
-    bounds = [(0.0, 3.0), (0.0, 1.0), (-1.0, 2.0)]
+    gs, bounds = LOCKSTEP
     calls = []
 
     def f(x, k):
@@ -272,7 +272,7 @@ def raise_at_unreached_look_ahead_nodes(error):
             raise error("a look-ahead node fails")
         return per_node(g)(x, k)
 
-    [(got, got_err)] = quad_vec(f, [(a, b)], trees=[QUARTERS], **tols)
+    [(got, got_err)], _ = quad_vec(f, [(a, b)], trees=[QUARTERS], **tols)
     want, want_err = scipy_quad_vec(g, a, b, norm="max", **tols)
     assert bits(got) == bits(want)
     assert got_err == want_err
@@ -318,6 +318,87 @@ def test_overflow_at_a_reached_node_raises_as_without_look_ahead(call, error):
     assert made[None] == (plain_sizes if call else plain_sizes[:1])
     if not call:
         assert made[(QUARTERS,)] == [147, 63]
+
+
+def split_codes(leaves, a: float, b: float) -> set:
+    """Heap codes of the panels bisection of [a, b] split to reach its final panels `leaves`."""
+    codes = set()
+    for lo, hi in leaves:
+        x1, x2, code = a, b, 1
+        while (x1, x2) != (lo, hi):
+            codes.add(code)
+            mid = 0.5 * (x1 + x2)
+            x1, x2, code = (x1, mid, 2 * code) if lo < mid else (mid, x2, 2 * code + 1)
+    return codes
+
+
+@pytest.mark.parametrize("epsrel, epsabs", [(1e-8, 1e-200), (1e-10, 1e-12), (1e-13, 0.0)])
+def test_quad_vec_trees_are_the_splits_of_scipy(epsrel, epsabs):
+    # each interval's tree is the set of panels scipy split down to 62
+    # levels, read off the final panels it reports, whatever tree the
+    # intervals look ahead along and whichever intervals run with them
+    gs, bounds = LOCKSTEP
+    want = []
+    for g, (a, b) in zip(gs, bounds):
+        *_, info = scipy_quad_vec(g, a, b, epsabs=epsabs, epsrel=epsrel, norm="max",
+                                  full_output=True)
+        want.append({c for c in split_codes(info.intervals.tolist(), a, b)
+                     if c.bit_length() <= 63})
+
+    def f(x, k):
+        return np.array([gs[interval](node) for node, interval in zip(x.tolist(), k.tolist())])
+
+    assert all(1 in tree for tree in want)
+    for trees in (None, [QUARTERS] * 3, want[::-1]):
+        _, got = quad_vec(f, bounds, epsabs=epsabs, epsrel=epsrel, trees=trees)
+        assert got == want
+    for k, (g, (a, b)) in enumerate(zip(gs, bounds)):
+        _, [alone] = quad_vec(per_node(g), [(a, b)], epsabs=epsabs, epsrel=epsrel)
+        assert alone == want[k]
+
+
+@pytest.mark.parametrize("epsrel, epsabs", [(1e-8, 1e-200), (1e-10, 1e-12)])
+def test_quad_vec_interval_given_its_own_tree_takes_one_call(epsrel, epsabs):
+    # given back, an interval's tree makes the first call evaluate exactly
+    # the panels scipy evaluates: one call, no node wasted, the same bits.
+    # (At 1e-13 the peaked integrand splits past 62 levels, which no
+    # reported tree reaches)
+    for name in sorted(INTEGRANDS):
+        g, a, b = INTEGRANDS[name]
+        tols = dict(epsabs=epsabs, epsrel=epsrel)
+        *_, info = scipy_quad_vec(g, a, b, norm="max", full_output=True, **tols)
+        [want], [tree] = quad_vec(per_node(g), [(a, b)], **tols)
+        calls = []
+
+        def f(x, k, g=g):
+            calls.append(x.size)
+            return per_node(g)(x, k)
+
+        [got], [again] = quad_vec(f, [(a, b)], trees=[tree], **tols)
+        assert bits(got[0]) == bits(want[0]) and got[1] == want[1], name
+        assert again == tree
+        assert calls == [info.neval] == [21 * (1 + 2 * len(tree))], name
+
+
+def test_quad_vec_trees_past_62_levels():
+    # x^-1/2 at 1e-10 bisects its left end 71 levels down; heap codes stop
+    # at 62 levels, so the reported tree is scipy's up to there, and the
+    # full tree, codes past int64 included, is a tree like any other
+    def g(x):
+        return np.array([x ** -0.5])
+
+    tols = dict(epsabs=0.0, epsrel=1e-10)
+    want, want_err, info = scipy_quad_vec(g, 0.0, 1.0, norm="max", full_output=True, **tols)
+    tree = split_codes(info.intervals.tolist(), 0.0, 1.0)
+    assert max(tree).bit_length() == 71
+    [(got, got_err)], [split] = quad_vec(per_node(g), [(0.0, 1.0)], **tols)
+    assert bits(got) == bits(want) and got_err == want_err
+    assert split == {c for c in tree if c.bit_length() <= 63}
+    for trees in (tree, split):
+        [(again, again_err)], [again_split] = quad_vec(per_node(g), [(0.0, 1.0)],
+                                                       trees=[trees], **tols)
+        assert bits(again) == bits(want) and again_err == want_err
+        assert again_split == split
 
 
 def test_quad_rows_are_independent():

@@ -12,6 +12,10 @@ Prints one `name sha256` line per check:
                       order in both mountings
     sweep ...         the same heights through `interface_sweep` at three
                       tolerances
+    point interleaved the shuffled heights as one stream that changes the
+                      lower medium at every point and the tolerance at
+                      every fourth, so each contour's memos are used
+                      again after those of other geometries
     background ...    `quasistatic_background` of the paper wire on two
                       distance grids, both orientations, with the text of
                       each warning and error
@@ -56,6 +60,7 @@ METALS = {"Ag": 0.2 + 7.0j, "7i": 7.0j, "near-resonant": 0.05 + 3.4205j, "no-pol
 HEIGHTS = sorted([1.0, 1.0e5, *(10.0 ** random.Random(42).uniform(0.0, 5.0) for _ in range(152))])
 SHUFFLED = random.Random(7).sample(HEIGHTS, len(HEIGHTS))
 SWEEP_TOLS = (1e-8, 1e-11, 1e-13)
+INTERLEAVED_TOLS = (1e-8, 1e-10)
 
 
 def digest(text: str) -> str:
@@ -109,6 +114,16 @@ def interface_checks():
             except Exception as exc:
                 rows.append(failure(exc))  # the sweep stops at its first failing height
             yield f"sweep {name} rel_tol={tol:g}", "\n".join(rows)
+    metals = [Material(name, n) for name, n in METALS.items()]
+    rows = []
+    for i, h in enumerate(SHUFFLED):
+        geom = InterfaceGeometry(upper=GAAS, lower=metals[i % len(metals)], h=h, lambda0=1000.0)
+        rel_tol = INTERLEAVED_TOLS[i // len(metals) % 2]
+        try:
+            rows.append(point_bits(interface_point(geom, mountings["direct"], rel_tol=rel_tol)))
+        except Exception as exc:
+            rows.append(failure(exc))
+    yield "point interleaved", "\n".join(rows)
 
 
 def background_checks():

@@ -30,8 +30,11 @@ nodes of all heights in one call of an array integrand. That integrand
 rounds as Python's scalar arithmetic does, so the numbers of a height do
 not depend on the heights computed with it: powers and quotients are
 libm's pow and Python's ** and / (`_quotients`), sin, cos, sinh and cosh
-math's (`_libm`), and only the complex product is written out (`_mul`),
-since numpy's array product may fuse a multiply into an add.
+math's (`_libm`), and the product of two complex numbers is written out
+(`_mul`), since numpy's array product may fuse a multiply into an add.
+Where one factor is real or imaginary, as on the tail, where kp, kz1/i
+and the Jacobian are real, numpy's product is taken where it rounds as
+`_mul` does (`_mul` says where and why).
 
 The integrand has two stages. The node columns (`_node_columns`) are
 everything that depends on the node and the geometry only: kp, kz1, the
@@ -83,6 +86,8 @@ _BLOCK = 32
 _GEOMETRIES = 8
 # distinct nodes whose columns a memo keeps, per segment of a geometry
 _MEMO_NODES = 4096
+# bytes of the whole batches of columns a contour keeps per memoized segment
+_BATCH_BYTES = 2 ** 19
 _TREE_BUCKETS = 8  # buckets of a contour's tree memo per octave of k1*h
 _TREE_ENTRIES = 128  # buckets a contour's tree memo keeps, the least recently used dropped first
 _CONTOURS: dict = {}  # exact (n_upper, n_lower, lambda0) -> _Contour, oldest use first
@@ -126,6 +131,15 @@ def _mul(a, b) -> np.ndarray:
     an add (FMA) and then rounds differently; its sum, difference,
     quotient, sqrt and exp agree with the scalar results. A real operand
     counts as complex with imaginary part 0.0, as in Python.
+
+    Where one factor is real or imaginary, each part of the product is
+    one rounded product plus an exact product with 0.0, and fused or not
+    they round alike unless the rounded one underflows to a zero whose
+    sign differs from the exact one's. The integrand takes numpy's
+    product where its operands rule that out: 2i*kz1 (a doubling), a real
+    kp > 0 times itself and the ladder's powers of it times _LEAD, i*k1
+    times sinh(t) > 0, and the exponent 2i*kz1*h of phi. There Im kz1 >= 0
+    leaves only the sign of a zero real part, which exp does not see.
     """
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     z = np.asarray(ar * br - ai * bi, dtype=complex)  # a new array: the difference is real
@@ -180,6 +194,13 @@ class _Contour:
     columns do not depend on the other nodes of its batch, so a stored
     column has the bits a fresh one would have.
 
+    A one-height point asks for the same batch of radiative and ellipse
+    nodes whenever its bucket comes up, so batches[s] also keeps whole
+    batches' columns, keyed by the bytes of their nodes, up to
+    _BATCH_BYTES per segment, the least recently used dropped first. A
+    batch larger than an eighth of that, a block of many heights, is not
+    kept, and a node stored in the memo drops the segment's batches.
+
     `trees` is the contour's tree memo (`quadrature.tree_entry`): per
     rel_tol and 1/8-octave bucket floor(8 log2(k1*h)), the union of the
     panels each segment split at the heights of that bucket, which
@@ -200,13 +221,32 @@ class _Contour:
         self.norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
         self.keys = [np.array([np.inf]) for _ in range(2)]
         self.stored = [np.zeros((_ROWS, 1), dtype=complex) for _ in range(2)]
+        # per segment: node bytes -> the batch's columns, oldest use first, and their bytes
+        self.batches, self.batch_bytes = [{}, {}], [0, 0]
         # (rel_tol, bucket) -> {segment: sorted heap codes}, oldest use first
         self.trees: dict = {}
 
     def columns(self, segment: int, x: np.ndarray) -> np.ndarray:
-        """The columns at nodes x of one segment; only nodes not stored are built."""
+        """The columns at nodes x of one segment; only nodes not stored are built.
+
+        A kept batch is returned itself, read-only."""
         if segment == 2:  # the tail's nodes depend on its end: no other height shares them
             return _node_columns(self, 2, x)
+        batches = self.batches[segment]
+        key = x.tobytes()
+        out = batches.pop(key, None)  # put back last: the least recently used go first
+        if out is None:
+            out = self._gather(segment, x)
+            if out.nbytes > _BATCH_BYTES // 8:  # a block of many heights: rarely asked again
+                return out
+            out.flags.writeable = False  # the caller gets the stored batch itself
+            self.batch_bytes[segment] += out.nbytes
+            while self.batch_bytes[segment] > _BATCH_BYTES:
+                self.batch_bytes[segment] -= batches.pop(next(iter(batches))).nbytes
+        batches[key] = out
+        return out
+
+    def _gather(self, segment: int, x: np.ndarray) -> np.ndarray:
         keys, stored = self.keys[segment], self.stored[segment]
         at = np.searchsorted(keys, x)
         hit = keys[at] == x
@@ -221,6 +261,8 @@ class _Contour:
             at = np.searchsorted(keys, new[:room])
             self.keys[segment] = np.insert(keys, at, new[:room])
             self.stored[segment] = np.insert(stored, at, built[:, :room], axis=1)
+            self.batches[segment].clear()
+            self.batch_bytes[segment] = 0
         return out
 
     @functools.cached_property
@@ -229,8 +271,9 @@ class _Contour:
         a power of the pole may overflow, and a height whose quadrature overflows
         reports that instead. A raise is not cached."""
         ks, k1 = self.pole, self.k1
-        kz1p = _kz_nodes(self.eps1 * self.k0 * self.k0, np.array([ks]))[0]
-        kz2p = _kz_nodes(self.eps2 * self.k0 * self.k0, np.array([ks]))[0]
+        ks2 = _mul(np.array([ks]), np.array([ks]))
+        kz1p = _kz_nodes(self.eps1 * self.k0 * self.k0, ks2)[0]
+        kz2p = _kz_nodes(self.eps2 * self.k0 * self.k0, ks2)[0]
         dprime = -ks * (self.eps2 / kz1p + self.eps1 / kz2p)
         rtilde = 2.0 * self.eps2 * kz1p / dprime
         return (2.0j * kz1p, rtilde, ks, kz1p, k1 * k1, ks ** 3, k1 ** 3, ks ** 5,
@@ -282,26 +325,30 @@ def _node_columns(c: _Contour, segment: int, x: np.ndarray) -> np.ndarray:
     k1 = c.k1
     out = np.empty((_ROWS, x.size), dtype=complex)
     kp, kz1, rp, dkp_du, inv_term, two_i_kz1, r_xx, ladder = *out[:7], out[7:]
+    # numpy's product where kp is real and > 0 (see `_mul`), `_mul` on the ellipse
+    mul = np.multiply
     if segment == 0:
         kz1[:] = k1 * _libm(math.cos, x)
         kp[:], dkp_du[:], inv_term[:] = k1 * _libm(math.sin, x), kz1, 1.0
     elif segment == 1:
+        mul = _mul
         m_c, half, i_delta = 0.5 * (c.k_b + k1), 0.5 * (c.k_b - k1), 1.0j * c.delta
         # quadrature nodes lie strictly inside a panel, so sigma > 0
         theta = math.pi * x * x
         sin_t, cos_t = _libm(math.sin, theta), _libm(math.cos, theta)
         kp[:] = m_c - half * cos_t - _mul(i_delta, sin_t)
         dkp_du[:] = _mul(half * sin_t - _mul(i_delta, cos_t), 2.0 * math.pi * x)
-        kz1[:] = _kz_nodes(c.eps1 * c.k0 * c.k0, kp)
+        kz1[:] = _kz_nodes(c.eps1 * c.k0 * c.k0, _mul(kp, kp))
         inv_term[:] = dkp_du / kz1
     else:
-        sinh_t = _libm(math.sinh, x)
-        kp[:], kz1[:], dkp_du[:] = k1 * _libm(math.cosh, x), _mul(1.0j * k1, sinh_t), k1 * sinh_t
+        sinh_t = _libm(math.sinh, x)  # > 0: the tail starts at t_b > 0
+        kp[:], kz1[:], dkp_du[:] = k1 * _libm(math.cosh, x), 1.0j * k1 * sinh_t, k1 * sinh_t
         inv_term[:] = -1.0j  # dkp_du / kz1 = 1/i exactly on this segment
-    rs, rp[:] = _fresnel_from_kz(kz1, _kz_nodes(c.eps2 * c.k0 * c.k0, kp), c.eps1, c.eps2)
-    two_i_kz1[:] = _mul(2.0j, kz1)
+    rs, rp[:] = _fresnel_from_kz(kz1, _kz_nodes(c.eps2 * c.k0 * c.k0, mul(kp, kp)), c.eps1,
+                                 c.eps2)
+    two_i_kz1[:] = 2.0j * kz1  # exact: each part is a doubling and a product with 0.0
     r_xx[:] = rs - _mul(_mul(rp, kz1), kz1) / (k1 * k1)
-    ladder[:] = _mul(_LEAD, np.concatenate((kp[None], _quotients(kp, k1))))
+    ladder[:] = mul(_LEAD, np.concatenate((kp[None], _quotients(kp, k1))))
     ladder[1:3] = _mul(ladder[1:3], rp)
     return out
 
@@ -354,7 +401,9 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
                 on = segment == s
                 columns[:, on] = c.columns(s, x[on])
             columns = _Columns(*columns[:7], columns[7:])
-            return fn(columns, np.exp(_mul(columns.two_i_kz1, height_of[k])))
+            # numpy's product with the real height: phi has `_mul`'s bits (see `_mul`)
+            h = heights[0] if len(heights) == 1 else height_of[k]
+            return fn(columns, np.exp(columns.two_i_kz1 * h))
 
         eps_abs = rel_tol * c.norm
         # a non-finite value fails the error test below, so numpy need not warn of it
@@ -391,9 +440,9 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
     return outcomes
 
 
-def _kz_nodes(eps_k0: complex, kp: np.ndarray) -> np.ndarray:
-    """Vertical wavevector with Im >= 0 at each node kp; eps_k0 is eps*k0*k0."""
-    w = np.sqrt(eps_k0 - _mul(kp, kp))
+def _kz_nodes(eps_k0: complex, kp2: np.ndarray) -> np.ndarray:
+    """Vertical wavevector with Im >= 0 at each node of square kp2; eps_k0 is eps*k0*k0."""
+    w = np.sqrt(eps_k0 - kp2)
     return np.negative(w, out=w, where=w.imag < 0.0)
 
 
@@ -408,8 +457,7 @@ def _quotients(kp: np.ndarray, k1: float) -> np.ndarray:
     to 0; `_integrate_contour` reports both alike, so where both apply
     this raises the ZeroDivisionError whatever the node order. On the
     ellipse each node is Python's float or complex, whose ** and / raise
-    those errors themselves. Only the complex product is hand-written
-    (`_mul`): numpy's may use FMA.
+    those errors themselves.
     """
     k13, k14 = k1 ** 3, k1 ** 4
     if kp.imag.any():
@@ -432,7 +480,7 @@ def _ladder(col: _Columns, phi: np.ndarray) -> np.ndarray:
 
     Gradient components are pre-scaled by 1/k1 per derivative so all
     four share units of 1/nm and one max-norm tolerance controls them
-    evenly; callers undo the scaling via _unscale. Each product is
+    evenly; `_interface_point` undoes the scaling. Each product is
     `_mul` and each power Python's, in the order of the formulas in the
     module docstring, so a node's value has the same bits in any batch
     and the same as in Python's scalar arithmetic.
@@ -444,10 +492,6 @@ def _ladder(col: _Columns, phi: np.ndarray) -> np.ndarray:
     common = _mul(col.r_xx, phi)
     f = _mul(col.ladder, np.stack((common, phi, phi, common)))
     return _mul(f, np.stack((col.inv_term, col.dkp_du, col.inv_term, col.dkp_du))).T
-
-
-def _unscale(vec, k1: float):
-    return np.array([vec[0], vec[1] * k1, vec[2] * k1 * k1, vec[3] * k1], dtype=complex)
 
 
 def _pole_vector(c: _Contour, h: float) -> np.ndarray:
@@ -484,19 +528,25 @@ class InterfacePoint:
 def _interface_point(c: _Contour, h: float, moments: EmitterMoments,
                      rad: np.ndarray, evan: np.ndarray) -> InterfacePoint:
     k1, norm = c.k1, c.norm
-    j = _unscale(rad + evan, k1)
-    bundle = GreenBundle(g_xx=norm + j[0].imag, d_g_zx=j[1].imag, dd_g_zz=j[2].imag,
-                         dz_g_xx=j[3].imag)
+    # Im of each component, its 1/k1 per derivative undone by the product with k1 + 0j,
+    # `_mul`'s formula (from Python 3.14 on, a complex times a float is taken part by part)
+    k = complex(k1)
+    total, radiative, evanescent = (
+        [g.imag, (zx * k).imag, (zz * k * k).imag, (dz * k).imag]
+        for g, zx, zz, dz in (v.tolist() for v in (rad + evan, rad, evan)))
+    bundle = GreenBundle(norm + total[0], *total[1:])
     ladder = _rates.rate_ladder(bundle, moments, norm)
     split = _rates.md_eq_split(bundle, moments, norm)
 
     lam = moments.lambda_over_mu
-    f = np.array([1.0, 2.0 * lam, lam * lam]) / norm
-    pole = _pole_vector(c, h)
-    rad_ch = f * _unscale(rad, k1)[:3].imag
+    # numpy's quotient: where lam**2/norm overflows, its warning is the one sign that
+    # the channels below are infinite
+    f = (np.array([1.0, 2.0 * lam, lam * lam]) / norm).tolist()
+    pole = _pole_vector(c, h).tolist()
+    rad_ch = [a * r for a, r in zip(f, radiative)]
     rad_ch[0] += 1.0  # the homogeneous rate is purely radiative
-    channels = ChannelDecomposition(rad=tuple(rad_ch), pl=tuple(f * pole),
-                                    ls=tuple(f * (_unscale(evan, k1)[:3].imag - pole)))
+    channels = ChannelDecomposition(rad=tuple(rad_ch), pl=tuple(a * p for a, p in zip(f, pole)),
+                                    ls=tuple(a * (e - p) for a, e, p in zip(f, evanescent, pole)))
     return InterfacePoint(bundle=bundle, ladder=ladder, split=split,
                           channels=channels, norm=norm, k1=k1)
 

@@ -78,8 +78,9 @@ def fresnel(k_par, geom: InterfaceGeometry):
     axis); branch of both k_z follows the Im >= 0 convention.
     """
     k0 = 2.0 * math.pi / geom.lambda0
-    kz1 = _kz_nodes(geom.upper.eps * k0 * k0, np.array([k_par]))[0]
-    kz2 = _kz_nodes(geom.lower.eps * k0 * k0, np.array([k_par]))[0]
+    kp2 = _mul(np.array([k_par]), np.array([k_par]))
+    kz1 = _kz_nodes(geom.upper.eps * k0 * k0, kp2)[0]
+    kz2 = _kz_nodes(geom.lower.eps * k0 * k0, kp2)[0]
     return _fresnel_from_kz(kz1, kz2, geom.upper.eps, geom.lower.eps)
 
 

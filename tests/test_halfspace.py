@@ -8,6 +8,7 @@ and snapshot values for regression locking.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -464,6 +465,85 @@ def test_array_integrand_matches_scalar_reference_bitwise(monkeypatch, lower):
     assert segments == {0, 1, 2} and mixed
 
 
+def product_operands(seed):
+    """Real operands of every kind a product meets: random magnitudes from
+    subnormal to huge, signed zeros, the extreme doubles, inf and nan."""
+    rng = np.random.default_rng(seed)
+    rand = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-323.0, 308.0, 200)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, sys.float_info.min, 0.75,
+               -1.0, 1e200, -1e-200, sys.float_info.max, -sys.float_info.max, math.inf,
+               -math.inf, math.nan]
+    return np.concatenate((special, rand))
+
+
+def complex_of(re, im):
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def same_bits(a, b):
+    """Per element, whether both parts of a and b hold the same bits; a nan matches any nan."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    same = np.ones(a.shape, dtype=bool)
+    for x, y in ((a.real, b.real), (a.imag, b.imag)):
+        same &= (x.view(np.uint64) == y.view(np.uint64)) | (np.isnan(x) & np.isnan(y))
+    return same
+
+
+def test_plain_products_where_the_integrand_takes_them_have_mul_bits():
+    # numpy's complex product may fuse a multiply into an add. Where one
+    # factor is real or imaginary, each part is one rounded product plus a
+    # product with 0.0, and only an underflow to zero can round it apart
+    # from `_mul` (the test below). The integrand takes numpy's product
+    # only where its operands rule that out, whatever CPU runs this
+    x = product_operands(1)
+    nonneg = x[~(np.signbit(x) | np.isnan(x))]
+    positive = nonneg[np.isfinite(nonneg) & (nonneg > 0.0)]
+    z = complex_of(x[:, None], x[None, :]).ravel()  # every pair of parts
+    mul = halfspace._mul
+    with np.errstate(all="ignore"):
+        # 2i*kz1: a doubling and a product with 0.0, exact in any order
+        assert same_bits(2.0j * z, mul(2.0j, z)).all()
+        # kp*kp and the ladder's powers times _LEAD: kp is real, and > 0 on the real axis
+        for zero in (0.0, -0.0):
+            kp = complex_of(x, zero)
+            assert same_bits(kp * kp, mul(kp, kp)).all()
+        rows = complex_of(np.resize(np.append(nonneg, math.nan), (4, 60)), 0.0)
+        assert same_bits(halfspace._LEAD * rows, mul(halfspace._LEAD, rows)).all()
+        # the tail's kz1 = i*k1*sinh(t): k1 > 0 and sinh(t) > 0
+        for k1 in positive.tolist():
+            assert same_bits(1.0j * k1 * nonneg, mul(1.0j * k1, nonneg)).all()
+        # phi's exponent: Im kz1 >= 0 makes 2i*kz1 a number whose real part is
+        # <= 0 where its imaginary part is < 0, so only the sign of a real zero
+        # can differ, and exp does not see it; the height is a scalar in a
+        # one-height block and height_of[k] in a sweep
+        kz1 = complex_of(x[:, None], np.append(nonneg, math.nan)[None, :]).ravel()
+        two_i_kz1 = mul(2.0j, kz1)
+        height_of = positive[np.random.default_rng(2).integers(0, positive.size, kz1.size)]
+        for h in [*positive.tolist(), height_of]:
+            plain, exact = two_i_kz1 * h, mul(two_i_kz1, h)
+            assert same_bits(plain.imag, exact.imag).all()
+            assert same_bits(np.exp(plain), np.exp(exact)).all()
+
+
+def test_a_product_with_a_real_or_imaginary_factor_differs_from_mul_only_in_a_zero_sign():
+    # fused, a part's exact product keeps its sign where it underflows to
+    # zero; unfused, it rounds to a signed zero first, and the sum with
+    # the other product's exact zero may take that zero's sign. Nothing
+    # else can differ: the other product is exact
+    x = product_operands(3)
+    z = complex_of(x[:, None], x[None, :]).ravel()
+    mul = halfspace._mul
+    factors = [*x.tolist(), *(1.0j * v for v in x.tolist()), x[np.arange(z.size) % x.size]]
+    with np.errstate(all="ignore"):
+        for f in factors:
+            plain, exact = z * f, mul(z, f)
+            for a, b in ((plain.real, exact.real), (plain.imag, exact.imag)):
+                apart = ~same_bits(a, b)
+                assert ((a[apart] == 0.0) & (b[apart] == 0.0)).all()
+
+
 def test_sweep_equals_one_height_at_a_time_bitwise(monkeypatch):
     # 300 heights make ten blocks, the last one short; the single heights
     # run once on the memo the sweep filled and once from an empty one
@@ -639,6 +719,85 @@ def test_memo_builds_each_shared_node_once(monkeypatch):
         assert np.unique(nodes).size == nodes.size
         assert np.array_equal(keys[:-1], np.sort(nodes))
         assert not np.isin(tail, keys).any()
+
+
+def counting(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that appends each call's segment to calls."""
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda c, segment, x: (calls.append(segment),
+                                                             fn(c, segment, x))[1])
+
+
+def test_a_warm_point_takes_its_shared_columns_as_whole_batches(monkeypatch):
+    # after 100 seeded heights a point in a bucket seen before builds the
+    # columns of its tail only, and takes those of its radiative and
+    # ellipse nodes as the stored batches of earlier points: no node is
+    # looked up in the memo
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    rng = np.random.default_rng(1)
+    k1 = halfspace._contour(paper_interface(100.0)).k1
+    seen = set()
+    for h in rng.uniform(20.0, 1000.0, 100).tolist():
+        interface_point(paper_interface(h), MOMENTS)
+        seen.add(bucket_of(h, k1))
+    built, looked_up = [], []
+    counting(monkeypatch, halfspace, "_node_columns", built)
+    counting(monkeypatch, halfspace._Contour, "_gather", looked_up)
+    warm = [h for h in rng.uniform(20.0, 1000.0, 200).tolist() if bucket_of(h, k1) in seen]
+    for h in warm:
+        built.clear()
+        interface_point(paper_interface(h), MOMENTS)
+        assert built == [2], h
+    assert len(warm) > 150 and not looked_up
+
+
+def test_column_batches_stay_within_their_bound(monkeypatch):
+    # 2 000 random heights from 10 nm to 30 um, then the CLI's 98-height
+    # sweep, whose blocks of 32 heights are too large to keep
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    c = halfspace._contour(paper_interface(100.0))
+
+    def within_bound():
+        for batches, size in zip(c.batches, c.batch_bytes):
+            assert size == sum(b.nbytes for b in batches.values()) <= halfspace._BATCH_BYTES
+            assert all(not b.flags.writeable for b in batches.values())
+        return [set(batches) for batches in c.batches]
+
+    for h in 10.0 ** np.random.default_rng(4).uniform(1.0, 4.5, 2000):
+        interface_point(paper_interface(float(h)), MEMO_MOMENTS)
+    before = within_bound()
+    list(halfspace.interface_sweep(paper_interface(1.0), np.arange(20.0, 1000.0, 10.0),
+                                   MEMO_MOMENTS))
+    after = within_bound()
+    assert all(len(b) > 0 for b in before) and after != before
+
+
+def test_column_batches_move_no_bit(monkeypatch):
+    # a shuffled stream that changes its lower medium every six heights
+    # and its tolerance every three, one geometry kept, so that each
+    # contour is dropped and built again: the same bits whether the
+    # contours keep whole batches or not
+    monkeypatch.setattr(halfspace, "_GEOMETRIES", 1)
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    heights = np.random.default_rng(7).permutation(np.geomspace(3.0, 3000.0, 72)).tolist()
+    media = (SILVER, Material("glass", 1.5))
+    columns, looked_up = [], []
+    counting(monkeypatch, halfspace._Contour, "columns", columns)
+    counting(monkeypatch, halfspace._Contour, "_gather", looked_up)
+
+    def stream():
+        halfspace._CONTOURS.clear()
+        out = []
+        for i, h in enumerate(heights):
+            geom = InterfaceGeometry(upper=GAAS, lower=media[i // 6 % 2], h=h, lambda0=1000.0)
+            rel_tol = (1e-8, 1e-10)[i // 3 % 2]
+            out.append(point_bits(interface_point(geom, MEMO_MOMENTS, rel_tol=rel_tol)))
+        return out
+
+    kept = stream()
+    assert len(looked_up) < len(columns) - columns.count(2)  # some batches were kept
+    monkeypatch.setattr(halfspace, "_BATCH_BYTES", 0)  # no batch is kept
+    assert stream() == kept
 
 
 LOOK_AHEAD_HEIGHTS = (0.7, 3.0, 20.0, 150.0, 1000.0, 1.0e5)

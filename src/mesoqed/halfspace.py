@@ -75,7 +75,7 @@ import numpy as np
 from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
 from .core import check_positive, homogeneous_im_gxx, host_wavevectors
-from .errors import ConvergenceError, NoBoundModeError
+from .errors import ConvergenceError, ExpansionInvalidError, NoBoundModeError
 from .quadrature import merge_trees, quad_vec, tree_entry
 from .rates import GreenBundle
 
@@ -402,8 +402,7 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
                 columns[:, on] = c.columns(s, x[on])
             columns = _Columns(*columns[:7], columns[7:])
             # numpy's product with the real height: phi has `_mul`'s bits (see `_mul`)
-            h = heights[0] if len(heights) == 1 else height_of[k]
-            return fn(columns, np.exp(columns.two_i_kz1 * h))
+            return fn(columns, np.exp(columns.two_i_kz1 * height_of[k]))
 
         eps_abs = rel_tol * c.norm
         # a non-finite value fails the error test below, so numpy need not warn of it
@@ -539,14 +538,19 @@ def _interface_point(c: _Contour, h: float, moments: EmitterMoments,
     split = _rates.md_eq_split(bundle, moments, norm)
 
     lam = moments.lambda_over_mu
-    # numpy's quotient: where lam**2/norm overflows, its warning is the one sign that
-    # the channels below are infinite
-    f = (np.array([1.0, 2.0 * lam, lam * lam]) / norm).tolist()
+    f = [1.0 / norm, 2.0 * lam / norm, lam * lam / norm]
     pole = _pole_vector(c, h).tolist()
     rad_ch = [a * r for a, r in zip(f, radiative)]
     rad_ch[0] += 1.0  # the homogeneous rate is purely radiative
     channels = ChannelDecomposition(rad=tuple(rad_ch), pl=tuple(a * p for a, p in zip(f, pole)),
                                     ls=tuple(a * (e - p) for a, e, p in zip(f, evanescent, pole)))
+    # a finite ladder does not make its parts finite, and Python's float product
+    # overflows to inf without a word
+    parts = (split.gamma1_md, split.gamma1_eq, *rad_ch, *channels.pl, *channels.ls)
+    if not all(map(math.isfinite, parts)):
+        raise ExpansionInvalidError(
+            "the multipole split or a channel is not finite: the moment ratio overflows "
+            "double precision")
     return InterfacePoint(bundle=bundle, ladder=ladder, split=split,
                           channels=channels, norm=norm, k1=k1)
 
@@ -563,7 +567,9 @@ def interface_sweep(geometry: InterfaceGeometry, heights, moments: EmitterMoment
     heights share one quadrature: each round evaluates the contour nodes
     of the whole block in one integrand call, and every value is bitwise
     what a block of one gives. A height that fails in quadrature raises
-    when the iteration reaches it, after all earlier heights.
+    when the iteration reaches it, after all earlier heights, and so
+    does one whose ladder, multipole split or channels overflow
+    (ExpansionInvalidError).
     """
     check_positive(rel_tol=rel_tol)
     heights = list(heights)

@@ -210,29 +210,23 @@ class _Interval:
     A heap entry (-err, a, b, n, code, integral) carries its panel's heap
     code and integral, which scipy keeps in a cache keyed by (a, b); n
     counts the interval's pushes, so two entries never compare their
-    codes or integrals. `tree` collects the nonzero codes split. The
-    tolerance is computed once per integral: `split` drops it.
+    codes or integrals. `tree` collects the nonzero codes split.
     """
 
-    def __init__(self, a: float, b: float, integral, err: float, rnd: float,
-                 epsabs: float, epsrel: float):
+    def __init__(self, a: float, b: float, integral, err: float, rnd: float):
         self.integral = integral
         self.error = err
         self.rounding = rnd
-        self.epsabs, self.epsrel = epsabs, epsrel
-        self.tolerance = None
         self.pushes = itertools.count()
         self.heap = [(-err, a, b, next(self.pushes), 1, integral)]
         self.tree = set()
 
-    def tol(self) -> float:
-        if self.tolerance is None:
-            self.tolerance = max(self.epsabs, self.epsrel * float(_max_norm(self.integral)))
-        return self.tolerance
+    def tol(self, epsabs: float, epsrel: float) -> float:
+        return max(epsabs, epsrel * float(_max_norm(self.integral)))
 
-    def pop(self) -> list:
+    def pop(self, epsabs: float, epsrel: float) -> list:
         """The panels scipy splits next: (a, b, error, code, integral)."""
-        tol = self.tol()
+        tol = self.tol(epsabs, epsrel)
         taken = []
         err_sum = 0
         for j in range(_PARALLEL):
@@ -246,7 +240,6 @@ class _Interval:
     def split(self, a, b, old_err, code, old_int, left, right) -> None:
         (s1, err1, rnd1), (s2, err2, rnd2) = left, right
         self.integral = self.integral + (s1 + s2 - old_int)
-        self.tolerance = None
         self.error += err1 + err2 - old_err
         self.rounding += rnd1 + rnd2
         if code:
@@ -255,11 +248,11 @@ class _Interval:
         for x1, x2, half, ig, err in zip((a, c), (c, b), _halves(code), (s1, s2), (err1, err2)):
             heapq.heappush(self.heap, (-err, x1, x2, next(self.pushes), half, ig))
 
-    def done(self) -> bool:
+    def done(self, epsabs: float, epsrel: float) -> bool:
         """scipy's stops: target met, roundoff reached, non-finite, limit."""
         # scipy tests the first two only from two panels on, which every
         # split reaches
-        if self.error < self.tol() / 8 or self.error < self.rounding:
+        if self.error < self.tol(epsabs, epsrel) / 8 or self.error < self.rounding:
             return True
         if not (math.isfinite(self.error) and math.isfinite(self.rounding)):
             return True
@@ -289,13 +282,12 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> tuple:
     lower, upper = (list(ends) for ends in zip(*bounds))
     trees = [(1,) if tree is None else tree for tree in trees or [None] * len(bounds)]
     (k, a, b, rules), links = _first_call(first, lower, upper, trees, (1,))
-    procs = [_Interval(lo, hi, *rule, epsabs, epsrel)
-             for lo, hi, rule in zip(lower, upper, rules)]
+    procs = [_Interval(lo, hi, *rule) for lo, hi, rule in zip(lower, upper, rules)]
     # the halves evaluated before their panel is split
     ready = {(k[at], a[at], b[at]): (rules[left], rules[left + 1]) for at, left in links}
     active = list(range(len(bounds)))
     while active:
-        work = [(k, *panel) for k in active for panel in procs[k].pop()]
+        work = [(k, *panel) for k in active for panel in procs[k].pop(epsabs, epsrel)]
         pairs = [ready.pop(panel[:3], None) for panel in work]
         todo = [i for i, pair in enumerate(pairs) if pair is None]
         if todo:
@@ -308,7 +300,7 @@ def quad_vec(f, bounds, epsabs: float, epsrel: float, trees=None) -> tuple:
                 pairs[i] = left, right
         for (k, *panel), pair in zip(work, pairs):
             procs[k].split(*panel, *pair)
-        active = [k for k in active if not procs[k].done()]
+        active = [k for k in active if not procs[k].done(epsabs, epsrel)]
     return [(p.integral, p.error + p.rounding) for p in procs], [p.tree for p in procs]
 
 

@@ -273,6 +273,22 @@ def test_failing_point_is_named(capsys, workers):
     assert capsys.readouterr().err.startswith("mesoqed: invalid configuration: h = 20: ")
 
 
+@pytest.mark.parametrize("argv, h", [
+    # lam**2/norm overflows while the ladder stays finite
+    (["--range", "20:1000:490", "--ratio", "7e152"], "20"),
+    # lam**2/norm is finite, but not its product with the lossy-surface
+    # part of the second rung, which exceeds the whole rung near the
+    # plasmon resonance
+    (["--range", "3:4:5", "--metal-n", "0.01+3.43j", "--ratio", "5.87e151"], "3"),
+])
+def test_point_whose_channels_overflow_is_refused(capsys, argv, h):
+    # the height is refused rather than written with infinite channels
+    assert main(["interface-sweep", *argv, "--lqd", "1e-160"]) == 2
+    assert capsys.readouterr() == ("", f"mesoqed: invalid configuration: h = {h}: the "
+                                       "multipole split or a channel is not finite: the moment "
+                                       "ratio overflows double precision\n")
+
+
 def test_height_whose_quadrature_fails_is_named(capsys):
     # a lower medium with the host's index at a 1e-14 target: the k_par
     # quadrature stops at 3.4e-14, and the sweep exits 3 naming the height

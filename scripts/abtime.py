@@ -17,6 +17,9 @@ the chunks and the median and quartiles of the chunks' time ratio B/A
 Workloads:
     interface    `interface_point` at seeded heights 20-1000 nm above the
                  paper GaAs/Ag interface, 50 calls a chunk
+    sweep        `interface_sweep` over the README's 197 heights
+                 (20:1000:5) above the same interface, from an empty
+                 contour memo as in a fresh CLI process, 2 calls a chunk
     background   `quasistatic_background` of the paper wire at seeded
                  distances 10-300 nm, both orientations, 5 calls a chunk
 
@@ -43,6 +46,17 @@ def interface(package: str):
     return lambda h: halfspace.interface_point(halfspace.paper_interface(h), moments)
 
 
+def sweep(package: str):
+    halfspace = importlib.import_module(f"{package}.halfspace")
+    moments = importlib.import_module(f"{package}.core").paper_moments()
+    heights = [20.0 + 5.0 * i for i in range(197)]
+
+    def call(_):
+        halfspace._CONTOURS.clear()
+        list(halfspace.interface_sweep(halfspace.paper_interface(heights[0]), heights, moments))
+    return call
+
+
 def background(package: str):
     nanowire = importlib.import_module(f"{package}.nanowire")
     wire = nanowire.paper_wire()
@@ -52,6 +66,7 @@ def background(package: str):
 # name -> (calls of one tree, input drawn from a seeded random.Random, calls per chunk, warm-up)
 WORKLOADS = {
     "interface": (interface, lambda rng: rng.uniform(20.0, 1000.0), 50, 200),
+    "sweep": (sweep, lambda rng: None, 2, 4),
     "background": (background, lambda rng: (rng.uniform(10.0, 300.0),
                                             rng.choice(("axial", "radial"))), 5, 40),
 }

@@ -39,14 +39,14 @@ and the Jacobian are real, numpy's product is taken where it rounds as
 The integrand has two stages. The node columns (`_node_columns`) are
 everything that depends on the node and the geometry only: kp, kz1, the
 Fresnel factors, the Jacobian, the powers of kp. The height stage takes
-phi = exp(2i*kz1*h) and the products that involve it. Radiative and
-ellipse nodes recur from height to height, so each geometry's contour
-keeps their columns in a memo (`_Contour.columns`, up to _MEMO_NODES
-distinct nodes per segment), and the last _GEOMETRIES contours are kept
-with their memos (`_contour`): a sweep and every later `interface_point`
-of the same materials and wavelength build each shared node once. A
-stored column has the bits a fresh one would have, so the memo moves no
-number.
+phi = exp(2i*kz1*h) and the products that involve it. The quadrature
+lands on the same radiative and ellipse panels from height to height,
+so each geometry's contour keeps their columns in a memo keyed by the
+panel's nodes (`_Contour.columns`, up to _MEMO_PANELS panels per
+segment), and the last _GEOMETRIES contours are kept with their memos
+(`_contour`): a sweep and every later `interface_point` of the same
+materials and wavelength build each shared panel once. A stored column
+has the bits a fresh one would have, so the memo moves no number.
 
 A point of one height evaluates in its first integrand call the panels
 that heights of its bucket of k1*h split before (`_Contour.trees`), so
@@ -76,18 +76,16 @@ from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
 from .core import check_positive, homogeneous_im_gxx, host_wavevectors
 from .errors import ConvergenceError, ExpansionInvalidError, NoBoundModeError
-from .quadrature import merge_trees, quad_vec, tree_entry
+from .quadrature import PANEL, merge_trees, quad_vec, tree_entry
 from .rates import GreenBundle
 
 _TAIL_EXPONENT = 80.0  # exp(-80) truncation of the evanescent tail
 # heights in one quadrature at most: each keeps its intervals' panels until the block ends
 _BLOCK = 32
-# geometries whose contour and node memos are kept, the least recently used dropped first
+# geometries whose contour and column memos are kept, the least recently used dropped first
 _GEOMETRIES = 8
-# distinct nodes whose columns a memo keeps, per segment of a geometry
-_MEMO_NODES = 4096
-# bytes of the whole batches of columns a contour keeps per memoized segment
-_BATCH_BYTES = 2 ** 19
+# panels whose columns a memo keeps, per segment of a geometry: about 4 096 nodes
+_MEMO_PANELS = 195
 _TREE_BUCKETS = 8  # buckets of a contour's tree memo per octave of k1*h
 _TREE_ENTRIES = 128  # buckets a contour's tree memo keeps, the least recently used dropped first
 _CONTOURS: dict = {}  # exact (n_upper, n_lower, lambda0) -> _Contour, oldest use first
@@ -186,20 +184,12 @@ class _Contour:
     """The k_par path of a geometry, its host norm, node columns and pole factors.
 
     Only the tail's end depends on the height. The radiative and ellipse
-    nodes (segments 0 and 1) are shared by every height, so the contour
-    keeps the columns of each one's first _MEMO_NODES distinct nodes:
-    keys[s] holds segment s's stored nodes sorted, then +inf, so that
-    searchsorted gives every node an index and one equality test finds
-    it, in a batch of any size; stored[s] holds their columns. A node's
-    columns do not depend on the other nodes of its batch, so a stored
-    column has the bits a fresh one would have.
-
-    A one-height point asks for the same batch of radiative and ellipse
-    nodes whenever its bucket comes up, so batches[s] also keeps whole
-    batches' columns, keyed by the bytes of their nodes, up to
-    _BATCH_BYTES per segment, the least recently used dropped first. A
-    batch larger than an eighth of that, a block of many heights, is not
-    kept, and a node stored in the memo drops the segment's batches.
+    panels (segments 0 and 1) are shared by every height, so the contour
+    keeps the columns of each one's first _MEMO_PANELS distinct panels:
+    panels[s] maps the bytes of a panel's nodes to their columns, each
+    its own array (_ROWS, PANEL). A node's columns do not depend on the
+    other nodes of its call, so a stored column has the bits a fresh one
+    would have.
 
     `trees` is the contour's tree memo (`quadrature.tree_entry`): per
     rel_tol and 1/8-octave bucket floor(8 log2(k1*h)), the union of the
@@ -219,51 +209,40 @@ class _Contour:
         self.delta = 0.25 * (self.k_b - k1)
         self.t_b = math.acosh(self.k_b / k1)
         self.norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
-        self.keys = [np.array([np.inf]) for _ in range(2)]
-        self.stored = [np.zeros((_ROWS, 1), dtype=complex) for _ in range(2)]
-        # per segment: node bytes -> the batch's columns, oldest use first, and their bytes
-        self.batches, self.batch_bytes = [{}, {}], [0, 0]
+        self.panels = ({}, {})  # per shared segment: bytes of a panel's nodes -> its columns
         # (rel_tol, bucket) -> {segment: sorted heap codes}, oldest use first
         self.trees: dict = {}
 
-    def columns(self, segment: int, x: np.ndarray) -> np.ndarray:
-        """The columns at nodes x of one segment; only nodes not stored are built.
+    def columns(self, x: np.ndarray, segment: np.ndarray) -> np.ndarray:
+        """The columns at nodes x of segments `segment`, an array (_ROWS, x.size).
 
-        A kept batch is returned itself, read-only."""
-        if segment == 2:  # the tail's nodes depend on its end: no other height shares them
-            return _node_columns(self, 2, x)
-        batches = self.batches[segment]
-        key = x.tobytes()
-        out = batches.pop(key, None)  # put back last: the least recently used go first
-        if out is None:
-            out = self._gather(segment, x)
-            if out.nbytes > _BATCH_BYTES // 8:  # a block of many heights: rarely asked again
-                return out
-            out.flags.writeable = False  # the caller gets the stored batch itself
-            self.batch_bytes[segment] += out.nbytes
-            while self.batch_bytes[segment] > _BATCH_BYTES:
-                self.batch_bytes[segment] -= batches.pop(next(iter(batches))).nbytes
-        batches[key] = out
-        return out
-
-    def _gather(self, segment: int, x: np.ndarray) -> np.ndarray:
-        keys, stored = self.keys[segment], self.stored[segment]
-        at = np.searchsorted(keys, x)
-        hit = keys[at] == x
-        out = stored[:, at]
-        if hit.all():
-            return out
-        new, inverse = np.unique(x[~hit], return_inverse=True)
-        built = _node_columns(self, segment, new)
-        out[:, ~hit] = built[:, inverse]
-        room = _MEMO_NODES + 1 - keys.size
-        if room > 0:  # a full memo inserts nothing and copies no array
-            at = np.searchsorted(keys, new[:room])
-            self.keys[segment] = np.insert(keys, at, new[:room])
-            self.stored[segment] = np.insert(stored, at, built[:, :room], axis=1)
-            self.batches[segment].clear()
-            self.batch_bytes[segment] = 0
-        return out
+        x holds whole panels of PANEL nodes, as `quad_vec` calls, or, if its
+        size says otherwise, panels of one node each, as scipy's quad_vec
+        calls. A panel not stored is built, each distinct one once, in one
+        `_node_columns` call per segment, and stored while its segment's
+        memo has room; the tail's nodes depend on its end, so no other
+        height shares them and none is stored.
+        """
+        width = PANEL if x.size % PANEL == 0 else 1
+        flat, size = x.tobytes(), x.itemsize * width
+        parts, missing = [], ({}, {}, {})  # per segment: panel bytes -> its places in parts
+        for i, s in enumerate(segment[::width].tolist()):
+            key = flat[i * size:(i + 1) * size]
+            part = self.panels[s].get(key) if s < 2 else None
+            if part is None:
+                missing[s].setdefault(key, []).append(i)
+            parts.append(part)
+        for s, wanted in enumerate(missing):
+            if not wanted:
+                continue
+            built = _node_columns(self, s, np.frombuffer(b"".join(wanted)))
+            for j, (key, places) in enumerate(wanted.items()):
+                part = built[:, j * width:(j + 1) * width]
+                if s < 2 and len(self.panels[s]) < _MEMO_PANELS:
+                    part = self.panels[s][key] = part.copy()
+                for i in places:
+                    parts[i] = part
+        return np.concatenate(parts, axis=1)
 
     @functools.cached_property
     def residue(self) -> tuple:
@@ -395,11 +374,7 @@ def _integrate_contour(c: _Contour, heights: list, fn, rel_tol: float) -> list:
         height_of = np.array(height_of)
 
         def integrand(x, k):
-            segment = segment_of[k]
-            columns = np.empty((_ROWS, x.size), dtype=complex)
-            for s in np.flatnonzero(np.bincount(segment)).tolist():
-                on = segment == s
-                columns[:, on] = c.columns(s, x[on])
+            columns = c.columns(x, segment_of[k])
             columns = _Columns(*columns[:7], columns[7:])
             # numpy's product with the real height: phi has `_mul`'s bits (see `_mul`)
             return fn(columns, np.exp(columns.two_i_kz1 * height_of[k]))

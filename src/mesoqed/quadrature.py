@@ -89,6 +89,7 @@ _GK_WG = (
 _X = np.array(_GK_XK + tuple(-x for x in _GK_XK[-2::-1]))
 _WK = np.array(_GK_WK + _GK_WK[-2::-1])
 _WG = np.array(_GK_WG[1::2] + _GK_WG[-2::-2])
+PANEL = _X.size  # nodes of a panel, each panel's consecutive in a call
 
 _ROUND = 50 * sys.float_info.epsilon
 _PARALLEL = 128  # intervals split per round at most, as in scipy

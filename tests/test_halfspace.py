@@ -637,7 +637,7 @@ def test_interface_point_keeps_no_instance_dicts():
     assert not any(hasattr(obj, "__dict__") for obj in [pt, *held])
 
 
-# ------------------------------------------------ the node memo
+# ------------------------------------------------ the column memo
 
 MEMO_MOMENTS = EmitterMoments(10.0, l_qd=1.0)  # a dot of 1 nm admits every height below
 
@@ -673,16 +673,17 @@ def test_memo_leaves_every_bit_as_it_was(monkeypatch, lower):
         halfspace._CONTOURS.clear()
         fill_memo(geom, sweep, rel_tol)
         assert bits() == fresh
-    stored = [keys.size - 1 for keys in halfspace._contour(geom).keys]
-    assert all(0 < n <= halfspace._MEMO_NODES for n in stored)
+    stored = [len(panels) for panels in halfspace._contour(geom).panels]
+    assert all(0 < n <= halfspace._MEMO_PANELS for n in stored)
     if lower == "host":
-        assert stored[0] == halfspace._MEMO_NODES
+        assert stored[0] == halfspace._MEMO_PANELS
 
 
-def test_memo_builds_each_shared_node_once(monkeypatch):
+def test_memo_builds_each_shared_panel_once(monkeypatch):
     # 100 heights one at a time, as the benchmark draws them: every
-    # radiative and ellipse node has its columns built once and stored,
-    # and no tail node is stored
+    # radiative and ellipse panel has its columns built once and stored,
+    # the quadrature lands on 11 and 7 of them, and no tail node is
+    # stored
     monkeypatch.setattr(halfspace, "_CONTOURS", {})
     built = {0: [], 1: [], 2: []}
     node_columns = halfspace._node_columns
@@ -694,15 +695,15 @@ def test_memo_builds_each_shared_node_once(monkeypatch):
     monkeypatch.setattr(halfspace, "_node_columns", counted)
     for h in np.random.default_rng(1).uniform(20.0, 1000.0, 100).tolist():
         interface_point(paper_interface(h), MOMENTS)
-    memo_keys = halfspace._contour(paper_interface(100.0)).keys
-    assert len(memo_keys) == 2
+    memo = halfspace._contour(paper_interface(100.0)).panels
+    assert [len(panels) for panels in memo] == [11, 7]
     tail = np.concatenate(built[2])
-    for segment, keys in enumerate(memo_keys):
+    for segment, panels in enumerate(memo):
         nodes = np.concatenate(built[segment])
-        assert keys.size - 1 < halfspace._MEMO_NODES  # it had room throughout
         assert np.unique(nodes).size == nodes.size
-        assert np.array_equal(keys[:-1], np.sort(nodes))
-        assert not np.isin(tail, keys).any()
+        assert b"".join(sorted(panels)) == b"".join(sorted(
+            panel.tobytes() for panel in nodes.reshape(-1, halfspace.PANEL)))
+        assert not np.isin(tail, np.frombuffer(b"".join(panels))).any()
 
 
 def counting(monkeypatch, owner, name, calls):
@@ -712,11 +713,10 @@ def counting(monkeypatch, owner, name, calls):
                                                              fn(c, segment, x))[1])
 
 
-def test_a_warm_point_takes_its_shared_columns_as_whole_batches(monkeypatch):
+def test_a_warm_point_builds_only_its_tail(monkeypatch):
     # after 100 seeded heights a point in a bucket seen before builds the
-    # columns of its tail only, and takes those of its radiative and
-    # ellipse nodes as the stored batches of earlier points: no node is
-    # looked up in the memo
+    # columns of its tail only: its radiative and ellipse panels are all
+    # in the memo
     monkeypatch.setattr(halfspace, "_CONTOURS", {})
     rng = np.random.default_rng(1)
     k1 = halfspace._contour(paper_interface(100.0)).k1
@@ -724,64 +724,95 @@ def test_a_warm_point_takes_its_shared_columns_as_whole_batches(monkeypatch):
     for h in rng.uniform(20.0, 1000.0, 100).tolist():
         interface_point(paper_interface(h), MOMENTS)
         seen.add(bucket_of(h, k1))
-    built, looked_up = [], []
+    built = []
     counting(monkeypatch, halfspace, "_node_columns", built)
-    counting(monkeypatch, halfspace._Contour, "_gather", looked_up)
     warm = [h for h in rng.uniform(20.0, 1000.0, 200).tolist() if bucket_of(h, k1) in seen]
     for h in warm:
         built.clear()
         interface_point(paper_interface(h), MOMENTS)
         assert built == [2], h
-    assert len(warm) > 150 and not looked_up
+    assert len(warm) > 150
 
 
-def test_column_batches_stay_within_their_bound(monkeypatch):
-    # 2 000 random heights from 10 nm to 30 um, then the CLI's 98-height
-    # sweep, whose blocks of 32 heights are too large to keep
+def test_memo_stays_within_its_cap(monkeypatch):
+    # 2 000 random heights from 10 nm to 30 um fill the radiative memo to
+    # its cap; the CLI's 98-height sweep after them stores no radiative
+    # panel. Every stored panel is an array of its own with the bits its
+    # nodes' fresh columns have
     monkeypatch.setattr(halfspace, "_CONTOURS", {})
     c = halfspace._contour(paper_interface(100.0))
 
-    def within_bound():
-        for batches, size in zip(c.batches, c.batch_bytes):
-            assert size == sum(b.nbytes for b in batches.values()) <= halfspace._BATCH_BYTES
-            assert all(not b.flags.writeable for b in batches.values())
-        return [set(batches) for batches in c.batches]
+    def within_cap():
+        for segment, panels in enumerate(c.panels):
+            assert len(panels) <= halfspace._MEMO_PANELS
+            for key, columns in panels.items():
+                assert columns.shape == (halfspace._ROWS, halfspace.PANEL)
+                assert columns.flags.c_contiguous and columns.base is None
+                fresh = halfspace._node_columns(c, segment, np.frombuffer(key))
+                assert columns.tobytes() == fresh.tobytes()
+        return [set(panels) for panels in c.panels]
 
     for h in 10.0 ** np.random.default_rng(4).uniform(1.0, 4.5, 2000):
         interface_point(paper_interface(float(h)), MEMO_MOMENTS)
-    before = within_bound()
+    before = within_cap()
+    assert len(before[0]) == halfspace._MEMO_PANELS
     list(halfspace.interface_sweep(paper_interface(1.0), np.arange(20.0, 1000.0, 10.0),
                                    MEMO_MOMENTS))
-    after = within_bound()
-    assert all(len(b) > 0 for b in before) and after != before
+    assert within_cap()[0] == before[0]
 
 
-def test_column_batches_move_no_bit(monkeypatch):
+def test_a_memo_with_no_room_moves_no_bit(monkeypatch):
     # a shuffled stream that changes its lower medium every six heights
     # and its tolerance every three, one geometry kept, so that each
     # contour is dropped and built again: the same bits whether the
-    # contours keep whole batches or not
+    # memo stores panels or has no room for any
     monkeypatch.setattr(halfspace, "_GEOMETRIES", 1)
     monkeypatch.setattr(halfspace, "_CONTOURS", {})
     heights = np.random.default_rng(7).permutation(np.geomspace(3.0, 3000.0, 72)).tolist()
     media = (SILVER, Material("glass", 1.5))
-    columns, looked_up = [], []
-    counting(monkeypatch, halfspace._Contour, "columns", columns)
-    counting(monkeypatch, halfspace._Contour, "_gather", looked_up)
+    built = []
+    counting(monkeypatch, halfspace, "_node_columns", built)
 
     def stream():
         halfspace._CONTOURS.clear()
+        built.clear()
         out = []
         for i, h in enumerate(heights):
             geom = InterfaceGeometry(upper=GAAS, lower=media[i // 6 % 2], h=h, lambda0=1000.0)
             rel_tol = (1e-8, 1e-10)[i // 3 % 2]
             out.append(point_bits(interface_point(geom, MEMO_MOMENTS, rel_tol=rel_tol)))
-        return out
+        return out, len(built) - built.count(2)
 
-    kept = stream()
-    assert len(looked_up) < len(columns) - columns.count(2)  # some batches were kept
-    monkeypatch.setattr(halfspace, "_BATCH_BYTES", 0)  # no batch is kept
-    assert stream() == kept
+    kept, kept_builds = stream()
+    monkeypatch.setattr(halfspace, "_MEMO_PANELS", 0)  # no panel is stored
+    bits, builds = stream()
+    assert bits == kept
+    assert kept_builds < builds  # the memo spared some shared builds
+
+
+@pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy first", "panels first"])
+def test_one_node_and_whole_panel_calls_share_a_memo(monkeypatch, scipy_first):
+    # scipy's quad_vec (`oracles.scipy_quad_vec`) calls the integrand one
+    # node at a time, `quad_vec` with whole panels: on one contour, in
+    # either order, both give the bits of a fresh contour, and the memo,
+    # which keys a one-node call per node, stays within its cap (64 here,
+    # which the one-node calls fill on the ellipse)
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    monkeypatch.setattr(halfspace, "_MEMO_PANELS", 64)
+    geoms = [paper_interface(h) for h in (37.0, 300.0)]
+    want = []
+    for g in geoms:
+        halfspace._CONTOURS.clear()
+        want.append(point_bits(interface_point(g, MOMENTS)))
+    halfspace._CONTOURS.clear()
+    quad_vec = halfspace.quad_vec
+    for one_node in (scipy_first, not scipy_first):
+        monkeypatch.setattr(halfspace, "quad_vec", oracles.scipy_quad_vec if one_node else quad_vec)
+        assert [point_bits(interface_point(g, MOMENTS)) for g in geoms] == want
+        memo = halfspace._contour(geoms[0]).panels
+        assert all(len(panels) <= 64 for panels in memo)
+    assert len(memo[1]) == 64
+    assert {len(key) for key in memo[0]} == {8, 8 * halfspace.PANEL}
 
 
 LOOK_AHEAD_HEIGHTS = (0.7, 3.0, 20.0, 150.0, 1000.0, 1.0e5)

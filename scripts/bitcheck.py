@@ -55,8 +55,10 @@ CLI_RUNS = [
     ["dispersion"],
 ]
 # lower media of the interface checks: silver, a lossless metal, a near-resonant
-# metal and one without a bound surface-plasmon pole
-METALS = {"Ag": 0.2 + 7.0j, "7i": 7.0j, "near-resonant": 0.05 + 3.4205j, "no-pole": 1.5 + 0.1j}
+# metal, one without a bound surface-plasmon pole, one just inside the exponent
+# budget of `halfspace._mul` and one outside it (eps = 2e-320j)
+METALS = {"Ag": 0.2 + 7.0j, "7i": 7.0j, "near-resonant": 0.05 + 3.4205j, "no-pole": 1.5 + 0.1j,
+          "budget-edge": 4.0e-99 + 7.0j, "subnormal-eps": 1.0e-160 + 1.0e-160j}
 HEIGHTS = sorted([1.0, 1.0e5, *(10.0 ** random.Random(42).uniform(0.0, 5.0) for _ in range(152))])
 SHUFFLED = random.Random(7).sample(HEIGHTS, len(HEIGHTS))
 SWEEP_TOLS = (1e-8, 1e-11, 1e-13)

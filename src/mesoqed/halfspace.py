@@ -32,9 +32,12 @@ not depend on the heights computed with it: powers and quotients are
 libm's pow and Python's ** and / (`_quotients`), sin, cos, sinh and cosh
 math's (`_libm`), and the product of two complex numbers is written out
 (`_mul`), since numpy's array product may fuse a multiply into an add.
-Where one factor is real or imaginary, as on the tail, where kp, kz1/i
-and the Jacobian are real, numpy's product is taken where it rounds as
-`_mul` does (`_mul` says where and why).
+Where one factor is real or imaginary, as on the real axis, where kp,
+the Jacobian and kz1 or kz1/i are real, numpy's product is taken where
+it rounds as `_mul` does (`_mul` says where and why): for some products
+always, and for the Fresnel and r_xx products with kz1 and the ladder
+rows times rp only on contours whose media pass `_mul`'s exponent
+budget, which each contour checks once (`_budget_holds`).
 
 The integrand has two stages. The node columns (`_node_columns`) are
 everything that depends on the node and the geometry only: kp, kz1, the
@@ -133,16 +136,80 @@ def _mul(a, b) -> np.ndarray:
     Where one factor is real or imaginary, each part of the product is
     one rounded product plus an exact product with 0.0, and fused or not
     they round alike unless the rounded one underflows to a zero whose
-    sign differs from the exact one's. The integrand takes numpy's
-    product where its operands rule that out: 2i*kz1 (a doubling), a real
-    kp > 0 times itself and the ladder's powers of it times _LEAD, i*k1
-    times sinh(t) > 0, and the exponent 2i*kz1*h of phi. There Im kz1 >= 0
+    sign differs from the exact one's; an inf or nan part gives inf or
+    nan either way. The integrand takes numpy's product where its
+    operands rule that out: 2i*kz1 (a doubling), a real kp > 0 times
+    itself and the ladder's powers of it times _LEAD, i*k1 times
+    sinh(t) > 0, and the exponent 2i*kz1*h of phi. There Im kz1 >= 0
     leaves only the sign of a zero real part, which exp does not see.
+
+    On the real axis kz1 is real (segment 0) or imaginary (the tail), as
+    are eps1 and ladder rows 1-2. There a contour that passes the budget
+    below (`_budget_holds`) takes numpy's product for eps2*kz1, eps1*kz2,
+    (rp*kz1)*kz1 and, on the tail, the ladder rows times rp: it bounds
+    every nonzero part of each factor so that any two multiply to at
+    least 2^-1000, and no product underflows. With E = eps2*k0^2, e and
+    e' the least and largest nonzero |part| of eps2 and E_lo, E_hi those
+    of E (neither may be 0), and the rule that a nonzero difference of two
+    doubles is at least 2^-54 times the larger of them:
+
+    * |kz1| >= 2^-55 k1: |cos x| >= 6e-17 on segment 0, and the tail's
+      t >= acosh(1.5) gives sinh t > 1. So eps2*kz1 takes e k1 2^-55.
+    * kz2 = sqrt(w), w = E - kp^2, Im w = Im E: |w| >= 2^-54 E_lo, so the
+      larger part, >= sqrt(|w|/2), is >= sqrt(2^-55 E_lo), and the smaller,
+      |Im E|/(2 larger), >= |Im E| 2^-514 while kp^2 is finite (beyond,
+      kz2 is inf). eps1*kz2 takes the lesser bound times eps1.
+    * rp = (A - B)/(A + B), A = eps2*kz1, B = eps1*kz2, by numpy's
+      quotient (Smith's). Let M_r = max(|Re A|, |Re B|), M_i likewise and
+      rho = min(M_r/M_i, M_i/M_r) (1 if either is 0). The difference rule
+      makes each nonzero part of rp at least 2^-111 rho^2. A nonzero M is
+      at least A's part there or, where that is 0, B's, and no M exceeds
+      the largest part of A or B. A's parts are eps2's times |kz1|. On
+      segment 0 they lie in [e k1 2^-55, e' k1], B's are
+      below eps1 sqrt(|E| + k1^2), and where A has a zero part (eps2 real
+      or imaginary) B's part there is >= eps1 min(2^-27 sqrt(E_lo),
+      E_lo/(2 sqrt(|E| + k1^2))). On the tail, in units of kp >= k1, A's
+      lie in [0.74 e, e'], B's below eps1 sqrt(1 + |E|/k1^2), and B's part
+      where A has a zero is >= eps1 2^-27.
+    * rp*kz1 and (rp*kz1)*kz1 take rp's bound times |kz1|'s, once and
+      twice. The tail's ladder rows are >= _PREF min(1, k1), since kp >= k1
+      there. Segment 0's have no floor, as a node nears kp = 0 as far as
+      bisection goes, so they keep `_mul`.
+
+    The bounds are of exact values, numpy's sqrt within a few ulps. The
+    roundings on the way cost fewer than 40 bits, and 74 lie between
+    2^-1000 and underflow.
     """
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     z = np.asarray(ar * br - ai * bi, dtype=complex)  # a new array: the difference is real
     z.imag = ar * bi + ai * br
     return z
+
+
+_FLOOR = -1000  # log2 of the least product of two parts that `_mul`'s budget admits
+
+
+def _budget_holds(eps1: complex, eps2: complex, k0: float, k1: float) -> bool:
+    """Whether a contour of these media and wavevectors passes `_mul`'s exponent budget."""
+    e2k = eps2 * k0 * k0  # E, as `_node_columns` computes it
+    parts = (eps1.real, eps2.real, eps2.imag, e2k.real, e2k.imag)
+    if not (all(map(math.isfinite, parts)) and eps1.real > 0.0 and eps2 and e2k):
+        return False
+    e1, k = math.log2(eps1.real), math.log2(k1)
+    e2 = [math.log2(abs(p)) for p in (eps2.real, eps2.imag) if p]
+    big = [math.log2(abs(p)) for p in (e2k.real, e2k.imag) if p]
+    lo, hi, e_lo, e_hi = min(e2), max(e2), min(big), max(big)
+    kz1 = k - 55  # the least |kz1|
+    kz2 = (e_lo - 55) / 2  # the least nonzero part of kz2
+    if e2k.imag:
+        kz2 = min(kz2, math.log2(abs(e2k.imag)) - 514)
+    w = max(e_hi + 0.5, 2 * k) + 1  # |E| + k1^2
+    rho_0 = min(lo + kz1, e1 + min(e_lo / 2 - 27, e_lo - 1 - w / 2)) - max(hi + k, e1 + w / 2)
+    # on the tail in units of kp
+    rho_tail = min(lo - 0.5, e1 - 27) - max(hi, e1 + (max(0.0, e_hi + 0.5 - 2 * k) + 1) / 2)
+    rp = 2 * min(rho_0, rho_tail, 0.0) - 111
+    return min(lo + kz1, e1 + kz2, rp + min(kz1, 2 * kz1),
+               rp + math.log2(_PREF) + min(0.0, k)) >= _FLOOR
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -151,10 +218,10 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
-def _fresnel_from_kz(kz1, kz2, eps1, eps2):
+def _fresnel_from_kz(kz1, kz2, eps1, eps2, mul):
     rs = (kz1 - kz2) / (kz1 + kz2)
-    e2k1 = _mul(eps2, kz1)
-    e1k2 = _mul(eps1, kz2)
+    e2k1 = mul(eps2, kz1)
+    e1k2 = mul(eps1, kz2)
     rp = (e2k1 - e1k2) / (e2k1 + e1k2)
     return rs, rp
 
@@ -191,6 +258,11 @@ class _Contour:
     other nodes of its call, so a stored column has the bits a fresh one
     would have.
 
+    `axis_mul` is the product the real-axis segments take for eps2*kz1,
+    eps1*kz2, (rp*kz1)*kz1 and the tail's ladder rows times rp: numpy's
+    where the media pass `_mul`'s exponent budget, decided here once from
+    eps1, eps2, k0 and k1, and `_mul` where they do not.
+
     `trees` is the contour's tree memo (`quadrature.tree_entry`): per
     rel_tol and 1/8-octave bucket floor(8 log2(k1*h)), the union of the
     panels each segment split at the heights of that bucket, which
@@ -209,6 +281,7 @@ class _Contour:
         self.delta = 0.25 * (self.k_b - k1)
         self.t_b = math.acosh(self.k_b / k1)
         self.norm = homogeneous_im_gxx(geom.upper, geom.lambda0)
+        self.axis_mul = np.multiply if _budget_holds(self.eps1, self.eps2, self.k0, k1) else _mul
         self.panels = ({}, {})  # per shared segment: bytes of a panel's nodes -> its columns
         # (rel_tol, bucket) -> {segment: sorted heap codes}, oldest use first
         self.trees: dict = {}
@@ -299,18 +372,21 @@ def _node_columns(c: _Contour, segment: int, x: np.ndarray) -> np.ndarray:
     on the real axis as k1*cosh(t). dkp_du is the parametrization
     Jacobian and inv_term = dkp_du/kz1, in analytically cancelled form
     where kz1 vanishes at an endpoint. kp is real (imaginary part 0.0)
-    on the real-axis segments and strictly complex on the ellipse.
+    on the real-axis segments and strictly complex on the ellipse. There
+    kz1 is real (segment 0) or imaginary (the tail), and the products of
+    it and of the tail's ladder rows with a complex factor take
+    c.axis_mul; the ellipse takes `_mul` throughout.
     """
     k1 = c.k1
     out = np.empty((_ROWS, x.size), dtype=complex)
     kp, kz1, rp, dkp_du, inv_term, two_i_kz1, r_xx, ladder = *out[:7], out[7:]
     # numpy's product where kp is real and > 0 (see `_mul`), `_mul` on the ellipse
-    mul = np.multiply
+    mul, axis_mul = np.multiply, c.axis_mul
     if segment == 0:
         kz1[:] = k1 * _libm(math.cos, x)
         kp[:], dkp_du[:], inv_term[:] = k1 * _libm(math.sin, x), kz1, 1.0
     elif segment == 1:
-        mul = _mul
+        mul = axis_mul = _mul
         m_c, half, i_delta = 0.5 * (c.k_b + k1), 0.5 * (c.k_b - k1), 1.0j * c.delta
         # quadrature nodes lie strictly inside a panel, so sigma > 0
         theta = math.pi * x * x
@@ -324,11 +400,12 @@ def _node_columns(c: _Contour, segment: int, x: np.ndarray) -> np.ndarray:
         kp[:], kz1[:], dkp_du[:] = k1 * _libm(math.cosh, x), 1.0j * k1 * sinh_t, k1 * sinh_t
         inv_term[:] = -1.0j  # dkp_du / kz1 = 1/i exactly on this segment
     rs, rp[:] = _fresnel_from_kz(kz1, _kz_nodes(c.eps2 * c.k0 * c.k0, mul(kp, kp)), c.eps1,
-                                 c.eps2)
+                                 c.eps2, axis_mul)
     two_i_kz1[:] = 2.0j * kz1  # exact: each part is a doubling and a product with 0.0
-    r_xx[:] = rs - _mul(_mul(rp, kz1), kz1) / (k1 * k1)
+    r_xx[:] = rs - axis_mul(axis_mul(rp, kz1), kz1) / (k1 * k1)
     ladder[:] = mul(_LEAD, np.concatenate((kp[None], _quotients(kp, k1))))
-    ladder[1:3] = _mul(ladder[1:3], rp)
+    # segment 0's powers of kp have no floor, so its ladder rows keep `_mul` (see `_mul`)
+    ladder[1:3] = (axis_mul if segment == 2 else _mul)(ladder[1:3], rp)
     return out
 
 
@@ -464,8 +541,8 @@ def _ladder(col: _Columns, phi: np.ndarray) -> np.ndarray:
     # f0 = lead*kp*common*inv_term           f1 = lead*kp3*rp*phi*dkp_du
     # f2 = lead*kp5*rp*phi*inv_term          f3 = lead*kp1*common*dkp_du
     common = _mul(col.r_xx, phi)
-    f = _mul(col.ladder, np.stack((common, phi, phi, common)))
-    return _mul(f, np.stack((col.inv_term, col.dkp_du, col.inv_term, col.dkp_du))).T
+    f = _mul(col.ladder, np.array((common, phi, phi, common)))
+    return _mul(f, np.array((col.inv_term, col.dkp_du, col.inv_term, col.dkp_du))).T
 
 
 def _pole_vector(c: _Contour, h: float) -> np.ndarray:

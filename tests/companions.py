@@ -81,7 +81,7 @@ def fresnel(k_par, geom: InterfaceGeometry):
     kp2 = _mul(np.array([k_par]), np.array([k_par]))
     kz1 = _kz_nodes(geom.upper.eps * k0 * k0, kp2)[0]
     kz2 = _kz_nodes(geom.lower.eps * k0 * k0, kp2)[0]
-    return _fresnel_from_kz(kz1, kz2, geom.upper.eps, geom.lower.eps)
+    return _fresnel_from_kz(kz1, kz2, geom.upper.eps, geom.lower.eps, _mul)
 
 
 def _integrate_single(geom: InterfaceGeometry, fn, rel_tol: float) -> complex:

@@ -417,8 +417,11 @@ def test_companion_integrals_equal_scipy_quad_vec_bitwise(monkeypatch, lower):
 
 # --------------------------------------- the array integrand and the sweep
 
+# "budget edge" lies just inside `_mul`'s exponent budget (its edge for Re n with
+# Im n = 7 is 3.3e-99) and "subnormal eps" outside it: eps = 2e-320j
 BIT_PIN_LOWER = {"Ag": 0.2 + 7.0j, "glass": 1.5, "host": 3.42, "lossless metal": 7.0j,
-                 "near resonance": 0.1 + 3.6j}
+                 "near resonance": 0.1 + 3.6j, "budget edge": 4.0e-99 + 7.0j,
+                 "subnormal eps": 1.0e-160 + 1.0e-160j}
 
 
 @pytest.mark.parametrize("lower", sorted(BIT_PIN_LOWER))
@@ -491,6 +494,26 @@ def same_bits(a, b):
     return same
 
 
+def budget_parts(rng, least):
+    """A double of random sign per entry of `least`, from 2^least (every seventh exactly
+    that, and none below the least subnormal) up to the largest double."""
+    least = np.maximum(least, -1074)
+    exps, mant = rng.integers(least, 1024), rng.uniform(1.0, 2.0, least.shape)
+    exps.flat[::7], mant.flat[::7] = least.flat[::7], 1.0
+    return rng.choice([-1.0, 1.0], least.shape) * np.ldexp(mant, exps)
+
+
+def with_zeros(rng, parts):
+    """parts with about one in ten set to 0.0 or -0.0."""
+    zero = rng.random(parts.shape) < 0.1
+    return np.where(zero, rng.choice([0.0, -0.0], parts.shape), parts)
+
+
+def real_or_imaginary(m):
+    """m as each real and imaginary factor: the other part 0.0 or -0.0."""
+    return [complex_of(m, 0.0), complex_of(m, -0.0), complex_of(0.0, m), complex_of(-0.0, m)]
+
+
 def test_plain_products_where_the_integrand_takes_them_have_mul_bits():
     # numpy's complex product may fuse a multiply into an add. Where one
     # factor is real or imaginary, each part is one rounded product plus an
@@ -526,6 +549,63 @@ def test_plain_products_where_the_integrand_takes_them_have_mul_bits():
             plain, exact = two_i_kz1 * height_of, mul(two_i_kz1, height_of)
             assert same_bits(plain.imag, exact.imag).all()
             assert same_bits(np.exp(plain), np.exp(exact)).all()
+        # within `_mul`'s budget, on the real axis: a real or imaginary factor times
+        # one whose nonzero parts multiply each of its own to at least 2^-1000, the
+        # budget's floor (exactly that among them), or to inf or nan
+        exps = rng.integers(-1000, 1024, 4000)
+        m = np.append(budget_parts(rng, exps), [math.inf, -math.inf, math.nan, 1.0])
+        z = complex_of(*with_zeros(rng, budget_parts(rng, np.append(-1000 - exps, [0] * 4)
+                                                     * np.ones((2, 1), dtype=int))))
+        z[-3:] = [complex(math.inf, 1.0), complex(1.0, math.nan), complex(-math.inf, 0.0)]
+        for f in real_or_imaginary(m):
+            assert same_bits(z * f, mul(z, f)).all()  # rp*kz1, then times kz1 again
+            rows = np.stack((f, -f))
+            assert same_bits(rows * z, mul(rows, z)).all()  # the tail's ladder rows times rp
+        for least in rng.integers(-1000, 1024, (40, 2)):
+            # eps2*kz1: a complex number times the nodes' kz1
+            eps2 = complex(*with_zeros(rng, budget_parts(rng, least)))
+            kz1 = budget_parts(rng, np.full(500, -1000 - least.min()))
+            for f in real_or_imaginary(kz1):
+                assert same_bits(eps2 * f, mul(eps2, f)).all()
+            # eps1*kz2: a real number times the nodes' kz2
+            eps1 = complex(budget_parts(rng, least[:1])[0], 0.0)
+            kz2 = complex_of(*with_zeros(rng, budget_parts(rng, np.full((2, 500),
+                                                                          -1000 - least[0]))))
+            assert same_bits(eps1 * kz2, mul(eps1, kz2)).all()
+
+
+def test_a_warm_point_calls_mul_only_in_its_ladder(monkeypatch):
+    # the paper interface lies within `_mul`'s budget: its real-axis columns
+    # take `_mul` only for segment 0's ladder rows, so a warm point, which
+    # builds just its tail, calls it 3 times, all in `_ladder`. A lower
+    # medium whose eps has a subnormal imaginary part lies outside, and
+    # its real-axis columns take `_mul` for all five products
+    monkeypatch.setattr(halfspace, "_CONTOURS", {})
+    calls, builds = [], []
+    mul, node_columns = halfspace._mul, halfspace._node_columns
+
+    def counted_mul(a, b):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return mul(a, b)
+
+    def counted_columns(c, segment, x):
+        before = len(calls)
+        out = node_columns(c, segment, x)
+        builds.append((segment, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(halfspace, "_mul", counted_mul)
+    monkeypatch.setattr(halfspace, "_node_columns", counted_columns)
+    interface_point(paper_interface(100.0), MOMENTS)
+    assert {(s, n) for s, n in builds if s != 1} == {(0, 1), (2, 0)}
+    calls.clear()
+    builds.clear()
+    interface_point(paper_interface(100.0), MOMENTS)
+    assert calls == ["_ladder"] * 3 and [s for s, _ in builds] == [2]
+    builds.clear()
+    interface_point(InterfaceGeometry(upper=GAAS, lower=Material("m", 1.0e-160 + 1.0e-160j),
+                                      h=100.0, lambda0=1000.0), MOMENTS)
+    assert {(s, n) for s, n in builds if s != 1} == {(0, 5), (2, 5)}
 
 
 def test_sweep_equals_one_height_at_a_time_bitwise(monkeypatch):

@@ -78,7 +78,7 @@ import numpy as np
 from . import rates as _rates
 from .core import GAAS, PAPER_LAMBDA0_NM, SILVER, EmitterMoments, Material
 from .core import check_positive, homogeneous_im_gxx, host_wavevectors
-from .errors import ConvergenceError, ExpansionInvalidError, NoBoundModeError
+from .errors import ConvergenceError, ExpansionInvalidError, NoBoundModeError, OutOfDomainError
 from .quadrature import PANEL, merge_trees, quad_vec, tree_entry
 from .rates import GreenBundle
 
@@ -321,15 +321,20 @@ class _Contour:
     def residue(self) -> tuple:
         """The height-free factors of `_pole_vector`, built when a point first needs them:
         a power of the pole may overflow, and a height whose quadrature overflows
-        reports that instead. A raise is not cached."""
+        reports that instead. A factor beyond double range raises OutOfDomainError,
+        and a raise is not cached."""
         ks, k1 = self.pole, self.k1
-        ks2 = _mul(np.array([ks]), np.array([ks]))
-        kz1p = _kz_nodes(self.eps1 * self.k0 * self.k0, ks2)[0]
-        kz2p = _kz_nodes(self.eps2 * self.k0 * self.k0, ks2)[0]
-        dprime = -ks * (self.eps2 / kz1p + self.eps1 / kz2p)
-        rtilde = 2.0 * self.eps2 * kz1p / dprime
-        return (2.0j * kz1p, rtilde, ks, kz1p, k1 * k1, ks ** 3, k1 ** 3, ks ** 5,
-                kz1p * k1 ** 4)
+        with np.errstate(all="ignore"):  # refused below, not warned about
+            ks2 = _mul(np.array([ks]), np.array([ks]))
+            kz1p = _kz_nodes(self.eps1 * self.k0 * self.k0, ks2)[0]
+            kz2p = _kz_nodes(self.eps2 * self.k0 * self.k0, ks2)[0]
+            dprime = -ks * (self.eps2 / kz1p + self.eps1 / kz2p)
+            rtilde = 2.0 * self.eps2 * kz1p / dprime
+            factors = (2.0j * kz1p, rtilde, ks, kz1p, k1 * k1, ks ** 3, k1 ** 3, ks ** 5,
+                       kz1p * k1 ** 4)
+        if not np.isfinite(factors).all():
+            raise OutOfDomainError("the plasmon pole's residue leaves double range")
+        return factors
 
 
 def _contour(geom: InterfaceGeometry) -> _Contour:

@@ -14,21 +14,14 @@ higher orders by the upward recurrence, the stable direction for K. It
 takes only the arrays the background builds, so it guards nothing but
 K's overflow.
 
-Importing this module loads numpy only and starts no thread: `_special`
-imports scipy.special on the first Bessel call. Only wire code calls
-these functions, so the interface and moment layers never load scipy.
-For a batch of at least `_OVERLAP` nodes, `_background_node` runs ive
-on most of the nodes on one worker thread while K climbs on the
-calling thread; scipy's Bessel calls release the GIL, and each value
-is elementwise, so it has the same bits on either thread. `_worker`
-starts that thread lazily, on the first such batch, and a forked child
-starts its own, since it has none of its parent's threads.
+Importing this module loads numpy only: `_special` imports
+scipy.special on the first Bessel call. Only wire code calls these
+functions, so the interface and moment layers never load scipy.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
@@ -36,13 +29,6 @@ from .errors import OutOfDomainError, ParameterError
 
 # exp argument beyond which J/I magnitudes leave double range
 _OVERFLOW_ARG = 690.0
-# nodes in a `_background_node` batch from which I runs partly on the worker
-# thread; below it the hand-off costs more than the overlap saves
-_OVERLAP = 256
-# the worker's share of such a batch's I: the calling thread takes the rest
-# after the climb, so the worker is done when it is needed (on 2 vCPUs, 0.7
-# beat 1.0 by 0.09 ms a wire background; 0.6 and 0.8 were close)
-_SHARE = 0.7
 
 
 @functools.cache
@@ -51,27 +37,6 @@ def _special():
     import scipy.special
 
     return scipy.special
-
-
-@functools.cache
-def _worker():
-    """The one worker thread of `_background_node`, started on first use.
-
-    A forked child has none of its parent's threads, so the fork hook
-    below clears this cache in the child, which then starts a worker of
-    its own. Without it, a caller that forks after a large background
-    (``multiprocessing`` with the fork start method, say) would hand the
-    child's first batch of `_OVERLAP` or more nodes to the parent's
-    executor, whose thread the child lacks, and wait on it forever.
-    """
-    # the executor module loads threading's pool machinery: only wire code pays for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1)
-
-
-if hasattr(os, "register_at_fork"):  # POSIX; elsewhere no process forks
-    os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 def _check_order(order):
@@ -173,12 +138,9 @@ def _background_node(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     K_{j+1} = K_{j-1} + (2j/z) K_j (Abramowitz & Stegun 9.6.26), the
     stable direction for K. Each node climbs only to its own order, so
     its bits do not depend on the other nodes of the call. A K beyond
-    double range raises. From `_OVERLAP` nodes on, the worker thread
-    takes I_m of the first `_SHARE` of the nodes during the climb.
+    double range raises.
     """
     sp = _special()
-    cut = int(_SHARE * m.size) if m.size >= _OVERLAP else 0
-    pending = _worker().submit(sp.ive, m[:cut], x[:cut]) if cut else None
     orders = np.concatenate((m, m))
     sort = np.argsort(orders, kind="stable")
     orders, zs = orders[sort], np.concatenate((x, y))[sort]
@@ -194,13 +156,10 @@ def _background_node(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
             tail = (2.0 * j) / zs[start:]
             tail *= high[start:]
             low[start:] += tail
-    i_m = sp.ive(m[cut:], x[cut:])
-    if pending is not None:  # collected before the check: no worker call outlives this one
-        i_m = np.concatenate((pending.result(), i_m))
     if not (np.isfinite(even).all() and np.isfinite(odd).all()):
         raise OutOfDomainError("wire background: K_m beyond double range")
     is_even = orders % 2 == 0
     k_m, k_l = np.empty_like(even), np.empty_like(even)
     k_m[sort], k_l[sort] = np.where(is_even, even, odd), np.where(is_even, odd, even)
     n = m.size
-    return i_m, k_m[:n], k_l[:n], k_m[n:], k_l[n:], sp.i1e(x[m == 0])
+    return sp.ive(m, x), k_m[:n], k_l[:n], k_m[n:], k_l[n:], sp.i1e(x[m == 0])

@@ -299,6 +299,22 @@ def test_height_whose_quadrature_fails_is_named(capsys):
                                        "(scale 1.140e-03)\n")
 
 
+def test_plasmon_residue_beyond_double_range_is_a_numerical_failure(tmp_path):
+    # a lower medium of index 1e150j: the quadrature holds, but the r_p
+    # pole's residue overflows, and the run exits 3 saying so in one line
+    # without numpy's warnings; at 1e140j the residue is finite
+    argv = ["interface-sweep", "--range", "20:21:5", "--metal-n"]
+    proc = subprocess.run([sys.executable, "-m", "mesoqed.cli", *argv, "1e150j"],
+                          capture_output=True, text=True, timeout=300, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "mesoqed: numerical failure: h = 20: the plasmon pole's residue leaves double "
+               "range\n")
+    _, rows = data_rows(run_text([*argv, "1e140j"], tmp_path))
+    assert rows == ["20,0.142019023949,-0.0350305694927,0.0175152847464,0.124503739203,"
+                    "0.194564878188,0.124503739202,4.71538538114e-09,-4.71527753419e-09,"
+                    "-0.171411369731,0.101350230746"]
+
+
 def test_height_within_half_the_dot_is_refused_by_name(capsys):
     # L_qd < 2h: the default 20 nm dot refuses h = 5 before any quadrature
     assert main(["interface-sweep", "--range", "5:30:5"]) == 2
@@ -923,8 +939,8 @@ def test_interface_and_moments_leave_scipy_and_the_pool_out(tmp_path):
     # a fresh interpreter: importing the CLI, a one-point interface sweep
     # and moments load neither scipy nor the process pool's nor the
     # thread pool's module, and start no thread; the wire's first Bessel
-    # call (report, then nanowire-sweep) loads scipy.special, and both
-    # still print the golden output
+    # call (report, then nanowire-sweep) loads scipy.special and still
+    # starts no thread, and both print the golden output
     absent = ("scipy", "scipy.special", "concurrent.futures.process", "concurrent.futures.thread")
     code = (
         "import json, sys, threading\n"
@@ -939,14 +955,14 @@ def test_interface_and_moments_leave_scipy_and_the_pool_out(tmp_path):
         f"assert main(['report', '--out', {str(tmp_path / 'report.json')!r}]) == 0\n"
         f"assert main(['nanowire-sweep', '--range', '20:21:5', '--out', "
         f"{str(tmp_path / 'wire.csv')!r}]) == 0\n"
-        "print('scipy.special' in sys.modules)\n"
+        "print(loaded())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    before, after_interface, after_wire = proc.stdout.split("\n")[:3]
-    assert json.loads(before) == json.loads(after_interface) == [False, False, False, False, 1]
-    assert after_wire == "True"
+    before, after_interface, after_wire = map(json.loads, proc.stdout.split("\n")[:3])
+    assert before == after_interface == [False, False, False, False, 1]
+    assert after_wire == [True, True, False, False, 1]
     assert (tmp_path / "iface.csv").read_text(encoding="utf-8") == \
         run_text(["interface-sweep", "--range", "20:21:5"], tmp_path, "iface-ref.csv")
     assert (tmp_path / "moments.json").read_text(encoding="utf-8") == \
@@ -1034,18 +1050,6 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, absent):
                           timeout=300, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert sorted(set(absent) & set(json.loads(proc.stdout))) == []
-
-
-def test_importing_the_package_starts_no_thread():
-    # specfun's worker thread starts with the first large background
-    # batch, not at import, and its pool module loads with it
-    code = ("import json, sys, threading, mesoqed.cli, mesoqed.nanowire, mesoqed.specfun\n"
-            "print(json.dumps([threading.active_count(),"
-            " 'concurrent.futures.thread' in sys.modules]))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300, env=CHILD_ENV)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [1, False]
 
 
 STALLED = ["nanowire-sweep", "--range", "10:11:5"]

@@ -1041,8 +1041,7 @@ def test_background_bessel_work_per_node(monkeypatch, orientation):
 def test_background_takes_one_specfun_call_per_round(monkeypatch, orientation):
     # each quadrature round is one integrand call, and it takes every
     # node's Bessel values from one call of the background's routine;
-    # no other specfun function runs (`_special` is the scipy accessor,
-    # `_worker` the worker thread's)
+    # no other specfun function runs (`_special` is the scipy accessor)
     rounds = [0]
     real_quad = nanowire.quad
 
@@ -1056,8 +1055,7 @@ def test_background_takes_one_specfun_call_per_round(monkeypatch, orientation):
     calls = {}
 
     for name, fn in list(vars(specfun).items()):
-        if (name not in ("_special", "_worker")
-                and getattr(fn, "__module__", None) == specfun.__name__):
+        if name != "_special" and getattr(fn, "__module__", None) == specfun.__name__:
             calls[name] = 0
             monkeypatch.setattr(specfun, name, _counting(calls, name, fn))
     assert {"_background_node", "bessel_ik_scaled", "bessel_k"} <= calls.keys()
@@ -1147,42 +1145,6 @@ def test_background_nodes_are_real(paper_wire_nodes):
     assert m.max() == 30
     assert np.array_equal(i_m, specfun.bessel_ik_scaled(m, x)[0].real)
     assert np.abs(k_m / kve(m, x) - 1.0).max() < 2e-14
-
-
-class _RecordingWorker:
-    """The worker thread's executor, keeping every future it hands out."""
-
-    def __init__(self, executor):
-        self._executor = executor
-        self.futures = []
-
-    def submit(self, *args):
-        future = self._executor.submit(*args)
-        self.futures.append(future)
-        return future
-
-
-def test_background_node_bits_do_not_depend_on_the_overlap(monkeypatch, paper_wire_nodes):
-    # every batch the paper wire integrates has the same six outputs
-    # whether its I runs partly on the worker thread (_OVERLAP 0) or on
-    # the calling thread alone (_OVERLAP above every batch), and the
-    # background's own outputs are those the default threshold gave
-    sizes = [m.size for m, *_ in paper_wire_nodes]
-    assert min(sizes) < specfun._OVERLAP <= max(sizes)
-    worker = _RecordingWorker(specfun._worker())
-    monkeypatch.setattr(specfun, "_worker", lambda: worker)
-    for m, x, y, radial, out in paper_wire_nodes:
-        both = []
-        for overlap in (0, max(sizes) + 1):
-            monkeypatch.setattr(specfun, "_OVERLAP", overlap)
-            both.append([v.tobytes() for v in specfun._background_node(m, x, y)])
-            got = nanowire._node_bessel(m, x, y, radial)
-            assert [v.tobytes() for v in got] == [v.tobytes() for v in out]
-        assert both[0] == both[1]
-    # the worker took a share of each batch twice (once through
-    # _node_bessel) with _OVERLAP 0, and none above, and nothing is pending
-    assert len(worker.futures) == 2 * len(sizes)
-    assert all(future.done() for future in worker.futures)
 
 
 @pytest.mark.parametrize("m, x", [(0, 1e-4), (0, 0.3), (1, 1e-3), (27, 1e-3), (30, 0.0043),

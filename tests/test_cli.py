@@ -1052,6 +1052,18 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, absent):
     assert sorted(set(absent) & set(json.loads(proc.stdout))) == []
 
 
+def test_importing_the_package_starts_no_thread():
+    # importing the CLI, the wire and the Bessel routines starts no
+    # thread and loads no thread pool module
+    code = ("import json, sys, threading, mesoqed.cli, mesoqed.nanowire, mesoqed.specfun\n"
+            "print(json.dumps([threading.active_count(),"
+            " 'concurrent.futures.thread' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, False]
+
+
 STALLED = ["nanowire-sweep", "--range", "10:11:5"]
 STALLED_WARNING = ("mesoqed: warning: wire background at d=10 nm: harmonic sum not converged "
                    "at m_max=30, last term 1.94e-08 of the sum (series_tol 1e-10); accepted\n")

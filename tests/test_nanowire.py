@@ -1147,6 +1147,21 @@ def test_background_nodes_are_real(paper_wire_nodes):
     assert np.abs(k_m / kve(m, x) - 1.0).max() < 2e-14
 
 
+def test_background_node_bits_do_not_depend_on_the_batch(paper_wire_nodes):
+    # every batch the paper wire integrates has the same six outputs
+    # whole or split into two calls at 70 % of its nodes, and the
+    # background's own outputs are those of the sweep
+    for m, x, y, radial, out in paper_wire_nodes:
+        cut = (7 * m.size) // 10
+        whole = specfun._background_node(m, x, y)
+        head = specfun._background_node(m[:cut], x[:cut], y[:cut])
+        tail = specfun._background_node(m[cut:], x[cut:], y[cut:])
+        assert [v.tobytes() for v in whole] == \
+            [np.concatenate(pair).tobytes() for pair in zip(head, tail)]
+        got = nanowire._node_bessel(m, x, y, radial)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in out]
+
+
 @pytest.mark.parametrize("m, x", [(0, 1e-4), (0, 0.3), (1, 1e-3), (27, 1e-3), (30, 0.0043),
                                   (30, 150.0)])
 def test_background_node_derivatives_against_mpmath(m, x):

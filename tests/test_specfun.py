@@ -8,6 +8,8 @@ library wraps just the modified pair I/K.
 """
 
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -398,15 +400,44 @@ def test_k_ladder_paths_give_per_element_bits():
     assert np.array_equal(zs, kept)
 
 
-def test_k_ladder_overflow_raises_without_warning():
+@pytest.mark.parametrize("times", [1, 300])
+def test_k_ladder_overflow_raises_without_warning(times):
     # each overflow case, alone and repeated into a batch of 300 or 600 nodes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for m, x, y in (([250], [1e-3], [1.0]), ([3, 250], [1.0, 1e-3], [2.0, 2.0]),
                         ([250], [1200.0], [1e-3])):
-            for times in (1, 300):
-                with pytest.raises(OutOfDomainError, match="double range"):
-                    _node(m * times, x * times, y * times)
+            with pytest.raises(OutOfDomainError, match="double range"):
+                _node(m * times, x * times, y * times)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX only")
+def test_forked_child_gets_the_parents_bits():
+    # the background starts no thread, so a forked child computes a
+    # 2000-node batch on its own and gets the parent's bits
+    rng = np.random.default_rng(34)
+    m = rng.integers(0, 31, 2000)
+    x = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 2000))
+    want = [v.tobytes() for v in _background_node(m, x, 2.0 * x)]
+    with warnings.catch_warnings():
+        # Python 3.12 warns if the test process holds threads of its own
+        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if [v.tobytes() for v in _background_node(m, x, 2.0 * x)] == want else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not done[0]:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the forked child hung"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_i1_scaled_is_the_order_one_i():
